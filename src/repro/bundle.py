@@ -91,9 +91,9 @@ def load_bundle(
     back to text if the snapshot file is absent).
 
     ``overlay=True`` returns a *live-ingest ready* graph: a frozen
-    (snapshot-loaded) store comes back wrapped in a writable
-    :class:`~repro.rdf.overlay.OverlayBackend` — same content, same
-    version, mutable delta on top.  A store that loaded mutable (the
+    (snapshot-loaded) store comes back wrapped in a writable overlay
+    (:meth:`TripleStore.overlay`) — same content, same version, mutable
+    delta on top.  A store that loaded mutable (the
     text path) is returned as-is.
     """
     directory = Path(directory)
@@ -134,9 +134,7 @@ def load_bundle(
 def _maybe_overlay(kg: KnowledgeGraph, overlay: bool) -> KnowledgeGraph:
     """Wrap a frozen store in a writable overlay when asked (in place)."""
     if overlay and not kg.store.writable:
-        from repro.rdf.overlay import OverlayBackend
-
-        kg.store.swap_backend(OverlayBackend(kg.store.backend))
+        kg.store.swap_backend(kg.store.overlay().backend)
     return kg
 
 

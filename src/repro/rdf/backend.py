@@ -17,16 +17,42 @@ workload:
   page-cache copy of the file directly, so N forked serving workers
   share one physical copy of the triple columns.
 
-Nothing outside :mod:`repro.rdf` should import this module: all access
-goes through the :class:`StoreBackend` protocol via the
-:class:`repro.rdf.store.TripleStore` facade.
+The protocol is the **core** every backend implements natively, 16
+members: lifecycle and mutation (``writable``, ``version``, ``__len__``,
+``add``, ``add_all_ids``, ``remove``), ``contains`` / ``triples_ids`` /
+``count``, the three vocabulary iterators, and the four hot views the
+online phase lives on (``objects_ids``, ``subjects_ids``, ``out_index``,
+``in_index`` — one 99-question QALD pass on the 24.8k-triple explosion
+graph makes 37k + 37k + 7k + 7k of those calls and nothing else).  Every
+other view is **derived once** on top of that core: distinct objects of a
+predicate in the facade, kernel rows in :mod:`repro.rdf.kernel` from one
+sorted ``triples_ids()`` scan.
+
+Two pieces are shared by the backends instead of copied into each:
+:class:`PermutationReads` (every read over dict-of-dict-of-set
+permutations — ``DictBackend`` and the overlay's delta indexes) and
+:class:`FrozenBackend` (the lifecycle half of the frozen layouts).
+
+Nothing outside :mod:`repro.rdf` imports this module: all access goes
+through the :class:`StoreBackend` protocol via the
+:class:`repro.rdf.store.TripleStore` facade, which is also the only place
+a store is frozen, sharded or overlaid.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import AbstractSet, Iterable, Iterator, Mapping, Protocol, runtime_checkable
+from typing import (
+    AbstractSet,
+    Generic,
+    Iterable,
+    Iterator,
+    Mapping,
+    Protocol,
+    TypeVar,
+    runtime_checkable,
+)
 
 from repro.exceptions import StoreFrozenError
 
@@ -42,6 +68,10 @@ IntColumn = array | memoryview
 #: treat every returned set/mapping as immutable, so one instance suffices.
 _EMPTY_SET: frozenset[int] = frozenset()
 _EMPTY_MAP: dict[int, frozenset[int]] = {}
+
+#: Leaf value-set type of a dict permutation index: ``set`` when rows are
+#: edited in place, ``frozenset`` when they are published copy-on-write.
+_Leaf = TypeVar("_Leaf", set[int], frozenset[int])
 
 
 @runtime_checkable
@@ -85,10 +115,6 @@ class StoreBackend(Protocol):
 
     def in_index(self, o: int) -> Mapping[int, AbstractSet[int]]: ...
 
-    def objects_of_predicate(self, p: int) -> Iterator[int]: ...
-
-    def iter_out_rows(self) -> Iterator[tuple[int, Mapping[int, AbstractSet[int]]]]: ...
-
     def subject_ids(self) -> Iterator[int]: ...
 
     def predicate_ids(self) -> Iterator[int]: ...
@@ -96,21 +122,119 @@ class StoreBackend(Protocol):
     def object_ids(self) -> Iterator[int]: ...
 
 
-class DictBackend:
+class PermutationReads(Generic[_Leaf]):
+    """Every read over two-level dict permutation indexes, written once.
+
+    ``_spo``/``_pos``/``_osp`` map outer key → inner key → value set.  The
+    leaves may be mutable sets (:class:`DictBackend`) or copy-on-write
+    frozensets (the overlay's delta indexes); nothing here mutates either.
+    Each method binds a row once and reads only that binding, and the full
+    scan snapshots the outer keys before iterating, so an index whose
+    writers publish whole replacement rows can be read without a lock.
+    """
+
+    __slots__ = ("_spo", "_pos", "_osp", "_size")
+
+    def __init__(self) -> None:
+        self._spo: dict[int, dict[int, _Leaf]] = {}
+        self._pos: dict[int, dict[int, _Leaf]] = {}
+        self._osp: dict[int, dict[int, _Leaf]] = {}
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def contains(self, s: int, p: int, o: int) -> bool:
+        return o in self._spo.get(s, _EMPTY_MAP).get(p, _EMPTY_SET)
+
+    def triples_ids(
+        self, s: int | None = None, p: int | None = None, o: int | None = None
+    ) -> Iterator[IdTriple]:
+        """Iterate id triples matching a pattern of optional bound ids.
+
+        Chooses the index whose prefix covers the bound positions so every
+        shape is answered by direct dict seeks plus one innermost loop.
+        """
+        if s is not None:
+            if p is not None:
+                objects = self._spo.get(s, _EMPTY_MAP).get(p, _EMPTY_SET)
+                if o is not None:
+                    if o in objects:
+                        yield (s, p, o)
+                else:
+                    for oid in objects:
+                        yield (s, p, oid)
+            elif o is not None:
+                for pid in self._osp.get(o, _EMPTY_MAP).get(s, _EMPTY_SET):
+                    yield (s, pid, o)
+            else:
+                for pid, objects in self._spo.get(s, _EMPTY_MAP).items():
+                    for oid in objects:
+                        yield (s, pid, oid)
+        elif p is not None:
+            if o is not None:
+                for sid in self._pos.get(p, _EMPTY_MAP).get(o, _EMPTY_SET):
+                    yield (sid, p, o)
+            else:
+                for oid, subjects in self._pos.get(p, _EMPTY_MAP).items():
+                    for sid in subjects:
+                        yield (sid, p, oid)
+        elif o is not None:
+            for sid, preds in self._osp.get(o, _EMPTY_MAP).items():
+                for pid in preds:
+                    yield (sid, pid, o)
+        else:
+            for sid in list(self._spo):
+                for pid, objects in self._spo.get(sid, _EMPTY_MAP).items():
+                    for oid in objects:
+                        yield (sid, pid, oid)
+
+    def count(
+        self, s: int | None = None, p: int | None = None, o: int | None = None
+    ) -> int:
+        if s is None and p is None and o is None:
+            return self._size
+        if s is not None and p is not None and o is None:
+            return len(self._spo.get(s, _EMPTY_MAP).get(p, _EMPTY_SET))
+        if p is not None and o is not None and s is None:
+            return len(self._pos.get(p, _EMPTY_MAP).get(o, _EMPTY_SET))
+        return sum(1 for _ in self.triples_ids(s, p, o))
+
+    def objects_ids(self, s: int, p: int) -> AbstractSet[int]:
+        return self._spo.get(s, _EMPTY_MAP).get(p, _EMPTY_SET)
+
+    def subjects_ids(self, p: int, o: int) -> AbstractSet[int]:
+        return self._pos.get(p, _EMPTY_MAP).get(o, _EMPTY_SET)
+
+    def out_index(self, s: int) -> Mapping[int, AbstractSet[int]]:
+        return self._spo.get(s, _EMPTY_MAP)
+
+    def in_index(self, o: int) -> Mapping[int, AbstractSet[int]]:
+        return self._osp.get(o, _EMPTY_MAP)
+
+    def subject_ids(self) -> Iterator[int]:
+        return iter(self._spo)
+
+    def predicate_ids(self) -> Iterator[int]:
+        return iter(self._pos)
+
+    def object_ids(self) -> Iterator[int]:
+        return iter(self._osp)
+
+
+class DictBackend(PermutationReads[set[int]]):
     """Mutable permutation indexes as two-level dicts of sets.
 
     This is the standard index layout of native RDF stores (gStore,
     RDF-3X keep the full set of permutations; three suffice here because
     each pattern shape has at least one index whose prefix is bound).
+    Reads are :class:`PermutationReads`; this class adds in-place mutation.
     """
 
-    __slots__ = ("_spo", "_pos", "_osp", "_size", "_version")
+    __slots__ = ("_version",)
 
     def __init__(self) -> None:
-        self._spo: dict[int, dict[int, set[int]]] = {}
-        self._pos: dict[int, dict[int, set[int]]] = {}
-        self._osp: dict[int, dict[int, set[int]]] = {}
-        self._size = 0
+        super().__init__()
         self._version = 0
 
     @property
@@ -120,13 +244,6 @@ class DictBackend:
     @property
     def version(self) -> int:
         return self._version
-
-    def __len__(self) -> int:
-        return self._size
-
-    # ------------------------------------------------------------------ #
-    # Mutation
-    # ------------------------------------------------------------------ #
 
     def add(self, s: int, p: int, o: int) -> bool:
         objects = self._spo.setdefault(s, {}).setdefault(p, set())
@@ -173,105 +290,54 @@ class DictBackend:
         if not level:
             index.pop(outer, None)
 
-    # ------------------------------------------------------------------ #
-    # Reads
-    # ------------------------------------------------------------------ #
 
-    def contains(self, s: int, p: int, o: int) -> bool:
-        return o in self._spo.get(s, {}).get(p, ())
+class FrozenBackend:
+    """The lifecycle half of a frozen backend: fixed size and version,
+    every mutation refused with :class:`StoreFrozenError`."""
 
-    def triples_ids(
-        self, s: int | None = None, p: int | None = None, o: int | None = None
-    ) -> Iterator[IdTriple]:
-        """Iterate id triples matching a pattern of optional bound ids.
+    __slots__ = ("_size", "_version")
 
-        Chooses the index whose prefix covers the bound positions so every
-        shape is answered by direct dict seeks plus one innermost loop.
-        """
-        if s is not None:
-            by_pred = self._spo.get(s, {})
-            if p is not None:
-                objects = by_pred.get(p, ())
-                if o is not None:
-                    if o in objects:
-                        yield (s, p, o)
-                else:
-                    for oid in objects:
-                        yield (s, p, oid)
-            elif o is not None:
-                for pid in self._osp.get(o, {}).get(s, ()):
-                    yield (s, pid, o)
-            else:
-                for pid, objects in by_pred.items():
-                    for oid in objects:
-                        yield (s, pid, oid)
-        elif p is not None:
-            by_obj = self._pos.get(p, {})
-            if o is not None:
-                for sid in by_obj.get(o, ()):
-                    yield (sid, p, o)
-            else:
-                for oid, subjects in by_obj.items():
-                    for sid in subjects:
-                        yield (sid, p, oid)
-        elif o is not None:
-            for sid, preds in self._osp.get(o, {}).items():
-                for pid in preds:
-                    yield (sid, pid, o)
-        else:
-            for sid, by_pred in self._spo.items():
-                for pid, objects in by_pred.items():
-                    for oid in objects:
-                        yield (sid, pid, oid)
+    @property
+    def writable(self) -> bool:
+        return False
 
-    def count(
-        self, s: int | None = None, p: int | None = None, o: int | None = None
-    ) -> int:
-        if s is None and p is None and o is None:
-            return self._size
-        if s is not None and p is not None and o is None:
-            return len(self._spo.get(s, {}).get(p, ()))
-        if p is not None and o is not None and s is None:
-            return len(self._pos.get(p, {}).get(o, ()))
-        return sum(1 for _ in self.triples_ids(s, p, o))
+    @property
+    def version(self) -> int:
+        return self._version
 
-    def objects_ids(self, s: int, p: int) -> AbstractSet[int]:
-        return self._spo.get(s, _EMPTY_MAP).get(p, _EMPTY_SET)
+    def __len__(self) -> int:
+        return self._size
 
-    def subjects_ids(self, p: int, o: int) -> AbstractSet[int]:
-        return self._pos.get(p, _EMPTY_MAP).get(o, _EMPTY_SET)
+    def _refusal(self) -> StoreFrozenError:
+        return StoreFrozenError(
+            f"{type(self).__name__} is read-only; mutate a DictBackend store "
+            "and re-freeze it (TripleStore.compacted / TripleStore.sharded) "
+            "or recompile the snapshot"
+        )
 
-    def out_index(self, s: int) -> Mapping[int, AbstractSet[int]]:
-        return self._spo.get(s, _EMPTY_MAP)
+    def add(self, s: int, p: int, o: int) -> bool:
+        raise self._refusal()
 
-    def in_index(self, o: int) -> Mapping[int, AbstractSet[int]]:
-        return self._osp.get(o, _EMPTY_MAP)
+    def add_all_ids(self, triples: Iterable[IdTriple]) -> int:
+        raise self._refusal()
 
-    def objects_of_predicate(self, p: int) -> Iterator[int]:
-        return iter(self._pos.get(p, _EMPTY_MAP))
-
-    def iter_out_rows(self) -> Iterator[tuple[int, Mapping[int, AbstractSet[int]]]]:
-        return iter(self._spo.items())
-
-    def subject_ids(self) -> Iterator[int]:
-        return iter(self._spo)
-
-    def predicate_ids(self) -> Iterator[int]:
-        return iter(self._pos)
-
-    def object_ids(self) -> Iterator[int]:
-        return iter(self._osp)
+    def remove(self, s: int, p: int, o: int) -> bool:
+        raise self._refusal()
 
 
-def _run_bounds(column: IntColumn, value: int, lo: int, hi: int) -> tuple[int, int]:
-    """The [lo, hi) run of ``value`` inside a sorted column slice."""
-    return (
-        bisect_left(column, value, lo, hi),
-        bisect_right(column, value, lo, hi),
-    )
+def _prefix_run(
+    first: IntColumn, a: int, second: IntColumn, b: int | None = None
+) -> tuple[int, int]:
+    """The [lo, hi) rows of one permutation whose leading key is ``a``
+    and, when given, whose second key is ``b``."""
+    lo = bisect_left(first, a)
+    hi = bisect_right(first, a, lo)
+    if b is not None and lo < hi:
+        lo, hi = bisect_left(second, b, lo, hi), bisect_right(second, b, lo, hi)
+    return lo, hi
 
 
-class CompactBackend:
+class CompactBackend(FrozenBackend):
     """Frozen, read-optimized backend: sorted permutation columns.
 
     Each permutation (SPO, POS, OSP) is three parallel int64 columns
@@ -297,7 +363,6 @@ class CompactBackend:
         "_spo_s", "_spo_p", "_spo_o",
         "_pos_p", "_pos_o", "_pos_s",
         "_osp_o", "_osp_s", "_osp_p",
-        "_size", "_version",
     )
 
     def __init__(
@@ -312,15 +377,7 @@ class CompactBackend:
         self._osp_o, self._osp_s, self._osp_p = osp
         self._size = len(self._spo_s)
         self._version = version
-        lengths = {
-            len(column)
-            for column in (
-                self._spo_s, self._spo_p, self._spo_o,
-                self._pos_p, self._pos_o, self._pos_s,
-                self._osp_o, self._osp_s, self._osp_p,
-            )
-        }
-        if lengths != {self._size}:
+        if {len(column) for column in (*spo, *pos, *osp)} != {self._size}:
             raise ValueError("permutation columns disagree on triple count")
 
     @classmethod
@@ -339,63 +396,12 @@ class CompactBackend:
 
         return cls(columns(spo), columns(pos), columns(osp), version=version)
 
-    @property
-    def writable(self) -> bool:
-        return False
-
-    @property
-    def version(self) -> int:
-        return self._version
-
-    def __len__(self) -> int:
-        return self._size
-
-    # ------------------------------------------------------------------ #
-    # Mutation (rejected)
-    # ------------------------------------------------------------------ #
-
-    def add(self, s: int, p: int, o: int) -> bool:
-        raise StoreFrozenError(
-            "CompactBackend is read-only; mutate a DictBackend store and "
-            "recompact (TripleStore.compacted) or recompile the snapshot"
-        )
-
-    def add_all_ids(self, triples: Iterable[IdTriple]) -> int:
-        raise StoreFrozenError(
-            "CompactBackend is read-only; mutate a DictBackend store and "
-            "recompact (TripleStore.compacted) or recompile the snapshot"
-        )
-
-    def remove(self, s: int, p: int, o: int) -> bool:
-        raise StoreFrozenError(
-            "CompactBackend is read-only; mutate a DictBackend store and "
-            "recompact (TripleStore.compacted) or recompile the snapshot"
-        )
-
     # ------------------------------------------------------------------ #
     # Reads
     # ------------------------------------------------------------------ #
 
-    def _spo_run(self, s: int, p: int | None = None) -> tuple[int, int]:
-        lo, hi = _run_bounds(self._spo_s, s, 0, self._size)
-        if p is not None and lo < hi:
-            lo, hi = _run_bounds(self._spo_p, p, lo, hi)
-        return lo, hi
-
-    def _pos_run(self, p: int, o: int | None = None) -> tuple[int, int]:
-        lo, hi = _run_bounds(self._pos_p, p, 0, self._size)
-        if o is not None and lo < hi:
-            lo, hi = _run_bounds(self._pos_o, o, lo, hi)
-        return lo, hi
-
-    def _osp_run(self, o: int, s: int | None = None) -> tuple[int, int]:
-        lo, hi = _run_bounds(self._osp_o, o, 0, self._size)
-        if s is not None and lo < hi:
-            lo, hi = _run_bounds(self._osp_s, s, lo, hi)
-        return lo, hi
-
     def contains(self, s: int, p: int, o: int) -> bool:
-        lo, hi = self._spo_run(s, p)
+        lo, hi = _prefix_run(self._spo_s, s, self._spo_p, p)
         position = bisect_left(self._spo_o, o, lo, hi)
         return position < hi and self._spo_o[position] == o
 
@@ -404,23 +410,23 @@ class CompactBackend:
     ) -> Iterator[IdTriple]:
         if s is not None:
             if o is not None and p is None:
-                lo, hi = self._osp_run(o, s)
+                lo, hi = _prefix_run(self._osp_o, o, self._osp_s, s)
                 for index in range(lo, hi):
                     yield (s, self._osp_p[index], o)
                 return
-            lo, hi = self._spo_run(s, p)
             if o is not None:
                 if self.contains(s, p, o):  # type: ignore[arg-type]
                     yield (s, p, o)  # type: ignore[misc]
                 return
+            lo, hi = _prefix_run(self._spo_s, s, self._spo_p, p)
             for index in range(lo, hi):
                 yield (s, self._spo_p[index], self._spo_o[index])
         elif p is not None:
-            lo, hi = self._pos_run(p, o)
+            lo, hi = _prefix_run(self._pos_p, p, self._pos_o, o)
             for index in range(lo, hi):
                 yield (self._pos_s[index], p, self._pos_o[index])
         elif o is not None:
-            lo, hi = self._osp_run(o)
+            lo, hi = _prefix_run(self._osp_o, o, self._osp_s)
             for index in range(lo, hi):
                 yield (self._osp_s[index], self._osp_p[index], o)
         else:
@@ -437,35 +443,35 @@ class CompactBackend:
         # Every remaining shape is a contiguous run in one permutation.
         if s is not None:
             if o is not None:
-                lo, hi = self._osp_run(o, s)
+                lo, hi = _prefix_run(self._osp_o, o, self._osp_s, s)
             else:
-                lo, hi = self._spo_run(s, p)
+                lo, hi = _prefix_run(self._spo_s, s, self._spo_p, p)
         elif p is not None:
-            lo, hi = self._pos_run(p, o)
+            lo, hi = _prefix_run(self._pos_p, p, self._pos_o, o)
         else:
-            lo, hi = self._osp_run(o)  # type: ignore[arg-type]
+            lo, hi = _prefix_run(self._osp_o, o, self._osp_s)  # type: ignore[arg-type]
         return hi - lo
 
     def objects_ids(self, s: int, p: int) -> AbstractSet[int]:
-        lo, hi = self._spo_run(s, p)
+        lo, hi = _prefix_run(self._spo_s, s, self._spo_p, p)
         if lo == hi:
             return _EMPTY_SET
         return frozenset(self._spo_o[lo:hi])
 
     def subjects_ids(self, p: int, o: int) -> AbstractSet[int]:
-        lo, hi = self._pos_run(p, o)
+        lo, hi = _prefix_run(self._pos_p, p, self._pos_o, o)
         if lo == hi:
             return _EMPTY_SET
         return frozenset(self._pos_s[lo:hi])
 
     def out_index(self, s: int) -> Mapping[int, AbstractSet[int]]:
-        lo, hi = self._spo_run(s)
+        lo, hi = _prefix_run(self._spo_s, s, self._spo_p)
         if lo == hi:
             return _EMPTY_MAP
         return self._group_runs(self._spo_p, self._spo_o, lo, hi)
 
     def in_index(self, o: int) -> Mapping[int, AbstractSet[int]]:
-        lo, hi = self._osp_run(o)
+        lo, hi = _prefix_run(self._osp_o, o, self._osp_s)
         if lo == hi:
             return _EMPTY_MAP
         return self._group_runs(self._osp_s, self._osp_p, lo, hi)
@@ -483,25 +489,6 @@ class CompactBackend:
             grouped[key] = frozenset(values[index:end])
             index = end
         return grouped
-
-    def objects_of_predicate(self, p: int) -> Iterator[int]:
-        lo, hi = self._pos_run(p)
-        column = self._pos_o
-        index = lo
-        while index < hi:
-            value = column[index]
-            yield value
-            index = bisect_right(column, value, index, hi)
-
-    def iter_out_rows(self) -> Iterator[tuple[int, Mapping[int, AbstractSet[int]]]]:
-        column = self._spo_s
-        size = self._size
-        index = 0
-        while index < size:
-            sid = column[index]
-            end = bisect_right(column, sid, index, size)
-            yield sid, self._group_runs(self._spo_p, self._spo_o, index, end)
-            index = end
 
     @staticmethod
     def _distinct(column: IntColumn) -> Iterator[int]:

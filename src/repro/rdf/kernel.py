@@ -42,13 +42,14 @@ create/clear bookkeeping with a lock.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.contracts import guarded_by
 from repro.rdf import vocab
-from repro.rdf.shard import ShardedBackend, sharded_kernel_rows
+from repro.rdf.shard import ShardedBackend, map_shards
 from repro.rdf.store import TripleStore
 
 Path = tuple[int, ...]
@@ -92,6 +93,101 @@ def step_is_forward(step: int) -> bool:
 def reverse_path(path: Path) -> Path:
     """The same predicate path walked from the far endpoint back."""
     return tuple(-step for step in reversed(path))
+
+
+# --------------------------------------------------------------------- #
+# Row construction
+# --------------------------------------------------------------------- #
+
+def rows_from_sorted_triples(
+    triples: Iterable[tuple[int, int, int]], structural: frozenset[int]
+) -> dict[int, tuple[list[int], list[int]]]:
+    """Per-node ``(steps, neighbors)`` lists from id triples in SPO order.
+
+    The one place a triple stream becomes kernel rows.  Each
+    non-structural triple appends a forward step to its subject's row and
+    a backward step to its object's row (a self-loop contributes the pair
+    adjacently), so a node's row accumulates in ascending *source subject*
+    order — and because the input order is canonical (sorted SPO), rows
+    come out identical whichever backend the stream was read from.  The
+    backend-equivalence and snapshot contracts both rely on those
+    byte-identical rows.  A node appears only once it has an entry.
+    """
+    rows: dict[int, tuple[list[int], list[int]]] = {}
+    for sid, pid, oid in triples:
+        if pid in structural:
+            continue
+        fwd = pid + 1
+        srow = rows.get(sid)
+        if srow is None:
+            srow = rows[sid] = ([], [])
+        srow[0].append(fwd)
+        srow[1].append(oid)
+        orow = rows.get(oid)
+        if orow is None:
+            orow = rows[oid] = ([], [])
+        orow[0].append(-fwd)
+        orow[1].append(sid)
+    return rows
+
+
+#: Task state for :func:`sharded_kernel_rows`: (backend, structural ids).
+_SHARD_BUILD_STATE: tuple[ShardedBackend, frozenset[int]] | None = None
+
+
+def _segment_rows(index: int) -> dict[int, tuple[list[int], list[int]]]:
+    backend, structural = _SHARD_BUILD_STATE  # type: ignore[misc]
+    return rows_from_sorted_triples(backend.segment(index).triples_ids(), structural)
+
+
+def _entry_source(entry: tuple[int, int, int]) -> int:
+    return entry[0]
+
+
+def sharded_kernel_rows(
+    backend: ShardedBackend, structural: frozenset[int], jobs: int = 1
+) -> dict[int, AdjacencyRow]:
+    """Kernel rows over a sharded backend, byte-identical to the serial build.
+
+    Each segment contributes partial rows independently (``jobs > 1``
+    fans segments over a fork pool — see :func:`~repro.rdf.shard.
+    map_shards`).  Every contribution a subject makes — its own forward
+    steps and the backward steps it writes into its objects' rows — comes
+    from the one segment that owns the subject, and the serial build
+    appends into a node's row in ascending source-subject order: the node
+    itself for its forward steps, the far neighbor for backward steps.
+    So a k-way merge of the per-segment contributions by source subject
+    (stable within a segment) reproduces the serial append order exactly.
+    """
+    global _SHARD_BUILD_STATE
+    _SHARD_BUILD_STATE = (backend, structural)
+    try:
+        partials = map_shards(_segment_rows, backend.shards, jobs)
+    finally:
+        _SHARD_BUILD_STATE = None
+
+    nodes: set[int] = set()
+    for partial in partials:
+        nodes.update(partial)
+    merged: dict[int, AdjacencyRow] = {}
+    for node in sorted(nodes):
+        contributions = [
+            [
+                ((neighbor if step < 0 else node), step, neighbor)
+                for step, neighbor in zip(*partial[node])
+            ]
+            for partial in partials
+            if node in partial
+        ]
+        if len(contributions) == 1:
+            entries = contributions[0]
+        else:
+            entries = list(heapq.merge(*contributions, key=_entry_source))
+        merged[node] = (
+            tuple(entry[1] for entry in entries),
+            tuple(entry[2] for entry in entries),
+        )
+    return merged
 
 
 @guarded_by("_region_lock", "_regions")
@@ -145,53 +241,27 @@ class AdjacencyKernel:
             self._patch(patch_from)
         elif isinstance(store.backend, ShardedBackend):
             # Shard-parallel build: per-segment partial rows merged per
-            # node in source-subject order — byte-identical to _build()
-            # over the same triples, at any job count.
+            # node in source-subject order — byte-identical to the serial
+            # build over the same triples, at any job count.
             self._full = sharded_kernel_rows(
                 store.backend, self.structural_predicate_ids, jobs=build_jobs
             )
         else:
-            self._build()
+            # Serial build.  Sorting canonicalizes the visit order: a dict
+            # backend scans in insertion order and an overlay appends its
+            # delta after the base run; on the frozen layouts the scan is
+            # already sorted and the sort is one linear pass.
+            rows = rows_from_sorted_triples(
+                sorted(store.triples_ids()), self.structural_predicate_ids
+            )
+            self._full = {
+                node: (tuple(steps), tuple(nbrs))
+                for node, (steps, nbrs) in rows.items()
+            }
         self._signatures: dict[int, frozenset[int]] = {}
         self._regions: dict[str, dict] = {}
         self._region_lock = threading.Lock()
         self.walk_path = lru_cache(maxsize=_WALK_CACHE_SIZE)(self._walk_path)
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-
-    def _build(self) -> None:
-        # The (subject, predicate, object) visit order is canonicalized by
-        # sorting at every level, so rows come out identical whichever
-        # backend (dict insertion order vs. sorted compact columns) the
-        # store sits on — the backend-equivalence and snapshot contracts
-        # both rely on byte-identical rows.
-        structural = self.structural_predicate_ids
-        full: dict[int, tuple[list[int], list[int]]] = {}
-        for sid, predicate_row in sorted(self.store.iter_out_rows()):
-            srow = full.get(sid)
-            if srow is None:
-                srow = full[sid] = ([], [])
-            s_steps, s_nbrs = srow
-            for pid in sorted(predicate_row):
-                if pid in structural:
-                    continue
-                fwd = pid + 1
-                bwd = -fwd
-                for oid in sorted(predicate_row[pid]):
-                    s_steps.append(fwd)
-                    s_nbrs.append(oid)
-                    orow = full.get(oid)
-                    if orow is None:
-                        orow = full[oid] = ([], [])
-                    orow[0].append(bwd)
-                    orow[1].append(sid)
-        self._full = {
-            node: (tuple(steps), tuple(nbrs))
-            for node, (steps, nbrs) in full.items()
-            if steps
-        }
 
     def full_rows(self) -> dict[int, AdjacencyRow]:
         """The complete per-node row index (read-only; snapshot compiler)."""
@@ -221,7 +291,7 @@ class AdjacencyKernel:
     def _patch(self, old: "AdjacencyKernel") -> None:
         """Adopt ``old``'s rows, rebuilding only the dirtied ones.
 
-        Byte-identical to a cold :meth:`_build` over the current store:
+        Byte-identical to a cold build over the current store:
         the per-row rebuild replays the exact canonical visit order (all
         source subjects ascending, predicates ascending, objects
         ascending) restricted to one target node.  Callers must quiesce
@@ -238,7 +308,8 @@ class AdjacencyKernel:
         self._full = rows
 
     def _rebuild_row(self, node: int) -> AdjacencyRow:
-        """One node's row, in the canonical order :meth:`_build` produces.
+        """One node's row, in the canonical order
+        :func:`rows_from_sorted_triples` produces.
 
         A node's row accumulates entries as the full build visits source
         subjects in ascending order: visiting subject ``s`` appends, per

@@ -11,9 +11,9 @@ compiled artifact.  :class:`OverlayBackend` composes
 
 and merges every read view of the :class:`~repro.rdf.backend.StoreBackend`
 protocol — ``triples_ids`` in all pattern shapes, counts,
-``out_index``/``in_index``, the vocabulary iterators, ``iter_out_rows`` —
-so the composite is observably identical to a :class:`~repro.rdf.backend.
-DictBackend` rebuilt from the merged triples, at any delta size.
+``out_index``/``in_index``, the vocabulary iterators — so the composite
+is observably identical to a :class:`~repro.rdf.backend.DictBackend`
+rebuilt from the merged triples, at any delta size.
 
 Mutation semantics keep the two sides disjoint: adding a triple the base
 already holds un-tombstoned is a no-op; adding a tombstoned triple clears
@@ -44,10 +44,10 @@ version, so derived caches stay valid.
 from __future__ import annotations
 
 import threading
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from repro.contracts import guarded_by
-from repro.rdf.backend import IdTriple, StoreBackend
+from repro.rdf.backend import IdTriple, PermutationReads, StoreBackend
 
 _EMPTY_SET: frozenset[int] = frozenset()
 
@@ -55,30 +55,18 @@ _EMPTY_SET: frozenset[int] = frozenset()
 _DeltaPerm = dict[int, dict[int, frozenset[int]]]
 
 
-class _DeltaIndex:
+class _DeltaIndex(PermutationReads[frozenset[int]]):
     """Three permutation indexes with copy-on-write rows.
 
-    The mutable counterpart of a ``DictBackend`` sized for small deltas,
-    with one structural difference: mutation never edits a published row
-    in place — it builds a replacement dict/frozenset and assigns it into
-    the outer index, so lock-free readers always see a complete row.
-    All mutation happens under the owning overlay's write lock.
+    Reads are the same :class:`~repro.rdf.backend.PermutationReads` a
+    ``DictBackend`` uses; the one structural difference is on the write
+    side: mutation never edits a published row in place — it builds a
+    replacement dict/frozenset and assigns it into the outer index, so
+    lock-free readers always see a complete row.  All mutation happens
+    under the owning overlay's write lock.
     """
 
-    __slots__ = ("_spo", "_pos", "_osp", "size")
-
-    def __init__(self) -> None:
-        self._spo: _DeltaPerm = {}
-        self._pos: _DeltaPerm = {}
-        self._osp: _DeltaPerm = {}
-        self.size = 0
-
-    def __len__(self) -> int:
-        return self.size
-
-    # ------------------------------------------------------------------ #
-    # Mutation (write-lock holders only)
-    # ------------------------------------------------------------------ #
+    __slots__ = ()
 
     @staticmethod
     def _cow_insert(perm: _DeltaPerm, outer: int, inner: int, value: int) -> None:
@@ -110,125 +98,20 @@ class _DeltaIndex:
         self._cow_insert(self._spo, s, p, o)
         self._cow_insert(self._pos, p, o, s)
         self._cow_insert(self._osp, o, s, p)
-        self.size += 1
+        self._size += 1
 
     def discard(self, s: int, p: int, o: int) -> None:
         self._cow_discard(self._spo, s, p, o)
         self._cow_discard(self._pos, p, o, s)
         self._cow_discard(self._osp, o, s, p)
-        self.size -= 1
+        self._size -= 1
 
-    # ------------------------------------------------------------------ #
-    # Reads (lock-free)
-    # ------------------------------------------------------------------ #
 
-    def contains(self, s: int, p: int, o: int) -> bool:
-        row = self._spo.get(s)
-        return row is not None and o in (row.get(p) or _EMPTY_SET)
-
-    def pair_spo(self, s: int, p: int) -> frozenset[int]:
-        row = self._spo.get(s)
-        return (row.get(p) or _EMPTY_SET) if row is not None else _EMPTY_SET
-
-    def pair_pos(self, p: int, o: int) -> frozenset[int]:
-        row = self._pos.get(p)
-        return (row.get(o) or _EMPTY_SET) if row is not None else _EMPTY_SET
-
-    def pair_osp(self, o: int, s: int) -> frozenset[int]:
-        row = self._osp.get(o)
-        return (row.get(s) or _EMPTY_SET) if row is not None else _EMPTY_SET
-
-    def out_row(self, s: int) -> dict[int, frozenset[int]] | None:
-        return self._spo.get(s)
-
-    def pos_row(self, p: int) -> dict[int, frozenset[int]] | None:
-        return self._pos.get(p)
-
-    def in_row(self, o: int) -> dict[int, frozenset[int]] | None:
-        return self._osp.get(o)
-
-    def spo_keys(self) -> set[int]:
-        return set(self._spo)
-
-    def pos_keys(self) -> set[int]:
-        return set(self._pos)
-
-    def osp_keys(self) -> set[int]:
-        return set(self._osp)
-
-    def triples(
-        self, s: int | None = None, p: int | None = None, o: int | None = None
-    ) -> Iterator[IdTriple]:
-        """Matching delta triples, same index dispatch as ``DictBackend``."""
-        if not self.size:
-            return
-        if s is not None:
-            if p is not None:
-                objects = self.pair_spo(s, p)
-                if o is not None:
-                    if o in objects:
-                        yield (s, p, o)
-                else:
-                    for oid in objects:
-                        yield (s, p, oid)
-            elif o is not None:
-                for pid in self.pair_osp(o, s):
-                    yield (s, pid, o)
-            else:
-                row = self._spo.get(s)
-                if row:
-                    for pid, objects in row.items():
-                        for oid in objects:
-                            yield (s, pid, oid)
-        elif p is not None:
-            if o is not None:
-                for sid in self.pair_pos(p, o):
-                    yield (sid, p, o)
-            else:
-                row = self._pos.get(p)
-                if row:
-                    for oid, subjects in row.items():
-                        for sid in subjects:
-                            yield (sid, p, oid)
-        elif o is not None:
-            row = self._osp.get(o)
-            if row:
-                for sid, preds in row.items():
-                    for pid in preds:
-                        yield (sid, pid, o)
-        else:
-            for sid in list(self._spo):
-                row = self._spo.get(sid)
-                if row:
-                    for pid, objects in row.items():
-                        for oid in objects:
-                            yield (sid, pid, oid)
-
-    def count(
-        self, s: int | None = None, p: int | None = None, o: int | None = None
-    ) -> int:
-        if not self.size:
-            return 0
-        if s is None and p is None and o is None:
-            return self.size
-        if s is not None and p is not None and o is not None:
-            return 1 if self.contains(s, p, o) else 0
-        if s is not None and p is not None:
-            return len(self.pair_spo(s, p))
-        if p is not None and o is not None:
-            return len(self.pair_pos(p, o))
-        if s is not None and o is not None:
-            return len(self.pair_osp(o, s))
-        if s is not None:
-            row = self._spo.get(s)
-        elif p is not None:
-            row = self._pos.get(p)
-        else:
-            assert o is not None
-            row = self._osp.get(o)
-        if not row:
-            return 0
-        return sum(len(values) for values in row.values())
+def _merge_values(
+    base: AbstractSet[int], added: frozenset[int], dead: frozenset[int]
+) -> AbstractSet[int]:
+    """``base ∖ dead ∪ added`` for one (outer, inner) key pair."""
+    return (frozenset(base) - dead) | added
 
 
 @guarded_by("_write_lock", "_touched")
@@ -274,14 +157,14 @@ class OverlayBackend:
         return self._version
 
     def __len__(self) -> int:
-        return len(self._base) - self._tombs.size + self._adds.size
+        return len(self._base) - len(self._tombs) + len(self._adds)
 
     def delta_statistics(self) -> dict[str, int]:
         """Sizes of the overlay's moving parts (serve-layer stats)."""
         return {
             "base_triples": len(self._base),
-            "delta_adds": self._adds.size,
-            "tombstones": self._tombs.size,
+            "delta_adds": len(self._adds),
+            "tombstones": len(self._tombs),
         }
 
     # ------------------------------------------------------------------ #
@@ -365,14 +248,14 @@ class OverlayBackend:
         self, s: int | None = None, p: int | None = None, o: int | None = None
     ) -> Iterator[IdTriple]:
         tombs = self._tombs
-        if tombs.size:
+        if len(tombs):
             contains = tombs.contains
             for triple in self._base.triples_ids(s, p, o):
                 if not contains(*triple):
                     yield triple
         else:
             yield from self._base.triples_ids(s, p, o)
-        yield from self._adds.triples(s, p, o)
+        yield from self._adds.triples_ids(s, p, o)
 
     def count(
         self, s: int | None = None, p: int | None = None, o: int | None = None
@@ -385,112 +268,68 @@ class OverlayBackend:
             + self._adds.count(s, p, o)
         )
 
+    # The four hot views read the two deltas first and hand back the
+    # base's own view untouched when neither mentions the key — the
+    # common case, and the whole cost of an overlay on a cold key.
+
     def objects_ids(self, s: int, p: int) -> AbstractSet[int]:
-        added = self._adds.pair_spo(s, p)
-        dead = self._tombs.pair_spo(s, p)
+        added = self._adds.objects_ids(s, p)
+        dead = self._tombs.objects_ids(s, p)
         base = self._base.objects_ids(s, p)
         if not added and not dead:
             return base
-        merged = frozenset(base)
-        if dead:
-            merged = merged - dead
-        if added:
-            merged = merged | added
-        return merged
+        return _merge_values(base, added, dead)
 
     def subjects_ids(self, p: int, o: int) -> AbstractSet[int]:
-        added = self._adds.pair_pos(p, o)
-        dead = self._tombs.pair_pos(p, o)
+        added = self._adds.subjects_ids(p, o)
+        dead = self._tombs.subjects_ids(p, o)
         base = self._base.subjects_ids(p, o)
         if not added and not dead:
             return base
-        merged = frozenset(base)
-        if dead:
-            merged = merged - dead
-        if added:
-            merged = merged | added
-        return merged
+        return _merge_values(base, added, dead)
 
     @staticmethod
     def _merge_row(
         base_row: Mapping[int, AbstractSet[int]],
-        added: dict[int, frozenset[int]] | None,
-        dead: dict[int, frozenset[int]] | None,
+        added: Mapping[int, frozenset[int]],
+        dead: Mapping[int, frozenset[int]],
     ) -> dict[int, AbstractSet[int]]:
-        keys = set(base_row)
-        if added:
-            keys.update(added)
         merged: dict[int, AbstractSet[int]] = {}
-        for key in keys:
-            values: AbstractSet[int] = base_row.get(key, _EMPTY_SET)
-            if dead:
-                dead_values = dead.get(key)
-                if dead_values:
-                    values = frozenset(values) - dead_values
-            if added:
-                added_values = added.get(key)
-                if added_values:
-                    values = frozenset(values) | added_values
+        for key in set(base_row).union(added):
+            values = base_row.get(key, _EMPTY_SET)
+            added_values = added.get(key, _EMPTY_SET)
+            dead_values = dead.get(key, _EMPTY_SET)
+            if added_values or dead_values:
+                values = _merge_values(values, added_values, dead_values)
             if values:
                 merged[key] = values
         return merged
 
     def out_index(self, s: int) -> Mapping[int, AbstractSet[int]]:
-        added = self._adds.out_row(s)
-        dead = self._tombs.out_row(s)
+        added = self._adds.out_index(s)
+        dead = self._tombs.out_index(s)
         base_row = self._base.out_index(s)
-        if added is None and dead is None:
+        if not added and not dead:
             return base_row
         return self._merge_row(base_row, added, dead)
 
     def in_index(self, o: int) -> Mapping[int, AbstractSet[int]]:
-        added = self._adds.in_row(o)
-        dead = self._tombs.in_row(o)
+        added = self._adds.in_index(o)
+        dead = self._tombs.in_index(o)
         base_row = self._base.in_index(o)
-        if added is None and dead is None:
+        if not added and not dead:
             return base_row
         return self._merge_row(base_row, added, dead)
-
-    def objects_of_predicate(self, p: int) -> Iterator[int]:
-        added_row = self._adds.pos_row(p) or {}
-        dead_row = self._tombs.pos_row(p)
-        remaining = set(added_row)
-        for oid in self._base.objects_of_predicate(p):
-            remaining.discard(oid)
-            if dead_row:
-                dead = dead_row.get(oid)
-                if dead:
-                    live = self._base.count(None, p, oid) - len(dead)
-                    if live <= 0 and not added_row.get(oid):
-                        continue
-            yield oid
-        yield from sorted(remaining)
-
-    def iter_out_rows(self) -> Iterator[tuple[int, Mapping[int, AbstractSet[int]]]]:
-        touched = self._adds.spo_keys() | self._tombs.spo_keys()
-        remaining = self._adds.spo_keys()
-        for sid, row in self._base.iter_out_rows():
-            if sid in touched:
-                remaining.discard(sid)
-                merged = self.out_index(sid)
-                if merged:
-                    yield sid, merged
-            else:
-                yield sid, row
-        for sid in sorted(remaining):
-            merged = self.out_index(sid)
-            if merged:
-                yield sid, merged
 
     # ------------------------------------------------------------------ #
     # Vocabulary
     # ------------------------------------------------------------------ #
 
-    def _live_outer(
+    def _live_ids(
         self,
         base_ids: Iterator[int],
-        added_keys: set[int],
-        tomb_row_of: Callable[[int], dict[int, frozenset[int]] | None],
+        added_ids: Iterator[int],
+        tombstoned_ids: Iterator[int],
         position: str,
     ) -> Iterator[int]:
         """Base vocabulary ids that still have live triples, then add-only ids.
@@ -498,35 +337,29 @@ class OverlayBackend:
         A base id disappears only when tombstones cover *every* base
         triple in its row, which the merged count settles exactly.
         """
-        remaining = added_keys
+        remaining = set(added_ids)
+        tombstoned = set(tombstoned_ids)
         for term_id in base_ids:
             remaining.discard(term_id)
-            if tomb_row_of(term_id) is not None:
-                if position == "s":
-                    live = self.count(s=term_id)
-                elif position == "p":
-                    live = self.count(p=term_id)
-                else:
-                    live = self.count(o=term_id)
-                if live == 0:
-                    continue
+            if term_id in tombstoned and not self.count(**{position: term_id}):
+                continue
             yield term_id
         yield from sorted(remaining)
 
     def subject_ids(self) -> Iterator[int]:
-        return self._live_outer(
-            self._base.subject_ids(), self._adds.spo_keys(),
-            self._tombs.out_row, "s",
+        return self._live_ids(
+            self._base.subject_ids(), self._adds.subject_ids(),
+            self._tombs.subject_ids(), "s",
         )
 
     def predicate_ids(self) -> Iterator[int]:
-        return self._live_outer(
-            self._base.predicate_ids(), self._adds.pos_keys(),
-            self._tombs.pos_row, "p",
+        return self._live_ids(
+            self._base.predicate_ids(), self._adds.predicate_ids(),
+            self._tombs.predicate_ids(), "p",
         )
 
     def object_ids(self) -> Iterator[int]:
-        return self._live_outer(
-            self._base.object_ids(), self._adds.osp_keys(),
-            self._tombs.in_row, "o",
+        return self._live_ids(
+            self._base.object_ids(), self._adds.object_ids(),
+            self._tombs.object_ids(), "o",
         )

@@ -28,13 +28,6 @@ or loaded **lazily** through a caller-supplied loader
 on first touch and keep untouched shards off the resident set).  Loaded
 segments can be :meth:`evicted <ShardedBackend.evict>`; the next touch
 reloads them.
-
-The module also hosts the shard-parallel adjacency-kernel build
-(:func:`sharded_kernel_rows`): each segment's partial rows are built
-independently (optionally across a fork pool) and k-way merged per node
-in ascending source-subject order, which reproduces the serial build's
-rows **byte-for-byte** — the same contract the parallel paraphrase miner
-keeps for its output.
 """
 
 from __future__ import annotations
@@ -42,12 +35,13 @@ from __future__ import annotations
 import concurrent.futures
 import heapq
 import multiprocessing
+import os
 import threading
 from operator import itemgetter
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from repro.exceptions import SnapshotError, StoreFrozenError
-from repro.rdf.backend import CompactBackend, IdTriple
+from repro.exceptions import SnapshotError
+from repro.rdf.backend import CompactBackend, FrozenBackend, IdTriple
 
 __all__ = [
     "PARTITION_SCHEME",
@@ -55,12 +49,8 @@ __all__ = [
     "shard_of",
     "partition_triples",
     "build_segments",
-    "sharded_kernel_rows",
+    "map_shards",
 ]
-
-#: Signed-step kernel row, duplicated from :mod:`repro.rdf.kernel` to keep
-#: the import direction kernel → shard (never the reverse).
-_Row = tuple[tuple[int, ...], tuple[int, ...]]
 
 #: Knuth's 32-bit multiplicative hash constant (2^32 / golden ratio).
 _HASH_MULTIPLIER = 0x9E3779B1
@@ -68,6 +58,8 @@ _HASH_MULTIPLIER = 0x9E3779B1
 #: Name of the partition function, recorded in snapshot manifests so a
 #: loader can refuse a manifest written under a different placement.
 PARTITION_SCHEME = "subject-mulfib32/1"
+
+_T = TypeVar("_T")
 
 _EMPTY_SET: frozenset[int] = frozenset()
 _EMPTY_MAP: dict[int, frozenset[int]] = {}
@@ -109,10 +101,7 @@ def partition_triples(
 # Shard-parallel segment construction
 # --------------------------------------------------------------------- #
 
-#: Worker state for the segment-build pool: (partitions, store version).
-#: Set in the parent immediately before the pool is created — fork
-#: workers inherit the partition lists copy-on-write, exactly the
-#: pattern the paraphrase miner's phrase pool uses.
+#: Task state for :func:`build_segments`: (partitions, store version).
 _BUILD_STATE: tuple[list[list[IdTriple]], int] | None = None
 
 
@@ -121,41 +110,38 @@ def _build_one_segment(index: int) -> CompactBackend:
     return CompactBackend.from_triples(partitions[index], version=version)
 
 
-def _pool_factory(jobs: int) -> Callable[[], concurrent.futures.Executor]:
-    """A fork process pool, degrading to threads where fork is unavailable."""
+def map_shards(task: Callable[[int], _T], shards: int, jobs: int = 1) -> list[_T]:
+    """``[task(0), ..., task(shards - 1)]``, fanned over a fork pool.
+
+    ``jobs > 1`` runs the tasks across forked workers (0 auto-sizes to the
+    CPU count), degrading to threads where fork is unavailable.  A task
+    takes only its shard index: its inputs are module state the caller
+    sets immediately before this call, which fork workers inherit
+    copy-on-write — exactly the pattern the paraphrase miner's phrase
+    pool uses.  Tasks must be deterministic, so the result is identical
+    at any job count.
+    """
+    jobs = max(1, min(jobs or os.cpu_count() or 1, shards))
+    if jobs == 1:
+        return [task(index) for index in range(shards)]
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:
-        return lambda: concurrent.futures.ThreadPoolExecutor(max_workers=jobs)
-    return lambda: concurrent.futures.ProcessPoolExecutor(
-        max_workers=jobs, mp_context=context
-    )
+        pool: concurrent.futures.Executor = concurrent.futures.ThreadPoolExecutor(jobs)
+    else:
+        pool = concurrent.futures.ProcessPoolExecutor(jobs, mp_context=context)
+    with pool:
+        return list(pool.map(task, range(shards)))
 
 
 def build_segments(
     partitions: list[list[IdTriple]], version: int = 0, jobs: int = 1
 ) -> list[CompactBackend]:
-    """One frozen :class:`CompactBackend` per partition.
-
-    ``jobs > 1`` builds segments across a fork pool (0 auto-sizes to the
-    CPU count).  Each segment build is an independent deterministic sort,
-    so the result is identical at any job count.
-    """
+    """One frozen :class:`CompactBackend` per partition (see :func:`map_shards`)."""
     global _BUILD_STATE
-    if jobs == 0:
-        import os
-
-        jobs = os.cpu_count() or 1
-    jobs = max(1, min(jobs, len(partitions)))
-    if jobs == 1:
-        return [
-            CompactBackend.from_triples(partition, version=version)
-            for partition in partitions
-        ]
     _BUILD_STATE = (partitions, version)
     try:
-        with _pool_factory(jobs)() as pool:
-            return list(pool.map(_build_one_segment, range(len(partitions))))
+        return map_shards(_build_one_segment, len(partitions), jobs)
     finally:
         _BUILD_STATE = None
 
@@ -169,7 +155,7 @@ def _merge_distinct(iterators: Sequence[Iterator[int]]) -> Iterator[int]:
             yield value
 
 
-class ShardedBackend:
+class ShardedBackend(FrozenBackend):
     """K hash-partitioned frozen segments behind the StoreBackend protocol.
 
     Reads with a bound subject route to ``shard_of(s)``'s single segment;
@@ -191,7 +177,7 @@ class ShardedBackend:
 
     __slots__ = (
         "_segments", "_segment_triples", "_loader", "_keepalive",
-        "_shards", "_size", "_version", "_lock",
+        "_shards", "_lock",
     )
 
     def __init__(
@@ -317,37 +303,8 @@ class ShardedBackend:
         return True
 
     # ------------------------------------------------------------------ #
-    # StoreBackend protocol
+    # StoreBackend reads (lifecycle and refusals: FrozenBackend)
     # ------------------------------------------------------------------ #
-
-    @property
-    def writable(self) -> bool:
-        return False
-
-    @property
-    def version(self) -> int:
-        return self._version
-
-    def __len__(self) -> int:
-        return self._size
-
-    def add(self, s: int, p: int, o: int) -> bool:
-        raise StoreFrozenError(
-            "ShardedBackend is read-only; mutate a DictBackend store and "
-            "re-shard (TripleStore.sharded) or recompile the snapshot"
-        )
-
-    def add_all_ids(self, triples: "Iterable[IdTriple]") -> int:
-        raise StoreFrozenError(
-            "ShardedBackend is read-only; mutate a DictBackend store and "
-            "re-shard (TripleStore.sharded) or recompile the snapshot"
-        )
-
-    def remove(self, s: int, p: int, o: int) -> bool:
-        raise StoreFrozenError(
-            "ShardedBackend is read-only; mutate a DictBackend store and "
-            "re-shard (TripleStore.sharded) or recompile the snapshot"
-        )
 
     def contains(self, s: int, p: int, o: int) -> bool:
         return self.segment(self.shard_of_subject(s)).contains(s, p, o)
@@ -416,18 +373,6 @@ class ShardedBackend:
             merged.update(row)
         return dict(sorted(merged.items()))
 
-    def objects_of_predicate(self, p: int) -> Iterator[int]:
-        # Objects are *not* disjoint across segments: merge and dedupe.
-        return _merge_distinct(
-            [segment.objects_of_predicate(p) for segment in self._all_segments()]
-        )
-
-    def iter_out_rows(self) -> Iterator[tuple[int, Mapping[int, AbstractSet[int]]]]:
-        return heapq.merge(
-            *(segment.iter_out_rows() for segment in self._all_segments()),
-            key=itemgetter(0),
-        )
-
     def subject_ids(self) -> Iterator[int]:
         # Disjoint by the partition function, but merging distinct is as
         # cheap and keeps the contract obvious.
@@ -444,118 +389,3 @@ class ShardedBackend:
         return _merge_distinct(
             [segment.object_ids() for segment in self._all_segments()]
         )
-
-
-# --------------------------------------------------------------------- #
-# Shard-parallel adjacency-kernel build
-# --------------------------------------------------------------------- #
-
-def _partial_rows(
-    out_rows: Iterator[tuple[int, Mapping[int, AbstractSet[int]]]],
-    structural: frozenset[int],
-) -> dict[int, tuple[list[int], list[int]]]:
-    """One segment's kernel-row contributions.
-
-    This is the serial :meth:`AdjacencyKernel._build` loop restricted to
-    the segment's subjects: identical visit order (subjects ascending,
-    predicates ascending, objects ascending), identical appends.  Every
-    contribution a subject makes — its own forward steps and the backward
-    steps it writes into its objects' rows — happens here, in the one
-    segment that owns the subject.
-    """
-    full: dict[int, tuple[list[int], list[int]]] = {}
-    for sid, predicate_row in out_rows:
-        srow = full.get(sid)
-        if srow is None:
-            srow = full[sid] = ([], [])
-        s_steps, s_nbrs = srow
-        for pid in sorted(predicate_row):
-            if pid in structural:
-                continue
-            fwd = pid + 1
-            bwd = -fwd
-            for oid in sorted(predicate_row[pid]):
-                s_steps.append(fwd)
-                s_nbrs.append(oid)
-                orow = full.get(oid)
-                if orow is None:
-                    orow = full[oid] = ([], [])
-                orow[0].append(bwd)
-                orow[1].append(sid)
-    return full
-
-
-#: Worker state for the kernel-partial pool: (backend, structural ids).
-_KERNEL_BUILD_STATE: tuple[ShardedBackend, frozenset[int]] | None = None
-
-
-def _segment_kernel_partial(index: int) -> dict[int, tuple[list[int], list[int]]]:
-    backend, structural = _KERNEL_BUILD_STATE  # type: ignore[misc]
-    return _partial_rows(backend.segment(index).iter_out_rows(), structural)
-
-
-def _entry_source(entry: tuple[int, int, int]) -> int:
-    return entry[0]
-
-
-def sharded_kernel_rows(
-    backend: ShardedBackend,
-    structural: frozenset[int],
-    jobs: int = 1,
-) -> dict[int, _Row]:
-    """Kernel rows over a sharded backend, byte-identical to the serial build.
-
-    Each segment contributes partial rows independently (``jobs > 1``
-    fans segments over a fork pool).  The serial build appends into a
-    node's row in ascending *source subject* order — the subject being
-    visited when the entry is appended: the node itself for its forward
-    steps, the far neighbor for backward steps.  Source subjects map to
-    exactly one segment each, so a k-way merge of the per-segment
-    contributions by source subject (stable within a segment) reproduces
-    the serial append order exactly.
-    """
-    indices = range(backend.shards)
-    if jobs == 0:
-        import os
-
-        jobs = os.cpu_count() or 1
-    jobs = max(1, min(jobs, backend.shards))
-    if jobs == 1:
-        partials = [
-            _partial_rows(backend.segment(index).iter_out_rows(), structural)
-            for index in indices
-        ]
-    else:
-        global _KERNEL_BUILD_STATE
-        _KERNEL_BUILD_STATE = (backend, structural)
-        try:
-            with _pool_factory(jobs)() as pool:
-                partials = list(pool.map(_segment_kernel_partial, indices))
-        finally:
-            _KERNEL_BUILD_STATE = None
-
-    nodes: set[int] = set()
-    for partial in partials:
-        nodes.update(partial)
-    merged: dict[int, _Row] = {}
-    for node in sorted(nodes):
-        contributions = []
-        for partial in partials:
-            row = partial.get(node)
-            if row and row[0]:
-                steps, neighbors = row
-                contributions.append([
-                    ((neighbor if step < 0 else node), step, neighbor)
-                    for step, neighbor in zip(steps, neighbors)
-                ])
-        if not contributions:
-            continue  # the serial build drops empty rows too
-        if len(contributions) == 1:
-            entries = contributions[0]
-        else:
-            entries = list(heapq.merge(*contributions, key=_entry_source))
-        merged[node] = (
-            tuple(entry[1] for entry in entries),
-            tuple(entry[2] for entry in entries),
-        )
-    return merged

@@ -86,12 +86,7 @@ from repro.rdf.backend import CompactBackend
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import KnowledgeGraph
 from repro.rdf.kernel import AdjacencyKernel, AdjacencyRow
-from repro.rdf.shard import (
-    PARTITION_SCHEME,
-    ShardedBackend,
-    build_segments,
-    partition_triples,
-)
+from repro.rdf.shard import PARTITION_SCHEME, ShardedBackend
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import IRI, Literal, Term
 
@@ -498,9 +493,8 @@ def compile_snapshot(
     if shards is None:
         backend = store.backend
         if not isinstance(backend, CompactBackend):
-            backend = CompactBackend.from_triples(
-                store.triples_ids(), version=store.version
-            )
+            backend = store.compacted().backend
+        assert isinstance(backend, CompactBackend)
         columns = backend.permutation_columns()
         for name in _SEGMENT_SECTIONS:
             sections[name] = b"".join(
@@ -521,16 +515,12 @@ def compile_snapshot(
     if shards < 1:
         raise ValueError("shards must be a positive segment count")
     backend = store.backend
-    if isinstance(backend, ShardedBackend) and backend.shards == shards:
-        # Already partitioned under the same scheme: persist the live
-        # segments instead of re-sorting every column.
-        segments = [backend.segment(index) for index in range(shards)]
-    else:
-        segments = build_segments(
-            partition_triples(store.triples_ids(), shards),
-            version=store.version,
-            jobs=jobs,
-        )
+    if not (isinstance(backend, ShardedBackend) and backend.shards == shards):
+        # Not already partitioned under the same scheme (a live sharded
+        # store persists its own segments instead of re-sorting columns).
+        backend = store.sharded(shards, jobs=jobs).backend
+    assert isinstance(backend, ShardedBackend)
+    segments = [backend.segment(index) for index in range(shards)]
 
     state_path, segment_paths = _sharded_member_paths(path, shards)
     section_bytes = _write_container(

@@ -95,11 +95,7 @@ class TripleStore:
         backend = CompactBackend.from_triples(
             self._backend.triples_ids(), version=self._backend.version
         )
-        return TripleStore(
-            backend=backend,
-            dictionary=self.dictionary,
-            literal_ids=self._literal_ids,
-        )
+        return self._rehoused(backend)
 
     def sharded(self, shards: int, jobs: int = 1) -> "TripleStore":
         """A frozen copy partitioned into ``shards`` compact segments.
@@ -117,11 +113,7 @@ class TripleStore:
             version=self._backend.version,
             jobs=jobs,
         )
-        return TripleStore(
-            backend=backend,
-            dictionary=self.dictionary,
-            literal_ids=self._literal_ids,
-        )
+        return self._rehoused(backend)
 
     def overlay(self) -> "TripleStore":
         """A writable overlay store over this store's frozen backend.
@@ -132,8 +124,13 @@ class TripleStore:
         :class:`~repro.rdf.overlay.OverlayBackend`.  Dictionary shared,
         version carried forward, literal bookkeeping copied.
         """
+        return self._rehoused(OverlayBackend(self._backend))
+
+    def _rehoused(self, backend: StoreBackend) -> "TripleStore":
+        """The same content behind another backend: dictionary shared,
+        literal bookkeeping copied."""
         return TripleStore(
-            backend=OverlayBackend(self._backend),
+            backend=backend,
             dictionary=self.dictionary,
             literal_ids=self._literal_ids,
         )
@@ -229,9 +226,6 @@ class TripleStore:
             return False
         return self._backend.contains(s, p, o)
 
-    def contains_ids(self, s: int, p: int, o: int) -> bool:
-        return self._backend.contains(s, p, o)
-
     def is_literal_id(self, term_id: int) -> bool:
         return term_id in self._literal_ids
 
@@ -301,18 +295,13 @@ class TripleStore:
         return self._backend.in_index(o)
 
     def objects_of_predicate(self, p: int) -> Iterator[int]:
-        """Distinct object ids appearing with predicate ``p``."""
-        return self._backend.objects_of_predicate(p)
+        """Distinct object ids appearing with predicate ``p``.
 
-    def iter_out_rows(self) -> Iterator[tuple[int, Mapping[int, AbstractSet[int]]]]:
-        """Every subject's SPO row: ``(subject, predicate → object set)``.
-
-        The bulk form of :meth:`out_index` — one pass over the whole graph
-        grouped by subject, so a consumer (the adjacency kernel build)
-        amortizes per-subject work over all its triples.  Rows are
-        read-only views.
+        Derived here, once, from the backend's ``(?, p, ?)`` scan rather
+        than implemented per backend: the one caller (the class-vertex
+        set) runs once per graph refresh.
         """
-        return self._backend.iter_out_rows()
+        return iter(dict.fromkeys(o for _s, _p, o in self._backend.triples_ids(p=p)))
 
     def iter_literal_ids(self) -> Iterator[int]:
         """Ids of every stored literal term."""

@@ -41,9 +41,7 @@ from repro.exceptions import EngineClosedError
 from repro.linking.linker import EntityLinker
 from repro.obs.metrics import Metrics
 from repro.paraphrase.dictionary import ParaphraseDictionary
-from repro.rdf.backend import CompactBackend
 from repro.rdf.graph import KnowledgeGraph
-from repro.rdf.overlay import OverlayBackend
 from repro.rdf.terms import Triple
 from repro.serve.admission import AdmissionController, AdmissionRejected
 from repro.serve.cache import CachingLinker, TTLCache, answer_cache_key
@@ -411,7 +409,7 @@ class QAEngine:
         """
         store = self.kg.store
         if not store.writable:
-            store.swap_backend(OverlayBackend(store.backend))
+            store.swap_backend(store.overlay().backend)
 
     def ingest(
         self,
@@ -481,19 +479,11 @@ class QAEngine:
         with self._ingest_lock:
             with self.metrics_span("serve.compact"):
                 store = self.kg.store
-                old = store.backend
-                version = old.version
                 if shards is not None and shards > 1:
-                    from repro.rdf.shard import ShardedBackend
-
-                    frozen = ShardedBackend.from_triples(
-                        old.triples_ids(), shards=shards, version=version
-                    )
+                    frozen = store.sharded(shards)
                 else:
-                    frozen = CompactBackend.from_triples(
-                        old.triples_ids(), version=version
-                    )
-                store.swap_backend(OverlayBackend(frozen))
+                    frozen = store.compacted()
+                store.swap_backend(frozen.overlay().backend)
                 if snapshot_path is not None:
                     from repro.rdf.snapshot import compile_snapshot
 

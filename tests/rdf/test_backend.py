@@ -4,16 +4,30 @@ The compact backend is a frozen, sorted-column re-encoding of the same
 index; every id-level read — all eight triple-pattern shapes, counts,
 adjacency rows, distinct-id streams — must return exactly what the dict
 backend returns, or query results would depend on how the store was
-loaded.
+loaded.  The walk itself is ``store_checks.assert_matches_model``, shared
+with the random state machine (``test_store_machine.py``); this file pins
+it on one readable fixture and keeps the frozen-store contract tests.
 """
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import re
+from pathlib import Path
 
+import pytest
+
+import repro
 from repro.exceptions import StoreFrozenError
-from repro.rdf import IRI, Literal, Triple, TripleStore
-from repro.rdf.backend import CompactBackend, DictBackend
+from repro.rdf import (
+    IRI,
+    CompactBackend,
+    DictBackend,
+    Literal,
+    OverlayBackend,
+    ShardedBackend,
+    StoreBackend,
+    Triple,
+    TripleStore,
+)
+from tests.rdf.store_checks import assert_matches_model
 
 
 def t(s, p, o):
@@ -40,83 +54,58 @@ def pair():
     return store, store.compacted()
 
 
-def all_ids(backend):
-    return sorted(
-        set(backend.subject_ids()) | set(backend.predicate_ids())
-        | set(backend.object_ids())
-    )
+class TestProtocolSurface:
+    def test_sixteen_core_members_and_no_backend_carries_a_derived_view(self):
+        core = {
+            name for name in vars(StoreBackend)
+            if name == "__len__" or not name.startswith("_")
+        }
+        assert len(core) == 16
+        frozen = CompactBackend.from_triples([(1, 2, 3)])
+        for backend in (
+            DictBackend(),
+            frozen,
+            ShardedBackend.from_triples([(1, 2, 3)], shards=2),
+            OverlayBackend(frozen),
+        ):
+            assert isinstance(backend, StoreBackend)
+            assert all(hasattr(backend, name) for name in core)
+            # Derived once in the facade / the kernel, implemented nowhere else.
+            assert not hasattr(backend, "objects_of_predicate")
+            assert not hasattr(backend, "iter_out_rows")
 
 
-def assert_equivalent(dict_backend, compact_backend):
-    assert len(dict_backend) == len(compact_backend)
-    ids = all_ids(dict_backend)
-    assert ids == all_ids(compact_backend)
-    assert sorted(dict_backend.triples_ids()) == sorted(compact_backend.triples_ids())
-    probe = ids + [max(ids, default=0) + 1]  # one id no triple uses
-    for s in probe:
-        assert sorted(dict_backend.out_index(s).items()) == sorted(
-            (p, set(objects))
-            for p, objects in compact_backend.out_index(s).items()
+    def test_layout_modules_are_imported_only_inside_repro_rdf(self):
+        # backend.py's docstring: everyone else goes through the facade,
+        # which is also the one place a store is frozen/sharded/overlaid.
+        source = Path(repro.__file__).parent
+        layout_import = re.compile(
+            r"^\s*(from|import)\s+repro\.rdf\.(backend|shard|overlay)\b", re.MULTILINE
         )
-        assert sorted(dict_backend.in_index(s).items()) == sorted(
-            (p, set(subjects))
-            for p, subjects in compact_backend.in_index(s).items()
-        )
-        for p in probe:
-            assert dict_backend.objects_ids(s, p) == compact_backend.objects_ids(s, p)
-            assert dict_backend.subjects_ids(p, s) == compact_backend.subjects_ids(p, s)
-            for bound in (
-                (s, None, None), (None, p, None), (None, None, s),
-                (s, p, None), (s, None, p), (None, s, p), (s, p, s),
-                (None, None, None),
-            ):
-                assert sorted(dict_backend.triples_ids(*bound)) == sorted(
-                    compact_backend.triples_ids(*bound)
-                ), bound
-                assert dict_backend.count(*bound) == compact_backend.count(*bound), bound
+        offenders = [
+            str(path.relative_to(source))
+            for path in source.rglob("*.py")
+            if path.parent != source / "rdf"
+            and layout_import.search(path.read_text(encoding="utf-8"))
+        ]
+        assert offenders == []
 
 
 class TestEquivalence:
     def test_fixture_store(self, pair):
         store, compact = pair
-        assert_equivalent(store.backend, compact.backend)
-
-    def test_iter_out_rows_same_content(self, pair):
-        store, compact = pair
-        dict_rows = {
-            s: {p: set(objects) for p, objects in row.items()}
-            for s, row in store.backend.iter_out_rows()
-        }
-        compact_rows = {
-            s: {p: set(objects) for p, objects in row.items()}
-            for s, row in compact.backend.iter_out_rows()
-        }
-        assert dict_rows == compact_rows
+        model = set(store.triples_ids())
+        assert len(model) == len(TRIPLES)
+        assert_matches_model(store, model)
+        assert_matches_model(compact, model)
 
     def test_objects_of_predicate(self, pair):
         store, compact = pair
-        for p in store.predicate_ids():
-            assert sorted(store.backend.objects_of_predicate(p)) == sorted(
-                compact.backend.objects_of_predicate(p)
-            )
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        triples=st.lists(
-            st.tuples(
-                st.integers(0, 7), st.integers(0, 4), st.integers(0, 7)
-            ),
-            max_size=40,
-        )
-    )
-    def test_property_equivalence(self, triples):
-        dict_backend = DictBackend()
-        for s, p, o in triples:
-            dict_backend.add(s, p, o)
-        compact = CompactBackend.from_triples(
-            dict_backend.triples_ids(), version=dict_backend.version
-        )
-        assert_equivalent(dict_backend, compact)
+        spouse = store.dictionary.lookup(IRI("ex:spouse"))
+        expected = {store.dictionary.lookup(IRI(f"ex:{name}")) for name in ("griffith", "banderas")}
+        for layout in (store, compact):
+            derived = list(layout.objects_of_predicate(spouse))
+            assert set(derived) == expected and len(derived) == 2
 
     def test_from_triples_dedups(self):
         compact = CompactBackend.from_triples([(1, 2, 3), (1, 2, 3), (0, 2, 3)])

@@ -14,8 +14,9 @@ import pytest
 
 from repro.datasets import SyntheticConfig, build_dbpedia_mini, build_synthetic_kg
 from repro.paraphrase.path_mining import find_simple_paths
-from repro.rdf import IRI, KnowledgeGraph, Triple, TripleStore
+from repro.rdf import IRI, RDF_TYPE, RDFS_LABEL, KnowledgeGraph, Literal, Triple, TripleStore
 from repro.rdf.graph import Direction
+from repro.rdf.kernel import AdjacencyKernel, rows_from_sorted_triples
 
 
 @pytest.fixture(params=["synthetic", "dbpedia_mini"])
@@ -238,3 +239,63 @@ class TestRefreshInvalidation:
         kg.refresh()
         assert kg.kernel.cache_region("mining.expand_tree") is not old_region
         assert not kg.kernel.cache_region("mining.expand_tree")
+
+
+# --------------------------------------------------------------------- #
+# The single row builder
+# --------------------------------------------------------------------- #
+
+class TestSingleRowBuilder:
+    """``rows_from_sorted_triples`` is the only place triples become rows:
+    every construction path — serial on any layout, shard-parallel at any
+    job count, incremental patching — must reproduce it byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def stores(self):
+        store = build_dbpedia_mini().store
+        e = lambda name: IRI(f"pin:{name}")
+        store.add_all([
+            Triple(e("loop"), e("rel"), e("loop")),  # self-loop: fwd then bwd, adjacent
+            Triple(e("loop"), e("rel"), e("far")),
+            Triple(e("typed_only"), RDF_TYPE, e("Class")),  # only structural out-edges
+            Triple(e("far"), e("rel"), e("typed_only")),  # ...but still an object
+        ])
+        dirty = store.compacted().overlay()
+        stale = AdjacencyKernel(dirty)
+        dirty.add(Triple(e("loop"), e("rel2"), e("loop")))
+        dirty.add(Triple(e("typed_only"), RDFS_LABEL, Literal("typed only")))
+        dirty.remove(Triple(e("loop"), e("rel"), e("far")))
+        return store, dirty, stale, e
+
+    @staticmethod
+    def built(store):
+        structural = AdjacencyKernel(store).structural_predicate_ids
+        rows = rows_from_sorted_triples(sorted(store.triples_ids()), structural)
+        return {node: (tuple(steps), tuple(nbrs)) for node, (steps, nbrs) in rows.items()}
+
+    def test_every_build_path_equals_the_builder(self, stores):
+        store, dirty, stale, _ = stores
+        expected = self.built(store)
+        assert AdjacencyKernel(store).full_rows() == expected
+        assert AdjacencyKernel(store.compacted()).full_rows() == expected
+        for jobs in (1, 2):
+            sharded = AdjacencyKernel(store.sharded(8), build_jobs=jobs)
+            assert sharded.full_rows() == expected, jobs
+
+        expected_dirty = self.built(dirty)
+        assert expected_dirty != expected
+        assert AdjacencyKernel(dirty).full_rows() == expected_dirty
+        assert AdjacencyKernel(dirty, patch_from=stale).full_rows() == expected_dirty
+
+    def test_self_loop_and_structural_only_subject(self, stores):
+        store, dirty, _, e = stores
+        rows = self.built(store)
+        loop, far, typed_only = (store.dictionary.lookup(e(n)) for n in ("loop", "far", "typed_only"))
+        rel = store.dictionary.lookup(e("rel")) + 1
+        # Visiting `loop`: objects ascending (loop < far by id), the
+        # self-loop's forward entry immediately followed by its backward one.
+        assert rows[loop] == ((rel, -rel, rel), (loop, loop, far))
+        # A subject with only structural out-edges has a row only because
+        # it is someone's object; its own triples contribute nothing.
+        assert rows[typed_only] == ((-rel,), (far,))
+        assert AdjacencyKernel(dirty).full_rows()[typed_only] == ((-rel,), (far,))

@@ -2,10 +2,12 @@
 patching, compaction, and answer identity.
 
 The contract under test: an :class:`OverlayBackend` (frozen base + delta
-adds + tombstones) is observably identical to a :class:`DictBackend`
-rebuilt from the merged triples — at delta size 0, 1, and 1000, over
-compact and sharded bases, through randomized interleavings of adds,
-removes, and re-adds of tombstoned triples.  On top of that: per-triple
+adds + tombstones) is observably identical to the plain set of merged
+triples (the shared ``store_checks`` walk) — at delta size 0, 1, and
+1000, over compact and sharded bases, through randomized interleavings of
+adds, removes, and re-adds of tombstoned triples.  The state machine in
+``test_store_machine.py`` covers the same ground on tiny graphs after
+every step; these are the large pinned streams.  On top of that: per-triple
 version monotonicity (including the bulk path), incremental kernel rows
 byte-identical to a cold rebuild with untouched rows reused *by
 reference*, and full-QALD answer identity across dict / overlay /
@@ -27,6 +29,7 @@ from repro.rdf.kernel import AdjacencyKernel
 from repro.rdf.overlay import OverlayBackend
 from repro.rdf.shard import ShardedBackend
 from repro.rdf.store import TripleStore
+from tests.rdf.store_checks import assert_matches_model
 
 DELTA_SIZES = (0, 1, 1000)
 
@@ -42,88 +45,9 @@ def random_triples(rng, count, subjects=200, predicates=9, objects=260):
     return sorted(seen)
 
 
-def rebuilt_reference(triples):
-    reference = DictBackend()
-    reference.add_all_ids(triples)
-    return reference
-
-
-def assert_observably_identical(overlay, reference):
-    """Every StoreBackend read view matches, order-insensitively.
-
-    (The base iterates in compact-sorted order while a rebuilt dict
-    backend iterates in insertion order, so sequences are compared as
-    sorted lists and index views as plain dicts of sets.)
-    """
-    full = sorted(reference.triples_ids())
-    assert sorted(overlay.triples_ids()) == full
-    assert len(overlay) == len(reference) == len(full)
-    assert overlay.count() == len(full)
-
-    subjects = sorted({s for s, _, _ in full})
-    predicates = sorted({p for _, p, _ in full})
-    objects = sorted({o for _, _, o in full})
-    assert sorted(overlay.subject_ids()) == subjects
-    assert sorted(overlay.predicate_ids()) == predicates
-    assert sorted(overlay.object_ids()) == objects
-
-    probe_s = subjects[::7] + [999_999]
-    probe_p = predicates + [999_998]
-    probe_o = objects[::9] + [999_997]
-    for s in probe_s:
-        assert sorted(overlay.triples_ids(s=s)) == sorted(
-            reference.triples_ids(s=s)
-        )
-        assert overlay.count(s=s) == reference.count(s=s)
-        assert {k: set(v) for k, v in overlay.out_index(s).items()} == {
-            k: set(v) for k, v in reference.out_index(s).items()
-        }
-    for p in probe_p:
-        assert sorted(overlay.triples_ids(p=p)) == sorted(
-            reference.triples_ids(p=p)
-        )
-        assert overlay.count(p=p) == reference.count(p=p)
-        assert sorted(overlay.objects_of_predicate(p)) == sorted(
-            reference.objects_of_predicate(p)
-        )
-    for o in probe_o:
-        assert sorted(overlay.triples_ids(o=o)) == sorted(
-            reference.triples_ids(o=o)
-        )
-        assert overlay.count(o=o) == reference.count(o=o)
-        assert {k: set(v) for k, v in overlay.in_index(o).items()} == {
-            k: set(v) for k, v in reference.in_index(o).items()
-        }
-    for s in probe_s[:8]:
-        for p in probe_p:
-            assert set(overlay.objects_ids(s, p)) == set(
-                reference.objects_ids(s, p)
-            )
-            assert sorted(overlay.triples_ids(s=s, p=p)) == sorted(
-                reference.triples_ids(s=s, p=p)
-            )
-    for p in probe_p:
-        for o in probe_o[:8]:
-            assert set(overlay.subjects_ids(p, o)) == set(
-                reference.subjects_ids(p, o)
-            )
-            assert overlay.count(p=p, o=o) == reference.count(p=p, o=o)
-    for s, p, o in full[::11]:
-        assert overlay.contains(s, p, o)
-        assert overlay.count(s=s, p=p, o=o) == 1
-        assert sorted(overlay.triples_ids(s=s, o=o)) == sorted(
-            reference.triples_ids(s=s, o=o)
-        )
-    assert not overlay.contains(999_999, 999_998, 999_997)
-
-    rows = {
-        sid: {p: set(v) for p, v in row.items()}
-        for sid, row in overlay.iter_out_rows()
-    }
-    assert rows == {
-        sid: {p: set(v) for p, v in row.items()}
-        for sid, row in reference.iter_out_rows()
-    }
+def assert_observably_identical(overlay, triples):
+    """The shared model walk, over a bare backend and a set of id triples."""
+    assert_matches_model(TripleStore(backend=overlay), set(triples), cap=12)
 
 
 def frozen_base(triples, sharded=False):
@@ -133,7 +57,7 @@ def frozen_base(triples, sharded=False):
 
 
 class TestMergeEquivalence:
-    """Randomized adds/removes/re-adds vs a rebuilt DictBackend."""
+    """Randomized adds/removes/re-adds vs a plain-set mirror."""
 
     @pytest.mark.parametrize("delta", DELTA_SIZES)
     @pytest.mark.parametrize("sharded", (False, True), ids=("compact", "sharded"))
@@ -175,7 +99,7 @@ class TestMergeEquivalence:
         stats = overlay.delta_statistics()
         assert stats["base_triples"] == len(base_triples)
         assert len(overlay) == len(mirror)
-        assert_observably_identical(overlay, rebuilt_reference(sorted(mirror)))
+        assert_observably_identical(overlay, mirror)
 
     def test_zero_delta_reads_pass_through(self):
         base_triples = random_triples(random.Random(7), 300)
@@ -391,7 +315,7 @@ class TestCompaction:
         assert fresh.version == overlay.version
         assert len(fresh) == len(overlay)
         assert fresh.delta_statistics()["delta_adds"] == 0
-        assert_observably_identical(fresh, rebuilt_reference(merged))
+        assert_observably_identical(fresh, merged)
 
     def test_sharded_recompaction_equivalent(self):
         rng = random.Random(43)
@@ -404,9 +328,7 @@ class TestCompaction:
             merged, shards=4, version=overlay.version
         )
         assert sharded.version == overlay.version
-        assert_observably_identical(
-            OverlayBackend(sharded), rebuilt_reference(merged)
-        )
+        assert_observably_identical(OverlayBackend(sharded), merged)
 
 
 class TestAnswerIdentity:

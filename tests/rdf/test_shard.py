@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import GAnswer
 from repro.datasets import build_dbpedia_mini, build_phrase_dataset, qald_questions
-from repro.exceptions import SnapshotError, StoreFrozenError
+from repro.exceptions import SnapshotError
 from repro.paraphrase import ParaphraseMiner
 from repro.rdf.backend import CompactBackend
 from repro.rdf.graph import KnowledgeGraph
@@ -26,6 +26,13 @@ from repro.rdf.shard import (
 )
 from repro.rdf.snapshot import compile_snapshot, load_snapshot
 from repro.rdf.store import TripleStore
+from tests.rdf.store_checks import (
+    assert_matches_model,
+    assert_refuses_mutation,
+    assert_same_pattern_order,
+    assert_same_row_order,
+    assert_same_vocabulary_order,
+)
 
 SHARD_COUNTS = (1, 2, 8)
 
@@ -45,6 +52,11 @@ def stores(setup):
     compact = kg.store.compacted()
     sharded = {k: kg.store.sharded(k) for k in SHARD_COUNTS}
     return kg.store, compact, sharded
+
+
+@pytest.fixture(scope="module")
+def model(stores):
+    return set(stores[0].triples_ids())
 
 
 class TestPartition:
@@ -78,7 +90,12 @@ class TestPartition:
 
 
 class TestBackendEquivalence:
-    """Every read view matches a single CompactBackend, at every K."""
+    """Every read view matches a single CompactBackend, at every K.
+
+    The walks are the shared ``store_checks`` (the state machine runs
+    them at random K on tiny graphs); here they are pinned on the real
+    dbpedia-mini graph, one slice per test.
+    """
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_full_scan_order_identical(self, stores, shards):
@@ -86,84 +103,28 @@ class TestBackendEquivalence:
         assert list(sharded[shards].triples_ids()) == list(compact.triples_ids())
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_bound_patterns_identical(self, stores, shards):
-        _, compact, store = stores
-        store = store[shards]
-        subjects = sorted(compact.backend.subject_ids())[:40]
-        predicates = sorted(compact.backend.predicate_ids())
-        objects = sorted(compact.backend.object_ids())[:40]
-        for s in subjects:
-            assert list(store.triples_ids(s=s)) == list(compact.triples_ids(s=s))
-        for p in predicates:
-            assert list(store.triples_ids(p=p)) == list(compact.triples_ids(p=p))
-        for o in objects:
-            assert list(store.triples_ids(o=o)) == list(compact.triples_ids(o=o))
-        for s in subjects[:10]:
-            for p in predicates[:5]:
-                assert list(store.triples_ids(s=s, p=p)) == list(
-                    compact.triples_ids(s=s, p=p)
-                )
-        for p in predicates[:5]:
-            for o in objects[:10]:
-                assert list(store.triples_ids(p=p, o=o)) == list(
-                    compact.triples_ids(p=p, o=o)
-                )
+    def test_bound_patterns_identical(self, stores, model, shards):
+        _, compact, sharded = stores
+        assert_same_pattern_order(sharded[shards], compact, model, cap=10)
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_counts_identical(self, stores, shards):
-        _, compact, store = stores
-        store = store[shards]
-        assert store.count() == compact.count() == len(compact)
-        for s in sorted(compact.backend.subject_ids())[:20]:
-            assert store.count(s=s) == compact.count(s=s)
-        for p in sorted(compact.backend.predicate_ids()):
-            assert store.count(p=p) == compact.count(p=p)
+    def test_counts_identical(self, stores, model, shards):
+        _, _, sharded = stores
+        assert_matches_model(sharded[shards], model, cap=10)
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_index_views_identical(self, stores, shards):
-        _, compact, store = stores
-        store = store[shards]
-        for s in sorted(compact.backend.subject_ids())[:30]:
-            assert dict(store.out_index(s)) == dict(compact.out_index(s))
-        for o in sorted(compact.backend.object_ids())[:30]:
-            theirs = compact.in_index(o)
-            ours = store.in_index(o)
-            assert dict(ours) == dict(theirs)
-            assert list(ours) == list(theirs)  # same subject iteration order
+    def test_index_views_identical(self, stores, model, shards):
+        _, compact, sharded = stores
+        assert_same_row_order(sharded[shards], compact, model, cap=30)
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_vocabulary_iterators_identical(self, stores, shards):
-        _, compact, store = stores
-        store = store[shards]
-        assert list(store.subject_ids()) == list(compact.subject_ids())
-        assert list(store.predicate_ids()) == list(compact.predicate_ids())
-        assert list(store.object_ids()) == list(compact.object_ids())
-        for p in sorted(compact.backend.predicate_ids()):
-            assert list(store.objects_of_predicate(p)) == list(
-                compact.objects_of_predicate(p)
-            )
-
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_iter_out_rows_identical(self, stores, shards):
-        _, compact, store = stores
-        rows = [
-            (sid, {p: set(objs) for p, objs in row.items()})
-            for sid, row in store[shards].iter_out_rows()
-        ]
-        reference = [
-            (sid, {p: set(objs) for p, objs in row.items()})
-            for sid, row in compact.iter_out_rows()
-        ]
-        assert rows == reference
+    def test_vocabulary_iterators_identical(self, stores, model, shards):
+        _, compact, sharded = stores
+        assert_same_vocabulary_order(sharded[shards], compact, model, cap=30)
 
     def test_sharded_store_is_frozen(self, stores):
-        from repro.rdf import IRI, Triple
-
         _, _, sharded = stores
-        with pytest.raises(StoreFrozenError):
-            sharded[2].add(Triple(IRI("x:a"), IRI("x:b"), IRI("x:c")))
-        with pytest.raises(StoreFrozenError):
-            sharded[2].remove(Triple(IRI("x:a"), IRI("x:b"), IRI("x:c")))
+        assert_refuses_mutation(sharded[2])
 
     def test_version_carried_forward(self, stores):
         base, _, sharded = stores
