@@ -77,7 +77,7 @@ def save_bundle(
 
 
 def load_bundle(
-    directory: str | Path, prefer_snapshot: bool = True, overlay: bool = False
+    directory: str | Path, prefer_snapshot: bool = True
 ) -> tuple[KnowledgeGraph, ParaphraseDictionary]:
     """Load a setup saved by :func:`save_bundle`.
 
@@ -89,12 +89,6 @@ def load_bundle(
     When the manifest names a compiled snapshot and ``prefer_snapshot``
     is true, the snapshot is loaded instead of the text members (falling
     back to text if the snapshot file is absent).
-
-    ``overlay=True`` returns a *live-ingest ready* graph: a frozen
-    (snapshot-loaded) store comes back wrapped in a writable overlay
-    (:meth:`TripleStore.overlay`) — same content, same version, mutable
-    delta on top.  A store that loaded mutable (the
-    text path) is returned as-is.
     """
     directory = Path(directory)
     manifest_path = directory / _MANIFEST_NAME
@@ -115,7 +109,7 @@ def load_bundle(
         except SnapshotError as exc:
             raise ReproError(f"bundle snapshot is unusable: {exc}") from exc
         _verify_counts(manifest, len(state.kg.store), len(state.dictionary))
-        return _maybe_overlay(state.kg, overlay), state.dictionary
+        return state.kg, state.dictionary
 
     kg = load_knowledge_graph(directory / _GRAPH_NAME)
     dictionary_path = directory / _DICTIONARY_NAME
@@ -128,14 +122,7 @@ def load_bundle(
             f"bundle dictionary {dictionary_path} is truncated or corrupt: {exc}"
         ) from exc
     _verify_counts(manifest, len(kg.store), len(dictionary))
-    return _maybe_overlay(kg, overlay), dictionary
-
-
-def _maybe_overlay(kg: KnowledgeGraph, overlay: bool) -> KnowledgeGraph:
-    """Wrap a frozen store in a writable overlay when asked (in place)."""
-    if overlay and not kg.store.writable:
-        kg.store.swap_backend(kg.store.overlay().backend)
-    return kg
+    return kg, dictionary
 
 
 def _verify_counts(manifest: dict, triples: int, phrases: int) -> None:

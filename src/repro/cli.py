@@ -68,48 +68,40 @@ def _build_system(args) -> GAnswer:
     )
 
 
-def _synthetic_setup():
-    """The synthetic serving scenario: a generated KG plus a dictionary
-    mined from a scaled phrase dataset (mirrors scripts/perf_baseline.py's
-    scenario so serving and kernel baselines describe the same graph).
-    """
-    from repro.datasets import SyntheticConfig, build_phrase_dataset, build_synthetic_kg
-    from repro.datasets.patty_sim import scale_phrase_dataset
-    from repro.datasets.synthetic import entity_pool
-    from repro.paraphrase import ParaphraseMiner
+def _engine_config(args):
+    """:class:`EngineConfig` from CLI args.
 
-    kg = build_synthetic_kg(
-        SyntheticConfig(entities=1000, triples_per_entity=4, predicates=30)
+    A flag that was not given — ``shell`` and ``eval --served`` have none
+    of them, and ``serve`` declares them without a default — falls back
+    to ``EngineConfig``'s field default, the one place those are written.
+    """
+    from repro.serve import EngineConfig
+
+    defaults = EngineConfig()
+    return EngineConfig(
+        k=args.k,
+        pool_size=getattr(args, "pool_size", defaults.pool_size),
+        queue_limit=getattr(args, "queue_limit", defaults.queue_limit),
+        deadline_s=getattr(args, "deadline", defaults.deadline_s) or None,
+        cache_size=getattr(args, "cache_size", defaults.cache_size),
+        cache_ttl_s=getattr(args, "cache_ttl", defaults.cache_ttl_s),
+        degrade_pressure=getattr(args, "degrade_pressure", defaults.degrade_pressure),
+        enable_aggregation=args.aggregation,
     )
-    dataset = scale_phrase_dataset(build_phrase_dataset(), 100, 5, entity_pool(kg))
-    dictionary = ParaphraseMiner(kg, max_path_length=4, top_k=3).mine(dataset)
-    return kg, dictionary
 
 
 def _build_engine(args):
     """A warm :class:`repro.serve.QAEngine` from serve-flavored CLI args."""
-    from repro.serve import EngineConfig, QAEngine
+    from repro.serve import QAEngine
 
     base_linker = None
     state = _load_state(args)
     if state is not None:
         kg, dictionary, base_linker = state
-    elif getattr(args, "dataset", "dbpedia-mini") == "synthetic":
-        kg, dictionary = _synthetic_setup()
     else:
         setup = default_setup(args.distractors, jobs=args.jobs)
         kg, dictionary = setup.kg, setup.dictionary
-    config = EngineConfig(
-        k=args.k,
-        pool_size=getattr(args, "pool_size", 4),
-        queue_limit=getattr(args, "queue_limit", 12),
-        deadline_s=getattr(args, "deadline", 10.0) or None,
-        cache_size=getattr(args, "cache_size", 1024),
-        cache_ttl_s=getattr(args, "cache_ttl", 300.0),
-        degrade_pressure=getattr(args, "degrade_pressure", 0.75),
-        enable_aggregation=args.aggregation,
-    )
-    engine = QAEngine(kg, dictionary, config, base_linker=base_linker)
+    engine = QAEngine(kg, dictionary, _engine_config(args), base_linker=base_linker)
     engine.warm()
     return engine
 
@@ -184,7 +176,7 @@ def cmd_serve(args) -> int:
     source = (
         f"snapshot {args.snapshot}" if args.snapshot
         else f"bundle {args.bundle}" if args.bundle
-        else args.dataset
+        else "dbpedia-mini"
     )
     if args.workers > 1:
         # Pre-fork: bind in the parent, print the address, then fork the
@@ -284,14 +276,11 @@ def cmd_compile(args) -> int:
 
     from repro.rdf.snapshot import compile_snapshot
 
-    if args.dataset == "synthetic":
-        kg, dictionary = _synthetic_setup()
-    else:
-        setup = default_setup(args.distractors, jobs=args.jobs)
-        kg, dictionary = setup.kg, setup.dictionary
+    setup = default_setup(args.distractors, jobs=args.jobs)
     started = time.perf_counter()
     info = compile_snapshot(
-        Path(args.output), kg, dictionary, shards=args.shards, jobs=args.jobs
+        Path(args.output), setup.kg, setup.dictionary,
+        shards=args.shards, jobs=args.jobs,
     )
     elapsed = time.perf_counter() - started
     layout = f"{info.shards} segments + manifest" if info.shards > 1 else "1 file"
@@ -466,6 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve", help="run the warm QA engine as a JSON HTTP service"
     )
+    # Engine tunables carry no default here: an absent flag stays off the
+    # namespace and _engine_config falls back to EngineConfig's own.
+    unset = argparse.SUPPRESS
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
         "--port", type=int, default=8765, help="bind port (0 = ephemeral)"
@@ -476,29 +468,27 @@ def build_parser() -> argparse.ArgumentParser:
         "worker runs its own pool, sharing the mmapped graph pages)",
     )
     serve.add_argument(
-        "--dataset", choices=("dbpedia-mini", "synthetic"), default="dbpedia-mini",
-        help="knowledge graph to serve (synthetic = the perf-baseline scenario)",
+        "--pool-size", type=int, default=unset,
+        help="answering worker threads",
     )
     serve.add_argument(
-        "--pool-size", type=int, default=4, help="answering worker threads"
-    )
-    serve.add_argument(
-        "--queue-limit", type=int, default=12,
+        "--queue-limit", type=int, default=unset,
         help="requests allowed to wait beyond the pool (excess → HTTP 429)",
     )
     serve.add_argument(
-        "--deadline", type=float, default=10.0,
+        "--deadline", type=float, default=unset,
         help="default per-request budget in seconds (0 disables)",
     )
     serve.add_argument(
-        "--cache-size", type=int, default=1024,
+        "--cache-size", type=int, default=unset,
         help="answer cache entries (0 disables caching)",
     )
     serve.add_argument(
-        "--cache-ttl", type=float, default=300.0, help="answer cache TTL seconds"
+        "--cache-ttl", type=float, default=unset,
+        help="answer cache TTL seconds",
     )
     serve.add_argument(
-        "--degrade-pressure", type=float, default=0.75,
+        "--degrade-pressure", type=float, default=unset,
         help="admission occupancy in [0,1] past which requests are answered "
         "in degraded mode (smaller k, trimmed candidates); 1.0 disables",
     )
@@ -560,10 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
         "near-instant cold start (load with --snapshot)",
     )
     compile_cmd.add_argument("output", help="snapshot file to write (e.g. graph.snap)")
-    compile_cmd.add_argument(
-        "--dataset", choices=("dbpedia-mini", "synthetic"), default="dbpedia-mini",
-        help="which setup to compile (synthetic = the perf-baseline scenario)",
-    )
     compile_cmd.add_argument(
         "--shards", type=int, default=None, metavar="K",
         help="write a sharded snapshot: a manifest plus K subject-hash "

@@ -465,7 +465,7 @@ class AdjacencyKernel:
         return region
 
     def statistics(self) -> dict[str, int]:
-        """Index size counters (exported by the perf baseline).
+        """Index size counters (reported by ``QAEngine.warm`` and ``GET /stats``).
 
         Materializes every entity row (they are built lazily), so this is
         a cold-path call for reporting, not a hot-loop one.

@@ -19,8 +19,8 @@ snapshot is exactly that: one versioned, checksummed binary file holding
 
 Because every id is stable across the round-trip, loading is direct
 reconstruction — dict assembly over borrowed byte ranges — with no
-parsing, no re-encoding, no re-mining, and no index rebuild.  See
-``scripts/bench_cold_start.py`` for the text-load vs snapshot-load gap.
+parsing, no re-encoding, no re-mining, and no index rebuild.  The
+``offline_build_200k`` workload of ``bench/run.py`` times both loads.
 
 Loading has two modes (``load_snapshot(path, mode=...)``):
 

@@ -8,8 +8,8 @@ and adjacency kernel, a bounded worker pool with admission control and
 per-request deadlines, versioned answer/link caches, and a stdlib-only
 JSON HTTP transport (:mod:`repro.serve.server`).
 
-Entry points: ``repro serve`` (CLI), :func:`QAEngine.ask` (in-process),
-``scripts/load_test.py`` (benchmark → ``BENCH_serve.json``).
+Entry points: ``repro serve`` (CLI), :func:`QAEngine.ask` (in-process);
+measured by the ``http_*`` workloads of ``bench/run.py``.
 """
 
 from repro.serve.admission import AdmissionController, AdmissionRejected

@@ -338,8 +338,8 @@ class QAEngine:
         Returns the JSON-ready response dict (see :meth:`_render`).
         Raises :class:`AdmissionRejected` when the request budget is full.
         ``use_cache=False`` bypasses the answer cache in both directions
-        (no lookup, no store) — the load test's cache-miss passes use it
-        to measure the engine instead of the cache.
+        (no lookup, no store) — cache-miss benchmark passes use it to
+        measure the engine instead of the cache.
         """
         with self.admission.admit():
             future = self._submit(question, deadline_s, trace, use_cache)
@@ -356,27 +356,35 @@ class QAEngine:
         question, in order.  Questions the admission budget rejects come
         back as ``{"error": "busy"}`` entries instead of failing the batch.
         """
-        pending: list[tuple[Future | None, object | None]] = []
-        for question in questions:
-            try:
-                token = self.admission.admit()
-            except AdmissionRejected:
-                pending.append((None, None))
-                continue
-            pending.append(
-                (self._submit(question, deadline_s, False, use_cache), token)
-            )
-        responses: list[dict] = []
-        for future, token in pending:
-            if future is None:
-                responses.append({"error": "busy", "status": 429})
-                continue
-            try:
+        # Every admitted slot is released on every exit path: a question
+        # that raises (or a closed engine mid-loop) must not leak the
+        # slots of the questions around it.
+        tokens: list = []
+        pending: list[tuple[Future, object] | None] = []
+        try:
+            for question in questions:
+                try:
+                    token = self.admission.admit()
+                except AdmissionRejected:
+                    pending.append(None)
+                    continue
+                tokens.append(token)
+                pending.append(
+                    (self._submit(question, deadline_s, False, use_cache), token)
+                )
+            responses: list[dict] = []
+            for entry in pending:
+                if entry is None:
+                    responses.append({"error": "busy", "status": 429})
+                    continue
+                future, token = entry
                 result, tracer, from_cache = future.result()
                 responses.append(self._render(result, tracer, from_cache))
-            finally:
                 token.release()
-        return responses
+            return responses
+        finally:
+            for token in tokens:
+                token.release()
 
     def ask_answer(self, question: str, deadline_s: float | None = None) -> Answer:
         """The raw pipeline :class:`Answer` through the warm path.

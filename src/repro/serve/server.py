@@ -42,10 +42,10 @@ budget).  Every response body is JSON, including errors
 Two transport-level invariants the handler maintains:
 
 * **Keep-alive never desynchronizes.**  A request rejected before its
-  body was read (411/413) answers with ``Connection: close`` and drops
-  the connection — otherwise the unread body bytes would be parsed as
-  the next request's request line, poisoning every subsequent exchange
-  on the connection.
+  body was read (401/403, POST to an unknown route, 411/413) answers
+  with ``Connection: close`` and drops the connection — otherwise the
+  unread body bytes would be parsed as the next request's request
+  line, poisoning every subsequent exchange on the connection.
 * **A disconnected client is not an error.**  ``BrokenPipeError`` /
   ``ConnectionResetError`` while writing means the client hung up;
   the handler counts ``serve.client_disconnects`` and stops writing
@@ -178,7 +178,11 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802
         engine: QAEngine = self.server.engine
         if self.path not in ("/ask", "/batch", "/ingest", "/compact"):
-            self._send_json(404, {"error": f"no such route: {self.path}"})
+            # Answered before the body is read, so the connection closes
+            # (see "Keep-alive never desynchronizes" above).
+            self._send_json(
+                404, {"error": f"no such route: {self.path}"}, close=True
+            )
             return
         if self.path in ("/ingest", "/compact") and not self._authorize_write():
             return  # _authorize_write already answered 401/403

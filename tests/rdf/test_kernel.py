@@ -179,6 +179,16 @@ class TestKernelMatchesReference:
         assert isinstance(first, frozenset)
         assert kg.kernel.walk_path(start, (steps[0],)) is first  # LRU hit
 
+    def test_statistics_count_the_rows_served(self, kg):
+        # The dict QAEngine.warm() and GET /stats report.  Literal
+        # endpoints hold rows too (their incoming fact edges).
+        stats = kg.kernel.statistics()
+        assert stats["edge_slots_full"] >= stats["edge_slots_entity"] > 0
+        endpoints = kg.store.node_ids() | set(kg.store.iter_literal_ids())
+        assert stats["edge_slots_full"] == sum(
+            len(kg.kernel.adjacency(node)[0]) for node in endpoints
+        )
+
     @pytest.mark.parametrize("max_length", [2, 3])
     def test_mined_path_sets_match_naive_dfs(self, kg, max_length):
         entities = sample_entities(kg, 6)

@@ -59,6 +59,28 @@ class TestAsk:
         responses = engine.batch([CAPITAL_Q, BERLIN_Q])
         assert [r["question"] for r in responses] == [CAPITAL_Q, BERLIN_Q]
 
+    def test_batch_with_a_raising_question_releases_every_slot(
+        self, kg, dictionary, monkeypatch
+    ):
+        # Regression: only the raising question's slot was released, so
+        # each such batch leaked the rest until every request got a 429.
+        engine = QAEngine(kg, dictionary, EngineConfig(pool_size=2))
+        pipeline_answer = engine._system.answer
+
+        def answer(question, **kwargs):
+            if question == "boom":
+                raise RuntimeError("injected")
+            return pipeline_answer(question, **kwargs)
+
+        monkeypatch.setattr(engine._system, "answer", answer)
+        try:
+            with pytest.raises(RuntimeError, match="injected"):
+                engine.batch(["boom", BERLIN_Q, CAPITAL_Q, BERLIN_Q])
+            assert engine.admission.stats()["in_flight"] == 0
+            assert engine.ask(BERLIN_Q)["answers"]
+        finally:
+            engine.close()
+
 
 class TestAnswerCache:
     @pytest.fixture()

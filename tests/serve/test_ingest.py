@@ -329,7 +329,4 @@ class TestHttpIngest:
 class TestPreforkGuard:
     def test_ingest_token_with_workers_refused(self):
         with pytest.raises(SystemExit, match="workers 1"):
-            main([
-                "serve", "--workers", "2", "--ingest-token", "x",
-                "--dataset", "dbpedia-mini",
-            ])
+            main(["serve", "--workers", "2", "--ingest-token", "x"])

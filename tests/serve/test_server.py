@@ -166,6 +166,26 @@ class TestKeepAlive:
         assert raw.count(b"HTTP/1.1") == 1
         assert raw.startswith(b"HTTP/1.1 411")
 
+    def test_unknown_route_body_cannot_poison_next_request(self, served):
+        # A POST to an unknown route is answered before its body is read.
+        # Kept alive, the body plus the next request line would be parsed
+        # as one malformed request (a stdlib HTML 400); the 404 must
+        # close, so the socket delivers exactly one JSON response.
+        def post(path: str, body: bytes) -> bytes:
+            head = f"POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {len(body)}\r\n\r\n"
+            return head.encode() + body
+
+        with self._raw(served) as sock:
+            sock.sendall(
+                post("/nope", b'{"question": "poison"}')
+                + post("/ask", json.dumps({"question": BERLIN_Q}).encode())
+            )
+            raw = self._response(sock)
+        assert raw.count(b"HTTP/1.1") == 1
+        assert raw.startswith(b"HTTP/1.1 404")
+        assert b"Connection: close" in raw
+        assert json.loads(raw.split(b"\r\n\r\n", 1)[1])["error"]
+
     def test_oversized_body_is_413_and_closes(self, served):
         declared = MAX_BODY_BYTES + 1
         with self._raw(served) as sock:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _engine_config, build_parser, main
+from repro.serve import EngineConfig
 
 
 class TestAsk:
@@ -107,6 +108,13 @@ class TestParser:
     def test_k_option(self):
         args = build_parser().parse_args(["--k", "5", "ask", "q"])
         assert args.k == 5
+
+    @pytest.mark.parametrize("command", ["serve", "shell"])
+    def test_engine_defaults_come_from_engine_config(self, command):
+        # With or without the serve flags, an unconfigured run is
+        # EngineConfig() — a changed default cannot split serve from shell.
+        args = build_parser().parse_args([command])
+        assert _engine_config(args) == EngineConfig()
 
 
 class TestShell:
