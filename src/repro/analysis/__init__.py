@@ -1,8 +1,7 @@
 """Project lint engine: static enforcement of repro's own invariants.
 
 The serving refactors (PRs 4-6) introduced contracts that ordinary
-tooling cannot check: lock-guarded fields, fork-reset requirements,
-frozen-store discipline, monotonic-clock arithmetic, layer boundaries,
+tooling cannot check: lock-guarded fields, frozen-store discipline, monotonic-clock arithmetic, layer boundaries,
 and the :class:`~repro.exceptions.ReproError` hierarchy.  This package
 walks the source tree with :mod:`ast` (no third-party dependencies) and
 enforces each invariant as a named rule — see docs/static-analysis.md

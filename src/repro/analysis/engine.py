@@ -2,8 +2,8 @@
 
 :func:`run_lint` is the one entry point the CLI, the baseline
 regenerator, and the test suite share.  The default :class:`LintConfig`
-*is* the project policy — the layer map, the fork-risky constructor
-list, the monotonic-clock exemptions — so a bare ``repro lint`` enforces
+*is* the project policy — the layer map, the frozen-store provenance
+lists, the monotonic-clock exemptions — so a bare ``repro lint`` enforces
 exactly what CI enforces.
 """
 
@@ -46,30 +46,6 @@ DEFAULT_LAYERING: Mapping[str, tuple[str, ...]] = {
     "repro.analysis": ("repro.serve", "repro.cli", "repro.experiments"),
 }
 
-#: Constructors whose results do not survive a fork intact: locks and
-#: pools (threads vanish, held locks stay locked), sockets (shared fds),
-#: caches/metrics (parent traffic + parent clock anchors), clock anchors
-#: and counters (parent epoch).
-DEFAULT_FORK_RISKY: tuple[str, ...] = (
-    "threading.Lock",
-    "threading.RLock",
-    "threading.Condition",
-    "threading.Event",
-    "threading.Semaphore",
-    "threading.BoundedSemaphore",
-    "Lock",
-    "RLock",
-    "ThreadPoolExecutor",
-    "ProcessPoolExecutor",
-    "socket.socket",
-    "itertools.count",
-    "time.monotonic",
-    "Metrics",
-    "TTLCache",
-    "AdmissionController",
-)
-
-
 @dataclass(frozen=True)
 class LintConfig:
     """Tunable policy of one lint run (defaults = the project policy)."""
@@ -79,9 +55,6 @@ class LintConfig:
     layering: Mapping[str, tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_LAYERING)
     )
-    fork_risky: tuple[str, ...] = DEFAULT_FORK_RISKY
-    #: method names that count as delegated resets in reset_after_fork.
-    reset_methods: tuple[str, ...] = ("reset_after_fork",)
     mutating_store_methods: tuple[str, ...] = (
         "add", "add_all", "add_all_ids", "remove",
     )

@@ -1,4 +1,4 @@
-"""The six project rules.  See docs/static-analysis.md for the catalog.
+"""The five project rules.  See docs/static-analysis.md for the catalog.
 
 Each rule is deliberately *syntactic*: it checks the shapes this codebase
 actually uses (``with self._lock:``, ``self.x = threading.Lock()``,
@@ -20,12 +20,7 @@ from repro.analysis.scopes import (
     is_self_attribute,
     locks_held_at,
 )
-from repro.analysis.walker import (
-    ClassInfo,
-    ModuleInfo,
-    dotted_name,
-    is_single_threaded,
-)
+from repro.analysis.walker import ClassInfo, ModuleInfo, dotted_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.engine import LintConfig
@@ -77,8 +72,6 @@ class LockDisciplineRule(Rule):
             for method_name, method in cls.methods.items():
                 if method_name in _CONSTRUCTION_METHODS:
                     continue
-                if is_single_threaded(method):
-                    continue
                 yield from self._check_method(module, cls, method)
 
     def _check_method(
@@ -101,75 +94,6 @@ class LockDisciplineRule(Rule):
                 f"{access} {cls.name}.{node.attr} outside `with self.{lock}:` "
                 f"(declared lock-guarded)",
             )
-
-
-class ForkSafetyRule(Rule):
-    """Lock/pool/socket/cache state must be re-created after a fork."""
-
-    name = "fork-safety"
-    summary = (
-        "attributes holding locks, pools, sockets, caches, or clock "
-        "anchors must be reset in reset_after_fork()"
-    )
-
-    def check(self, module: ModuleInfo, config: "LintConfig") -> Iterator[Finding]:
-        for cls in module.classes:
-            reset = cls.methods.get("reset_after_fork")
-            if reset is None:
-                continue
-            init = cls.methods.get("__init__")
-            if init is None:
-                continue
-            risky = self._risky_attributes(init, config)
-            handled = self._reset_attributes(reset, config)
-            for attr, (node, kind) in risky.items():
-                if attr in handled or attr in cls.fork_shared:
-                    continue
-                yield self.finding(
-                    module,
-                    node,
-                    f"{cls.name}.{attr} holds {kind} state but is neither "
-                    f"re-created nor reset_after_fork()-delegated in "
-                    f"{cls.name}.reset_after_fork() (declare @fork_shared "
-                    f"if sharing it across the fork is intended)",
-                )
-
-    def _risky_attributes(
-        self, init: ast.AST, config: "LintConfig"
-    ) -> dict[str, tuple[ast.AST, str]]:
-        risky: dict[str, tuple[ast.AST, str]] = {}
-        for node in ast.walk(init):
-            if not isinstance(node, ast.Assign):
-                continue
-            for target in node.targets:
-                if not is_self_attribute(target):
-                    continue
-                for call in ast.walk(node.value):
-                    if not isinstance(call, ast.Call):
-                        continue
-                    kind = _name_matches(dotted_name(call.func), config.fork_risky)
-                    if kind is not None:
-                        risky.setdefault(target.attr, (node, kind))
-                        break
-        return risky
-
-    def _reset_attributes(self, reset: ast.AST, config: "LintConfig") -> set[str]:
-        handled: set[str] = set()
-        for node in ast.walk(reset):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if is_self_attribute(target):
-                        handled.add(target.attr)
-            elif isinstance(node, ast.Call):
-                func = node.func
-                # self.<attr>.reset_after_fork(...) delegates the reset.
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in config.reset_methods
-                    and is_self_attribute(func.value)
-                ):
-                    handled.add(func.value.attr)
-        return handled
 
 
 class FrozenStoreRule(Rule):
@@ -437,7 +361,6 @@ class ExceptionDisciplineRule(Rule):
 
 ALL_RULES: tuple[Rule, ...] = (
     LockDisciplineRule(),
-    ForkSafetyRule(),
     FrozenStoreRule(),
     MonotonicTimeRule(),
     LayeringRule(),

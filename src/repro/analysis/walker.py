@@ -7,8 +7,8 @@ each file is read and parsed exactly once per run:
   can walk *up* — the lock tracker resolves enclosing ``with`` blocks and
   functions this way;
 * per-class contract metadata read statically from the
-  :mod:`repro.contracts` decorators (``@guarded_by``, ``@fork_shared``)
-  and the set of attribute/method names each class defines;
+  :mod:`repro.contracts` decorator (``@guarded_by``) and the set of
+  attribute/method names each class defines;
 * the import table (for the layering rule) and the names imports bind
   (so ``os._exit`` is recognized as a foreign *module* attribute, not a
   cross-class private access);
@@ -28,10 +28,8 @@ from repro.exceptions import LintError
 
 PRAGMA_RE = re.compile(r"#\s*lint:\s*ignore(?:\[(?P<rules>[^\]]*)\])?")
 
-#: Decorator names the walker understands (from repro.contracts).
+#: The decorator name the walker understands (from repro.contracts).
 _GUARDED_DECORATOR = "guarded_by"
-_FORK_SHARED_DECORATOR = "fork_shared"
-_SINGLE_THREADED_DECORATOR = "single_threaded"
 
 
 @dataclass
@@ -42,8 +40,6 @@ class ClassInfo:
     node: ast.ClassDef
     #: guarded field name -> lock attribute name (from @guarded_by).
     guarded: dict[str, str] = field(default_factory=dict)
-    #: fields declared deliberately fork-shared (from @fork_shared).
-    fork_shared: frozenset[str] = frozenset()
     #: top-level methods by name (no nested functions).
     methods: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = field(default_factory=dict)
     #: every attribute name the class plausibly defines: methods, class
@@ -138,12 +134,6 @@ def _string_args(call: ast.Call) -> list[str]:
     ]
 
 
-def is_single_threaded(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    return any(
-        decorator_name(dec) == _SINGLE_THREADED_DECORATOR for dec in func.decorator_list
-    )
-
-
 def _collect_class(node: ast.ClassDef) -> ClassInfo:
     info = ClassInfo(name=node.name, node=node)
     for dec in node.decorator_list:
@@ -155,8 +145,6 @@ def _collect_class(node: ast.ClassDef) -> ClassInfo:
             lock, *fields = args
             for field_name in fields:
                 info.guarded[field_name] = lock
-        elif name == _FORK_SHARED_DECORATOR and args:
-            info.fork_shared = info.fork_shared | frozenset(args)
     for stmt in node.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             info.methods[stmt.name] = stmt

@@ -90,17 +90,20 @@ def _engine_config(args):
     )
 
 
+def _serving_state(args):
+    """``(kg, dictionary, base_linker_or_None)`` for serve-flavored commands."""
+    state = _load_state(args)
+    if state is not None:
+        return state
+    setup = default_setup(args.distractors, jobs=args.jobs)
+    return setup.kg, setup.dictionary, None
+
+
 def _build_engine(args):
     """A warm :class:`repro.serve.QAEngine` from serve-flavored CLI args."""
     from repro.serve import QAEngine
 
-    base_linker = None
-    state = _load_state(args)
-    if state is not None:
-        kg, dictionary, base_linker = state
-    else:
-        setup = default_setup(args.distractors, jobs=args.jobs)
-        kg, dictionary = setup.kg, setup.dictionary
+    kg, dictionary, base_linker = _serving_state(args)
     engine = QAEngine(kg, dictionary, _engine_config(args), base_linker=base_linker)
     engine.warm()
     return engine
@@ -152,7 +155,7 @@ def cmd_shell(args) -> int:
                 break
             if not question:
                 break
-            _print_answer(engine.ask_answer(question))
+            _print_answer(engine.answer(question))
     finally:
         engine.close()
     return 0
@@ -172,30 +175,34 @@ def cmd_serve(args) -> int:
             "error: --ingest-token requires --workers 1 (each pre-fork "
             "worker has a private store copy; writes would diverge them)"
         )
-    engine = _build_engine(args)
     source = (
         f"snapshot {args.snapshot}" if args.snapshot
         else f"bundle {args.bundle}" if args.bundle
         else "dbpedia-mini"
     )
     if args.workers > 1:
-        # Pre-fork: bind in the parent, print the address, then fork the
-        # workers (each resets + rewarms its copy of this engine) and
-        # supervise.  The mmapped snapshot pages are shared across forks.
-        from repro.serve import PreforkServer
+        # Pre-fork: load the graph and build its shared structures here,
+        # once; bind, print the address, then fork the workers — each
+        # builds and warms its own engine over that state — and
+        # supervise.  This process never holds an engine.
+        from repro.serve import PreforkServer, QAEngine
 
+        kg, dictionary, base_linker = _serving_state(args)
+        config = _engine_config(args)
         supervisor = PreforkServer(
-            engine, host=args.host, port=args.port, workers=args.workers
+            QAEngine.factory(kg, dictionary, config, base_linker),
+            host=args.host, port=args.port, workers=args.workers,
         )
         host, port = supervisor.start()
         print(
             f"repro serve listening on http://{host}:{port} "
             f"(source={source}, workers={args.workers}, "
-            f"pool={engine.config.pool_size}x{args.workers}, "
-            f"store v{engine.store_version})",
+            f"pool={config.pool_size}x{args.workers}, "
+            f"store v{kg.store_version})",
             flush=True,
         )
         return supervisor.run()
+    engine = _build_engine(args)
     server = build_server(
         engine, host=args.host, port=args.port, ingest_token=ingest_token
     )
@@ -239,19 +246,15 @@ def cmd_sparql(args) -> int:
 def cmd_eval(args) -> int:
     from repro.datasets import qald_questions
     from repro.eval import evaluate_system, format_table
-    from repro.eval.harness import evaluate_engine
 
-    if args.served:
-        # Same questions through the serving engine's full request path
-        # (pool, admission, cache) — the summary must match the direct run.
-        engine = _build_engine(args)
-        try:
-            run = evaluate_engine(engine, qald_questions(), "gAnswer (served)")
-        finally:
-            engine.close()
-    else:
-        system = _build_system(args)
+    # --served: the same questions through the serving engine's full
+    # request path (admission, slots, cache); the engine is the system.
+    system = _build_engine(args) if args.served else _build_system(args)
+    try:
         run = evaluate_system(system, qald_questions(), "gAnswer (repro)")
+    finally:
+        if args.served:
+            system.close()
     summary = run.summary
     print(
         format_table(
@@ -465,15 +468,15 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=int, default=1,
         help="worker processes (>1 = pre-fork with SO_REUSEPORT; each "
-        "worker runs its own pool, sharing the mmapped graph pages)",
+        "worker builds its own engine, sharing the mmapped graph pages)",
     )
     serve.add_argument(
         "--pool-size", type=int, default=unset,
-        help="answering worker threads",
+        help="concurrent answering slots",
     )
     serve.add_argument(
         "--queue-limit", type=int, default=unset,
-        help="requests allowed to wait beyond the pool (excess → HTTP 429)",
+        help="requests allowed to wait for a slot (excess → HTTP 429)",
     )
     serve.add_argument(
         "--deadline", type=float, default=unset,
@@ -509,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--failures", action="store_true", help="show failure classes")
     evaluate.add_argument(
         "--served", action="store_true",
-        help="run every question through the warm QAEngine (pool + cache) "
+        help="run every question through the warm QAEngine (admission + cache) "
         "instead of a direct pipeline — accuracy must be identical",
     )
     add_source_flags(evaluate)
@@ -520,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = commands.add_parser(
         "lint",
-        help="statically check project invariants (lock discipline, fork "
-        "safety, frozen stores, monotonic time, layering, exceptions)",
+        help="statically check project invariants (lock discipline, "
+        "frozen stores, monotonic time, layering, exceptions)",
     )
     lint.add_argument(
         "paths", nargs="*",

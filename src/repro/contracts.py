@@ -1,31 +1,22 @@
-"""Machine-checked concurrency and lifecycle contracts.
+"""Machine-checked concurrency contracts.
 
-The serving layer's correctness rests on invariants that are invisible to
-the type system: *which lock guards which field*, *which state survives a
-fork*, and *which methods may legally touch shared state without
-synchronization*.  This module gives those contracts a declarative,
-importable form:
+The serving layer's correctness rests on an invariant that is invisible
+to the type system: *which lock guards which field*.  This module gives
+that contract a declarative, importable form: :func:`guarded_by` declares
+that instance fields may only be touched while holding a named lock
+attribute.
 
-* :func:`guarded_by` — declares that instance fields may only be touched
-  while holding a named lock attribute;
-* :func:`fork_shared` — declares fields that a forked worker deliberately
-  shares with its parent (immutable or copy-on-write state), exempting
-  them from the fork-safety reset requirement;
-* :func:`single_threaded` — marks a method that by contract runs while
-  the object is not shared between threads (e.g. ``reset_after_fork`` in
-  a freshly-forked, still single-threaded child).
-
-At runtime the decorators only record metadata on the class (cheap class
-attributes; compatible with ``__slots__``) — they never wrap, proxy, or
-slow anything down.  Their real consumer is :mod:`repro.analysis`, which
+At runtime the decorator only records metadata on the class (a cheap
+class attribute; compatible with ``__slots__``) — it never wraps, proxies,
+or slows anything down.  Its real consumer is :mod:`repro.analysis`, which
 reads the *source* of the decorator calls (literal string arguments) and
-enforces the declared discipline statically:
+enforces the declared discipline statically: the ``lock-discipline`` rule
+flags any ``self.<field>`` access outside a ``with self.<lock>:`` block
+for fields declared via :func:`guarded_by`.
 
-* the ``lock-discipline`` rule flags any ``self.<field>`` access outside
-  a ``with self.<lock>:`` block for fields declared via :func:`guarded_by`;
-* the ``fork-safety`` rule requires every lock/pool/socket/cache-holding
-  attribute of a class with ``reset_after_fork`` to be re-created there,
-  unless listed in :func:`fork_shared`.
+(There is no fork contract to declare: nothing that owns a lock, a cache
+or a clock anchor is carried across ``os.fork()`` — see
+:mod:`repro.serve.prefork`.)
 
 Because the checker is static, decorator arguments must be literal
 strings — a computed field name would be enforced at runtime (metadata is
@@ -39,19 +30,12 @@ from __future__ import annotations
 
 from typing import Callable, TypeVar
 
-__all__ = ["fork_shared", "guarded_by", "single_threaded"]
+__all__ = ["guarded_by"]
 
 _C = TypeVar("_C", bound=type)
-_F = TypeVar("_F", bound=Callable)
 
 #: Class attribute mapping guarded field name -> lock attribute name.
 GUARDED_FIELDS_ATTR = "__guarded_fields__"
-
-#: Class attribute holding the frozenset of fork-shared field names.
-FORK_SHARED_ATTR = "__fork_shared_fields__"
-
-#: Function attribute flagging a single-threaded-by-contract method.
-SINGLE_THREADED_ATTR = "__lint_single_threaded__"
 
 
 def guarded_by(lock: str, *fields: str) -> Callable[[_C], _C]:
@@ -62,10 +46,9 @@ def guarded_by(lock: str, *fields: str) -> Callable[[_C], _C]:
         @guarded_by("_lock", "_entries", "_hits")
         class TTLCache: ...
 
-    ``__init__`` (the object is not yet shared) and methods marked
-    :func:`single_threaded` are exempt from the static check; everything
-    else that reads or writes a guarded field outside its lock is a
-    ``lock-discipline`` finding.
+    ``__init__`` (the object is not yet shared) is exempt from the static
+    check; everything else that reads or writes a guarded field outside
+    its lock is a ``lock-discipline`` finding.
     """
     if not fields:
         raise ValueError("guarded_by needs at least one field name")
@@ -79,33 +62,3 @@ def guarded_by(lock: str, *fields: str) -> Callable[[_C], _C]:
 
     return mark
 
-
-def fork_shared(*fields: str) -> Callable[[_C], _C]:
-    """Declare fields a forked worker deliberately shares with its parent.
-
-    Shared fields are the point of pre-fork serving (the mmapped triple
-    columns, the kernel rows, the mined dictionary); listing them here
-    documents the decision and exempts them from the ``fork-safety``
-    requirement that risky state be re-created in ``reset_after_fork``.
-    """
-    if not fields:
-        raise ValueError("fork_shared needs at least one field name")
-
-    def mark(cls: _C) -> _C:
-        merged = frozenset(getattr(cls, FORK_SHARED_ATTR, frozenset())) | frozenset(fields)
-        setattr(cls, FORK_SHARED_ATTR, merged)
-        return cls
-
-    return mark
-
-
-def single_threaded(method: _F) -> _F:
-    """Mark a method that runs while the object is not shared across threads.
-
-    The canonical case is ``reset_after_fork``: it executes in a child
-    process before any worker thread exists, so touching lock-guarded
-    fields without the lock is correct there — and *only* there.  The
-    ``lock-discipline`` rule skips methods carrying this marker.
-    """
-    setattr(method, SINGLE_THREADED_ATTR, True)
-    return method

@@ -2,9 +2,10 @@
 
 A *system* is anything with an ``answer(question_text) -> Answer``-shaped
 method returning per-question answers, an optional boolean, per-stage
-timings, and a failure tag — :class:`repro.core.GAnswer` and the DEANNA
-baseline both qualify.  The harness scores every question against the
-gold standard and aggregates Table 8 / Table 10 / Figure 6 material.
+timings, and a failure tag — :class:`repro.core.GAnswer`, the DEANNA
+baseline and a serving :class:`repro.serve.QAEngine` all qualify.  The
+harness scores every question against the gold standard and aggregates
+Table 8 / Table 10 / Figure 6 material.
 """
 
 from __future__ import annotations
@@ -109,23 +110,6 @@ def _stage_stats(times: list[float]) -> dict:
         "mean_s": sum(times) / len(times),
         "max_s": max(times),
     }
-
-
-def evaluate_engine(
-    engine,
-    questions: list[QALDQuestion],
-    system_name: str = "gAnswer (served)",
-    tracer=None,
-) -> EvaluationRun:
-    """Run the evaluation through a serving engine's full request path.
-
-    ``engine`` is duck-typed as :class:`repro.serve.QAEngine` (anything
-    with ``as_system()``): every question goes through admission control,
-    the worker pool, and the answer cache — so this run exercises exactly
-    what production requests exercise, and its summary must match a
-    direct-pipeline :func:`evaluate_system` run on the same questions.
-    """
-    return evaluate_system(engine.as_system(), questions, system_name, tracer)
 
 
 def evaluate_system(

@@ -139,10 +139,6 @@ class OverlayBackend:
         self._touched: dict[int, int] = {}
         self._write_lock = threading.Lock()
 
-    def reset_after_fork(self) -> None:
-        """Replace the write lock after ``os.fork`` (see fork-safety rule)."""
-        self._write_lock = threading.Lock()
-
     @property
     def base(self) -> StoreBackend:
         """The frozen base this overlay reads through (never mutate it)."""

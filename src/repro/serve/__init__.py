@@ -4,9 +4,10 @@ The paper splits work into an offline phase (paraphrase-dictionary
 mining) and an online phase that must answer interactively (Section 1,
 Table 11).  This package is the online phase as a *service*: one warm
 :class:`QAEngine` holding the knowledge graph, dictionary, linker index
-and adjacency kernel, a bounded worker pool with admission control and
-per-request deadlines, versioned answer/link caches, and a stdlib-only
-JSON HTTP transport (:mod:`repro.serve.server`).
+and adjacency kernel, answering each question on the thread that asked
+it under a bounded number of answering slots, admission control and
+per-request deadlines, with versioned answer/link caches and a
+stdlib-only JSON HTTP transport (:mod:`repro.serve.server`).
 
 Entry points: ``repro serve`` (CLI), :func:`QAEngine.ask` (in-process);
 measured by the ``http_*`` workloads of ``bench/run.py``.
@@ -14,7 +15,7 @@ measured by the ``http_*`` workloads of ``bench/run.py``.
 
 from repro.serve.admission import AdmissionController, AdmissionRejected
 from repro.serve.cache import CachingLinker, TTLCache, answer_cache_key, normalize_question
-from repro.serve.engine import EngineConfig, QAEngine, ServedSystem
+from repro.serve.engine import EngineConfig, QAEngine
 from repro.serve.prefork import PreforkServer, supports_reuseport
 from repro.serve.server import QAServer, build_server
 
@@ -26,7 +27,6 @@ __all__ = [
     "PreforkServer",
     "QAEngine",
     "QAServer",
-    "ServedSystem",
     "TTLCache",
     "answer_cache_key",
     "build_server",

@@ -1,10 +1,10 @@
 """Admission control: a bounded in-flight budget with 429 backpressure.
 
-The engine's worker pool has ``pool_size`` threads; the admission
-controller lets at most ``pool_size + queue_limit`` requests exist at once
-(running + waiting for a worker).  Everything beyond that is rejected
-*immediately* with :class:`AdmissionRejected` — the transport maps it to
-HTTP 429 — instead of growing an unbounded executor queue whose tail
+The engine has ``pool_size`` answering slots; the admission controller
+lets at most ``pool_size + queue_limit`` requests exist at once (running +
+waiting for a slot).  Everything beyond that is rejected *immediately*
+with :class:`AdmissionRejected` — the transport maps it to HTTP 429 —
+instead of growing an unbounded line of waiting threads whose tail
 latency the client would pay anyway.
 
 ``pressure()`` exposes current occupancy in [0, 1]; the engine reads it to

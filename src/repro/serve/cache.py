@@ -22,7 +22,7 @@ import time
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
-from repro.contracts import guarded_by, single_threaded
+from repro.contracts import guarded_by
 from repro.obs.metrics import MetricsLike, NoopMetrics
 
 _WHITESPACE_RE = re.compile(r"\s+")
@@ -99,32 +99,6 @@ class TTLCache:
                 self._entries.popitem(last=False)
                 self._evictions += 1
                 self.metrics.incr(f"{self.name}.evict")
-
-    def clear(self, reset_stats: bool = False) -> None:
-        """Drop every entry; ``reset_stats`` also zeroes the lifetime
-        hit/miss/eviction counters."""
-        with self._lock:
-            self._entries.clear()
-            if reset_stats:
-                self._hits = 0
-                self._misses = 0
-                self._evictions = 0
-
-    @single_threaded
-    def reset_after_fork(self) -> None:
-        """Start this cache fresh in a freshly-forked, single-threaded child.
-
-        Drops entries *and* stats (inherited entries carry the parent's
-        monotonic clock anchors; inherited counters would misattribute the
-        parent's traffic) and — unlike :meth:`clear` — replaces the lock:
-        a parent thread holding ``_lock`` at fork time leaves the copied
-        lock locked forever in the child.
-        """
-        self._lock = threading.Lock()
-        self._entries = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
 
     def __len__(self) -> int:
         with self._lock:

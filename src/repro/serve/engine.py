@@ -4,7 +4,8 @@ The paper's online phase (Section 4.2, Table 11) answers in sub-second
 time *because* everything expensive — the paraphrase dictionary, the
 linker's label index, the adjacency kernel — was built offline.  The
 one-shot CLI pays that setup on every invocation; :class:`QAEngine` pays
-it once at startup and then serves questions from a bounded thread pool:
+it once at startup and then answers each question on the thread that
+asked it — the engine owns no threads of its own:
 
 * **warm state** — knowledge graph, mined dictionary, entity-linker index
   and adjacency kernel are constructed (and exercised) in :meth:`warm`;
@@ -12,11 +13,13 @@ it once at startup and then serves questions from a bounded thread pool:
   that include the store version and a config fingerprint
   (:mod:`repro.serve.cache`), so `KnowledgeGraph.refresh()` after a store
   mutation invalidates by construction;
-* **admission control** — at most ``pool_size + queue_limit`` requests in
-  flight; beyond that :class:`AdmissionRejected` (HTTP 429 upstream);
-* **deadlines** — a per-request budget threaded into the top-k search,
-  which stops cooperatively and returns partial top-k with
-  ``terminated_by="deadline"``;
+* **admission control** — at most ``pool_size`` pipelines interleave
+  (a semaphore the request thread holds while it answers), at most
+  ``queue_limit`` more wait for a slot; beyond that
+  :class:`AdmissionRejected` (HTTP 429 upstream);
+* **deadlines** — a per-request budget, counted from admission, threaded
+  into the top-k search, which stops cooperatively and returns partial
+  top-k with ``terminated_by="deadline"``;
 * **degradation** — past a pressure threshold requests are answered by a
   degraded pipeline (smaller k, trimmed candidate lists) and marked
   ``degraded: true``.
@@ -24,18 +27,25 @@ it once at startup and then serves questions from a bounded thread pool:
 Each request runs under its own tracer (or the no-op), never the
 process-wide default: the recording :class:`~repro.obs.Tracer` keeps a
 span *stack* and is single-threaded by design.
+
+An engine is never carried across ``os.fork()``: a pre-fork deployment
+builds the heavy immutable state once (:meth:`QAEngine.factory`) and each
+worker builds its own engine over it *after* the fork, so every lock,
+cache, counter and clock anchor is born in the process that uses it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from repro import obs
-from repro.contracts import fork_shared, guarded_by, single_threaded
+from repro.contracts import guarded_by
 from repro.core.pipeline import Answer, GAnswer
 from repro.exceptions import EngineClosedError
 from repro.linking.linker import EntityLinker
@@ -46,7 +56,7 @@ from repro.rdf.terms import Triple
 from repro.serve.admission import AdmissionController, AdmissionRejected
 from repro.serve.cache import CachingLinker, TTLCache, answer_cache_key
 
-__all__ = ["EngineConfig", "QAEngine", "ServedSystem", "AdmissionRejected"]
+__all__ = ["EngineConfig", "QAEngine", "AdmissionRejected"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +64,7 @@ class EngineConfig:
     """Tunables of one serving engine (all surfaced as CLI flags)."""
 
     k: int = 10                       # top-k matches per question
-    pool_size: int = 4                # worker threads answering questions
+    pool_size: int = 4                # concurrent answering slots
     queue_limit: int = 12             # extra requests allowed to wait
     deadline_s: float | None = 10.0   # default per-request budget (None = off)
     cache_size: int = 1024            # answer cache entries (0 disables)
@@ -93,16 +103,22 @@ class EngineResult:
 
     answer: Answer
     degraded: bool = False
-    #: Monotonic timestamp of computation — informational only; freshness
-    #: is enforced by the answer cache's own TTL clock.  Only meaningful
-    #: within the process that computed it: monotonic anchors do not
-    #: travel across a fork, which is why :meth:`QAEngine.reset_after_fork`
-    #: drops inherited cache entries instead of trusting their stamps.
-    computed_at: float = field(default_factory=time.monotonic)
+
+
+def _warm_shared(kg: KnowledgeGraph, linker: "EntityLinker | CachingLinker") -> dict:
+    """Build the lazy structures every engine over ``kg`` shares.
+
+    Touches the adjacency kernel, the class set, the label index, and the
+    linker's label index; returns the kernel statistics.
+    """
+    kernel = kg.kernel
+    _ = kg.class_ids
+    _ = kg.label_index
+    _ = linker.index
+    return kernel.statistics()
 
 
 @guarded_by("_state_lock", "_ready", "_closed")
-@fork_shared("config", "kg", "dictionary", "linker", "_system", "_degraded_system")
 class QAEngine:
     """A resident :class:`GAnswer` wrapper serving many questions.
 
@@ -165,14 +181,12 @@ class QAEngine:
             metrics=self.metrics,
             prefix="serve.ingest",
         )
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.pool_size, thread_name_prefix="qa-engine"
-        )
+        self._slots = threading.BoundedSemaphore(self.config.pool_size)
         self._trace_ids = itertools.count(1)
         self._started_at = time.monotonic()
         self._ready = False
         self._closed = False
-        self._warm_lock = threading.Lock()
+        self._lifecycle_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._ingest_lock = threading.Lock()
 
@@ -198,6 +212,29 @@ class QAEngine:
             base_linker=state.build_linker(),
         )
 
+    @classmethod
+    def factory(
+        cls,
+        kg: KnowledgeGraph,
+        dictionary: ParaphraseDictionary,
+        config: EngineConfig | None = None,
+        base_linker: EntityLinker | None = None,
+    ) -> Callable[[], "QAEngine"]:
+        """Build the shared state now; return a maker of engines over it.
+
+        The split a pre-fork deployment needs: the supervisor calls this
+        once — kernel, class ids, label index and linker index are built
+        here, in the caller's process — and every worker calls the
+        returned zero-argument factory *after* ``os.fork()``, so the heavy
+        state is shared copy-on-write while every per-process structure
+        (locks, caches, admission, metrics, clock anchors) is created by
+        ``__init__`` in the process that uses it.
+        """
+        if base_linker is None:
+            base_linker = EntityLinker(kg)
+        _warm_shared(kg, base_linker)
+        return functools.partial(cls, kg, dictionary, config, base_linker)
+
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
@@ -210,33 +247,23 @@ class QAEngine:
         (the CLI, /healthz diagnostics) can report the warmed footprint.
         Idempotent and safe to call concurrently.
         """
-        with self._warm_lock:
+        with self._lifecycle_lock:
             with self.metrics_span("serve.warmup"):
-                kernel = self.kg.kernel
-                _ = self.kg.class_ids
-                _ = self.kg.label_index
-                _ = self.linker.index  # builds the wrapped linker's LabelIndex
-                stats = kernel.statistics()
+                stats = _warm_shared(self.kg, self.linker)
             with self._state_lock:
                 self._ready = True
             return stats
 
-    def metrics_span(self, name: str):
+    @contextlib.contextmanager
+    def metrics_span(self, name: str) -> Iterator[None]:
         """A duration observation recorded as ``{name}_ms`` on exit."""
-        engine = self
-
-        class _Timed:
-            def __enter__(self):
-                self._started = time.monotonic()
-                return self
-
-            def __exit__(self, exc_type, exc, tb):
-                engine.metrics.observe(
-                    f"{name}_ms", (time.monotonic() - self._started) * 1000.0
-                )
-                return False
-
-        return _Timed()
+        started = time.monotonic()
+        try:
+            yield
+        finally:
+            self.metrics.observe(
+                f"{name}_ms", (time.monotonic() - started) * 1000.0
+            )
 
     @property
     def ready(self) -> bool:
@@ -259,60 +286,21 @@ class QAEngine:
         """
         self.kg.refresh()
 
-    @single_threaded
-    def reset_after_fork(self) -> "QAEngine":
-        """Re-anchor every per-process structure in a forked worker.
-
-        ``os.fork()`` copies the engine's Python state but not its
-        threads, and monotonic clock anchors taken in the parent are not
-        meaningful in the child (``CLOCK_MONOTONIC`` happens to be
-        system-wide on Linux, but nothing guarantees it elsewhere, and a
-        cache entry stamped before the fork describes the parent's
-        traffic either way).  Call this in the child — while it is still
-        single-threaded, before serving — to rebuild:
-
-        * the worker pool (the parent's pool threads do not exist here);
-        * the admission controller (fresh in-flight/peak accounting);
-        * the answer/link caches (entries + stats dropped; TTL anchors
-          restart on this process's clock; their *locks* are replaced —
-          a parent thread holding one at fork time leaves the copied
-          lock locked forever in the child);
-        * the metrics registry (same lock-replacement reasoning),
-          trace-id counter, uptime anchor, and the engine's own locks.
-
-        The expensive shared state — knowledge graph, kernel rows,
-        dictionary, linker index, and any mmap-backed triple columns —
-        is untouched: that is exactly what the fork is sharing.
-        Returns ``self``; call :meth:`warm` afterwards to flip ready.
-        """
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.pool_size, thread_name_prefix="qa-engine"
-        )
-        self.metrics.reset_after_fork()
-        self.admission = AdmissionController(
-            capacity=self.config.pool_size + self.config.queue_limit,
-            metrics=self.metrics,
-        )
-        self.write_admission = AdmissionController(
-            capacity=self.config.ingest_capacity,
-            metrics=self.metrics,
-            prefix="serve.ingest",
-        )
-        self.answer_cache.reset_after_fork()
-        self.link_cache.reset_after_fork()
-        self._warm_lock = threading.Lock()
-        self._state_lock = threading.Lock()
-        self._ingest_lock = threading.Lock()
-        self._trace_ids = itertools.count(1)
-        self._started_at = time.monotonic()
-        self._ready = False
-        self._closed = False
-        return self
-
     def close(self) -> None:
+        """Refuse new work and return once in-flight answers have finished.
+
+        Holding every slot means no pipeline is running; handing them back
+        wakes the asks still waiting for one, which then see the flag and
+        raise :class:`EngineClosedError`.  One closer drains at a time: two
+        would each take some of the slots and wait for the rest forever.
+        """
         with self._state_lock:
             self._closed = True
-        self._pool.shutdown(wait=True)
+        with self._lifecycle_lock:
+            for _ in range(self.config.pool_size):
+                self._slots.acquire()
+            for _ in range(self.config.pool_size):
+                self._slots.release()
 
     def __enter__(self) -> "QAEngine":
         self.warm()
@@ -333,7 +321,7 @@ class QAEngine:
         trace: bool = False,
         use_cache: bool = True,
     ) -> dict:
-        """Answer one question through admission control and the pool.
+        """Answer one question on the calling thread, under admission control.
 
         Returns the JSON-ready response dict (see :meth:`_render`).
         Raises :class:`AdmissionRejected` when the request budget is full.
@@ -341,10 +329,7 @@ class QAEngine:
         (no lookup, no store) — cache-miss benchmark passes use it to
         measure the engine instead of the cache.
         """
-        with self.admission.admit():
-            future = self._submit(question, deadline_s, trace, use_cache)
-            result, tracer, from_cache = future.result()
-        return self._render(result, tracer, from_cache)
+        return self._render(*self._process(question, deadline_s, trace, use_cache))
 
     def batch(
         self,
@@ -352,57 +337,28 @@ class QAEngine:
         deadline_s: float | None = None,
         use_cache: bool = True,
     ) -> list[dict]:
-        """Fan a list of questions out over the pool; one response per
-        question, in order.  Questions the admission budget rejects come
-        back as ``{"error": "busy"}`` entries instead of failing the batch.
+        """Answer a list of questions in turn; one response per question,
+        in order.  Questions the admission budget rejects come back as
+        ``{"error": "busy"}`` entries instead of failing the batch.
         """
-        # Every admitted slot is released on every exit path: a question
-        # that raises (or a closed engine mid-loop) must not leak the
-        # slots of the questions around it.
-        tokens: list = []
-        pending: list[tuple[Future, object] | None] = []
-        try:
-            for question in questions:
-                try:
-                    token = self.admission.admit()
-                except AdmissionRejected:
-                    pending.append(None)
-                    continue
-                tokens.append(token)
-                pending.append(
-                    (self._submit(question, deadline_s, False, use_cache), token)
-                )
-            responses: list[dict] = []
-            for entry in pending:
-                if entry is None:
-                    responses.append({"error": "busy", "status": 429})
-                    continue
-                future, token = entry
-                result, tracer, from_cache = future.result()
-                responses.append(self._render(result, tracer, from_cache))
-                token.release()
-            return responses
-        finally:
-            for token in tokens:
-                token.release()
+        responses: list[dict] = []
+        for question in questions:
+            try:
+                responses.append(self.ask(question, deadline_s, use_cache=use_cache))
+            except AdmissionRejected:
+                responses.append({"error": "busy", "status": 429})
+        return responses
 
-    def ask_answer(self, question: str, deadline_s: float | None = None) -> Answer:
+    def answer(self, question: str, deadline_s: float | None = None) -> Answer:
         """The raw pipeline :class:`Answer` through the warm path.
 
-        The interactive shell and the served evaluation adapter use this:
-        same admission, pool, cache, and degradation behavior as
-        :meth:`ask`, but the caller gets term objects instead of strings.
-        Treat the result as read-only — cached answers are shared.
+        What makes the engine an ``evaluate_system``-compatible system;
+        the interactive shell uses it too.  Same admission, cache, and
+        degradation behavior as :meth:`ask`, but the caller gets term
+        objects instead of strings.  Treat the result as read-only —
+        cached answers are shared.
         """
-        with self.admission.admit():
-            result, _tracer, _cached = self._submit(
-                question, deadline_s, False, True
-            ).result()
-        return result.answer
-
-    def as_system(self) -> "ServedSystem":
-        """An ``evaluate_system``-compatible adapter over this engine."""
-        return ServedSystem(self)
+        return self._process(question, deadline_s, False)[0].answer
 
     # ------------------------------------------------------------------ #
     # Live ingest
@@ -510,20 +466,23 @@ class QAEngine:
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _submit(
-        self, question: str, deadline_s: float | None, trace: bool,
-        use_cache: bool = True,
-    ) -> Future:
-        with self._state_lock:
-            if self._closed:
-                raise EngineClosedError("engine is closed")
-        return self._pool.submit(
-            self._process, question, deadline_s, trace, use_cache
-        )
-
     def _process(
         self, question: str, deadline_s: float | None, trace: bool,
         use_cache: bool = True,
+    ) -> tuple[EngineResult, "obs.Tracer | None", bool]:
+        with self.admission.admit():
+            # The client's budget starts at admission: time spent waiting
+            # for a slot is time the client has already waited.
+            budget = deadline_s if deadline_s is not None else self.config.deadline_s
+            deadline = None if budget is None else time.monotonic() + budget
+            with self._slots:
+                with self._state_lock:
+                    if self._closed:
+                        raise EngineClosedError("engine is closed")
+                return self._answer_in_slot(question, deadline, trace, use_cache)
+
+    def _answer_in_slot(
+        self, question: str, deadline: float | None, trace: bool, use_cache: bool
     ) -> tuple[EngineResult, "obs.Tracer | None", bool]:
         started = time.monotonic()
         self.metrics.incr("serve.requests")
@@ -545,8 +504,6 @@ class QAEngine:
         if degraded:
             self.metrics.incr("serve.degraded")
 
-        budget = deadline_s if deadline_s is not None else self.config.deadline_s
-        deadline = None if budget is None else started + budget
         tracer = obs.Tracer() if trace else obs.NOOP
         answer = system.answer(question, tracer=tracer, deadline=deadline)
 
@@ -627,17 +584,3 @@ class QAEngine:
             "kernel": self.kg.kernel.statistics(),
         }
 
-
-class ServedSystem:
-    """Adapter: the engine as an ``evaluate_system``-compatible system.
-
-    Each ``answer()`` goes through the engine's full serving path —
-    admission, pool, answer cache, degradation — so an evaluation run
-    through it exercises exactly what production requests exercise.
-    """
-
-    def __init__(self, engine: QAEngine):
-        self.engine = engine
-
-    def answer(self, question: str) -> Answer:
-        return self.engine.ask_answer(question)

@@ -11,12 +11,19 @@ server in N forked worker processes that all accept on the same
   them) — or, where ``SO_REUSEPORT`` is unavailable, a single shared
   socket every worker accepts on.  Binding in the parent means a
   respawned worker inherits a still-valid fd; no re-bind race.
-* **Warm once, share pages.**  The engine is built (and its snapshot
-  mmapped) in the parent; after ``fork()`` every worker shares the same
-  physical pages for the triple columns, so N workers cost one copy of
-  the graph.  Each worker calls :meth:`QAEngine.reset_after_fork` to
-  rebuild the process-local machinery (thread pool, locks, monotonic
-  anchors, caches) that does not survive a fork.
+* **Load once, build engines after the fork.**  The supervisor loads the
+  heavy immutable state (graph, kernel, dictionary, linker index, the
+  snapshot's mmap) and hands over a zero-argument engine factory
+  (:meth:`QAEngine.factory`); after ``fork()`` every worker shares the
+  same physical pages, so N workers cost one copy of the graph, and
+  each worker — first start and respawn alike — calls the factory, so
+  every lock, cache, counter and clock anchor is created in the process
+  that uses it.  No :class:`QAEngine` ever crosses a fork.
+* **Fork single-threaded.**  A lock held by another thread at fork time
+  stays locked forever in the child.  The shared state carries locks
+  (the graph's kernel lock, a sharded store's segment lock), so the
+  supervisor refuses to fork unless it is the only thread in its
+  process — the one precondition, checked at the fork site.
 * **Supervise.**  The parent loops in ``waitpid``: a worker that dies is
   respawned from the same inherited sockets; SIGTERM/SIGINT tears the
   whole tree down.  The parent never serves HTTP itself.
@@ -28,7 +35,8 @@ server in N forked worker processes that all accept on the same
 
 Usage (what ``repro serve --workers N`` runs)::
 
-    supervisor = PreforkServer(engine, host="127.0.0.1", port=8765, workers=4)
+    factory = QAEngine.factory(kg, dictionary, config)   # shared state built here
+    supervisor = PreforkServer(factory, host="127.0.0.1", port=8765, workers=4)
     host, port = supervisor.start()     # sockets bound, nothing forked yet
     print(f"listening on {host}:{port}")
     supervisor.run()                    # forks workers, supervises until signalled
@@ -41,8 +49,10 @@ import signal
 import socket
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
+from repro.exceptions import ReproError
 from repro.serve.engine import QAEngine
 from repro.serve.server import QAServer
 
@@ -92,9 +102,10 @@ class _Worker:
 class PreforkServer:
     """Bind, fork, supervise: N :class:`QAServer` workers on one port.
 
-    The engine must already be constructed (its heavy state — KG, kernel,
-    dictionary, mmap columns — is what the forks share); it does not need
-    to be warm, each worker warms its own copy after the fork.
+    ``engine_factory`` is called with no arguments in each worker after
+    the fork and returns that worker's :class:`QAEngine`; the heavy state
+    it closes over (KG, kernel, dictionary, mmap columns) is what the
+    forks share, so build it before :meth:`run`.
 
     ``max_respawns`` bounds respawns *per worker slot*; a worker that
     keeps crashing stops being restarted (a crash-loop would otherwise
@@ -103,7 +114,7 @@ class PreforkServer:
 
     def __init__(
         self,
-        engine: QAEngine,
+        engine_factory: Callable[[], QAEngine],
         host: str = "127.0.0.1",
         port: int = 8765,
         workers: int = 2,
@@ -111,7 +122,7 @@ class PreforkServer:
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.engine = engine
+        self.engine_factory = engine_factory
         self.host = host
         self.port = port
         self.workers = workers
@@ -175,10 +186,10 @@ class PreforkServer:
             signal.SIGTERM: signal.signal(signal.SIGTERM, _on_signal),
             signal.SIGINT: signal.signal(signal.SIGINT, _on_signal),
         }
-        for worker in self._workers:
-            self._spawn(worker)
         exit_code = 0
         try:
+            for worker in self._workers:
+                self._spawn(worker)
             while True:
                 alive = {w.pid: w for w in self._workers if w.pid}
                 if not alive:
@@ -247,6 +258,13 @@ class PreforkServer:
     # ------------------------------------------------------------------ #
 
     def _spawn(self, worker: _Worker) -> None:
+        if threading.active_count() != 1:
+            # The child would inherit, locked forever, any lock another
+            # thread holds right now (the graph's, the store's).
+            raise ReproError(
+                f"refusing to fork with {threading.active_count()} live "
+                "threads: the pre-fork supervisor must be single-threaded"
+            )
         pid = os.fork()
         if pid:
             worker.pid = pid
@@ -261,7 +279,7 @@ class PreforkServer:
             code = 1
         finally:
             # Skip atexit/GC finalizers — they belong to the parent's
-            # state (its server objects, its engine) which this child
+            # state (its sockets, its loaded graph) which this child
             # must not tear down.
             os._exit(code)
 
@@ -279,7 +297,7 @@ class PreforkServer:
         signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(0))
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent coordinates
 
-        engine = self.engine.reset_after_fork()
+        engine = self.engine_factory()
         engine.warm()
         info = {"index": me.index, "pid": os.getpid(), "workers": self.workers}
 

@@ -1,8 +1,9 @@
 """Stdlib-only JSON HTTP transport over a :class:`QAEngine`.
 
-One thread per connection (``ThreadingHTTPServer``); actual answering
-concurrency is still bounded by the engine's worker pool + admission
-budget, so a thundering herd turns into fast 429s, not an overload.
+One thread per connection (``ThreadingHTTPServer``), and that thread
+answers the question itself; answering concurrency is still bounded by
+the engine's slots + admission budget, so a thundering herd turns into
+fast 429s, not an overload.
 For true parallelism across cores, :mod:`repro.serve.prefork` runs N
 processes each holding one of these servers over a shared listening
 port — a :class:`QAServer` can adopt an already-bound socket for that.
@@ -151,6 +152,14 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     # Routes
     # ------------------------------------------------------------------ #
+
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionResetError:
+            # Reset before (or between) requests: reading the next request
+            # line fails instead of a write.  Same event, same accounting.
+            self._client_disconnected()
 
     def do_GET(self) -> None:  # noqa: N802 (BaseHTTPRequestHandler casing)
         engine: QAEngine = self.server.engine

@@ -22,11 +22,11 @@ def make_finding(rule="layering", relpath="repro/rdf/store.py", line=3,
 class TestRoundTrip:
     def test_save_then_load_preserves_the_multiset(self, tmp_path):
         path = tmp_path / "baseline.json"
-        findings = [make_finding(), make_finding(), make_finding(rule="fork-safety")]
+        findings = [make_finding(), make_finding(), make_finding(rule="frozen-store")]
         save_baseline(path, findings)
         loaded = load_baseline(path)
         assert loaded[("layering", "repro/rdf/store.py", "boundary crossed")] == 2
-        assert loaded[("fork-safety", "repro/rdf/store.py", "boundary crossed")] == 1
+        assert loaded[("frozen-store", "repro/rdf/store.py", "boundary crossed")] == 1
 
     def test_keys_ignore_line_numbers(self, tmp_path):
         # A baselined finding that drifts to another line stays baselined.

@@ -1,15 +1,8 @@
-"""Runtime behavior of the contract decorators (the static checks' anchors)."""
+"""Runtime behavior of the contract decorator (the static check's anchor)."""
 
 import pytest
 
-from repro.contracts import (
-    FORK_SHARED_ATTR,
-    GUARDED_FIELDS_ATTR,
-    SINGLE_THREADED_ATTR,
-    fork_shared,
-    guarded_by,
-    single_threaded,
-)
+from repro.contracts import GUARDED_FIELDS_ATTR, guarded_by
 
 
 class TestGuardedBy:
@@ -55,38 +48,6 @@ class TestGuardedBy:
         assert getattr(Slotted, GUARDED_FIELDS_ATTR) == {"_a": "_lock"}
 
 
-class TestForkShared:
-    def test_records_field_set(self):
-        @fork_shared("kg", "dictionary")
-        class Engine:
-            pass
-
-        assert getattr(Engine, FORK_SHARED_ATTR) == frozenset({"kg", "dictionary"})
-
-    def test_stacking_unions(self):
-        @fork_shared("b")
-        @fork_shared("a")
-        class Engine:
-            pass
-
-        assert getattr(Engine, FORK_SHARED_ATTR) == frozenset({"a", "b"})
-
-    def test_requires_at_least_one_field(self):
-        with pytest.raises(ValueError):
-            fork_shared()
-
-
-class TestSingleThreaded:
-    def test_marks_without_wrapping(self):
-        class Engine:
-            @single_threaded
-            def reset_after_fork(self):
-                return "reset"
-
-        assert getattr(Engine.reset_after_fork, SINGLE_THREADED_ATTR) is True
-        assert Engine().reset_after_fork() == "reset"
-
-
 class TestRealClassesCarryContracts:
     def test_ttl_cache_and_metrics_declare_their_locks(self):
         from repro.obs.metrics import Metrics
@@ -94,10 +55,3 @@ class TestRealClassesCarryContracts:
 
         assert getattr(TTLCache, GUARDED_FIELDS_ATTR)["_entries"] == "_lock"
         assert getattr(Metrics, GUARDED_FIELDS_ATTR)["counters"] == "_lock"
-
-    def test_qa_engine_declares_shared_warm_state(self):
-        from repro.serve.engine import QAEngine
-
-        shared = getattr(QAEngine, FORK_SHARED_ATTR)
-        assert {"kg", "dictionary", "config"} <= shared
-        assert getattr(QAEngine.reset_after_fork, SINGLE_THREADED_ATTR) is True

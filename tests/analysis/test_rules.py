@@ -87,20 +87,15 @@ class TestLockDiscipline:
         )
         assert len(findings) == 1
 
-    def test_init_and_single_threaded_methods_are_exempt(self, lint_source):
+    def test_init_is_exempt(self, lint_source):
         findings = lint_source(
             """
             import threading
-            from repro.contracts import guarded_by, single_threaded
+            from repro.contracts import guarded_by
 
             @guarded_by("_lock", "_count")
             class Counter:
                 def __init__(self):
-                    self._lock = threading.Lock()
-                    self._count = 0
-
-                @single_threaded
-                def reset_after_fork(self):
                     self._lock = threading.Lock()
                     self._count = 0
             """,
@@ -150,108 +145,6 @@ class TestLockDiscipline:
                         def touch(self):
                             return self._count
                     return Inner()
-            """,
-            rule=self.RULE,
-        )
-        assert findings == []
-
-
-class TestForkSafety:
-    RULE = "fork-safety"
-
-    def test_fires_on_unreset_lock(self, lint_source):
-        findings = lint_source(
-            """
-            import threading
-
-            class Engine:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def reset_after_fork(self):
-                    pass
-            """,
-            rule=self.RULE,
-        )
-        assert len(findings) == 1
-        assert "Engine._lock" in findings[0].message
-
-    def test_quiet_when_lock_is_recreated(self, lint_source):
-        findings = lint_source(
-            """
-            import threading
-
-            class Engine:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def reset_after_fork(self):
-                    self._lock = threading.Lock()
-            """,
-            rule=self.RULE,
-        )
-        assert findings == []
-
-    def test_delegated_component_reset_counts(self, lint_source):
-        findings = lint_source(
-            """
-            from repro.obs.metrics import Metrics
-
-            class Engine:
-                def __init__(self):
-                    self.metrics = Metrics()
-
-                def reset_after_fork(self):
-                    self.metrics.reset_after_fork()
-            """,
-            rule=self.RULE,
-        )
-        assert findings == []
-
-    def test_plain_clear_call_does_not_count(self, lint_source):
-        # .reset()/.clear() reuse the inherited (possibly locked) lock —
-        # only re-creation or reset_after_fork() delegation is safe.
-        findings = lint_source(
-            """
-            from repro.obs.metrics import Metrics
-
-            class Engine:
-                def __init__(self):
-                    self.metrics = Metrics()
-
-                def reset_after_fork(self):
-                    self.metrics.reset()
-            """,
-            rule=self.RULE,
-        )
-        assert len(findings) == 1
-
-    def test_fork_shared_declares_the_exception(self, lint_source):
-        findings = lint_source(
-            """
-            from repro.contracts import fork_shared
-            from repro.obs.metrics import Metrics
-
-            @fork_shared("metrics")
-            class Engine:
-                def __init__(self):
-                    self.metrics = Metrics()
-
-                def reset_after_fork(self):
-                    pass
-            """,
-            rule=self.RULE,
-        )
-        assert findings == []
-
-    def test_classes_without_reset_hook_are_out_of_scope(self, lint_source):
-        findings = lint_source(
-            """
-            import threading
-
-            class PlainHelper:
-                def __init__(self):
-                    self._lock = threading.Lock()
             """,
             rule=self.RULE,
         )

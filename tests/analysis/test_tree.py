@@ -1,7 +1,9 @@
 """Real-tree smoke: the shipped package lints clean against the committed
-baseline, and the CLI surface behaves."""
+baseline, the CLI surface behaves, and the serving invariant — an engine
+owns no threads and never crosses a fork — holds in the source."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -38,7 +40,6 @@ class TestRealTree:
         report = run_lint([PACKAGE_ROOT])
         assert set(report.rules_run) == {
             "lock-discipline",
-            "fork-safety",
             "frozen-store",
             "monotonic-time",
             "layering",
@@ -60,6 +61,31 @@ class TestRealTree:
     def test_missing_path_raises(self, tmp_path):
         with pytest.raises(LintError, match="does not exist"):
             run_lint([tmp_path / "absent"])
+
+
+class TestServingInvariant:
+    def test_nothing_is_reset_after_a_fork(self):
+        # Every lock, cache and counter is created in the process that
+        # uses it; a reset hook would mean something crossed a fork.
+        offenders = [
+            str(path.relative_to(PACKAGE_ROOT))
+            for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+            if re.search(r"def\s+reset_after_fork\b", path.read_text())
+        ]
+        assert offenders == []
+
+    def test_serve_imports_nothing_from_concurrent_futures(self):
+        # Requests are answered on the request thread: no executor, no
+        # Future, anywhere in the serving package.
+        from repro.analysis.engine import scan
+
+        imported = {
+            (module.relpath, name)
+            for module in scan([PACKAGE_ROOT / "serve"])
+            for name, _line in module.imports
+            if name.split(".")[0] == "concurrent"
+        }
+        assert imported == set()
 
 
 class TestCli:
@@ -115,9 +141,11 @@ class TestCli:
     def test_lint_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("lock-discipline", "fork-safety", "frozen-store",
-                     "monotonic-time", "layering", "exception-discipline"):
+        rules = ("lock-discipline", "frozen-store", "monotonic-time",
+                 "layering", "exception-discipline")
+        for rule in rules:
             assert rule in out
+        assert len(out.strip().splitlines()) == len(rules)
 
     def test_lint_bad_rule_exits_two(self, capsys):
         assert main(["lint", "--rule", "no-such-rule", str(PACKAGE_ROOT)]) == 2

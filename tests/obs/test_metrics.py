@@ -1,4 +1,7 @@
-"""Metrics registry: counter math, snapshot shape, cross-registry merge."""
+"""Metrics registry: counter math, snapshot shape, bounded histogram
+state, cross-registry merge."""
+
+import sys
 
 from repro.obs.metrics import Metrics, merge_snapshots
 
@@ -11,6 +14,37 @@ def _registry(counters: dict, observations: dict) -> Metrics:
         for value in values:
             metrics.observe(name, value)
     return metrics
+
+
+def _histogram_state_bytes(metrics: Metrics) -> int:
+    """Shallow size of everything the registry retains per histogram."""
+    return sys.getsizeof(metrics.histograms) + sum(
+        sys.getsizeof(state) for state in metrics.histograms.values()
+    )
+
+
+class TestBoundedHistograms:
+    def test_observe_keeps_constant_state_and_the_list_based_summary(self):
+        """Regression: every sample was appended to a list forever (and
+        every scrape copied every list), so a resident server grew per
+        request.  The summary is all anyone reads; keep only that."""
+        # Quarter steps are exact in binary, so the running total equals
+        # the reference sum bit for bit in any summation order.
+        values = [(i * 37 % 101) * 0.25 for i in range(100_000)]
+        metrics = Metrics()
+        for value in values[:10]:
+            metrics.observe("serve.latency_ms", value)
+        early = _histogram_state_bytes(metrics)
+        for value in values[10:]:
+            metrics.observe("serve.latency_ms", value)
+        assert _histogram_state_bytes(metrics) == early
+        assert metrics.snapshot()["histograms"]["serve.latency_ms"] == {
+            "count": len(values),
+            "min": min(values),
+            "max": max(values),
+            "mean": sum(values) / len(values),
+            "total": sum(values),
+        }
 
 
 class TestMergeSnapshots:

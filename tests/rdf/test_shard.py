@@ -276,7 +276,7 @@ class TestShardedSnapshot:
         _, manifest, _ = snapshots
         engine = QAEngine.from_snapshot(manifest)
         try:
-            result = engine.ask_answer("Who is the mayor of Berlin?")
+            result = engine.answer("Who is the mayor of Berlin?")
             assert result.processed
             assert result.answers
             stats = engine.stats()

@@ -155,7 +155,7 @@ class TestAnswerEquivalence:
         path, _ = snapshot
         engine = QAEngine.from_snapshot(path)
         try:
-            result = engine.ask_answer("Who is the mayor of Berlin?")
+            result = engine.answer("Who is the mayor of Berlin?")
             assert result.processed
             assert result.answers
         finally:

@@ -44,7 +44,7 @@ def _hammer(engine, questions):
     """Every question, REPEATS times, interleaved across 8 threads."""
     workload = [q for _ in range(REPEATS) for q in questions]
     with ThreadPoolExecutor(max_workers=8) as pool:
-        answers = list(pool.map(engine.ask_answer, workload))
+        answers = list(pool.map(engine.answer, workload))
     return workload, answers
 
 

@@ -1,14 +1,69 @@
-"""QAEngine behavior: answers, caching, deadlines, degradation, refresh."""
+"""QAEngine behavior: answers, caching, deadlines, degradation, refresh,
+and the request-thread execution model (slots, admission, close)."""
+
+import threading
+import time
 
 import pytest
 
 from repro.core import GAnswer
 from repro.exceptions import EngineClosedError
 from repro.rdf import IRI, Literal, Triple
-from repro.serve import EngineConfig, QAEngine
+from repro.serve import AdmissionRejected, EngineConfig, QAEngine
 
 BERLIN_Q = "Who is the mayor of Berlin?"
 CAPITAL_Q = "What is the capital of Germany?"
+
+JOIN_TIMEOUT = 10.0
+
+
+def _slow_pipeline(engine, monkeypatch, hold_s, entered=None, only=None):
+    """Make ``engine``'s pipeline take ``hold_s`` longer (for every
+    question, or just ``only``); returns a dict whose ``"max"`` is the
+    most pipelines ever running at once."""
+    pipeline_answer = engine._system.answer
+    running = {"now": 0, "max": 0}
+    gauge = threading.Lock()
+
+    def answer(question, **kwargs):
+        with gauge:
+            running["now"] += 1
+            running["max"] = max(running["max"], running["now"])
+        if entered is not None:
+            entered.set()
+        try:
+            if only is None or question == only:
+                time.sleep(hold_s)
+            return pipeline_answer(question, **kwargs)
+        finally:
+            with gauge:
+                running["now"] -= 1
+
+    monkeypatch.setattr(engine._system, "answer", answer)
+    return running
+
+
+def _in_threads(calls):
+    """Run each zero-argument call on its own thread; outcomes in order
+    (the return value, or the exception it raised)."""
+    outcomes = [None] * len(calls)
+
+    def run(index, call):
+        try:
+            outcomes[index] = call()
+        except Exception as error:  # noqa: BLE001 - the outcome under test
+            outcomes[index] = error
+
+    threads = [
+        threading.Thread(target=run, args=(index, call))
+        for index, call in enumerate(calls)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=JOIN_TIMEOUT)
+    assert not any(thread.is_alive() for thread in threads)
+    return outcomes
 
 
 class TestEngineConfig:
@@ -82,6 +137,91 @@ class TestAsk:
             engine.close()
 
 
+class TestRequestThread:
+    def test_pipeline_runs_on_the_calling_thread(self, kg, dictionary, monkeypatch):
+        engine = QAEngine(kg, dictionary, EngineConfig(pool_size=1))
+        pipeline_answer = engine._system.answer
+        ran_on = []
+
+        def answer(question, **kwargs):
+            ran_on.append(threading.get_ident())
+            return pipeline_answer(question, **kwargs)
+
+        monkeypatch.setattr(engine._system, "answer", answer)
+        try:
+            assert engine.ask(BERLIN_Q)["answers"]
+        finally:
+            engine.close()
+        assert ran_on == [threading.get_ident()]
+
+    def test_an_engine_owns_no_threads(self, kg, dictionary):
+        before = threading.active_count()
+        engine = QAEngine(kg, dictionary, EngineConfig(pool_size=4))
+        engine.warm()
+        try:
+            engine.ask(BERLIN_Q)
+            engine.batch([CAPITAL_Q, BERLIN_Q])
+            engine.answer(CAPITAL_Q)
+            assert threading.active_count() == before
+        finally:
+            engine.close()
+
+    def test_slots_bound_running_and_admission_bounds_waiting(
+        self, kg, dictionary, monkeypatch
+    ):
+        # pool_size=2, queue_limit=1: of five simultaneous asks two run,
+        # one waits for a slot, two are turned away.
+        engine = QAEngine(
+            kg, dictionary,
+            EngineConfig(pool_size=2, queue_limit=1, cache_size=0, deadline_s=None),
+        )
+        running = _slow_pipeline(engine, monkeypatch, hold_s=0.3)
+        try:
+            outcomes = _in_threads(
+                [lambda: engine.ask(BERLIN_Q, use_cache=False)] * 5
+            )
+        finally:
+            engine.close()
+        rejected = [o for o in outcomes if isinstance(o, AdmissionRejected)]
+        answered = [o for o in outcomes if isinstance(o, dict)]
+        assert len(rejected) == 2 and len(answered) == 3
+        assert all(response["answers"] for response in answered)
+        assert running["max"] == 2
+        stats = engine.admission.stats()
+        assert stats["admitted"] == 3 and stats["rejected"] == 2
+        assert stats["in_flight"] == 0
+
+    def test_close_waits_for_in_flight_and_fails_the_waiting(
+        self, kg, dictionary, monkeypatch
+    ):
+        engine = QAEngine(
+            kg, dictionary,
+            EngineConfig(pool_size=1, queue_limit=2, cache_size=0, deadline_s=None),
+        )
+        entered = threading.Event()
+        _slow_pipeline(engine, monkeypatch, hold_s=0.3, entered=entered)
+        closed_at = []
+
+        def close_once_running():
+            assert entered.wait(timeout=JOIN_TIMEOUT)
+            time.sleep(0.05)  # let the second ask reach the slot wait
+            engine.close()
+            closed_at.append(time.monotonic())
+
+        def ask_after_first():
+            assert entered.wait(timeout=JOIN_TIMEOUT)
+            return engine.ask(CAPITAL_Q)
+
+        started = time.monotonic()
+        in_flight, waiting, _ = _in_threads(
+            [lambda: engine.ask(BERLIN_Q), ask_after_first, close_once_running]
+        )
+        assert in_flight["answers"]  # the running answer finished normally
+        assert isinstance(waiting, EngineClosedError)
+        assert closed_at[0] - started >= 0.3  # close() outlasted the answer
+        assert engine.admission.stats()["in_flight"] == 0
+
+
 class TestAnswerCache:
     @pytest.fixture()
     def fresh_engine(self, kg, dictionary):
@@ -144,6 +284,31 @@ class TestDeadline:
             assert counters["serve.deadline_expired"] == 1
         finally:
             engine.close()
+
+
+    def test_deadline_counts_the_wait_for_a_slot(self, kg, dictionary, monkeypatch):
+        # Regression: the budget was anchored when a pool thread picked the
+        # request up, so time queued behind other requests was free and
+        # the client-visible budget was exceeded by the whole wait.
+        engine = QAEngine(
+            kg, dictionary,
+            EngineConfig(pool_size=1, queue_limit=2, cache_size=0, deadline_s=None),
+        )
+        entered = threading.Event()
+        _slow_pipeline(
+            engine, monkeypatch, hold_s=0.3, entered=entered, only=CAPITAL_Q
+        )
+
+        def impatient():
+            assert entered.wait(timeout=JOIN_TIMEOUT)
+            return engine.ask(BERLIN_Q, deadline_s=0.05)
+
+        try:
+            holder, waited = _in_threads([lambda: engine.ask(CAPITAL_Q), impatient])
+        finally:
+            engine.close()
+        assert holder["terminated_by"] != "deadline"
+        assert waited["terminated_by"] == "deadline"
 
 
 class TestDegradation:

@@ -1,4 +1,5 @@
-"""Pre-fork serving: socket binding, fork hygiene, N=2 end-to-end smoke.
+"""Pre-fork serving: socket binding, the fork guard, fork hygiene, N=2
+end-to-end smoke.
 
 The smoke test drives the real ``repro serve --workers 2`` CLI as a
 subprocess over a compiled snapshot (so worker warmup is near-instant):
@@ -13,12 +14,14 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 from pathlib import Path
 
 import pytest
 
+from repro.exceptions import ReproError
 from repro.rdf.snapshot import compile_snapshot
 from repro.serve import EngineConfig, PreforkServer, QAEngine, supports_reuseport
 
@@ -33,12 +36,12 @@ class TestBinding:
     def test_supports_reuseport_is_boolean(self):
         assert supports_reuseport() in (True, False)
 
-    def test_workers_must_be_positive(self, engine):
+    def test_workers_must_be_positive(self, kg, dictionary):
         with pytest.raises(ValueError, match="workers"):
-            PreforkServer(engine, workers=0)
+            PreforkServer(QAEngine.factory(kg, dictionary), workers=0)
 
-    def test_start_binds_before_forking(self, engine):
-        supervisor = PreforkServer(engine, port=0, workers=2)
+    def test_start_binds_before_forking(self, kg, dictionary):
+        supervisor = PreforkServer(QAEngine.factory(kg, dictionary), port=0, workers=2)
         try:
             host, port = supervisor.start()
             assert host == "127.0.0.1"
@@ -55,8 +58,55 @@ class TestBinding:
             supervisor._close_sockets()
 
 
+class TestForkGuard:
+    def test_refuses_to_fork_with_a_second_live_thread(self, kg, dictionary):
+        """A lock another thread holds at fork time stays locked forever in
+        the child, so the supervisor forks only while single-threaded."""
+        built = []
+
+        def factory():
+            built.append(os.getpid())
+            return QAEngine(kg, dictionary)
+
+        release = threading.Event()
+        bystander = threading.Thread(target=release.wait, daemon=True)
+        bystander.start()
+        supervisor = PreforkServer(factory, port=0, workers=2)
+        try:
+            with pytest.raises(ReproError, match="single-threaded"):
+                supervisor.run()
+        finally:
+            release.set()
+            bystander.join(timeout=5)
+        assert not bystander.is_alive()
+        assert built == []  # refused before any fork, in any process
+        assert all(worker.pid == 0 for worker in supervisor._workers)
+
+    def test_supervisor_never_builds_an_engine(self, monkeypatch, capsys):
+        """``repro serve --workers 2`` up to the fork: state is loaded and
+        warmed, sockets are bound, and no QAEngine exists in this process."""
+        from repro.cli import main
+
+        def no_engine_here(self, *args, **kwargs):
+            raise AssertionError("QAEngine built in the supervisor")
+
+        seen = {}
+
+        def run_instead_of_forking(self):
+            seen["factory"] = self.engine_factory
+            self._close_sockets()
+            return 0
+
+        monkeypatch.setattr(QAEngine, "__init__", no_engine_here)
+        monkeypatch.setattr(PreforkServer, "run", run_instead_of_forking)
+        assert main(["serve", "--workers", "2", "--port", "0"]) == 0
+        assert "workers=2" in capsys.readouterr().out
+        kg = seen["factory"].args[0]
+        assert kg._kernel is not None  # shared structures built before the fork
+
+
 # --------------------------------------------------------------------- #
-# Fork hygiene: the engine must be reusable in a forked child
+# Fork hygiene: nothing a worker locks or counts is inherited
 # --------------------------------------------------------------------- #
 
 def _run_in_fork(child) -> bytes:
@@ -87,56 +137,80 @@ def _run_in_fork(child) -> bytes:
 
 
 class TestForkHygiene:
-    def test_forked_worker_answers_after_reset(self, kg, dictionary):
-        parent = QAEngine(kg, dictionary, EngineConfig(pool_size=2, queue_limit=2))
+    CONFIG = EngineConfig(pool_size=2, queue_limit=2, cache_ttl_s=0.15)
+
+    def test_worker_engine_owes_nothing_to_a_busy_parent_engine(self, kg, dictionary):
+        """The hazard itself: fork while a served engine's locks are all
+        held.  A copied engine would deadlock on its first counter; the
+        worker instead builds its own over the inherited graph, through
+        the factory ``repro serve --workers N`` uses, so it starts with
+        its own locks and empty caches and counters."""
+        factory = QAEngine.factory(kg, dictionary, self.CONFIG)
+        parent = factory()
         parent.warm()
+        parent.ask(BERLIN_Q)
+        assert len(parent.answer_cache) == 1
+        held = [
+            parent.metrics._lock,
+            parent.answer_cache._lock,
+            parent.link_cache._lock,
+            parent._state_lock,
+        ]
+        for lock in held:
+            lock.acquire()
         try:
             def child() -> bytes:
-                engine = parent.reset_after_fork()
-                assert not engine.ready  # reset demands a rewarm
+                engine = factory()
+                assert not engine.ready  # a new engine demands its own warm
                 engine.warm()
+                assert engine.kg is parent.kg  # the graph is what is shared
+                assert len(engine.answer_cache) == 0
+                assert len(engine.link_cache) == 0
+                assert engine.metrics.snapshot()["counters"] == {}
                 response = engine.ask(BERLIN_Q)
+                assert not response["cached"]
+                engine.close()
                 return json.dumps(response["answers"]).encode()
 
             assert json.loads(_run_in_fork(child)) == ["res:Klaus_Wowereit"]
-            # The parent's copy is untouched by the child's reset.
-            assert parent.ready
-            assert parent.ask(BERLIN_Q)["answers"] == ["res:Klaus_Wowereit"]
         finally:
-            parent.close()
+            for lock in held:
+                lock.release()
+        # The parent's engine is untouched by whatever the child did.
+        assert parent.ready
+        assert parent.ask(BERLIN_Q)["answers"] == ["res:Klaus_Wowereit"]
+        parent.close()
 
     def test_ttl_eviction_works_in_forked_worker(self, kg, dictionary):
-        """Regression: cache timestamps are per-process monotonic anchors.
-        A forked worker that inherited the parent's entries wholesale
-        would compare the parent's anchors against its own clock; after
-        ``reset_after_fork`` the caches are empty and expiry runs on the
-        child's own timeline."""
-        parent = QAEngine(
-            kg, dictionary,
-            EngineConfig(pool_size=2, queue_limit=2, cache_ttl_s=0.15),
-        )
+        """Cache timestamps are per-process monotonic anchors.  A worker
+        that inherited a parent engine's entries would compare the
+        parent's anchors against its own clock; an engine built after the
+        fork has only entries it stamped itself, and its hit/miss history
+        is its own."""
+        factory = QAEngine.factory(kg, dictionary, self.CONFIG)
+        parent = factory()
         parent.warm()
         try:
             parent.ask(BERLIN_Q)
-            assert len(parent.answer_cache) == 1
+            parent.ask(BERLIN_Q)
+            assert parent.answer_cache.stats()["hits"] == 1
 
             def child() -> bytes:
-                engine = parent.reset_after_fork()
+                engine = factory()
                 engine.warm()
-                # Inherited entries (and their foreign anchors) are gone.
-                assert len(engine.answer_cache) == 0
                 first = engine.ask(BERLIN_Q)
                 again = engine.ask(BERLIN_Q)
-                assert again["cached"]
+                assert not first["cached"] and again["cached"]
                 time.sleep(0.2)  # past cache_ttl_s on the child's clock
                 expired = engine.ask(BERLIN_Q)
                 assert not expired["cached"]
                 stats = engine.answer_cache.stats()
+                engine.close()
                 return json.dumps([first["answers"], stats["hits"]]).encode()
 
             answers, child_hits = json.loads(_run_in_fork(child))
             assert answers == ["res:Klaus_Wowereit"]
-            assert child_hits == 1  # reset_stats wiped the parent's counters
+            assert child_hits == 1
         finally:
             parent.close()
 

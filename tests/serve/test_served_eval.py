@@ -1,10 +1,11 @@
-"""The served evaluation path must score exactly like the direct pipeline."""
+"""The served evaluation path must score exactly like the direct pipeline:
+the engine itself is the ``evaluate_system`` system."""
 
 import pytest
 
 from repro.core import GAnswer
 from repro.datasets import qald_questions
-from repro.eval.harness import evaluate_engine, evaluate_system
+from repro.eval.harness import evaluate_system
 from repro.serve import EngineConfig, QAEngine
 
 #: A prefix of the benchmark keeps the double evaluation quick while still
@@ -22,7 +23,7 @@ class TestServedEvaluation:
         direct = evaluate_system(GAnswer(kg, dictionary), subset, "direct")
         engine = QAEngine(kg, dictionary, EngineConfig(pool_size=2, queue_limit=8))
         try:
-            served = evaluate_engine(engine, subset, "served")
+            served = evaluate_system(engine, subset, "served")
         finally:
             engine.close()
 
@@ -37,7 +38,7 @@ class TestServedEvaluation:
     def test_served_run_exercises_the_engine(self, kg, dictionary, subset):
         engine = QAEngine(kg, dictionary, EngineConfig(pool_size=2, queue_limit=8))
         try:
-            evaluate_engine(engine, subset, "served")
+            evaluate_system(engine, subset, "served")
             counters = engine.metrics.snapshot()["counters"]
             assert counters["serve.requests"] == len(subset)
             assert engine.admission.stats()["admitted"] == len(subset)
