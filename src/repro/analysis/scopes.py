@@ -33,13 +33,6 @@ def enclosing_function(node: ast.AST) -> FunctionNode | None:
     return None
 
 
-def enclosing_class(node: ast.AST) -> ast.ClassDef | None:
-    for parent in ancestors(node):
-        if isinstance(parent, ast.ClassDef):
-            return parent
-    return None
-
-
 def _self_locks_of_with(stmt: ast.With | ast.AsyncWith) -> Iterator[str]:
     for item in stmt.items:
         expr = item.context_expr

@@ -62,11 +62,9 @@ class Deanna:
         dictionary: ParaphraseDictionary,
         max_candidates: int = 10,
         linker: EntityLinker | None = None,
-        tracer=None,
     ):
         self.kg = kg
         self.dictionary = dictionary
-        self.tracer = tracer
         self.parser = DependencyParser()
         self.extractor = RelationExtractor(dictionary)
         # No heuristic recall rules: they are the compared paper's addition.
@@ -81,7 +79,7 @@ class Deanna:
     # ------------------------------------------------------------------ #
 
     def answer(self, question: str) -> Answer:
-        tracer = self.tracer if self.tracer is not None else obs.get_tracer()
+        tracer = obs.get_tracer()
         result = Answer(question=question)
         with tracer.span("answer", question=question, system="deanna") as root:
             result.analysis = analyze_question(question)
@@ -269,8 +267,8 @@ class Deanna:
         else:
             nodes = {candidate.node_id}
         for node in nodes:
-            for edge in self.kg.edges(node, include_literals=True):
-                if edge.predicate == predicate:
+            for step, _neighbor in self.kg.kernel.neighbors(node):
+                if step_predicate(step) == predicate:
                     return 1.0
         return 0.0
 

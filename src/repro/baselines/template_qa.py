@@ -37,19 +37,13 @@ _TEMPLATES = [
 class TemplateQA:
     """Top-1 template instantiation: one pattern, one entity, one predicate."""
 
-    def __init__(
-        self,
-        kg: KnowledgeGraph,
-        dictionary: ParaphraseDictionary,
-        tracer=None,
-    ):
+    def __init__(self, kg: KnowledgeGraph, dictionary: ParaphraseDictionary):
         self.kg = kg
         self.dictionary = dictionary
         self.linker = EntityLinker(kg, max_candidates=1)
-        self.tracer = tracer
 
     def answer(self, question: str) -> Answer:
-        tracer = self.tracer if self.tracer is not None else obs.get_tracer()
+        tracer = obs.get_tracer()
         result = Answer(question=question)
         with tracer.span("answer", question=question, system="template_qa") as root:
             result.analysis = analyze_question(question)

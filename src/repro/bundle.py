@@ -76,9 +76,7 @@ def save_bundle(
     return directory
 
 
-def load_bundle(
-    directory: str | Path, prefer_snapshot: bool = True
-) -> tuple[KnowledgeGraph, ParaphraseDictionary]:
+def load_bundle(directory: str | Path) -> tuple[KnowledgeGraph, ParaphraseDictionary]:
     """Load a setup saved by :func:`save_bundle`.
 
     The dictionary's predicate-path ids refer to the graph's term
@@ -86,9 +84,9 @@ def load_bundle(
     from mismatched sources would silently mis-map every path.  The
     manifest's triple and phrase counts guard against truncated files.
 
-    When the manifest names a compiled snapshot and ``prefer_snapshot``
-    is true, the snapshot is loaded instead of the text members (falling
-    back to text if the snapshot file is absent).
+    When the manifest names a compiled snapshot, the snapshot is loaded
+    instead of the text members (falling back to text if the snapshot
+    file is absent).
     """
     directory = Path(directory)
     manifest_path = directory / _MANIFEST_NAME
@@ -101,7 +99,7 @@ def load_bundle(
         )
 
     snapshot_name = manifest.get("snapshot")
-    if prefer_snapshot and snapshot_name and (directory / snapshot_name).exists():
+    if snapshot_name and (directory / snapshot_name).exists():
         from repro.rdf.snapshot import load_snapshot
 
         try:

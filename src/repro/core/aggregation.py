@@ -16,7 +16,7 @@ Birth dates invert the intuition: *youngest* = latest birth date.
 from __future__ import annotations
 
 from repro.nlp.tagger import tag
-from repro.rdf.graph import KnowledgeGraph
+from repro.rdf.graph import KnowledgeGraph, step_is_forward, step_predicate
 from repro.rdf.terms import IRI, Literal, Term
 
 #: superlative → (candidate predicate local names, "max" | "min")
@@ -41,10 +41,12 @@ def _attribute_value(kg: KnowledgeGraph, term: Term, predicates: tuple[str, ...]
     if node_id is None:
         return None
     for local_name in predicates:
-        for edge in kg.edges(node_id, include_literals=True):
-            predicate = kg.iri_of(edge.predicate)
-            if predicate.local_name == local_name and edge.direction.value == "out":
-                value = kg.term_of(edge.node)
+        for step, neighbor in kg.kernel.neighbors(node_id):
+            if (
+                step_is_forward(step)
+                and kg.iri_of(step_predicate(step)).local_name == local_name
+            ):
+                value = kg.term_of(neighbor)
                 if isinstance(value, Literal):
                     try:
                         return float(value.lexical)

@@ -147,7 +147,6 @@ class GAnswer:
         enable_aggregation: bool = False,
         linker: EntityLinker | None = None,
         candidate_limit: int | None = None,
-        tracer=None,
     ):
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
@@ -158,7 +157,6 @@ class GAnswer:
         self.k = k
         self.enable_aggregation = enable_aggregation
         self.candidate_limit = candidate_limit
-        self.tracer = tracer
         self.parser = DependencyParser()
         self.extractor = RelationExtractor(dictionary)
         self.argument_finder = ArgumentFinder(use_heuristics=use_heuristic_rules)
@@ -174,15 +172,15 @@ class GAnswer:
     ) -> Answer:
         """Answer a natural language question.
 
-        ``tracer`` overrides the instance/process tracer for this call
-        (the serving layer passes a per-request tracer so concurrent
-        requests never share a span stack).  ``deadline`` is an absolute
-        :func:`time.monotonic` instant threaded into the top-k search;
-        when it expires the answer is built from the partial matches found
-        so far and ``terminated_by`` reads ``"deadline"``.
+        ``tracer`` overrides the process tracer (``obs.get_tracer()``) for
+        this call — the serving layer passes a per-request tracer so
+        concurrent requests never share a span stack.  ``deadline`` is an
+        absolute :func:`time.monotonic` instant threaded into the top-k
+        search; when it expires the answer is built from the partial
+        matches found so far and ``terminated_by`` reads ``"deadline"``.
         """
         if tracer is None:
-            tracer = self.tracer if self.tracer is not None else obs.get_tracer()
+            tracer = obs.get_tracer()
         result = Answer(question=question)
         with tracer.span("answer", question=question) as root:
             with tracer.span("understanding") as span:

@@ -80,7 +80,6 @@ class TopKSearch:
         use_ta: bool = True,
         use_pruning: bool = True,
         max_matches_per_seed: int = 10_000,
-        tracer=None,
     ):
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
@@ -91,7 +90,6 @@ class TopKSearch:
         self.use_ta = use_ta
         self.use_pruning = use_pruning
         self.max_matches_per_seed = max_matches_per_seed
-        self.tracer = tracer
 
     # ------------------------------------------------------------------ #
 
@@ -106,7 +104,7 @@ class TopKSearch:
         with ``terminated_by="deadline"`` — a partial (but valid) top-k.
         """
         if tracer is None:
-            tracer = self.tracer if self.tracer is not None else obs.get_tracer()
+            tracer = obs.get_tracer()
         with tracer.span(
             "top_k.search", vertices=len(space.vertices), edges=len(space.edges)
         ) as span:

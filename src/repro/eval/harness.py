@@ -82,35 +82,6 @@ class EvaluationRun:
                 return outcome
         raise KeyError(f"no outcome for question {qid}")
 
-    def timing_summary(self) -> dict:
-        """Machine-readable per-stage wall times across the run.
-
-        The shape benchmark runs serialize next to their tables: per stage
-        ``{total_s, mean_s, max_s}`` over every question answered.
-        """
-        understanding = [o.understanding_time for o in self.outcomes]
-        evaluation = [o.evaluation_time for o in self.outcomes]
-        totals = [o.total_time for o in self.outcomes]
-        return {
-            "system": self.system_name,
-            "questions": len(self.outcomes),
-            "stages": {
-                "understanding": _stage_stats(understanding),
-                "evaluation": _stage_stats(evaluation),
-                "total": _stage_stats(totals),
-            },
-        }
-
-
-def _stage_stats(times: list[float]) -> dict:
-    if not times:
-        return {"total_s": 0.0, "mean_s": 0.0, "max_s": 0.0}
-    return {
-        "total_s": sum(times),
-        "mean_s": sum(times) / len(times),
-        "max_s": max(times),
-    }
-
 
 def evaluate_system(
     system: SystemLike,

@@ -49,14 +49,6 @@ class ParseError(ReproError):
     """Raised when the NLP layer cannot produce a dependency tree."""
 
 
-class QuestionUnderstandingError(ReproError):
-    """Raised when no semantic query graph can be built for a question."""
-
-
-class LinkingError(ReproError):
-    """Raised on entity-linking configuration errors (not on empty results)."""
-
-
 class MiningError(ReproError):
     """Raised on invalid inputs to the paraphrase-dictionary miner."""
 

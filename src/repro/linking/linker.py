@@ -55,19 +55,17 @@ class EntityLinker:
         kg: KnowledgeGraph,
         max_candidates: int = 10,
         min_score: float = 0.25,
-        tracer=None,
         index: LabelIndex | None = None,
         max_degree: int | None = None,
     ):
         self.kg = kg
         self.max_candidates = max_candidates
         self.min_score = min_score
-        self.tracer = tracer
         # A compiled snapshot supplies both the prebuilt index and the
         # max degree, skipping the full label scan and the degree sweep.
         self.index = index if index is not None else LabelIndex(kg)
         self._max_degree = max_degree if max_degree is not None else max(
-            (kg.degree(node_id, include_structural=True) for node_id in kg.store.node_ids()),
+            (kg.degree(node_id) for node_id in kg.store.node_ids()),
             default=1,
         )
 
@@ -122,7 +120,7 @@ class EntityLinker:
         ranked = sorted(scored.values(), key=lambda c: (-c.score, c.node_id))
         kept = ranked[: self.max_candidates]
         if tracer is None:
-            tracer = self.tracer if self.tracer is not None else obs.get_tracer()
+            tracer = obs.get_tracer()
         metrics = tracer.metrics
         metrics.incr("linker.lookups")
         metrics.incr("linker.candidates_returned", len(kept))
@@ -150,7 +148,7 @@ class EntityLinker:
 
     def _prominence(self, node_id: int) -> float:
         """Degree-based popularity in [0, 1], log-scaled."""
-        degree = self.kg.degree(node_id, include_structural=True)
+        degree = self.kg.degree(node_id)
         if degree <= 0:
             return 0.0
         return math.log1p(degree) / math.log1p(self._max_degree)

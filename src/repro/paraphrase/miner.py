@@ -195,7 +195,6 @@ class ParaphraseMiner:
         top_k: int = 3,
         use_tfidf: bool = True,
         length_discount: float = 0.75,
-        tracer=None,
         jobs: int = 1,
     ):
         if max_path_length < 1:
@@ -216,14 +215,13 @@ class ParaphraseMiner:
         # length discount is our automatic stand-in for that verification —
         # an L-hop path's score is multiplied by discount^(L-1).
         self.length_discount = length_discount
-        self.tracer = tracer
         self.last_report: MiningReport | None = None
 
     # ------------------------------------------------------------------ #
 
     def mine(self, dataset: RelationPhraseDataset) -> ParaphraseDictionary:
         """Run Algorithm 1 and return the paraphrase dictionary."""
-        tracer = self.tracer if self.tracer is not None else obs.get_tracer()
+        tracer = obs.get_tracer()
         with tracer.span("mining.mine", phrases=len(dataset)) as span:
             per_pair_sets, located, total = self._collect_path_sets(dataset, tracer)
             # Union of paths per phrase, for the idf denominator.

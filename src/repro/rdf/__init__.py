@@ -31,7 +31,7 @@ from repro.rdf.dictionary import TermDictionary
 from repro.rdf.overlay import OverlayBackend
 from repro.rdf.shard import ShardedBackend
 from repro.rdf.store import TripleStore
-from repro.rdf.graph import Direction, Edge, KnowledgeGraph
+from repro.rdf.graph import KnowledgeGraph
 from repro.rdf.ntriples import (
     parse_ntriples,
     parse_ntriples_line,
@@ -59,8 +59,6 @@ __all__ = [
     "CompactBackend",
     "OverlayBackend",
     "ShardedBackend",
-    "Direction",
-    "Edge",
     "KnowledgeGraph",
     "parse_ntriples",
     "parse_ntriples_line",

@@ -7,10 +7,10 @@ operations the algorithms need —
 * entity vs class vertices (Definition 3 condition 2: a vertex is a *class*
   if it has an incoming ``rdf:type`` or ``rdfs:subClassOf`` edge, per
   Section 2.2),
-* typed neighbour expansion in both directions (Definition 3 condition 3
-  accepts either edge orientation),
-* direction-ignoring adjacency for the offline bidirectional BFS
-  (Section 3 "we ignore edge directions in a BFS process"),
+* adjacency in both orientations (Definition 3 condition 3 accepts either
+  edge orientation; Section 3: "we ignore edge directions in a BFS
+  process") — served by the :attr:`KnowledgeGraph.kernel` rows of signed
+  steps, the one adjacency dialect in the system,
 * labels for entity linking.
 
 Predicate-path steps are encoded as signed integers: ``pid + 1`` for a step
@@ -23,9 +23,6 @@ backs every hot path here — and are re-exported for compatibility.)
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from enum import Enum
-from typing import Iterator
 
 from repro.rdf.kernel import (
     AdjacencyKernel,
@@ -41,47 +38,13 @@ from repro.rdf.terms import IRI, Term
 
 __all__ = [
     "AdjacencyKernel",
-    "Direction",
-    "Edge",
     "KnowledgeGraph",
     "backward_step",
-    "encode_step",
     "forward_step",
     "reverse_path",
     "step_is_forward",
     "step_predicate",
 ]
-
-
-class Direction(Enum):
-    """Orientation of an edge relative to the node it was expanded from."""
-
-    OUT = "out"
-    IN = "in"
-
-    def flipped(self) -> "Direction":
-        return Direction.IN if self is Direction.OUT else Direction.OUT
-
-
-@dataclass(frozen=True, slots=True)
-class Edge:
-    """One incident edge: its predicate, the far endpoint, and orientation."""
-
-    predicate: int
-    node: int
-    direction: Direction
-
-
-def encode_step(predicate_id: int, direction: Direction) -> int:
-    if direction is Direction.OUT:
-        return forward_step(predicate_id)
-    return backward_step(predicate_id)
-
-
-def _step_to_edge(step: int, node: int) -> Edge:
-    if step > 0:
-        return Edge(step - 1, node, Direction.OUT)
-    return Edge(-step - 1, node, Direction.IN)
 
 
 @guarded_by("_kernel_lock", "_kernel")
@@ -102,8 +65,7 @@ class KnowledgeGraph:
         self._literals_by_lexical: dict[str, set[int]] | None = None
         self._superclass_closure: dict[int, frozenset[int]] = {}
         self._subclass_closure: dict[int, frozenset[int]] = {}
-        self._instances: dict[tuple[int, bool], frozenset[int]] = {}
-        self._incident: dict[int, frozenset[tuple[int, Direction]]] = {}
+        self._instances: dict[int, frozenset[int]] = {}
 
     def refresh(self, incremental: bool = False) -> None:
         """Drop caches so they rebuild against the store's current contents.
@@ -131,7 +93,6 @@ class KnowledgeGraph:
         self._superclass_closure = {}
         self._subclass_closure = {}
         self._instances = {}
-        self._incident = {}
 
     def preload(
         self,
@@ -239,12 +200,6 @@ class KnowledgeGraph:
     def is_class(self, node_id: int) -> bool:
         return node_id in self.class_ids
 
-    def is_entity(self, node_id: int) -> bool:
-        return (
-            not self.store.is_literal_id(node_id)
-            and node_id not in self.class_ids
-        )
-
     def entity_ids(self) -> set[int]:
         """All non-class, non-literal graph nodes."""
         return {
@@ -283,13 +238,6 @@ class KnowledgeGraph:
             self._superclass_closure[class_id] = closure
         return closure
 
-    def types_of_transitive(self, entity_id: int) -> set[int]:
-        """Classes of an entity, closed under ``rdfs:subClassOf``."""
-        found: set[int] = set()
-        for cls in self.types_of(entity_id):
-            found |= self.superclasses_of(cls)
-        return found
-
     def has_type(self, entity_id: int, class_id: int) -> bool:
         """Whether ``entity_id rdf:type class_id`` holds (with subclass closure).
 
@@ -324,27 +272,26 @@ class KnowledgeGraph:
             self._subclass_closure[class_id] = closure
         return closure
 
-    def instances_of(self, class_id: int, transitive: bool = True) -> frozenset[int]:
-        """Entities whose type is ``class_id`` (optionally via subclasses).
+    def instances_of(self, class_id: int) -> frozenset[int]:
+        """Entities whose type is ``class_id`` or one of its subclasses.
 
-        Cached per (class, transitive) pair: class candidates are re-seeded
-        for every exploration in the top-k search, so recomputing the
-        instance set per seed dominated class-heavy queries.  The returned
-        frozenset is shared — treat it as read-only.
+        Cached per class: class candidates are re-seeded for every
+        exploration in the top-k search, so recomputing the instance set
+        per seed dominated class-heavy queries.  The returned frozenset is
+        shared — treat it as read-only.
         """
-        cached = self._instances.get((class_id, transitive))
+        cached = self._instances.get(class_id)
         if cached is not None:
             return cached
         type_id = self.kernel.type_id
         if type_id is None:
             instances: frozenset[int] = frozenset()
         else:
-            classes = self.subclasses_of(class_id) if transitive else (class_id,)
             found: set[int] = set()
-            for cls in classes:
+            for cls in self.subclasses_of(class_id):
                 found |= self.store.subjects_ids(type_id, cls)
             instances = frozenset(found)
-        self._instances[(class_id, transitive)] = instances
+        self._instances[class_id] = instances
         return instances
 
     # ------------------------------------------------------------------ #
@@ -401,74 +348,18 @@ class KnowledgeGraph:
         return set(self._literals_by_lexical.get(lexical, ()))
 
     # ------------------------------------------------------------------ #
-    # Adjacency
+    # Degree and path walking (adjacency itself: ``self.kernel``)
     # ------------------------------------------------------------------ #
 
-    def edges(
-        self,
-        node_id: int,
-        include_structural: bool = False,
-        include_literals: bool = True,
-    ) -> Iterator[Edge]:
-        """All incident edges of a node, both orientations.
-
-        The structural-free variants stream straight off the kernel's
-        precomputed rows; ``include_structural=True`` is the cold path
-        (linker salience only) and walks the store indexes.
+    def degree(self, node_id: int) -> int:
+        """Incident edges of a node in either orientation, structural
+        predicates (``rdf:type``, ``rdfs:label``, …) included — the
+        prominence signal the entity linker ranks by.  Read off the
+        store's index views: kernel rows leave structural edges out.
         """
-        if include_structural:
-            yield from self._edges_with_structural(node_id, include_literals)
-            return
-        kernel = self.kernel
-        row = kernel.entity_adjacency(node_id) if not include_literals \
-            else kernel.adjacency(node_id)
-        for step, node in zip(*row):
-            yield _step_to_edge(step, node)
-
-    def _edges_with_structural(
-        self, node_id: int, include_literals: bool
-    ) -> Iterator[Edge]:
-        is_literal = self.store.is_literal_id
-        for pid, objects in self.store.out_index(node_id).items():
-            for oid in objects:
-                if not include_literals and is_literal(oid):
-                    continue
-                yield Edge(pid, oid, Direction.OUT)
-        for sid, preds in self.store.in_index(node_id).items():
-            for pid in preds:
-                yield Edge(pid, sid, Direction.IN)
-
-    def undirected_neighbors(self, node_id: int) -> Iterator[Edge]:
-        """Entity-to-entity adjacency for the offline path BFS.
-
-        Skips structural predicates and literal endpoints: a predicate path
-        through ``rdfs:label`` or a literal never denotes a domain relation.
-        """
-        for step, node in zip(*self.kernel.entity_adjacency(node_id)):
-            yield _step_to_edge(step, node)
-
-    def degree(self, node_id: int, include_structural: bool = False) -> int:
-        if not include_structural:
-            return self.kernel.degree(node_id)
-        return sum(1 for _ in self._edges_with_structural(node_id, True))
-
-    def incident_predicates(self, node_id: int) -> frozenset[tuple[int, Direction]]:
-        """(predicate, direction) pairs incident to a node.
-
-        This is the signature the neighborhood-based pruning of
-        Section 4.2.2 checks: a candidate vertex without an adjacent
-        predicate that some Q^S edge can map to cannot be in any match.
-        Derived from the kernel's memoized signed-step signature; the
-        returned frozenset is shared — treat it as read-only.
-        """
-        cached = self._incident.get(node_id)
-        if cached is None:
-            cached = frozenset(
-                (step - 1, Direction.OUT) if step > 0 else (-step - 1, Direction.IN)
-                for step in self.kernel.incident_steps(node_id)
-            )
-            self._incident[node_id] = cached
-        return cached
+        out_row = self.store.out_index(node_id)
+        in_row = self.store.in_index(node_id)
+        return sum(map(len, out_row.values())) + sum(map(len, in_row.values()))
 
     def walk_path(self, start_id: int, path: tuple[int, ...]) -> set[int]:
         """All nodes reachable from ``start_id`` by following a signed path.

@@ -14,23 +14,22 @@ from repro.rdf.ntriples import parse_ntriples, serialize_ntriples
 from repro.rdf.store import TripleStore
 
 
-def load_store(path: str | Path, compact: bool = False) -> TripleStore:
-    """Load a triple store from an N-Triples file.
+def load_store(path: str | Path) -> TripleStore:
+    """Load a (mutable, dict-backed) triple store from an N-Triples file.
 
-    ``compact=True`` re-encodes the loaded store onto the read-optimized
-    sorted-column backend (see :mod:`repro.rdf.backend`) — frozen, much
-    smaller, and faster to scan.  Use it for read-only workloads such as
-    serving; leave it off when the store will be mutated afterwards.
+    For a read-only workload such as serving, re-encode the result onto
+    the sorted-column backend with ``.compacted()`` (see
+    :mod:`repro.rdf.backend`) — frozen, much smaller, faster to scan.
     """
     text = Path(path).read_text(encoding="utf-8")
     store = TripleStore()
     store.add_all(parse_ntriples(text))
-    return store.compacted() if compact else store
+    return store
 
 
-def load_knowledge_graph(path: str | Path, compact: bool = False) -> KnowledgeGraph:
+def load_knowledge_graph(path: str | Path) -> KnowledgeGraph:
     """Load a knowledge graph (store + algorithm view) from N-Triples."""
-    return KnowledgeGraph(load_store(path, compact=compact))
+    return KnowledgeGraph(load_store(path))
 
 
 def save_store(store: TripleStore, path: str | Path) -> int:

@@ -4,9 +4,9 @@ Both hot loops of the system — the offline bidirectional BFS that
 enumerates simple predicate paths (Section 3, Algorithm 1) and the online
 subgraph matching with TA-style top-k (Section 4.2) — spend their time in
 node expansion and path walking.  Doing that over the triple store's
-nested dict-of-dict-of-set indexes costs a dict seek, a set iteration, and
-an ``Edge`` allocation per step.  The kernel precomputes, once per store
-version, a flat per-node adjacency index:
+nested dict-of-dict-of-set indexes costs a dict seek and a set iteration
+per step.  The kernel precomputes, once per store version, a flat per-node
+adjacency index:
 
 * each node maps to two parallel tuples ``(steps, neighbors)`` where
   ``steps[i]`` is the *signed step* over edge ``i`` (``pid + 1`` following
@@ -42,14 +42,12 @@ create/clear bookkeeping with a lock.
 
 from __future__ import annotations
 
-import heapq
 import threading
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 from repro.contracts import guarded_by
 from repro.rdf import vocab
-from repro.rdf.shard import ShardedBackend, map_shards
 from repro.rdf.store import TripleStore
 
 Path = tuple[int, ...]
@@ -131,65 +129,6 @@ def rows_from_sorted_triples(
     return rows
 
 
-#: Task state for :func:`sharded_kernel_rows`: (backend, structural ids).
-_SHARD_BUILD_STATE: tuple[ShardedBackend, frozenset[int]] | None = None
-
-
-def _segment_rows(index: int) -> dict[int, tuple[list[int], list[int]]]:
-    backend, structural = _SHARD_BUILD_STATE  # type: ignore[misc]
-    return rows_from_sorted_triples(backend.segment(index).triples_ids(), structural)
-
-
-def _entry_source(entry: tuple[int, int, int]) -> int:
-    return entry[0]
-
-
-def sharded_kernel_rows(
-    backend: ShardedBackend, structural: frozenset[int], jobs: int = 1
-) -> dict[int, AdjacencyRow]:
-    """Kernel rows over a sharded backend, byte-identical to the serial build.
-
-    Each segment contributes partial rows independently (``jobs > 1``
-    fans segments over a fork pool — see :func:`~repro.rdf.shard.
-    map_shards`).  Every contribution a subject makes — its own forward
-    steps and the backward steps it writes into its objects' rows — comes
-    from the one segment that owns the subject, and the serial build
-    appends into a node's row in ascending source-subject order: the node
-    itself for its forward steps, the far neighbor for backward steps.
-    So a k-way merge of the per-segment contributions by source subject
-    (stable within a segment) reproduces the serial append order exactly.
-    """
-    global _SHARD_BUILD_STATE
-    _SHARD_BUILD_STATE = (backend, structural)
-    try:
-        partials = map_shards(_segment_rows, backend.shards, jobs)
-    finally:
-        _SHARD_BUILD_STATE = None
-
-    nodes: set[int] = set()
-    for partial in partials:
-        nodes.update(partial)
-    merged: dict[int, AdjacencyRow] = {}
-    for node in sorted(nodes):
-        contributions = [
-            [
-                ((neighbor if step < 0 else node), step, neighbor)
-                for step, neighbor in zip(*partial[node])
-            ]
-            for partial in partials
-            if node in partial
-        ]
-        if len(contributions) == 1:
-            entries = contributions[0]
-        else:
-            entries = list(heapq.merge(*contributions, key=_entry_source))
-        merged[node] = (
-            tuple(entry[1] for entry in entries),
-            tuple(entry[2] for entry in entries),
-        )
-    return merged
-
-
 @guarded_by("_region_lock", "_regions")
 class AdjacencyKernel:
     """Immutable flat adjacency index over one version of a triple store."""
@@ -213,7 +152,6 @@ class AdjacencyKernel:
         self,
         store: TripleStore,
         prebuilt_rows: dict[int, AdjacencyRow] | None = None,
-        build_jobs: int = 1,
         patch_from: "AdjacencyKernel | None" = None,
     ):
         self.store = store
@@ -239,18 +177,12 @@ class AdjacencyKernel:
             # store version are rebuilt; every other row is the old
             # kernel's tuple, reused by reference.
             self._patch(patch_from)
-        elif isinstance(store.backend, ShardedBackend):
-            # Shard-parallel build: per-segment partial rows merged per
-            # node in source-subject order — byte-identical to the serial
-            # build over the same triples, at any job count.
-            self._full = sharded_kernel_rows(
-                store.backend, self.structural_predicate_ids, jobs=build_jobs
-            )
         else:
-            # Serial build.  Sorting canonicalizes the visit order: a dict
+            # Cold build.  Sorting canonicalizes the visit order: a dict
             # backend scans in insertion order and an overlay appends its
-            # delta after the base run; on the frozen layouts the scan is
-            # already sorted and the sort is one linear pass.
+            # delta after the base run; on the frozen layouts (a sharded
+            # store's merged scan included) the scan is already sorted
+            # and the sort is one linear pass.
             rows = rows_from_sorted_triples(
                 sorted(store.triples_ids()), self.structural_predicate_ids
             )
@@ -391,10 +323,6 @@ class AdjacencyKernel:
     def entity_neighbors(self, node_id: int) -> Iterator[tuple[int, int]]:
         """(signed step, neighbor) pairs, literals excluded."""
         return zip(*self.entity_adjacency(node_id))
-
-    def degree(self, node_id: int) -> int:
-        """Incident non-structural edges (either orientation)."""
-        return len(self._full.get(node_id, _EMPTY_ROW)[0])
 
     def incident_steps(self, node_id: int) -> frozenset[int]:
         """Memoized signature: the distinct signed steps incident to a node.

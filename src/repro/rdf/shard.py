@@ -25,9 +25,7 @@ Why subject hash:
 Segments may be materialized eagerly (:meth:`ShardedBackend.from_triples`)
 or loaded **lazily** through a caller-supplied loader
 (:meth:`ShardedBackend.lazy` — how sharded snapshots mmap segment files
-on first touch and keep untouched shards off the resident set).  Loaded
-segments can be :meth:`evicted <ShardedBackend.evict>`; the next touch
-reloads them.
+on first touch and keep untouched shards off the resident set).
 """
 
 from __future__ import annotations
@@ -167,10 +165,9 @@ class ShardedBackend(FrozenBackend):
 
     Segments are either all materialized up front, or loaded on demand
     through a :data:`SegmentLoader` (see :meth:`lazy`): the total triple
-    count and per-segment sizes are known without touching a segment, a
-    subject-local workload only ever faults in the shards it reads, and
-    :meth:`evict` returns a loaded segment to the unloaded state.  Lazy
-    load and evict are serialized by a private lock; a loaded segment is
+    count and per-segment sizes are known without touching a segment, and
+    a subject-local workload only ever faults in the shards it reads.
+    Lazy loads are serialized by a private lock; a loaded segment is
     published as a whole object, so lock-free readers never observe a
     partial segment.
     """
@@ -284,23 +281,6 @@ class ShardedBackend(FrozenBackend):
             index for index, segment in enumerate(self._segments)
             if segment is not None
         ]
-
-    def evict(self, index: int) -> bool:
-        """Drop a loaded segment (and its mapping keep-alive).
-
-        Only meaningful on a lazily-loading backend — an eagerly built one
-        has nowhere to reload from, so eviction is refused.  The pages a
-        dropped mmap segment occupied return to the kernel once the last
-        borrowed column view is garbage-collected.
-        """
-        if self._loader is None:
-            return False
-        with self._lock:
-            if self._segments[index] is None:
-                return False
-            self._segments[index] = None
-            self._keepalive[index] = None
-        return True
 
     # ------------------------------------------------------------------ #
     # StoreBackend reads (lifecycle and refusals: FrozenBackend)

@@ -22,21 +22,16 @@ reconstruction — dict assembly over borrowed byte ranges — with no
 parsing, no re-encoding, no re-mining, and no index rebuild.  The
 ``offline_build_200k`` workload of ``bench/run.py`` times both loads.
 
-Loading has two modes (``load_snapshot(path, mode=...)``):
-
-* ``"mmap"`` (default) — the file is memory-mapped and the three
-  permutation columns become ``memoryview`` casts straight over the
-  mapping: the triple index is **never copied into process memory**.
-  The kernel rows, closures, and dictionary are still materialized as
-  Python objects, but the columns — the bulk of a large snapshot — stay
-  in the page cache, shared read-only between every process that maps
-  the same file.  This is what makes pre-fork serving
-  (:mod:`repro.serve.prefork`) cheap: N workers, one physical copy.
-* ``"copy"`` — the historical behavior: the file is read once and every
-  column is an owned ``array('q')``.  The fallback when the snapshot
-  was written on a machine of the opposite byte order (views cannot be
-  byteswapped in place), and the reference the equivalence tests hold
-  the mmap path against.
+Loading opens, it never copies or converts: each file is memory-mapped
+and the three permutation columns become ``memoryview`` casts straight
+over the mapping, so the triple index is **never copied into process
+memory**.  The kernel rows, closures, and dictionary are still
+materialized as Python objects, but the columns — the bulk of a large
+snapshot — stay in the page cache, shared read-only between every
+process that maps the same file.  This is what makes pre-fork serving
+(:mod:`repro.serve.prefork`) cheap: N workers, one physical copy.  A view
+serves the file's bytes as they are, so a snapshot written on a machine
+of the other byte order is refused (recompile it on the serving host).
 
 File layout::
 
@@ -63,8 +58,7 @@ compile --shards K``) split the artifact so segments load on demand:
 snapshots load through the same call.  A sharded load builds a
 :class:`~repro.rdf.shard.ShardedBackend` whose segments are mmapped (and
 checksum-verified) on **first touch**: a subject-local workload only ever
-makes 1/K of the triple columns resident, and :meth:`ShardedBackend.
-evict` hands a segment's pages back.  Each segment file is verified
+makes 1/K of the triple columns resident.  Each segment file is verified
 independently, so lazy loading never trades away corruption detection.
 """
 
@@ -144,16 +138,15 @@ def _pack_array(values) -> bytes:
 
 
 class _Reader:
-    """Sequential decoder over one section payload."""
+    """Sequential, bounds-checked decoder over one payload."""
 
-    __slots__ = ("_view", "_offset", "_swap")
+    __slots__ = ("_view", "_offset")
 
-    def __init__(self, payload: memoryview, swap: bool):
+    def __init__(self, payload: memoryview):
         self._view = payload
         self._offset = 0
-        self._swap = swap
 
-    def _take(self, size: int) -> memoryview:
+    def take(self, size: int) -> memoryview:
         end = self._offset + size
         if end > len(self._view):
             raise SnapshotError("snapshot section truncated")
@@ -162,47 +155,32 @@ class _Reader:
         return chunk
 
     def u8(self) -> int:
-        return self._take(1)[0]
+        return self.take(1)[0]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
+        return struct.unpack("<I", self.take(4))[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
+        return struct.unpack("<Q", self.take(8))[0]
 
     def i64(self) -> int:
-        return struct.unpack("<q", self._take(8))[0]
+        return struct.unpack("<q", self.take(8))[0]
 
     def f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
+        return struct.unpack("<d", self.take(8))[0]
 
     def text(self) -> str:
-        return bytes(self._take(self.u32())).decode("utf-8")
+        return bytes(self.take(self.u32())).decode("utf-8")
 
-    def int_array(self) -> array:
-        count = self.u64()
-        values = array("q")
-        values.frombytes(self._take(count * values.itemsize))
-        if self._swap:
-            values.byteswap()
-        return values
+    def int_column(self) -> memoryview:
+        """A zero-copy int64 view over the payload.
 
-    def int_column(self):
-        """A zero-copy int64 view over the payload (array when swapping).
-
-        The returned ``memoryview`` borrows the underlying buffer — on
-        the mmap path that is the file mapping itself, so consuming it
-        reads page-cache bytes with no intermediate copy.  A snapshot of
-        foreign byte order cannot be viewed in place and falls back to
-        the owned, byteswapped :meth:`int_array`.
+        The returned ``memoryview`` borrows the underlying buffer — the
+        file mapping itself — so consuming it reads page-cache bytes with
+        no intermediate copy.
         """
-        if self._swap:
-            return self.int_array()
         count = self.u64()
-        return self._take(count * 8).cast("q")
-
-    def done(self) -> bool:
-        return self._offset == len(self._view)
+        return self.take(count * 8).cast("q")
 
 
 # --------------------------------------------------------------------- #
@@ -300,14 +278,33 @@ class SnapshotInfo:
         return sum(self.section_bytes.values())
 
 
+#: Integer facts every snapshot records — in a container's meta JSON and
+#: in a sharded manifest — and :class:`SnapshotInfo` reports.
+_COUNT_KEYS = ("store_version", "triples", "terms", "phrases")
+
+
+def _snapshot_info(
+    path: Path, counts: dict, section_bytes: dict[str, int], shards: int = 1
+) -> SnapshotInfo:
+    """The :class:`SnapshotInfo` of ``path`` from a meta or manifest dict."""
+    return SnapshotInfo(
+        path=path,
+        format_version=FORMAT_VERSION,
+        created=counts.get("created", ""),
+        section_bytes=section_bytes,
+        shards=shards,
+        **{key: counts[key] for key in _COUNT_KEYS},
+    )
+
+
 @dataclass(slots=True)
 class CompiledState:
     """Everything a serving replica needs, reconstructed from a snapshot.
 
-    ``mapping`` is the ``mmap`` the triple columns borrow from when the
-    snapshot was loaded zero-copy (None on the copying path).  It is
-    kept here — and implicitly by every ``memoryview`` column — so the
-    mapping outlives the state; dropping the state releases it.
+    ``mapping`` is the ``mmap`` the decoded sections were read from (and,
+    for a single-file snapshot, the one the triple columns borrow from).
+    It is kept here — and implicitly by every ``memoryview`` column — so
+    the mapping outlives the state; dropping the state releases it.
     """
 
     kg: KnowledgeGraph
@@ -316,9 +313,9 @@ class CompiledState:
     linker_entries: list[tuple[int, str, str, bool]]
     linker_postings: dict[str, tuple[int, ...]]
     linker_max_degree: int
-    mapping: mmap.mmap | None = None
+    mapping: mmap.mmap
 
-    def build_linker(self, **kwargs) -> "EntityLinker":
+    def build_linker(self) -> "EntityLinker":
         """An :class:`EntityLinker` over the compiled label-index entries.
 
         Skips the linker's scan-everything index build *and* its
@@ -331,10 +328,7 @@ class CompiledState:
             self.kg, self.linker_entries, self.linker_postings
         )
         return EntityLinker(
-            self.kg,
-            index=index,
-            max_degree=self.linker_max_degree,
-            **kwargs,
+            self.kg, index=index, max_degree=self.linker_max_degree
         )
 
 
@@ -495,21 +489,9 @@ def compile_snapshot(
         if not isinstance(backend, CompactBackend):
             backend = store.compacted().backend
         assert isinstance(backend, CompactBackend)
-        columns = backend.permutation_columns()
-        for name in _SEGMENT_SECTIONS:
-            sections[name] = b"".join(
-                _pack_array(column) for column in columns[name]
-            )
-        section_bytes = _write_container(path, sections, _SECTIONS, meta)
-        return SnapshotInfo(
-            path=path,
-            format_version=FORMAT_VERSION,
-            created=meta["created"],
-            store_version=meta["store_version"],
-            triples=meta["triples"],
-            terms=meta["terms"],
-            phrases=meta["phrases"],
-            section_bytes=section_bytes,
+        sections.update(_segment_sections(backend))
+        return _snapshot_info(
+            path, meta, _write_container(path, sections, _SECTIONS, meta)
         )
 
     if shards < 1:
@@ -559,17 +541,7 @@ def compile_snapshot(
     path.write_text(
         json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8"
     )
-    return SnapshotInfo(
-        path=path,
-        format_version=FORMAT_VERSION,
-        created=meta["created"],
-        store_version=meta["store_version"],
-        triples=meta["triples"],
-        terms=meta["terms"],
-        phrases=meta["phrases"],
-        section_bytes=section_bytes,
-        shards=shards,
-    )
+    return _snapshot_info(path, meta, section_bytes, shards)
 
 
 # --------------------------------------------------------------------- #
@@ -577,30 +549,26 @@ def compile_snapshot(
 # --------------------------------------------------------------------- #
 
 def _split_sections(
-    path: Path, mode: str, required: tuple[str, ...] = _SECTIONS
-) -> tuple[dict, dict[str, memoryview], bool, mmap.mmap | None]:
-    """Verify the container; return (meta, name → payload view, swap, mapping).
+    path: Path,
+    required: tuple[str, ...] = _SECTIONS,
+    meta_keys: tuple[str, ...] = _COUNT_KEYS,
+) -> tuple[dict, dict[str, memoryview], mmap.mmap]:
+    """Verify the container; return (meta, name → payload view, mapping).
 
-    ``mode="mmap"`` maps the file read-only and every payload view
-    borrows from the mapping (returned so callers keep it alive);
-    ``mode="copy"`` reads the file into one bytes object — the only
-    materialization, the per-section views borrow from it.  Either way
-    the sha256 digest is verified over the body before any decoding, so
-    a flipped bit surfaces here, never as silently wrong answers.
+    The file is mapped read-only and every payload view borrows from the
+    mapping (returned so callers keep it alive).  The sha256 digest is
+    verified over the body before any decoding, so a flipped bit surfaces
+    here, never as silently wrong answers — and so does a body that is
+    well signed but malformed: every length is bounds-checked as the
+    sections are walked, and the ``required`` sections and integer
+    ``meta_keys`` must be present before anything reads them.
     """
-    if mode == "mmap":
-        try:
-            with open(path, "rb") as handle:
-                mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError) as exc:
-            raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-        data = memoryview(mapping)
-    else:
-        mapping = None
-        try:
-            data = memoryview(path.read_bytes())
-        except OSError as exc:
-            raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
+    try:
+        with open(path, "rb") as handle:
+            mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError) as exc:
+        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
+    data = memoryview(mapping)
     head_len = len(_MAGIC) + 5
     if len(data) < head_len + 32 or bytes(data[: len(_MAGIC)]) != _MAGIC:
         raise SnapshotError(f"not a compiled snapshot: {path}")
@@ -611,63 +579,75 @@ def _split_sections(
             f"(this build reads format {FORMAT_VERSION}); recompile with "
             f"`repro compile`"
         )
+    written_order = "big" if big_endian else "little"
+    if written_order != sys.byteorder:
+        # The columns are served in place from the mapping: there is no
+        # owned copy whose byte order could be converted.
+        raise SnapshotError(
+            f"snapshot {path} was written in {written_order}-endian byte "
+            f"order, this host is {sys.byteorder}-endian; recompile it on "
+            f"the serving host with `repro compile`"
+        )
     view = data[head_len:len(data) - 32]
     if hashlib.sha256(view).digest() != bytes(data[len(data) - 32:]):
         raise SnapshotError(
             f"snapshot checksum mismatch: {path} is truncated or corrupt"
         )
-    (meta_len,) = struct.unpack_from("<Q", view, 0)
-    offset = 8
-    meta = json.loads(bytes(view[offset:offset + meta_len]).decode("utf-8"))
-    offset += meta_len
-    (section_count,) = struct.unpack_from("<I", view, offset)
-    offset += 4
+    body = _Reader(view)
     payloads: dict[str, memoryview] = {}
-    for _ in range(section_count):
-        name_len = view[offset]
-        offset += 1
-        name = bytes(view[offset:offset + name_len]).decode("ascii")
-        offset += name_len
-        (payload_len,) = struct.unpack_from("<Q", view, offset)
-        offset += 8
-        payloads[name] = view[offset:offset + payload_len]
-        offset += payload_len
+    try:
+        meta = json.loads(bytes(body.take(body.u64())))
+        for _ in range(body.u32()):
+            name = bytes(body.take(body.u8())).decode("ascii")
+            payloads[name] = body.take(body.u64())
+    except ValueError as exc:  # meta is not JSON / a name is not ASCII
+        raise SnapshotError(f"malformed snapshot container {path}: {exc}") from exc
     missing = [name for name in required if name not in payloads]
     if missing:
         raise SnapshotError(f"snapshot missing sections: {', '.join(missing)}")
-    swap = bool(big_endian) != (sys.byteorder == "big")
-    return meta, payloads, swap, mapping
+    if not isinstance(meta, dict):
+        raise SnapshotError(f"malformed snapshot container {path}: meta is not an object")
+    absent = [key for key in meta_keys if not isinstance(meta.get(key), int)]
+    if absent:
+        raise SnapshotError(f"snapshot meta lacks integer {', '.join(absent)}: {path}")
+    return meta, payloads, mapping
 
 
-@dataclass(slots=True)
-class _DecodedState:
-    """The non-column sections of a snapshot, decoded into live objects."""
+def _segment_permutations(payloads: dict[str, memoryview]) -> list[tuple]:
+    """The three permutation column triples of one container's sections.
 
-    dictionary: TermDictionary
-    literal_ids: set[int]
-    rows: dict[int, AdjacencyRow]
-    class_ids: set[int]
-    superclass_closure: dict[int, frozenset[int]]
-    subclass_closure: dict[int, frozenset[int]]
-    label_index: dict[int, str]
-    linker_entries: list[tuple[int, str, str, bool]]
-    linker_postings: dict[str, tuple[int, ...]]
-    linker_max_degree: int
-    paraphrases: "ParaphraseDictionary"
+    Each column is a ``memoryview`` cast over the mapping — no
+    ``frombytes``, no materialization.
+    """
+    permutations = []
+    for name in _SEGMENT_SECTIONS:
+        section = _Reader(payloads[name])
+        permutations.append(
+            (section.int_column(), section.int_column(), section.int_column())
+        )
+    return permutations
 
 
-def _decode_state_sections(
-    meta: dict, payloads: dict[str, memoryview], swap: bool
-) -> _DecodedState:
-    """Decode every non-column section (shared by both snapshot forms)."""
+def _assemble_state(
+    backend: CompactBackend | ShardedBackend,
+    payloads: dict[str, memoryview],
+    info: SnapshotInfo,
+    mapping: mmap.mmap,
+) -> CompiledState:
+    """Decode every non-column section straight into the object that
+    serves it — store, kernel, graph caches, linker material, paraphrase
+    dictionary — and wire them into the warm :class:`CompiledState`
+    (shared by both snapshot forms)."""
     from repro.paraphrase.dictionary import ParaphraseDictionary, PredicateMapping
 
     def reader(name: str) -> _Reader:
-        return _Reader(payloads[name], swap)
+        return _Reader(payloads[name])
 
-    terms = _decode_terms(reader("terms"))
-    dictionary = TermDictionary.from_terms(terms)
-    literal_ids = set(reader("literals").int_column())
+    store = TripleStore(
+        backend=backend,
+        dictionary=TermDictionary.from_terms(_decode_terms(reader("terms"))),
+        literal_ids=set(reader("literals").int_column()),
+    )
 
     kernel_reader = reader("kernel")
     node_ids = kernel_reader.int_column()
@@ -681,16 +661,21 @@ def _decode_state_sections(
         rows[node] = (tuple(flat_steps[offset:end]), tuple(flat_neighbors[offset:end]))
         offset = end
 
-    class_ids = set(reader("classes").int_column())
     closure_reader = reader("closures")
     superclass_closure = _decode_closure(closure_reader)
     subclass_closure = _decode_closure(closure_reader)
-
     label_reader = reader("labels")
-    label_index = {
-        label_reader.i64(): label_reader.text()
-        for _ in range(label_reader.u64())
-    }
+    kg = KnowledgeGraph(store)
+    kg.preload(
+        kernel=AdjacencyKernel(store, prebuilt_rows=rows),
+        class_ids=set(reader("classes").int_column()),
+        superclass_closure=superclass_closure,
+        subclass_closure=subclass_closure,
+        label_index={
+            label_reader.i64(): label_reader.text()
+            for _ in range(label_reader.u64())
+        },
+    )
 
     linker_reader = reader("linker")
     entries: list[tuple[int, str, str, bool]] = []
@@ -713,102 +698,44 @@ def _decode_state_sections(
         mappings = []
         for _ in range(dict_reader.u32()):
             confidence = dict_reader.f64()
-            steps = tuple(dict_reader.int_array())
+            steps = tuple(dict_reader.int_column())
             mappings.append(PredicateMapping(steps, confidence))
         paraphrases.add(phrase, mappings)
-    if len(paraphrases) != meta["phrases"]:
+    if len(paraphrases) != info.phrases:
         raise SnapshotError(
             f"snapshot holds {len(paraphrases)} phrases, manifest says "
-            f"{meta['phrases']} — inconsistent file"
+            f"{info.phrases} — inconsistent file"
         )
 
-    return _DecodedState(
-        dictionary=dictionary,
-        literal_ids=literal_ids,
-        rows=rows,
-        class_ids=class_ids,
-        superclass_closure=superclass_closure,
-        subclass_closure=subclass_closure,
-        label_index=label_index,
+    return CompiledState(
+        kg=kg,
+        dictionary=paraphrases,
+        info=info,
         linker_entries=entries,
         linker_postings=postings,
         linker_max_degree=max_degree,
-        paraphrases=paraphrases,
-    )
-
-
-def _assemble_state(
-    store: TripleStore,
-    state: _DecodedState,
-    info: SnapshotInfo,
-    mapping: mmap.mmap | None,
-) -> CompiledState:
-    """Wire a store and decoded sections into the warm CompiledState."""
-    kg = KnowledgeGraph(store)
-    kernel = AdjacencyKernel(store, prebuilt_rows=state.rows)
-    kg.preload(
-        kernel=kernel,
-        class_ids=state.class_ids,
-        label_index=state.label_index,
-        superclass_closure=state.superclass_closure,
-        subclass_closure=state.subclass_closure,
-    )
-    return CompiledState(
-        kg=kg,
-        dictionary=state.paraphrases,
-        info=info,
-        linker_entries=state.linker_entries,
-        linker_postings=state.linker_postings,
-        linker_max_degree=state.linker_max_degree,
         mapping=mapping,
     )
 
 
-def _segment_permutations(
-    payloads: dict[str, memoryview], swap: bool, mode: str
-) -> list[tuple]:
-    """The three permutation column triples of one container's sections."""
-    permutations = []
-    for name in _SEGMENT_SECTIONS:
-        # The zero-copy path: each column is a memoryview cast over the
-        # mapping (no frombytes, no materialization).  Copy mode keeps
-        # owned arrays; a byte-order mismatch forces them in either mode.
-        section = _Reader(payloads[name], swap)
-        take = section.int_column if mode == "mmap" else section.int_array
-        permutations.append((take(), take(), take()))
-    return permutations
-
-
-def _load_single(path: Path, mode: str) -> CompiledState:
+def _load_single(path: Path) -> CompiledState:
     """Decode the classic one-file snapshot."""
-    meta, payloads, swap, mapping = _split_sections(path, mode)
-    state = _decode_state_sections(meta, payloads, swap)
-    spo, pos, osp = _segment_permutations(payloads, swap, mode)
-    backend = CompactBackend(spo, pos, osp, version=meta["store_version"])
-    store = TripleStore(
-        backend=backend,
-        dictionary=state.dictionary,
-        literal_ids=state.literal_ids,
+    meta, payloads, mapping = _split_sections(path)
+    backend = CompactBackend(
+        *_segment_permutations(payloads), version=meta["store_version"]
     )
-    if len(store) != meta["triples"]:
+    if len(backend) != meta["triples"]:
         raise SnapshotError(
-            f"snapshot holds {len(store)} triples, manifest says "
+            f"snapshot holds {len(backend)} triples, manifest says "
             f"{meta['triples']} — inconsistent file"
         )
-    info = SnapshotInfo(
-        path=path,
-        format_version=meta["format_version"],
-        created=meta.get("created", ""),
-        store_version=meta["store_version"],
-        triples=meta["triples"],
-        terms=meta["terms"],
-        phrases=meta["phrases"],
-        section_bytes={name: len(payloads[name]) for name in payloads},
+    section_bytes = {name: len(payload) for name, payload in payloads.items()}
+    return _assemble_state(
+        backend, payloads, _snapshot_info(path, meta, section_bytes), mapping
     )
-    return _assemble_state(store, state, info, mapping)
 
 
-def _load_sharded(path: Path, manifest: dict, mode: str) -> CompiledState:
+def _load_sharded(path: Path, manifest: dict) -> CompiledState:
     """Decode a sharded manifest: eager state, lazily mmapped segments."""
     if manifest.get("manifest_version") != MANIFEST_VERSION:
         raise SnapshotError(
@@ -831,26 +758,27 @@ def _load_sharded(path: Path, manifest: dict, mode: str) -> CompiledState:
         or not isinstance(segment_triples, list)
         or len(segment_names) != shards
         or len(segment_triples) != shards
+        or not isinstance(manifest.get("state"), str)
+        or not all(isinstance(manifest.get(key), int) for key in _COUNT_KEYS)
     ):
         raise SnapshotError(f"malformed sharded-snapshot manifest: {path}")
-    if sum(segment_triples) != manifest.get("triples"):
+    if sum(segment_triples) != manifest["triples"]:
         raise SnapshotError(
             f"manifest segment counts sum to {sum(segment_triples)}, "
-            f"manifest says {manifest.get('triples')} triples — inconsistent"
+            f"manifest says {manifest['triples']} triples — inconsistent"
         )
 
     state_path = path.with_name(manifest["state"])
-    meta, payloads, swap, mapping = _split_sections(state_path, mode, _STATE_SECTIONS)
+    meta, payloads, mapping = _split_sections(state_path, _STATE_SECTIONS)
     if meta.get("kind") != "state" or meta.get("shards") != shards:
         raise SnapshotError(
             f"{state_path} is not the state container of {path}"
         )
-    state = _decode_state_sections(meta, payloads, swap)
     store_version = meta["store_version"]
-    if manifest.get("store_version") != store_version:
+    if manifest["store_version"] != store_version:
         raise SnapshotError(
             f"manifest and state container disagree on store version "
-            f"({manifest.get('store_version')} vs {store_version})"
+            f"({manifest['store_version']} vs {store_version})"
         )
     segment_paths = [path.with_name(name) for name in segment_names]
 
@@ -859,8 +787,8 @@ def _load_sharded(path: Path, manifest: dict, mode: str) -> CompiledState:
         # each file carries its own checksum, so lazy loading keeps full
         # corruption detection without reading the untouched shards.
         segment_path = segment_paths[index]
-        seg_meta, seg_payloads, seg_swap, seg_mapping = _split_sections(
-            segment_path, mode, _SEGMENT_SECTIONS
+        seg_meta, seg_payloads, seg_mapping = _split_sections(
+            segment_path, _SEGMENT_SECTIONS, ()
         )
         if (
             seg_meta.get("kind") != "segment"
@@ -871,20 +799,15 @@ def _load_sharded(path: Path, manifest: dict, mode: str) -> CompiledState:
             raise SnapshotError(
                 f"{segment_path} is not segment {index} of {path}"
             )
-        spo, pos, osp = _segment_permutations(seg_payloads, seg_swap, mode)
-        segment = CompactBackend(spo, pos, osp, version=store_version)
+        segment = CompactBackend(
+            *_segment_permutations(seg_payloads), version=store_version
+        )
         return segment, seg_mapping
 
     backend = ShardedBackend.lazy(
         shards, segment_triples, load_segment, version=store_version
     )
-    store = TripleStore(
-        backend=backend,
-        dictionary=state.dictionary,
-        literal_ids=state.literal_ids,
-    )
-
-    section_bytes = {name: len(payloads[name]) for name in payloads}
+    section_bytes = {name: len(payload) for name, payload in payloads.items()}
     for segment_path in segment_paths:
         try:
             section_bytes[segment_path.name] = segment_path.stat().st_size
@@ -892,21 +815,11 @@ def _load_sharded(path: Path, manifest: dict, mode: str) -> CompiledState:
             raise SnapshotError(
                 f"cannot read snapshot segment {segment_path}: {exc}"
             ) from exc
-    info = SnapshotInfo(
-        path=path,
-        format_version=meta["format_version"],
-        created=manifest.get("created", ""),
-        store_version=store_version,
-        triples=manifest["triples"],
-        terms=manifest["terms"],
-        phrases=manifest["phrases"],
-        section_bytes=section_bytes,
-        shards=shards,
-    )
-    return _assemble_state(store, state, info, mapping)
+    info = _snapshot_info(path, manifest, section_bytes, shards)
+    return _assemble_state(backend, payloads, info, mapping)
 
 
-def load_snapshot(path: str | Path, mode: str = "mmap") -> CompiledState:
+def load_snapshot(path: str | Path) -> CompiledState:
     """Reconstruct the full warm state from a compiled snapshot.
 
     The returned :class:`CompiledState` carries a frozen store whose term
@@ -924,15 +837,11 @@ def load_snapshot(path: str | Path, mode: str = "mmap") -> CompiledState:
       :class:`~repro.rdf.shard.ShardedBackend` whose segment files are
       mapped and checksum-verified on first touch.
 
-    ``mode="mmap"`` (default) maps each file and hands the backend
-    zero-copy ``memoryview`` columns — the triple index is never
-    duplicated into process memory, and concurrent processes mapping the
-    same file share one page-cache copy.  ``mode="copy"`` reads files
-    once and builds owned ``array('q')`` columns (the pre-mmap behavior,
-    kept as the cross-endian fallback and the equivalence reference).
+    Every file is memory-mapped and the backend gets zero-copy
+    ``memoryview`` columns — the triple index is never duplicated into
+    process memory, and concurrent processes mapping the same file share
+    one page-cache copy.
     """
-    if mode not in ("mmap", "copy"):
-        raise ValueError(f"unknown snapshot load mode {mode!r} (mmap|copy)")
     path = Path(path)
     try:
         with open(path, "rb") as handle:
@@ -940,11 +849,11 @@ def load_snapshot(path: str | Path, mode: str = "mmap") -> CompiledState:
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
     if head == _MAGIC:
-        return _load_single(path, mode)
+        return _load_single(path)
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"not a compiled snapshot: {path}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != _MANIFEST_FORMAT:
         raise SnapshotError(f"not a compiled snapshot: {path}")
-    return _load_sharded(path, manifest, mode)
+    return _load_sharded(path, manifest)

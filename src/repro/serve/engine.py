@@ -58,10 +58,25 @@ from repro.serve.cache import CachingLinker, TTLCache, answer_cache_key
 
 __all__ = ["EngineConfig", "QAEngine", "AdmissionRejected"]
 
+#: Entity-link candidate cache: entries and TTL.  Constants, not
+#: :class:`EngineConfig` fields — no deployment has needed other values.
+_LINK_CACHE_SIZE = 4096
+_LINK_CACHE_TTL_S = 600.0
+#: Candidate-list width of the degraded pipeline.
+_DEGRADED_CANDIDATE_LIMIT = 3
+
 
 @dataclass(frozen=True, slots=True)
 class EngineConfig:
-    """Tunables of one serving engine (all surfaced as CLI flags)."""
+    """Tunables of one serving engine.
+
+    Eight are CLI flags: the global ``--k`` and ``--aggregation``, and
+    ``repro serve``'s ``--pool-size``, ``--queue-limit``, ``--deadline``,
+    ``--cache-size``, ``--cache-ttl`` and ``--degrade-pressure``.
+    ``degraded_k`` and ``ingest_capacity`` have no flag (embedding code
+    sets them).  The link-cache size/TTL and the degraded pipeline's
+    candidate width are not tunables at all: module constants above.
+    """
 
     k: int = 10                       # top-k matches per question
     pool_size: int = 4                # concurrent answering slots
@@ -69,11 +84,8 @@ class EngineConfig:
     deadline_s: float | None = 10.0   # default per-request budget (None = off)
     cache_size: int = 1024            # answer cache entries (0 disables)
     cache_ttl_s: float = 300.0        # answer cache TTL
-    link_cache_size: int = 4096       # entity-link candidate cache entries
-    link_cache_ttl_s: float = 600.0   # link cache TTL
     degrade_pressure: float = 0.75    # admission occupancy that triggers degradation
     degraded_k: int = 3               # top-k under degradation
-    degraded_candidate_limit: int = 3  # candidate-list width under degradation
     enable_aggregation: bool = False  # superlative post-processing extension
     ingest_capacity: int = 2          # ingest batches in flight (excess → 429)
 
@@ -91,10 +103,7 @@ class EngineConfig:
 
     def fingerprint(self) -> str:
         """Stable digest of every knob that changes *answers* (cache key part)."""
-        return (
-            f"k={self.k};agg={int(self.enable_aggregation)};"
-            f"dk={self.degraded_k};dcl={self.degraded_candidate_limit}"
-        )
+        return f"k={self.k};agg={int(self.enable_aggregation)};dk={self.degraded_k}"
 
 
 @dataclass(slots=True)
@@ -149,8 +158,8 @@ class QAEngine:
             name="serve.cache",
         )
         self.link_cache = TTLCache(
-            maxsize=self.config.link_cache_size,
-            ttl=self.config.link_cache_ttl_s,
+            maxsize=_LINK_CACHE_SIZE,
+            ttl=_LINK_CACHE_TTL_S,
             metrics=self.metrics,
             name="serve.link_cache",
         )
@@ -170,7 +179,7 @@ class QAEngine:
             k=self.config.degraded_k,
             enable_aggregation=self.config.enable_aggregation,
             linker=self.linker,
-            candidate_limit=self.config.degraded_candidate_limit,
+            candidate_limit=_DEGRADED_CANDIDATE_LIMIT,
         )
         self.admission = AdmissionController(
             capacity=self.config.pool_size + self.config.queue_limit,

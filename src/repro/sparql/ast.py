@@ -41,9 +41,6 @@ class TriplePattern:
             if isinstance(position, Variable)
         }
 
-    def bound_count(self) -> int:
-        return 3 - len(self.variables())
-
 
 class Comparator(Enum):
     EQ = "="

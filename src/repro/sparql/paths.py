@@ -80,14 +80,6 @@ def path_to_string(path: PathExpr) -> str:
 # Evaluation
 # --------------------------------------------------------------------- #
 
-def _step_pairs(store: TripleStore, predicate: IRI) -> Iterator[tuple[int, int]]:
-    pid = store.dictionary.lookup_or_none(predicate)
-    if pid is None:
-        return
-    for sid, _pid, oid in store.triples_ids(p=pid):
-        yield (sid, oid)
-
-
 def _targets_of(store: TripleStore, path: PathExpr, source: int) -> set[int]:
     """All nodes reachable from ``source`` via ``path`` (node semantics)."""
     if isinstance(path, PredicateStep):

@@ -1,7 +1,10 @@
 """Real-tree smoke: the shipped package lints clean against the committed
-baseline, the CLI surface behaves, and the serving invariant — an engine
-owns no threads and never crosses a fork — holds in the source."""
+baseline, the CLI surface behaves, the serving invariant — an engine
+owns no threads and never crosses a fork — holds in the source, and the
+second paths and single-valued options that were deleted stay deleted."""
 
+import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
@@ -86,6 +89,49 @@ class TestServingInvariant:
             if name.split(".")[0] == "concurrent"
         }
         assert imported == set()
+
+
+class TestNoForksGrowBack:
+    """One snapshot reader, one kernel row builder, one adjacency dialect,
+    and no parameter that only ever took one value."""
+
+    def test_load_snapshot_takes_only_a_path(self):
+        from repro.rdf.snapshot import load_snapshot
+
+        assert list(inspect.signature(load_snapshot).parameters) == ["path"]
+
+    def test_kernel_knows_nothing_about_shards(self):
+        from repro.analysis.engine import scan
+
+        (module,) = scan([PACKAGE_ROOT / "rdf" / "kernel.py"])
+        assert [name for name, _line in module.imports if "shard" in name] == []
+
+    def test_adjacency_has_one_dialect(self):
+        import repro.rdf
+        import repro.rdf.graph
+
+        for module in (repro.rdf, repro.rdf.graph):
+            assert not hasattr(module, "Edge")
+            assert not hasattr(module, "Direction")
+
+    def test_engine_config_has_only_the_fields_some_caller_sets(self):
+        from repro.serve import EngineConfig
+
+        assert [field.name for field in dataclasses.fields(EngineConfig)] == [
+            "k", "pool_size", "queue_limit", "deadline_s", "cache_size",
+            "cache_ttl_s", "degrade_pressure", "degraded_k",
+            "enable_aggregation", "ingest_capacity",
+        ]
+
+    def test_tracers_are_per_call_or_process_wide_never_per_instance(self):
+        from repro.baselines import Deanna, TemplateQA
+        from repro.core import GAnswer
+        from repro.core.top_k import TopKSearch
+        from repro.linking import EntityLinker
+        from repro.paraphrase import ParaphraseMiner
+
+        for cls in (GAnswer, EntityLinker, TopKSearch, Deanna, TemplateQA, ParaphraseMiner):
+            assert "tracer" not in inspect.signature(cls.__init__).parameters, cls
 
 
 class TestCli:

@@ -11,8 +11,8 @@ QUESTION = "Who is the mayor of Berlin?"
 @pytest.fixture
 def traced(kg, dictionary):
     tracer = obs.Tracer()
-    system = GAnswer(kg, dictionary, tracer=tracer)
-    result = system.answer(QUESTION)
+    system = GAnswer(kg, dictionary)
+    result = system.answer(QUESTION, tracer=tracer)
     return tracer, result
 
 

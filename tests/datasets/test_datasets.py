@@ -16,6 +16,7 @@ from repro.datasets.patty_sim import scale_phrase_dataset
 from repro.datasets.qald import questions_by_category
 from repro.datasets.synthetic import entity_pool
 from repro.rdf import IRI, RDF_TYPE, Triple
+from repro.rdf.kernel import step_predicate
 
 
 class TestDBpediaMini:
@@ -41,7 +42,7 @@ class TestDBpediaMini:
     def test_classes_detected(self):
         kg = build_dbpedia_mini()
         assert kg.is_class(kg.id_of(res("Actor")))
-        assert kg.is_entity(kg.id_of(res("Antonio_Banderas")))
+        assert not kg.is_class(kg.id_of(res("Antonio_Banderas")))
 
     def test_subclass_hierarchy(self):
         kg = build_dbpedia_mini()
@@ -67,8 +68,8 @@ class TestDBpediaMini:
         padded = build_dbpedia_mini(distractors_per_entity=2)
         clone = padded.id_of(IRI("res:Berlin__clone0"))
         predicates = {
-            padded.iri_of(e.predicate).local_name
-            for e in padded.edges(clone, include_literals=True)
+            padded.iri_of(step_predicate(step)).local_name
+            for step, _neighbor in padded.kernel.neighbors(clone)
         }
         assert predicates <= {"distractorNote"}
 

@@ -25,9 +25,10 @@ def scenario():
     return kg, dataset
 
 
-def mine_json(kg, dataset, tracer=None, **kwargs):
-    miner = ParaphraseMiner(kg, max_path_length=3, top_k=3, tracer=tracer, **kwargs)
-    return miner.mine(dataset).to_json()
+def mine_json(kg, dataset, tracer=obs.NOOP, **kwargs):
+    miner = ParaphraseMiner(kg, max_path_length=3, top_k=3, **kwargs)
+    with obs.use_tracer(tracer):
+        return miner.mine(dataset).to_json()
 
 
 class TestParallelDeterminism:

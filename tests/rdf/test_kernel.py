@@ -15,8 +15,12 @@ import pytest
 from repro.datasets import SyntheticConfig, build_dbpedia_mini, build_synthetic_kg
 from repro.paraphrase.path_mining import find_simple_paths
 from repro.rdf import IRI, RDF_TYPE, RDFS_LABEL, KnowledgeGraph, Literal, Triple, TripleStore
-from repro.rdf.graph import Direction
-from repro.rdf.kernel import AdjacencyKernel, rows_from_sorted_triples
+from repro.rdf.kernel import (
+    AdjacencyKernel,
+    rows_from_sorted_triples,
+    step_is_forward,
+    step_predicate,
+)
 
 
 @pytest.fixture(params=["synthetic", "dbpedia_mini"])
@@ -150,13 +154,19 @@ class TestKernelMatchesReference:
             assert kg.kernel.incident_steps(node) == expected
 
     def test_incident_predicates_signature(self, kg):
-        reference = reference_adjacency(kg, include_literals=True)
-        for node in set(reference):
-            expected = frozenset(
-                (step - 1, Direction.OUT) if step > 0 else (-step - 1, Direction.IN)
-                for step, _ in reference[node]
-            )
-            assert kg.incident_predicates(node) == expected
+        # The signature decoded to (predicate, follows-the-edge?) pairs
+        # against the same pairs read straight off the triples.
+        incident = defaultdict(set)
+        structural = kg.structural_predicate_ids
+        for sid, pid, oid in kg.store.triples_ids():
+            if pid not in structural:
+                incident[sid].add((pid, True))
+                incident[oid].add((pid, False))
+        for node, expected in incident.items():
+            assert {
+                (step_predicate(step), step_is_forward(step))
+                for step in kg.kernel.incident_steps(node)
+            } == expected
 
     def test_walk_path_matches_reference(self, kg):
         for start in sample_entities(kg, 12):
@@ -235,9 +245,7 @@ class TestRefreshInvalidation:
         assert (likes + 1) in kg.kernel.incident_steps(a)
         assert find_simple_paths(kg, a, c, 1) == {(likes + 1,)}
         assert kg.kernel.walk_path(a, (likes + 1,)) == frozenset({c})
-        assert kg.incident_predicates(a) == frozenset(
-            {(knows, Direction.OUT), (likes, Direction.OUT)}
-        )
+        assert kg.kernel.incident_steps(a) == {knows + 1, likes + 1}
 
     def test_cache_regions_dropped_on_refresh(self):
         store, kg, e = self.build()
@@ -257,8 +265,9 @@ class TestRefreshInvalidation:
 
 class TestSingleRowBuilder:
     """``rows_from_sorted_triples`` is the only place triples become rows:
-    every construction path — serial on any layout, shard-parallel at any
-    job count, incremental patching — must reproduce it byte for byte."""
+    every construction path — the cold build on any layout (dict,
+    compact, sharded, dirty overlay) and incremental patching — must
+    reproduce it byte for byte."""
 
     @pytest.fixture(scope="class")
     def stores(self):
@@ -288,9 +297,7 @@ class TestSingleRowBuilder:
         expected = self.built(store)
         assert AdjacencyKernel(store).full_rows() == expected
         assert AdjacencyKernel(store.compacted()).full_rows() == expected
-        for jobs in (1, 2):
-            sharded = AdjacencyKernel(store.sharded(8), build_jobs=jobs)
-            assert sharded.full_rows() == expected, jobs
+        assert AdjacencyKernel(store.sharded(8)).full_rows() == expected
 
         expected_dirty = self.built(dirty)
         assert expected_dirty != expected

@@ -6,6 +6,11 @@ same linker candidates, same QALD answers — and only safe if corruption
 is detected rather than silently served.
 """
 
+import hashlib
+import json
+import shutil
+import struct
+
 import pytest
 
 from repro.core import GAnswer
@@ -17,6 +22,7 @@ from repro.rdf.kernel import AdjacencyKernel
 from repro.rdf.snapshot import compile_snapshot, load_snapshot
 
 _HEADER_BYTES = 15  # magic(10) + format version u32 + byteorder u8
+_BYTE_ORDER_OFFSET = 14  # the header's last byte, outside the checksummed body
 _DIGEST_BYTES = 32
 
 
@@ -41,6 +47,16 @@ def snapshot(setup, tmp_path_factory):
 def loaded(snapshot):
     path, _ = snapshot
     return load_snapshot(path)
+
+
+@pytest.fixture(scope="module")
+def sharded_snapshot(setup, tmp_path_factory):
+    """A 2-shard snapshot set: (directory, manifest name, state name, segment names)."""
+    kg, dictionary = setup
+    directory = tmp_path_factory.mktemp("shardsnap")
+    compile_snapshot(directory / "sharded.snap", kg, dictionary, shards=2)
+    manifest = json.loads((directory / "sharded.snap").read_text())
+    return directory, "sharded.snap", manifest["state"], manifest["segments"]
 
 
 class TestRoundTrip:
@@ -163,16 +179,11 @@ class TestAnswerEquivalence:
 
 
 class TestMmapLoading:
-    """The zero-copy path: mmap-backed columns, equivalence with copy mode."""
-
-    @pytest.fixture(scope="class")
-    def copied(self, snapshot):
-        path, _ = snapshot
-        return load_snapshot(path, mode="copy")
+    """The one load path: mmap-backed columns, nothing copied."""
 
     def test_mmap_columns_are_borrowed_views(self, loaded):
-        """The acceptance bar for zero-copy: every permutation column of an
-        mmap-loaded backend is a memoryview over the file mapping — no
+        """The acceptance bar for zero-copy: every permutation column of a
+        loaded backend is a memoryview over the file mapping — no
         ``frombytes`` copy anywhere on the triple-index path."""
         columns = loaded.kg.store.backend.permutation_columns()
         for name, triple in columns.items():
@@ -180,53 +191,78 @@ class TestMmapLoading:
                 assert isinstance(column, memoryview), name
                 assert column.format == "q"
 
-    def test_copy_columns_are_owned_arrays(self, copied):
-        from array import array
-
-        columns = copied.kg.store.backend.permutation_columns()
-        for name, triple in columns.items():
-            for column in triple:
-                assert isinstance(column, array), name
-
-    def test_mapping_held_by_state(self, loaded, copied):
+    def test_mapping_held_by_state(self, loaded):
         # The mmap must stay alive as long as the state (the views borrow
-        # from it); the copying path has nothing to hold.
+        # from it).
         assert loaded.mapping is not None
         assert not loaded.mapping.closed
-        assert copied.mapping is None
 
-    def test_modes_see_identical_triples(self, loaded, copied):
-        assert sorted(loaded.kg.store.triples_ids()) == sorted(
-            copied.kg.store.triples_ids()
-        )
-        assert loaded.kg.kernel.full_rows() == copied.kg.kernel.full_rows()
 
-    def test_unknown_mode_rejected(self, snapshot):
-        path, _ = snapshot
-        with pytest.raises(ValueError, match="mode"):
-            load_snapshot(path, mode="chaotic")
+def _split_container(raw):
+    """(header, meta JSON bytes, [(name, payload)]) of a good container."""
+    body = memoryview(raw)[_HEADER_BYTES:len(raw) - _DIGEST_BYTES]
+    (meta_len,) = struct.unpack_from("<Q", body, 0)
+    offset = 8 + meta_len
+    meta = bytes(body[8:offset])
+    (count,) = struct.unpack_from("<I", body, offset)
+    offset += 4
+    sections = []
+    for _ in range(count):
+        name_len = body[offset]
+        name = bytes(body[offset + 1:offset + 1 + name_len])
+        offset += 1 + name_len
+        (size,) = struct.unpack_from("<Q", body, offset)
+        offset += 8
+        sections.append((name, bytes(body[offset:offset + size])))
+        offset += size
+    return bytes(raw[:_HEADER_BYTES]), meta, sections
 
-    def test_qald_answers_identical_mmap_vs_copy(self, loaded, copied):
-        """Byte-identical answers over the full QALD set whether the triple
-        index is borrowed from the page cache or owned by the process."""
-        over_mmap = GAnswer(
-            loaded.kg, loaded.dictionary, linker=loaded.build_linker()
-        )
-        over_copy = GAnswer(
-            copied.kg, copied.dictionary, linker=copied.build_linker()
-        )
-        for question in qald_questions():
-            a = over_mmap.answer(question.text)
-            b = over_copy.answer(question.text)
-            assert ([str(t) for t in a.answers], a.boolean) == (
-                [str(t) for t in b.answers], b.boolean
-            ), question.text
+
+def _join_container(header, meta, sections, extra_count=0, extra_last_size=0):
+    """Re-assemble and **re-sign** a container, optionally lying about the
+    section count or the last payload's length."""
+    body = struct.pack("<Q", len(meta)) + meta
+    body += struct.pack("<I", len(sections) + extra_count)
+    for index, (name, payload) in enumerate(sections):
+        size = len(payload)
+        if index == len(sections) - 1:
+            size += extra_last_size
+        body += bytes((len(name),)) + name + struct.pack("<Q", size) + payload
+    return header + body + hashlib.sha256(body).digest()
+
+
+def _without_phrases(meta):
+    fields = json.loads(meta)
+    del fields["phrases"]
+    return json.dumps(fields, sort_keys=True).encode("utf-8")
+
+
+#: Well-signed but malformed: each maps a good container's parts to the
+#: bytes of one whose checksum holds and whose structure does not.
+_MALFORMATIONS = {
+    "section_count_past_end": lambda h, m, s: _join_container(h, m, s, extra_count=2),
+    "meta_key_dropped": lambda h, m, s: _join_container(h, _without_phrases(m), s),
+    "meta_not_json": lambda h, m, s: _join_container(h, b"x" * len(m), s),
+    "section_name_not_ascii": lambda h, m, s: _join_container(
+        h, m, [(b"\xff" + s[0][0][1:], s[0][1]), *s[1:]]
+    ),
+    "payload_length_past_end": lambda h, m, s: _join_container(
+        h, m, s, extra_last_size=1 << 40
+    ),
+}
 
 
 class TestIntegrity:
     def _bytes(self, snapshot):
         path, _ = snapshot
         return path, bytearray(path.read_bytes())
+
+    @staticmethod
+    def _private_copy(sharded_snapshot, tmp_path):
+        directory, manifest, state, segments = sharded_snapshot
+        copy = tmp_path / "set"
+        shutil.copytree(directory, copy)
+        return copy / manifest, copy / state, [copy / name for name in segments]
 
     def test_bad_magic_rejected(self, snapshot, tmp_path):
         path, raw = self._bytes(snapshot)
@@ -262,3 +298,57 @@ class TestIntegrity:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(SnapshotError):
             load_snapshot(tmp_path / "nope.snap")
+
+    @pytest.mark.parametrize("malformation", sorted(_MALFORMATIONS))
+    def test_resigned_malformed_single_file_rejected(
+        self, snapshot, tmp_path, malformation
+    ):
+        """A valid checksum over an invalid structure — another build, a
+        buggy writer, a hand edit — fails closed, never with a crash."""
+        path, raw = self._bytes(snapshot)
+        bad = tmp_path / "malformed.snap"
+        bad.write_bytes(_MALFORMATIONS[malformation](*_split_container(raw)))
+        with pytest.raises(SnapshotError):
+            load_snapshot(bad)
+
+    @pytest.mark.parametrize("malformation", sorted(_MALFORMATIONS))
+    def test_resigned_malformed_state_container_rejected(
+        self, sharded_snapshot, tmp_path, malformation
+    ):
+        manifest, state, _ = self._private_copy(sharded_snapshot, tmp_path)
+        parts = _split_container(state.read_bytes())
+        state.write_bytes(_MALFORMATIONS[malformation](*parts))
+        with pytest.raises(SnapshotError):
+            load_snapshot(manifest)
+
+    def test_foreign_byte_order_single_file_refused(self, snapshot, tmp_path):
+        """Columns are served in place from the mapping, so a file of the
+        other byte order is refused — never loaded, never converted."""
+        path, raw = self._bytes(snapshot)
+        raw[_BYTE_ORDER_OFFSET] ^= 1
+        bad = tmp_path / "foreign.snap"
+        bad.write_bytes(raw)
+        with pytest.raises(SnapshotError, match="byte order.*recompile"):
+            load_snapshot(bad)
+
+    def test_foreign_byte_order_state_container_refused(
+        self, sharded_snapshot, tmp_path
+    ):
+        manifest, state, _ = self._private_copy(sharded_snapshot, tmp_path)
+        raw = bytearray(state.read_bytes())
+        raw[_BYTE_ORDER_OFFSET] ^= 1
+        state.write_bytes(raw)
+        with pytest.raises(SnapshotError, match="byte order"):
+            load_snapshot(manifest)
+
+    def test_foreign_byte_order_segment_refused_on_touch(
+        self, sharded_snapshot, tmp_path
+    ):
+        manifest, _, segments = self._private_copy(sharded_snapshot, tmp_path)
+        raw = bytearray(segments[1].read_bytes())
+        raw[_BYTE_ORDER_OFFSET] ^= 1
+        segments[1].write_bytes(raw)
+        backend = load_snapshot(manifest).kg.store.backend
+        backend.segment(0)  # the untouched segment still opens
+        with pytest.raises(SnapshotError, match="byte order"):
+            backend.segment(1)
