@@ -152,9 +152,13 @@ class TopKSearch:
             if not vertex.wildcard
         ]
         if not seeded_lists:
-            # Degenerate all-wildcard query: exhaustive enumeration.
-            result.matches = matcher.all_matches()[: self.k]
-            result.terminated_by = "exhausted"
+            # Degenerate all-wildcard query: exhaustive enumeration from
+            # the nodes the kernel's step directory admits.  The matches
+            # tie on vertex confidence, so the cut is by discovery order.
+            result.matches = matcher.all_matches(deadline)[: self.k]
+            result.terminated_by = (
+                "deadline" if matcher.deadline_expired else "exhausted"
+            )
             return result, matcher
 
         edge_bound = sum(_log(edge.best_confidence()) for edge in space.edges)

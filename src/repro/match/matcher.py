@@ -20,6 +20,7 @@ mappings.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 from repro.match.candidates import (
@@ -28,7 +29,8 @@ from repro.match.candidates import (
     QueryVertex,
     VertexCandidate,
 )
-from repro.rdf.graph import KnowledgeGraph, reverse_path
+from repro.match.pruning import required_first_steps
+from repro.rdf.graph import KnowledgeGraph, reverse_path, step_predicate
 
 Path = tuple[int, ...]
 
@@ -88,6 +90,9 @@ class SubgraphMatcher:
         # layer as ``matcher.expansions`` / ``matcher.rejected_bindings``.
         self.expansions = 0
         self.rejected_bindings = 0
+        #: Set when :meth:`all_matches` stopped at its deadline, i.e. its
+        #: result is a partial enumeration.
+        self.deadline_expired = False
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -105,9 +110,10 @@ class SubgraphMatcher:
             seed_nodes = sorted(self.kg.instances_of(candidate.node_id))
         else:
             seed_nodes = [candidate.node_id]
+        order = self._expansion_order(vertex_id)
         for node in seed_nodes:
             self._explore(
-                order=self._expansion_order(vertex_id),
+                order=order,
                 position=1,
                 bindings={vertex_id: node},
                 vertex_confidences={vertex_id: candidate.confidence},
@@ -118,8 +124,16 @@ class SubgraphMatcher:
                 break
         return results
 
-    def all_matches(self) -> list[GraphMatch]:
-        """Exhaustive enumeration (used by tests and the no-TA ablation)."""
+    def all_matches(self, deadline: float | None = None) -> list[GraphMatch]:
+        """Exhaustive enumeration (all-wildcard queries, SPARQL by
+        matching, tests and the no-TA ablation).
+
+        Matches come back best score first and, among equals, in discovery
+        order — seeds ascending — which callers that cut the list rely on.
+        ``deadline`` is an absolute :func:`time.monotonic` instant checked
+        between seeds: once it passes, what has been found so far is
+        returned and :attr:`deadline_expired` is set.
+        """
         seen: set[frozenset[tuple[int, int]]] = set()
         results: list[GraphMatch] = []
         start_id = self._best_start_vertex()
@@ -127,18 +141,47 @@ class SubgraphMatcher:
         seeds: list[VertexCandidate]
         if start.wildcard:
             seeds = [
-                VertexCandidate(node, 1.0)
-                for node in sorted(self.kg.store.node_ids())
+                VertexCandidate(node, 1.0) for node in self._wildcard_seeds(start_id)
             ]
         else:
             seeds = start.candidates
         for candidate in seeds:
+            if deadline is not None and time.monotonic() >= deadline:
+                self.deadline_expired = True
+                break
             for match in self.matches_from_seed(start_id, candidate):
                 if match.key() not in seen:
                     seen.add(match.key())
                     results.append(match)
         results.sort(key=lambda m: -m.score)
         return results
+
+    def _wildcard_seeds(self, vertex_id: int) -> list[int]:
+        """Graph nodes, ascending, that a wildcard start vertex can bind.
+
+        Section 4.2.2 applied to a vertex without a candidate list: a node
+        starts a match only if, for every incident query edge, its row
+        carries a step some candidate path of that edge can start with, so
+        the seeds are read from the kernel's step directory instead of
+        being every node of the graph.  Kernel rows leave structural
+        predicates out; an edge that can start with one (only SPARQL by
+        matching compiles such edges) therefore narrows nothing.
+        """
+        kernel = self.kg.kernel
+        structural = kernel.structural_predicate_ids
+        seeds: frozenset[int] | None = None
+        for edge in self.space.edges_of(vertex_id):
+            required = required_first_steps(edge)
+            if any(step_predicate(step) in structural for step in required):
+                continue
+            carriers = frozenset().union(
+                *(kernel.nodes_with_step(step) for step in required)
+            )
+            seeds = carriers if seeds is None else seeds & carriers
+        if seeds is None:
+            return sorted(self.kg.store.node_ids())
+        is_literal = self.kg.store.is_literal_id
+        return sorted(node for node in seeds if not is_literal(node))
 
     # ------------------------------------------------------------------ #
     # Exploration

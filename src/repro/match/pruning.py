@@ -24,7 +24,7 @@ from repro.match.candidates import CandidateSpace, QueryEdge, VertexCandidate
 from repro.rdf.graph import KnowledgeGraph
 
 
-def _required_first_steps(edge: QueryEdge) -> frozenset[int]:
+def required_first_steps(edge: QueryEdge) -> frozenset[int]:
     """Signed steps that can start the edge's candidate paths when walked
     outward from either endpoint.
 
@@ -87,7 +87,7 @@ def neighborhood_prune(
         incident_edges = space.edges_of(vertex.vertex_id)
         if not incident_edges:
             continue
-        required_per_edge = [_required_first_steps(edge) for edge in incident_edges]
+        required_per_edge = [required_first_steps(edge) for edge in incident_edges]
         kept = [
             candidate
             for candidate in vertex.candidates

@@ -20,9 +20,12 @@ adjacency index:
 
 On top of the index the kernel memoizes the per-node incident-step
 signature (Section 4.2.2's pruning test is one frozenset intersection),
-LRU-caches :meth:`walk_path`, caches the structural vocabulary ids, and
-offers named scratch-cache regions that higher layers (path mining) use
-for store-version-scoped memoization.
+LRU-caches :meth:`walk_path`, caches the structural vocabulary ids,
+builds on first use the inverse of the signatures — the **step
+directory**, signed step → nodes whose row carries it, which is where an
+all-wildcard query finds its seeds (:meth:`nodes_with_step`) — and offers
+named scratch-cache regions that higher layers (path mining) use for
+store-version-scoped memoization.
 
 The kernel is immutable: it never observes store mutation.
 :meth:`repro.rdf.graph.KnowledgeGraph.refresh` drops it (and every cache
@@ -35,14 +38,16 @@ Thread safety: the index itself is immutable after construction and safe
 to read from any number of threads.  The memoization layers are safe too —
 ``walk_path`` is an ``functools.lru_cache`` (internally locked),
 ``incident_steps``/``entity_adjacency`` publish fully-built immutable
-values into a dict (the worst interleaving recomputes a value, never
-exposes a partial one), and the named scratch regions guard their
+values into a dict and ``nodes_with_step`` publishes its fully-built
+directory in one assignment (the worst interleaving recomputes a value,
+never exposes a partial one), and the named scratch regions guard their
 create/clear bookkeeping with a lock.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -143,6 +148,7 @@ class AdjacencyKernel:
         "_full",
         "_entity",
         "_signatures",
+        "_step_directory",
         "_regions",
         "_region_lock",
         "walk_path",
@@ -191,6 +197,7 @@ class AdjacencyKernel:
                 for node, (steps, nbrs) in rows.items()
             }
         self._signatures: dict[int, frozenset[int]] = {}
+        self._step_directory: dict[int, frozenset[int]] | None = None
         self._regions: dict[str, dict] = {}
         self._region_lock = threading.Lock()
         self.walk_path = lru_cache(maxsize=_WALK_CACHE_SIZE)(self._walk_path)
@@ -337,6 +344,27 @@ class AdjacencyKernel:
             self._signatures[node_id] = signature
         return signature
 
+    def nodes_with_step(self, step: int) -> frozenset[int]:
+        """The nodes whose row carries ``step`` (literal endpoints included).
+
+        The inverse of :meth:`incident_steps`, so Section 4.2.2's test can
+        be asked of the whole graph at once: which nodes could bind a
+        vertex whose edge must start with this step.  The directory is
+        built by one pass over the rows on the first call and lives as
+        long as the kernel; like the rows it knows no structural
+        predicate, for which it answers with the empty set.
+        """
+        directory = self._step_directory
+        if directory is None:
+            building: defaultdict[int, set[int]] = defaultdict(set)
+            for node, (steps, _neighbors) in self._full.items():
+                for carried in set(steps):
+                    building[carried].add(node)
+            directory = self._step_directory = {
+                carried: frozenset(nodes) for carried, nodes in building.items()
+            }
+        return directory.get(step, frozenset())
+
     # ------------------------------------------------------------------ #
     # Path walking
     # ------------------------------------------------------------------ #
@@ -393,15 +421,25 @@ class AdjacencyKernel:
         return region
 
     def statistics(self) -> dict[str, int]:
-        """Index size counters (reported by ``QAEngine.warm`` and ``GET /stats``).
+        """Index size and walk-cache counters (reported by ``QAEngine.warm``
+        and ``GET /stats``).
 
         Materializes every entity row (they are built lazily), so this is
-        a cold-path call for reporting, not a hot-loop one.
+        a cold-path call for reporting, not a hot-loop one.  The step
+        directory is only looked at: ``directory_steps`` stays 0 until an
+        all-wildcard query has built it.  ``walk_cache_misses`` running
+        far ahead of ``walk_cache_hits`` at a full ``walk_cache_size``
+        means the walks cycle through the LRU faster than they recur.
         """
         entity_rows = [self.entity_adjacency(node) for node in self._full]
+        walks = self.walk_path.cache_info()
         return {
             "nodes_full": len(self._full),
             "nodes_entity": sum(1 for steps, _n in entity_rows if steps),
             "edge_slots_full": sum(len(s) for s, _n in self._full.values()),
             "edge_slots_entity": sum(len(s) for s, _n in entity_rows),
+            "directory_steps": len(self._step_directory or ()),
+            "walk_cache_hits": walks.hits,
+            "walk_cache_misses": walks.misses,
+            "walk_cache_size": walks.currsize,
         }

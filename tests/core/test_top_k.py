@@ -1,6 +1,7 @@
 """Tests for Algorithm 3: TA-style top-k search with pruning toggles."""
 
 import copy
+import time
 
 import pytest
 
@@ -43,6 +44,16 @@ def fan_space(kg, confidences):
         EdgeCandidate((forward_step(kg.id_of(IRI(f"ex:p{i}"))),), 1.0)
         for i in range(3)
     ]
+    space.add_edge(QueryEdge(0, 1, candidates=edges))
+    return space
+
+
+def wildcard_pair_space(kg):
+    """?x --p0--> ?y: no vertex has a candidate list to seed from."""
+    space = CandidateSpace()
+    space.add_vertex(QueryVertex(0, wildcard=True))
+    space.add_vertex(QueryVertex(1, wildcard=True))
+    edges = [EdgeCandidate((forward_step(kg.id_of(IRI("ex:p0"))),), 1.0)]
     space.add_edge(QueryEdge(0, 1, candidates=edges))
     return space
 
@@ -202,12 +213,22 @@ class TestTopK:
         assert result.ta_trajectory == []
 
     def test_all_wildcard_query(self, chain_kg):
-        space = CandidateSpace()
-        space.add_vertex(QueryVertex(0, wildcard=True))
-        space.add_vertex(QueryVertex(1, wildcard=True))
-        edges = [
-            EdgeCandidate((forward_step(chain_kg.id_of(IRI("ex:p0"))),), 1.0)
-        ]
-        space.add_edge(QueryEdge(0, 1, candidates=edges))
-        result = TopKSearch(chain_kg, k=2).search(space)
+        result = TopKSearch(chain_kg, k=2).search(wildcard_pair_space(chain_kg))
         assert 1 <= len(result.matches) <= 2
+
+    def test_all_wildcard_cut_keeps_the_lowest_seeds(self, chain_kg):
+        # The matches tie on score, so which k survive is decided by the
+        # order seeds are explored in: ascending node id.
+        result = TopKSearch(chain_kg, k=2).search(wildcard_pair_space(chain_kg))
+        assert result.terminated_by == "exhausted"
+        every = TopKSearch(chain_kg, k=100).search(wildcard_pair_space(chain_kg))
+        every = every.matches
+        assert len(every) == 8  # four p0 edges, either way round
+        assert result.matches == sorted(every, key=lambda m: m.binding_of(0))[:2]
+
+    def test_all_wildcard_query_honours_an_expired_deadline(self, chain_kg):
+        result = TopKSearch(chain_kg, k=2).search(
+            wildcard_pair_space(chain_kg), deadline=time.monotonic()
+        )
+        assert result.terminated_by == "deadline"
+        assert result.matches == []

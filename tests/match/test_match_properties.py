@@ -21,8 +21,9 @@ from repro.match import (
     neighborhood_prune,
     validate_match,
 )
-from repro.rdf import IRI, KnowledgeGraph, Triple, TripleStore
+from repro.rdf import IRI, KnowledgeGraph, Literal, Triple, TripleStore
 from repro.rdf.graph import backward_step, forward_step
+from repro.rdf.vocab import RDF_TYPE, RDFS_LABEL, RDFS_SUBCLASSOF
 
 _N_NODES = 8
 _N_PREDICATES = 3
@@ -145,3 +146,81 @@ def test_matches_sorted_and_deduplicated(setup):
     assert scores == sorted(scores, reverse=True)
     keys = [m.key() for m in matches]
     assert len(keys) == len(set(keys))
+
+
+# --------------------------------------------------------------------- #
+# All-wildcard spaces: directory seeding vs seeding every node
+# --------------------------------------------------------------------- #
+
+_STRUCTURAL = (RDF_TYPE, RDFS_LABEL, RDFS_SUBCLASSOF)
+
+
+@st.composite
+def graph_and_wildcard_space(draw):
+    """A random KG with literal-valued and structural triples, plus a
+    connected space of 1–3 wildcard vertices whose edges carry one- and
+    two-step paths over any predicate of the graph, structural included."""
+    node = st.integers(0, _N_NODES - 1)
+    predicate = st.integers(0, _N_PREDICATES - 1)
+    store = TripleStore()
+    store.add(Triple(IRI("g:n0"), IRI("g:p0"), IRI("g:n1")))
+    for s, p, o in draw(st.lists(st.tuples(node, predicate, node), max_size=18)):
+        if s != o:
+            store.add(Triple(IRI(f"g:n{s}"), IRI(f"g:p{p}"), IRI(f"g:n{o}")))
+    for s, p, value in draw(
+        st.lists(st.tuples(node, predicate, st.integers(0, 2)), max_size=4)
+    ):
+        store.add(Triple(IRI(f"g:n{s}"), IRI(f"g:p{p}"), Literal(f"v{value}")))
+    for s, kind, o in draw(
+        st.lists(st.tuples(node, st.sampled_from(_STRUCTURAL), node), max_size=6)
+    ):
+        target = Literal(f"label {o}") if kind == RDFS_LABEL else IRI(f"g:n{o}")
+        if s != o:
+            store.add(Triple(IRI(f"g:n{s}"), kind, target))
+    kg = KnowledgeGraph(store)
+
+    steps = [
+        encode(p) for p in sorted(store.predicate_ids())
+        for encode in (forward_step, backward_step)
+    ]
+    path = st.lists(st.sampled_from(steps), min_size=1, max_size=2).map(tuple)
+    candidates = st.lists(
+        st.builds(EdgeCandidate, path, st.floats(0.1, 1.0)), min_size=1, max_size=3
+    )
+    space = CandidateSpace()
+    n_vertices = draw(st.integers(1, 3))
+    for vertex_id in range(n_vertices):
+        space.add_vertex(QueryVertex(vertex_id, wildcard=True))
+    # Vertex 0 is where the enumeration starts; a path, a star around it
+    # or a triangle give it one or two incident edges, in either direction.
+    pairs = [(0, 1)][: n_vertices - 1]
+    if n_vertices == 3:
+        pairs += draw(st.sampled_from([[(1, 2)], [(0, 2)], [(1, 2), (0, 2)]]))
+    for source, target in pairs:
+        if draw(st.booleans()):
+            source, target = target, source
+        space.add_edge(QueryEdge(source, target, candidates=draw(candidates)))
+    return kg, space
+
+
+def matches_seeding_every_node(kg, space, directed_edges):
+    """The reference enumeration: one exploration per node of the graph."""
+    matcher = SubgraphMatcher(kg, space, directed_edges=directed_edges)
+    seen, results = set(), []
+    for node in sorted(kg.store.node_ids()):
+        for match in matcher.matches_from_seed(0, VertexCandidate(node, 1.0)):
+            if match.key() not in seen:
+                seen.add(match.key())
+                results.append(match)
+    results.sort(key=lambda m: -m.score)
+    return results
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_and_wildcard_space(), st.booleans())
+def test_wildcard_seeding_equals_seeding_every_node(setup, directed_edges):
+    """Same matches in the same order: equal-score matches are cut by
+    discovery order downstream, so the order is part of the answer."""
+    kg, space = setup
+    matcher = SubgraphMatcher(kg, space, directed_edges=directed_edges)
+    assert matcher.all_matches() == matches_seeding_every_node(kg, space, directed_edges)

@@ -285,3 +285,101 @@ class TestSelfLoopGuard:
 
         query = parse_query("SELECT ?x WHERE { ?x <ex:knows> ?x }")
         assert is_compilable(query) is not None
+
+
+class _CountingBackend:
+    """Delegates to a store backend and counts the calls it forwards."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.inner)
+
+    def __getattr__(self, name):
+        target = getattr(self.inner, name)
+        if not callable(target):
+            return target
+
+        def counted(*args, **kwargs):
+            self.reads += 1
+            return target(*args, **kwargs)
+
+        return counted
+
+
+def two_wildcards_over(kg, predicate):
+    space = CandidateSpace()
+    space.add_vertex(QueryVertex(0, wildcard=True))
+    space.add_vertex(QueryVertex(1, wildcard=True))
+    path = (forward_step(pid(kg, predicate)),)
+    space.add_edge(QueryEdge(0, 1, candidates=[EdgeCandidate(path, 1.0)]))
+    return space
+
+
+class TestWildcardSeeding:
+    """An all-wildcard query explores from the nodes that carry one of
+    its edges' steps — work set by the predicate, not by the graph."""
+
+    @staticmethod
+    def work(filler_nodes, pairs=3):
+        """(explorations started, store reads, matches) of ``?x rare ?y`` on
+        a graph of ``pairs`` rare edges beside a chain of filler nodes."""
+        store = TripleStore()
+        for i in range(pairs):
+            store.add(Triple(e(f"s{i}"), e("rare"), e(f"o{i}")))
+        for i in range(filler_nodes):
+            store.add(Triple(e(f"f{i}"), e("common"), e(f"f{i + 1}")))
+        kg = KnowledgeGraph(store)
+        _ = kg.kernel  # built before the reads are counted
+        matcher = SubgraphMatcher(kg, two_wildcards_over(kg, "rare"))
+        started = []
+        explore_from = matcher.matches_from_seed
+        matcher.matches_from_seed = lambda vertex_id, candidate: (
+            started.append(candidate.node_id) or explore_from(vertex_id, candidate)
+        )
+        counting = _CountingBackend(store.backend)
+        store.swap_backend(counting)
+        matches = matcher.all_matches()
+        return len(started), counting.reads, len(matches)
+
+    def test_work_is_bounded_by_the_nodes_carrying_the_predicate(self):
+        started, reads, matches = self.work(filler_nodes=40)
+        assert matches == 6  # each pair, either way round (Definition 3)
+        assert started <= 6  # three subjects and three objects carry `rare`
+        # Ten times the graph, the same query: not one more read.
+        assert self.work(filler_nodes=400) == (started, reads, matches)
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_node_gaining_its_first_edge_becomes_a_seed(self, incremental):
+        store = TripleStore()
+        store.add(Triple(e("a"), e("rare"), e("b")))
+        store.add(Triple(e("c"), e("common"), e("d")))
+        store = store.compacted().overlay()
+        kg = KnowledgeGraph(store)
+
+        def bound():
+            matches = SubgraphMatcher(kg, two_wildcards_over(kg, "rare")).all_matches()
+            return {
+                (kg.term_of(m.binding_of(0)), kg.term_of(m.binding_of(1)))
+                for m in matches
+            }
+
+        assert bound() == {(e("a"), e("b")), (e("b"), e("a"))}
+        store.add(Triple(e("c"), e("rare"), e("d")))
+        kg.refresh(incremental=incremental)
+        assert (e("c"), e("d")) in bound()
+
+    def test_expansion_order_is_per_seed_vertex_not_per_instance(
+        self, kg, running_example_space
+    ):
+        matcher = SubgraphMatcher(kg, running_example_space)
+        orders = []
+        expansion_order = matcher._expansion_order
+        matcher._expansion_order = lambda seed: (
+            orders.append(seed) or expansion_order(seed)
+        )
+        actor = running_example_space.vertices[1].candidates[0]  # class, two instances
+        assert len(matcher.matches_from_seed(1, actor)) == 1
+        assert orders == [1]

@@ -153,6 +153,21 @@ class TestKernelMatchesReference:
             expected = frozenset(step for step, _ in reference.get(node, []))
             assert kg.kernel.incident_steps(node) == expected
 
+    def test_step_directory_inverts_the_signatures(self, kg):
+        reference = reference_adjacency(kg, include_literals=True)
+        carriers = defaultdict(set)
+        for node, edges in reference.items():
+            for step, _neighbor in edges:
+                carriers[step].add(node)
+        for step, nodes in carriers.items():
+            assert kg.kernel.nodes_with_step(step) == nodes
+        # Steps no row carries: a predicate id never issued, and the
+        # structural predicates the rows leave out.
+        assert kg.kernel.nodes_with_step(len(kg.store.dictionary) + 1) == frozenset()
+        for pid in kg.structural_predicate_ids:
+            assert kg.kernel.nodes_with_step(pid + 1) == frozenset()
+            assert kg.kernel.nodes_with_step(-(pid + 1)) == frozenset()
+
     def test_incident_predicates_signature(self, kg):
         # The signature decoded to (predicate, follows-the-edge?) pairs
         # against the same pairs read straight off the triples.
@@ -197,6 +212,23 @@ class TestKernelMatchesReference:
         endpoints = kg.store.node_ids() | set(kg.store.iter_literal_ids())
         assert stats["edge_slots_full"] == sum(
             len(kg.kernel.adjacency(node)[0]) for node in endpoints
+        )
+
+    def test_statistics_report_the_walk_cache_and_the_directory(self, kg):
+        kernel = AdjacencyKernel(kg.store)
+        before = kernel.statistics()
+        # Reporting builds nothing: the directory waits for its first reader.
+        assert before["directory_steps"] == before["walk_cache_size"] == 0
+        start = sample_entities(kg, 1)[0]
+        step = kernel.adjacency(start)[0][0]
+        kernel.walk_path(start, (step,))
+        kernel.walk_path(start, (step,))
+        kernel.nodes_with_step(step)
+        after = kernel.statistics()
+        assert (after["walk_cache_hits"], after["walk_cache_misses"]) == (1, 1)
+        assert after["walk_cache_size"] == 1
+        assert after["directory_steps"] == len(
+            {s for steps, _n in kernel.full_rows().values() for s in steps}
         )
 
     @pytest.mark.parametrize("max_length", [2, 3])
@@ -246,6 +278,16 @@ class TestRefreshInvalidation:
         assert find_simple_paths(kg, a, c, 1) == {(likes + 1,)}
         assert kg.kernel.walk_path(a, (likes + 1,)) == frozenset({c})
         assert kg.kernel.incident_steps(a) == {knows + 1, likes + 1}
+
+    def test_step_directory_dropped_on_refresh(self):
+        store, kg, e = self.build()
+        a, b, c = (kg.id_of(e(name)) for name in "abc")
+        knows = kg.id_of(e("knows")) + 1
+        assert kg.kernel.nodes_with_step(-knows) == {b, c}
+        store.add(Triple(e("c"), e("knows"), e("a")))
+        assert kg.kernel.nodes_with_step(-knows) == {b, c}  # stale, like the rows
+        kg.refresh()
+        assert kg.kernel.nodes_with_step(-knows) == {a, b, c}
 
     def test_cache_regions_dropped_on_refresh(self):
         store, kg, e = self.build()

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SPARQLEvaluationError
-from repro.rdf import IRI, KnowledgeGraph, Triple, TripleStore
+from repro.rdf import IRI, KnowledgeGraph, Literal, Triple, TripleStore
+from repro.rdf.vocab import RDF_TYPE, RDFS_LABEL, RDFS_SUBCLASSOF
 from repro.sparql import Variable, evaluate, parse_query
 from repro.sparql.graph_executor import (
     compile_to_space,
@@ -27,6 +28,13 @@ def kg():
     ]
     for s, p, o in triples:
         store.add(Triple(IRI(f"x:{s}"), IRI(f"x:{p}"), IRI(f"x:{o}")))
+    # Structural triples: kernel rows leave these predicates out, so a
+    # pattern over one must not take its seeds from the rows.
+    for actor in ("banderas", "hanks"):
+        store.add(Triple(IRI(f"x:{actor}"), RDF_TYPE, IRI("x:Actor")))
+        store.add(Triple(IRI(f"x:{actor}"), RDFS_LABEL, Literal(actor.title())))
+    store.add(Triple(IRI("x:forrest_gump"), RDF_TYPE, IRI("x:Film")))
+    store.add(Triple(IRI("x:Actor"), RDFS_SUBCLASSOF, IRI("x:Person")))
     return KnowledgeGraph(store)
 
 
@@ -70,6 +78,10 @@ class TestEquivalence:
             "SELECT DISTINCT ?f WHERE { ?a <x:starring> ?f }",
             "SELECT ?a ?f WHERE { ?a <x:starring> ?f . ?d <x:director> ?f }",
             "SELECT ?x WHERE { ?x <x:nonexistent> ?y }",
+            f"SELECT ?x ?c WHERE {{ ?x <{RDF_TYPE.value}> ?c }}",
+            f"SELECT ?x ?l WHERE {{ ?x <{RDFS_LABEL.value}> ?l }}",
+            f"SELECT ?c ?d WHERE {{ ?c <{RDFS_SUBCLASSOF.value}> ?d }}",
+            f"SELECT ?a ?c ?f WHERE {{ ?a <{RDF_TYPE.value}> ?c . ?a <x:starring> ?f }}",
         ],
     )
     def test_engines_agree(self, kg, query_text):
