@@ -4,15 +4,13 @@
 The QA pipeline sits on a real SPARQL subset engine; this demo exercises
 it directly over the mini-DBpedia KB — basic graph patterns, FILTER,
 ORDER BY/LIMIT (the paper's aggregation workaround shape), UNION,
-OPTIONAL, SPARQL 1.1 property paths, and the matching-based executor that
-demonstrates the paper's "answering SPARQL = subgraph matching" point.
+OPTIONAL and SPARQL 1.1 property paths.
 
 Run:  python examples/sparql_playground.py
 """
 
 from repro.datasets import build_dbpedia_mini
 from repro.sparql import evaluate, parse_query
-from repro.sparql.graph_executor import evaluate_by_matching, is_compilable
 
 QUERIES = [
     ("Basic graph pattern (join)",
@@ -62,15 +60,6 @@ def main() -> None:
         query = parse_query(query_text)
         print(f"    {render(evaluate(kg.store, query))}")
         print()
-
-    print("-- The gStore equivalence: same BGP through the subgraph matcher")
-    query = parse_query(
-        "SELECT ?who WHERE { ?a <ont:spouse> ?who . "
-        "?a <ont:starring> <res:Philadelphia_(film)> }"
-    )
-    assert is_compilable(query) is None
-    rows = evaluate_by_matching(kg, query)
-    print(f"    {render(rows)}  (identical to the algebraic engine)")
 
 
 if __name__ == "__main__":

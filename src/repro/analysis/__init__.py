@@ -9,12 +9,12 @@ for the catalog.
 
 Entry points:
 
-* ``repro lint`` — the CLI (JSON output, rule selection, baselines);
+* ``repro lint`` — the CLI (JSON output, rule selection);
 * :func:`run_lint` — the library call the CLI and the tests share;
 * :data:`repro.analysis.rules.ALL_RULES` — the rule registry.
 """
 
-from repro.analysis.engine import LintConfig, LintReport, run_lint
+from repro.analysis.engine import LintReport, run_lint
 from repro.analysis.rulebase import Finding, Rule
 
-__all__ = ["Finding", "LintConfig", "LintReport", "Rule", "run_lint"]
+__all__ = ["Finding", "LintReport", "Rule", "run_lint"]

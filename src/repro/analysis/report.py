@@ -10,28 +10,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def render_text(report: "LintReport") -> str:
-    lines: list[str] = []
-    for finding in report.new_findings:
-        lines.append(finding.render())
-    if report.known_findings:
-        lines.append(
-            f"-- {len(report.known_findings)} pre-existing finding(s) "
-            f"covered by the baseline (not shown; regenerate with "
-            f"scripts/lint_baseline.py to review)"
-        )
-    if report.stale_baseline:
-        lines.append(
-            f"-- {len(report.stale_baseline)} stale baseline entr"
-            f"{'y' if len(report.stale_baseline) == 1 else 'ies'} no longer "
-            f"fired — regenerate the baseline to shrink it"
-        )
+    lines = [finding.render() for finding in report.findings]
     summary = (
         f"repro lint: {report.files_scanned} files, "
         f"{len(report.rules_run)} rules, "
-        f"{len(report.new_findings)} new finding(s)"
+        f"{len(report.findings)} finding(s)"
     )
-    if report.known_findings:
-        summary += f", {len(report.known_findings)} baselined"
     if report.suppressed:
         summary += f", {report.suppressed} pragma-suppressed"
     lines.append(summary)
@@ -40,19 +24,14 @@ def render_text(report: "LintReport") -> str:
 
 def render_json(report: "LintReport") -> str:
     per_rule: dict[str, int] = {}
-    for finding in report.new_findings:
+    for finding in report.findings:
         per_rule[finding.rule] = per_rule.get(finding.rule, 0) + 1
     payload = {
         "files_scanned": report.files_scanned,
         "rules": list(report.rules_run),
-        "findings": [finding.to_json() for finding in report.new_findings],
-        "baselined": [finding.to_json() for finding in report.known_findings],
-        "stale_baseline": [
-            {"rule": rule, "path": path, "message": message}
-            for rule, path, message in report.stale_baseline
-        ],
+        "findings": [finding.to_json() for finding in report.findings],
         "suppressed": report.suppressed,
         "counts_by_rule": dict(sorted(per_rule.items())),
-        "ok": not report.new_findings,
+        "ok": report.ok,
     }
     return json.dumps(payload, indent=2)

@@ -1,11 +1,8 @@
-"""Finding model, rule base class, and the rule registry.
+"""Finding model and rule base class.
 
 A rule is a named check over one :class:`~repro.analysis.walker.ModuleInfo`
 at a time; the engine feeds it every module in the scanned tree and
-collects :class:`Finding` objects.  Findings are identified for baseline
-purposes by ``(rule, relpath, message)`` — deliberately *not* by line
-number, so unrelated edits above a pre-existing finding do not churn the
-baseline — while the line/column still render in reports.
+collects :class:`Finding` objects.
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.engine import LintConfig
     from repro.analysis.walker import ModuleInfo
 
 
@@ -27,11 +23,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        """Baseline identity: stable across line-number churn."""
-        return (self.rule, self.relpath, self.message)
 
     def render(self) -> str:
         return f"{self.relpath}:{self.line}:{self.col}: [{self.rule}] {self.message}"
@@ -49,12 +40,12 @@ class Finding:
 class Rule:
     """Base class: subclasses set ``name``/``summary`` and implement check."""
 
-    #: kebab-case rule id, used in CLI selection, pragmas, and baselines.
+    #: kebab-case rule id, used in CLI selection and pragmas.
     name: str = ""
     #: one-line description rendered by ``repro lint --list-rules``.
     summary: str = ""
 
-    def check(self, module: "ModuleInfo", config: "LintConfig") -> Iterator[Finding]:
+    def check(self, module: "ModuleInfo") -> Iterator[Finding]:
         raise NotImplementedError
 
     def finding(

@@ -5,14 +5,14 @@ actually uses (``with self._lock:``, ``self.x = threading.Lock()``,
 ``store.compacted()``) rather than attempting whole-program type
 inference.  Where a deliberate exception exists — the double-checked read
 in ``KnowledgeGraph.kernel`` — the code carries an inline
-``# lint: ignore[rule]`` pragma, which is visible and greppable, instead
-of a baseline entry, which is neither.
+``# lint: ignore[rule]`` pragma, visible and greppable at the line it
+excuses; there is no other exception mechanism.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator, Mapping
 
 from repro.analysis.rulebase import Finding, Rule
 from repro.analysis.scopes import (
@@ -21,9 +21,6 @@ from repro.analysis.scopes import (
     locks_held_at,
 )
 from repro.analysis.walker import ClassInfo, ModuleInfo, dotted_name
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.engine import LintConfig
 
 #: Methods where unguarded access to guarded fields is always legal: the
 #: object cannot be shared before construction finishes.
@@ -65,7 +62,7 @@ class LockDisciplineRule(Rule):
         "`with self.<lock>:` blocks"
     )
 
-    def check(self, module: ModuleInfo, config: "LintConfig") -> Iterator[Finding]:
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
         for cls in module.classes:
             if not cls.guarded:
                 continue
@@ -96,6 +93,26 @@ class LockDisciplineRule(Rule):
             )
 
 
+_MUTATING_STORE_METHODS = ("add", "add_all", "add_all_ids", "remove")
+_FROZEN_CONSTRUCTORS = (
+    "CompactBackend",
+    "CompactBackend.from_triples",
+    "ShardedBackend",
+    "ShardedBackend.from_triples",
+    "ShardedBackend.lazy",
+)
+_FROZEN_PROVENANCE_CALLS = ("compacted", "sharded", "load_snapshot")
+#: method calls whose *receiver* is thereby known frozen: calling
+#: .overlay() requires (and forever after assumes) a frozen base.
+_FROZEN_RECEIVER_CALLS = ("overlay",)
+#: constructors that capture their first argument as a frozen base —
+#: OverlayBackend(base) promises never to mutate base, and neither
+#: may anyone else for the overlay's lifetime.
+_FROZEN_CAPTURE_CONSTRUCTORS = ("OverlayBackend",)
+#: annotation names that mark a parameter as a frozen store/backend.
+_FROZEN_ANNOTATIONS = ("CompactBackend", "ShardedBackend")
+
+
 class FrozenStoreRule(Rule):
     """No mutating calls on stores/backends provenanced as frozen."""
 
@@ -107,25 +124,25 @@ class FrozenStoreRule(Rule):
         "add/remove calls"
     )
 
-    def check(self, module: ModuleInfo, config: "LintConfig") -> Iterator[Finding]:
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
         functions = [
             node
             for node in ast.walk(module.tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
         for func in functions:
-            yield from self._check_function(module, func, config)
+            yield from self._check_function(module, func)
 
-    def _is_frozen_expr(self, expr: ast.AST, config: "LintConfig") -> bool:
+    def _is_frozen_expr(self, expr: ast.AST) -> bool:
         if not isinstance(expr, ast.Call):
             return False
         func = expr.func
-        if isinstance(func, ast.Attribute) and func.attr in config.frozen_provenance_calls:
+        if isinstance(func, ast.Attribute) and func.attr in _FROZEN_PROVENANCE_CALLS:
             return True
         dotted = dotted_name(func)
         if dotted is not None and (
-            dotted in config.frozen_provenance_calls
-            or _name_matches(dotted, config.frozen_constructors) is not None
+            dotted in _FROZEN_PROVENANCE_CALLS
+            or _name_matches(dotted, _FROZEN_CONSTRUCTORS) is not None
         ):
             return True
         return False
@@ -137,23 +154,21 @@ class FrozenStoreRule(Rule):
             return expr.id
         return None
 
-    def _check_function(
-        self, module: ModuleInfo, func: ast.AST, config: "LintConfig"
-    ) -> Iterator[Finding]:
+    def _check_function(self, module: ModuleInfo, func: ast.AST) -> Iterator[Finding]:
         # Pass 1: locals (and self attributes) bound to frozen provenance
         # anywhere in the function — order-insensitive on purpose: a
         # mutation before the rebinding is equally suspicious in the
         # shapes this codebase uses.
         frozen_names: set[str] = set()
         for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and self._is_frozen_expr(node.value, config):
+            if isinstance(node, ast.Assign) and self._is_frozen_expr(node.value):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         frozen_names.add(target.id)
                     elif is_self_attribute(target):
                         frozen_names.add(f"self.{target.attr}")
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                if self._is_frozen_expr(node.value, config) and isinstance(
+                if self._is_frozen_expr(node.value) and isinstance(
                     node.target, ast.Name
                 ):
                     frozen_names.add(node.target.id)
@@ -165,7 +180,7 @@ class FrozenStoreRule(Rule):
                 callee = node.func
                 if (
                     isinstance(callee, ast.Attribute)
-                    and callee.attr in config.frozen_receiver_calls
+                    and callee.attr in _FROZEN_RECEIVER_CALLS
                 ):
                     receiver = callee.value
                     if isinstance(receiver, ast.Name):
@@ -175,7 +190,7 @@ class FrozenStoreRule(Rule):
                 dotted = dotted_name(callee)
                 if (
                     dotted is not None
-                    and _name_matches(dotted, config.frozen_capture_constructors)
+                    and _name_matches(dotted, _FROZEN_CAPTURE_CONSTRUCTORS)
                     is not None
                     and node.args
                 ):
@@ -196,7 +211,7 @@ class FrozenStoreRule(Rule):
                         annotation.value if isinstance(annotation, ast.Constant) else None
                     )
                     if isinstance(rendered, str) and any(
-                        name in rendered for name in config.frozen_annotations
+                        name in rendered for name in _FROZEN_ANNOTATIONS
                     ):
                         frozen_names.add(arg.arg)
         # Pass 2: mutating method calls on frozen receivers.
@@ -206,10 +221,10 @@ class FrozenStoreRule(Rule):
             callee = node.func
             if not isinstance(callee, ast.Attribute):
                 continue
-            if callee.attr not in config.mutating_store_methods:
+            if callee.attr not in _MUTATING_STORE_METHODS:
                 continue
             receiver = callee.value
-            if self._is_frozen_expr(receiver, config):
+            if self._is_frozen_expr(receiver):
                 yield self.finding(
                     module,
                     node,
@@ -232,6 +247,11 @@ class FrozenStoreRule(Rule):
                 )
 
 
+#: module prefixes where wall-clock time.time() is legitimate
+#: (harness timing reports wall time by design).
+_MONOTONIC_EXEMPT_MODULES = ("repro.experiments",)
+
+
 class MonotonicTimeRule(Rule):
     """TTL/deadline arithmetic must use the monotonic clock."""
 
@@ -241,8 +261,8 @@ class MonotonicTimeRule(Rule):
         "TTLs, and durations must use time.monotonic()"
     )
 
-    def check(self, module: ModuleInfo, config: "LintConfig") -> Iterator[Finding]:
-        if module.module.startswith(config.monotonic_exempt_modules):
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        if module.module.startswith(_MONOTONIC_EXEMPT_MODULES):
             return
         bare_time_imported = any(
             isinstance(node, ast.ImportFrom)
@@ -264,6 +284,30 @@ class MonotonicTimeRule(Rule):
                 )
 
 
+#: Packages below the serving layer must not reach up into it (or into
+#: the CLI / the experiment harness / this analysis package).  Keys are
+#: longest-prefix matched, so a deeper entry can carve out an exception.
+_LAYERING: Mapping[str, tuple[str, ...]] = {
+    prefix: ("repro.serve", "repro.cli", "repro.experiments", "repro.analysis")
+    for prefix in (
+        "repro.rdf",
+        "repro.nlp",
+        "repro.obs",
+        "repro.match",
+        "repro.core",
+        "repro.linking",
+        "repro.paraphrase",
+        "repro.sparql",
+        "repro.eval",
+        "repro.datasets",
+        "repro.baselines",
+    )
+} | {
+    "repro.serve": ("repro.cli", "repro.experiments", "repro.analysis"),
+    "repro.analysis": ("repro.serve", "repro.cli", "repro.experiments"),
+}
+
+
 class LayeringRule(Rule):
     """Lower layers must not import upper ones; no foreign _private access."""
 
@@ -273,24 +317,23 @@ class LayeringRule(Rule):
         "cross-module access to _private attributes is forbidden"
     )
 
-    def check(self, module: ModuleInfo, config: "LintConfig") -> Iterator[Finding]:
-        yield from self._check_imports(module, config)
-        if config.private_access_checked:
-            yield from self._check_private_access(module)
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        yield from self._check_imports(module)
+        yield from self._check_private_access(module)
 
-    def _layer_of(self, module: ModuleInfo, config: "LintConfig") -> str | None:
+    def _layer_of(self, module: ModuleInfo) -> str | None:
         best: str | None = None
-        for prefix in config.layering:
+        for prefix in _LAYERING:
             if module.module == prefix or module.module.startswith(prefix + "."):
                 if best is None or len(prefix) > len(best):
                     best = prefix
         return best
 
-    def _check_imports(self, module: ModuleInfo, config: "LintConfig") -> Iterator[Finding]:
-        layer = self._layer_of(module, config)
+    def _check_imports(self, module: ModuleInfo) -> Iterator[Finding]:
+        layer = self._layer_of(module)
         if layer is None:
             return
-        forbidden = config.layering[layer]
+        forbidden = _LAYERING[layer]
         for imported, lineno in module.imports:
             for prefix in forbidden:
                 if imported == prefix or imported.startswith(prefix + "."):
@@ -331,6 +374,9 @@ class LayeringRule(Rule):
             )
 
 
+_BANNED_RAISES = ("Exception", "BaseException", "RuntimeError")
+
+
 class ExceptionDisciplineRule(Rule):
     """Library code raises ReproError subclasses, not bare Exception."""
 
@@ -340,15 +386,14 @@ class ExceptionDisciplineRule(Rule):
         "errors), never Exception/BaseException/RuntimeError"
     )
 
-    def check(self, module: ModuleInfo, config: "LintConfig") -> Iterator[Finding]:
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
             exc = node.exc
             target = exc.func if isinstance(exc, ast.Call) else exc
             dotted = dotted_name(target)
-            matched = _name_matches(dotted, config.banned_raises)
-            if matched is None and dotted not in config.banned_raises:
+            if _name_matches(dotted, _BANNED_RAISES) is None:
                 continue
             yield self.finding(
                 module,

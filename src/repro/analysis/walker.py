@@ -52,7 +52,7 @@ class ModuleInfo:
     """One parsed source file plus the derived facts rules consume."""
 
     path: Path
-    #: stable identity used in findings and baselines, e.g.
+    #: stable identity used in findings, e.g.
     #: ``repro/serve/engine.py`` — independent of where the tree lives.
     relpath: str
     #: dotted module name, e.g. ``repro.serve.engine``.

@@ -60,7 +60,6 @@ class Deanna:
         self,
         kg: KnowledgeGraph,
         dictionary: ParaphraseDictionary,
-        max_candidates: int = 10,
         linker: EntityLinker | None = None,
     ):
         self.kg = kg
@@ -69,9 +68,7 @@ class Deanna:
         self.extractor = RelationExtractor(dictionary)
         # No heuristic recall rules: they are the compared paper's addition.
         self.argument_finder = ArgumentFinder(use_heuristics=False)
-        self.linker = linker if linker is not None else EntityLinker(
-            kg, max_candidates=max_candidates
-        )
+        self.linker = linker if linker is not None else EntityLinker(kg)
         self.last_ilp_nodes = 0
 
     # ------------------------------------------------------------------ #

@@ -11,6 +11,9 @@ Usage::
     python -m repro eval                  # the QALD benchmark summary
     python -m repro eval --served         # same benchmark through the engine
     python -m repro dictionary            # mined paraphrase dictionary
+    python -m repro compile graph.snap    # the deploy artefact (--snapshot)
+    python -m repro compact --url URL     # fold a running server's delta
+    python -m repro lint                  # project invariants, statically
 """
 
 from __future__ import annotations
@@ -20,51 +23,34 @@ import sys
 
 from repro import obs
 from repro.core import GAnswer
+from repro.exceptions import ReproError
 from repro.experiments.common import default_setup
 
 
 def _load_state(args):
-    """Warm state from ``--snapshot``/``--bundle``, or None to build fresh.
+    """``(kg, dictionary, base_linker)`` from ``--snapshot``, else from source.
 
-    Returns ``(kg, dictionary, base_linker_or_None)``.  A compiled
-    snapshot restores the prebuilt linker index too; a bundle (or the
-    default built-from-source setup) leaves linker construction to the
-    caller.
+    A compiled snapshot restores the prebuilt linker index too; the
+    built-from-source setup leaves the linker (``None``) to the caller.
     """
     snapshot = getattr(args, "snapshot", None)
-    bundle = getattr(args, "bundle", None)
-    if snapshot and bundle:
-        raise SystemExit("error: --snapshot and --bundle are mutually exclusive")
     if snapshot:
         from repro.rdf.snapshot import load_snapshot
 
         state = load_snapshot(snapshot)
         return state.kg, state.dictionary, state.build_linker()
-    if bundle:
-        from repro.bundle import load_bundle
-
-        kg, dictionary = load_bundle(bundle)
-        return kg, dictionary, None
-    return None
+    setup = default_setup(args.distractors, jobs=args.jobs)
+    return setup.kg, setup.dictionary, None
 
 
 def _build_system(args) -> GAnswer:
-    state = _load_state(args)
-    if state is not None:
-        kg, dictionary, linker = state
-        return GAnswer(
-            kg,
-            dictionary,
-            k=args.k,
-            enable_aggregation=args.aggregation,
-            linker=linker,
-        )
-    setup = default_setup(args.distractors, jobs=args.jobs)
+    kg, dictionary, linker = _load_state(args)
     return GAnswer(
-        setup.kg,
-        setup.dictionary,
+        kg,
+        dictionary,
         k=args.k,
         enable_aggregation=args.aggregation,
+        linker=linker,
     )
 
 
@@ -90,20 +76,11 @@ def _engine_config(args):
     )
 
 
-def _serving_state(args):
-    """``(kg, dictionary, base_linker_or_None)`` for serve-flavored commands."""
-    state = _load_state(args)
-    if state is not None:
-        return state
-    setup = default_setup(args.distractors, jobs=args.jobs)
-    return setup.kg, setup.dictionary, None
-
-
 def _build_engine(args):
     """A warm :class:`repro.serve.QAEngine` from serve-flavored CLI args."""
     from repro.serve import QAEngine
 
-    kg, dictionary, base_linker = _serving_state(args)
+    kg, dictionary, base_linker = _load_state(args)
     engine = QAEngine(kg, dictionary, _engine_config(args), base_linker=base_linker)
     engine.warm()
     return engine
@@ -175,11 +152,7 @@ def cmd_serve(args) -> int:
             "error: --ingest-token requires --workers 1 (each pre-fork "
             "worker has a private store copy; writes would diverge them)"
         )
-    source = (
-        f"snapshot {args.snapshot}" if args.snapshot
-        else f"bundle {args.bundle}" if args.bundle
-        else "dbpedia-mini"
-    )
+    source = f"snapshot {args.snapshot}" if args.snapshot else "dbpedia-mini"
     if args.workers > 1:
         # Pre-fork: load the graph and build its shared structures here,
         # once; bind, print the address, then fork the workers — each
@@ -187,7 +160,7 @@ def cmd_serve(args) -> int:
         # supervise.  This process never holds an engine.
         from repro.serve import PreforkServer, QAEngine
 
-        kg, dictionary, base_linker = _serving_state(args)
+        kg, dictionary, base_linker = _load_state(args)
         config = _engine_config(args)
         supervisor = PreforkServer(
             QAEngine.factory(kg, dictionary, config, base_linker),
@@ -356,10 +329,9 @@ def cmd_compact(args) -> int:
 def cmd_lint(args) -> int:
     from pathlib import Path
 
-    from repro.analysis import LintConfig, run_lint
+    from repro.analysis import run_lint
     from repro.analysis.report import render_json, render_text
     from repro.analysis.rules import ALL_RULES
-    from repro.exceptions import LintError
 
     if args.list_rules:
         for rule in ALL_RULES:
@@ -370,13 +342,7 @@ def cmd_lint(args) -> int:
     else:
         # Default: the installed repro package itself, wherever it lives.
         paths = [Path(__file__).resolve().parent]
-    config = LintConfig(rules=tuple(args.rule) if args.rule else None)
-    baseline = Path(args.baseline) if args.baseline else None
-    try:
-        report = run_lint(paths, config, baseline_path=baseline)
-    except LintError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    report = run_lint(paths, args.rule)
     if args.json:
         print(render_json(report))
     else:
@@ -400,13 +366,22 @@ def cmd_dictionary(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Graph data driven natural language QA over RDF "
         "(gAnswer, SIGMOD 2014 reproduction)",
     )
-    parser.add_argument("--k", type=int, default=10, help="top-k matches (default 10)")
+    parser.add_argument(
+        "--k", type=_positive_int, default=10, help="top-k matches (default 10)"
+    )
     parser.add_argument(
         "--aggregation", action="store_true",
         help="enable the superlative post-processing extension",
@@ -431,16 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_source_flags(sub: argparse.ArgumentParser) -> None:
+    def add_snapshot_flag(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--snapshot", metavar="FILE", default=None,
             help="load a compiled snapshot (repro compile) instead of "
             "building the KG and dictionary from source",
-        )
-        sub.add_argument(
-            "--bundle", metavar="DIR", default=None,
-            help="load a saved bundle directory instead of building from "
-            "source (prefers its snapshot member when present)",
         )
 
     ask = commands.add_parser("ask", help="answer one question")
@@ -452,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     ask.set_defaults(func=cmd_ask)
 
     shell = commands.add_parser("shell", help="interactive question loop")
-    add_source_flags(shell)
+    add_snapshot_flag(shell)
     shell.set_defaults(func=cmd_shell)
 
     serve = commands.add_parser(
@@ -501,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         "endpoints with this shared secret (or set REPRO_INGEST_TOKEN); "
         "requires --workers 1",
     )
-    add_source_flags(serve)
+    add_snapshot_flag(serve)
     serve.set_defaults(func=cmd_serve)
 
     sparql = commands.add_parser("sparql", help="run a SPARQL query on the KG")
@@ -515,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every question through the warm QAEngine (admission + cache) "
         "instead of a direct pipeline — accuracy must be identical",
     )
-    add_source_flags(evaluate)
+    add_snapshot_flag(evaluate)
     evaluate.set_defaults(func=cmd_eval)
 
     dictionary = commands.add_parser("dictionary", help="show the mined dictionary")
@@ -533,11 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--rule", action="append", metavar="NAME", default=None,
         help="run only this rule (repeatable; see --list-rules)",
-    )
-    lint.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="JSON baseline of grandfathered findings; only findings "
-        "absent from it fail the run (regenerate: scripts/lint_baseline.py)",
     )
     lint.add_argument(
         "--json", action="store_true", help="machine-readable report on stdout"
@@ -596,14 +561,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if not (args.trace or args.trace_json):
-        return args.func(args)
+    try:
+        if not (args.trace or args.trace_json):
+            return args.func(args)
 
-    # Tracing: install a recording tracer for the whole command; every
-    # component (pipeline, baselines, search, linker, miner) picks it up.
-    tracer = obs.Tracer()
-    with obs.use_tracer(tracer):
-        rc = args.func(args)
+        # Tracing: install a recording tracer for the whole command; every
+        # component (pipeline, baselines, search, linker, miner) picks it up.
+        tracer = obs.Tracer()
+        with obs.use_tracer(tracer):
+            rc = args.func(args)
+    except ReproError as error:
+        # A malformed query, an unreadable snapshot, an unknown lint rule:
+        # the user's to fix, so one line and the usage-error exit code.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.trace:
         rendered = tracer.render()
         if rendered:

@@ -79,17 +79,13 @@ class TopKSearch:
         k: int = 10,
         use_ta: bool = True,
         use_pruning: bool = True,
-        max_matches_per_seed: int = 10_000,
     ):
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
-        if max_matches_per_seed < 1:
-            raise ValueError("max_matches_per_seed must be positive")
         self.kg = kg
         self.k = k
         self.use_ta = use_ta
         self.use_pruning = use_pruning
-        self.max_matches_per_seed = max_matches_per_seed
 
     # ------------------------------------------------------------------ #
 
@@ -145,7 +141,7 @@ class TopKSearch:
             result.terminated_by = "empty" if empty_before_pruning else "pruned_empty"
             return result, None
 
-        matcher = SubgraphMatcher(self.kg, space, max_matches=self.max_matches_per_seed)
+        matcher = SubgraphMatcher(self.kg, space)
         seeded_lists = [
             (vertex_id, vertex.candidates)
             for vertex_id, vertex in sorted(space.vertices.items())

@@ -87,16 +87,14 @@ def evaluate_system(
     system: SystemLike,
     questions: list[QALDQuestion],
     system_name: str = "system",
-    tracer=None,
 ) -> EvaluationRun:
     """Run ``system`` over ``questions`` and score every answer.
 
     Each question is answered inside a ``question`` span (qid attribute),
-    so a recording tracer — injected here or installed process-wide —
-    groups the per-stage spans of each question under one subtree.
+    so a recording tracer installed process-wide groups the per-stage
+    spans of each question under one subtree.
     """
-    if tracer is None:
-        tracer = obs.get_tracer()
+    tracer = obs.get_tracer()
     run = EvaluationRun(system_name=system_name)
     for question in questions:
         with tracer.span("question", qid=question.qid, system=system_name):

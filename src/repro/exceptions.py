@@ -70,4 +70,4 @@ class EngineClosedError(ReproError):
 
 
 class LintError(ReproError):
-    """Raised on unusable lint inputs (bad paths, syntax, baselines, rules)."""
+    """Raised on unusable lint inputs (bad paths, syntax, rules)."""

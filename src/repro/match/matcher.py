@@ -77,14 +77,10 @@ class SubgraphMatcher:
         kg: KnowledgeGraph,
         space: CandidateSpace,
         max_matches: int = 10_000,
-        directed_edges: bool = False,
     ):
         self.kg = kg
         self.space = space
         self.max_matches = max_matches
-        # Definition 3 accepts either edge orientation; SPARQL compilation
-        # (graph_executor) needs the directional semantics instead.
-        self.directed_edges = directed_edges
         # Search-effort counters, accumulated locally (plain int adds keep
         # the hot loop free of tracer calls) and reported by the top-k
         # layer as ``matcher.expansions`` / ``matcher.rejected_bindings``.
@@ -125,8 +121,8 @@ class SubgraphMatcher:
         return results
 
     def all_matches(self, deadline: float | None = None) -> list[GraphMatch]:
-        """Exhaustive enumeration (all-wildcard queries, SPARQL by
-        matching, tests and the no-TA ablation).
+        """Exhaustive enumeration (all-wildcard queries, tests and the
+        no-TA ablation).
 
         Matches come back best score first and, among equals, in discovery
         order — seeds ascending — which callers that cut the list rely on.
@@ -164,8 +160,8 @@ class SubgraphMatcher:
         carries a step some candidate path of that edge can start with, so
         the seeds are read from the kernel's step directory instead of
         being every node of the graph.  Kernel rows leave structural
-        predicates out; an edge that can start with one (only SPARQL by
-        matching compiles such edges) therefore narrows nothing.
+        predicates out; an edge that can start with one (mined paths never
+        do, a hand-built space may) therefore narrows nothing.
         """
         kernel = self.kg.kernel
         structural = kernel.structural_predicate_ids
@@ -281,10 +277,9 @@ class SubgraphMatcher:
                 # records the orientation actually used, source → target,
                 # so SPARQL emission walks the right way.
                 orientations = [candidate.path]
-                if not self.directed_edges:
-                    flipped = reverse_path(candidate.path)
-                    if flipped != candidate.path:
-                        orientations.append(flipped)
+                flipped = reverse_path(candidate.path)
+                if flipped != candidate.path:
+                    orientations.append(flipped)
                 for oriented in orientations:
                     walk = oriented if walk_from_source else reverse_path(oriented)
                     for node in walk_path(bound_node, walk):

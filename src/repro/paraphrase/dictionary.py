@@ -132,62 +132,3 @@ class ParaphraseDictionary:
                 ],
             )
         return dictionary
-
-    # ------------------------------------------------------------------ #
-    # Portable serialization (IRIs, not ids)
-    # ------------------------------------------------------------------ #
-    #
-    # The signed-integer steps above index THIS store's term dictionary;
-    # they do not survive re-loading the graph from a file, which assigns
-    # fresh ids in parse order.  The portable form names each step by its
-    # predicate IRI and direction and is re-bound against a graph on load.
-
-    def to_portable_json(self, kg) -> str:
-        """Serialize with predicate IRIs so the dictionary survives a
-        graph round-trip through N-Triples (see :mod:`repro.bundle`)."""
-        from repro.rdf.graph import step_is_forward
-
-        payload = {}
-        for phrase, mappings in self._entries.items():
-            payload[" ".join(phrase)] = [
-                {
-                    "steps": [
-                        {
-                            "predicate": kg.iri_of(step_predicate(step)).value,
-                            "forward": step_is_forward(step),
-                        }
-                        for step in m.path
-                    ],
-                    "confidence": m.confidence,
-                }
-                for m in mappings
-            ]
-        return json.dumps(payload, sort_keys=True, indent=1)
-
-    @classmethod
-    def from_portable_json(cls, text: str, kg) -> "ParaphraseDictionary":
-        """Load a portable dictionary, re-binding predicate IRIs to the
-        given graph's ids.  Mappings whose predicates are absent from the
-        graph are dropped (the maintenance semantics of Section 3)."""
-        from repro.rdf.graph import backward_step, forward_step
-        from repro.rdf.terms import IRI as _IRI
-
-        dictionary = cls()
-        for phrase_text, mappings in json.loads(text).items():
-            rebound: list[PredicateMapping] = []
-            for mapping in mappings:
-                steps: list[int] = []
-                for step in mapping["steps"]:
-                    pid = kg.id_of(_IRI(step["predicate"]))
-                    if pid is None:
-                        steps = []
-                        break
-                    steps.append(
-                        forward_step(pid) if step["forward"] else backward_step(pid)
-                    )
-                if steps:
-                    rebound.append(
-                        PredicateMapping(tuple(steps), float(mapping["confidence"]))
-                    )
-            dictionary.add(tuple(phrase_text.split()), rebound)
-        return dictionary

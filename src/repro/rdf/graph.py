@@ -97,30 +97,24 @@ class KnowledgeGraph:
     def preload(
         self,
         *,
-        kernel: AdjacencyKernel | None = None,
-        class_ids: set[int] | None = None,
-        label_index: dict[int, str] | None = None,
-        superclass_closure: dict[int, frozenset[int]] | None = None,
-        subclass_closure: dict[int, frozenset[int]] | None = None,
+        kernel: AdjacencyKernel,
+        class_ids: set[int],
+        label_index: dict[int, str],
+        superclass_closure: dict[int, frozenset[int]],
+        subclass_closure: dict[int, frozenset[int]],
     ) -> None:
         """Install precomputed structural caches (compiled-snapshot load).
 
         The inverse of :meth:`refresh`: instead of dropping caches so they
         lazily rebuild, adopt ones that were computed at compile time
-        against the same id-stable store.  Only the provided pieces are
-        installed; everything else keeps its lazy-build behavior.
+        against the same id-stable store.
         """
-        if kernel is not None:
-            with self._kernel_lock:
-                self._kernel = kernel
-        if class_ids is not None:
-            self._class_ids = class_ids
-        if label_index is not None:
-            self._label_index = label_index
-        if superclass_closure is not None:
-            self._superclass_closure = dict(superclass_closure)
-        if subclass_closure is not None:
-            self._subclass_closure = dict(subclass_closure)
+        with self._kernel_lock:
+            self._kernel = kernel
+        self._class_ids = class_ids
+        self._label_index = label_index
+        self._superclass_closure = dict(superclass_closure)
+        self._subclass_closure = dict(subclass_closure)
 
     def closure_caches(self) -> tuple[dict[int, frozenset[int]], dict[int, frozenset[int]]]:
         """The (superclass, subclass) closure caches as built so far.

@@ -1,15 +1,16 @@
 """File-level load/save for triple stores.
 
-Convenience wrappers over the N-Triples parser/serializer so a knowledge
-base round-trips through a single file — the adoption path for users with
-their own data (see ``examples/custom_knowledge_base.py``).
+Convenience wrappers over the N-Triples parser/serializer so a store
+round-trips through a single text file — how a dump enters the system
+(``bench/``'s offline build starts from :func:`load_store`) before
+:func:`repro.rdf.snapshot.compile_snapshot` turns it into the deploy
+artefact.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.rdf.graph import KnowledgeGraph
 from repro.rdf.ntriples import parse_ntriples, serialize_ntriples
 from repro.rdf.store import TripleStore
 
@@ -25,11 +26,6 @@ def load_store(path: str | Path) -> TripleStore:
     store = TripleStore()
     store.add_all(parse_ntriples(text))
     return store
-
-
-def load_knowledge_graph(path: str | Path) -> KnowledgeGraph:
-    """Load a knowledge graph (store + algorithm view) from N-Triples."""
-    return KnowledgeGraph(load_store(path))
 
 
 def save_store(store: TripleStore, path: str | Path) -> int:

@@ -1,7 +1,7 @@
 """Compiled, id-stable snapshots: the offline phase as an on-disk artifact.
 
-``load_bundle``'s text path re-parses N-Triples, re-assigns every term id,
-then rebuilds the adjacency kernel, label/linker indexes, and subclass
+Starting from text means parsing N-Triples, assigning every term id, then
+building the adjacency kernel, label/linker indexes, and subclass
 closures before the first question is answered.  Native RDF engines
 (gStore in the source paper; RDF-3X-style permutation stores) instead
 treat the *encoded, indexed* form as the deployment artifact.  A compiled
@@ -14,8 +14,7 @@ snapshot is exactly that: one versioned, checksummed binary file holding
 * the prebuilt adjacency-kernel rows,
 * the class set and both ``rdfs:subClassOf`` closures,
 * the graph label index and the entity-linker index entries/postings,
-* the mined paraphrase dictionary **by id** (signed steps, no
-  portable-JSON re-resolution).
+* the mined paraphrase dictionary **by id** (signed steps).
 
 Because every id is stable across the round-trip, loading is direct
 reconstruction — dict assembly over borrowed byte ranges — with no

@@ -4,7 +4,6 @@ import textwrap
 
 import pytest
 
-from repro.analysis import LintConfig
 from repro.analysis.rules import ALL_RULES, RULES_BY_NAME
 from repro.analysis.walker import load_module
 
@@ -18,16 +17,15 @@ def lint_source(tmp_path):
     Pragma suppressions are applied, mirroring ``run_lint``.
     """
 
-    def run(source, *, module="repro.serve.fixture", rule=None, config=None):
+    def run(source, *, module="repro.serve.fixture", rule=None):
         path = tmp_path / (module.rsplit(".", 1)[-1] + ".py")
         path.write_text(textwrap.dedent(source))
         relpath = module.replace(".", "/") + ".py"
         info = load_module(path, relpath, module)
-        config = config if config is not None else LintConfig()
         rules = (RULES_BY_NAME[rule],) if rule else ALL_RULES
         findings = []
         for r in rules:
-            for finding in r.check(info, config):
+            for finding in r.check(info):
                 if not info.suppressed(r.name, finding.line):
                     findings.append(finding)
         return findings

@@ -1,9 +1,10 @@
-"""Real-tree smoke: the shipped package lints clean against the committed
-baseline, the CLI surface behaves, the serving invariant — an engine
-owns no threads and never crosses a fork — holds in the source, and the
-second paths and single-valued options that were deleted stay deleted."""
+"""Real-tree smoke: the shipped package lints clean, the CLI surface
+behaves, the serving invariant — an engine owns no threads and never
+crosses a fork — holds in the source, and the second paths and
+single-valued options that were deleted stay deleted."""
 
 import dataclasses
+import importlib
 import inspect
 import json
 import re
@@ -12,32 +13,24 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis import LintConfig, run_lint
+from repro.analysis import run_lint
 from repro.cli import main
 from repro.exceptions import LintError
 
 PACKAGE_ROOT = Path(repro.__file__).resolve().parent
-REPO_ROOT = PACKAGE_ROOT.parent.parent
-COMMITTED_BASELINE = REPO_ROOT / "lint-baseline.json"
 
 
 class TestRealTree:
-    def test_package_is_clean_with_empty_baseline(self):
-        """The committed policy: zero findings, zero baseline entries.
+    def test_fresh_scan_has_zero_findings_and_one_pragma(self):
+        """The committed policy: a fresh scan has zero findings.
 
-        serve/ and obs/ violations were *fixed*, not grandfathered, so a
-        fresh scan must produce no findings at all — and the committed
-        baseline must be exactly empty (no stale residue either).
+        Violations get fixed, not grandfathered: the inline pragma is the
+        only exception mechanism, and the tree carries exactly one.
         """
-        report = run_lint([PACKAGE_ROOT], baseline_path=COMMITTED_BASELINE)
-        assert report.new_findings == ()
-        assert report.known_findings == ()
-        assert report.stale_baseline == ()
+        report = run_lint([PACKAGE_ROOT])
+        assert report.findings == ()
         assert report.ok
-
-    def test_committed_baseline_is_empty(self):
-        payload = json.loads(COMMITTED_BASELINE.read_text())
-        assert payload["findings"] == []
+        assert report.suppressed == 1
 
     def test_every_rule_runs_over_the_tree(self):
         report = run_lint([PACKAGE_ROOT])
@@ -59,7 +52,7 @@ class TestRealTree:
 
     def test_unknown_rule_raises(self):
         with pytest.raises(LintError, match="unknown rule"):
-            run_lint([PACKAGE_ROOT], LintConfig(rules=("no-such-rule",)))
+            run_lint([PACKAGE_ROOT], rules=("no-such-rule",))
 
     def test_missing_path_raises(self, tmp_path):
         with pytest.raises(LintError, match="does not exist"):
@@ -93,6 +86,7 @@ class TestServingInvariant:
 
 class TestNoForksGrowBack:
     """One snapshot reader, one kernel row builder, one adjacency dialect,
+    one SPARQL evaluator, one deploy artefact, a lint with one verdict,
     and no parameter that only ever took one value."""
 
     def test_load_snapshot_takes_only_a_path(self):
@@ -134,11 +128,62 @@ class TestNoForksGrowBack:
             assert "tracer" not in inspect.signature(cls.__init__).parameters, cls
 
 
+    def test_matcher_has_one_edge_semantics(self):
+        from repro.match.matcher import SubgraphMatcher
+
+        assert list(inspect.signature(SubgraphMatcher.__init__).parameters) == [
+            "self", "kg", "space", "max_matches",
+        ]
+
+    @pytest.mark.parametrize("name", ["repro.bundle", "repro.sparql.graph_executor"])
+    def test_deleted_modules_do_not_import(self, name):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(name)
+
+    def test_lint_has_no_config_object_and_no_baseline(self):
+        import repro.analysis
+        import repro.analysis.engine
+
+        assert list(inspect.signature(run_lint).parameters) == ["paths", "rules"]
+        for module in (repro.analysis, repro.analysis.engine):
+            assert not hasattr(module, "LintConfig")
+
+    def test_parameters_no_caller_passed_stay_gone(self):
+        from repro.baselines import Deanna
+        from repro.core.top_k import TopKSearch
+        from repro.eval import evaluate_system
+
+        for function, name in (
+            (Deanna.__init__, "max_candidates"),
+            (TopKSearch.__init__, "max_matches_per_seed"),
+            (evaluate_system, "tracer"),
+        ):
+            assert name not in inspect.signature(function).parameters, function
+
+    def test_preload_takes_every_cache_by_keyword(self):
+        from repro.rdf.graph import KnowledgeGraph
+
+        parameters = inspect.signature(KnowledgeGraph.preload).parameters
+        assert all(
+            parameter.kind is inspect.Parameter.KEYWORD_ONLY
+            and parameter.default is inspect.Parameter.empty
+            for name, parameter in parameters.items()
+            if name != "self"
+        )
+
+    @pytest.mark.parametrize("command", ["lint", "shell", "serve", "eval"])
+    def test_help_offers_neither_baseline_nor_bundle(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert "--baseline" not in out and "--bundle" not in out
+
+
 class TestCli:
     def test_lint_exits_zero_on_clean_tree(self, capsys):
         assert main(["lint", str(PACKAGE_ROOT)]) == 0
         out = capsys.readouterr().out
-        assert "0 new finding(s)" in out
+        assert "0 finding(s)" in out
 
     def test_lint_json_reports_shape(self, capsys):
         assert main(["lint", "--json", str(PACKAGE_ROOT)]) == 0
@@ -159,20 +204,6 @@ class TestCli:
         assert main(["lint", str(bad)]) == 1
         out = capsys.readouterr().out
         assert "[monotonic-time]" in out
-
-    def test_lint_baseline_grandfathers_old_findings(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(
-            "import time\n\n\ndef deadline(budget):\n"
-            "    return time.time() + budget\n"
-        )
-        report = run_lint([bad])
-        from repro.analysis.baseline import save_baseline
-
-        baseline = tmp_path / "baseline.json"
-        save_baseline(baseline, list(report.all_findings))
-        assert main(["lint", "--baseline", str(baseline), str(bad)]) == 0
-        assert "baselined" in capsys.readouterr().out
 
     def test_lint_rule_filter(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"

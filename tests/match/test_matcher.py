@@ -279,13 +279,6 @@ class TestSelfLoopGuard:
         with pytest.raises(ValueError):
             space.add_edge(QueryEdge(0, 0, candidates=[]))
 
-    def test_self_loop_query_not_compilable(self, kg):
-        from repro.sparql import parse_query
-        from repro.sparql.graph_executor import is_compilable
-
-        query = parse_query("SELECT ?x WHERE { ?x <ex:knows> ?x }")
-        assert is_compilable(query) is not None
-
 
 class _CountingBackend:
     """Delegates to a store backend and counts the calls it forwards."""

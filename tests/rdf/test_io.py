@@ -4,8 +4,8 @@ import pytest
 
 from repro.datasets import build_dbpedia_mini
 from repro.exceptions import RDFSyntaxError
-from repro.rdf import IRI, Literal, Triple, TripleStore
-from repro.rdf.io import load_knowledge_graph, load_store, save_store
+from repro.rdf import IRI, KnowledgeGraph, Literal, Triple, TripleStore
+from repro.rdf.io import load_store, save_store
 
 
 class TestRoundTrip:
@@ -23,7 +23,7 @@ class TestRoundTrip:
         kg = build_dbpedia_mini()
         path = tmp_path / "dbpedia_mini.nt"
         save_store(kg.store, path)
-        restored = load_knowledge_graph(path)
+        restored = KnowledgeGraph(load_store(path))
         assert restored.store.statistics() == kg.store.statistics()
         assert set(restored.store.triples()) == set(kg.store.triples())
 
@@ -42,7 +42,7 @@ class TestRoundTrip:
 
         path = tmp_path / "kb.nt"
         save_store(build_dbpedia_mini().store, path)
-        kg = load_knowledge_graph(path)
+        kg = KnowledgeGraph(load_store(path))
         dictionary = ParaphraseMiner(kg, max_path_length=2, top_k=3).mine(
             build_phrase_dataset()
         )

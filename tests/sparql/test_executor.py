@@ -1,6 +1,10 @@
 """Tests for SPARQL evaluation over the triple store."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SPARQLEvaluationError
 from repro.rdf import IRI, Literal, Triple, TripleStore
@@ -84,6 +88,60 @@ class TestBasicGraphPatterns:
         query = parse_query("SELECT ?f WHERE { ?x <ex:starring> ?f }")
         rows = evaluate(store, query)
         assert len(rows) == 3
+
+
+class TestStructuralPredicates:
+    """``rdf:type`` / ``rdfs:label`` / ``rdfs:subClassOf`` are ordinary
+    predicates to the evaluator (the adjacency kernel leaves them out of
+    its rows; the store does not)."""
+
+    @pytest.fixture
+    def typed_store(self, store):
+        e = lambda name: IRI(f"ex:{name}")
+        store.add_all(
+            [
+                Triple(e("forrest_gump"), vocab.RDF_TYPE, e("Film")),
+                Triple(e("banderas"), vocab.RDFS_LABEL, Literal("Banderas")),
+                Triple(e("hanks"), vocab.RDFS_LABEL, Literal("Hanks")),
+                Triple(e("Actor"), vocab.RDFS_SUBCLASSOF, e("Person")),
+            ]
+        )
+        return store
+
+    @pytest.mark.parametrize(
+        "predicate, expected",
+        [
+            (vocab.RDF_TYPE, {
+                (IRI("ex:banderas"), IRI("ex:Actor")),
+                (IRI("ex:hanks"), IRI("ex:Actor")),
+                (IRI("ex:forrest_gump"), IRI("ex:Film")),
+            }),
+            (vocab.RDFS_LABEL, {
+                (IRI("ex:banderas"), Literal("Banderas")),
+                (IRI("ex:hanks"), Literal("Hanks")),
+            }),
+            (vocab.RDFS_SUBCLASSOF, {(IRI("ex:Actor"), IRI("ex:Person"))}),
+        ],
+        ids=["rdf:type", "rdfs:label", "rdfs:subClassOf"],
+    )
+    def test_two_variable_pattern(self, typed_store, predicate, expected):
+        query = parse_query(f"SELECT ?s ?o WHERE {{ ?s <{predicate.value}> ?o }}")
+        rows = evaluate(typed_store, query)
+        assert len(rows) == len(expected)
+        assert {(row[Variable("s")], row[Variable("o")]) for row in rows} == expected
+
+    def test_structural_pattern_joins_with_an_ordinary_one(self, typed_store):
+        query = parse_query(
+            f"SELECT ?a ?c ?f WHERE {{ ?a <{vocab.RDF_TYPE.value}> ?c . ?a <ex:starring> ?f }}"
+        )
+        rows = evaluate(typed_store, query)
+        assert sorted(
+            tuple(row[Variable(name)].value for name in "acf") for row in rows
+        ) == [
+            ("ex:banderas", "ex:Actor", "ex:philadelphia_film"),
+            ("ex:hanks", "ex:Actor", "ex:forrest_gump"),
+            ("ex:hanks", "ex:Actor", "ex:philadelphia_film"),
+        ]
 
 
 class TestAsk:
@@ -184,3 +242,36 @@ class TestEvaluationErrors:
         query = parse_query("SELECT COUNT(?nope) WHERE { ?x <ex:age> ?a }")
         with pytest.raises(SPARQLEvaluationError):
             evaluate(store, query)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 5)),
+        max_size=20,
+    ),
+    st.integers(0, 2),
+    st.integers(0, 2),
+)
+def test_random_chain_query_equals_a_nested_loop(triple_specs, p1, p2):
+    """On random graphs (self-loops included) a 2-pattern chain query
+    returns exactly the rows of a nested loop over the triples — every
+    row, with its multiplicity."""
+    store = TripleStore()
+    for s, p, o in triple_specs:
+        store.add(Triple(IRI(f"r:n{s}"), IRI(f"r:p{p}"), IRI(f"r:n{o}")))
+    first, second = IRI(f"r:p{p1}"), IRI(f"r:p{p2}")
+    expected = Counter(
+        (a.subject, a.object, b.object)
+        for a in store.triples()
+        if a.predicate == first
+        for b in store.triples()
+        if b.predicate == second and b.subject == a.object
+    )
+    rows = evaluate(
+        store,
+        parse_query(
+            f"SELECT ?x ?y ?z WHERE {{ ?x <r:p{p1}> ?y . ?y <r:p{p2}> ?z }}"
+        ),
+    )
+    assert Counter(tuple(row[Variable(name)] for name in "xyz") for row in rows) == expected

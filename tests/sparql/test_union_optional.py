@@ -137,13 +137,3 @@ class TestOptionalEvaluation:
             row for row in rows if str(row[Variable("p")]) == "u:banderas"
         ]
         assert Variable("h") in banderas_rows[0]
-
-
-class TestGraphExecutorExclusion:
-    def test_union_not_compilable(self):
-        from repro.sparql.graph_executor import is_compilable
-
-        query = parse_query(
-            "SELECT ?x WHERE { { ?x <u:a> ?y } UNION { ?x <u:b> ?y } }"
-        )
-        assert is_compilable(query) is not None

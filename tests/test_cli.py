@@ -141,3 +141,33 @@ class TestEval:
         assert rc == 0
         assert "right" in captured.out
         assert "aggregation" in captured.out
+
+
+class TestUserErrors:
+    """A mistake in the user's input ends in one ``error:`` line and exit
+    status 2, never in a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["sparql", "SELECT ?x WHERE {"], "missing '}'"),
+            (["eval", "--snapshot", "/nonexistent.snap"], "/nonexistent.snap"),
+            (["--trace", "sparql", "SELECT ?x WHERE {"], "missing '}'"),
+        ],
+        ids=["sparql-syntax", "missing-snapshot", "traced"],
+    )
+    def test_repro_error_is_one_line_and_exit_two(self, capsys, argv, fragment):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and fragment in line
+
+    def test_k_below_one_is_rejected_at_parse_time(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--k", "0", "ask", "Who is the mayor of Berlin?"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert "argument --k: must be at least 1" in line
+        assert "Traceback" not in err
