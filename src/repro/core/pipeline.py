@@ -31,6 +31,8 @@ from repro.linking.linker import EntityLinker
 from repro.match.matcher import GraphMatch
 from repro.nlp.dep_parser import DependencyParser
 from repro.nlp.questions import QuestionAnalysis, analyze_question
+from repro.nlp.tagger import tag
+from repro.nlp.tokenizer import Token
 from repro.paraphrase.dictionary import ParaphraseDictionary
 from repro.rdf.graph import KnowledgeGraph
 from repro.rdf.terms import Term
@@ -184,8 +186,11 @@ class GAnswer:
         result = Answer(question=question)
         with tracer.span("answer", question=question) as root:
             with tracer.span("understanding") as span:
-                result.analysis = analyze_question(question)
-                graph = self._understand(question, result, tracer)
+                # Tagged once: the analysis and the parser read the same
+                # tokens and neither writes to them.
+                tokens = tag(question)
+                result.analysis = analyze_question(tokens)
+                graph = self._understand(tokens, result, tracer)
             result.understanding_time = span.duration
             if graph is None:
                 root.set(failure=result.failure)
@@ -218,11 +223,11 @@ class GAnswer:
     # ------------------------------------------------------------------ #
 
     def _understand(
-        self, question: str, result: Answer, tracer=obs.NOOP
+        self, tokens: list[Token], result: Answer, tracer=obs.NOOP
     ) -> SemanticQueryGraph | None:
         with tracer.span("parse"):
             try:
-                tree = self.parser.parse(question)
+                tree = self.parser.parse(tokens)
             except ParseError:
                 result.failure = FAILURE_PARSE
                 return None

@@ -408,7 +408,10 @@ def build_dbpedia_mini(distractors_per_entity: int = 0) -> KnowledgeGraph:
 
     for class_name, labels in _CLASSES.items():
         class_iri = res(class_name)
-        for label in {_default_label(class_name), *labels}:
+        # Written order, default label first: iterating a set of strings
+        # would follow PYTHONHASHSEED, and which of two labels with one
+        # normalized key the label index keeps depends on this order.
+        for label in dict.fromkeys((_default_label(class_name), *labels)):
             store.add(Triple(class_iri, RDFS_LABEL, Literal(label)))
     for child, parent in _SUBCLASSES:
         store.add(Triple(res(child), RDFS_SUBCLASSOF, res(parent)))
@@ -417,7 +420,7 @@ def build_dbpedia_mini(distractors_per_entity: int = 0) -> KnowledgeGraph:
         entity = res(name)
         for type_name in types:
             store.add(Triple(entity, RDF_TYPE, res(type_name)))
-        for label in {_default_label(name), *extra_labels}:
+        for label in dict.fromkeys((_default_label(name), *extra_labels)):
             store.add(Triple(entity, RDFS_LABEL, Literal(label)))
 
     for name, (types, labels) in _ENTITIES.items():

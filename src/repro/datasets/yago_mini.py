@@ -98,7 +98,9 @@ def build_yago_mini() -> KnowledgeGraph:
     """Build the YAGO2-flavoured knowledge graph (deterministic)."""
     store = TripleStore()
     for class_name, labels in _CLASSES.items():
-        for label in {class_name.lower(), *labels}:
+        # Written order, not set order, so the build does not follow
+        # PYTHONHASHSEED (see build_dbpedia_mini).
+        for label in dict.fromkeys((class_name.lower(), *labels)):
             store.add(Triple(yago(class_name), RDFS_LABEL, Literal(label)))
     store.add(Triple(yago("Physicist"), vocab.RDFS_SUBCLASSOF, yago("Scientist")))
 

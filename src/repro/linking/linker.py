@@ -36,6 +36,34 @@ class LinkCandidate:
         return f"LinkCandidate({self.label!r}, {kind}, {self.score:.3f})"
 
 
+class _ProminenceTable(dict):
+    """``node_id → prominence`` for one store version, filled on first read.
+
+    Prominence is ``log1p(degree) / log1p(max_degree)`` — degree-based
+    popularity in [0, 1], log-scaled — and a degree is a function of the
+    store's contents, so a table is valid for exactly the version it is
+    stamped with; the linker starts a new one when the version has moved.
+    It holds at most the nodes the label index can return.
+    """
+
+    __slots__ = ("version", "_kg", "_max_degree")
+
+    def __init__(self, kg: KnowledgeGraph, max_degree: int, version: int):
+        super().__init__()
+        self.version = version
+        self._kg = kg
+        self._max_degree = max_degree
+
+    def __missing__(self, node_id: int) -> float:
+        degree = self._kg.degree(node_id)
+        if degree <= 0:
+            value = 0.0
+        else:
+            value = math.log1p(degree) / math.log1p(self._max_degree)
+        self[node_id] = value
+        return value
+
+
 class EntityLinker:
     """Link argument phrases to knowledge graph nodes.
 
@@ -68,11 +96,27 @@ class EntityLinker:
             (kg.degree(node_id) for node_id in kg.store.node_ids()),
             default=1,
         )
+        self._prominence = _ProminenceTable(kg, self._max_degree, kg.store.version)
 
     @property
     def max_degree(self) -> int:
         """The prominence-normalization ceiling (snapshot compiler reads it)."""
         return self._max_degree
+
+    def statistics(self) -> dict[str, int]:
+        """Index and prominence-table sizes (``GET /stats`` → ``linker``).
+
+        Reads the table, never fills or replaces it: a stale
+        ``prominence_version`` means no mention was linked since the write.
+        """
+        prominence = self._prominence
+        return {
+            "entries": len(self.index),
+            "words": len(self.index.word_postings()),
+            "max_degree": self._max_degree,
+            "prominence_version": prominence.version,
+            "prominence_cached": len(prominence),
+        }
 
     def link(self, phrase: str, tracer=None) -> list[LinkCandidate]:
         """Confidence-ranked candidates for ``phrase`` (may be empty).
@@ -80,11 +124,27 @@ class EntityLinker:
         Exact normalized label matches always rank above partial matches;
         within each tier, prominence (degree) breaks ties — mirroring how
         lookup services rank "Philadelphia" the city above the film.
+
+        The cost follows the distinct labels met and the candidates
+        returned, not the entries scored: prominence comes from the
+        per-store-version table, a label shared by many homonyms is
+        compared with the phrase once, and a :class:`LinkCandidate` is
+        built only for an entry that survives the cut.
         """
         normalized = normalize_label(phrase)
         if not normalized:
             return []
-        scored: dict[int, LinkCandidate] = {}
+        # Request threads share this linker and writers do not wait for
+        # them.  Read the table once and fill it through this reference
+        # only: a degree read before a write can then never land in a table
+        # stamped after it, whichever thread replaces ``self._prominence``.
+        prominence = self._prominence
+        version = self.kg.store.version
+        if prominence.version != version:
+            prominence = self._prominence = _ProminenceTable(
+                self.kg, self._max_degree, version
+            )
+        best: dict[int, tuple[float, IndexEntry]] = {}
         exact_entries = self.index.exact(phrase)
         if not exact_entries:
             # Lookup services resolve a descriptive prefix away: "the comic
@@ -96,9 +156,14 @@ class EntityLinker:
                 if exact_entries:
                     break
         for entry in exact_entries:
-            candidate = self._score(phrase, entry, exact=True)
-            self._keep_best(scored, candidate)
-        if scored:
+            node_id = entry.node_id
+            # Exact matches sit in [0.8, 1.0] by prominence alone, so a
+            # node's second exact entry can only tie: the first one stays.
+            if node_id not in best:
+                best[node_id] = (0.8 + 0.2 * prominence[node_id], entry)
+        min_score = self.min_score
+        similarities: dict[str, float] = {}
+        if best:
             # Exact hits exist: keep only the fuzzy candidates whose label
             # *contains* every phrase word — lookup services behave like a
             # prefix search ("Philadelphia" also returns "Philadelphia
@@ -106,19 +171,40 @@ class EntityLinker:
             # must not pollute "Margaret Thatcher").
             phrase_words = set(normalized.split())
             for entry in self.index.by_words(phrase):
-                if entry.node_id in scored:
+                if entry.node_id in best:
                     continue
                 if phrase_words <= set(entry.normalized.split()):
-                    candidate = self._score(phrase, entry, exact=False)
-                    if candidate.score >= self.min_score:
-                        self._keep_best(scored, candidate)
+                    label = entry.normalized
+                    similarity = similarities.get(label)
+                    if similarity is None:
+                        similarity = similarities[label] = combined_similarity(
+                            normalized, label
+                        )
+                    # Partial matches are scaled into [0, 0.8) so they can
+                    # never outrank an exact match.
+                    node_id = entry.node_id
+                    score = similarity * (0.55 + 0.25 * prominence[node_id])
+                    if score >= min_score:
+                        best[node_id] = (score, entry)
         else:
             for entry in self.index.by_words(phrase):
-                candidate = self._score(phrase, entry, exact=False)
-                if candidate.score >= self.min_score:
-                    self._keep_best(scored, candidate)
-        ranked = sorted(scored.values(), key=lambda c: (-c.score, c.node_id))
-        kept = ranked[: self.max_candidates]
+                label = entry.normalized
+                similarity = similarities.get(label)
+                if similarity is None:
+                    similarity = similarities[label] = combined_similarity(
+                        normalized, label
+                    )
+                node_id = entry.node_id
+                score = similarity * (0.55 + 0.25 * prominence[node_id])
+                if score >= min_score:
+                    existing = best.get(node_id)
+                    if existing is None or score > existing[0]:
+                        best[node_id] = (score, entry)
+        ranked = sorted(best.values(), key=lambda pair: (-pair[0], pair[1].node_id))
+        kept = [
+            LinkCandidate(entry.node_id, entry.label, score, entry.is_class)
+            for score, entry in ranked[: self.max_candidates]
+        ]
         if tracer is None:
             tracer = obs.get_tracer()
         metrics = tracer.metrics
@@ -127,28 +213,3 @@ class EntityLinker:
         if not kept:
             metrics.incr("linker.misses")
         return kept
-
-    def _keep_best(self, scored: dict[int, LinkCandidate], candidate: LinkCandidate) -> None:
-        existing = scored.get(candidate.node_id)
-        if existing is None or candidate.score > existing.score:
-            scored[candidate.node_id] = candidate
-
-    def _score(self, phrase: str, entry: IndexEntry, exact: bool) -> LinkCandidate:
-        similarity = 1.0 if exact else combined_similarity(
-            normalize_label(phrase), entry.normalized
-        )
-        prominence = self._prominence(entry.node_id)
-        # Exact matches sit in [0.8, 1.0] by prominence; partial matches are
-        # scaled into [0, 0.8) so they can never outrank an exact match.
-        if exact:
-            score = 0.8 + 0.2 * prominence
-        else:
-            score = similarity * (0.55 + 0.25 * prominence)
-        return LinkCandidate(entry.node_id, entry.label, score, entry.is_class)
-
-    def _prominence(self, node_id: int) -> float:
-        """Degree-based popularity in [0, 1], log-scaled."""
-        degree = self.kg.degree(node_id)
-        if degree <= 0:
-            return 0.0
-        return math.log1p(degree) / math.log1p(self._max_degree)

@@ -38,6 +38,13 @@ _BE_LEMMAS = {"be"}
 _AUX_LEMMAS = {"be", "do", "have"}
 
 
+def _text_of(question: str | list[Token]) -> str:
+    """The question as text, for error messages (tokens joined by spaces)."""
+    if isinstance(question, str):
+        return question
+    return " ".join(token.text for token in question)
+
+
 class _Clause:
     """A contiguous span of nodes parsed as one clause."""
 
@@ -56,7 +63,7 @@ class DependencyParser:
         tokens = tag(question) if isinstance(question, str) else question
         nodes = [DependencyNode(token) for token in tokens if token.pos not in (".", ",")]
         if not nodes:
-            raise ParseError(f"no parsable tokens in question: {question!r}")
+            raise ParseError(f"no parsable tokens in question: {_text_of(question)!r}")
 
         self._chunk_noun_phrases(nodes)
         clauses = self._segment_clauses(nodes)
@@ -70,7 +77,7 @@ class DependencyParser:
         except ValueError as error:
             # Inputs outside the question grammar can defeat the attachment
             # rules; surface a ParseError so callers classify the failure.
-            raise ParseError(f"could not parse {question!r}: {error}") from error
+            raise ParseError(f"could not parse {_text_of(question)!r}: {error}") from error
         return tree
 
     # ------------------------------------------------------------------ #

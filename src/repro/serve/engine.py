@@ -118,13 +118,14 @@ def _warm_shared(kg: KnowledgeGraph, linker: "EntityLinker | CachingLinker") -> 
     """Build the lazy structures every engine over ``kg`` shares.
 
     Touches the adjacency kernel, the class set, the label index, and the
-    linker's label index; returns the kernel statistics.
+    linker's label index; returns the kernel statistics, with the linker's
+    under ``linker``.
     """
     kernel = kg.kernel
     _ = kg.class_ids
     _ = kg.label_index
     _ = linker.index
-    return kernel.statistics()
+    return {**kernel.statistics(), "linker": linker.statistics()}
 
 
 @guarded_by("_state_lock", "_ready", "_closed")
@@ -252,8 +253,9 @@ class QAEngine:
         """Build every lazy structure the first request would otherwise pay.
 
         Touches the adjacency kernel, the class set, the label index, and
-        the linker's label index; returns the kernel statistics so callers
-        (the CLI, /healthz diagnostics) can report the warmed footprint.
+        the linker's label index; returns the kernel statistics (the
+        linker's under ``linker``) so callers (the CLI, /healthz
+        diagnostics) can report the warmed footprint.
         Idempotent and safe to call concurrently.
         """
         with self._lifecycle_lock:
@@ -560,7 +562,7 @@ class QAEngine:
     # ------------------------------------------------------------------ #
 
     def stats(self) -> dict:
-        """The ``GET /stats`` body: caches, admission, kernel, store."""
+        """The ``GET /stats`` body: caches, admission, kernel, linker, store."""
         backend = self.kg.store.backend
         store_stats: dict = {"backend": type(backend).__name__}
         delta = getattr(backend, "delta_statistics", None)
@@ -591,5 +593,6 @@ class QAEngine:
             "link_cache": self.link_cache.stats(),
             "admission": self.admission.stats(),
             "kernel": self.kg.kernel.statistics(),
+            "linker": self.linker.statistics(),
         }
 

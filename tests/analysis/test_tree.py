@@ -160,6 +160,15 @@ class TestNoForksGrowBack:
         ):
             assert name not in inspect.signature(function).parameters, function
 
+    def test_linker_has_one_scoring_path_and_no_new_parameter(self):
+        from repro.linking import EntityLinker
+
+        assert list(inspect.signature(EntityLinker.__init__).parameters) == [
+            "self", "kg", "max_candidates", "min_score", "index", "max_degree",
+        ]
+        assert not hasattr(EntityLinker, "_score")
+        assert not hasattr(EntityLinker, "_keep_best")
+
     def test_preload_takes_every_cache_by_keyword(self):
         from repro.rdf.graph import KnowledgeGraph
 

@@ -263,3 +263,42 @@ class TestAnswerObject:
     def test_sparql_for_every_top_match(self, system):
         result = system.answer("Which cities does the Weser flow through?")
         assert len(result.sparql_queries) == len(result.matches)
+
+
+class TestQuestionTaggedOnce:
+    @staticmethod
+    def _outcome(result):
+        """An Answer without its two wall-clock fields."""
+        return (
+            result.answers, result.boolean, result.matches, result.sparql_queries,
+            repr(result.semantic_graph), result.analysis, result.failure,
+            result.rules_used, result.terminated_by,
+        )
+
+    def test_one_tag_per_answer_and_the_answer_of_tagging_twice(
+        self, system, monkeypatch
+    ):
+        from repro.core import pipeline
+        from repro.datasets import qald_questions
+        from repro.nlp import dep_parser, questions, tagger
+
+        questions_asked = [q.text for q in qald_questions()]
+        assert len(questions_asked) == 99
+        tagged = []
+
+        def counting(text_or_tokens):
+            tagged.append(text_or_tokens)
+            return tagger.tag(text_or_tokens)
+
+        for module in (pipeline, questions, dep_parser):
+            monkeypatch.setattr(module, "tag", counting)
+        once = [self._outcome(system.answer(q)) for q in questions_asked]
+        assert tagged == questions_asked  # one call a question, on its text
+
+        # Handing the text through makes the analysis and the parser tag
+        # for themselves, which is what answer() did before.
+        monkeypatch.setattr(pipeline, "tag", lambda question: question)
+        tagged.clear()
+        twice = [self._outcome(system.answer(q)) for q in questions_asked]
+        assert len(tagged) == 2 * len(questions_asked)
+        assert once == twice

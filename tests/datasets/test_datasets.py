@@ -1,5 +1,10 @@
 """Tests for the dataset builders: KG, phrase dataset, questions, synthetic."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.datasets import (
@@ -19,11 +24,47 @@ from repro.rdf import IRI, RDF_TYPE, Triple
 from repro.rdf.kernel import step_predicate
 
 
+_LABEL_ENTRIES_DIGEST = """
+import hashlib
+from repro.datasets import build_dbpedia_mini, build_yago_mini
+from repro.linking import LabelIndex
+for build in (build_dbpedia_mini, build_yago_mini):
+    entries = LabelIndex(build()).entries()
+    rows = [(e.node_id, e.label, e.normalized, e.is_class) for e in entries]
+    print(build.__name__, len(rows), hashlib.sha256(repr(rows).encode()).hexdigest())
+"""
+
+
+def test_label_index_entries_do_not_follow_the_hash_seed():
+    # Which of two labels with one normalized key the index keeps ("Book" or
+    # "book") depends on the order the builders emit them in; a set of
+    # strings iterates in PYTHONHASHSEED order, so each process had its own.
+    src = Path(__file__).resolve().parent.parent.parent / "src"
+    printed = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _LABEL_ENTRIES_DIGEST],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        printed.add(done.stdout)
+    assert len(printed) == 1, printed
+    assert "build_dbpedia_mini" in printed.pop()
+
+
 class TestDBpediaMini:
     def test_deterministic(self):
         first = build_dbpedia_mini().store.statistics()
         second = build_dbpedia_mini().store.statistics()
         assert first == second
+
+    def test_default_label_wins_its_normalized_key(self):
+        from repro.linking import EntityLinker
+
+        assert EntityLinker(build_dbpedia_mini()).link("books")[0].label == "Book"
 
     def test_running_example_present(self):
         kg = build_dbpedia_mini()

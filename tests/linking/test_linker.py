@@ -1,9 +1,18 @@
 """Tests for the label index and entity linker on an ambiguous graph."""
 
-import pytest
+import math
+import sys
+import threading
+from collections import Counter
 
-from repro.linking import EntityLinker, LabelIndex
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.linking import EntityLinker, LabelIndex, LinkCandidate
+from repro.linking import linker as linker_module
 from repro.linking.index import normalize_label
+from repro.linking.similarity import combined_similarity
 from repro.rdf import (
     IRI,
     KnowledgeGraph,
@@ -150,3 +159,356 @@ class TestEntityLinker:
         strict = EntityLinker(kg, min_score=0.99)
         names = ids(kg, strict.link("Philadelphia"))
         assert "Philadelphia_76ers" not in names
+
+
+# --------------------------------------------------------------------- #
+# The linker against the one it replaced, and against its invariants
+# --------------------------------------------------------------------- #
+
+
+def reference_link(linker, phrase):
+    """The linker that scores every entry it meets and reads the store for
+    each: exact tier, suffix retry, subset-filtered fuzzy tier, ``min_score``,
+    ``(-score, node_id)``, cut at ``max_candidates``."""
+    kg, index = linker.kg, linker.index
+    normalized = normalize_label(phrase)
+    if not normalized:
+        return []
+
+    def prominence(node_id):
+        degree = kg.degree(node_id)
+        if degree <= 0:
+            return 0.0
+        return math.log1p(degree) / math.log1p(linker.max_degree)
+
+    scored = {}
+
+    def keep(entry, score):
+        held = scored.get(entry.node_id)
+        if held is None or score > held.score:
+            scored[entry.node_id] = LinkCandidate(
+                entry.node_id, entry.label, score, entry.is_class
+            )
+
+    exact = index.exact(phrase)
+    words = phrase.split()
+    for start in range(1, len(words)):
+        if exact:
+            break
+        exact = index.exact(" ".join(words[start:]))
+    for entry in exact:
+        keep(entry, 0.8 + 0.2 * prominence(entry.node_id))
+    has_exact = bool(scored)
+    phrase_words = set(normalized.split())
+    for entry in index.by_words(phrase):
+        if has_exact and (
+            entry.node_id in scored
+            or not phrase_words <= set(entry.normalized.split())
+        ):
+            continue
+        similarity = combined_similarity(normalized, entry.normalized)
+        score = similarity * (0.55 + 0.25 * prominence(entry.node_id))
+        if score >= linker.min_score:
+            keep(entry, score)
+    ranked = sorted(scored.values(), key=lambda c: (-c.score, c.node_id))
+    return ranked[: linker.max_candidates]
+
+
+_WORDS = ("alpha", "beta", "film", "films", "city")
+_label_words = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3)
+_labels = st.builds(
+    lambda words, tag, title: (
+        (" ".join(words).title() if title else " ".join(words))
+        + (f" ({tag})" if tag else "")
+    ),
+    _label_words,
+    st.sampled_from(("", "", "film", "band")),
+    st.booleans(),
+)
+
+
+@st.composite
+def label_graphs(draw):
+    """A small label graph, phrases to link and the linker's two cut-offs.
+
+    Five words and at most five labels, so homonym clones (one label on
+    many nodes), labels sharing words, parentheticals, plurals, two labels
+    of one node under one key and a class and an entity under one label
+    all turn up; ``dropped`` nodes lose every triple after the index is
+    built, so the linker meets zero-degree nodes too.  Phrases are mostly
+    a label as written, pluralised, or behind a descriptive prefix.
+    """
+    labels = draw(st.lists(_labels, min_size=1, max_size=5, unique=True))
+    node_count = draw(st.integers(min_value=1, max_value=14))
+    nodes = [
+        (
+            draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True)),
+            draw(st.booleans()),  # is a class (some node is typed with it)
+            draw(st.integers(min_value=0, max_value=4)),  # extra facts
+        )
+        for _ in range(node_count)
+    ]
+    dropped = draw(st.sets(st.integers(min_value=0, max_value=node_count - 1), max_size=2))
+    a_label = st.sampled_from(labels)
+    phrases = draw(
+        st.lists(
+            st.one_of(
+                a_label,
+                a_label.map(lambda label: label.split(" (")[0] + "s"),
+                a_label.map(lambda label: "the comic " + label),
+                _label_words.map(" ".join),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    max_candidates = draw(st.integers(min_value=1, max_value=6))
+    min_score = draw(st.sampled_from((0.0, 0.25, 0.6)))
+    return nodes, dropped, phrases, max_candidates, min_score
+
+
+def _build_label_graph(nodes, dropped):
+    store = TripleStore()
+    e = lambda name: IRI(f"ex:{name}")
+    triples_of: dict[int, list[Triple]] = {}
+    for number, (labels, is_class, facts) in enumerate(nodes):
+        mine = [Triple(e(f"n{number}"), RDFS_LABEL, Literal(label)) for label in labels]
+        if is_class:
+            mine.append(Triple(e(f"instance{number}"), RDF_TYPE, e(f"n{number}")))
+        mine += [
+            Triple(e(f"n{number}"), e("linksTo"), e(f"other{number}_{i}"))
+            for i in range(facts)
+        ]
+        triples_of[number] = mine
+        for triple in mine:
+            store.add(triple)
+    kg = KnowledgeGraph(store)
+    index = LabelIndex(kg)
+    max_degree = max(kg.degree(node_id) for node_id in store.node_ids())
+    for number in dropped:
+        for triple in triples_of[number]:
+            store.remove(triple)
+    return kg, index, max_degree
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_graphs())
+# One node met twice in the exact tier ("films" and its singular "film").
+@example(([(["film", "films"], False, 1), (["films"], True, 0)], set(), ["films"], 5, 0.25))
+# Beside an exact hit a node's first fuzzy entry is the one kept, although
+# its second label ("alpha beta") is closer to the phrase.
+@example(
+    (
+        [(["alpha"], False, 0), (["alpha beta film city", "alpha beta"], False, 2)],
+        set(), ["alpha", "alphas", "the comic alpha"], 5, 0.0,
+    )
+)
+# Two labels of one node equally close to the phrase: the first is kept.
+@example(([(["alpha zeta", "gamma zeta"], False, 1)], set(), ["zeta"], 5, 0.0))
+def test_link_equals_the_linker_that_scores_every_entry(case):
+    nodes, dropped, phrases, max_candidates, min_score = case
+    kg, index, max_degree = _build_label_graph(nodes, dropped)
+    linker = EntityLinker(
+        kg, max_candidates=max_candidates, min_score=min_score,
+        index=index, max_degree=max_degree,
+    )
+    for phrase in phrases:
+        expected = reference_link(linker, phrase)
+        assert linker.link(phrase) == expected  # fields and order, scores by ==
+        assert linker.link(phrase) == expected  # and again from a filled table
+
+
+class _RecordingBackend:
+    """A delegating ``StoreBackend`` that counts the calls it forwards; an
+    armed ``before_return`` hook runs once, after the next ``out_index``
+    has read its row and before the caller sees it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+        self.before_return = None
+
+    def __len__(self):
+        return len(self.inner)
+
+    def __getattr__(self, name):
+        target = getattr(self.inner, name)
+        if not callable(target):
+            return target
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            result = target(*args, **kwargs)
+            if name == "out_index" and self.before_return is not None:
+                result = {p: frozenset(objects) for p, objects in result.items()}
+                hook, self.before_return = self.before_return, None
+                hook()
+            return result
+
+        return counted
+
+
+def _homonym_store(clones, label="Springfield"):
+    store = TripleStore()
+    for i in range(clones):
+        store.add(Triple(IRI(f"ex:clone{i}"), RDFS_LABEL, Literal(label)))
+    store.add(Triple(IRI("ex:clone0"), IRI("ex:locatedIn"), IRI("ex:Somewhere")))
+    return store
+
+
+@pytest.fixture(params=["dict", "overlay"])
+def recorded(request):
+    """(kg, backend): 12 homonyms, over a dict store and over an overlay on
+    a compact base, behind a call-counting backend."""
+    store = _homonym_store(12)
+    if request.param == "overlay":
+        store = store.compacted().overlay()
+    backend = _RecordingBackend(store.backend)
+    store.swap_backend(backend)
+    return KnowledgeGraph(store), backend
+
+
+class TestLinkerReadsNothingTwice:
+    def test_second_link_makes_no_backend_call(self, recorded):
+        kg, backend = recorded
+        linker = EntityLinker(kg)
+        first = linker.link("Springfield")
+        assert len(first) == 10
+        backend.calls.clear()
+        assert linker.link("Springfield") == first
+        assert linker.link("springfields") == first  # other phrase, same nodes
+        assert sum(backend.calls.values()) == 0, backend.calls
+
+    def test_a_write_is_seen_by_the_next_link(self, recorded):
+        kg, backend = recorded
+        linker = EntityLinker(kg)
+        before = linker.link("Springfield")
+        top = before[0]
+        for i in range(3):
+            kg.store.add(
+                Triple(kg.iri_of(top.node_id), IRI("ex:locatedIn"), IRI(f"ex:Place{i}"))
+            )
+        backend.calls.clear()
+        after = linker.link("Springfield")
+        assert backend.calls["out_index"] >= 1  # re-read, not replayed
+        assert after[0].node_id == top.node_id
+        assert after[0].score > top.score
+        assert after == reference_link(linker, "Springfield")
+
+    def test_value_read_before_a_version_bump_is_not_served_after_it(self):
+        # The race, made deterministic: while link() is between reading the
+        # store version and reading the node's row, a write lands and another
+        # request links the same phrase at the new version; the row the
+        # first call gets is the one from before the write.  Its value must
+        # go to the table it took, not to the one the other request started.
+        store = _homonym_store(1)
+        backend = _RecordingBackend(store.backend)
+        store.swap_backend(backend)
+        kg = KnowledgeGraph(store)
+        linker = EntityLinker(kg)
+        new_fact = Triple(IRI("ex:clone0"), IRI("ex:locatedIn"), IRI("ex:Elsewhere"))
+
+        def write_then_link_elsewhere():
+            store.add(new_fact)
+            linker.link("Springfield")
+
+        backend.before_return = write_then_link_elsewhere
+        stale = linker.link("Springfield")
+        assert backend.before_return is None and new_fact in store
+        fresh = linker.link("Springfield")
+        assert fresh == reference_link(linker, "Springfield")
+        assert fresh[0].score > stale[0].score
+
+    def test_links_beside_a_writer_end_on_the_last_version(self):
+        # More linking threads than cores share one linker while a writer
+        # (which readers never wait for: the overlay publishes rows
+        # copy-on-write) keeps moving the version.  Whatever the
+        # interleaving, a degree read before a write must not survive in
+        # the table of a later version, so once the writer is done every
+        # thread's next link is the one a fresh read of the store gives.
+        store = _homonym_store(12).compacted().overlay()
+        kg = KnowledgeGraph(store)
+        linker = EntityLinker(kg)
+        subjects = [IRI(f"ex:clone{i}") for i in range(12)]
+        writing = threading.Event()
+        writing.set()
+        failures = []
+
+        def read():
+            try:
+                while writing.is_set():
+                    linker.link("Springfield")
+                if linker.link("Springfield") != reference_link(linker, "Springfield"):
+                    failures.append("stale prominence served after the last write")
+            except Exception as error:  # surfaced below, not lost in the thread
+                failures.append(repr(error))
+
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers:
+                thread.start()
+            for i in range(1200):
+                store.add(Triple(subjects[i % 12], IRI("ex:locatedIn"), IRI(f"ex:P{i}")))
+            writing.clear()
+            for thread in readers:
+                thread.join(timeout=30)
+        finally:
+            writing.clear()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert failures == []
+        assert linker.statistics()["prominence_version"] == store.version
+
+
+class TestLinkerScoresEachLabelOnce:
+    def test_one_similarity_per_distinct_normalized_label(self, monkeypatch):
+        # 101 homonyms of a label the phrase matches only fuzzily, and one
+        # node under a second label: two distinct labels, two comparisons.
+        store = _homonym_store(101, label="Springfield Heights")
+        store.add(Triple(IRI("ex:other"), RDFS_LABEL, Literal("Springfield Gardens")))
+        linker = EntityLinker(KnowledgeGraph(store))
+        seen = []
+
+        def counting(left, right):
+            seen.append((left, right))
+            return combined_similarity(left, right)
+
+        monkeypatch.setattr(linker_module, "combined_similarity", counting)
+        candidates = linker.link("Springfield")
+        assert len(candidates) == 10
+        assert sorted(seen) == [
+            ("springfield", "springfield gardens"),
+            ("springfield", "springfield heights"),
+        ]
+
+    def test_no_candidate_is_built_for_a_dropped_entry(self, monkeypatch):
+        linker = EntityLinker(KnowledgeGraph(_homonym_store(120)))
+        built = []
+
+        def counting(*args):
+            candidate = LinkCandidate(*args)
+            built.append(candidate)
+            return candidate
+
+        monkeypatch.setattr(linker_module, "LinkCandidate", counting)
+        kept = linker.link("Springfield")
+        assert len(kept) == 10
+        assert built == kept
+
+
+class TestLinkerStatistics:
+    def test_shape_and_reporting_never_fills_the_table(self, kg):
+        linker = EntityLinker(kg)
+        stats = linker.statistics()
+        assert stats == {
+            "entries": len(linker.index),
+            "words": len(linker.index.word_postings()),
+            "max_degree": linker.max_degree,
+            "prominence_version": kg.store.version,
+            "prominence_cached": 0,
+        }
+        linked = linker.link("Philadelphia")
+        assert linker.statistics()["prominence_cached"] >= len(linked)
+        assert linker.statistics() == linker.statistics()

@@ -223,6 +223,13 @@ class TestStructure:
         with pytest.raises(ParseError):
             parse_question("?")
 
+    def test_error_quotes_the_question_text_for_pretagged_tokens(self):
+        from repro.nlp.dep_parser import DependencyParser
+        from repro.nlp.tagger import tag
+
+        with pytest.raises(ParseError, match=r"question: '\? , \.'$"):
+            DependencyParser().parse(tag("? , ."))
+
     def test_node_at(self):
         tree = parse_question("Who founded Intel?")
         assert tree.node_at(0).lower == "who"

@@ -337,6 +337,10 @@ class TestStats:
                     "answer_cache", "link_cache", "admission", "kernel"):
             assert key in stats
         assert stats["ready"] is True
+        assert set(stats["linker"]) == {
+            "entries", "words", "max_degree", "prominence_version", "prominence_cached",
+        }
+        assert engine.warm()["linker"] == stats["linker"]  # same gauges, read-only
         assert stats["admission"]["capacity"] == (
             engine.config.pool_size + engine.config.queue_limit
         )
