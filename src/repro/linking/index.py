@@ -49,30 +49,26 @@ class LabelIndex:
         self._build()
 
     @classmethod
-    def from_compiled(
+    def prebuilt(
         cls,
         kg: KnowledgeGraph,
-        entries: "list[tuple[int, str, str, bool]]",
-        postings: "dict[str, tuple[int, ...]]",
+        entries: list[IndexEntry],
+        exact: dict[str, list[IndexEntry]],
+        by_word: dict[str, set[int]],
     ) -> "LabelIndex":
-        """Rebuild an index from compiled-snapshot entries and postings.
+        """An index over structures a compiled snapshot already holds.
 
         Skips the full build — no triple scan, no label normalization,
-        no lemmatizing — because entries (node_id, label, normalized,
-        is_class) and the word posting lists were persisted verbatim.
-        The exact-match map is regenerated from the entries' stored
-        normalized keys, preserving insertion order.
+        no lemmatizing: the snapshot reader decodes the persisted entries
+        (in insertion order), the exact-match map over their stored
+        normalized keys and the word posting sets straight into the
+        objects given here, and the index adopts them as they are.
         """
         index = cls.__new__(cls)
         index.kg = kg
-        index._entries = [
-            IndexEntry(node_id, label, normalized, is_class)
-            for node_id, label, normalized, is_class in entries
-        ]
-        index._exact = {}
-        for entry in index._entries:
-            index._exact.setdefault(entry.normalized, []).append(entry)
-        index._by_word = {word: set(positions) for word, positions in postings.items()}
+        index._entries = entries
+        index._exact = exact
+        index._by_word = by_word
         return index
 
     def entries(self) -> list[IndexEntry]:

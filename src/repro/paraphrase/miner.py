@@ -20,8 +20,6 @@ mined dictionary is byte-for-byte the same at any job count.
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -362,6 +360,9 @@ class ParaphraseMiner:
         parent's metrics, so counter totals match a serial run; per-level
         BFS histograms are only recorded by in-process (serial) mining.
         """
+        import concurrent.futures
+        import multiprocessing
+
         global _WORKER_STATE
         self.kg.kernel  # build once in the parent so every worker inherits it
         tasks = list(enumerate(resolved))

@@ -43,6 +43,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import islice
+from operator import lt
 from typing import (
     AbstractSet,
     Generic,
@@ -63,6 +65,12 @@ IdTriple = tuple[int, int, int]
 #: ``len``, indexing, slicing, iteration, and ``tobytes()`` — everything
 #: the bisect seeks and the snapshot writer need.
 IntColumn = array | memoryview
+
+
+def strictly_ascending(column: IntColumn) -> bool:
+    """Whether every value of ``column`` exceeds the one before it (what a
+    reader checks of a snapshot column it is about to bisect)."""
+    return all(map(lt, column, islice(column, 1, None)))
 
 #: Shared empty views returned by the read-only accessors below; callers
 #: treat every returned set/mapping as immutable, so one instance suffices.

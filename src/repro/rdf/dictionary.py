@@ -5,14 +5,80 @@ dense, non-negative integer id.  All graph algorithms in this project
 (path mining, subgraph matching, pruning) operate on ids; terms are only
 materialised at the API boundary.  This mirrors how production RDF stores
 (Virtuoso, gStore) keep their join machinery on fixed-width integers.
+
+A dictionary opened from a compiled snapshot (:meth:`TermDictionary.
+over_records`) starts from a **frozen base** it does not own: the term
+records stay where the file mapping has them, a term object is built the
+first time its id is decoded, and a term is found by bisecting the
+record-sorted id column.  Terms encoded afterwards (live ingest) go to
+the ordinary mutable tail behind the base.
 """
 
 from __future__ import annotations
 
+import struct
+from bisect import bisect_left
 from typing import Iterator
 
-from repro.exceptions import TermNotFoundError
-from repro.rdf.terms import Term
+from repro.exceptions import SnapshotError, TermNotFoundError
+from repro.rdf.backend import IntColumn, strictly_ascending
+from repro.rdf.terms import IRI, Literal, Term
+
+_KIND_IRI = 0
+_KIND_PLAIN = 1
+_KIND_TYPED = 2
+_KIND_LANG = 3
+
+
+def encode_term_record(term: Term) -> bytes:
+    """The one byte string that stands for ``term`` in a snapshot's term
+    table: a kind byte, for a typed or language-tagged literal the
+    length-prefixed datatype IRI or tag, then the value or lexical form.
+    Distinct terms give distinct records, so record order is a total
+    order on terms."""
+    if isinstance(term, IRI):
+        return bytes((_KIND_IRI,)) + term.value.encode("utf-8")
+    lexical = term.lexical.encode("utf-8")
+    if term.datatype is not None:
+        qualifier = term.datatype.value.encode("utf-8")
+        return bytes((_KIND_TYPED,)) + struct.pack("<I", len(qualifier)) + qualifier + lexical
+    if term.language is not None:
+        qualifier = term.language.encode("utf-8")
+        return bytes((_KIND_LANG,)) + struct.pack("<I", len(qualifier)) + qualifier + lexical
+    return bytes((_KIND_PLAIN,)) + lexical
+
+
+def decode_term_record(record: bytes) -> Term:
+    """The term :func:`encode_term_record` wrote as ``record``."""
+    try:
+        kind = record[0]
+        if kind == _KIND_IRI:
+            return IRI(record[1:].decode("utf-8"))
+        if kind == _KIND_PLAIN:
+            return Literal(record[1:].decode("utf-8"))
+        if kind in (_KIND_TYPED, _KIND_LANG):
+            (size,) = struct.unpack_from("<I", record, 1)
+            if 5 + size > len(record):
+                raise ValueError("qualifier runs past the record")
+            qualifier = record[5:5 + size].decode("utf-8")
+            lexical = record[5 + size:].decode("utf-8")
+            if kind == _KIND_TYPED:
+                return Literal(lexical, datatype=IRI(qualifier))
+            return Literal(lexical, language=qualifier)
+        raise ValueError(f"unknown term kind {kind}")
+    except (IndexError, ValueError, struct.error) as exc:
+        raise SnapshotError(f"malformed term record: {exc}") from exc
+
+
+def _is_permutation(ids: IntColumn) -> bool:
+    """Whether ``ids`` holds each of ``0 .. len(ids) - 1`` exactly once."""
+    seen = bytearray(len(ids))
+    try:
+        for term_id in ids:
+            seen[term_id] = 1
+    except IndexError:
+        return False
+    return min(ids, default=0) >= 0 and seen.count(1) == len(ids)
 
 
 class TermDictionary:
@@ -24,40 +90,108 @@ class TermDictionary:
     """
 
     def __init__(self) -> None:
+        #: Terms encoded by this object (all of them, or the tail behind a
+        #: frozen base) and the base terms a lookup has found.
         self._term_to_id: dict[Term, int] = {}
-        self._id_to_term: list[Term] = []
+        #: Position == id.  Over a frozen base, a base slot holds ``None``
+        #: until its record has been decoded.
+        self._id_to_term: list[Term | None] = []
+        #: The frozen base, when there is one: ``offsets[i]:offsets[i + 1]``
+        #: bounds term ``i``'s record in ``records``; ``by_record`` lists
+        #: the base ids in ascending record order.
+        self._offsets: IntColumn | None = None
+        self._records: memoryview | None = None
+        self._by_record: IntColumn | None = None
+        self._decoded = 0
 
     @classmethod
-    def from_terms(cls, terms: "list[Term]") -> "TermDictionary":
-        """Rebuild a dictionary from its id-ordered term list.
+    def over_records(
+        cls, offsets: IntColumn, records: memoryview, by_record: IntColumn
+    ) -> "TermDictionary":
+        """A dictionary whose first ``len(by_record)`` ids are the records
+        of a compiled snapshot's term table, served in place.
 
-        ``terms[i]`` gets id ``i`` — the id-stable reload path of the
-        compiled snapshot format, where every persisted side structure
-        (kernel rows, closures, mined paths) indexes by these exact ids.
+        ``records[offsets[i]:offsets[i + 1]]`` is term ``i``
+        (:func:`encode_term_record`) — the id-stable reload path, where
+        every persisted side structure (kernel rows, closures, mined
+        paths) indexes by these exact ids.  Decodes nothing.  Raises
+        :class:`ValueError` when the columns do not describe one another.
         """
+        count = len(by_record)
+        if len(offsets) != count + 1 or offsets[0] != 0 or offsets[-1] != len(records):
+            raise ValueError("term offsets do not span the record blob")
+        if not strictly_ascending(offsets):
+            raise ValueError("term offsets are not strictly ascending")
+        if not _is_permutation(by_record):
+            raise ValueError("the record-sorted id column is not a permutation of the ids")
         dictionary = cls()
-        dictionary._id_to_term = list(terms)
-        dictionary._term_to_id = {term: i for i, term in enumerate(terms)}
+        dictionary._id_to_term = [None] * count
+        dictionary._offsets, dictionary._records = offsets, records
+        dictionary._by_record = by_record
         return dictionary
 
+    def _record(self, term_id: int) -> bytes:
+        offsets = self._offsets
+        return bytes(self._records[offsets[term_id]:offsets[term_id + 1]])  # type: ignore[index]
+
+    def _find_record(self, term: Term) -> int | None:
+        """The base id of ``term``, by bisecting the record-sorted ids.
+
+        A term found once is remembered: the kernel probes the same few
+        vocabulary terms on every patch, an ingest stream names the same
+        predicates in every batch.  (What is remembered is bounded by the
+        base, which an eager load held as a dict in full.)
+        """
+        by_record = self._by_record
+        key = encode_term_record(term)
+        index = bisect_left(by_record, key, key=self._record)  # type: ignore[arg-type]
+        if index < len(by_record):  # type: ignore[arg-type]
+            term_id = by_record[index]  # type: ignore[index]
+            if self._record(term_id) == key:
+                self._term_to_id[term] = term_id
+                return term_id
+        return None
+
+    def statistics(self) -> dict[str, int]:
+        """``terms_total``, how many of them exist as term objects
+        (``terms_decoded`` — all of them unless opened from a snapshot),
+        and the size of the mapping the rest are served from."""
+        records = self._records
+        undecoded = 0 if records is None else len(self._by_record) - self._decoded  # type: ignore[arg-type]
+        return {
+            "terms_total": len(self._id_to_term),
+            "terms_decoded": len(self._id_to_term) - max(0, undecoded),
+            "snapshot_mapped_bytes": 0 if records is None else len(records.obj),
+        }
+
     def terms_in_id_order(self) -> "list[Term]":
-        """The term table, position == id (read-only; snapshot compiler)."""
-        return self._id_to_term
+        """The term table, position == id (read-only; snapshot compiler).
+        Decodes every record of a frozen base."""
+        terms = self._id_to_term
+        if self._records is not None:
+            for term_id, term in enumerate(terms):
+                if term is None:
+                    self.decode(term_id)
+        return terms  # type: ignore[return-value]
 
     def __len__(self) -> int:
         return len(self._id_to_term)
 
     def __contains__(self, term: Term) -> bool:
-        return term in self._term_to_id
+        return self.lookup_or_none(term) is not None
 
     def __iter__(self) -> Iterator[Term]:
-        return iter(self._id_to_term)
+        return iter(self.terms_in_id_order())
 
     def encode(self, term: Term) -> int:
         """Return the id for ``term``, assigning a fresh one if unseen."""
         existing = self._term_to_id.get(term)
         if existing is not None:
             return existing
+        if self._by_record is not None:
+            existing = self._find_record(term)
+            if existing is not None:
+                return existing
         new_id = len(self._id_to_term)
         self._term_to_id[term] = new_id
         self._id_to_term.append(term)
@@ -65,19 +199,30 @@ class TermDictionary:
 
     def lookup(self, term: Term) -> int:
         """Return the id for ``term``; raise if it was never encoded."""
-        try:
-            return self._term_to_id[term]
-        except KeyError:
-            raise TermNotFoundError(f"term not in dictionary: {term!r}") from None
+        found = self.lookup_or_none(term)
+        if found is None:
+            raise TermNotFoundError(f"term not in dictionary: {term!r}")
+        return found
 
     def lookup_or_none(self, term: Term) -> int | None:
         """Return the id for ``term`` or None if it was never encoded."""
-        return self._term_to_id.get(term)
+        found = self._term_to_id.get(term)
+        if found is None and self._by_record is not None:
+            found = self._find_record(term)
+        return found
 
     def decode(self, term_id: int) -> Term:
         """Return the term with id ``term_id``; raise if out of range."""
         if 0 <= term_id < len(self._id_to_term):
-            return self._id_to_term[term_id]
+            term = self._id_to_term[term_id]
+            if term is None:
+                # First use of a base id.  Unsynchronised: two threads may
+                # decode one record, the terms are equal and immutable.
+                term = self._id_to_term[term_id] = decode_term_record(
+                    self._record(term_id)
+                )
+                self._decoded += 1
+            return term
         raise TermNotFoundError(f"no term with id {term_id}")
 
     def decode_many(self, term_ids) -> list[Term]:

@@ -34,11 +34,18 @@ hanging off it) so the next access rebuilds against the current triples.
 kernel was built from, so derived artifacts (the serving layer's answer
 cache) can key themselves to one store generation.
 
+The rows live in one mapping type, :class:`KernelRows`, whichever way the
+kernel came to be.  A cold build stores every row; a kernel opened from a
+compiled snapshot holds the file's four CSR columns and boxes a row into
+its pair of tuples the first time it is asked for (a row nobody reads is
+never boxed); a patched kernel holds only the rows a write dirtied and
+shares everything else with its predecessor.
+
 Thread safety: the index itself is immutable after construction and safe
 to read from any number of threads.  The memoization layers are safe too —
 ``walk_path`` is an ``functools.lru_cache`` (internally locked),
-``incident_steps``/``entity_adjacency`` publish fully-built immutable
-values into a dict and ``nodes_with_step`` publishes its fully-built
+row boxing, ``incident_steps`` and ``entity_adjacency`` publish fully-built
+immutable values into a dict and ``nodes_with_step`` publishes its fully-built
 directory in one assignment (the worst interleaving recomputes a value,
 never exposes a partial one), and the named scratch regions guard their
 create/clear bookkeeping with a lock.
@@ -47,12 +54,18 @@ create/clear bookkeeping with a lock.
 from __future__ import annotations
 
 import threading
+from array import array
+from bisect import bisect_left
 from collections import defaultdict
+from collections.abc import Mapping
 from functools import lru_cache
-from typing import Iterable, Iterator
+from itertools import accumulate
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from repro.contracts import guarded_by
 from repro.rdf import vocab
+from repro.rdf.backend import IntColumn, strictly_ascending
 from repro.rdf.store import TripleStore
 
 Path = tuple[int, ...]
@@ -134,6 +147,223 @@ def rows_from_sorted_triples(
     return rows
 
 
+_NO_COLUMN = array("q")
+#: "Not in ``_dirty``" (``None`` there means dropped).
+_UNTOUCHED = object()
+
+
+class KernelRows(dict):
+    """``node → (steps, neighbors)`` over every row of one kernel.
+
+    What the ``dict`` part stores is the rows that exist as Python tuples;
+    what the mapping *holds* may be more — equality, length, membership
+    and iteration range over all of it, so a reader cannot tell a row that
+    has been boxed from one that has not:
+
+    * a **cold build** stores every row;
+    * a mapping **over columns** (:meth:`over_columns` — a compiled
+      snapshot's kernel section) boxes a row out of the CSR columns on the
+      first subscript and stores it, so the second is a plain dict hit;
+    * a **patched** mapping (:meth:`patched`) carries the rows writes have
+      dirtied since its root and takes every other row, by reference, from
+      that root; either kind is stored here once it has been read.
+
+    A subscript never raises: a node without a row yields the empty row
+    and stores nothing.  Read-only once built.  Boxing is unsynchronised
+    on purpose — two threads may box one row; the tuples are immutable and
+    equal, and the last store wins.
+    """
+
+    __slots__ = ("_node_ids", "_bounds", "_steps", "_neighbors", "_base", "_dirty", "_size")
+
+    def __init__(self, rows: Mapping[int, AdjacencyRow] | Iterable = ()):
+        super().__init__(rows)
+        self._node_ids: IntColumn = _NO_COLUMN
+        self._bounds: IntColumn = _NO_COLUMN
+        self._steps: IntColumn = _NO_COLUMN
+        self._neighbors: IntColumn = _NO_COLUMN
+        #: The mapping the undirtied rows come from; ``None`` at the root.
+        self._base: KernelRows | None = None
+        #: Every row that differs from ``_base``; ``None`` marks a dropped one.
+        self._dirty: dict[int, AdjacencyRow | None] = {}
+        self._size = dict.__len__(self)
+
+    @classmethod
+    def over_columns(
+        cls,
+        node_ids: IntColumn,
+        row_lens: IntColumn,
+        steps: IntColumn,
+        neighbors: IntColumn,
+    ) -> "KernelRows":
+        """The rows of four CSR columns, none of them boxed yet.
+
+        ``node_ids`` ascending, ``row_lens[i]`` entries of ``steps`` /
+        ``neighbors`` per node, in node order.  Raises :class:`ValueError`
+        when the columns do not describe one another.
+        """
+        if len(node_ids) != len(row_lens) or len(steps) != len(neighbors):
+            raise ValueError("kernel columns disagree on their lengths")
+        if not strictly_ascending(node_ids):
+            raise ValueError("kernel node ids are not strictly ascending")
+        if len(row_lens) and min(row_lens) < 1:
+            raise ValueError("a kernel row has no entries")
+        bounds = array("q", accumulate(row_lens, initial=0))
+        if bounds[-1] != len(steps):
+            raise ValueError(
+                f"kernel row lengths sum to {bounds[-1]}, the columns hold {len(steps)} entries"
+            )
+        rows = cls()
+        rows._node_ids, rows._bounds = node_ids, bounds
+        rows._steps, rows._neighbors = steps, neighbors
+        rows._size = len(node_ids)
+        return rows
+
+    @classmethod
+    def patched(
+        cls, old: "KernelRows", rebuilt: Mapping[int, AdjacencyRow]
+    ) -> "KernelRows":
+        """``old`` with the ``rebuilt`` rows in place of its own (an empty
+        rebuilt row drops the node).  Costs one flat copy of what was
+        dirtied since the root plus the rebuilt rows — never the root,
+        and no row is boxed."""
+        rows = cls()
+        root = rows._base = old if old._base is None else old._base
+        dirty = rows._dirty = old._dirty.copy()
+        rows._size = len(old)
+        for node, row in rebuilt.items():
+            rows._size += bool(row[0]) - (node in old)
+            if row[0]:
+                dirty[node] = row
+            elif node in root:
+                dirty[node] = None
+            else:
+                # Added and removed again since the root: nothing to
+                # remember, or add/remove churn would grow this for ever.
+                dirty.pop(node, None)
+        return rows
+
+    def __missing__(self, node: int) -> AdjacencyRow:
+        base = self._base
+        if base is not None:
+            row = self._dirty.get(node, _UNTOUCHED)
+            if row is None:  # dropped since the root
+                return _EMPTY_ROW
+            if row is _UNTOUCHED:
+                row = base[node]
+            if row[0]:
+                self[node] = row
+            return row
+        index = self._index_of(node)
+        if index < 0:
+            return _EMPTY_ROW
+        start, end = self._bounds[index], self._bounds[index + 1]
+        row = self[node] = (
+            tuple(self._steps[start:end]), tuple(self._neighbors[start:end])
+        )
+        return row
+
+    def _index_of(self, node: int) -> int:
+        """Position of ``node`` in the columns, or -1."""
+        node_ids = self._node_ids
+        index = bisect_left(node_ids, node)
+        if index < len(node_ids) and node_ids[index] == node:
+            return index
+        return -1
+
+    def boxed(self) -> int:
+        """How many rows exist as tuples (a cold build: all of them)."""
+        if self._base is None:
+            return dict.__len__(self)
+        return dict.__len__(self._base) + sum(
+            1 for row in self._dirty.values() if row is not None
+        )
+
+    def scan(self) -> Iterator[tuple[int, Sequence[int], Sequence[int]]]:
+        """``(node, steps, neighbors)`` of every row, in no particular
+        order, boxing nothing: an unboxed row comes as column slices."""
+        base = self._base
+        if base is not None:
+            dirty = self._dirty
+            for entry in base.scan():
+                if entry[0] not in dirty:
+                    yield entry
+            for node, row in dirty.items():
+                if row is not None:
+                    yield (node, *row)
+            return
+        if not len(self._node_ids):  # a cold build: every row is stored
+            for node, row in dict.items(self):
+                yield (node, *row)
+            return
+        stored = dict.get
+        bounds, steps, neighbors = self._bounds, self._steps, self._neighbors
+        for index, node in enumerate(self._node_ids):
+            row = stored(self, node)
+            if row is None:
+                start, end = bounds[index], bounds[index + 1]
+                row = (steps[start:end], neighbors[start:end])
+            yield (node, *row)
+
+    def columns(self) -> tuple[array, array, array, array]:
+        """``(node_ids, row_lens, steps, neighbors)`` — the CSR form
+        :meth:`over_columns` reads back, nodes ascending (snapshot
+        compiler)."""
+        node_ids, row_lens = array("q"), array("q")
+        flat_steps, flat_neighbors = array("q"), array("q")
+        for node, steps, neighbors in sorted(self.scan(), key=itemgetter(0)):
+            node_ids.append(node)
+            row_lens.append(len(steps))
+            flat_steps.extend(steps)
+            flat_neighbors.extend(neighbors)
+        return node_ids, row_lens, flat_steps, flat_neighbors
+
+    # The dict protocol, over every row rather than the stored ones.
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __contains__(self, node: object) -> bool:
+        if dict.__contains__(self, node):
+            return True
+        if self._base is not None:
+            row = self._dirty.get(node, _UNTOUCHED)
+            return node in self._base if row is _UNTOUCHED else row is not None
+        return isinstance(node, int) and self._index_of(node) >= 0
+
+    def __iter__(self) -> Iterator[int]:
+        return (node for node, _steps, _neighbors in self.scan())
+
+    def keys(self):  # type: ignore[override]
+        return list(self)
+
+    def items(self):  # type: ignore[override]
+        return [
+            (node, (tuple(steps), tuple(neighbors)))
+            for node, steps, neighbors in self.scan()
+        ]
+
+    def values(self):  # type: ignore[override]
+        return [row for _node, row in self.items()]
+
+    def get(self, node, default=None):  # type: ignore[override]
+        row = self[node]
+        return row if row[0] else default
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            node in other and other[node] == row for node, row in self.items()
+        )
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 @guarded_by("_region_lock", "_regions")
 class AdjacencyKernel:
     """Immutable flat adjacency index over one version of a triple store."""
@@ -149,6 +379,7 @@ class AdjacencyKernel:
         "_entity",
         "_signatures",
         "_step_directory",
+        "_sizes",
         "_regions",
         "_region_lock",
         "walk_path",
@@ -157,7 +388,7 @@ class AdjacencyKernel:
     def __init__(
         self,
         store: TripleStore,
-        prebuilt_rows: dict[int, AdjacencyRow] | None = None,
+        columns: tuple[IntColumn, IntColumn, IntColumn, IntColumn] | None = None,
         patch_from: "AdjacencyKernel | None" = None,
     ):
         self.store = store
@@ -171,18 +402,23 @@ class AdjacencyKernel:
             for pid in (lookup(pred) for pred in vocab.STRUCTURAL_PREDICATES)
             if pid is not None
         )
-        self._full: dict[int, AdjacencyRow] = {}
         self._entity: dict[int, AdjacencyRow] = {}
-        if prebuilt_rows is not None:
-            # Compiled-snapshot fast path: the rows were persisted from a
-            # kernel built against the very same (id-stable) store, so
-            # adopting them verbatim reproduces that kernel exactly.
-            self._full = prebuilt_rows
+        if columns is not None:
+            # Compiled-snapshot path: ``(node_ids, row_lens, steps,
+            # neighbors)`` persisted from a kernel built against the very
+            # same (id-stable) store, served in place — a row is boxed
+            # when it is first read (raises ValueError on columns that do
+            # not describe one another).
+            self._full = KernelRows.over_columns(*columns)
         elif patch_from is not None and self._can_patch(patch_from):
             # Incremental path: only rows touched since the old kernel's
             # store version are rebuilt; every other row is the old
             # kernel's tuple, reused by reference.
-            self._patch(patch_from)
+            dirty = store.backend.touched_since(patch_from.store_version)  # type: ignore[attr-defined]
+            self._full = KernelRows.patched(
+                patch_from.full_rows(),
+                {node: self._rebuild_row(node) for node in dirty},
+            )
         else:
             # Cold build.  Sorting canonicalizes the visit order: a dict
             # backend scans in insertion order and an overlay appends its
@@ -192,18 +428,19 @@ class AdjacencyKernel:
             rows = rows_from_sorted_triples(
                 sorted(store.triples_ids()), self.structural_predicate_ids
             )
-            self._full = {
-                node: (tuple(steps), tuple(nbrs))
+            self._full = KernelRows(
+                (node, (tuple(steps), tuple(nbrs)))
                 for node, (steps, nbrs) in rows.items()
-            }
+            )
+        self._sizes: dict[str, int] | None = None
         self._signatures: dict[int, frozenset[int]] = {}
         self._step_directory: dict[int, frozenset[int]] | None = None
         self._regions: dict[str, dict] = {}
         self._region_lock = threading.Lock()
         self.walk_path = lru_cache(maxsize=_WALK_CACHE_SIZE)(self._walk_path)
 
-    def full_rows(self) -> dict[int, AdjacencyRow]:
-        """The complete per-node row index (read-only; snapshot compiler)."""
+    def full_rows(self) -> KernelRows:
+        """The complete per-node row index (read-only)."""
         return self._full
 
     # ------------------------------------------------------------------ #
@@ -227,28 +464,12 @@ class AdjacencyKernel:
             and old.structural_predicate_ids == self.structural_predicate_ids
         )
 
-    def _patch(self, old: "AdjacencyKernel") -> None:
-        """Adopt ``old``'s rows, rebuilding only the dirtied ones.
-
-        Byte-identical to a cold build over the current store:
-        the per-row rebuild replays the exact canonical visit order (all
-        source subjects ascending, predicates ascending, objects
-        ascending) restricted to one target node.  Callers must quiesce
-        writers for the duration (the engine's ingest lock does).
-        """
-        dirty = self.store.backend.touched_since(old.store_version)  # type: ignore[attr-defined]
-        rows = dict(old.full_rows())
-        for node in dirty:
-            row = self._rebuild_row(node)
-            if row[0]:
-                rows[node] = row
-            else:
-                rows.pop(node, None)
-        self._full = rows
-
     def _rebuild_row(self, node: int) -> AdjacencyRow:
         """One node's row, in the canonical order
-        :func:`rows_from_sorted_triples` produces.
+        :func:`rows_from_sorted_triples` produces — which is what makes a
+        patched kernel byte-identical to a cold build over the current
+        store.  Callers must quiesce writers while a patch rebuilds its
+        rows (the engine's ingest lock does).
 
         A node's row accumulates entries as the full build visits source
         subjects in ascending order: visiting subject ``s`` appends, per
@@ -291,7 +512,7 @@ class AdjacencyKernel:
 
     def adjacency(self, node_id: int) -> AdjacencyRow:
         """``(steps, neighbors)`` with literal endpoints, structural-free."""
-        return self._full.get(node_id, _EMPTY_ROW)
+        return self._full[node_id]
 
     def entity_adjacency(self, node_id: int) -> AdjacencyRow:
         """``(steps, neighbors)`` without literal endpoints or structural
@@ -303,7 +524,7 @@ class AdjacencyKernel:
         """
         row = self._entity.get(node_id)
         if row is None:
-            steps, neighbors = self._full.get(node_id, _EMPTY_ROW)
+            steps, neighbors = self._full[node_id]
             if steps:
                 is_literal = self.store.is_literal_id
                 keep = [
@@ -325,7 +546,7 @@ class AdjacencyKernel:
 
     def neighbors(self, node_id: int) -> Iterator[tuple[int, int]]:
         """(signed step, neighbor) pairs, literals included."""
-        return zip(*self._full.get(node_id, _EMPTY_ROW))
+        return zip(*self._full[node_id])
 
     def entity_neighbors(self, node_id: int) -> Iterator[tuple[int, int]]:
         """(signed step, neighbor) pairs, literals excluded."""
@@ -340,7 +561,7 @@ class AdjacencyKernel:
         """
         signature = self._signatures.get(node_id)
         if signature is None:
-            signature = frozenset(self._full.get(node_id, _EMPTY_ROW)[0])
+            signature = frozenset(self._full[node_id][0])
             self._signatures[node_id] = signature
         return signature
 
@@ -357,7 +578,7 @@ class AdjacencyKernel:
         directory = self._step_directory
         if directory is None:
             building: defaultdict[int, set[int]] = defaultdict(set)
-            for node, (steps, _neighbors) in self._full.items():
+            for node, steps, _neighbors in self._full.scan():
                 for carried in set(steps):
                     building[carried].add(node)
             directory = self._step_directory = {
@@ -421,23 +642,38 @@ class AdjacencyKernel:
         return region
 
     def statistics(self) -> dict[str, int]:
-        """Index size and walk-cache counters (reported by ``QAEngine.warm``
-        and ``GET /stats``).
+        """Index size, laziness and walk-cache counters (reported by
+        ``QAEngine.warm`` and ``GET /stats``).
 
-        Materializes every entity row (they are built lazily), so this is
-        a cold-path call for reporting, not a hot-loop one.  The step
+        The four size counts are functions of an immutable kernel: they
+        are taken once, streaming over the rows without boxing one or
+        deriving an entity row, and remembered.  ``rows_boxed`` is how
+        many rows exist as Python tuples — ``nodes_full`` on a cold build,
+        the rows read so far on a kernel opened from a snapshot.  The step
         directory is only looked at: ``directory_steps`` stays 0 until an
         all-wildcard query has built it.  ``walk_cache_misses`` running
         far ahead of ``walk_cache_hits`` at a full ``walk_cache_size``
         means the walks cycle through the LRU faster than they recur.
         """
-        entity_rows = [self.entity_adjacency(node) for node in self._full]
+        sizes = self._sizes
+        if sizes is None:
+            is_literal = self.store.is_literal_id
+            slots = entity_nodes = entity_slots = 0
+            for _node, _steps, neighbors in self._full.scan():
+                literal = sum(map(is_literal, neighbors))
+                slots += len(neighbors)
+                entity_slots += len(neighbors) - literal
+                entity_nodes += literal < len(neighbors)
+            sizes = self._sizes = {
+                "nodes_full": len(self._full),
+                "nodes_entity": entity_nodes,
+                "edge_slots_full": slots,
+                "edge_slots_entity": entity_slots,
+            }
         walks = self.walk_path.cache_info()
         return {
-            "nodes_full": len(self._full),
-            "nodes_entity": sum(1 for steps, _n in entity_rows if steps),
-            "edge_slots_full": sum(len(s) for s, _n in self._full.values()),
-            "edge_slots_entity": sum(len(s) for s, _n in entity_rows),
+            **sizes,
+            "rows_boxed": self._full.boxed(),
             "directory_steps": len(self._step_directory or ()),
             "walk_cache_hits": walks.hits,
             "walk_cache_misses": walks.misses,

@@ -30,9 +30,7 @@ on first touch and keep untouched shards off the resident set).
 
 from __future__ import annotations
 
-import concurrent.futures
 import heapq
-import multiprocessing
 import os
 import threading
 from operator import itemgetter
@@ -122,6 +120,10 @@ def map_shards(task: Callable[[int], _T], shards: int, jobs: int = 1) -> list[_T
     jobs = max(1, min(jobs or os.cpu_count() or 1, shards))
     if jobs == 1:
         return [task(index) for index in range(shards)]
+    # Only this branch forks: a serving process never pays for the imports.
+    import concurrent.futures
+    import multiprocessing
+
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:

@@ -16,40 +16,55 @@ snapshot is exactly that: one versioned, checksummed binary file holding
 * the graph label index and the entity-linker index entries/postings,
 * the mined paraphrase dictionary **by id** (signed steps).
 
-Because every id is stable across the round-trip, loading is direct
-reconstruction — dict assembly over borrowed byte ranges — with no
-parsing, no re-encoding, no re-mining, and no index rebuild.  The
-``offline_build_200k`` workload of ``bench/run.py`` times both loads.
+Because every id is stable across the round-trip, loading is an **open**,
+not a load: no parsing, no re-encoding, no re-mining, no index rebuild —
+and what is already a column in the file is never rebuilt as Python
+objects either.  Each file is memory-mapped; the permutation columns, the
+kernel's four CSR columns and the term table's three are ``memoryview``
+casts straight over the mapping.  A kernel row is boxed into its pair of
+tuples when a query first reads it, a term object is built when its id is
+first decoded, a term is found by bisecting the record-sorted id column.
+What has no columnar form is decoded exactly once, into the object that
+serves it: the literal id set, the closures, the label index, the
+paraphrase dictionary at open; the linker's entries and posting sets when
+:meth:`CompiledState.build_linker` asks for them.  The columns stay in the
+page cache, shared read-only between every process that maps the same
+file — which is what makes pre-fork serving (:mod:`repro.serve.prefork`)
+cheap: N workers, one physical copy.  A view serves the file's bytes as
+they are, so a snapshot written on a machine of the other byte order is
+refused (recompile it on the serving host).
 
-Loading opens, it never copies or converts: each file is memory-mapped
-and the three permutation columns become ``memoryview`` casts straight
-over the mapping, so the triple index is **never copied into process
-memory**.  The kernel rows, closures, and dictionary are still
-materialized as Python objects, but the columns — the bulk of a large
-snapshot — stay in the page cache, shared read-only between every
-process that maps the same file.  This is what makes pre-fork serving
-(:mod:`repro.serve.prefork`) cheap: N workers, one physical copy.  A view
-serves the file's bytes as they are, so a snapshot written on a machine
-of the other byte order is refused (recompile it on the serving host).
+File layout (format 2)::
 
-File layout::
+    MAGIC | u32 format | u8 byteorder
+    | u64 meta_len | meta JSON | u32 section_count | directory entries...
+    | columns, each starting on an 8-byte boundary | sha256 digest (32 bytes)
 
-    MAGIC | u32 format | u8 byteorder | u64 meta_len | meta JSON
-    | u32 section_count | sections... | sha256 digest (32 bytes)
-
-where each section is ``u8 name_len | name | u64 payload_len | payload``.
-The digest covers everything between the fixed header and itself; a
+where a directory entry is ``u8 name_len | name | u32 column_count |
+column_count x (u64 offset, u64 length)``, offsets counted from the start
+of the file.  Everything a reader needs to find a column sits in front of
+the first one, so opening a file reads its first pages and nothing else:
+the page cache hands a mapping out in extents (2 MB here), and a length
+prefix in front of each payload — format 1 — made every extent resident
+before the first question.  The digest covers everything between the
+fixed header and itself and is checked, over the whole file, before
+anything is decoded (the pages it read are handed back as it goes); a
 flipped bit anywhere surfaces as :class:`~repro.exceptions.SnapshotError`
-at load time, never as silently wrong answers.
+at open, never as silently wrong answers.  So does a well-signed file
+whose directory or columns do not describe one another.
+
+Every file is written to a temporary sibling, flushed, synced and renamed
+over its target, so a process that has the old file mapped keeps reading
+the old bytes: recompiling onto a live snapshot is safe.
 
 **Sharded snapshots** (``compile_snapshot(..., shards=K)``, ``repro
 compile --shards K``) split the artifact so segments load on demand:
 
 * ``graph.snap`` — a small JSON **manifest** naming the members, the
   partition scheme, and per-segment triple counts;
-* ``graph.state.snap`` — one ``REPROSNAP`` container with every
-  non-column section (terms, literals, kernel rows, closures, labels,
-  linker, dictionary), decoded eagerly at load;
+* ``graph.state.snap`` — one ``REPROSNAP`` container with every section
+  but the permutation columns (terms, literals, kernel rows, closures,
+  labels, linker, dictionary), opened like the single file;
 * ``graph.segNNN.snap`` — one ``REPROSNAP`` container per shard holding
   only that segment's three permutation columns.
 
@@ -59,29 +74,33 @@ snapshots load through the same call.  A sharded load builds a
 checksum-verified) on **first touch**: a subject-local workload only ever
 makes 1/K of the triple columns resident.  Each segment file is verified
 independently, so lazy loading never trades away corruption detection.
+The members are renamed into place state and segments first, manifest
+last.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import mmap
+import os
 import struct
 import sys
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import accumulate
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO, Iterator
 
 from repro.exceptions import SnapshotError
 from repro.rdf.backend import CompactBackend
-from repro.rdf.dictionary import TermDictionary
+from repro.rdf.dictionary import TermDictionary, encode_term_record
 from repro.rdf.graph import KnowledgeGraph
-from repro.rdf.kernel import AdjacencyKernel, AdjacencyRow
+from repro.rdf.kernel import AdjacencyKernel
 from repro.rdf.shard import PARTITION_SCHEME, ShardedBackend
 from repro.rdf.store import TripleStore
-from repro.rdf.terms import IRI, Literal, Term
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (linking sits above rdf)
     from repro.linking.linker import EntityLinker
@@ -97,29 +116,43 @@ __all__ = [
 ]
 
 _MAGIC = b"REPROSNAP\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 #: Version of the sharded-manifest JSON layout.
 MANIFEST_VERSION = 1
 _MANIFEST_FORMAT = "reprosnap-manifest"
 
-_KIND_IRI = 0
-_KIND_PLAIN = 1
-_KIND_TYPED = 2
-_KIND_LANG = 3
+#: magic + u32 format version + u8 byte order; the checksummed body follows.
+_HEAD_LEN = len(_MAGIC) + 5
+_DIGEST_LEN = 32
+#: Every column starts on a multiple of this many bytes.
+_ALIGN = 8
+#: The checksum pass reads, and hands back, this much of the mapping at a
+#: time: the size the page cache maps a file in on the hosts measured.
+_VERIFY_CHUNK = 1 << 21
 
-#: Fixed section order; load rejects files missing any of these.
-_SECTIONS = (
-    "terms", "literals", "spo", "pos", "osp",
-    "kernel", "classes", "closures", "labels", "linker", "dictionary",
-)
-#: Sections of a sharded snapshot's state container (everything but the
-#: triple columns, which live in the per-shard segment containers).
-_STATE_SECTIONS = (
-    "terms", "literals",
-    "kernel", "classes", "closures", "labels", "linker", "dictionary",
-)
+#: Column count of every section a container may hold.  The order is the
+#: file order: what an open decodes in full comes first, the columns a
+#: query pages in on demand last.
+_SECTION_COLUMNS = {
+    "literals": 1,    # ids
+    "classes": 1,     # ids
+    "closures": 6,    # (keys, lens, flat) of the superclass, then subclass closure
+    "labels": 1,      # record stream
+    "linker": 1,      # record stream
+    "dictionary": 1,  # record stream
+    "kernel": 4,      # node_ids, row_lens, flat_steps, flat_neighbors
+    "terms": 3,       # offsets, records, ids sorted by record
+    "spo": 3,
+    "pos": 3,
+    "osp": 3,
+}
 #: Sections of one segment container: that shard's permutation columns.
 _SEGMENT_SECTIONS = ("spo", "pos", "osp")
+#: Single-file section order; load rejects files missing any of these.
+_SECTIONS = tuple(_SECTION_COLUMNS)
+#: Sections of a sharded snapshot's state container (everything but the
+#: triple columns, which live in the per-shard segment containers).
+_STATE_SECTIONS = tuple(name for name in _SECTIONS if name not in _SEGMENT_SECTIONS)
 
 
 # --------------------------------------------------------------------- #
@@ -132,117 +165,112 @@ def _pack_str(text: str) -> bytes:
 
 
 def _pack_array(values) -> bytes:
-    """Length-prefixed int64 column bytes (owned array or borrowed view)."""
+    """Length-prefixed int64 column bytes, in line in a record stream."""
     return struct.pack("<Q", len(values)) + values.tobytes()
 
 
-class _Reader:
-    """Sequential, bounds-checked decoder over one payload."""
+def _aligned(offset: int) -> int:
+    return -(-offset // _ALIGN) * _ALIGN
 
-    __slots__ = ("_view", "_offset")
+
+class _Reader:
+    """Sequential, bounds-checked decoder over one byte range.
+
+    The record streams run to 10^5 fields, so each method does its own
+    offset arithmetic instead of calling another.
+    """
+
+    __slots__ = ("_view", "offset")
 
     def __init__(self, payload: memoryview):
         self._view = payload
-        self._offset = 0
+        #: Bytes consumed so far.
+        self.offset = 0
 
     def take(self, size: int) -> memoryview:
-        end = self._offset + size
+        start = self.offset
+        end = start + size
         if end > len(self._view):
             raise SnapshotError("snapshot section truncated")
-        chunk = self._view[self._offset:end]
-        self._offset = end
-        return chunk
+        self.offset = end
+        return self._view[start:end]
+
+    def unpack(self, fields: struct.Struct) -> tuple:
+        """The next ``fields.size`` bytes, unpacked."""
+        start = self.offset
+        self.offset = start + fields.size
+        try:
+            return fields.unpack_from(self._view, start)
+        except struct.error:
+            raise SnapshotError("snapshot section truncated") from None
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        return self.unpack(_U8)[0]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return self.unpack(_U32)[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+        return self.unpack(_U64)[0]
 
     def i64(self) -> int:
-        return struct.unpack("<q", self.take(8))[0]
+        return self.unpack(_I64)[0]
 
     def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
+        return self.unpack(_F64)[0]
+
+    def _prefixed(self, prefix: struct.Struct, width: int) -> memoryview:
+        """A run of ``width``-byte items behind its count."""
+        view, start = self._view, self.offset + prefix.size
+        try:
+            end = start + prefix.unpack_from(view, self.offset)[0] * width
+        except struct.error:
+            end = len(view) + 1
+        if end > len(view):
+            raise SnapshotError("snapshot section truncated")
+        self.offset = end
+        return view[start:end]
 
     def text(self) -> str:
-        return bytes(self.take(self.u32())).decode("utf-8")
+        return str(self._prefixed(_U32, 1), "utf-8")
 
     def int_column(self) -> memoryview:
-        """A zero-copy int64 view over the payload.
-
-        The returned ``memoryview`` borrows the underlying buffer — the
-        file mapping itself — so consuming it reads page-cache bytes with
-        no intermediate copy.
-        """
-        count = self.u64()
-        return self.take(count * 8).cast("q")
+        """A length-prefixed int64 column, as a view over the stream."""
+        return self._prefixed(_U64, 8).cast("q")
 
 
-# --------------------------------------------------------------------- #
-# Term table
-# --------------------------------------------------------------------- #
-
-def _encode_terms(terms: list[Term]) -> bytes:
-    parts = [struct.pack("<Q", len(terms))]
-    for term in terms:
-        if isinstance(term, IRI):
-            parts.append(bytes((_KIND_IRI,)))
-            parts.append(_pack_str(term.value))
-        elif term.datatype is not None:
-            parts.append(bytes((_KIND_TYPED,)))
-            parts.append(_pack_str(term.lexical))
-            parts.append(_pack_str(term.datatype.value))
-        elif term.language is not None:
-            parts.append(bytes((_KIND_LANG,)))
-            parts.append(_pack_str(term.lexical))
-            parts.append(_pack_str(term.language))
-        else:
-            parts.append(bytes((_KIND_PLAIN,)))
-            parts.append(_pack_str(term.lexical))
-    return b"".join(parts)
+_U8 = struct.Struct("<B")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_I64 = struct.Struct("<q")
+_F64 = struct.Struct("<d")
+#: One linker entry's fixed fields: node id, is-class flag.
+_LINKER_ENTRY = struct.Struct("<qB")
 
 
-def _decode_terms(reader: _Reader) -> list[Term]:
-    count = reader.u64()
-    terms: list[Term] = []
-    for _ in range(count):
-        kind = reader.u8()
-        if kind == _KIND_IRI:
-            terms.append(IRI(reader.text()))
-        elif kind == _KIND_PLAIN:
-            terms.append(Literal(reader.text()))
-        elif kind == _KIND_TYPED:
-            lexical = reader.text()
-            terms.append(Literal(lexical, datatype=IRI(reader.text())))
-        elif kind == _KIND_LANG:
-            lexical = reader.text()
-            terms.append(Literal(lexical, language=reader.text()))
-        else:
-            raise SnapshotError(f"unknown term kind {kind}")
-    return terms
+def _ints(column: memoryview) -> memoryview:
+    """A directory column as int64s — a cast over the mapping, no copy."""
+    if len(column) % 8:
+        raise SnapshotError("an int64 column's length is not a multiple of 8")
+    return column.cast("q")
 
 
 # --------------------------------------------------------------------- #
 # Id-set maps (closures)
 # --------------------------------------------------------------------- #
 
-def _encode_closure(closure: dict[int, frozenset[int]]) -> bytes:
+def _closure_columns(closure: dict[int, frozenset[int]]) -> list[array]:
     keys = sorted(closure)
     lens = array("q", (len(closure[key]) for key in keys))
     flat = array("q")
     for key in keys:
         flat.extend(sorted(closure[key]))
-    return _pack_array(array("q", keys)) + _pack_array(lens) + _pack_array(flat)
+    return [array("q", keys), lens, flat]
 
 
-def _decode_closure(reader: _Reader) -> dict[int, frozenset[int]]:
-    keys = reader.int_column()
-    lens = reader.int_column()
-    flat = reader.int_column()
+def _decode_closure(
+    keys: memoryview, lens: memoryview, flat: memoryview
+) -> dict[int, frozenset[int]]:
     closure: dict[int, frozenset[int]] = {}
     offset = 0
     for key, length in zip(keys, lens):
@@ -298,62 +326,126 @@ def _snapshot_info(
 
 @dataclass(slots=True)
 class CompiledState:
-    """Everything a serving replica needs, reconstructed from a snapshot.
+    """Everything a serving replica needs, opened from a snapshot.
 
-    ``mapping`` is the ``mmap`` the decoded sections were read from (and,
-    for a single-file snapshot, the one the triple columns borrow from).
-    It is kept here — and implicitly by every ``memoryview`` column — so
-    the mapping outlives the state; dropping the state releases it.
+    ``mapping`` is the ``mmap`` every section was read from (and, for a
+    single-file snapshot, the one the triple columns borrow from).  It is
+    kept here — and implicitly by every ``memoryview`` column — so the
+    mapping outlives the state; dropping the state releases it.
     """
 
     kg: KnowledgeGraph
     dictionary: "ParaphraseDictionary"
     info: SnapshotInfo
-    linker_entries: list[tuple[int, str, str, bool]]
-    linker_postings: dict[str, tuple[int, ...]]
-    linker_max_degree: int
+    #: The ``linker`` section as the file holds it; :meth:`build_linker`
+    #: is its one reader.
+    linker: memoryview
     mapping: mmap.mmap
 
     def build_linker(self) -> "EntityLinker":
         """An :class:`EntityLinker` over the compiled label-index entries.
 
         Skips the linker's scan-everything index build *and* its
-        max-degree sweep — both were done at compile time.
+        max-degree sweep — both were done at compile time.  Entries, the
+        exact-match map, the posting sets and the max degree are decoded
+        here, once each and in file order, into the objects that serve
+        them.
         """
-        from repro.linking.index import LabelIndex
+        from repro.linking.index import IndexEntry, LabelIndex
         from repro.linking.linker import EntityLinker
 
-        index = LabelIndex.from_compiled(
-            self.kg, self.linker_entries, self.linker_postings
-        )
-        return EntityLinker(
-            self.kg, index=index, max_degree=self.linker_max_degree
-        )
+        reader = _Reader(self.linker)
+        node_ids, labels, keys, flags = [], [], [], []
+        for _ in range(reader.u64()):
+            node_id, is_class = reader.unpack(_LINKER_ENTRY)
+            node_ids.append(node_id)
+            flags.append(bool(is_class))
+            labels.append(reader.text())
+            keys.append(reader.text())
+        # The entries are allocated in one run, after their strings, not
+        # in among them: ``LabelIndex.by_words`` walks them on every
+        # question, and a walk over interleaved objects measured ~10 %
+        # slower.
+        entries = list(map(IndexEntry, node_ids, labels, keys, flags))
+        exact: dict[str, list[IndexEntry]] = {}
+        for entry in entries:
+            exact.setdefault(entry.normalized, []).append(entry)
+        by_word: dict[str, set[int]] = {}
+        for _ in range(reader.u64()):
+            word = reader.text()
+            by_word[word] = set(reader.int_column())
+        index = LabelIndex.prebuilt(self.kg, entries, exact, by_word)
+        return EntityLinker(self.kg, index=index, max_degree=reader.i64())
 
 
 # --------------------------------------------------------------------- #
 # Compile
 # --------------------------------------------------------------------- #
 
+@contextlib.contextmanager
+def _replacing(path: Path) -> Iterator[BinaryIO]:
+    """Open a temporary sibling of ``path`` for writing; on a clean exit
+    flush it, sync it and rename it over ``path``, otherwise remove it.
+
+    A rename gives ``path`` a new inode: a process that has the old file
+    mapped keeps the old bytes (truncating in place would kill it with
+    SIGBUS, or — at equal length — change bytes under a checksum it has
+    already verified), and a reader never sees a half-written file.
+    """
+    temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as handle:
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def _write_container(
-    path: Path, sections: dict[str, bytes], order: tuple[str, ...], meta: dict
+    out: BinaryIO, sections: dict[str, list], order: tuple[str, ...], meta: dict
 ) -> dict[str, int]:
-    """Write one checksummed ``REPROSNAP`` container; return section sizes."""
+    """Write one checksummed ``REPROSNAP`` container; return section sizes.
+
+    ``sections[name]`` is that section's columns, each anything with a
+    buffer (``bytes``, ``array``, a borrowed ``memoryview``).
+    """
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    body = bytearray()
-    body += struct.pack("<Q", len(meta_bytes))
-    body += meta_bytes
-    body += struct.pack("<I", len(order))
+    columns = {
+        name: [memoryview(column).cast("B") for column in sections[name]]
+        for name in order
+    }
+    directory_len = 8 + len(meta_bytes) + 4 + sum(
+        1 + len(name) + 4 + 16 * len(columns[name]) for name in order
+    )
+    offset = _aligned(_HEAD_LEN + directory_len)
+    directory = [struct.pack("<Q", len(meta_bytes)), meta_bytes, struct.pack("<I", len(order))]
     for name in order:
-        payload = sections[name]
-        body += struct.pack("<B", len(name))
-        body += name.encode("ascii")
-        body += struct.pack("<Q", len(payload))
-        body += payload
-    head = _MAGIC + struct.pack("<IB", FORMAT_VERSION, sys.byteorder == "big")
-    digest = hashlib.sha256(bytes(body)).digest()
-    path.write_bytes(head + bytes(body) + digest)
-    return {name: len(sections[name]) for name in order}
+        directory.append(struct.pack("<B", len(name)) + name.encode("ascii"))
+        directory.append(struct.pack("<I", len(columns[name])))
+        for column in columns[name]:
+            directory.append(struct.pack("<QQ", offset, len(column)))
+            offset = _aligned(offset + len(column))
+
+    digest = hashlib.sha256()
+    written = _HEAD_LEN
+
+    def emit(data) -> None:
+        nonlocal written
+        digest.update(data)
+        out.write(data)
+        written += len(data)
+
+    out.write(_MAGIC + struct.pack("<IB", FORMAT_VERSION, sys.byteorder == "big"))
+    emit(b"".join(directory))
+    for name in order:
+        for column in columns[name]:
+            emit(bytes(_aligned(written) - written))
+            emit(column)
+    out.write(digest.digest())
+    return {name: sum(map(len, columns[name])) for name in order}
 
 
 def _sharded_member_paths(path: Path, shards: int) -> tuple[Path, list[Path]]:
@@ -373,12 +465,12 @@ def _sharded_member_paths(path: Path, shards: int) -> tuple[Path, list[Path]]:
 
 def _encode_state_sections(
     kg: KnowledgeGraph, dictionary: "ParaphraseDictionary"
-) -> dict[str, bytes]:
-    """Encode every non-column section from the forced-warm graph state."""
+) -> dict[str, list]:
+    """The columns of every non-permutation section, from the
+    forced-warm graph state."""
     from repro.linking.linker import EntityLinker
 
     store = kg.store
-    kernel = kg.kernel
     class_ids = kg.class_ids
     for class_id in class_ids:
         kg.superclasses_of(class_id)
@@ -386,41 +478,34 @@ def _encode_state_sections(
     label_index = kg.label_index
     linker = EntityLinker(kg)
 
-    sections: dict[str, bytes] = {}
-    sections["terms"] = _encode_terms(store.dictionary.terms_in_id_order())
-    sections["literals"] = _pack_array(array("q", sorted(store.iter_literal_ids())))
-
-    rows = kernel.full_rows()
-    node_ids = array("q", sorted(rows))
-    row_lens = array("q", (len(rows[node][0]) for node in node_ids))
-    flat_steps = array("q")
-    flat_neighbors = array("q")
-    for node in node_ids:
-        steps, neighbors = rows[node]
-        flat_steps.extend(steps)
-        flat_neighbors.extend(neighbors)
-    sections["kernel"] = (
-        _pack_array(node_ids) + _pack_array(row_lens)
-        + _pack_array(flat_steps) + _pack_array(flat_neighbors)
-    )
+    sections: dict[str, list] = {}
+    records = [encode_term_record(term) for term in store.dictionary.terms_in_id_order()]
+    sections["terms"] = [
+        array("q", accumulate(map(len, records), initial=0)),
+        b"".join(records),
+        array("q", sorted(range(len(records)), key=records.__getitem__)),
+    ]
+    sections["literals"] = [array("q", sorted(store.iter_literal_ids()))]
+    # Rows that were never boxed go back out as the column slices they are.
+    sections["kernel"] = list(kg.kernel.full_rows().columns())
 
     superclass_closure, subclass_closure = kg.closure_caches()
-    sections["classes"] = _pack_array(array("q", sorted(class_ids)))
+    sections["classes"] = [array("q", sorted(class_ids))]
     sections["closures"] = (
-        _encode_closure(superclass_closure) + _encode_closure(subclass_closure)
+        _closure_columns(superclass_closure) + _closure_columns(subclass_closure)
     )
 
     label_parts = [struct.pack("<Q", len(label_index))]
     for node, label in sorted(label_index.items()):
         label_parts.append(struct.pack("<q", node))
         label_parts.append(_pack_str(label))
-    sections["labels"] = b"".join(label_parts)
+    sections["labels"] = [b"".join(label_parts)]
 
     entries = linker.index.entries()
     postings = linker.index.word_postings()
     linker_parts = [struct.pack("<Q", len(entries))]
     for entry in entries:
-        linker_parts.append(struct.pack("<qB", entry.node_id, int(entry.is_class)))
+        linker_parts.append(_LINKER_ENTRY.pack(entry.node_id, entry.is_class))
         linker_parts.append(_pack_str(entry.label))
         linker_parts.append(_pack_str(entry.normalized))
     linker_parts.append(struct.pack("<Q", len(postings)))
@@ -428,7 +513,7 @@ def _encode_state_sections(
         linker_parts.append(_pack_str(word))
         linker_parts.append(_pack_array(array("q", sorted(postings[word]))))
     linker_parts.append(struct.pack("<q", linker.max_degree))
-    sections["linker"] = b"".join(linker_parts)
+    sections["linker"] = [b"".join(linker_parts)]
 
     phrases = sorted(dictionary.phrases())
     dict_parts = [struct.pack("<Q", len(phrases))]
@@ -439,16 +524,13 @@ def _encode_state_sections(
         for mapping in mappings:
             dict_parts.append(struct.pack("<d", mapping.confidence))
             dict_parts.append(_pack_array(array("q", mapping.path)))
-    sections["dictionary"] = b"".join(dict_parts)
+    sections["dictionary"] = [b"".join(dict_parts)]
     return sections
 
 
-def _segment_sections(segment: CompactBackend) -> dict[str, bytes]:
+def _segment_sections(segment: CompactBackend) -> dict[str, list]:
     columns = segment.permutation_columns()
-    return {
-        name: b"".join(_pack_array(column) for column in columns[name])
-        for name in _SEGMENT_SECTIONS
-    }
+    return {name: list(columns[name]) for name in _SEGMENT_SECTIONS}
 
 
 def compile_snapshot(
@@ -464,12 +546,16 @@ def compile_snapshot(
     label index, linker index) so what gets persisted is exactly what a
     warm engine would have built.
 
-    ``shards=None`` (default) writes the single-file container, byte
-    layout unchanged.  ``shards=K`` writes the sharded form instead: a
-    JSON manifest at ``path``, a state container next to it, and one
-    segment container per shard (subject-hash partitioned; ``jobs``
-    parallelizes the per-segment column builds).  Both forms load through
+    ``shards=None`` (default) writes the single-file container.
+    ``shards=K`` writes the sharded form instead: a JSON manifest at
+    ``path``, a state container next to it, and one segment container per
+    shard (subject-hash partitioned; ``jobs`` parallelizes the
+    per-segment column builds).  Both forms load through
     :func:`load_snapshot` and answer identically.
+
+    Every file appears under its name complete or not at all, and
+    ``path`` may be a snapshot some process has open (see
+    :func:`_replacing`); a compile that raises leaves what was there.
     """
     path = Path(path)
     store = kg.store
@@ -489,9 +575,9 @@ def compile_snapshot(
             backend = store.compacted().backend
         assert isinstance(backend, CompactBackend)
         sections.update(_segment_sections(backend))
-        return _snapshot_info(
-            path, meta, _write_container(path, sections, _SECTIONS, meta)
-        )
+        with _replacing(path) as out:
+            section_bytes = _write_container(out, sections, _SECTIONS, meta)
+        return _snapshot_info(path, meta, section_bytes)
 
     if shards < 1:
         raise ValueError("shards must be a positive segment count")
@@ -504,25 +590,6 @@ def compile_snapshot(
     segments = [backend.segment(index) for index in range(shards)]
 
     state_path, segment_paths = _sharded_member_paths(path, shards)
-    section_bytes = _write_container(
-        state_path, sections, _STATE_SECTIONS,
-        meta | {"kind": "state", "shards": shards},
-    )
-    for index, (segment, segment_path) in enumerate(zip(segments, segment_paths)):
-        segment_meta = {
-            "format_version": FORMAT_VERSION,
-            "kind": "segment",
-            "shard": index,
-            "shards": shards,
-            "triples": len(segment),
-            "store_version": store.version,
-        }
-        written = _write_container(
-            segment_path, _segment_sections(segment),
-            _SEGMENT_SECTIONS, segment_meta,
-        )
-        section_bytes[segment_path.name] = sum(written.values())
-
     manifest = {
         "format": _MANIFEST_FORMAT,
         "manifest_version": MANIFEST_VERSION,
@@ -537,9 +604,32 @@ def compile_snapshot(
         "phrases": meta["phrases"],
         "store_version": meta["store_version"],
     }
-    path.write_text(
-        json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    # Every member is written out before any is renamed, and the stack
+    # unwinds last-in first-out: segments and state are published first,
+    # the manifest — entered first — last.
+    with contextlib.ExitStack() as stack:
+        manifest_out = stack.enter_context(_replacing(path))
+        manifest_out.write(
+            (json.dumps(manifest, indent=1, sort_keys=True) + "\n").encode("utf-8")
+        )
+        section_bytes = _write_container(
+            stack.enter_context(_replacing(state_path)), sections, _STATE_SECTIONS,
+            meta | {"kind": "state", "shards": shards},
+        )
+        for index, (segment, segment_path) in enumerate(zip(segments, segment_paths)):
+            segment_meta = {
+                "format_version": FORMAT_VERSION,
+                "kind": "segment",
+                "shard": index,
+                "shards": shards,
+                "triples": len(segment),
+                "store_version": store.version,
+            }
+            written = _write_container(
+                stack.enter_context(_replacing(segment_path)),
+                _segment_sections(segment), _SEGMENT_SECTIONS, segment_meta,
+            )
+            section_bytes[segment_path.name] = sum(written.values())
     return _snapshot_info(path, meta, section_bytes, shards)
 
 
@@ -547,20 +637,48 @@ def compile_snapshot(
 # Load
 # --------------------------------------------------------------------- #
 
-def _split_sections(
+def _verify(path: Path, mapping: mmap.mmap, data: memoryview) -> None:
+    """Check the body's sha256, handing each extent back once it is hashed.
+
+    The whole body is hashed before anything is decoded — but a page the
+    hash has read is a page the process holds, and the mapping is the
+    size of the graph: without the ``madvise`` the checksum alone would
+    make every column resident before the first question.
+    """
+    expected = bytes(data[len(data) - _DIGEST_LEN:])
+    digest = hashlib.sha256()
+    end = len(data) - _DIGEST_LEN
+    let_go = getattr(mmap, "MADV_DONTNEED", None) if hasattr(mapping, "madvise") else None
+    start = _HEAD_LEN
+    while start < end:
+        chunk = start - start % _VERIFY_CHUNK
+        stop = min(end, chunk + _VERIFY_CHUNK)
+        digest.update(data[start:stop])
+        if let_go is not None:
+            mapping.madvise(let_go, chunk, min(_VERIFY_CHUNK, len(data) - chunk))
+        start = stop
+    if digest.digest() != expected:
+        raise SnapshotError(
+            f"snapshot checksum mismatch: {path} is truncated or corrupt"
+        )
+
+
+def _open_container(
     path: Path,
     required: tuple[str, ...] = _SECTIONS,
     meta_keys: tuple[str, ...] = _COUNT_KEYS,
-) -> tuple[dict, dict[str, memoryview], mmap.mmap]:
-    """Verify the container; return (meta, name → payload view, mapping).
+) -> tuple[dict, dict[str, list[memoryview]], mmap.mmap]:
+    """Verify the container; return (meta, name → column views, mapping).
 
-    The file is mapped read-only and every payload view borrows from the
+    The file is mapped read-only and every column view borrows from the
     mapping (returned so callers keep it alive).  The sha256 digest is
     verified over the body before any decoding, so a flipped bit surfaces
     here, never as silently wrong answers — and so does a body that is
-    well signed but malformed: every length is bounds-checked as the
-    sections are walked, and the ``required`` sections and integer
-    ``meta_keys`` must be present before anything reads them.
+    well signed but malformed: the directory is bounds-checked as it is
+    walked, every column must lie inside the body, on an aligned offset
+    and clear of every other, and the ``required`` sections (with the
+    column count each must have) and integer ``meta_keys`` must be
+    present before anything reads them.
     """
     try:
         with open(path, "rb") as handle:
@@ -568,8 +686,7 @@ def _split_sections(
     except (OSError, ValueError) as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
     data = memoryview(mapping)
-    head_len = len(_MAGIC) + 5
-    if len(data) < head_len + 32 or bytes(data[: len(_MAGIC)]) != _MAGIC:
+    if len(data) < _HEAD_LEN + _DIGEST_LEN or bytes(data[: len(_MAGIC)]) != _MAGIC:
         raise SnapshotError(f"not a compiled snapshot: {path}")
     format_version, big_endian = struct.unpack_from("<IB", data, len(_MAGIC))
     if format_version != FORMAT_VERSION:
@@ -587,110 +704,111 @@ def _split_sections(
             f"order, this host is {sys.byteorder}-endian; recompile it on "
             f"the serving host with `repro compile`"
         )
-    view = data[head_len:len(data) - 32]
-    if hashlib.sha256(view).digest() != bytes(data[len(data) - 32:]):
-        raise SnapshotError(
-            f"snapshot checksum mismatch: {path} is truncated or corrupt"
-        )
-    body = _Reader(view)
-    payloads: dict[str, memoryview] = {}
+    _verify(path, mapping, data)
+    body_end = len(data) - _DIGEST_LEN
+    directory = _Reader(data[_HEAD_LEN:body_end])
+    extents: dict[str, list[tuple[int, int]]] = {}
     try:
-        meta = json.loads(bytes(body.take(body.u64())))
-        for _ in range(body.u32()):
-            name = bytes(body.take(body.u8())).decode("ascii")
-            payloads[name] = body.take(body.u64())
+        meta = json.loads(bytes(directory.take(directory.u64())))
+        for _ in range(directory.u32()):
+            name = bytes(directory.take(directory.u8())).decode("ascii")
+            extents[name] = [
+                (directory.u64(), directory.u64()) for _ in range(directory.u32())
+            ]
     except ValueError as exc:  # meta is not JSON / a name is not ASCII
         raise SnapshotError(f"malformed snapshot container {path}: {exc}") from exc
-    missing = [name for name in required if name not in payloads]
+    floor = _HEAD_LEN + directory.offset
+    for offset, length in sorted(extent for found in extents.values() for extent in found):
+        if offset % _ALIGN or offset < floor or offset + length > body_end:
+            raise SnapshotError(
+                f"malformed snapshot container {path}: a column at {offset} "
+                f"(+{length}) is misaligned, overlaps another or runs past the end"
+            )
+        floor = offset + length
+    missing = [name for name in required if name not in extents]
     if missing:
         raise SnapshotError(f"snapshot missing sections: {', '.join(missing)}")
+    misshapen = [
+        name for name in required if len(extents[name]) != _SECTION_COLUMNS[name]
+    ]
+    if misshapen:
+        raise SnapshotError(
+            f"snapshot sections with the wrong column count: {', '.join(misshapen)}"
+        )
     if not isinstance(meta, dict):
         raise SnapshotError(f"malformed snapshot container {path}: meta is not an object")
     absent = [key for key in meta_keys if not isinstance(meta.get(key), int)]
     if absent:
         raise SnapshotError(f"snapshot meta lacks integer {', '.join(absent)}: {path}")
-    return meta, payloads, mapping
+    sections = {
+        name: [data[offset:offset + length] for offset, length in found]
+        for name, found in extents.items()
+    }
+    return meta, sections, mapping
 
 
-def _segment_permutations(payloads: dict[str, memoryview]) -> list[tuple]:
+def _segment_permutations(sections: dict[str, list[memoryview]]) -> list[tuple]:
     """The three permutation column triples of one container's sections.
 
     Each column is a ``memoryview`` cast over the mapping — no
     ``frombytes``, no materialization.
     """
-    permutations = []
-    for name in _SEGMENT_SECTIONS:
-        section = _Reader(payloads[name])
-        permutations.append(
-            (section.int_column(), section.int_column(), section.int_column())
-        )
-    return permutations
+    return [tuple(map(_ints, sections[name])) for name in _SEGMENT_SECTIONS]
+
+
+def _section_bytes(sections: dict[str, list[memoryview]]) -> dict[str, int]:
+    return {name: sum(map(len, columns)) for name, columns in sections.items()}
 
 
 def _assemble_state(
     backend: CompactBackend | ShardedBackend,
-    payloads: dict[str, memoryview],
+    sections: dict[str, list[memoryview]],
     info: SnapshotInfo,
     mapping: mmap.mmap,
 ) -> CompiledState:
-    """Decode every non-column section straight into the object that
-    serves it — store, kernel, graph caches, linker material, paraphrase
-    dictionary — and wire them into the warm :class:`CompiledState`
-    (shared by both snapshot forms)."""
+    """Wire every non-permutation section into the object that serves it
+    (shared by both snapshot forms).
+
+    The term table and the kernel rows stay columns over the mapping; the
+    literal id set, the closures, the label index and the paraphrase
+    dictionary are decoded here, once; the linker section waits for
+    :meth:`CompiledState.build_linker`.
+    """
     from repro.paraphrase.dictionary import ParaphraseDictionary, PredicateMapping
 
-    def reader(name: str) -> _Reader:
-        return _Reader(payloads[name])
-
+    offsets, records, by_record = sections["terms"]
+    try:
+        terms = TermDictionary.over_records(_ints(offsets), records, _ints(by_record))
+    except ValueError as exc:
+        raise SnapshotError(f"malformed term table in {info.path}: {exc}") from exc
+    if len(terms) != info.terms:
+        raise SnapshotError(
+            f"snapshot holds {len(terms)} terms, manifest says "
+            f"{info.terms} — inconsistent file"
+        )
     store = TripleStore(
-        backend=backend,
-        dictionary=TermDictionary.from_terms(_decode_terms(reader("terms"))),
-        literal_ids=set(reader("literals").int_column()),
+        backend=backend, dictionary=terms, literal_ids=_ints(sections["literals"][0])
     )
+    try:
+        kernel = AdjacencyKernel(store, columns=tuple(map(_ints, sections["kernel"])))
+    except ValueError as exc:
+        raise SnapshotError(f"malformed kernel section in {info.path}: {exc}") from exc
 
-    kernel_reader = reader("kernel")
-    node_ids = kernel_reader.int_column()
-    row_lens = kernel_reader.int_column()
-    flat_steps = kernel_reader.int_column()
-    flat_neighbors = kernel_reader.int_column()
-    rows: dict[int, AdjacencyRow] = {}
-    offset = 0
-    for node, length in zip(node_ids, row_lens):
-        end = offset + length
-        rows[node] = (tuple(flat_steps[offset:end]), tuple(flat_neighbors[offset:end]))
-        offset = end
-
-    closure_reader = reader("closures")
-    superclass_closure = _decode_closure(closure_reader)
-    subclass_closure = _decode_closure(closure_reader)
-    label_reader = reader("labels")
+    closures = list(map(_ints, sections["closures"]))
+    label_reader = _Reader(sections["labels"][0])
     kg = KnowledgeGraph(store)
     kg.preload(
-        kernel=AdjacencyKernel(store, prebuilt_rows=rows),
-        class_ids=set(reader("classes").int_column()),
-        superclass_closure=superclass_closure,
-        subclass_closure=subclass_closure,
+        kernel=kernel,
+        class_ids=set(_ints(sections["classes"][0])),
+        superclass_closure=_decode_closure(*closures[:3]),
+        subclass_closure=_decode_closure(*closures[3:]),
         label_index={
             label_reader.i64(): label_reader.text()
             for _ in range(label_reader.u64())
         },
     )
 
-    linker_reader = reader("linker")
-    entries: list[tuple[int, str, str, bool]] = []
-    for _ in range(linker_reader.u64()):
-        node_id = linker_reader.i64()
-        is_class = bool(linker_reader.u8())
-        label = linker_reader.text()
-        normalized = linker_reader.text()
-        entries.append((node_id, label, normalized, is_class))
-    postings: dict[str, tuple[int, ...]] = {}
-    for _ in range(linker_reader.u64()):
-        word = linker_reader.text()
-        postings[word] = tuple(linker_reader.int_column())
-    max_degree = linker_reader.i64()
-
-    dict_reader = reader("dictionary")
+    dict_reader = _Reader(sections["dictionary"][0])
     paraphrases = ParaphraseDictionary()
     for _ in range(dict_reader.u64()):
         phrase = tuple(dict_reader.text().split())
@@ -710,32 +828,30 @@ def _assemble_state(
         kg=kg,
         dictionary=paraphrases,
         info=info,
-        linker_entries=entries,
-        linker_postings=postings,
-        linker_max_degree=max_degree,
+        linker=sections["linker"][0],
         mapping=mapping,
     )
 
 
 def _load_single(path: Path) -> CompiledState:
-    """Decode the classic one-file snapshot."""
-    meta, payloads, mapping = _split_sections(path)
+    """Open the classic one-file snapshot."""
+    meta, sections, mapping = _open_container(path)
     backend = CompactBackend(
-        *_segment_permutations(payloads), version=meta["store_version"]
+        *_segment_permutations(sections), version=meta["store_version"]
     )
     if len(backend) != meta["triples"]:
         raise SnapshotError(
             f"snapshot holds {len(backend)} triples, manifest says "
             f"{meta['triples']} — inconsistent file"
         )
-    section_bytes = {name: len(payload) for name, payload in payloads.items()}
     return _assemble_state(
-        backend, payloads, _snapshot_info(path, meta, section_bytes), mapping
+        backend, sections, _snapshot_info(path, meta, _section_bytes(sections)), mapping
     )
 
 
 def _load_sharded(path: Path, manifest: dict) -> CompiledState:
-    """Decode a sharded manifest: eager state, lazily mmapped segments."""
+    """Open a sharded manifest: the state container now, each segment
+    on first touch."""
     if manifest.get("manifest_version") != MANIFEST_VERSION:
         raise SnapshotError(
             f"unsupported manifest version {manifest.get('manifest_version')} "
@@ -768,7 +884,7 @@ def _load_sharded(path: Path, manifest: dict) -> CompiledState:
         )
 
     state_path = path.with_name(manifest["state"])
-    meta, payloads, mapping = _split_sections(state_path, _STATE_SECTIONS)
+    meta, sections, mapping = _open_container(state_path, _STATE_SECTIONS)
     if meta.get("kind") != "state" or meta.get("shards") != shards:
         raise SnapshotError(
             f"{state_path} is not the state container of {path}"
@@ -786,7 +902,7 @@ def _load_sharded(path: Path, manifest: dict) -> CompiledState:
         # each file carries its own checksum, so lazy loading keeps full
         # corruption detection without reading the untouched shards.
         segment_path = segment_paths[index]
-        seg_meta, seg_payloads, seg_mapping = _split_sections(
+        seg_meta, seg_sections, seg_mapping = _open_container(
             segment_path, _SEGMENT_SECTIONS, ()
         )
         if (
@@ -799,14 +915,14 @@ def _load_sharded(path: Path, manifest: dict) -> CompiledState:
                 f"{segment_path} is not segment {index} of {path}"
             )
         segment = CompactBackend(
-            *_segment_permutations(seg_payloads), version=store_version
+            *_segment_permutations(seg_sections), version=store_version
         )
         return segment, seg_mapping
 
     backend = ShardedBackend.lazy(
         shards, segment_triples, load_segment, version=store_version
     )
-    section_bytes = {name: len(payload) for name, payload in payloads.items()}
+    section_bytes = _section_bytes(sections)
     for segment_path in segment_paths:
         try:
             section_bytes[segment_path.name] = segment_path.stat().st_size
@@ -815,31 +931,31 @@ def _load_sharded(path: Path, manifest: dict) -> CompiledState:
                 f"cannot read snapshot segment {segment_path}: {exc}"
             ) from exc
     info = _snapshot_info(path, manifest, section_bytes, shards)
-    return _assemble_state(backend, payloads, info, mapping)
+    return _assemble_state(backend, sections, info, mapping)
 
 
 def load_snapshot(path: str | Path) -> CompiledState:
-    """Reconstruct the full warm state from a compiled snapshot.
+    """Open the full warm state of a compiled snapshot.
 
     The returned :class:`CompiledState` carries a frozen store whose term
-    ids are identical to the compile-time store's, a kernel adopted from
-    the persisted rows, preloaded graph caches, the id-level paraphrase
-    dictionary, and the material to build an entity linker without an
-    index scan.
+    ids are identical to the compile-time store's and whose term table is
+    served from the mapping, a kernel over the persisted row columns,
+    preloaded graph caches, the id-level paraphrase dictionary, and the
+    material to build an entity linker without an index scan.
 
     ``path`` may be either snapshot form — the leading bytes decide:
 
     * a ``REPROSNAP`` container loads as a single frozen
       :class:`~repro.rdf.backend.CompactBackend`;
-    * a JSON **manifest** (``compile_snapshot(..., shards=K)``) loads the
-      state container eagerly and hands the store a
+    * a JSON **manifest** (``compile_snapshot(..., shards=K)``) opens the
+      state container and hands the store a
       :class:`~repro.rdf.shard.ShardedBackend` whose segment files are
       mapped and checksum-verified on first touch.
 
-    Every file is memory-mapped and the backend gets zero-copy
-    ``memoryview`` columns — the triple index is never duplicated into
-    process memory, and concurrent processes mapping the same file share
-    one page-cache copy.
+    Every file is memory-mapped and the backend, the kernel and the term
+    dictionary get zero-copy ``memoryview`` columns — none of them is
+    duplicated into process memory, and concurrent processes mapping the
+    same file share one page-cache copy.
     """
     path = Path(path)
     try:

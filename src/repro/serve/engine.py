@@ -119,13 +119,18 @@ def _warm_shared(kg: KnowledgeGraph, linker: "EntityLinker | CachingLinker") -> 
 
     Touches the adjacency kernel, the class set, the label index, and the
     linker's label index; returns the kernel statistics, with the linker's
-    under ``linker``.
+    under ``linker`` and the term table's under ``store``.  Over an opened
+    snapshot it boxes no kernel row and decodes no term.
     """
     kernel = kg.kernel
     _ = kg.class_ids
     _ = kg.label_index
     _ = linker.index
-    return {**kernel.statistics(), "linker": linker.statistics()}
+    return {
+        **kernel.statistics(),
+        "linker": linker.statistics(),
+        "store": kg.store.dictionary.statistics(),
+    }
 
 
 @guarded_by("_state_lock", "_ready", "_closed")
@@ -254,8 +259,9 @@ class QAEngine:
 
         Touches the adjacency kernel, the class set, the label index, and
         the linker's label index; returns the kernel statistics (the
-        linker's under ``linker``) so callers (the CLI, /healthz
-        diagnostics) can report the warmed footprint.
+        linker's under ``linker``, the term table's under ``store``) so
+        callers (the CLI, /healthz diagnostics) can report the warmed
+        footprint.
         Idempotent and safe to call concurrently.
         """
         with self._lifecycle_lock:
@@ -564,7 +570,12 @@ class QAEngine:
     def stats(self) -> dict:
         """The ``GET /stats`` body: caches, admission, kernel, linker, store."""
         backend = self.kg.store.backend
-        store_stats: dict = {"backend": type(backend).__name__}
+        # How much of the term table exists as objects, and the size of
+        # the snapshot mapping the rest is served from (0: no snapshot).
+        store_stats: dict = {
+            "backend": type(backend).__name__,
+            **self.kg.store.dictionary.statistics(),
+        }
         delta = getattr(backend, "delta_statistics", None)
         if delta is not None:
             # Overlay store: base/delta/tombstone sizes tell operators

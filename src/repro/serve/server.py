@@ -60,8 +60,6 @@ import hmac
 import json
 import os
 import socket
-import urllib.error
-import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs.metrics import merge_snapshots
@@ -340,6 +338,10 @@ class _Handler(BaseHTTPRequestHandler):
         entry and simply missing from the merged totals — aggregation
         degrades, it never 500s.
         """
+        # Only the pre-fork fan-in is an HTTP client.
+        import urllib.error
+        import urllib.request
+
         local_index = (self.server.worker or {}).get("index")
         snapshots: list[dict] = []
         workers: list[dict] = []

@@ -94,6 +94,23 @@ class TestNoForksGrowBack:
 
         assert list(inspect.signature(load_snapshot).parameters) == ["path"]
 
+    def test_opened_state_has_one_path_each(self):
+        """Rows, terms and linker material of a snapshot are served one
+        way: the eager constructors were replaced, not kept beside."""
+        from repro.linking.index import LabelIndex
+        from repro.rdf.dictionary import TermDictionary
+        from repro.rdf.kernel import AdjacencyKernel
+        from repro.rdf.snapshot import CompiledState
+
+        assert list(inspect.signature(AdjacencyKernel.__init__).parameters) == [
+            "self", "store", "columns", "patch_from",
+        ]
+        assert not hasattr(TermDictionary, "from_terms")
+        assert not hasattr(LabelIndex, "from_compiled")
+        assert [field.name for field in dataclasses.fields(CompiledState)] == [
+            "kg", "dictionary", "info", "linker", "mapping",
+        ]
+
     def test_kernel_knows_nothing_about_shards(self):
         from repro.analysis.engine import scan
 

@@ -40,12 +40,12 @@ class TestParallelDeterminism:
         kg, dataset = scenario
         serial = mine_json(kg, dataset, jobs=1)
 
-        import repro.paraphrase.miner as miner_module
+        import multiprocessing  # the miner imports it only where it forks
 
         def no_fork(method):
             raise ValueError(f"cannot find context for {method!r}")
 
-        monkeypatch.setattr(miner_module.multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         assert mine_json(kg, dataset, jobs=2) == serial
 
     def test_auto_jobs_output_is_byte_identical(self, scenario):

@@ -10,6 +10,7 @@ import hashlib
 import json
 import shutil
 import struct
+from array import array
 
 import pytest
 
@@ -165,6 +166,41 @@ class TestAnswerEquivalence:
                 [str(t) for t in a.answers], a.boolean
             ), question.text
 
+    def test_answers_survive_open_ingest_compact_reopen(self, setup, snapshot, tmp_path):
+        """compile → open → ingest → ``compact(snapshot_path=)`` → open:
+        the second snapshot holds the first one's terms at their ids with
+        the new ones behind them, the live kernel's rows, and all 99
+        answers."""
+        from repro.serve import QAEngine
+
+        kg, dictionary = setup
+        path, _ = snapshot
+        engine = QAEngine.from_snapshot(path)
+        try:
+            engine.ingest([Triple(IRI("x:new/a"), IRI("x:new/rel"), IRI("x:new/b"))])
+            second = tmp_path / "second.snap"
+            engine.compact(snapshot_path=str(second))
+            reopened = load_snapshot(second)
+            live = engine.kg
+            assert sorted(reopened.kg.store.triples_ids()) == sorted(live.store.triples_ids())
+            terms = reopened.kg.store.dictionary.terms_in_id_order()
+            assert terms == live.store.dictionary.terms_in_id_order()
+            assert terms[:len(kg.store.dictionary)] == kg.store.dictionary.terms_in_id_order()
+            assert reopened.kg.kernel.full_rows() == live.kernel.full_rows()
+            assert live.kernel.full_rows() == reopened.kg.kernel.full_rows()
+        finally:
+            engine.close()
+        original = GAnswer(kg, dictionary)
+        restored = GAnswer(
+            reopened.kg, reopened.dictionary, linker=reopened.build_linker()
+        )
+        for question in qald_questions():
+            a = original.answer(question.text)
+            b = restored.answer(question.text)
+            assert ([str(t) for t in b.answers], b.boolean) == (
+                [str(t) for t in a.answers], a.boolean
+            ), question.text
+
     def test_engine_from_snapshot(self, snapshot):
         from repro.serve import QAEngine
 
@@ -191,6 +227,18 @@ class TestMmapLoading:
                 assert isinstance(column, memoryview), name
                 assert column.format == "q"
 
+    def test_kernel_rows_and_terms_are_served_from_the_mapping(self, snapshot):
+        path, _ = snapshot
+        state = load_snapshot(path)
+        state.build_linker()
+        rows = state.kg.kernel.full_rows()
+        for column in (rows._node_ids, rows._steps, rows._neighbors):
+            assert isinstance(column, memoryview) and column.obj is state.mapping
+        assert state.kg.kernel.statistics()["rows_boxed"] == 0
+        terms = state.kg.store.dictionary.statistics()
+        assert terms["terms_decoded"] == 0 < terms["terms_total"]
+        assert terms["snapshot_mapped_bytes"] == path.stat().st_size
+
     def test_mapping_held_by_state(self, loaded):
         # The mmap must stay alive as long as the state (the views borrow
         # from it).
@@ -199,7 +247,8 @@ class TestMmapLoading:
 
 
 def _split_container(raw):
-    """(header, meta JSON bytes, [(name, payload)]) of a good container."""
+    """(header, meta JSON bytes, [(name, [column bytes, ...])]) of a good
+    container: the directory up front, the columns where it says."""
     body = memoryview(raw)[_HEADER_BYTES:len(raw) - _DIGEST_BYTES]
     (meta_len,) = struct.unpack_from("<Q", body, 0)
     offset = 8 + meta_len
@@ -211,23 +260,44 @@ def _split_container(raw):
         name_len = body[offset]
         name = bytes(body[offset + 1:offset + 1 + name_len])
         offset += 1 + name_len
-        (size,) = struct.unpack_from("<Q", body, offset)
-        offset += 8
-        sections.append((name, bytes(body[offset:offset + size])))
-        offset += size
+        (columns,) = struct.unpack_from("<I", body, offset)
+        offset += 4
+        found = []
+        for _ in range(columns):
+            start, size = struct.unpack_from("<QQ", body, offset)
+            offset += 16
+            found.append(bytes(raw[start:start + size]))
+        sections.append((name, found))
     return bytes(raw[:_HEADER_BYTES]), meta, sections
 
 
-def _join_container(header, meta, sections, extra_count=0, extra_last_size=0):
+def _join_container(header, meta, sections, extra_count=0, lie=None):
     """Re-assemble and **re-sign** a container, optionally lying about the
-    section count or the last payload's length."""
+    section count or — ``lie(extents)`` edits the ``[offset, length]``
+    list in place — about where the columns are."""
+    directory_len = 8 + len(meta) + 4 + sum(
+        1 + len(name) + 4 + 16 * len(columns) for name, columns in sections
+    )
+    offset = -(-(_HEADER_BYTES + directory_len) // 8) * 8
+    extents = []
+    for _name, columns in sections:
+        for column in columns:
+            extents.append([offset, len(column)])
+            offset = -(-(offset + len(column)) // 8) * 8
+    placed = [tuple(extent) for extent in extents]
+    if lie is not None:
+        lie(extents)
     body = struct.pack("<Q", len(meta)) + meta
     body += struct.pack("<I", len(sections) + extra_count)
-    for index, (name, payload) in enumerate(sections):
-        size = len(payload)
-        if index == len(sections) - 1:
-            size += extra_last_size
-        body += bytes((len(name),)) + name + struct.pack("<Q", size) + payload
+    told = iter(extents)
+    for name, columns in sections:
+        body += bytes((len(name),)) + name + struct.pack("<I", len(columns))
+        for _column in columns:
+            body += struct.pack("<QQ", *next(told))
+    for (start, _size), column in zip(
+        placed, (column for _name, columns in sections for column in columns)
+    ):
+        body += bytes(start - _HEADER_BYTES - len(body)) + column
     return header + body + hashlib.sha256(body).digest()
 
 
@@ -235,6 +305,48 @@ def _without_phrases(meta):
     fields = json.loads(meta)
     del fields["phrases"]
     return json.dumps(fields, sort_keys=True).encode("utf-8")
+
+
+def _past_end(extents):
+    extents[-1][1] += 1 << 40
+
+
+def _offset_past_end(extents):
+    extents[-1][0] += 1 << 40
+
+
+def _overlapping(extents):
+    extents[1][0] = extents[0][0]
+
+
+def _misaligned(extents):
+    extents[-1][0] += 1
+    extents[-1][1] -= 1
+
+
+def _with_column(sections, name, index, edit):
+    """``sections`` with int64 column ``index`` of section ``name`` edited
+    in place by ``edit(array)``."""
+    changed = []
+    for section, columns in sections:
+        if section == name.encode("ascii"):
+            values = array("q", columns[index])
+            edit(values)
+            columns = [*columns[:index], values.tobytes(), *columns[index + 1:]]
+        changed.append((section, columns))
+    return changed
+
+
+def _swap_first_two(values):
+    values[1], values[2] = values[2], values[1]
+
+
+def _repeat_first(values):
+    values[1] = values[0]
+
+
+def _lengthen_first(values):
+    values[0] += 1
 
 
 #: Well-signed but malformed: each maps a good container's parts to the
@@ -246,8 +358,18 @@ _MALFORMATIONS = {
     "section_name_not_ascii": lambda h, m, s: _join_container(
         h, m, [(b"\xff" + s[0][0][1:], s[0][1]), *s[1:]]
     ),
-    "payload_length_past_end": lambda h, m, s: _join_container(
-        h, m, s, extra_last_size=1 << 40
+    "payload_length_past_end": lambda h, m, s: _join_container(h, m, s, lie=_past_end),
+    "column_offset_past_end": lambda h, m, s: _join_container(h, m, s, lie=_offset_past_end),
+    "columns_overlap": lambda h, m, s: _join_container(h, m, s, lie=_overlapping),
+    "column_misaligned": lambda h, m, s: _join_container(h, m, s, lie=_misaligned),
+    "term_offsets_not_monotone": lambda h, m, s: _join_container(
+        h, m, _with_column(s, "terms", 0, _swap_first_two)
+    ),
+    "term_sort_column_not_a_permutation": lambda h, m, s: _join_container(
+        h, m, _with_column(s, "terms", 2, _repeat_first)
+    ),
+    "kernel_row_lens_do_not_sum": lambda h, m, s: _join_container(
+        h, m, _with_column(s, "kernel", 1, _lengthen_first)
     ),
 }
 
@@ -278,6 +400,17 @@ class TestIntegrity:
         bad = tmp_path / "future.snap"
         bad.write_bytes(raw)
         with pytest.raises(SnapshotError, match="unsupported snapshot format"):
+            load_snapshot(bad)
+
+    def test_previous_format_refused_not_converted(self, snapshot, tmp_path):
+        """There is one reader: a format-1 file (length prefixes in line,
+        one record per term) is named, refused and sent back to the
+        compiler — its body is never looked at."""
+        path, raw = self._bytes(snapshot)
+        raw[10] = 1
+        bad = tmp_path / "format1.snap"
+        bad.write_bytes(raw)
+        with pytest.raises(SnapshotError, match=r"format 1 .*reads format 2.*recompile"):
             load_snapshot(bad)
 
     def test_flipped_body_byte_rejected(self, snapshot, tmp_path):
