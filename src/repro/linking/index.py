@@ -81,12 +81,25 @@ class LabelIndex:
 
     def _build(self) -> None:
         store = self.kg.store
+        decode = store.dictionary.decode
+        # Every rdfs:label in one scan grouped by subject, not a seek per
+        # node.  The scan orders one node's labels by object, the seek by
+        # the backend's leaf for that node, and entry order is persisted —
+        # so a node with several labels is read again through the seek.
+        labels_of: dict[int, list[str]] = {}
+        label_id = self.kg.kernel.label_id
+        if label_id is not None:
+            for sid, _pid, oid in store.triples_ids(p=label_id):
+                labels_of.setdefault(sid, []).append(str(decode(oid)))
+        class_ids = self.kg.class_ids
         for node_id in sorted(store.node_ids()):
-            labels = self.kg.all_labels(node_id)
-            if not labels:
+            labels = labels_of.get(node_id)
+            if labels is None:
                 fallback = self.kg.label_of(node_id)
                 labels = [fallback] if fallback else []
-            is_class = self.kg.is_class(node_id)
+            elif len(labels) > 1:
+                labels = self.kg.all_labels(node_id)
+            is_class = node_id in class_ids
             for label in labels:
                 self._add_entry(node_id, label, is_class)
         # Short name-like literals are linkable too: "Who was called

@@ -14,7 +14,9 @@ film wins later because only it participates in a match.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from repro import obs
 from repro.linking.index import IndexEntry, LabelIndex, normalize_label
@@ -64,6 +66,44 @@ class _ProminenceTable(dict):
         return value
 
 
+def _max_degree(kg: KnowledgeGraph) -> int:
+    """``max(kg.degree(node) for node in kg.store.node_ids())`` from one
+    scan: a node's degree is the number of times it stands as a subject
+    plus the number of times it stands as an object (a self-loop counts
+    twice, as it does there); literals are not nodes."""
+    degrees = Counter(
+        chain.from_iterable((sid, oid) for sid, _pid, oid in kg.store.triples_ids())
+    )
+    is_literal = kg.store.is_literal_id
+    return max(
+        (degree for node_id, degree in degrees.items() if not is_literal(node_id)),
+        default=1,
+    )
+
+
+def _material(kg: KnowledgeGraph) -> tuple[LabelIndex, int]:
+    """The label index and max degree of ``kg`` — functions of the store's
+    contents, so built once per store version and kept with the kernel.
+
+    The one place they are built.  The kernel's cache region holds one
+    ``(store version, index, max degree)``; it is rebuilt when the version
+    has moved, and a refreshed or patched kernel starts with no regions.
+    (Two threads that miss together build twice and keep one; the values
+    are equal.)
+    """
+    region = kg.kernel.cache_region("linking.material")
+    version = kg.store.version
+    tracer = obs.get_tracer()
+    held = region.get("material")
+    if held is not None and held[0] == version:
+        tracer.metrics.incr("linking.material_found")
+    else:
+        with tracer.span("linking.index_build", store_version=version):
+            held = region["material"] = (version, LabelIndex(kg), _max_degree(kg))
+        tracer.metrics.incr("linking.material_built")
+    return held[1], held[2]
+
+
 class EntityLinker:
     """Link argument phrases to knowledge graph nodes.
 
@@ -91,11 +131,15 @@ class EntityLinker:
         self.min_score = min_score
         # A compiled snapshot supplies both the prebuilt index and the
         # max degree, skipping the full label scan and the degree sweep.
-        self.index = index if index is not None else LabelIndex(kg)
-        self._max_degree = max_degree if max_degree is not None else max(
-            (kg.degree(node_id) for node_id in kg.store.node_ids()),
-            default=1,
-        )
+        # Otherwise both are the kernel's, built once per store version.
+        if index is None or max_degree is None:
+            shared_index, shared_max_degree = _material(kg)
+            if index is None:
+                index = shared_index
+            if max_degree is None:
+                max_degree = shared_max_degree
+        self.index = index
+        self._max_degree = max_degree
         self._prominence = _ProminenceTable(kg, self._max_degree, kg.store.version)
 
     @property

@@ -26,12 +26,13 @@ from repro import obs
 from repro.exceptions import MiningError
 from repro.nlp.lemmatizer import lemmatize_adjective, lemmatize_noun, lemmatize_verb
 from repro.paraphrase.dictionary import ParaphraseDictionary, PredicateMapping
-from repro.paraphrase.path_mining import find_simple_paths
+from repro.paraphrase.path_mining import find_simple_paths, forget_walks
 from repro.paraphrase.tfidf import (
     document_frequencies,
     smoothed_idf_from_count,
     tf_value,
 )
+from repro.rdf.collector import collector_paused
 from repro.rdf.graph import KnowledgeGraph
 from repro.rdf.terms import IRI
 
@@ -220,7 +221,7 @@ class ParaphraseMiner:
     def mine(self, dataset: RelationPhraseDataset) -> ParaphraseDictionary:
         """Run Algorithm 1 and return the paraphrase dictionary."""
         tracer = obs.get_tracer()
-        with tracer.span("mining.mine", phrases=len(dataset)) as span:
+        with tracer.span("mining.mine", phrases=len(dataset)) as span, collector_paused():
             per_pair_sets, located, total = self._collect_path_sets(dataset, tracer)
             # Union of paths per phrase, for the idf denominator.
             phrase_paths: dict[str, set[Path]] = {
@@ -263,6 +264,7 @@ class ParaphraseMiner:
                 pairs_located=located,
                 candidate_paths=candidates,
             )
+            forget_walks(self.kg)
         return dictionary
 
     def remine_for_predicates(

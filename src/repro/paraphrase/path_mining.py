@@ -31,6 +31,22 @@ Path = tuple[int, ...]
 ExpansionTree = dict[int, list[tuple[Path, tuple[int, ...]]]]
 
 
+#: The kernel cache regions the enumeration memoizes in.
+_TREE_REGION = "mining.expand_tree"
+_PREFIX_REGION = "mining.literal_prefixes"
+
+
+def forget_walks(kg: KnowledgeGraph) -> None:
+    """Empty the walk-tree and literal-prefix memos of ``kg``'s kernel.
+
+    They pay between the support pairs of one mining run (endpoints
+    repeat across phrases); afterwards they are only weight — thousands
+    of trees the process holds and every later collection walks.
+    """
+    kg.kernel.cache_region(_TREE_REGION).clear()
+    kg.kernel.cache_region(_PREFIX_REGION).clear()
+
+
 def _expand_tree(
     kg: KnowledgeGraph, start: int, depth: int, tracer=obs.NOOP
 ) -> ExpansionTree:
@@ -48,7 +64,7 @@ def _expand_tree(
     in ``mining.bfs_frontier``; an empty frontier stops the BFS early
     instead of looping to full depth.
     """
-    cache = kg.kernel.cache_region("mining.expand_tree")
+    cache = kg.kernel.cache_region(_TREE_REGION)
     key = (start, depth)
     cached = cache.get(key)
     if cached is not None:
@@ -194,7 +210,7 @@ def _paths_to_literal(
     otherwise re-enumerate identical prefixes.
     """
     structural = kg.kernel.structural_predicate_ids
-    prefix_cache = kg.kernel.cache_region("mining.literal_prefixes")
+    prefix_cache = kg.kernel.cache_region(_PREFIX_REGION)
     found: set[Path] = set()
     for holder, pid, _obj in kg.store.triples_ids(o=literal):
         if pid in structural:

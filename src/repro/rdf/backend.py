@@ -271,8 +271,38 @@ class DictBackend(PermutationReads[set[int]]):
         batch): every intermediate store state stays distinguishable, so
         version-keyed caches can never alias across a batch boundary.
         """
-        add = self.add
-        return sum(1 for s, p, o in triples if add(s, p, o))
+        spo, pos, osp = self._spo, self._pos, self._osp
+        before = self._size
+        for s, p, o in triples:
+            row = spo.get(s)
+            if row is None:
+                row = spo[s] = {}
+            leaf = row.get(p)
+            if leaf is None:
+                row[p] = {o}
+            elif o in leaf:
+                continue
+            else:
+                leaf.add(o)
+            row = pos.get(p)
+            if row is None:
+                row = pos[p] = {}
+            leaf = row.get(o)
+            if leaf is None:
+                row[o] = {s}
+            else:
+                leaf.add(s)
+            row = osp.get(o)
+            if row is None:
+                row = osp[o] = {}
+            leaf = row.get(s)
+            if leaf is None:
+                row[s] = {p}
+            else:
+                leaf.add(p)
+            self._size += 1
+            self._version += 1
+        return self._size - before
 
     def remove(self, s: int, p: int, o: int) -> bool:
         objects = self._spo.get(s, {}).get(p)

@@ -33,6 +33,7 @@ from repro.rdf.kernel import (
     step_predicate,
 )
 from repro.contracts import guarded_by
+from repro.rdf.collector import collector_paused
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import IRI, Term
 
@@ -143,7 +144,8 @@ class KnowledgeGraph:
             with self._kernel_lock:
                 kernel = self._kernel
                 if kernel is None:
-                    kernel = self._kernel = AdjacencyKernel(self.store)
+                    with collector_paused():
+                        kernel = self._kernel = AdjacencyKernel(self.store)
         return kernel
 
     @property

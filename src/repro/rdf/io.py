@@ -22,9 +22,10 @@ def load_store(path: str | Path) -> TripleStore:
     the sorted-column backend with ``.compacted()`` (see
     :mod:`repro.rdf.backend`) — frozen, much smaller, faster to scan.
     """
-    text = Path(path).read_text(encoding="utf-8")
     store = TripleStore()
-    store.add_all(parse_ntriples(text))
+    # newline="\n": only LF ends a line (a raw U+2028 in a literal is data).
+    with open(path, encoding="utf-8", newline="\n") as lines:
+        store.add_all(parse_ntriples(lines))
     return store
 
 

@@ -5,12 +5,27 @@ Implements the line-oriented N-Triples syntax: one triple per line,
 ``#`` comments, and the standard string escapes.  Blank nodes are not
 supported (the project's knowledge graphs never use them); encountering one
 raises :class:`RDFSyntaxError` rather than silently mangling data.
+
+A line ends at LF (one CR before it belongs to the line ending); nothing
+else does — N-Triples requires only ``"``, ``\\``, LF and CR to be escaped
+inside a literal, so a raw U+2028 or U+0085 there is data.
+
+Two readers share the work.  :data:`_RECOGNISED` is one compiled pattern
+for the shape a dump is made of — ``<iri> <iri> (<iri> | "lexical without
+escape" [@tag | ^^<iri>]) .`` — and costs one match per line;
+:class:`_LineScanner` parses every other line (escapes, terms written
+without a blank between them, a non-ASCII language tag, anything
+malformed) and owns every corner of the grammar and every error message.
+The pattern accepts a *subset*: whatever it matches, the scanner alone
+parses to the equal triple.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator
 
+from repro import obs
 from repro.exceptions import RDFSyntaxError
 from repro.rdf.terms import IRI, Literal, Term, Triple
 
@@ -28,11 +43,14 @@ _REVERSE_ESCAPES = {
     '"': '\\"',
     "\\": "\\\\",
 }
-# str.splitlines() treats these as line boundaries, so they must never appear
-# raw inside a serialized literal or the document stops being line-oriented.
+# str.splitlines() treats these as line boundaries.  This parser does not
+# (it splits on LF only), but a consumer that does must still see one triple
+# per line, so they never appear raw inside a serialized literal.
 for _boundary in "\v\f\x1c\x1d\x1e\x85\u2028\u2029":
     _REVERSE_ESCAPES[_boundary] = f"\\u{ord(_boundary):04X}"
 del _boundary
+
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 class _LineScanner:
@@ -115,15 +133,36 @@ class _LineScanner:
             return Literal(lexical, datatype=datatype)
         return Literal(lexical)
 
-    def _read_unicode_escape(self, width: int) -> str:
+    def _read_code_point(self, width: int) -> int:
         hex_digits = self.text[self.pos : self.pos + width]
         if len(hex_digits) != width:
             raise self.error("truncated unicode escape")
-        try:
-            code_point = int(hex_digits, 16)
-        except ValueError:
-            raise self.error(f"invalid unicode escape {hex_digits!r}") from None
+        # int() alone would also take a sign, blanks and underscores.
+        if not _HEX_DIGITS.issuperset(hex_digits):
+            raise self.error(f"invalid unicode escape {hex_digits!r}")
         self.pos += width
+        return int(hex_digits, 16)
+
+    def _read_unicode_escape(self, width: int) -> str:
+        """The character a ``\\u``/``\\U`` escape names — always a Unicode
+        scalar value, so a parsed literal can always be encoded as UTF-8.
+        A surrogate pair written as two ``\\u`` escapes (how UTF-16-minded
+        writers spell an astral character) is joined into the one character
+        it stands for; a surrogate on its own names no character."""
+        code_point = self._read_code_point(width)
+        if code_point > 0x10FFFF:
+            raise self.error(f"unicode escape out of range: U+{code_point:X}")
+        if 0xD800 <= code_point <= 0xDFFF:
+            if (
+                width == 4
+                and code_point <= 0xDBFF
+                and self.text.startswith("\\u", self.pos)
+            ):
+                self.pos += 2
+                low = self._read_code_point(4)
+                if 0xDC00 <= low <= 0xDFFF:
+                    return chr(0x10000 + ((code_point - 0xD800) << 10) + (low - 0xDC00))
+            raise self.error(f"lone surrogate escape U+{code_point:04X}")
         return chr(code_point)
 
     def read_term(self) -> Term:
@@ -137,8 +176,19 @@ class _LineScanner:
         raise self.error(f"expected a term, found {char!r}")
 
 
-def parse_ntriples_line(line: str, line_number: int | None = None) -> Triple | None:
-    """Parse one N-Triples line; returns None for blank/comment lines."""
+#: The canonical line, whole: subject, predicate and object tokens in
+#: groups 1–3, the parts of a literal object in 4–6.  Blanks or tabs are
+#: required between terms and a literal holds no backslash, so everything
+#: this matches reads the same to :class:`_LineScanner`.
+_RECOGNISED = re.compile(
+    r"""[ \t]*(<[^>]+>)[ \t]+(<[^>]+>)[ \t]+"""
+    r"""(<[^>]+>|"([^"\\]*)"(?:@([A-Za-z0-9-]+)|\^\^<([^>]+)>)?)"""
+    r"""[ \t]*\.[ \t]*(?:#.*)?\r?\n?"""
+).fullmatch
+
+
+def _scan_line(line: str, line_number: int | None) -> Triple | None:
+    """Parse one line with the scanner alone (the whole grammar)."""
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
@@ -160,12 +210,69 @@ def parse_ntriples_line(line: str, line_number: int | None = None) -> Triple | N
     return Triple(subject, predicate, obj)
 
 
-def parse_ntriples(text: str) -> Iterator[Triple]:
-    """Parse an N-Triples document, yielding triples in order."""
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        triple = parse_ntriples_line(line, line_number)
-        if triple is not None:
-            yield triple
+def _recognised_term(token: str, match: re.Match, terms: dict[str, Term]) -> Term:
+    """Build the term ``token`` spells on a recognised line; file it in ``terms``."""
+    if token[0] == "<":
+        term: Term = IRI(token[1:-1])
+    else:
+        lexical, language, datatype = match.group(4, 5, 6)
+        term = Literal(
+            lexical,
+            datatype=None if datatype is None else IRI(datatype),
+            language=language,
+        )
+    terms[token] = term
+    return term
+
+
+def _recognised_triple(match: re.Match, terms: dict[str, Term]) -> Triple:
+    """The triple of a line :data:`_RECOGNISED` matched.  ``terms`` maps the
+    tokens seen so far to their terms (a term is never falsy)."""
+    subject, predicate, obj = match.group(1, 2, 3)
+    known = terms.get
+    return Triple(
+        known(subject) or _recognised_term(subject, match, terms),
+        known(predicate) or _recognised_term(predicate, match, terms),
+        known(obj) or _recognised_term(obj, match, terms),
+    )
+
+
+def parse_ntriples_line(line: str, line_number: int | None = None) -> Triple | None:
+    """Parse one N-Triples line; returns None for blank/comment lines."""
+    match = _RECOGNISED(line)
+    if match is None:
+        return _scan_line(line, line_number)
+    return _recognised_triple(match, {})
+
+
+def parse_ntriples(text: str | Iterable[str]) -> Iterator[Triple]:
+    """Parse an N-Triples document, yielding triples in order.
+
+    ``text`` is the document as one string or as its lines (an open text
+    file — opened with ``newline="\\n"``, so that only LF ends a line).
+
+    A term is built once per document however often its token occurs on
+    recognised lines, so the store's dictionary finds every repeat by
+    identity.  When the document is exhausted the tracer's metrics gain
+    ``rdf.ntriples.lines_recognised`` / ``rdf.ntriples.lines_scanned``:
+    the triples read by the pattern and by the scanner.
+    """
+    lines = text.split("\n") if isinstance(text, str) else text
+    terms: dict[str, Term] = {}
+    recognised = scanned = 0
+    for line_number, line in enumerate(lines, start=1):
+        match = _RECOGNISED(line)
+        if match is not None:
+            recognised += 1
+            yield _recognised_triple(match, terms)
+        else:
+            triple = _scan_line(line, line_number)
+            if triple is not None:
+                scanned += 1
+                yield triple
+    metrics = obs.get_tracer().metrics
+    metrics.incr("rdf.ntriples.lines_recognised", recognised)
+    metrics.incr("rdf.ntriples.lines_scanned", scanned)
 
 
 def _escape(lexical: str) -> str:

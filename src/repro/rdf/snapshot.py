@@ -96,6 +96,7 @@ from typing import TYPE_CHECKING, BinaryIO, Iterator
 
 from repro.exceptions import SnapshotError
 from repro.rdf.backend import CompactBackend
+from repro.rdf.collector import collector_paused
 from repro.rdf.dictionary import TermDictionary, encode_term_record
 from repro.rdf.graph import KnowledgeGraph
 from repro.rdf.kernel import AdjacencyKernel
@@ -559,7 +560,8 @@ def compile_snapshot(
     """
     path = Path(path)
     store = kg.store
-    sections = _encode_state_sections(kg, dictionary)
+    with collector_paused():
+        sections = _encode_state_sections(kg, dictionary)
     meta = {
         "format_version": FORMAT_VERSION,
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),

@@ -28,6 +28,7 @@ from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from repro.exceptions import StoreFrozenError
 from repro.rdf.backend import CompactBackend, DictBackend, StoreBackend
+from repro.rdf.collector import collector_paused
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.overlay import OverlayBackend
 from repro.rdf.shard import ShardedBackend
@@ -92,9 +93,10 @@ class TripleStore:
         :class:`~repro.rdf.backend.CompactBackend`.  The copy carries the
         current version forward.
         """
-        backend = CompactBackend.from_triples(
-            self._backend.triples_ids(), version=self._backend.version
-        )
+        with collector_paused():
+            backend = CompactBackend.from_triples(
+                self._backend.triples_ids(), version=self._backend.version
+            )
         return self._rehoused(backend)
 
     def sharded(self, shards: int, jobs: int = 1) -> "TripleStore":
@@ -107,12 +109,13 @@ class TripleStore:
         ``jobs > 1`` builds segments across a fork pool (0 = one per CPU);
         the result is identical at any job count.
         """
-        backend = ShardedBackend.from_triples(
-            self._backend.triples_ids(),
-            shards=shards,
-            version=self._backend.version,
-            jobs=jobs,
-        )
+        with collector_paused():
+            backend = ShardedBackend.from_triples(
+                self._backend.triples_ids(),
+                shards=shards,
+                version=self._backend.version,
+                jobs=jobs,
+            )
         return self._rehoused(backend)
 
     def overlay(self) -> "TripleStore":
@@ -180,19 +183,21 @@ class TripleStore:
         Bulk fast path: terms are encoded and literals booked in one pass
         here, then the id triples go to the backend's ``add_all_ids``
         (one lock acquisition on an overlay, still one version bump per
-        new triple).
+        new triple).  Runs with the cycle collector paused, like every
+        bulk builder (:mod:`repro.rdf.collector`).
         """
         if not self._backend.writable:
             raise StoreFrozenError("cannot add to a frozen store")
         encode = self.dictionary.encode
         literal_ids = self._literal_ids
         encoded: list[_IdTriple] = []
-        for triple in triples:
-            o = encode(triple.object)
-            if isinstance(triple.object, Literal):
-                literal_ids.add(o)
-            encoded.append((encode(triple.subject), encode(triple.predicate), o))
-        return self._backend.add_all_ids(encoded)
+        with collector_paused():
+            for triple in triples:
+                o = encode(triple.object)
+                if isinstance(triple.object, Literal):
+                    literal_ids.add(o)
+                encoded.append((encode(triple.subject), encode(triple.predicate), o))
+            return self._backend.add_all_ids(encoded)
 
     def remove(self, triple: Triple) -> bool:
         """Delete a triple.  Returns True if it was present."""

@@ -76,3 +76,62 @@ class TestDeannaRobustness:
         deanna = Deanna(kg, dictionary)
         result = deanna.answer(" ".join(words))
         assert isinstance(result, Answer)
+
+
+class TestNTriplesParserInput:
+    """The N-Triples parser never raises outside ``ReproError`` and never
+    lets a term through that the snapshot compiler cannot encode."""
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ('"\\U00110000"', "out of range"),
+            ('"\\uD800"', "lone surrogate"),
+            ('"\\uDFFF tail"', "lone surrogate"),
+            ('"\\uD83D\\u0041"', "lone surrogate"),
+            ('"\\u-041"', "invalid unicode escape"),
+        ],
+    )
+    def test_escape_naming_no_character_is_a_syntax_error(self, literal, message):
+        from repro.exceptions import RDFSyntaxError, ReproError
+        from repro.rdf import parse_ntriples
+
+        with pytest.raises(RDFSyntaxError, match=message) as excinfo:
+            list(parse_ntriples(f"<ex:a> <ex:p> <ex:b> .\n<ex:a> <ex:p> {literal} .\n"))
+        assert isinstance(excinfo.value, ReproError)
+        assert excinfo.value.line == 2
+        assert "column" in str(excinfo.value)
+
+    def test_surrogate_pair_escapes_compile(self, tmp_path):
+        from repro.paraphrase.dictionary import ParaphraseDictionary
+        from repro.rdf import KnowledgeGraph, TripleStore, parse_ntriples
+        from repro.rdf.snapshot import compile_snapshot, load_snapshot
+
+        store = TripleStore()
+        store.add_all(parse_ntriples('<ex:a> <ex:p> "grin \\uD83D\\uDE00" .\n'))
+        compile_snapshot(tmp_path / "s.snap", KnowledgeGraph(store), ParaphraseDictionary())
+        loaded = load_snapshot(tmp_path / "s.snap").kg.store
+        assert [str(t.object) for t in loaded.triples()] == ["grin \U0001F600"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(list('<>"\\@^.# \tuU') + ["\\u", "\\U", "D800", "0011", "ex:a", "\n"]),
+                st.characters(blacklist_categories=("Cs",)),
+            ),
+            max_size=30,
+        ).map("".join)
+    )
+    def test_arbitrary_documents_raise_only_syntax_errors(self, text):
+        from repro.exceptions import RDFSyntaxError
+        from repro.rdf import parse_ntriples
+        from repro.rdf.dictionary import encode_term_record
+
+        try:
+            triples = list(parse_ntriples(text))
+        except RDFSyntaxError:
+            return
+        for triple in triples:
+            for term in triple:
+                encode_term_record(term)

@@ -231,3 +231,50 @@ class TestIncrementalMaintenance:
         miner = ParaphraseMiner(family_kg, max_path_length=2)
         dictionary = miner.mine(uncle_dataset)
         assert miner.remine_for_predicates(uncle_dataset, dictionary, {e("nope")}) == 0
+
+
+class TestWhatMiningKeeps:
+    """The walk-tree memos pay between the pairs of one run, not after it."""
+
+    REGIONS = ("mining.expand_tree", "mining.literal_prefixes")
+
+    def _dictionary_view(self, dictionary):
+        return {
+            phrase: [(m.path, m.confidence) for m in dictionary.lookup(phrase)]
+            for phrase in sorted(dictionary.phrases())
+        }
+
+    def test_regions_are_used_during_a_run_and_empty_after_it(
+        self, family_kg, uncle_dataset, monkeypatch
+    ):
+        from repro.paraphrase import miner as miner_module
+
+        peak = {}
+        forget = miner_module.forget_walks
+
+        def measuring(kg):
+            for name in self.REGIONS:
+                peak[name] = len(kg.kernel.cache_region(name))
+            forget(kg)
+
+        monkeypatch.setattr(miner_module, "forget_walks", measuring)
+        ParaphraseMiner(family_kg, max_path_length=3).mine(uncle_dataset)
+        assert peak["mining.expand_tree"] > 0
+        for name in self.REGIONS:
+            assert family_kg.kernel.cache_region(name) == {}
+
+    def test_regions_are_empty_after_a_remine(self, family_kg, uncle_dataset):
+        miner = ParaphraseMiner(family_kg, max_path_length=3, top_k=3)
+        dictionary = miner.mine(uncle_dataset)
+        family_kg.store.add(Triple(e("tedA"), e("uncleOf"), e("juniorA")))
+        family_kg.refresh()
+        assert miner.remine_for_predicates(uncle_dataset, dictionary, {e("uncleOf")}) >= 1
+        for name in self.REGIONS:
+            assert family_kg.kernel.cache_region(name) == {}
+
+    def test_mining_twice_gives_equal_dictionaries(self, family_kg, uncle_dataset):
+        miner = ParaphraseMiner(family_kg, max_path_length=3, top_k=3)
+        first = miner.mine(uncle_dataset)
+        second = miner.mine(uncle_dataset)  # rebuilds its trees
+        assert self._dictionary_view(first) == self._dictionary_view(second)
+        assert len(first) > 0

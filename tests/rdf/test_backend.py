@@ -112,6 +112,48 @@ class TestEquivalence:
         assert len(compact) == 2
 
 
+class TestDictBulkInsert:
+    """``DictBackend.add_all_ids`` is a loop of ``add``, written as one."""
+
+    BATCH = [
+        (1, 2, 3), (1, 2, 4), (1, 2, 3),  # a duplicate inside the batch
+        (3, 2, 1), (1, 5, 3), (3, 2, 1), (4, 2, 3), (1, 2, 3),
+    ]
+
+    def _permutations(self, backend):
+        return [
+            {outer: {inner: set(leaf) for inner, leaf in row.items()} for outer, row in index.items()}
+            for index in (backend._spo, backend._pos, backend._osp)
+        ]
+
+    def test_equals_a_loop_of_add(self):
+        bulk, single = DictBackend(), DictBackend()
+        for backend in (bulk, single):  # and duplicates of what is already there
+            backend.add(4, 2, 3)
+            backend.add(9, 9, 9)
+        added = bulk.add_all_ids(iter(self.BATCH))
+        assert added == sum(single.add(*triple) for triple in self.BATCH) == 4
+        assert len(bulk) == len(single) == 6
+        assert bulk.version == single.version == 6
+        assert self._permutations(bulk) == self._permutations(single)
+        # Same key order too: scans of a dict store follow insertion order.
+        assert list(bulk.triples_ids()) == list(single.triples_ids())
+        assert list(bulk.triples_ids(p=2)) == list(single.triples_ids(p=2))
+        assert list(bulk.triples_ids(o=3)) == list(single.triples_ids(o=3))
+
+    def test_a_batch_that_fails_midway_keeps_size_and_version_in_step(self):
+        def batch():
+            yield (1, 2, 3)
+            yield (1, 2, 4)
+            raise KeyError("source ran dry")
+
+        backend = DictBackend()
+        with pytest.raises(KeyError):
+            backend.add_all_ids(batch())
+        assert len(backend) == backend.version == 2
+        assert sorted(backend.triples_ids()) == [(1, 2, 3), (1, 2, 4)]
+
+
 class TestFrozen:
     def test_compact_backend_rejects_mutation(self):
         compact = CompactBackend.from_triples([(1, 2, 3)])

@@ -59,3 +59,36 @@ class TestRoundTrip:
         path = tmp_path / "empty.nt"
         path.write_text("")
         assert len(load_store(path)) == 0
+
+
+#: What ``str.splitlines()`` breaks on besides LF and CR — legal raw inside
+#: an N-Triples literal.
+_BOUNDARY_CHARACTERS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+class TestLineEndings:
+    @pytest.mark.parametrize("char", _BOUNDARY_CHARACTERS, ids=lambda c: f"U+{ord(c):04X}")
+    def test_boundary_character_round_trips(self, tmp_path, char):
+        store = TripleStore()
+        store.add(Triple(IRI("ex:a"), IRI("ex:p"), Literal(f"x{char}y")))
+        store.add(Triple(IRI("ex:a"), IRI("ex:q"), IRI("ex:b")))
+        path = tmp_path / "data.nt"
+        save_store(store, path)
+        assert set(load_store(path).triples()) == set(store.triples())
+
+    def test_third_party_dump_with_raw_boundary_characters_and_crlf(self, tmp_path):
+        path = tmp_path / "raw.nt"
+        lines = [f'<ex:n{ord(c)}> <ex:p> "x{c}y" .' for c in _BOUNDARY_CHARACTERS]
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+        loaded = load_store(path)
+        assert set(loaded.triples()) == {
+            Triple(IRI(f"ex:n{ord(c)}"), IRI("ex:p"), Literal(f"x{c}y"))
+            for c in _BOUNDARY_CHARACTERS
+        }
+
+    def test_error_line_number_counts_lf_lines_of_the_file(self, tmp_path):
+        path = tmp_path / "bad.nt"
+        path.write_bytes('<ex:a> <ex:p> "x\u2028y" .\n<ex:a> <ex:p> garbage .\n'.encode("utf-8"))
+        with pytest.raises(RDFSyntaxError) as excinfo:
+            load_store(path)
+        assert excinfo.value.line == 2
