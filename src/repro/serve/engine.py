@@ -410,7 +410,9 @@ class QAEngine:
         kernel patching: only adjacency rows of touched nodes are
         rebuilt, the rest are reused by reference.  Readers never block —
         the overlay publishes rows copy-on-write and the version bump per
-        mutation invalidates answer-cache entries by construction.
+        mutation invalidates answer-cache entries by construction; the
+        entries of earlier versions are then dropped from both caches so
+        they stop holding memory.
         """
         removes = removes if removes is not None else []
         span = tracer.span if tracer is not None else obs.NOOP.span
@@ -425,6 +427,11 @@ class QAEngine:
                     if added or removed:
                         with span("ingest.refresh"):
                             self.kg.refresh(incremental=True)
+                        # Entries keyed by earlier versions are dead weight
+                        # from here on (memory, not correctness).
+                        version = self.store_version
+                        self.answer_cache.drop_versions_before(version)
+                        self.link_cache.drop_versions_before(version)
         self.metrics.incr("serve.ingest.requests")
         self.metrics.incr("serve.ingest.added_triples", added)
         self.metrics.incr("serve.ingest.removed_triples", removed)

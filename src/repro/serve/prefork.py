@@ -1,8 +1,9 @@
 """Pre-fork multi-process serving: N workers behind one port.
 
-A single :class:`QAServer` is thread-per-connection, but CPython's GIL
-serializes the CPU-bound QA work, so one process cannot use more than
-one core no matter how many threads it runs.  This module runs the same
+A single :class:`QAServer` runs one thread per open connection (reused
+across connections), but CPython's GIL serializes the CPU-bound QA
+work, so one process cannot use more than one core no matter how many
+threads it runs.  This module runs the same
 server in N forked worker processes that all accept on the same
 ``host:port``:
 

@@ -1,9 +1,11 @@
 """Stdlib-only JSON HTTP transport over a :class:`QAEngine`.
 
-One thread per connection (``ThreadingHTTPServer``), and that thread
-answers the question itself; answering concurrency is still bounded by
-the engine's slots + admission budget, so a thundering herd turns into
-fast 429s, not an overload.
+One thread per *open* connection, and that thread answers the question
+itself; a thread whose connection has ended parks for a moment and is
+handed the next accepted socket, so a short-lived client costs a
+hand-off, not a thread (see :class:`QAServer`).  Answering concurrency
+is still bounded by the engine's slots + admission budget, so a
+thundering herd turns into fast 429s, not an overload.
 For true parallelism across cores, :mod:`repro.serve.prefork` runs N
 processes each holding one of these servers over a shared listening
 port — a :class:`QAServer` can adopt an already-bound socket for that.
@@ -23,7 +25,8 @@ Routes::
     GET  /healthz  liveness/readiness + store version (+ worker pid/index)
     GET  /metrics  the engine's counters and histogram summaries;
                    in a multi-worker deployment, aggregated across workers
-    GET  /stats    caches, admission, kernel, config (always this worker)
+    GET  /stats    caches, admission, kernel, config, request threads
+                   (always this worker)
 
 Wire triples are ``[subject, predicate, object]``; subject and predicate
 are IRI strings, the object is an IRI string or
@@ -38,15 +41,25 @@ Error mapping: malformed body → 400, missing ``Content-Length`` → 411,
 oversized body → 413, unknown route → 404, admission budget exhausted →
 429 with a ``Retry-After`` hint (reads and writes each have their own
 budget).  Every response body is JSON, including errors
-(``{"error": ...}``).
+(``{"error": ...}``) — and including a request head the server does not
+accept: the head is read by :func:`read_head`, not by the stdlib's
+``email`` parser, and whatever it refuses (a malformed request line or
+version, a header line without a colon or folded onto the next, a
+control character, a repeated or non-numeric ``Content-Length``, any
+``Transfer-Encoding`` → 400; a line over 65 536 bytes or more than 100
+headers → 431; a method other than GET/POST → 405) is answered in the
+same JSON shape with ``Connection: close``.
 
 Two transport-level invariants the handler maintains:
 
 * **Keep-alive never desynchronizes.**  A request rejected before its
-  body was read (401/403, POST to an unknown route, 411/413) answers
-  with ``Connection: close`` and drops the connection — otherwise the
-  unread body bytes would be parsed as the next request's request
-  line, poisoning every subsequent exchange on the connection.
+  body was read (401/403, POST to an unknown route, 411/413, a GET that
+  declares a body) answers with ``Connection: close`` and drops the
+  connection — otherwise the unread body bytes would be parsed as the
+  next request's request line, poisoning every subsequent exchange on
+  the connection.  A head with two readings of where the body ends
+  (two ``Content-Length`` lines, a ``Transfer-Encoding``) is refused
+  for the same reason.
 * **A disconnected client is not an error.**  ``BrokenPipeError`` /
   ``ConnectionResetError`` while writing means the client hung up;
   the handler counts ``serve.client_disconnects`` and stops writing
@@ -59,9 +72,14 @@ from __future__ import annotations
 import hmac
 import json
 import os
+import queue
+import re
 import socket
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from typing import BinaryIO
 
+from repro.contracts import guarded_by
 from repro.obs.metrics import merge_snapshots
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.serve.admission import AdmissionRejected
@@ -75,9 +93,163 @@ MAX_BODY_BYTES = 1 << 20
 #: Budget for one sibling-worker metrics fetch during aggregation.
 PEER_TIMEOUT_S = 2.0
 
+#: The stdlib's own limits on a request head (``http.client._MAXLINE``,
+#: ``_MAXHEADERS``): bytes per line, header lines per request.
+MAX_LINE_BYTES = 65536
+MAX_HEADERS = 100
 
-class QAServer(ThreadingHTTPServer):
-    """A ``ThreadingHTTPServer`` that owns a reference to the engine.
+#: How long a request thread whose connection has ended waits for the
+#: next one before it exits, and how many may wait at once (a burst
+#: starts as many threads as it has connections; this many outlive it).
+IDLE_SECONDS = 5.0
+MAX_PARKED_THREADS = 16
+
+
+# ---------------------------------------------------------------------- #
+# The request head
+# ---------------------------------------------------------------------- #
+
+_TOKEN = rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+"
+_REQUEST_LINE = re.compile(rb"(%s) ([\x21-\x7e]+) HTTP/1\.([0-9])\r?\n" % _TOKEN)
+# A value is visible bytes, blanks and tabs — no CR, NUL or other control
+# character.  Greedy on purpose: trimmed in code, never by backtracking.
+_HEADER_LINE = re.compile(rb"(%s):([\t\x20-\x7e\x80-\xff]*)\r?\n" % _TOKEN)
+#: The headers the handler reads, by lower-cased wire name.
+_KEPT_HEADERS = {
+    name.encode("ascii"): name
+    for name in (
+        "authorization", "connection", "content-length", "expect",
+        "x-ingest-token",
+    )
+}
+
+
+class BadHead(Exception):
+    """A request head :func:`read_head` refuses, with the status to answer."""
+
+    def __init__(self, status: int, reason: str):
+        super().__init__(reason)
+        self.status = status
+        self.reason = reason
+
+
+def _refused(line: bytes, reason: str) -> BadHead:
+    if len(line) > MAX_LINE_BYTES:
+        return BadHead(431, f"request head line exceeds {MAX_LINE_BYTES} bytes")
+    if not line.endswith(b"\n"):
+        return BadHead(400, "request head ended before its blank line")
+    return BadHead(400, reason)
+
+
+def read_head(rfile: BinaryIO) -> "tuple[str, str, int, dict[str, str]] | None":
+    """Read one request head: ``(method, target, minor version, headers)``.
+
+    ``headers`` holds the first value of each header the handler reads
+    (``_KEPT_HEADERS``), keyed by lower-cased name, surrounding blanks
+    trimmed; every other line is checked for shape and dropped.  None
+    means the peer closed before sending anything — the ordinary end of
+    a keep-alive connection.  Anything else that is not one
+    ``METHOD SP target SP HTTP/1.x`` line, ``name: value`` lines within
+    the stdlib's limits and a blank line raises :class:`BadHead`; so does
+    a head that frames its body ambiguously (a repeated or non-numeric
+    ``Content-Length``, any ``Transfer-Encoding`` — bodies here are
+    length-delimited JSON).  Bare LF line ends are accepted, as the
+    stdlib accepts them.
+    """
+    line = rfile.readline(MAX_LINE_BYTES + 1)
+    if not line:
+        return None
+    match = _REQUEST_LINE.fullmatch(line)
+    if match is None:
+        raise _refused(line, "malformed request line (METHOD target HTTP/1.x)")
+    method, target, minor = match.groups()
+    headers: dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = rfile.readline(MAX_LINE_BYTES + 1)
+        if line == b"\r\n" or line == b"\n":
+            return method.decode("ascii"), target.decode("ascii"), int(minor), headers
+        match = _HEADER_LINE.fullmatch(line)
+        if match is None:
+            if line[:1] in b" \t":
+                raise _refused(line, "folded header lines are not accepted")
+            raise _refused(line, "malformed header line (name: value)")
+        wire_name = match[1].lower()
+        name = _KEPT_HEADERS.get(wire_name)
+        if name is None:
+            if wire_name == b"transfer-encoding":
+                raise BadHead(400, "Transfer-Encoding is not accepted (send Content-Length)")
+            continue
+        value = match[2].strip(b" \t")
+        if name == "content-length":
+            if name in headers:
+                raise BadHead(400, "repeated Content-Length")
+            if not value.isdigit():
+                raise BadHead(400, "Content-Length must be a decimal number")
+        headers.setdefault(name, value.decode("latin-1"))
+    raise BadHead(431, f"more than {MAX_HEADERS} request headers")
+
+
+# ---------------------------------------------------------------------- #
+# The server
+# ---------------------------------------------------------------------- #
+
+
+class _RequestThread(threading.Thread):
+    """A thread that serves connections one after another.
+
+    Connections arrive through ``inbox`` (``None`` = exit); between two
+    of them the thread is parked on the server's idle stack, see
+    :meth:`QAServer.process_request`.
+    """
+
+    def __init__(self, server: "QAServer"):
+        super().__init__(name="qa-request", daemon=True)
+        self._server = server
+        self.inbox: "queue.SimpleQueue[tuple | None]" = queue.SimpleQueue()
+
+    def run(self) -> None:
+        server = self._server
+        while True:
+            try:
+                connection = self.inbox.get(timeout=IDLE_SECONDS)
+            except queue.Empty:
+                if server._retire(self):
+                    return
+                # The acceptor took this thread off the stack while the
+                # wait was timing out: its connection is on the way.
+                connection = self.inbox.get()
+            if connection is None:
+                return
+            request, client_address = connection
+            try:
+                server.finish_request(request, client_address)
+            except Exception:
+                # Reported, and it costs that connection only.
+                server.handle_error(request, client_address)
+            finally:
+                server.shutdown_request(request)
+            if not server._park(self):
+                return
+
+
+@guarded_by(
+    "_threads_lock",
+    "_idle_threads", "_threads_started", "_connections_reused", "_closing",
+)
+class QAServer(HTTPServer):
+    """An ``HTTPServer`` that owns the engine and reuses its request threads.
+
+    Every accepted connection is served on a thread of its own, so a
+    client that holds a keep-alive connection open occupies one thread
+    and can never make a newcomer wait.  What is *not* per connection is
+    the thread's creation: a thread whose connection has ended parks on
+    an idle stack for ``IDLE_SECONDS`` (at most ``MAX_PARKED_THREADS``
+    do), and :meth:`process_request` hands the next accepted socket to
+    the most recently parked one, starting a new thread only when none is
+    parked.  No thread exists before the first connection — nothing of
+    this crosses ``os.fork()`` — and :meth:`server_close` releases and
+    joins the parked ones; threads still inside a connection are daemons,
+    as they always were.
 
     Parameters
     ----------
@@ -105,7 +277,6 @@ class QAServer(ThreadingHTTPServer):
         write applied to one would silently diverge the others.
     """
 
-    daemon_threads = True
     #: Let quick restarts (tests, CI) rebind the port immediately.
     allow_reuse_address = True
     #: Load tests open a fresh TCP connection per request from many
@@ -140,12 +311,76 @@ class QAServer(ThreadingHTTPServer):
         self.worker = worker
         self.peers = peers
         self.ingest_token = ingest_token
+        self._threads_lock = threading.Lock()
+        self._idle_threads: list[_RequestThread] = []
+        self._threads_started = 0
+        self._connections_reused = 0
+        self._closing = False
+
+    # ------------------------------------------------------------------ #
+    # Request threads
+    # ------------------------------------------------------------------ #
+
+    def process_request(self, request, client_address) -> None:
+        """Hand the accepted socket to a parked thread, or to a new one."""
+        with self._threads_lock:
+            parked = bool(self._idle_threads)
+            if parked:
+                thread = self._idle_threads.pop()
+                self._connections_reused += 1
+            else:
+                thread = _RequestThread(self)
+                self._threads_started += 1
+        thread.inbox.put((request, client_address))
+        if not parked:
+            thread.start()
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._threads_lock:
+            self._closing = True
+            parked, self._idle_threads = self._idle_threads, []
+        for thread in parked:
+            thread.inbox.put(None)
+        for thread in parked:
+            thread.join()
+
+    def thread_stats(self) -> dict:
+        """The ``server`` section of ``GET /stats`` (a read; wakes nothing)."""
+        with self._threads_lock:
+            return {
+                "threads_started": self._threads_started,
+                "connections_reused": self._connections_reused,
+                "threads_idle": len(self._idle_threads),
+            }
+
+    def _park(self, thread: _RequestThread) -> bool:
+        """Put a thread whose connection ended on the idle stack; False
+        (the thread exits) when the server is closing or the stack full."""
+        with self._threads_lock:
+            if self._closing or len(self._idle_threads) >= MAX_PARKED_THREADS:
+                return False
+            self._idle_threads.append(thread)
+            return True
+
+    def _retire(self, thread: _RequestThread) -> bool:
+        """Take a thread whose idle wait ran out off the stack; False when
+        :meth:`process_request` or :meth:`server_close` got there first
+        (something is already on its way to the thread's inbox)."""
+        with self._threads_lock:
+            if thread in self._idle_threads:
+                self._idle_threads.remove(thread)
+                return True
+            return False
 
 
 class _Handler(BaseHTTPRequestHandler):
     #: Advertised in error bodies and the Server header.
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    #: What :func:`read_head` kept of the request's headers (lower-cased
+    #: names) — a plain dict, not the stdlib's ``email`` message.
+    headers: dict[str, str]  # type: ignore[assignment]
 
     # ------------------------------------------------------------------ #
     # Routes
@@ -154,14 +389,58 @@ class _Handler(BaseHTTPRequestHandler):
     def handle(self) -> None:
         try:
             super().handle()
-        except ConnectionResetError:
+        except (BrokenPipeError, ConnectionResetError):
             # Reset before (or between) requests: reading the next request
             # line fails instead of a write.  Same event, same accounting.
             self._client_disconnected()
 
+    def handle_one_request(self) -> None:
+        if not self.parse_request():
+            return
+        if self.command == "GET":
+            self.do_GET()
+        elif self.command == "POST":
+            self.do_POST()
+        else:
+            self._send_json(
+                405,
+                {"error": f"method not allowed: {self.command}"},
+                headers={"Allow": "GET, POST"},
+                close=True,
+            )
+
+    def parse_request(self) -> bool:
+        """Read one request head into ``command`` / ``path`` / ``headers``
+        (:func:`read_head`); False at the end of the connection or after
+        answering a head that was refused."""
+        self.close_connection = True
+        self.request_version = "HTTP/1.1"
+        try:
+            head = read_head(self.rfile)
+        except BadHead as bad:
+            self._send_json(bad.status, {"error": bad.reason}, close=True)
+            return False
+        if head is None:
+            return False
+        self.command, self.path, minor, self.headers = head
+        if minor == 0:
+            self.request_version = "HTTP/1.0"
+        options = [
+            option.strip()
+            for option in self.headers.get("connection", "").lower().split(",")
+        ]
+        if "close" not in options and (minor >= 1 or "keep-alive" in options):
+            self.close_connection = False
+        return True
+
     def do_GET(self) -> None:  # noqa: N802 (BaseHTTPRequestHandler casing)
         engine: QAEngine = self.server.engine
-        if self.path == "/healthz":
+        if self.headers.get("content-length", "0").lstrip("0"):
+            # A body nobody will read: it must not become the next request.
+            self._send_json(
+                400, {"error": f"GET {self.path} takes no request body"}, close=True
+            )
+        elif self.path == "/healthz":
             body = {
                 "status": "ok" if engine.ready else "starting",
                 "ready": engine.ready,
@@ -178,7 +457,9 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send_json(200, engine.metrics.snapshot())
         elif self.path == "/stats":
-            self._send_json(200, engine.stats())
+            self._send_json(
+                200, {**engine.stats(), "server": self.server.thread_stats()}
+            )
         else:
             self._send_json(404, {"error": f"no such route: {self.path}"})
 
@@ -283,9 +564,9 @@ class _Handler(BaseHTTPRequestHandler):
                 close=True,
             )
             return False
-        provided = self.headers.get("X-Ingest-Token")
+        provided = self.headers.get("x-ingest-token")
         if provided is None:
-            auth = self.headers.get("Authorization", "")
+            auth = self.headers.get("authorization", "")
             if auth.startswith("Bearer "):
                 provided = auth[len("Bearer "):]
         if provided is None or not hmac.compare_digest(provided, token):
@@ -382,25 +663,24 @@ class _Handler(BaseHTTPRequestHandler):
         length, oversized) close the connection: on HTTP/1.1 keep-alive
         the unread body would otherwise be parsed as the next request.
         """
-        length_header = self.headers.get("Content-Length")
+        length_header = self.headers.get("content-length")
         if length_header is None:
-            # Chunked or absent framing: we cannot know where the body
-            # ends, so we cannot drain it — reject and close.
+            # Absent framing: we cannot know where the body ends, so we
+            # cannot drain it — reject and close.
             self._send_json(
                 411, {"error": "Content-Length required (JSON object body)"},
                 close=True,
             )
             return None
-        try:
-            length = int(length_header)
-        except ValueError:
-            length = -1
-        if length <= 0:
+        # read_head admitted decimal digits only; a run of them longer
+        # than the cap's own is past the cap without converting it.
+        digits = length_header.lstrip("0")
+        if not digits:
             self._send_json(
                 400, {"error": "request body required (JSON object)"}, close=True
             )
             return None
-        if length > MAX_BODY_BYTES:
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
             # Refusing to read MAX+ bytes is the point; the unread body
             # makes the connection unusable, so it goes down with the 413.
             self._send_json(
@@ -409,7 +689,12 @@ class _Handler(BaseHTTPRequestHandler):
                 close=True,
             )
             return None
-        raw = self.rfile.read(length)
+        if (
+            self.headers.get("expect", "").lower() == "100-continue"
+            and self.request_version == "HTTP/1.1"
+        ):
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        raw = self.rfile.read(int(digits))
         try:
             payload = json.loads(raw)
         except (UnicodeDecodeError, json.JSONDecodeError):
@@ -448,7 +733,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.close_connection = True
         self.server.engine.metrics.incr("serve.client_disconnects")
 
-    def log_message(self, format: str, *args) -> None:
+    def log_request(self, code="-", size="-") -> None:
         # Per-request stderr lines would swamp load tests; the engine's
         # metrics registry is the serving log.
         pass

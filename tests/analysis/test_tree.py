@@ -83,6 +83,22 @@ class TestServingInvariant:
         }
         assert imported == set()
 
+    def test_transport_has_one_thread_model_and_one_head_parser(self):
+        """Request threads are reused and the head is read by
+        ``server.read_head``: thread-per-connection and the ``email``
+        feed-parser were replaced, not kept behind a switch, and only the
+        transport ever starts a thread."""
+        serve = PACKAGE_ROOT / "serve"
+        source = {path.name: path.read_text() for path in serve.glob("*.py")}
+        for name, text in source.items():
+            assert "ThreadingHTTPServer" not in text, name
+            assert "ThreadingMixIn" not in text, name
+            assert "parse_headers" not in text, name
+            assert not re.search(r"^\s*(import|from) email\b", text, re.M), name
+        assert not re.search(r"^\s*import http\.client\b", source["server.py"], re.M)
+        for name in ("engine.py", "cache.py", "admission.py"):
+            assert "Thread(" not in source[name], name
+
 
 class TestNoForksGrowBack:
     """One snapshot reader, one kernel row builder, one adjacency dialect,

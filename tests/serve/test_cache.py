@@ -114,6 +114,34 @@ class TestTTLCache:
             TTLCache(ttl=0)
 
 
+class TestDropVersionsBefore:
+    """Dead-version purge: memory only — what stays is still served."""
+
+    def test_drops_older_versions_of_both_key_shapes(self):
+        metrics = Metrics()
+        cache = TTLCache(maxsize=16, ttl=60.0, metrics=metrics, name="c")
+        cache.put(answer_cache_key("Who is X?", 3, "k=10"), "old answer")
+        cache.put(answer_cache_key("Who is X?", 4, "k=10"), "answer")
+        cache.put(("berlin", 2), ("old link",))
+        cache.put(("berlin", 4), ("link",))
+        assert cache.drop_versions_before(4) == 2
+        assert len(cache) == 2
+        assert cache.get(answer_cache_key("Who is X?", 4, "k=10")) == "answer"
+        assert cache.get(("berlin", 4)) == ("link",)
+        assert cache.get(("berlin", 2)) is None
+        assert metrics.counter("c.stale_dropped") == 2
+        # Not an eviction: the LRU's own counter does not move.
+        assert cache.stats()["evictions"] == 0
+
+    def test_nothing_to_drop(self):
+        cache = TTLCache(maxsize=4, ttl=60.0)
+        cache.put(("q", 7, "k=10"), "v")
+        assert cache.drop_versions_before(7) == 0
+        assert cache.drop_versions_before(3) == 0
+        assert cache.get(("q", 7, "k=10")) == "v"
+        assert TTLCache(maxsize=0).drop_versions_before(1) == 0
+
+
 class TestAnswerCacheKey:
     def test_equivalent_questions_share_a_key(self):
         assert answer_cache_key("Who is X?", 3, "k=10") == answer_cache_key(

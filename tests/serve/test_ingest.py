@@ -95,6 +95,66 @@ class TestEngineIngest:
         assert "t:NewMayor" in after["answers"]
         assert "res:Klaus_Wowereit" in after["answers"]
 
+    def test_caches_hold_only_the_current_version(self, engine_rw):
+        """Versioned keys make the old entries unreachable, not gone: left
+        to the LRU they filled both caches with dead weight.  Each batch
+        sweeps them, so residency is bounded by one version's traffic."""
+        questions = [BERLIN_Q, "What is the capital of Germany?", "Who created Wikipedia?"]
+
+        def resident_versions():
+            return {
+                key[1]
+                for cache in (engine_rw.answer_cache, engine_rw.link_cache)
+                for key in cache._entries
+            }
+
+        for batch in range(6):
+            for question in questions:
+                engine_rw.ask(question)
+            assert len(engine_rw.answer_cache) == len(questions)
+            engine_rw.ingest([Triple(IRI(f"t:s{batch}"), IRI("t:p"), IRI("t:o"))])
+            assert len(engine_rw.answer_cache) == 0
+            assert len(engine_rw.link_cache) == 0
+        engine_rw.ask(BERLIN_Q)
+        assert resident_versions() == {engine_rw.store_version}
+        assert engine_rw.metrics.counter("serve.cache.stale_dropped") == 6 * len(questions)
+        # A batch that changes nothing publishes no version and sweeps nothing.
+        engine_rw.ingest([Triple(IRI("t:s0"), IRI("t:p"), IRI("t:o"))])
+        assert len(engine_rw.answer_cache) == 1
+
+    def test_reader_across_a_write_leaves_at_most_its_own_entry(self, engine_rw):
+        """A question answered at version v whose put lands after the
+        write to v+1 files one dead entry; the next write takes it."""
+        in_pipeline = threading.Event()
+        written = threading.Event()
+        system = engine_rw._system
+        original = system.answer
+
+        def slow_answer(question, tracer=None, deadline=None):
+            answer = original(question, tracer=tracer, deadline=deadline)
+            in_pipeline.set()
+            assert written.wait(timeout=10)
+            return answer
+
+        system.answer = slow_answer
+        try:
+            reader = threading.Thread(target=engine_rw.ask, args=(BERLIN_Q,))
+            reader.start()
+            assert in_pipeline.wait(timeout=10)
+            stale_version = engine_rw.store_version
+            engine_rw.ingest([Triple(IRI("t:s"), IRI("t:p"), IRI("t:o"))])
+            written.set()
+            reader.join(timeout=10)
+            assert not reader.is_alive()
+        finally:
+            written.set()
+            system.answer = original
+        assert [key[1] for key in engine_rw.answer_cache._entries] == [stale_version]
+        # Unreachable, as ever: the same question now computes afresh.
+        assert engine_rw.ask(BERLIN_Q)["cached"] is False
+        engine_rw.ingest([Triple(IRI("t:s2"), IRI("t:p"), IRI("t:o"))])
+        assert len(engine_rw.answer_cache) == 0
+
     def test_write_admission_rejects_burst(self, kg, dictionary):
         engine = fresh_engine(kg, dictionary, ingest_capacity=1)
         try:

@@ -12,7 +12,8 @@ import urllib.request
 import pytest
 
 from repro.serve import EngineConfig, QAEngine, build_server
-from repro.serve.server import MAX_BODY_BYTES
+from repro.serve.server import MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES
+from tests.serve.wire import raw_exchange
 
 BERLIN_Q = "Who is the mayor of Berlin?"
 
@@ -225,6 +226,137 @@ class TestKeepAlive:
             connection.close()
 
 
+def _raw_exchange(served, data: bytes, half_close: bool = False) -> bytes:
+    host, port = served[0].removeprefix("http://").split(":")
+    return raw_exchange((host, int(port)), data, half_close)
+
+
+def _exchange(served, data: bytes) -> tuple[int, dict, bytes]:
+    """The same for a single response: status, JSON body, raw."""
+    raw = _raw_exchange(served, data)
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body), raw
+
+
+def _ask(extra: bytes = b"", line: bytes = b"POST /ask HTTP/1.1") -> bytes:
+    """A well-formed /ask with ``extra`` header lines spliced in, followed
+    on the same connection by a second request that must never be served."""
+    body = json.dumps({"question": BERLIN_Q}).encode()
+    framed = b"Host: t\r\n" + extra + b"Content-Length: %d\r\n\r\n" % len(body) + body
+    return line + b"\r\n" + framed + b"POST /ask HTTP/1.1\r\n" + framed
+
+
+class TestRequestHead:
+    """The head is parsed by ``read_head`` and fails closed, in JSON: each
+    of these got an HTML page (or was silently accepted, connection left
+    open) from the stdlib's ``email``-based parser."""
+
+    @pytest.mark.parametrize(
+        "data, status",
+        [
+            (b"GARBAGE\r\n\r\n", 400),
+            (b"\r\nGET /healthz HTTP/1.1\r\n\r\n", 400),
+            (b"GET /healthz\r\n\r\n", 400),                      # HTTP/0.9
+            (b"GET  /healthz HTTP/1.1\r\n\r\n", 400),            # two blanks
+            (b"GET /health z HTTP/1.1\r\n\r\n", 400),
+            (_ask(line=b"POST /ask HTTP/2.0"), 400),
+            (_ask(line=b"POST /ask HTTX/1.1"), 400),
+            (_ask(line=b"POST /ask HTTP/1.10"), 400),
+            (_ask(b"no colon here\r\n"), 400),
+            (_ask(b"Bad Name: 1\r\n"), 400),
+            (_ask(b"X-Trailing-Blank : 1\r\n"), 400),
+            (_ask(b"X-Folded: 1\r\n  continued\r\n"), 400),
+            (_ask(b"X-Nul: a\x00b\r\n"), 400),
+            (_ask(b"X-Bare-CR: a\rb\r\n"), 400),
+            (_ask(b"Content-Length: 3\r\n"), 400),                # differs
+            (_ask(b"Content-Length: 41\r\n"), 400),               # or agrees
+            (b"POST /ask HTTP/1.1\r\nContent-Length: +41\r\n\r\n", 400),
+            (b"POST /ask HTTP/1.1\r\nContent-Length: 4_1\r\n\r\n", 400),
+            (b"POST /ask HTTP/1.1\r\nContent-Length:\r\n\r\n", 400),
+            (_ask(b"Transfer-Encoding: chunked\r\n"), 400),
+            (_ask(b"transfer-encoding: identity\r\n"), 400),
+            (_ask(b"X-Long: " + b"a" * MAX_LINE_BYTES + b"\r\n"), 431),
+            (b"GET /" + b"a" * MAX_LINE_BYTES + b" HTTP/1.1\r\n\r\n", 431),
+            (_ask(b"X-H: 1\r\n" * (MAX_HEADERS - 1)), 431),       # + Host + C-L
+            (_ask(line=b"PUT /ask HTTP/1.1"), 405),
+            (b"HEAD /healthz HTTP/1.1\r\n\r\n", 405),
+            (b"GET /healthz HTTP/1.1\r\nContent-Length: 4\r\n\r\nGET ", 400),
+        ],
+    )
+    def test_refused_heads_get_one_json_error_and_a_close(self, served, data, status):
+        got, body, raw = _exchange(served, data)
+        assert got == status
+        assert body["error"]
+        assert raw.count(b"HTTP/1.1 ") == 1          # nothing after it was served
+        assert b"Connection: close\r\n" in raw
+        assert b"Content-Type: application/json\r\n" in raw
+
+    def test_405_names_the_allowed_methods(self, served):
+        raw = _raw_exchange(served, b"DELETE /ask HTTP/1.1\r\n\r\n")
+        assert b"Allow: GET, POST\r\n" in raw
+
+    def test_truncated_head_is_400(self, served):
+        raw = _raw_exchange(
+            served, b"POST /ask HTTP/1.1\r\nHost: t\r\nContent-Le", half_close=True
+        )
+        assert raw.startswith(b"HTTP/1.1 400")
+        assert "ended before" in json.loads(raw.partition(b"\r\n\r\n")[2])["error"]
+
+    def test_limits_are_inclusive(self, served):
+        """Exactly 100 headers and a line of exactly 65 536 bytes pass."""
+        filler = b"X-H: 1\r\n" * (MAX_HEADERS - 4)        # + Host, C-L, two below
+        longest = b"X-Long: " + b"a" * (MAX_LINE_BYTES - len(b"X-Long: \r\n")) + b"\r\n"
+        data = _ask(filler + longest + b"Connection: close\r\n")
+        status, body, raw = _exchange(served, data)
+        assert status == 200
+        assert body["answers"] == ["res:Klaus_Wowereit"]
+        assert raw.count(b"HTTP/1.1 ") == 1
+
+    def test_lenient_where_the_stdlib_was(self, served):
+        """Bare-LF line ends, any header-name case, blanks around values,
+        leading zeros, HTTP/1.0 (closes unless asked to keep alive)."""
+        body = json.dumps({"question": BERLIN_Q}).encode()
+        data = (
+            b"POST /ask HTTP/1.1\nhOsT: t\ncOnTeNt-LeNgTh: \t 00%d \t\n\n" % len(body)
+            + body
+            + b"GET /healthz HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"
+            + b"GET /healthz HTTP/1.0\r\n\r\n"
+            + b"GET /healthz HTTP/1.1\r\n\r\n"
+        )
+        raw = _raw_exchange(served, data)
+        assert raw.count(b"HTTP/1.1 200 OK") == 3    # the fourth is never read
+
+    def test_connection_close_among_other_options(self, served):
+        data = (
+            b"GET /healthz HTTP/1.1\r\nConnection: keep-alive, Close\r\n\r\n"
+            b"GET /healthz HTTP/1.1\r\n\r\n"
+        )
+        assert _raw_exchange(served, data).count(b"HTTP/1.1 200 OK") == 1
+
+    def test_expect_continue_is_answered_before_the_body_is_read(self, served):
+        host, port = served[0].removeprefix("http://").split(":")
+        body = json.dumps({"question": BERLIN_Q}).encode()
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(
+                b"POST /ask HTTP/1.1\r\nExpect: 100-continue\r\n"
+                b"Connection: close\r\nContent-Length: %d\r\n\r\n" % len(body)
+            )
+            assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            raw = b"".join(iter(lambda: sock.recv(65536), b""))
+        assert raw.startswith(b"HTTP/1.1 200")
+        # A request that is refused before its body gets no invitation.
+        raw = _raw_exchange(
+            served, b"POST /nope HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\n"
+        )
+        assert raw.startswith(b"HTTP/1.1 404")
+
+    def test_huge_declared_length_is_413_not_a_conversion_error(self, served):
+        # 5 000 digits: past CPython's int() limit of 4 300.
+        data = b"POST /ask HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n"
+        assert _exchange(served, data)[0] == 413
+
+
 class TestClientDisconnect:
     def test_disconnect_counts_not_500s(self, served):
         """A client that hangs up mid-request is accounted as a disconnect,
@@ -319,3 +451,18 @@ class TestIntrospection:
         assert body["kernel"]["rows_boxed"] == body["kernel"]["nodes_full"]
         assert body["store"]["terms_decoded"] == body["store"]["terms_total"] > 0
         assert body["store"]["snapshot_mapped_bytes"] == 0
+
+    def test_stats_reports_thread_reuse(self, served):
+        base, _engine = served
+        first = _get(f"{base}/stats")[1]["server"]
+        for _ in range(5):
+            _get(f"{base}/healthz")
+        second = _get(f"{base}/stats")[1]["server"]
+        assert set(first) == {"threads_started", "connections_reused", "threads_idle"}
+        assert first["threads_started"] >= 1
+        # Six more connections, each a new thread or a hand-off — and a
+        # fresh connection that finds a parked thread is a hand-off.
+        assert second["threads_started"] + second["connections_reused"] == (
+            first["threads_started"] + first["connections_reused"] + 6
+        )
+        assert second["connections_reused"] > first["connections_reused"]
