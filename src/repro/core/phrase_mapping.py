@@ -20,17 +20,19 @@ import re
 
 from repro import obs
 from repro.core.semantic_graph import QSVertex, SemanticQueryGraph
+from repro.linking.index import lookup_words
 from repro.linking.linker import EntityLinker
 from repro.match.candidates import (
     CandidateSpace,
     EdgeCandidate,
     QueryEdge,
     QueryVertex,
+    ReadScope,
     VertexCandidate,
 )
 from repro.paraphrase.dictionary import ParaphraseDictionary
 from repro.rdf import vocab
-from repro.rdf.graph import KnowledgeGraph
+from repro.rdf.graph import KnowledgeGraph, step_predicate
 from repro.rdf.terms import Literal
 
 _DATE_RE = re.compile(r"^\d{4}(-\d{2}(-\d{2})?)?$")
@@ -59,18 +61,38 @@ class PhraseMapper:
         if tracer is None:
             tracer = obs.get_tracer()
         space = CandidateSpace()
+        words: set[str] = set()
         for vertex in graph.vertices.values():
-            space.add_vertex(self._map_vertex(vertex, tracer))
+            space.add_vertex(self._map_vertex(vertex, words, tracer))
+        structural = self.kg.structural_predicate_ids
+        predicates = set(structural)
+        expressible = True
         for edge in graph.edges:
             mappings = self.dictionary.lookup(edge.phrase_words)
             candidates = [EdgeCandidate(m.path, m.confidence) for m in mappings]
             tracer.metrics.incr("mapping.edge_candidates", len(candidates))
             space.add_edge(QueryEdge(edge.source, edge.target, candidates=candidates))
+            for mapping in mappings:
+                path = mapping.path
+                predicates.update(map(step_predicate, path))
+                # A path that can start with a structural predicate makes
+                # an all-wildcard search seed from every node of the graph
+                # (``SubgraphMatcher._wildcard_seeds``): no scope says that.
+                if path and (
+                    step_predicate(path[0]) in structural
+                    or step_predicate(path[-1]) in structural
+                ):
+                    expressible = False
+        if expressible:
+            space.scope = ReadScope(frozenset(predicates), frozenset(words))
         return space
 
     # ------------------------------------------------------------------ #
 
-    def _map_vertex(self, vertex: QSVertex, tracer=obs.NOOP) -> QueryVertex:
+    def _map_vertex(
+        self, vertex: QSVertex, words: set[str], tracer=obs.NOOP
+    ) -> QueryVertex:
+        """C_v of one vertex; the posting keys its linking read go to ``words``."""
         if vertex.is_wh:
             return QueryVertex(
                 vertex.vertex_id,
@@ -78,6 +100,7 @@ class PhraseMapper:
                 wildcard_filter=self._wildcard_filter(vertex.node.lower),
             )
         phrase = self._longest_linkable_phrase(vertex)
+        words |= lookup_words(phrase)
         with tracer.span("linking", phrase=phrase) as span:
             candidates = [
                 VertexCandidate(link.node_id, link.score, link.is_class)

@@ -28,6 +28,7 @@ from repro.core.sparql_generation import match_to_sparql
 from repro.core.top_k import TopKSearch
 from repro.exceptions import ParseError
 from repro.linking.linker import EntityLinker
+from repro.match.candidates import ReadScope
 from repro.match.matcher import GraphMatch
 from repro.nlp.dep_parser import DependencyParser
 from repro.nlp.questions import QuestionAnalysis, analyze_question
@@ -102,6 +103,12 @@ class Answer:
     #: ``"deadline"`` marks a partial result cut short by a per-request
     #: deadline — the serving layer surfaces it to clients.
     terminated_by: str | None = None
+    #: What of the graph this answer is a function of — what a cache must
+    #: watch to keep serving it across writes.  Nothing, until candidate
+    #: mapping has run (understanding reads the question and the
+    #: paraphrase dictionary only); ``None`` when no scope says it (the
+    #: answer then stands for the store version it was computed at).
+    scope: ReadScope | None = ReadScope()
 
     @property
     def total_time(self) -> float:
@@ -203,8 +210,10 @@ class GAnswer:
             if result.analysis.is_aggregation:
                 if self.enable_aggregation:
                     # Extension (the paper's future work): post-process
-                    # superlatives over the matched answer set.
+                    # superlatives over the matched answer set.  It picks
+                    # its predicates by local name, whatever their ids.
                     self._apply_aggregation(question, result)
+                    result.scope = None
                 elif len(result.answers) > 1:
                     # The base method cannot aggregate: a superlative question
                     # with several matched answers is (at best) partially right
@@ -287,6 +296,7 @@ class GAnswer:
             if self.candidate_limit is not None:
                 self._degrade_space(space, tracer)
             span.set(vertices=len(space.vertices), edges=len(space.edges))
+        result.scope = space.scope
         for vertex_id, query_vertex in space.vertices.items():
             if not query_vertex.wildcard and not query_vertex.candidates:
                 result.failure = FAILURE_ENTITY_LINKING

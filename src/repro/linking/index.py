@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.nlp.lemmatizer import lemmatize_noun
 from repro.rdf.graph import KnowledgeGraph
@@ -26,6 +27,28 @@ def normalize_label(label: str) -> str:
     text = text.replace("_", " ").replace("-", " ").replace(".", "")
     text = _NON_WORD_RE.sub(" ", text)
     return " ".join(text.split())
+
+
+def _posting_keys(normalized: str) -> set[str]:
+    """The word keys of a normalized label or phrase: its words and their
+    singular forms, so "films" and "film" meet under "film".  An entry is
+    filed under the keys of its label and retrieved through the keys of
+    the phrase — the two sides of one function."""
+    words = set(normalized.split())
+    return words | {lemmatize_noun(word) for word in words}
+
+
+@lru_cache(maxsize=4096)
+def lookup_words(phrase: str) -> frozenset[str]:
+    """Every posting key a lookup of ``phrase`` reads.
+
+    An entry can reach the candidates of ``phrase`` — through
+    :meth:`LabelIndex.exact` (suffixes of the phrase included) or
+    :meth:`LabelIndex.by_words` — only if it is filed under one of these,
+    which makes them the *label-word read scope* of a link list: a write
+    that touches no node filed under any of them cannot change the list.
+    """
+    return frozenset(_posting_keys(normalize_label(phrase)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,6 +69,7 @@ class LabelIndex:
         self._exact: dict[str, list[IndexEntry]] = {}
         self._by_word: dict[str, set[int]] = {}  # word → entry positions
         self._entries: list[IndexEntry] = []
+        self._words_of: dict[int, list[str]] | None = None
         self._build()
 
     @classmethod
@@ -69,6 +93,7 @@ class LabelIndex:
         index._entries = entries
         index._exact = exact
         index._by_word = by_word
+        index._words_of = None
         return index
 
     def entries(self) -> list[IndexEntry]:
@@ -122,12 +147,8 @@ class LabelIndex:
         position = len(self._entries)
         self._entries.append(entry)
         self._exact.setdefault(normalized, []).append(entry)
-        for word in set(normalized.split()):
+        for word in _posting_keys(normalized):
             self._by_word.setdefault(word, set()).add(position)
-            # Index the singular form too, so "films" finds "film".
-            singular = lemmatize_noun(word)
-            if singular != word:
-                self._by_word.setdefault(singular, set()).add(position)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -148,11 +169,27 @@ class LabelIndex:
 
     def by_words(self, phrase: str) -> list[IndexEntry]:
         """Entries sharing at least one word with the phrase."""
-        normalized = normalize_label(phrase)
         positions: set[int] = set()
-        for word in set(normalized.split()):
+        for word in lookup_words(phrase):
             positions |= self._by_word.get(word, set())
-            singular = lemmatize_noun(word)
-            if singular != word:
-                positions |= self._by_word.get(singular, set())
         return [self._entries[position] for position in sorted(positions)]
+
+    def words_of(self, node_id: int) -> list[str]:
+        """The posting keys the node's entries are filed under (read-only;
+        empty for a node the index does not know).
+
+        The inverse of the posting lists, built by one pass over them on
+        the first call — a writer's question ("whose link lists can a
+        change to this node reach?"), so a process that never writes
+        never builds it.  Callers serialise the first call (the serving
+        engine asks under its ingest lock).
+        """
+        words_of = self._words_of
+        if words_of is None:
+            words_of = {}
+            entries = self._entries
+            for word, positions in self._by_word.items():
+                for position in positions:
+                    words_of.setdefault(entries[position].node_id, []).append(word)
+            self._words_of = words_of
+        return words_of.get(node_id, [])

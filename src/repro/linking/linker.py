@@ -17,6 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from typing import Iterable
 
 from repro import obs
 from repro.linking.index import IndexEntry, LabelIndex, normalize_label
@@ -42,9 +43,13 @@ class _ProminenceTable(dict):
     """``node_id → prominence`` for one store version, filled on first read.
 
     Prominence is ``log1p(degree) / log1p(max_degree)`` — degree-based
-    popularity in [0, 1], log-scaled — and a degree is a function of the
-    store's contents, so a table is valid for exactly the version it is
-    stamped with; the linker starts a new one when the version has moved.
+    popularity, log-scaled, clamped to [0, 1] (``max_degree`` is the
+    ceiling of the graph the linker was built over; a node that live
+    ingest has grown past it is as prominent as a node can be, not
+    more) — and a degree is a function of the store's contents, so a
+    table is valid for exactly the version it is stamped with; the linker
+    starts a new one when the version has moved, unless the writer has
+    said which nodes it touched (:meth:`EntityLinker.carry_prominence`).
     It holds at most the nodes the label index can return.
     """
 
@@ -61,7 +66,7 @@ class _ProminenceTable(dict):
         if degree <= 0:
             value = 0.0
         else:
-            value = math.log1p(degree) / math.log1p(self._max_degree)
+            value = min(1.0, math.log1p(degree) / math.log1p(self._max_degree))
         self[node_id] = value
         return value
 
@@ -151,7 +156,8 @@ class EntityLinker:
         """Index and prominence-table sizes (``GET /stats`` → ``linker``).
 
         Reads the table, never fills or replaces it: a stale
-        ``prominence_version`` means no mention was linked since the write.
+        ``prominence_version`` means no mention was linked since a write
+        that did not carry the table forward.
         """
         prominence = self._prominence
         return {
@@ -161,6 +167,23 @@ class EntityLinker:
             "prominence_version": prominence.version,
             "prominence_cached": len(prominence),
         }
+
+    def carry_prominence(self, touched: Iterable[int]) -> None:
+        """Carry the prominence table across the write that just ended.
+
+        ``touched`` are the nodes whose degree the write may have changed
+        (the subjects and objects of its triples).  The successor is a
+        copy of the current table without them, stamped with the store's
+        current version, so the next mention re-reads those degrees and
+        no other.  For the one writer, after its last mutation; a reader
+        that is still filling the table it took before keeps filling that
+        one, never the successor.
+        """
+        successor = _ProminenceTable(self.kg, self._max_degree, self.kg.store.version)
+        dict.update(successor, self._prominence)
+        for node_id in touched:
+            successor.pop(node_id, None)
+        self._prominence = successor
 
     def link(self, phrase: str, tracer=None) -> list[LinkCandidate]:
         """Confidence-ranked candidates for ``phrase`` (may be empty).

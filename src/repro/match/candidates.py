@@ -77,12 +77,36 @@ class QueryEdge:
         return self.target if vertex_id == self.source else self.source
 
 
+@dataclass(frozen=True, slots=True)
+class ReadScope:
+    """The slice of the graph an answer is a function of.
+
+    Once phrase mapping has fixed C_v and C_e, a match reads only edges
+    labelled by a predicate of some C_e path plus the structural ones
+    (Definition 3, conditions 2 and 3), and linking reads only the degree
+    of nodes whose label shares a word with a mention.  ``predicates``
+    are predicate ids, ``words`` the label-index posting keys
+    (:func:`repro.linking.index.lookup_words`).  A write that carries
+    none of the predicates and touches no node filed under any of the
+    words leaves the answer as it is.
+    """
+
+    predicates: frozenset[int] = frozenset()
+    words: frozenset[str] = frozenset()
+
+
 @dataclass(slots=True)
 class CandidateSpace:
-    """The full matching problem: query structure plus candidate lists."""
+    """The full matching problem: query structure plus candidate lists.
+
+    ``scope`` is what phrase mapping read to build the lists and what a
+    search over them can read; ``None`` when that is not expressible as
+    predicates and words (the answer then depends on the whole graph).
+    """
 
     vertices: dict[int, QueryVertex] = field(default_factory=dict)
     edges: list[QueryEdge] = field(default_factory=list)
+    scope: ReadScope | None = None
 
     def add_vertex(self, vertex: QueryVertex) -> None:
         self.vertices[vertex.vertex_id] = vertex

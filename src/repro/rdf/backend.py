@@ -269,7 +269,8 @@ class DictBackend(PermutationReads[set[int]]):
 
         The version counter advances per new triple (never one bump per
         batch): every intermediate store state stays distinguishable, so
-        version-keyed caches can never alias across a batch boundary.
+        a cache that compares versions can never alias across a batch
+        boundary.
         """
         spo, pos, osp = self._spo, self._pos, self._osp
         before = self._size

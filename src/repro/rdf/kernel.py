@@ -21,11 +21,15 @@ adjacency index:
 On top of the index the kernel memoizes the per-node incident-step
 signature (Section 4.2.2's pruning test is one frozenset intersection),
 LRU-caches :meth:`walk_path`, caches the structural vocabulary ids,
-builds on first use the inverse of the signatures — the **step
+derives on first use the inverse of the signatures — the **step
 directory**, signed step → nodes whose row carries it, which is where an
 all-wildcard query finds its seeds (:meth:`nodes_with_step`) — and offers
 named scratch-cache regions that higher layers (path mining) use for
-store-version-scoped memoization.
+store-version-scoped memoization.  Signatures and directory are kept
+with the rows (:class:`KernelRows`), so a patched kernel inherits those
+of every row it did not rebuild and repairs the directory for the ones
+it did, instead of scanning the graph again after every write; the
+walk-path LRU stays per kernel.
 
 The kernel is immutable: it never observes store mutation.
 :meth:`repro.rdf.graph.KnowledgeGraph.refresh` drops it (and every cache
@@ -174,7 +178,10 @@ class KernelRows(dict):
     equal, and the last store wins.
     """
 
-    __slots__ = ("_node_ids", "_bounds", "_steps", "_neighbors", "_base", "_dirty", "_size")
+    __slots__ = (
+        "_node_ids", "_bounds", "_steps", "_neighbors", "_base", "_dirty", "_size",
+        "_signatures", "_directory",
+    )
 
     def __init__(self, rows: Mapping[int, AdjacencyRow] | Iterable = ()):
         super().__init__(rows)
@@ -187,6 +194,11 @@ class KernelRows(dict):
         #: Every row that differs from ``_base``; ``None`` marks a dropped one.
         self._dirty: dict[int, AdjacencyRow | None] = {}
         self._size = dict.__len__(self)
+        #: Memoized :meth:`signature` of the rows that live *here*: every
+        #: row at the root, the dirtied ones in a patched mapping.
+        self._signatures: dict[int, frozenset[int]] = {}
+        #: :meth:`directory`, once derived.
+        self._directory: dict[int, frozenset[int]] | None = None
 
     @classmethod
     def over_columns(
@@ -270,6 +282,59 @@ class KernelRows(dict):
         if index < len(node_ids) and node_ids[index] == node:
             return index
         return -1
+
+    def signature(self, node: int) -> frozenset[int]:
+        """The distinct signed steps of ``node``'s row, memoized.
+
+        The memo lives where the row lives: a patched mapping keeps the
+        signatures of the rows it dirtied and asks its root for every
+        other, so a signature computed once at the root serves every
+        mapping patched from it — a write costs the memo nothing and
+        loses only the signatures of the rows it rebuilt.
+        """
+        owner = self if self._base is None or node in self._dirty else self._base
+        signature = owner._signatures.get(node)
+        if signature is None:
+            signature = owner._signatures[node] = frozenset(owner[node][0])
+        return signature
+
+    def directory(self) -> dict[int, frozenset[int]]:
+        """signed step → the nodes whose row carries it (read-only): the
+        inverse of :meth:`signature`, derived on the first call.
+
+        The root scans its rows, once for all the mappings patched from
+        it.  A patched mapping repairs the root's directory for the rows
+        it dirtied — old row's steps against new row's steps, one set
+        difference and union per step whose carriers moved — so what it
+        costs follows the size of the delta, not of the graph.
+        """
+        directory = self._directory
+        if directory is not None:
+            return directory
+        base = self._base
+        gained: defaultdict[int, set[int]] = defaultdict(set)
+        lost: defaultdict[int, set[int]] = defaultdict(set)
+        if base is None:
+            directory = {}
+            for node, steps, _neighbors in self.scan():
+                for step in set(steps):
+                    gained[step].add(node)
+        else:
+            directory = base.directory().copy()
+            for node in self._dirty:
+                before, after = base.signature(node), self.signature(node)
+                for step in after - before:
+                    gained[step].add(node)
+                for step in before - after:
+                    lost[step].add(node)
+        for step in gained.keys() | lost.keys():
+            carriers = (directory.get(step, frozenset()) - lost[step]) | gained[step]
+            if carriers:
+                directory[step] = carriers
+            else:
+                del directory[step]
+        self._directory = directory
+        return directory
 
     def boxed(self) -> int:
         """How many rows exist as tuples (a cold build: all of them)."""
@@ -377,8 +442,6 @@ class AdjacencyKernel:
         "label_id",
         "_full",
         "_entity",
-        "_signatures",
-        "_step_directory",
         "_sizes",
         "_regions",
         "_region_lock",
@@ -433,8 +496,6 @@ class AdjacencyKernel:
                 for node, (steps, nbrs) in rows.items()
             )
         self._sizes: dict[str, int] | None = None
-        self._signatures: dict[int, frozenset[int]] = {}
-        self._step_directory: dict[int, frozenset[int]] | None = None
         self._regions: dict[str, dict] = {}
         self._region_lock = threading.Lock()
         self.walk_path = lru_cache(maxsize=_WALK_CACHE_SIZE)(self._walk_path)
@@ -559,32 +620,19 @@ class AdjacencyKernel:
         intersects with an edge's admissible first steps; literal-valued
         edges are included, exactly as a Q^S edge can end on a literal.
         """
-        signature = self._signatures.get(node_id)
-        if signature is None:
-            signature = frozenset(self._full[node_id][0])
-            self._signatures[node_id] = signature
-        return signature
+        return self._full.signature(node_id)
 
     def nodes_with_step(self, step: int) -> frozenset[int]:
         """The nodes whose row carries ``step`` (literal endpoints included).
 
         The inverse of :meth:`incident_steps`, so Section 4.2.2's test can
         be asked of the whole graph at once: which nodes could bind a
-        vertex whose edge must start with this step.  The directory is
-        built by one pass over the rows on the first call and lives as
-        long as the kernel; like the rows it knows no structural
+        vertex whose edge must start with this step.  The directory
+        (:meth:`KernelRows.directory`) is derived on the first call and
+        lives as long as the rows; like them it knows no structural
         predicate, for which it answers with the empty set.
         """
-        directory = self._step_directory
-        if directory is None:
-            building: defaultdict[int, set[int]] = defaultdict(set)
-            for node, steps, _neighbors in self._full.scan():
-                for carried in set(steps):
-                    building[carried].add(node)
-            directory = self._step_directory = {
-                carried: frozenset(nodes) for carried, nodes in building.items()
-            }
-        return directory.get(step, frozenset())
+        return self._full.directory().get(step, frozenset())
 
     # ------------------------------------------------------------------ #
     # Path walking
@@ -674,7 +722,7 @@ class AdjacencyKernel:
         return {
             **sizes,
             "rows_boxed": self._full.boxed(),
-            "directory_steps": len(self._step_directory or ()),
+            "directory_steps": len(self._full._directory or ()),
             "walk_cache_hits": walks.hits,
             "walk_cache_misses": walks.misses,
             "walk_cache_size": walks.currsize,

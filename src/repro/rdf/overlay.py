@@ -20,8 +20,9 @@ already holds un-tombstoned is a no-op; adding a tombstoned triple clears
 the tombstone instead of entering the delta; removing a delta triple
 drops it from the delta; removing a base triple records a tombstone.
 Every successful mutation bumps the monotone ``version`` counter by one
-(also in :meth:`add_all_ids` — per-triple monotonicity is what lets the
-serve layer's version-keyed answer/link caches invalidate for free).
+(also in :meth:`add_all_ids` — so a version never names two store
+states, which is all the serve layer's cached entries and write stamps
+compare).
 
 Concurrency: writers serialize on ``_write_lock``; readers are lock-free.
 Both delta indexes publish **copy-on-write rows** — the per-key inner

@@ -6,8 +6,8 @@ Table 11).  This package is the online phase as a *service*: one warm
 :class:`QAEngine` holding the knowledge graph, dictionary, linker index
 and adjacency kernel, answering each question on the thread that asked
 it under a bounded number of answering slots, admission control and
-per-request deadlines, with versioned answer/link caches and a
-stdlib-only JSON HTTP transport (:mod:`repro.serve.server`).
+per-request deadlines, with answer/link caches that outlive the writes
+they did not read, and a stdlib-only JSON HTTP transport (:mod:`repro.serve.server`).
 
 Entry points: ``repro serve`` (CLI), :func:`QAEngine.ask` (in-process);
 measured by the ``http_*`` workloads of ``bench/run.py``.

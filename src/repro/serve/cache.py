@@ -1,25 +1,60 @@
 """Serving-layer caches: LRU+TTL answer cache and entity-link cache.
 
-Keys carry the **store version** (:attr:`TripleStore.version`) and a
-**config fingerprint** alongside the normalized question text, so a cached
-entry can never be served across a store mutation or an engine
-reconfiguration: after ``KnowledgeGraph.refresh()`` follows a mutation,
-every lookup computes a different key and misses.  The versioned keys
-are what make a stale read structurally impossible; nothing else is
-relied on for correctness.
+**The contract: an entry is served only if recomputing it now would give
+the same value.**  A key names *what was asked* — the normalized question
+and the engine's config fingerprint, or the mention phrase — and nothing
+about the store; what the entry depends on travels with the value, as a
+:class:`Stamped` triple ``(value, version, scope)``:
 
-What the keys do not do is give the memory back: after a write every
-resident entry is unreachable, and left to the LRU tail a server under
-steady ingest carries a full cache of dead entries (1 024 answers and
-4 096 link lists, ~9 MB of RSS in a 450-write soak).  So the publisher of
-a new version — ``QAEngine.ingest`` — calls
-:meth:`TTLCache.drop_versions_before` on both caches.  That is purely a
-memory measure: a reader that started before the write and finishes
-after it may still file its one entry under the old version, and the
-next write sweeps it out.
+* ``version`` is the engine's published store version, read *before* the
+  value was computed;
+* ``scope`` is the :class:`~repro.match.candidates.ReadScope` the
+  computation reported — the predicate ids and label-index posting keys
+  its graph reads are confined to (a link list's scope is words only).
 
-Counters (``serve.cache.{hit,miss,evict,expired,stale_dropped}``, and the
-same under ``serve.link_cache.*``) are reported into whatever
+The writer keeps the other half.  ``QAEngine.ingest``, once its batch is
+applied and the kernel patched, files the batch's *final* version in
+:class:`ReadStamps` under every predicate of the batch (adds and removes
+alike) and under every posting key of every subject and object, and only
+then publishes that version.  A lookup serves an entry iff no stamp in its
+scope is newer than its version — a handful of integer compares.  An
+entry that fails is dropped and counted as a miss (``{name}.stale``); the
+recomputation files its successor under the same key, so no dead
+generation is ever resident and nothing needs sweeping.  A read that
+overlapped a conflicting batch can never be served: it took its version
+before the batch published, and the stamp carries the batch's last.
+
+Why predicates and words suffice — every graph read of one answer, once
+phrase mapping has fixed C_v and C_e (Definition 3, Section 4.2):
+
+==============================================  ==========================
+read                                            confined to
+==============================================  ==========================
+``kernel.walk_path(node, path)``                predicates of C_e paths
+``kernel.incident_steps(node)`` ∩ first steps   predicates of C_e paths
+``kernel.nodes_with_step(step)`` (all-wildcard) predicates of C_e paths
+``kg.instances_of`` / ``kg.has_type``           ``rdf:type``, ``rdfs:subClassOf``
+``kg.degree(node)`` in the linker               nodes filed under a posting
+                                                key of the mention
+``kg.term_of`` / ``store.is_literal_id``        nothing: ids are stable
+==============================================  ==========================
+
+The label index, the linker's ``max_degree`` and the paraphrase
+dictionary are fixed for an engine's lifetime and are read freely.
+
+What (predicates, words) cannot say stays bound to its version, exactly
+as when the version was part of the key:
+
+* an answer post-processed by ``--aggregation`` (it picks predicates by
+  local name) and a candidate path that can start with a structural
+  predicate (an all-wildcard search then seeds from every node) carry
+  ``scope=None`` and die with the next published version;
+* a batch that changes the structural vocabulary, and any store version
+  the engine did not publish itself (a direct store mutation followed by
+  ``QAEngine.refresh``), raise a *floor* below which every entry is dead.
+
+Counters (``serve.cache.{hit,miss,stale,evict,expired}``, and the same
+under ``serve.link_cache.*``) are reported into whatever
 :class:`repro.obs.Metrics` registry the owner passes in; the registry
 itself is thread-safe.
 """
@@ -30,9 +65,11 @@ import re
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 from repro.contracts import guarded_by
+from repro.linking.index import lookup_words
+from repro.match.candidates import ReadScope
 from repro.obs.metrics import MetricsLike, NoopMetrics
 
 _WHITESPACE_RE = re.compile(r"\s+")
@@ -81,19 +118,29 @@ class TTLCache:
         self._misses = 0
         self._evictions = 0
 
-    def get(self, key: Hashable) -> Any | None:
-        """The cached value, or None on miss/expiry (refreshes LRU order)."""
+    def get(
+        self, key: Hashable, fresh: Callable[[Any], bool] | None = None
+    ) -> Any | None:
+        """The cached value, or None on a miss (refreshes LRU order).
+
+        An entry past its TTL, or one ``fresh`` (when given) says no to,
+        is dropped and the lookup is a miss like any other; the two are
+        counted apart as ``{name}.expired`` and ``{name}.stale``.
+        """
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 stored_at, value = entry
-                if self.clock() - stored_at < self.ttl:
+                if self.clock() - stored_at >= self.ttl:
+                    self.metrics.incr(f"{self.name}.expired")
+                elif fresh is not None and not fresh(value):
+                    self.metrics.incr(f"{self.name}.stale")
+                else:
                     self._entries.move_to_end(key)
                     self._hits += 1
                     self.metrics.incr(f"{self.name}.hit")
                     return value
                 del self._entries[key]
-                self.metrics.incr(f"{self.name}.expired")
             self._misses += 1
             self.metrics.incr(f"{self.name}.miss")
             return None
@@ -109,27 +156,6 @@ class TTLCache:
                 self._entries.popitem(last=False)
                 self._evictions += 1
                 self.metrics.incr(f"{self.name}.evict")
-
-    def drop_versions_before(self, version: int) -> int:
-        """Drop every entry filed under a store version older than
-        ``version``; returns how many went.
-
-        Both key shapes of this module (:func:`answer_cache_key`,
-        :class:`CachingLinker`) carry the store version second.  Such
-        entries can no longer be looked up, so this frees memory and
-        changes no answer; it is not an eviction and is counted apart
-        (``{name}.stale_dropped``).
-        """
-        with self._lock:
-            stale = [
-                key for key in self._entries
-                if key[1] < version  # type: ignore[index]
-            ]
-            for key in stale:
-                del self._entries[key]
-        if stale:
-            self.metrics.incr(f"{self.name}.stale_dropped", len(stale))
-        return len(stale)
 
     def __len__(self) -> int:
         with self._lock:
@@ -150,11 +176,85 @@ class TTLCache:
             }
 
 
-def answer_cache_key(
-    question: str, store_version: int, fingerprint: str
-) -> tuple[str, int, str]:
-    """Cache key of one answered question under one engine configuration."""
-    return (normalize_question(question), store_version, fingerprint)
+def answer_cache_key(question: str, fingerprint: str) -> tuple[str, str]:
+    """Cache key of one question under one engine configuration."""
+    return (normalize_question(question), fingerprint)
+
+
+class Stamped(NamedTuple):
+    """A cached value with what decides whether it may still be served."""
+
+    value: Any
+    #: The published store version read before ``value`` was computed.
+    version: int
+    #: What the computation read; ``None`` binds the value to ``version``.
+    scope: ReadScope | None
+
+
+@guarded_by("_lock", "_published", "_floor", "_predicates", "_words")
+class ReadStamps:
+    """Which store version last touched each predicate and posting key.
+
+    The writer's half of the cache contract (module docstring), owned by
+    the engine — not by the store backend: a compaction swaps the backend
+    and an entry older than a conflicting write must stay dead across it.
+    One writer at a time (the engine's ingest lock); any number of
+    readers.  Bounded by the predicate and label vocabularies.
+    """
+
+    def __init__(self, version: int):
+        self._lock = threading.Lock()
+        self._published = version
+        self._floor = version
+        self._predicates: dict[int, int] = {}
+        self._words: dict[str, int] = {}
+
+    def version(self) -> int:
+        """The published version — read it *before* computing a value."""
+        with self._lock:
+            return self._published
+
+    def fresh(self, entry: Stamped) -> bool:
+        """Whether recomputing ``entry`` now would give the same value."""
+        version, scope = entry.version, entry.scope
+        with self._lock:
+            if version == self._published:
+                return True
+            if scope is None or version < self._floor:
+                return False
+            predicates, words = self._predicates, self._words
+            return not any(
+                predicates[pid] > version for pid in scope.predicates & predicates.keys()
+            ) and not any(
+                words[word] > version for word in scope.words & words.keys()
+            )
+
+    def publish(
+        self, version: int, predicates: Iterable[int], words: Iterable[str]
+    ) -> None:
+        """File a finished write: ``version`` is the store's after its last
+        mutation, ``predicates`` and ``words`` are everything it touched."""
+        with self._lock:
+            self._predicates.update(dict.fromkeys(predicates, version))
+            self._words.update(dict.fromkeys(words, version))
+            self._published = version
+
+    def publish_all(self, version: int) -> None:
+        """File a change no scope describes: every older entry is dead.
+        (The stamps go too — none is newer than an entry that survives.)"""
+        with self._lock:
+            self._floor = self._published = version
+            self._predicates.clear()
+            self._words.clear()
+
+    def stats(self) -> dict:
+        """The ``ingest`` block of ``GET /stats``."""
+        with self._lock:
+            return {
+                "predicates_stamped": len(self._predicates),
+                "words_stamped": len(self._words),
+                "floor_version": self._floor,
+            }
 
 
 class CachingLinker:
@@ -163,25 +263,28 @@ class CachingLinker:
     Entity linking is the one per-question stage whose inputs repeat across
     *different* questions (the same argument phrase shows up everywhere),
     so the serving engine shares one candidate cache across all requests.
-    Keys include the store version; everything else delegates to the
-    wrapped linker, including the ``index`` attribute the phrase mapper's
-    longest-match probe reads.
+    A link list's scope is the posting keys of its phrase; everything else
+    delegates to the wrapped linker, including the ``index`` attribute the
+    phrase mapper's longest-match probe reads.
     """
 
-    def __init__(self, linker, cache: TTLCache, store):
+    def __init__(self, linker, cache: TTLCache, stamps: ReadStamps):
         self._linker = linker
         self._cache = cache
-        self._store = store
+        self._stamps = stamps
 
     def link(self, phrase: str, tracer=None) -> list:
-        key = (phrase, self._store.version)
-        cached = self._cache.get(key)
+        cached = self._cache.get(phrase, self._stamps.fresh)
         if cached is not None:
-            return list(cached)
+            return list(cached.value)
+        version = self._stamps.version()
         candidates = self._linker.link(phrase, tracer=tracer)
         # Store a tuple: cached values are shared between threads and must
         # never alias the mutable list a caller might sort or trim.
-        self._cache.put(key, tuple(candidates))
+        self._cache.put(
+            phrase,
+            Stamped(tuple(candidates), version, ReadScope(words=lookup_words(phrase))),
+        )
         return candidates
 
     def __getattr__(self, name: str):

@@ -9,10 +9,11 @@ asked it — the engine owns no threads of its own:
 
 * **warm state** — knowledge graph, mined dictionary, entity-linker index
   and adjacency kernel are constructed (and exercised) in :meth:`warm`;
-* **caching** — answers and entity-link candidates are cached under keys
-  that include the store version and a config fingerprint
-  (:mod:`repro.serve.cache`), so `KnowledgeGraph.refresh()` after a store
-  mutation invalidates by construction;
+* **caching** — answers and entity-link candidates are cached with the
+  predicates and label words they read (:mod:`repro.serve.cache`); a
+  write stamps what it touched, so a cached value is served only while
+  recomputing it would give the same value, and survives every batch
+  that touches none of what it read;
 * **admission control** — at most ``pool_size`` pipelines interleave
   (a semaphore the request thread holds while it answers), at most
   ``queue_limit`` more wait for a slot; beyond that
@@ -42,7 +43,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro import obs
 from repro.contracts import guarded_by
@@ -52,9 +53,15 @@ from repro.linking.linker import EntityLinker
 from repro.obs.metrics import Metrics
 from repro.paraphrase.dictionary import ParaphraseDictionary
 from repro.rdf.graph import KnowledgeGraph
-from repro.rdf.terms import Triple
+from repro.rdf.terms import Term, Triple
 from repro.serve.admission import AdmissionController, AdmissionRejected
-from repro.serve.cache import CachingLinker, TTLCache, answer_cache_key
+from repro.serve.cache import (
+    CachingLinker,
+    ReadStamps,
+    Stamped,
+    TTLCache,
+    answer_cache_key,
+)
 
 __all__ = ["EngineConfig", "QAEngine", "AdmissionRejected"]
 
@@ -171,7 +178,9 @@ class QAEngine:
         )
         if base_linker is None:
             base_linker = EntityLinker(kg)
-        self.linker = CachingLinker(base_linker, self.link_cache, kg.store)
+        #: What each write touched; both caches validate against it.
+        self.stamps = ReadStamps(kg.store_version)
+        self.linker = CachingLinker(base_linker, self.link_cache, self.stamps)
         self._system = GAnswer(
             kg,
             dictionary,
@@ -295,13 +304,17 @@ class QAEngine:
         return time.monotonic() - self._started_at
 
     def refresh(self) -> None:
-        """Re-derive graph caches after a store mutation.
+        """Re-derive graph caches after a store mutation made behind the
+        engine's back (anything but :meth:`ingest`).
 
-        The answer/link caches need no flush: their keys carry the store
-        version, so entries computed before the mutation can no longer be
-        looked up.
+        The engine cannot know what such a mutation touched, so the store
+        version it finds is published as one that touched everything:
+        every answer and link list cached before this call is dead.
+        Waits for a running :meth:`ingest` or :meth:`compact`.
         """
-        self.kg.refresh()
+        with self._ingest_lock:
+            self.kg.refresh()
+            self.stamps.publish_all(self.store_version)
 
     def close(self) -> None:
         """Refuse new work and return once in-flight answers have finished.
@@ -408,11 +421,16 @@ class QAEngine:
 
         After the batch lands the graph is refreshed with *incremental*
         kernel patching: only adjacency rows of touched nodes are
-        rebuilt, the rest are reused by reference.  Readers never block —
-        the overlay publishes rows copy-on-write and the version bump per
-        mutation invalidates answer-cache entries by construction; the
-        entries of earlier versions are then dropped from both caches so
-        they stop holding memory.
+        rebuilt, the rest are reused by reference.  Then — still under
+        the ingest lock — the batch is *published*: the store's version
+        after its last mutation is stamped on every predicate of the
+        batch and on every label word its subjects and objects are filed
+        under (:class:`~repro.serve.cache.ReadStamps`).  Readers never
+        block: the overlay publishes rows copy-on-write, and a cached
+        answer or link list is served across the write exactly when it
+        read none of what was stamped.  A batch that changes nothing
+        publishes nothing; one that fails part-way publishes a version
+        that touched everything and re-raises.
         """
         removes = removes if removes is not None else []
         span = tracer.span if tracer is not None else obs.NOOP.span
@@ -421,17 +439,21 @@ class QAEngine:
                 with self.metrics_span("serve.ingest"):
                     self._ensure_writable()
                     store = self.kg.store
-                    with span("ingest.apply", adds=len(adds), removes=len(removes)):
-                        removed = sum(1 for triple in removes if store.remove(triple))
-                        added = store.add_all(adds)
-                    if added or removed:
-                        with span("ingest.refresh"):
-                            self.kg.refresh(incremental=True)
-                        # Entries keyed by earlier versions are dead weight
-                        # from here on (memory, not correctness).
-                        version = self.store_version
-                        self.answer_cache.drop_versions_before(version)
-                        self.link_cache.drop_versions_before(version)
+                    structural = self.kg.structural_predicate_ids
+                    try:
+                        with span("ingest.apply", adds=len(adds), removes=len(removes)):
+                            removed = sum(1 for triple in removes if store.remove(triple))
+                            added = store.add_all(adds)
+                        if added or removed:
+                            with span("ingest.refresh"):
+                                self.kg.refresh(incremental=True)
+                            self._publish([*adds, *removes], structural)
+                    except BaseException:
+                        # Part of the batch may have landed and nothing says
+                        # which: fail closed, as after any unaccounted write.
+                        self.kg.refresh()
+                        self.stamps.publish_all(self.store_version)
+                        raise
         self.metrics.incr("serve.ingest.requests")
         self.metrics.incr("serve.ingest.added_triples", added)
         self.metrics.incr("serve.ingest.removed_triples", removed)
@@ -445,6 +467,36 @@ class QAEngine:
             "delta": delta() if delta is not None else None,
         }
 
+    def _publish(
+        self, batch: list[Triple], structural_before: frozenset[int]
+    ) -> None:
+        """Stamp what ``batch`` touched and publish the store's version.
+
+        Caller holds ``_ingest_lock``; the batch is applied and the kernel
+        patched.  Publishing comes last: a reader that sees the new
+        version finds the linker's degrees and the stamps already there.
+        """
+        version = self.store_version
+        if self.kg.structural_predicate_ids != structural_before:
+            # A structural predicate got its id in this batch: no scope
+            # computed before can hold it, so no stamp could reach them.
+            self.stamps.publish_all(version)
+            return
+        lookup = self.kg.store.dictionary.lookup_or_none
+
+        def ids(terms: Iterable[Term]) -> set[int]:
+            # A removal may name a term the store has never seen.
+            return {tid for term in terms if (tid := lookup(term)) is not None}
+
+        predicates = ids(triple.predicate for triple in batch)
+        nodes = ids(
+            term for triple in batch for term in (triple.subject, triple.object)
+        )
+        words_of = self.linker.index.words_of
+        words = {word for node in nodes for word in words_of(node)}
+        self.linker.carry_prominence(nodes)
+        self.stamps.publish(version, predicates, words)
+
     def compact(
         self,
         shards: int | None = None,
@@ -456,7 +508,8 @@ class QAEngine:
         against the old backend) and swaps atomically: the new backend is
         a fresh overlay with an empty delta over a rebuilt frozen base
         holding identical content at the same version, so the kernel and
-        every version-keyed cache stay valid with no refresh.  In-flight
+        both caches stay valid with no refresh (the write stamps live in
+        the engine, not in the backend that is swapped out).  In-flight
         iterators drain against the old backend, whose mmap (if any) is
         released when the last reference drops.
 
@@ -510,18 +563,19 @@ class QAEngine:
     ) -> tuple[EngineResult, "obs.Tracer | None", bool]:
         started = time.monotonic()
         self.metrics.incr("serve.requests")
-        key = answer_cache_key(
-            question, self.store_version, self.config.fingerprint()
-        )
+        key = answer_cache_key(question, self.config.fingerprint())
         if use_cache:
-            cached = self.answer_cache.get(key)
+            cached = self.answer_cache.get(key, self.stamps.fresh)
             if cached is not None:
                 self.metrics.observe(
                     "serve.latency_ms", (time.monotonic() - started) * 1000.0
                 )
-                return cached, None, True
+                return cached.value, None, True
         else:
             self.metrics.incr("serve.cache_bypass")
+        # Before computing: a batch published while the pipeline runs must
+        # find this answer older than its stamps.
+        version = self.stamps.version()
 
         degraded = self.admission.pressure() >= self.config.degrade_pressure
         system = self._degraded_system if degraded else self._system
@@ -539,7 +593,7 @@ class QAEngine:
             # a later uncontended request should get the full-quality one.
             # Bypassed requests don't store either — a cache-miss
             # measurement pass must not warm the cache it is avoiding.
-            self.answer_cache.put(key, result)
+            self.answer_cache.put(key, Stamped(result, version, answer.scope))
         self.metrics.observe(
             "serve.latency_ms", (time.monotonic() - started) * 1000.0
         )
@@ -609,6 +663,7 @@ class QAEngine:
             },
             "answer_cache": self.answer_cache.stats(),
             "link_cache": self.link_cache.stats(),
+            "ingest": self.stamps.stats(),
             "admission": self.admission.stats(),
             "kernel": self.kg.kernel.statistics(),
             "linker": self.linker.statistics(),

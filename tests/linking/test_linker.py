@@ -179,7 +179,7 @@ def reference_link(linker, phrase):
         degree = kg.degree(node_id)
         if degree <= 0:
             return 0.0
-        return math.log1p(degree) / math.log1p(linker.max_degree)
+        return min(1.0, math.log1p(degree) / math.log1p(linker.max_degree))
 
     scored = {}
 
@@ -383,16 +383,19 @@ class TestLinkerReadsNothingTwice:
         kg, backend = recorded
         linker = EntityLinker(kg)
         before = linker.link("Springfield")
-        top = before[0]
+        # Not the first: it carries the graph's maximum degree and already
+        # sits at the ceiling of prominence.
+        grown = before[1]
         for i in range(3):
             kg.store.add(
-                Triple(kg.iri_of(top.node_id), IRI("ex:locatedIn"), IRI(f"ex:Place{i}"))
+                Triple(kg.iri_of(grown.node_id), IRI("ex:locatedIn"), IRI(f"ex:Place{i}"))
             )
         backend.calls.clear()
         after = linker.link("Springfield")
         assert backend.calls["out_index"] >= 1  # re-read, not replayed
-        assert after[0].node_id == top.node_id
-        assert after[0].score > top.score
+        (regrown,) = [c for c in after if c.node_id == grown.node_id]
+        assert regrown.score > grown.score
+        assert all(candidate.score <= 1.0 for candidate in after)
         assert after == reference_link(linker, "Springfield")
 
     def test_value_read_before_a_version_bump_is_not_served_after_it(self):
@@ -402,6 +405,10 @@ class TestLinkerReadsNothingTwice:
         # first call gets is the one from before the write.  Its value must
         # go to the table it took, not to the one the other request started.
         store = _homonym_store(1)
+        # A hub keeps the homonym below the ceiling of prominence, so one
+        # more edge shows in its score.
+        for i in range(6):
+            store.add(Triple(IRI("ex:Hub"), IRI("ex:locatedIn"), IRI(f"ex:Spoke{i}")))
         backend = _RecordingBackend(store.backend)
         store.swap_backend(backend)
         kg = KnowledgeGraph(store)

@@ -25,7 +25,7 @@ from repro.paraphrase import ParaphraseMiner
 from repro.rdf import IRI, Literal, Triple
 from repro.rdf.backend import CompactBackend, DictBackend
 from repro.rdf.graph import KnowledgeGraph
-from repro.rdf.kernel import AdjacencyKernel
+from repro.rdf.kernel import AdjacencyKernel, KernelRows
 from repro.rdf.overlay import OverlayBackend
 from repro.rdf.shard import ShardedBackend
 from repro.rdf.store import TripleStore
@@ -290,6 +290,62 @@ class TestKernelPatch:
             ])
             kernel = AdjacencyKernel(store, patch_from=kernel)
             assert kernel.full_rows() == AdjacencyKernel(store).full_rows()
+
+    def test_patched_kernel_keeps_its_step_directory_and_signatures(
+        self, setup, monkeypatch
+    ):
+        """The memos live with the rows: a patched kernel takes the
+        root's, repairs the directory for the dirty nodes only — no second
+        scan — and answers like a cold build for every step and node,
+        across adds, removals that empty a row, and re-adds."""
+        kg = self._overlay_kg(setup)
+        store = kg.store
+        kernel = AdjacencyKernel(store)
+        kernel.nodes_with_step(1)  # built once, by the one scan
+        root = kernel.full_rows()
+        root_directory = root.directory()
+        known = set(root)
+        for node in known:
+            kernel.incident_steps(node)
+        rng = random.Random(7)
+        live: list[Triple] = [
+            t for t in store.triples() if t.predicate == IRI("ont:mayor")
+        ]
+        for batch in range(12):
+            if batch % 3 == 2:
+                for triple in rng.sample(live, min(3, len(live))):
+                    live.remove(triple)
+                    store.remove(triple)
+            else:
+                adds = [
+                    Triple(
+                        IRI(f"bench:e{rng.randrange(8)}"),
+                        IRI(rng.choice(["bench:rel", "ont:mayor", "ont:spouse"])),
+                        rng.choice([IRI(f"bench:e{rng.randrange(8)}"), IRI("res:Berlin")]),
+                    )
+                    for _ in range(5)
+                ]
+                store.add_all(adds)
+                live.extend(adds)
+            kernel = AdjacencyKernel(store, patch_from=kernel)
+            cold = AdjacencyKernel(store)
+            assert kernel.full_rows() == cold.full_rows()
+            known |= set(cold.full_rows())
+            steps = {step for _n, row, _nb in cold.full_rows().scan() for step in row}
+            # Derived from the root's directory and the dirty rows: the
+            # patched kernel reads no row it did not rebuild.
+            with monkeypatch.context() as patch:
+                patch.setattr(KernelRows, "scan", None)
+                patched_directory = kernel.full_rows().directory()
+            assert root.directory() is root_directory
+            assert patched_directory == cold.full_rows().directory()
+            for step in steps | {-step for step in steps} | {10**6}:
+                assert kernel.nodes_with_step(step) == cold.nodes_with_step(step)
+            for node in known:
+                assert kernel.incident_steps(node) == cold.incident_steps(node)
+            # An undirtied row's signature is the root's own object.
+            clean = next(n for n in root if n not in kernel.full_rows()._dirty)
+            assert kernel.incident_steps(clean) is root.signature(clean)
 
     def test_refresh_incremental_matches_cold(self, setup):
         kg = self._overlay_kg(setup)

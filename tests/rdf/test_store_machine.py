@@ -64,6 +64,7 @@ class StoreMachine(RuleBasedStateMachine):
         self.model = set()
         self.version = 0
         self.kernels = {name: AdjacencyKernel(store) for name, store in self.writable.items()}
+        self.nodes_seen: set[int] = set()
 
     def ids(self, triple):
         lookup = self.dict.dictionary.lookup
@@ -142,9 +143,19 @@ class StoreMachine(RuleBasedStateMachine):
         rows = AdjacencyKernel(self.dict).full_rows()
         assert AdjacencyKernel(compact).full_rows() == rows
         assert AdjacencyKernel(sharded).full_rows() == rows
+        cold = AdjacencyKernel(self.dict)
+        steps = {step for _node, row, _nbrs in rows.scan() for step in row}
         for name, store in self.writable.items():
             self.kernels[name] = AdjacencyKernel(store, patch_from=self.kernels[name])
             assert self.kernels[name].full_rows() == rows, name
+        # The memos a patch carries forward (an overlay's; the dict store
+        # rebuilds cold) answer like a cold build's, for every step and node.
+        self.nodes_seen.update(rows)
+        for name, kernel in self.kernels.items():
+            for step in steps:
+                assert kernel.nodes_with_step(step) == cold.nodes_with_step(step), name
+            for node in self.nodes_seen:
+                assert kernel.incident_steps(node) == cold.incident_steps(node), name
 
 
 StoreMachine.TestCase.settings = settings(

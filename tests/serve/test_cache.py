@@ -1,11 +1,14 @@
-"""Cache semantics: normalization, LRU+TTL, versioned keys, linker cache."""
+"""Cache semantics: normalization, LRU+TTL, read-scope stamps, linker cache."""
 
 import pytest
 
+from repro.linking.index import lookup_words
+from repro.match.candidates import ReadScope
 from repro.obs.metrics import Metrics
-from repro.rdf import IRI, Literal, Triple, TripleStore
 from repro.serve.cache import (
     CachingLinker,
+    ReadStamps,
+    Stamped,
     TTLCache,
     answer_cache_key,
     normalize_question,
@@ -114,48 +117,103 @@ class TestTTLCache:
             TTLCache(ttl=0)
 
 
-class TestDropVersionsBefore:
-    """Dead-version purge: memory only — what stays is still served."""
+class TestFreshness:
+    """``get(key, fresh)``: an entry the predicate rejects is a miss."""
 
-    def test_drops_older_versions_of_both_key_shapes(self):
+    def test_rejected_entry_is_a_counted_miss_and_is_dropped(self):
         metrics = Metrics()
-        cache = TTLCache(maxsize=16, ttl=60.0, metrics=metrics, name="c")
-        cache.put(answer_cache_key("Who is X?", 3, "k=10"), "old answer")
-        cache.put(answer_cache_key("Who is X?", 4, "k=10"), "answer")
-        cache.put(("berlin", 2), ("old link",))
-        cache.put(("berlin", 4), ("link",))
-        assert cache.drop_versions_before(4) == 2
-        assert len(cache) == 2
-        assert cache.get(answer_cache_key("Who is X?", 4, "k=10")) == "answer"
-        assert cache.get(("berlin", 4)) == ("link",)
-        assert cache.get(("berlin", 2)) is None
-        assert metrics.counter("c.stale_dropped") == 2
-        # Not an eviction: the LRU's own counter does not move.
-        assert cache.stats()["evictions"] == 0
+        cache = TTLCache(maxsize=4, ttl=60.0, metrics=metrics, name="c")
+        cache.put("q", "old")
+        assert cache.get("q", lambda value: value != "old") is None
+        assert len(cache) == 0
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["hit_rate"]) == (0, 1, 0.0)
+        assert metrics.counter("c.stale") == 1
+        assert metrics.counter("c.miss") == 1
+        # Not an eviction and not an expiry: their counters do not move.
+        assert stats["evictions"] == 0
+        assert metrics.counter("c.expired") == 0
 
-    def test_nothing_to_drop(self):
+    def test_accepted_entry_is_a_hit(self):
         cache = TTLCache(maxsize=4, ttl=60.0)
-        cache.put(("q", 7, "k=10"), "v")
-        assert cache.drop_versions_before(7) == 0
-        assert cache.drop_versions_before(3) == 0
-        assert cache.get(("q", 7, "k=10")) == "v"
-        assert TTLCache(maxsize=0).drop_versions_before(1) == 0
+        cache.put("q", "v")
+        assert cache.get("q", lambda value: True) == "v"
+        assert cache.stats()["hits"] == 1
+
+    def test_recomputation_replaces_the_entry(self):
+        cache = TTLCache(maxsize=4, ttl=60.0)
+        for generation in range(50):
+            cache.get("q", lambda value: False)
+            cache.put("q", generation)
+            assert len(cache) == 1
+
+
+class TestReadStamps:
+    SCOPE = ReadScope(frozenset({3, 7}), frozenset({"berlin"}))
+
+    def entry(self, version, scope=SCOPE):
+        return Stamped("value", version, scope)
+
+    def test_nothing_published_everything_fresh(self):
+        stamps = ReadStamps(5)
+        assert stamps.version() == 5
+        assert stamps.fresh(self.entry(5))
+        assert stamps.fresh(self.entry(5, None))
+
+    def test_a_write_outside_the_scope_leaves_the_entry_fresh(self):
+        stamps = ReadStamps(5)
+        stamps.publish(9, predicates=[4, 8], words=["paris"])
+        assert stamps.version() == 9
+        assert stamps.fresh(self.entry(5))
+
+    @pytest.mark.parametrize(
+        "predicates, words", [([7], []), ([], ["berlin"]), ([4, 3], ["paris"])]
+    )
+    def test_a_write_inside_the_scope_kills_older_entries_only(self, predicates, words):
+        stamps = ReadStamps(5)
+        stamps.publish(9, predicates, words)
+        assert not stamps.fresh(self.entry(5))
+        assert not stamps.fresh(self.entry(8))
+        assert stamps.fresh(self.entry(9))   # computed after the write
+        stamps.publish(12, [99], [])
+        assert stamps.fresh(self.entry(9))
+        assert not stamps.fresh(self.entry(5))
+
+    def test_unscoped_entry_is_bound_to_its_version(self):
+        stamps = ReadStamps(5)
+        entry = self.entry(5, None)
+        stamps.publish(6, [99], [])
+        assert not stamps.fresh(entry)
+
+    def test_publish_all_raises_the_floor(self):
+        stamps = ReadStamps(5)
+        stamps.publish(9, [99], ["paris"])
+        stamps.publish_all(11)
+        assert not stamps.fresh(self.entry(9))
+        assert not stamps.fresh(Stamped("v", 10, ReadScope()))
+        assert stamps.fresh(self.entry(11))
+        assert stamps.stats() == {
+            "predicates_stamped": 0, "words_stamped": 0, "floor_version": 11,
+        }
+
+    def test_stats_count_the_vocabulary_not_the_writes(self):
+        stamps = ReadStamps(0)
+        for version in range(1, 50):
+            stamps.publish(version, [version % 3], ["a", "b"])
+        assert stamps.stats() == {
+            "predicates_stamped": 3, "words_stamped": 2, "floor_version": 0,
+        }
 
 
 class TestAnswerCacheKey:
     def test_equivalent_questions_share_a_key(self):
-        assert answer_cache_key("Who is X?", 3, "k=10") == answer_cache_key(
-            " who is x ", 3, "k=10"
-        )
-
-    def test_store_version_partitions_keys(self):
-        assert answer_cache_key("Who is X?", 3, "k=10") != answer_cache_key(
-            "Who is X?", 4, "k=10"
+        assert answer_cache_key("Who is X?", "k=10") == answer_cache_key(
+            " who is x ", "k=10"
         )
 
     def test_config_fingerprint_partitions_keys(self):
-        assert answer_cache_key("Who is X?", 3, "k=10") != answer_cache_key(
-            "Who is X?", 3, "k=3"
+        assert answer_cache_key("Who is X?", "k=10") != answer_cache_key(
+            "Who is X?", "k=3"
         )
 
 
@@ -172,34 +230,38 @@ class _CountingLinker:
 
 
 class TestCachingLinker:
-    def _store(self):
-        store = TripleStore()
-        store.add(Triple(IRI("a"), IRI("p"), Literal("x")))
-        return store
-
     def test_second_lookup_is_cached(self):
         inner = _CountingLinker()
-        linker = CachingLinker(inner, TTLCache(), self._store())
+        linker = CachingLinker(inner, TTLCache(), ReadStamps(0))
         first = linker.link("Berlin")
         second = linker.link("Berlin")
         assert first == second == ["cand:Berlin"]
         assert inner.calls == 1
 
     def test_returned_lists_are_independent_copies(self):
-        linker = CachingLinker(_CountingLinker(), TTLCache(), self._store())
+        linker = CachingLinker(_CountingLinker(), TTLCache(), ReadStamps(0))
         first = linker.link("Berlin")
         first.append("mutated")
         assert linker.link("Berlin") == ["cand:Berlin"]
 
     def test_store_mutation_invalidates(self):
+        """… when it touched a node filed under a word of the phrase, and
+        only then."""
         inner = _CountingLinker()
-        store = self._store()
-        linker = CachingLinker(inner, TTLCache(), store)
-        linker.link("Berlin")
-        store.add(Triple(IRI("b"), IRI("p"), Literal("y")))  # bumps version
-        linker.link("Berlin")
+        stamps = ReadStamps(0)
+        linker = CachingLinker(inner, TTLCache(), stamps)
+        linker.link("Berlin Walls")
+        stamps.publish(1, predicates=[5], words=["paris"])
+        linker.link("Berlin Walls")
+        assert inner.calls == 1
+        # The singular form the index files "walls" under counts.
+        assert "wall" in lookup_words("Berlin Walls")
+        stamps.publish(2, predicates=[], words=["wall"])
+        linker.link("Berlin Walls")
+        assert inner.calls == 2
+        linker.link("Berlin Walls")
         assert inner.calls == 2
 
     def test_delegates_other_attributes(self):
-        linker = CachingLinker(_CountingLinker(), TTLCache(), self._store())
+        linker = CachingLinker(_CountingLinker(), TTLCache(), ReadStamps(0))
         assert linker.index == "the-index"

@@ -2,7 +2,7 @@
 
 The serving-side contract for the overlay store: authenticated ``/ingest``
 batches land atomically under write admission, the kernel is patched (not
-rebuilt), version-keyed answer caches can never serve a stale answer, and
+rebuilt), the answer cache can never serve a stale answer, and
 ``/compact`` folds the delta into a fresh frozen base under live readers.
 """
 
@@ -81,8 +81,8 @@ class TestEngineIngest:
 
     def test_cached_answer_invalidated_by_ingest(self, engine_rw):
         """The stale-cache regression: mutate under a live engine and the
-        previously cached answer must miss (version-keyed), never be
-        served against the new store state."""
+        previously cached answer must miss (it read the stamped
+        predicate), never be served against the new store state."""
         before = engine_rw.ask(BERLIN_Q)
         assert before["answers"] == ["res:Klaus_Wowereit"]
         cached = engine_rw.ask(BERLIN_Q)
@@ -95,36 +95,56 @@ class TestEngineIngest:
         assert "t:NewMayor" in after["answers"]
         assert "res:Klaus_Wowereit" in after["answers"]
 
-    def test_caches_hold_only_the_current_version(self, engine_rw):
-        """Versioned keys make the old entries unreachable, not gone: left
-        to the LRU they filled both caches with dead weight.  Each batch
-        sweeps them, so residency is bounded by one version's traffic."""
+    def test_foreign_batch_leaves_cached_answers_served(self, engine_rw):
+        """A batch that carries none of the predicates an answer read and
+        touches no node its linking could reach does not cost the entry."""
+        assert engine_rw.ask(BERLIN_Q)["cached"] is False
+        result = engine_rw.ingest([Triple(IRI("t:s"), IRI("t:p"), IRI("t:o"))])
+        after = engine_rw.ask(BERLIN_Q)
+        assert after["cached"] is True
+        assert after["store_version"] == result["store_version"]
+        assert engine_rw.stats()["ingest"] == {
+            "predicates_stamped": 1, "words_stamped": 0,
+            "floor_version": result["store_version"] - 1,
+        }
+        assert engine_rw.metrics.counter("serve.cache.stale") == 0
+
+    def test_caches_hold_one_entry_per_question_across_writes(self, engine_rw):
+        """The 450-write soak.  When the version was part of the key every
+        write stranded a generation of entries and a sweep had to collect
+        them; now a stale entry is replaced by its recomputation under the
+        same key, so residency never passes the distinct questions asked —
+        with no sweep."""
         questions = [BERLIN_Q, "What is the capital of Germany?", "Who created Wikipedia?"]
-
-        def resident_versions():
-            return {
-                key[1]
-                for cache in (engine_rw.answer_cache, engine_rw.link_cache)
-                for key in cache._entries
-            }
-
-        for batch in range(6):
+        phrases = set()
+        for write in range(450):
+            if write % 10 == 0:
+                # Read by the first question: predicate and linked node.
+                batch = [Triple(IRI("res:Berlin"), IRI("ont:mayor"), IRI(f"t:Mayor{write}"))]
+            else:
+                batch = [Triple(IRI(f"t:s{write}"), IRI("t:p"), IRI("t:o"))]
+            engine_rw.ingest(batch)
             for question in questions:
                 engine_rw.ask(question)
             assert len(engine_rw.answer_cache) == len(questions)
-            engine_rw.ingest([Triple(IRI(f"t:s{batch}"), IRI("t:p"), IRI("t:o"))])
-            assert len(engine_rw.answer_cache) == 0
-            assert len(engine_rw.link_cache) == 0
-        engine_rw.ask(BERLIN_Q)
-        assert resident_versions() == {engine_rw.store_version}
-        assert engine_rw.metrics.counter("serve.cache.stale_dropped") == 6 * len(questions)
-        # A batch that changes nothing publishes no version and sweeps nothing.
-        engine_rw.ingest([Triple(IRI("t:s0"), IRI("t:p"), IRI("t:o"))])
-        assert len(engine_rw.answer_cache) == 1
+            phrases.update(engine_rw.link_cache._entries)
+            assert len(engine_rw.link_cache) == len(phrases)
+        assert len(phrases) <= 2 * len(questions)
+        stats = engine_rw.answer_cache.stats()
+        # One recomputation per conflicting write (the first is the cold miss).
+        assert stats["misses"] == len(questions) + 44
+        assert engine_rw.metrics.counter("serve.cache.stale") == 44
+        assert stats["evictions"] == 0
+        # A batch that changes nothing publishes no version and stamps nothing.
+        before = engine_rw.stats()["ingest"]
+        engine_rw.ingest([Triple(IRI("t:s1"), IRI("t:p"), IRI("t:o"))])
+        assert engine_rw.stats()["ingest"] == before
 
     def test_reader_across_a_write_leaves_at_most_its_own_entry(self, engine_rw):
-        """A question answered at version v whose put lands after the
-        write to v+1 files one dead entry; the next write takes it."""
+        """A question whose pipeline overlapped a conflicting write files
+        its entry under the version it read *before* computing; the stamp
+        carries the batch's last version, so the entry is never served and
+        the next ask replaces it."""
         in_pipeline = threading.Event()
         written = threading.Event()
         system = engine_rw._system
@@ -142,18 +162,41 @@ class TestEngineIngest:
             reader.start()
             assert in_pipeline.wait(timeout=10)
             stale_version = engine_rw.store_version
-            engine_rw.ingest([Triple(IRI("t:s"), IRI("t:p"), IRI("t:o"))])
+            engine_rw.ingest(
+                [Triple(IRI("res:Berlin"), IRI("ont:mayor"), IRI("t:NewMayor"))]
+            )
             written.set()
             reader.join(timeout=10)
             assert not reader.is_alive()
         finally:
             written.set()
             system.answer = original
-        assert [key[1] for key in engine_rw.answer_cache._entries] == [stale_version]
-        # Unreachable, as ever: the same question now computes afresh.
-        assert engine_rw.ask(BERLIN_Q)["cached"] is False
-        engine_rw.ingest([Triple(IRI("t:s2"), IRI("t:p"), IRI("t:o"))])
-        assert len(engine_rw.answer_cache) == 0
+        assert [e.version for _at, e in engine_rw.answer_cache._entries.values()] == [
+            stale_version
+        ]
+        after = engine_rw.ask(BERLIN_Q)
+        assert after["cached"] is False
+        assert "t:NewMayor" in after["answers"]
+        assert [e.version for _at, e in engine_rw.answer_cache._entries.values()] == [
+            engine_rw.store_version
+        ]
+        assert engine_rw.ask(BERLIN_Q)["cached"] is True
+
+    def test_batch_that_fails_half_way_fails_closed(self, engine_rw):
+        """Removes land before adds; if the adds then raise, the engine
+        cannot say what the batch touched — every cached entry dies."""
+        other = "What is the capital of Germany?"
+        assert engine_rw.ask(BERLIN_Q)["answers"] == ["res:Klaus_Wowereit"]
+        engine_rw.ask(other)
+        mayor = Triple(IRI("res:Berlin"), IRI("ont:mayor"), IRI("res:Klaus_Wowereit"))
+        with pytest.raises(AttributeError):
+            engine_rw.ingest(["not a triple"], removes=[mayor])
+        assert mayor not in engine_rw.kg.store
+        after = engine_rw.ask(BERLIN_Q)
+        assert (after["cached"], after["answers"]) == (False, [])
+        assert engine_rw.ask(other)["cached"] is False
+        assert engine_rw.stats()["ingest"]["floor_version"] == engine_rw.store_version
+        assert engine_rw.kg.kernel.store_version == engine_rw.store_version
 
     def test_write_admission_rejects_burst(self, kg, dictionary):
         engine = fresh_engine(kg, dictionary, ingest_capacity=1)
