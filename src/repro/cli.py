@@ -11,6 +11,7 @@ Usage::
     python -m repro eval                  # the QALD benchmark summary
     python -m repro eval --served         # same benchmark through the engine
     python -m repro dictionary            # mined paraphrase dictionary
+    python -m repro experiments OUT_DIR   # every table of the paper
     python -m repro compile graph.snap    # the deploy artefact (--snapshot)
     python -m repro compact --url URL     # fold a running server's delta
     python -m repro lint                  # project invariants, statically
@@ -243,6 +244,25 @@ def cmd_eval(args) -> int:
         print("\nfailure classes:")
         for reason, count in sorted(run.failure_counts().items()):
             print(f"  {reason}: {count}")
+    return 0
+
+
+def cmd_experiments(args) -> int:
+    from pathlib import Path
+
+    from repro.eval.qald_format import write_qald_results
+    from repro.experiments.drivers import DRIVERS
+    from repro.experiments.online import run_ganswer
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for driver in DRIVERS:
+        result = driver()
+        path = out_dir / f"{result.experiment_id}.txt"
+        path.write_text(result.render() + "\n", encoding="utf-8")
+        print(f"{path}: {result.title}")
+    # Per question, in QALD-3 format (the paper's full version ships these).
+    print(write_qald_results(run_ganswer(), out_dir / "qald_results.json"))
     return 0
 
 
@@ -490,6 +510,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     dictionary = commands.add_parser("dictionary", help="show the mined dictionary")
     dictionary.set_defaults(func=cmd_dictionary)
+
+    experiments = commands.add_parser(
+        "experiments",
+        help="regenerate every table and figure of the paper's evaluation",
+    )
+    experiments.add_argument(
+        "out_dir", metavar="OUT_DIR",
+        help="directory for <experiment_id>.txt and qald_results.json",
+    )
+    experiments.set_defaults(func=cmd_experiments)
 
     lint = commands.add_parser(
         "lint",

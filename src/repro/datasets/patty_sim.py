@@ -270,27 +270,21 @@ def build_phrase_dataset() -> RelationPhraseDataset:
     return dataset
 
 
-def build_noisy_phrase_dataset(
-    extra_phrases: int = 50,
-    missing_pair_fraction: float = 0.33,
-    seed: int = 7,
-) -> RelationPhraseDataset:
+def build_noisy_phrase_dataset() -> RelationPhraseDataset:
     """The curated dataset plus Patty-like noise.
 
-    ``missing_pair_fraction`` of additional pairs reference entities absent
+    A third as many additional pairs per phrase reference entities absent
     from the graph (the paper: only 67 % of Patty pairs occur in DBpedia);
-    ``extra_phrases`` filler phrases have entirely absent support.
+    50 filler phrases have entirely absent support.
     """
-    rng = random.Random(seed)
+    rng = random.Random(7)
     dataset = build_phrase_dataset()
-    names = list(_SUPPORT)
-    for phrase in names:
-        for pairs in (dataset.support[phrase],):
-            missing = max(1, int(len(pairs) * missing_pair_fraction))
-            for i in range(missing):
-                ghost = IRI(f"res:Unknown_{phrase.replace(' ', '_')}_{i}")
-                pairs.append((ghost, IRI(f"res:Nowhere_{i}")))
-    for i in range(extra_phrases):
+    for phrase in _SUPPORT:
+        pairs = dataset.support[phrase]
+        for i in range(max(1, int(len(pairs) * 0.33))):
+            ghost = IRI(f"res:Unknown_{phrase.replace(' ', '_')}_{i}")
+            pairs.append((ghost, IRI(f"res:Nowhere_{i}")))
+    for i in range(50):
         verb = rng.choice(["collaborated with", "was influenced by", "fought at",
                            "belongs to", "was renamed to"])
         dataset.add(
@@ -305,7 +299,6 @@ def scale_phrase_dataset(
     phrases: int,
     pairs_per_phrase: int,
     entity_pool: list[IRI],
-    seed: int = 11,
 ) -> RelationPhraseDataset:
     """A larger dataset for the offline-time benchmarks (Tables 5 and 7).
 
@@ -313,7 +306,7 @@ def scale_phrase_dataset(
     uniformly from ``entity_pool`` (typically a synthetic KG's entities),
     preserving the curated dataset's entries.
     """
-    rng = random.Random(seed)
+    rng = random.Random(11)
     dataset = RelationPhraseDataset(dict(base.support))
     for i in range(phrases):
         pairs = [

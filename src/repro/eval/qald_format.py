@@ -5,7 +5,9 @@ F-measure) of each question in the same format with QALD-3 result format
 in the full version of this paper."  This module produces that artefact:
 a JSON document with one record per question — id, question string, the
 system's answers, per-question precision/recall/F1 — plus the global
-summary, suitable for diffing across runs and for external scoring.
+summary, suitable for diffing across runs and for external scoring: no
+timing (QALD-3 has no such field; Table 11 reports the times), so the
+same answers give the same bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ def run_to_qald_json(run: EvaluationRun) -> str:
             "recall": round(outcome.score.recall, 4),
             "f1": round(outcome.score.f1, 4),
             "answered": outcome.score.answered,
-            "time_ms": round(outcome.total_time * 1000, 2),
         }
         if question.is_boolean:
             record["boolean"] = outcome.boolean

@@ -1,9 +1,10 @@
-"""Experiment drivers: one module per table/figure of the paper.
+"""Experiment drivers: one function per table/figure of the paper.
 
-Each module exposes a ``run(...)`` returning an :class:`ExperimentResult`
-(title, headers, rows, notes) that the benchmark harness executes and the
-EXPERIMENTS.md record quotes.  The drivers hold *all* experiment logic so
-``benchmarks/`` stays thin timing shells.
+Each driver takes no argument and returns an :class:`ExperimentResult`
+(title, headers, rows, notes); :data:`repro.experiments.drivers.DRIVERS`
+lists them once.  ``repro experiments OUT_DIR`` runs that tuple and writes
+the tables EXPERIMENTS.md quotes; ``tests/test_experiments.py`` asserts
+each one's shape in tier-1.
 
 Paper-published numbers are kept in :mod:`repro.experiments.paper` and are
 printed next to measured values — reproduction compares shapes, not

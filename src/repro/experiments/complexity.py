@@ -48,17 +48,12 @@ def understanding_scaling() -> ExperimentResult:
         ["question", "words", "understanding (ms)"],
     )
     for question in _LENGTH_SWEEP:
-        runs = []
-        for _ in range(5):
-            answer = system.answer(question)
-            runs.append(answer.understanding_time)
-        result.rows.append(
-            [question, len(question.split()), round(min(runs) * 1000, 3)]
-        )
+        best = min(system.answer(question).understanding_time for _ in range(5))
+        result.rows.append([question, len(question.split()), round(best * 1000, 3)])
     return result
 
 
-def candidate_scaling(candidate_counts=(5, 10, 20, 40)) -> ExperimentResult:
+def candidate_scaling() -> ExperimentResult:
     """Understanding time vs candidates per phrase, ours vs DEANNA.
 
     Candidate-list length is the ILP's input size; the distractor-padded
@@ -70,30 +65,19 @@ def candidate_scaling(candidate_counts=(5, 10, 20, 40)) -> ExperimentResult:
         "Table 12b — understanding time vs candidates per phrase",
         ["candidates", "ours understand (ms)", "DEANNA understand (ms)", "ratio"],
     )
-    for count in candidate_counts:
-        ours = GAnswer(
-            setup.kg, setup.dictionary,
-            linker=EntityLinker(setup.kg, max_candidates=count),
-        )
-        deanna = Deanna(
-            setup.kg, setup.dictionary,
-            linker=EntityLinker(setup.kg, max_candidates=count),
-        )
-        ours_time = min(
-            ours.answer(_CANDIDATE_SWEEP_QUESTION).understanding_time
+
+    def understanding_ms(system_class, count: int) -> float:
+        linker = EntityLinker(setup.kg, max_candidates=count)
+        system = system_class(setup.kg, setup.dictionary, linker=linker)
+        return 1000 * min(
+            system.answer(_CANDIDATE_SWEEP_QUESTION).understanding_time
             for _ in range(3)
         )
-        deanna_time = min(
-            deanna.answer(_CANDIDATE_SWEEP_QUESTION).understanding_time
-            for _ in range(3)
-        )
+
+    for count in (5, 10, 20, 40):
+        ours, deanna = understanding_ms(GAnswer, count), understanding_ms(Deanna, count)
         result.rows.append(
-            [
-                count,
-                round(ours_time * 1000, 3),
-                round(deanna_time * 1000, 3),
-                f"{deanna_time / max(ours_time, 1e-9):.1f}x",
-            ]
+            [count, round(ours, 3), round(deanna, 3), f"{deanna / max(ours, 1e-6):.1f}x"]
         )
     result.notes.append(
         "shape to check: DEANNA's column grows with the candidate count "
@@ -102,11 +86,11 @@ def candidate_scaling(candidate_counts=(5, 10, 20, 40)) -> ExperimentResult:
     return result
 
 
-def kg_size_scaling(
-    distractor_levels=(0, 10, 25, 50, 100),
-    triples_axis=(10_000, 100_000, 1_000_000),
-    shards=8,
-) -> ExperimentResult:
+#: Segments of the sharded store on the storage axis.
+_SHARDS = 8
+
+
+def kg_size_scaling(triples_axis=(10_000, 100_000, 1_000_000)) -> ExperimentResult:
     """End-to-end time vs knowledge-graph size, plus the storage curve.
 
     Two axes share the table.  The distractor knob multiplies every
@@ -117,7 +101,9 @@ def kg_size_scaling(
     subject-bound query workload against a single compact backend and a
     subject-hash :class:`~repro.rdf.shard.ShardedBackend` — identical
     results required, comparable time expected (bound-subject patterns
-    route to exactly one segment).
+    route to exactly one segment).  ``triples_axis`` stays a parameter for
+    ``scripts/bench_shard.py --full`` (the 10^7 point) and for tier-1, which
+    stops at 10^4; both go with the sharding verdict of ROADMAP item 3.
     """
     question = "Who was married to an actor that played in Philadelphia?"
     result = ExperimentResult(
@@ -125,7 +111,7 @@ def kg_size_scaling(
         "Scaling — answer time vs graph size (distractors + triples axes)",
         ["scale point", "graph size", "total (ms)", "answers"],
     )
-    for level in distractor_levels:
+    for level in (0, 10, 25, 50, 100):
         setup = default_setup(level)
         system = GAnswer(setup.kg, setup.dictionary)
         best = min(system.answer(question).total_time for _ in range(3))
@@ -141,28 +127,16 @@ def kg_size_scaling(
     result.notes.append("answers must be identical at every distractor scale")
 
     for total in triples_axis:
-        for label, store, rows in _storage_scaling_point(total, shards):
-            result.rows.append(
-                [
-                    f"triples={total} {label}",
-                    f"{len(store)} triples",
-                    rows[0],
-                    f"{rows[1]} rows",
-                ]
-            )
+        result.rows.extend(_storage_scaling_rows(total))
     result.notes.append(
-        f"single vs sharded-{shards} must retrieve identical rows at every "
+        f"single vs sharded-{_SHARDS} must retrieve identical rows at every "
         f"triples scale (times are the 200-subject query workload)"
     )
     return result
 
 
-def _storage_scaling_point(total_triples: int, shards: int):
-    """Time one subject-bound workload on single vs sharded storage.
-
-    Returns ``(label, store, (best_ms, row_count))`` per backend; the two
-    row counts must agree (checked by the caller's benchmark).
-    """
+def _storage_scaling_rows(total_triples: int):
+    """One subject-bound workload timed on single, then sharded, storage."""
     from repro.datasets.synthetic import SyntheticConfig, build_synthetic_kg
 
     kg = build_synthetic_kg(
@@ -171,27 +145,22 @@ def _storage_scaling_point(total_triples: int, shards: int):
     base = kg.store
     subjects = [triple[0] for triple in base.triples_ids()][:4000:20]
 
-    def workload(store):
-        rows = 0
-        for sid in subjects:
-            for _ in store.triples_ids(s=sid):
-                rows += 1
-        return rows
+    def workload(store) -> tuple[float, int]:
+        started = time.perf_counter()
+        rows = sum(1 for sid in subjects for _ in store.triples_ids(s=sid))
+        return time.perf_counter() - started, rows
 
-    points = []
     for label, store in (
         ("single", base.compacted()),
-        (f"sharded-{shards}", base.sharded(shards)),
+        (f"sharded-{_SHARDS}", base.sharded(_SHARDS)),
     ):
-        best = None
-        rows = 0
-        for _ in range(3):
-            started = time.perf_counter()
-            rows = workload(store)
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None else min(best, elapsed)
-        points.append((label, store, (round(best * 1000, 3), rows)))
-    return points
+        best, rows = min(workload(store) for _ in range(3))
+        yield [
+            f"triples={total_triples} {label}",
+            f"{len(store)} triples",
+            round(best * 1000, 3),
+            f"{rows} rows",
+        ]
 
 
 #: Candidate-list depths the ablations run at: the padded graph the other

@@ -12,6 +12,7 @@
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 
 from repro.datasets import (
     SyntheticConfig,
@@ -92,51 +93,18 @@ def _judge_path(kg, phrase: str, path: tuple[int, ...]) -> bool:
     return names <= gold
 
 
-def table6_dictionary_precision(sample_size: int = 6) -> ExperimentResult:
-    """Table 6 + Exp 1: sample entries and precision@3 by path length."""
+@lru_cache(maxsize=1)
+def _noisy_dictionary():
+    """The mini KG and the dictionary mined from the noisy phrase dataset."""
     kg = build_dbpedia_mini()
-    phrases = build_noisy_phrase_dataset()
     miner = ParaphraseMiner(kg, max_path_length=4, top_k=3)
-    dictionary = miner.mine(phrases)
-
-    result = ExperimentResult(
-        "table6",
-        "Table 6 / Exp 1 — paraphrase dictionary sample and precision "
-        f"(paper: P@3 ≈ {paper.EXP1_P_AT_3_LENGTH1:.0%} at length 1, "
-        "degrading with length)",
-        ["relation phrase", "predicate / path", "confidence"],
-    )
-    shown = 0
-    for phrase in GOLD_PREDICATES:
-        mappings = dictionary.lookup(normalize_phrase(phrase))
-        if not mappings or shown >= sample_size:
-            continue
-        result.rows.append(
-            [phrase, describe_path(kg, mappings[0].path), round(mappings[0].confidence, 2)]
-        )
-        shown += 1
-
-    judged: dict[int, list[bool]] = {}
-    for phrase in GOLD_PREDICATES:
-        for mapping in dictionary.lookup(normalize_phrase(phrase))[:3]:
-            judged.setdefault(len(mapping.path), []).append(
-                _judge_path(kg, phrase, mapping.path)
-            )
-    for length in sorted(judged):
-        votes = judged[length]
-        precision = sum(votes) / len(votes)
-        result.notes.append(
-            f"P@3 at path length {length}: {precision:.2f} over {len(votes)} mappings"
-        )
-    return result
+    return kg, miner.mine(build_noisy_phrase_dataset())
 
 
-def precision_by_length() -> dict[int, float]:
-    """Exp 1's headline curve: top-3 mapping precision per path length."""
-    kg = build_dbpedia_mini()
-    dictionary = ParaphraseMiner(kg, max_path_length=4, top_k=3).mine(
-        build_noisy_phrase_dataset()
-    )
+def precision_by_length() -> dict[int, tuple[float, int]]:
+    """Exp 1's curve: (top-3 mapping precision, mappings judged) per path
+    length — Table 6's notes print it and tier-1 asserts its shape."""
+    kg, dictionary = _noisy_dictionary()
     judged: dict[int, list[bool]] = {}
     for phrase in GOLD_PREDICATES:
         for mapping in dictionary.lookup(normalize_phrase(phrase))[:3]:
@@ -144,8 +112,32 @@ def precision_by_length() -> dict[int, float]:
                 _judge_path(kg, phrase, mapping.path)
             )
     return {
-        length: sum(votes) / len(votes) for length, votes in sorted(judged.items())
+        length: (sum(votes) / len(votes), len(votes))
+        for length, votes in sorted(judged.items())
     }
+
+
+def table6_dictionary_precision() -> ExperimentResult:
+    """Table 6 + Exp 1: sample entries and precision@3 by path length."""
+    kg, dictionary = _noisy_dictionary()
+    result = ExperimentResult(
+        "table6",
+        "Table 6 / Exp 1 — paraphrase dictionary sample and precision "
+        f"(paper: P@3 ≈ {paper.EXP1_P_AT_3_LENGTH1:.0%} at length 1, "
+        "degrading with length)",
+        ["relation phrase", "predicate / path", "confidence"],
+    )
+    for phrase in GOLD_PREDICATES:
+        mappings = dictionary.lookup(normalize_phrase(phrase))
+        if mappings and len(result.rows) < 6:  # a six-entry sample
+            result.rows.append(
+                [phrase, describe_path(kg, mappings[0].path), round(mappings[0].confidence, 2)]
+            )
+    for length, (precision, judged) in precision_by_length().items():
+        result.notes.append(
+            f"P@3 at path length {length}: {precision:.2f} over {judged} mappings"
+        )
+    return result
 
 
 def table7_offline_time() -> ExperimentResult:
@@ -154,7 +146,7 @@ def table7_offline_time() -> ExperimentResult:
         "table7",
         "Table 7 — offline dictionary-mining time (paper: 17 min → 3.88 h "
         "and 119 min → 30.33 h going from θ=2 to θ=4)",
-        ["dataset", "theta=2 (s)", "theta=4 (s)", "slowdown"],
+        ["dataset", "theta=2 (ms)", "theta=4 (ms)", "slowdown"],
     )
     synth = build_synthetic_kg(
         SyntheticConfig(entities=1000, triples_per_entity=4, predicates=30)
@@ -164,19 +156,25 @@ def table7_offline_time() -> ExperimentResult:
         ("wordnet-like (small)", scale_phrase_dataset(build_phrase_dataset(), 100, 5, pool)),
         ("freebase-like (large)", scale_phrase_dataset(build_phrase_dataset(), 400, 5, pool)),
     )
+
+    def mine_once(dataset, theta: int) -> float:
+        synth.refresh()  # cold kernel caches: each pass times a full run
+        miner = ParaphraseMiner(synth, max_path_length=theta, top_k=3)
+        started = time.perf_counter()
+        miner.mine(dataset)
+        return time.perf_counter() - started
+
     for name, dataset in scales:
-        times = {}
-        for theta in (2, 4):
-            synth.refresh()  # cold kernel caches: each cell times a full run
-            miner = ParaphraseMiner(synth, max_path_length=theta, top_k=3)
-            started = time.perf_counter()
-            miner.mine(dataset)
-            times[theta] = time.perf_counter() - started
+        # Fastest of three: interference only ever slows a pass.
+        times = {
+            theta: min(mine_once(dataset, theta) for _ in range(3))
+            for theta in (2, 4)
+        }
         result.rows.append(
             [
                 name,
-                round(times[2], 3),
-                round(times[4], 3),
+                round(times[2] * 1000, 1),
+                round(times[4] * 1000, 1),
                 f"{times[4] / max(times[2], 1e-9):.1f}x",
             ]
         )
@@ -235,10 +233,11 @@ def tfidf_ablation() -> ExperimentResult:
         ["scoring", "noise path confidence", "uncle path confidence",
          "noise survives top-3"],
     )
-    for label, use_tfidf in (("tf-idf (paper)", True), ("raw tf", False)):
+    # The paper's row is the miner as shipped, the ablated row switches
+    # tf-idf off: a changed default shows as two equal rows.
+    for label, scoring in (("tf-idf (paper)", {}), ("raw tf", {"use_tfidf": False})):
         dictionary = ParaphraseMiner(
-            kg, max_path_length=3, top_k=3, use_tfidf=use_tfidf,
-            length_discount=1.0,
+            kg, max_path_length=3, top_k=3, length_discount=1.0, **scoring
         ).mine(dataset)
         mappings = dictionary.lookup(normalize_phrase("uncle of"))
         by_path = {m.path: m.confidence for m in mappings}

@@ -5,26 +5,9 @@ which failure class dominates); the absolute values below come from the
 paper's DBpedia-scale testbed.
 """
 
-#: Table 4 — DBpedia statistics.
-TABLE4_DBPEDIA = {"entities": 5_200_000, "triples": 60_000_000, "predicates": 1643}
-
-#: Table 5 — Patty relation-phrase datasets.
-TABLE5_PATTY = {
-    "wordnet-wikipedia": {"phrases": 350_568, "pairs": 3_862_304, "avg_pairs": 11},
-    "freebase-wikipedia": {"phrases": 1_631_530, "pairs": 15_802_947, "avg_pairs": 9},
-}
-
 #: Exp 1 — dictionary precision: "P@3 is about 50 % when the path length
 #: is 1 ... while increasing of path length the precision goes down".
 EXP1_P_AT_3_LENGTH1 = 0.50
-
-#: Table 7 — offline mining time (wall clock on the authors' server).
-TABLE7_OFFLINE = {
-    ("wordnet-wikipedia", 2): "17 min",
-    ("wordnet-wikipedia", 4): "3.88 h",
-    ("freebase-wikipedia", 2): "119 min",
-    ("freebase-wikipedia", 4): "30.33 h",
-}
 
 #: Table 8 — QALD-3 end-to-end results (processed, right, partial, R, P, F1).
 TABLE8 = {

@@ -18,6 +18,7 @@ from repro.cli import main
 from repro.exceptions import LintError
 
 PACKAGE_ROOT = Path(repro.__file__).resolve().parent
+REPO_ROOT = PACKAGE_ROOT.parent.parent
 
 
 class TestRealTree:
@@ -212,6 +213,61 @@ class TestNoForksGrowBack:
             for name, parameter in parameters.items()
             if name != "self"
         )
+
+    def test_experiments_have_one_path(self):
+        """The paper's tables come from ``repro experiments`` and are held
+        by tier-1: no wrapper around pytest's benchmark plugin, its
+        dependency or its fixture grows back beside them (``bench/`` is
+        the perf harness)."""
+        sources = [
+            path
+            for top in ("src", "tests", "bench", "benchmarks", "scripts", "examples")
+            for path in sorted((REPO_ROOT / top).rglob("*.py"))
+        ]
+        # The one left is not a wrapper: it goes with the sharding verdict.
+        assert [
+            str(path.relative_to(REPO_ROOT))
+            for path in sources
+            if path.name.startswith("bench_") and REPO_ROOT / "bench" not in path.parents
+        ] == ["scripts/bench_shard.py"]
+        assert sorted(p.name for p in (REPO_ROOT / "benchmarks").iterdir()) == ["output"]
+        plugin = re.compile(r"pytest[_-]benchmark|def test_\w+\([^)]*\bbenchmark\b")
+        assert [
+            str(path.relative_to(REPO_ROOT))
+            for path in sources
+            if path != Path(__file__) and plugin.search(path.read_text())
+        ] == []
+        packaging = (REPO_ROOT / "pyproject.toml").read_text()
+        assert not plugin.search(packaging) and "bench_" not in packaging
+
+    def test_a_driver_takes_no_argument_but_the_two_with_a_caller(self):
+        from repro.experiments.drivers import DRIVERS
+
+        parameters = {
+            driver.__name__: list(inspect.signature(driver).parameters)
+            for driver in DRIVERS
+        }
+        assert {name: taken for name, taken in parameters.items() if taken} == {
+            "figure6_runtime": ["distractors"],   # examples/benchmark_comparison.py
+            "kg_size_scaling": ["triples_axis"],  # scripts/bench_shard.py --full
+        }
+        assert len(parameters) == len(DRIVERS) == 18
+
+    def test_dataset_builders_lost_their_single_valued_parameters(self):
+        from repro.datasets.patty_sim import (
+            build_noisy_phrase_dataset,
+            scale_phrase_dataset,
+        )
+        from repro.experiments.common import default_setup
+
+        assert list(inspect.signature(build_noisy_phrase_dataset).parameters) == []
+        assert list(inspect.signature(scale_phrase_dataset).parameters) == [
+            "base", "phrases", "pairs_per_phrase", "entity_pool",
+        ]
+        # ``jobs`` is the CLI's --jobs.
+        assert list(inspect.signature(default_setup.__wrapped__).parameters) == [
+            "distractors_per_entity", "jobs",
+        ]
 
     @pytest.mark.parametrize("command", ["lint", "shell", "serve", "eval"])
     def test_help_offers_neither_baseline_nor_bundle(self, command, capsys):

@@ -32,9 +32,11 @@ class TestQALDFormat:
     def test_per_question_fields(self, run):
         payload = json.loads(run_to_qald_json(run))
         record = payload["questions"][0]
-        for field in ("id", "question", "answers", "gold", "precision",
-                      "recall", "f1", "answered", "time_ms"):
-            assert field in record
+        # No timing: QALD-3 has no such field and the file must not
+        # change between two runs that answer the same.
+        assert list(record)[:8] == ["id", "question", "answers", "gold",
+                                    "precision", "recall", "f1", "answered"]
+        assert not any("time" in field for field in record)
 
     def test_right_question_scores_one(self, run):
         payload = json.loads(run_to_qald_json(run))

@@ -143,6 +143,40 @@ class TestEval:
         assert "aggregation" in captured.out
 
 
+class TestExperiments:
+    def test_writes_one_table_per_driver_and_the_qald_results(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import json
+
+        from repro.experiments import drivers, offline, online
+
+        monkeypatch.setattr(
+            drivers, "DRIVERS",
+            (offline.table4_graph_statistics, online.table8_end_to_end),
+        )
+        out_dir = tmp_path / "nested" / "out"
+        assert main(["experiments", str(out_dir)]) == 0
+        capsys.readouterr()
+        assert sorted(path.name for path in out_dir.iterdir()) == [
+            "qald_results.json", "table4.txt", "table8.txt",
+        ]
+        table8 = (out_dir / "table8.txt").read_text()
+        assert table8 == online.table8_end_to_end().render() + "\n"
+        results = json.loads((out_dir / "qald_results.json").read_text())
+        assert results["summary"]["right"] == 32
+        assert results["system"] == "Our Method (repro)"
+
+    def test_out_dir_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiments"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert "OUT_DIR" in line
+        assert "Traceback" not in err
+
+
 class TestUserErrors:
     """A mistake in the user's input ends in one ``error:`` line and exit
     status 2, never in a traceback."""
