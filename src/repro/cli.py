@@ -274,16 +274,12 @@ def cmd_compile(args) -> int:
 
     setup = default_setup(args.distractors, jobs=args.jobs)
     started = time.perf_counter()
-    info = compile_snapshot(
-        Path(args.output), setup.kg, setup.dictionary,
-        shards=args.shards, jobs=args.jobs,
-    )
+    info = compile_snapshot(Path(args.output), setup.kg, setup.dictionary)
     elapsed = time.perf_counter() - started
-    layout = f"{info.shards} segments + manifest" if info.shards > 1 else "1 file"
     print(
         f"compiled {info.triples} triples, {info.terms} terms, "
         f"{info.phrases} phrases → {info.path} "
-        f"({layout}, {info.total_bytes} bytes, {elapsed:.2f} s)"
+        f"({info.total_bytes} bytes, {elapsed:.2f} s)"
     )
     if args.verbose:
         for name, size in sorted(
@@ -313,8 +309,6 @@ def cmd_compact(args) -> int:
         )
         return 2
     payload: dict = {}
-    if args.shards is not None:
-        payload["shards"] = args.shards
     if args.snapshot_out is not None:
         payload["snapshot_path"] = args.snapshot_out
     request = urllib.request.Request(
@@ -336,10 +330,9 @@ def cmd_compact(args) -> int:
     except (urllib.error.URLError, OSError) as error:
         print(f"error: cannot reach {args.url}: {error}", file=sys.stderr)
         return 1
-    layout = f"{body['shards']} shards" if body.get("shards") else "single backend"
     print(
         f"compacted {body['triples']} triples into a fresh base "
-        f"({layout}, store v{body['store_version']})"
+        f"(store v{body['store_version']})"
     )
     if body.get("snapshot"):
         print(f"snapshot written to {body['snapshot']}")
@@ -549,11 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compile_cmd.add_argument("output", help="snapshot file to write (e.g. graph.snap)")
     compile_cmd.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="write a sharded snapshot: a manifest plus K subject-hash "
-        "partitioned segment files, mmapped lazily at load (default: one file)",
-    )
-    compile_cmd.add_argument(
         "--verbose", action="store_true", help="print per-section sizes"
     )
     compile_cmd.set_defaults(func=cmd_compile)
@@ -571,10 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--token", default=None,
         help="ingest token (default: the REPRO_INGEST_TOKEN environment "
         "variable)",
-    )
-    compact.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="rebuild into a K-segment sharded base (default: single)",
     )
     compact.add_argument(
         "--snapshot-out", metavar="FILE", default=None,

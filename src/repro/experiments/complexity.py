@@ -88,9 +88,11 @@ def candidate_scaling() -> ExperimentResult:
 
 #: Segments of the sharded store on the storage axis.
 _SHARDS = 8
+#: Synthetic-graph sizes of the storage axis (tier-1 patches it to 10^4).
+_TRIPLES_AXIS = (10_000, 100_000, 1_000_000)
 
 
-def kg_size_scaling(triples_axis=(10_000, 100_000, 1_000_000)) -> ExperimentResult:
+def kg_size_scaling() -> ExperimentResult:
     """End-to-end time vs knowledge-graph size, plus the storage curve.
 
     Two axes share the table.  The distractor knob multiplies every
@@ -101,9 +103,7 @@ def kg_size_scaling(triples_axis=(10_000, 100_000, 1_000_000)) -> ExperimentResu
     subject-bound query workload against a single compact backend and a
     subject-hash :class:`~repro.rdf.shard.ShardedBackend` — identical
     results required, comparable time expected (bound-subject patterns
-    route to exactly one segment).  ``triples_axis`` stays a parameter for
-    ``scripts/bench_shard.py --full`` (the 10^7 point) and for tier-1, which
-    stops at 10^4; both go with the sharding verdict of ROADMAP item 3.
+    route to exactly one segment).
     """
     question = "Who was married to an actor that played in Philadelphia?"
     result = ExperimentResult(
@@ -126,7 +126,7 @@ def kg_size_scaling(triples_axis=(10_000, 100_000, 1_000_000)) -> ExperimentResu
         )
     result.notes.append("answers must be identical at every distractor scale")
 
-    for total in triples_axis:
+    for total in _TRIPLES_AXIS:
         result.rows.extend(_storage_scaling_rows(total))
     result.notes.append(
         f"single vs sharded-{_SHARDS} must retrieve identical rows at every "

@@ -31,10 +31,9 @@ on first touch and keep untouched shards off the resident set).
 from __future__ import annotations
 
 import heapq
-import os
 import threading
 from operator import itemgetter
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.exceptions import SnapshotError
 from repro.rdf.backend import CompactBackend, FrozenBackend, IdTriple
@@ -44,8 +43,6 @@ __all__ = [
     "ShardedBackend",
     "shard_of",
     "partition_triples",
-    "build_segments",
-    "map_shards",
 ]
 
 #: Knuth's 32-bit multiplicative hash constant (2^32 / golden ratio).
@@ -54,8 +51,6 @@ _HASH_MULTIPLIER = 0x9E3779B1
 #: Name of the partition function, recorded in snapshot manifests so a
 #: loader can refuse a manifest written under a different placement.
 PARTITION_SCHEME = "subject-mulfib32/1"
-
-_T = TypeVar("_T")
 
 _EMPTY_SET: frozenset[int] = frozenset()
 _EMPTY_MAP: dict[int, frozenset[int]] = {}
@@ -91,59 +86,6 @@ def partition_triples(
     for triple in triples:
         partitions[shard_of(triple[0], shards)].append(triple)
     return partitions
-
-
-# --------------------------------------------------------------------- #
-# Shard-parallel segment construction
-# --------------------------------------------------------------------- #
-
-#: Task state for :func:`build_segments`: (partitions, store version).
-_BUILD_STATE: tuple[list[list[IdTriple]], int] | None = None
-
-
-def _build_one_segment(index: int) -> CompactBackend:
-    partitions, version = _BUILD_STATE  # type: ignore[misc]
-    return CompactBackend.from_triples(partitions[index], version=version)
-
-
-def map_shards(task: Callable[[int], _T], shards: int, jobs: int = 1) -> list[_T]:
-    """``[task(0), ..., task(shards - 1)]``, fanned over a fork pool.
-
-    ``jobs > 1`` runs the tasks across forked workers (0 auto-sizes to the
-    CPU count), degrading to threads where fork is unavailable.  A task
-    takes only its shard index: its inputs are module state the caller
-    sets immediately before this call, which fork workers inherit
-    copy-on-write — exactly the pattern the paraphrase miner's phrase
-    pool uses.  Tasks must be deterministic, so the result is identical
-    at any job count.
-    """
-    jobs = max(1, min(jobs or os.cpu_count() or 1, shards))
-    if jobs == 1:
-        return [task(index) for index in range(shards)]
-    # Only this branch forks: a serving process never pays for the imports.
-    import concurrent.futures
-    import multiprocessing
-
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
-        pool: concurrent.futures.Executor = concurrent.futures.ThreadPoolExecutor(jobs)
-    else:
-        pool = concurrent.futures.ProcessPoolExecutor(jobs, mp_context=context)
-    with pool:
-        return list(pool.map(task, range(shards)))
-
-
-def build_segments(
-    partitions: list[list[IdTriple]], version: int = 0, jobs: int = 1
-) -> list[CompactBackend]:
-    """One frozen :class:`CompactBackend` per partition (see :func:`map_shards`)."""
-    global _BUILD_STATE
-    _BUILD_STATE = (partitions, version)
-    try:
-        return map_shards(_build_one_segment, len(partitions), jobs)
-    finally:
-        _BUILD_STATE = None
 
 
 def _merge_distinct(iterators: Sequence[Iterator[int]]) -> Iterator[int]:
@@ -202,12 +144,15 @@ class ShardedBackend(FrozenBackend):
         triples: Iterable[IdTriple],
         shards: int,
         version: int = 0,
-        jobs: int = 1,
     ) -> "ShardedBackend":
         """Partition triples by subject hash and build every segment."""
-        partitions = partition_triples(triples, shards)
-        return cls(build_segments(partitions, version=version, jobs=jobs),
-                   version=version)
+        return cls(
+            (
+                CompactBackend.from_triples(partition, version=version)
+                for partition in partition_triples(triples, shards)
+            ),
+            version=version,
+        )
 
     @classmethod
     def lazy(

@@ -57,8 +57,8 @@ Every file is written to a temporary sibling, flushed, synced and renamed
 over its target, so a process that has the old file mapped keeps reading
 the old bytes: recompiling onto a live snapshot is safe.
 
-**Sharded snapshots** (``compile_snapshot(..., shards=K)``, ``repro
-compile --shards K``) split the artifact so segments load on demand:
+**Sharded snapshots** (``compile_snapshot(..., shards=K)``) split the
+artifact so segments load on demand:
 
 * ``graph.snap`` — a small JSON **manifest** naming the members, the
   partition scheme, and per-segment triple counts;
@@ -539,7 +539,6 @@ def compile_snapshot(
     kg: KnowledgeGraph,
     dictionary: "ParaphraseDictionary",
     shards: int | None = None,
-    jobs: int = 1,
 ) -> SnapshotInfo:
     """Compile the warm state of ``kg`` + ``dictionary`` into a snapshot.
 
@@ -550,8 +549,7 @@ def compile_snapshot(
     ``shards=None`` (default) writes the single-file container.
     ``shards=K`` writes the sharded form instead: a JSON manifest at
     ``path``, a state container next to it, and one segment container per
-    shard (subject-hash partitioned; ``jobs`` parallelizes the
-    per-segment column builds).  Both forms load through
+    shard (subject-hash partitioned).  Both forms load through
     :func:`load_snapshot` and answer identically.
 
     Every file appears under its name complete or not at all, and
@@ -581,13 +579,7 @@ def compile_snapshot(
             section_bytes = _write_container(out, sections, _SECTIONS, meta)
         return _snapshot_info(path, meta, section_bytes)
 
-    if shards < 1:
-        raise ValueError("shards must be a positive segment count")
-    backend = store.backend
-    if not (isinstance(backend, ShardedBackend) and backend.shards == shards):
-        # Not already partitioned under the same scheme (a live sharded
-        # store persists its own segments instead of re-sorting columns).
-        backend = store.sharded(shards, jobs=jobs).backend
+    backend = store.sharded(shards).backend
     assert isinstance(backend, ShardedBackend)
     segments = [backend.segment(index) for index in range(shards)]
 
@@ -851,6 +843,22 @@ def _load_single(path: Path) -> CompiledState:
     )
 
 
+def _is_count(value) -> bool:
+    """A non-negative ``int`` — JSON ``true`` is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_bare_name(name) -> bool:
+    """A file name with no directory part: the member sits beside its
+    manifest, so a name can neither be empty nor leave that directory."""
+    return (
+        isinstance(name, str)
+        and name not in ("", ".", "..")
+        and "\0" not in name
+        and Path(name).name == name
+    )
+
+
 def _load_sharded(path: Path, manifest: dict) -> CompiledState:
     """Open a sharded manifest: the state container now, each segment
     on first touch."""
@@ -858,7 +866,7 @@ def _load_sharded(path: Path, manifest: dict) -> CompiledState:
         raise SnapshotError(
             f"unsupported manifest version {manifest.get('manifest_version')} "
             f"(this build reads manifest version {MANIFEST_VERSION}); "
-            f"recompile with `repro compile --shards`"
+            f"recompile it"
         )
     if manifest.get("partition") != PARTITION_SCHEME:
         raise SnapshotError(
@@ -869,14 +877,15 @@ def _load_sharded(path: Path, manifest: dict) -> CompiledState:
     segment_names = manifest.get("segments")
     segment_triples = manifest.get("segment_triples")
     if (
-        not isinstance(shards, int)
+        not _is_count(shards)
         or shards < 1
         or not isinstance(segment_names, list)
         or not isinstance(segment_triples, list)
         or len(segment_names) != shards
         or len(segment_triples) != shards
-        or not isinstance(manifest.get("state"), str)
-        or not all(isinstance(manifest.get(key), int) for key in _COUNT_KEYS)
+        or not all(map(_is_count, segment_triples))
+        or not all(_is_count(manifest.get(key)) for key in _COUNT_KEYS)
+        or not all(map(_is_bare_name, [manifest.get("state"), *segment_names]))
     ):
         raise SnapshotError(f"malformed sharded-snapshot manifest: {path}")
     if sum(segment_triples) != manifest["triples"]:

@@ -99,22 +99,19 @@ class TripleStore:
             )
         return self._rehoused(backend)
 
-    def sharded(self, shards: int, jobs: int = 1) -> "TripleStore":
+    def sharded(self, shards: int) -> "TripleStore":
         """A frozen copy partitioned into ``shards`` compact segments.
 
         Like :meth:`compacted` — shared dictionary, stable ids, version
         carried forward — but the physical index is a
         :class:`~repro.rdf.shard.ShardedBackend`: triples hash-partitioned
         by subject into K frozen segments with merged read views.
-        ``jobs > 1`` builds segments across a fork pool (0 = one per CPU);
-        the result is identical at any job count.
         """
         with collector_paused():
             backend = ShardedBackend.from_triples(
                 self._backend.triples_ids(),
                 shards=shards,
                 version=self._backend.version,
-                jobs=jobs,
             )
         return self._rehoused(backend)
 

@@ -69,20 +69,23 @@ __all__ = ["EngineConfig", "QAEngine", "AdmissionRejected"]
 #: :class:`EngineConfig` fields — no deployment has needed other values.
 _LINK_CACHE_SIZE = 4096
 _LINK_CACHE_TTL_S = 600.0
-#: Candidate-list width of the degraded pipeline.
+#: The degraded pipeline: its top-k and its candidate-list width.
+_DEGRADED_K = 3
 _DEGRADED_CANDIDATE_LIMIT = 3
+#: Ingest batches in flight (running or waiting) before a write is a 429.
+_INGEST_CAPACITY = 2
 
 
 @dataclass(frozen=True, slots=True)
 class EngineConfig:
     """Tunables of one serving engine.
 
-    Eight are CLI flags: the global ``--k`` and ``--aggregation``, and
-    ``repro serve``'s ``--pool-size``, ``--queue-limit``, ``--deadline``,
-    ``--cache-size``, ``--cache-ttl`` and ``--degrade-pressure``.
-    ``degraded_k`` and ``ingest_capacity`` have no flag (embedding code
-    sets them).  The link-cache size/TTL and the degraded pipeline's
-    candidate width are not tunables at all: module constants above.
+    Every field is a CLI flag: the global ``--k`` and ``--aggregation``,
+    and ``repro serve``'s ``--pool-size``, ``--queue-limit``,
+    ``--deadline``, ``--cache-size``, ``--cache-ttl`` and
+    ``--degrade-pressure``.  The link-cache size/TTL, the degraded
+    pipeline's k and candidate width and the ingest admission budget are
+    not tunables at all: module constants above.
     """
 
     k: int = 10                       # top-k matches per question
@@ -92,9 +95,7 @@ class EngineConfig:
     cache_size: int = 1024            # answer cache entries (0 disables)
     cache_ttl_s: float = 300.0        # answer cache TTL
     degrade_pressure: float = 0.75    # admission occupancy that triggers degradation
-    degraded_k: int = 3               # top-k under degradation
     enable_aggregation: bool = False  # superlative post-processing extension
-    ingest_capacity: int = 2          # ingest batches in flight (excess → 429)
 
     def __post_init__(self) -> None:
         if self.pool_size < 1:
@@ -105,12 +106,11 @@ class EngineConfig:
             raise ValueError("degrade_pressure must be in [0, 1]")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be positive when set")
-        if self.ingest_capacity < 1:
-            raise ValueError("ingest_capacity must be at least 1")
 
     def fingerprint(self) -> str:
-        """Stable digest of every knob that changes *answers* (cache key part)."""
-        return f"k={self.k};agg={int(self.enable_aggregation)};dk={self.degraded_k}"
+        """Stable digest of every knob that changes *cached* answers (cache
+        key part); degraded answers are never cached."""
+        return f"k={self.k};agg={int(self.enable_aggregation)}"
 
 
 @dataclass(slots=True)
@@ -191,7 +191,7 @@ class QAEngine:
         self._degraded_system = GAnswer(
             kg,
             dictionary,
-            k=self.config.degraded_k,
+            k=_DEGRADED_K,
             enable_aggregation=self.config.enable_aggregation,
             linker=self.linker,
             candidate_limit=_DEGRADED_CANDIDATE_LIMIT,
@@ -201,7 +201,7 @@ class QAEngine:
             metrics=self.metrics,
         )
         self.write_admission = AdmissionController(
-            capacity=self.config.ingest_capacity,
+            capacity=_INGEST_CAPACITY,
             metrics=self.metrics,
             prefix="serve.ingest",
         )
@@ -414,7 +414,7 @@ class QAEngine:
         """Apply one batch of triple adds/removes to the live store.
 
         Writers serialize on the ingest lock; at most
-        ``config.ingest_capacity`` batches may be in flight (running or
+        ``_INGEST_CAPACITY`` batches may be in flight (running or
         waiting on the lock) before :class:`AdmissionRejected` — writes
         get their own admission budget so a write burst turns into 429s
         instead of starving question answering.
@@ -497,11 +497,7 @@ class QAEngine:
         self.linker.carry_prominence(nodes)
         self.stamps.publish(version, predicates, words)
 
-    def compact(
-        self,
-        shards: int | None = None,
-        snapshot_path: str | None = None,
-    ) -> dict:
+    def compact(self, snapshot_path: str | None = None) -> dict:
         """Re-compact base + delta into a fresh frozen base and swap it in.
 
         Runs under the ingest lock (writers pause; readers keep going
@@ -513,29 +509,21 @@ class QAEngine:
         iterators drain against the old backend, whose mmap (if any) is
         released when the last reference drops.
 
-        ``shards=K`` rebuilds into a sharded base; ``snapshot_path``
-        additionally persists a compiled snapshot of the compacted state
-        (single-file, or sharded when ``shards`` is set).
+        ``snapshot_path`` additionally persists a single-file compiled
+        snapshot of the compacted state.
         """
         with self._ingest_lock:
             with self.metrics_span("serve.compact"):
                 store = self.kg.store
-                if shards is not None and shards > 1:
-                    frozen = store.sharded(shards)
-                else:
-                    frozen = store.compacted()
-                store.swap_backend(frozen.overlay().backend)
+                store.swap_backend(store.compacted().overlay().backend)
                 if snapshot_path is not None:
                     from repro.rdf.snapshot import compile_snapshot
 
-                    compile_snapshot(
-                        snapshot_path, self.kg, self.dictionary, shards=shards
-                    )
+                    compile_snapshot(snapshot_path, self.kg, self.dictionary)
         self.metrics.incr("serve.compactions")
         return {
             "triples": len(self.kg.store),
             "store_version": self.store_version,
-            "shards": shards,
             "snapshot": snapshot_path,
         }
 
@@ -645,7 +633,7 @@ class QAEngine:
         shards = getattr(backend, "shards", None)
         if shards is not None:
             # Sharded store: report residency so operators can see lazy
-            # segment loading (and eviction) at work.
+            # segment loading at work.
             store_stats["shards"] = shards
             store_stats["loaded_segments"] = backend.loaded_segments()
         return {
@@ -659,7 +647,6 @@ class QAEngine:
                 "queue_limit": self.config.queue_limit,
                 "deadline_s": self.config.deadline_s,
                 "degrade_pressure": self.config.degrade_pressure,
-                "degraded_k": self.config.degraded_k,
             },
             "answer_cache": self.answer_cache.stats(),
             "link_cache": self.link_cache.stats(),

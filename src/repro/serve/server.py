@@ -19,7 +19,7 @@ Routes::
     POST /ingest   {"add"?: [[s, p, o], ...], "remove"?: [[s, p, o], ...]}
                    (authenticated; see below) — apply one triple batch to
                    the live overlay store and refresh derived state
-    POST /compact  {"shards"?: int, "snapshot_path"?: str}
+    POST /compact  {"snapshot_path"?: str}
                    (authenticated) — re-compact base + delta into a fresh
                    frozen base and swap it in atomically
     GET  /healthz  liveness/readiness + store version (+ worker pid/index)
@@ -592,19 +592,11 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, engine.ingest(adds, removes))
 
     def _handle_compact(self, engine: QAEngine, payload: dict) -> None:
-        shards = payload.get("shards")
-        if shards is not None and (
-            isinstance(shards, bool) or not isinstance(shards, int) or shards < 1
-        ):
-            self._send_json(400, {"error": "'shards' must be a positive integer"})
-            return
         snapshot_path = payload.get("snapshot_path")
         if snapshot_path is not None and not isinstance(snapshot_path, str):
             self._send_json(400, {"error": "'snapshot_path' must be a string"})
             return
-        self._send_json(
-            200, engine.compact(shards=shards, snapshot_path=snapshot_path)
-        )
+        self._send_json(200, engine.compact(snapshot_path=snapshot_path))
 
     # ------------------------------------------------------------------ #
     # Cluster introspection

@@ -147,8 +147,7 @@ class TestNoForksGrowBack:
 
         assert [field.name for field in dataclasses.fields(EngineConfig)] == [
             "k", "pool_size", "queue_limit", "deadline_s", "cache_size",
-            "cache_ttl_s", "degrade_pressure", "degraded_k",
-            "enable_aggregation", "ingest_capacity",
+            "cache_ttl_s", "degrade_pressure", "enable_aggregation",
         ]
 
     def test_tracers_are_per_call_or_process_wide_never_per_instance(self):
@@ -221,15 +220,14 @@ class TestNoForksGrowBack:
         the perf harness)."""
         sources = [
             path
-            for top in ("src", "tests", "bench", "benchmarks", "scripts", "examples")
+            for top in ("src", "tests", "bench", "benchmarks", "examples")
             for path in sorted((REPO_ROOT / top).rglob("*.py"))
         ]
-        # The one left is not a wrapper: it goes with the sharding verdict.
         assert [
             str(path.relative_to(REPO_ROOT))
             for path in sources
             if path.name.startswith("bench_") and REPO_ROOT / "bench" not in path.parents
-        ] == ["scripts/bench_shard.py"]
+        ] == []
         assert sorted(p.name for p in (REPO_ROOT / "benchmarks").iterdir()) == ["output"]
         plugin = re.compile(r"pytest[_-]benchmark|def test_\w+\([^)]*\bbenchmark\b")
         assert [
@@ -240,7 +238,7 @@ class TestNoForksGrowBack:
         packaging = (REPO_ROOT / "pyproject.toml").read_text()
         assert not plugin.search(packaging) and "bench_" not in packaging
 
-    def test_a_driver_takes_no_argument_but_the_two_with_a_caller(self):
+    def test_a_driver_takes_no_argument_but_the_one_with_a_caller(self):
         from repro.experiments.drivers import DRIVERS
 
         parameters = {
@@ -248,8 +246,7 @@ class TestNoForksGrowBack:
             for driver in DRIVERS
         }
         assert {name: taken for name, taken in parameters.items() if taken} == {
-            "figure6_runtime": ["distractors"],   # examples/benchmark_comparison.py
-            "kg_size_scaling": ["triples_axis"],  # scripts/bench_shard.py --full
+            "figure6_runtime": ["distractors"],  # examples/benchmark_comparison.py
         }
         assert len(parameters) == len(DRIVERS) == 18
 
@@ -268,6 +265,42 @@ class TestNoForksGrowBack:
         assert list(inspect.signature(default_setup.__wrapped__).parameters) == [
             "distractors_per_entity", "jobs",
         ]
+
+    def test_sharding_is_what_the_benchmark_builds_and_no_more(self):
+        """The sharding verdict (docs/deployment.md): its own timing
+        harness and baseline file, the fork-pool segment build, online
+        re-sharding and both ``--shards`` flags are gone; the backend and
+        its snapshot form stay only while ``bench/`` builds them."""
+        import repro.rdf.shard
+        from repro.rdf.shard import ShardedBackend
+        from repro.rdf.snapshot import compile_snapshot
+        from repro.rdf.store import TripleStore
+        from repro.serve import QAEngine
+
+        assert not (REPO_ROOT / "scripts").exists()
+        assert [
+            path.name for path in REPO_ROOT.glob("BENCH*.json")
+        ] == ["BENCHMARK.json"]
+        for builder in (ShardedBackend.from_triples, TripleStore.sharded, compile_snapshot):
+            assert "jobs" not in inspect.signature(builder).parameters, builder
+        # The pool that built segments in parallel and its task state.
+        assert {
+            name for name, value in vars(repro.rdf.shard).items()
+            if inspect.isfunction(value) and value.__module__ == "repro.rdf.shard"
+        } == {"shard_of", "partition_triples", "_merge_distinct"}
+        assert not hasattr(repro.rdf.shard, "_BUILD_STATE")
+        assert list(inspect.signature(QAEngine.compact).parameters) == [
+            "self", "snapshot_path",
+        ]
+
+    @pytest.mark.parametrize("command", [["compile", "g.snap"], ["compact"]])
+    def test_neither_command_takes_shards(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--shards", "2"])
+        assert exit_info.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["lint", "shell", "serve", "eval"])
     def test_help_offers_neither_baseline_nor_bundle(self, command, capsys):

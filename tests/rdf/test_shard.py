@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.core import GAnswer
 from repro.datasets import build_dbpedia_mini, build_phrase_dataset, qald_questions
 from repro.exceptions import SnapshotError
@@ -170,7 +171,7 @@ def snapshots(setup, tmp_path_factory):
     single = directory / "single.snap"
     manifest = directory / "sharded.snap"
     compile_snapshot(single, kg, dictionary)
-    info = compile_snapshot(manifest, kg, dictionary, shards=4, jobs=2)
+    info = compile_snapshot(manifest, kg, dictionary, shards=4)
     return single, manifest, info
 
 
@@ -252,15 +253,32 @@ class TestShardedSnapshot:
         finally:
             engine.close()
 
-    def test_compile_reuses_live_sharded_segments(self, setup, tmp_path):
-        kg, dictionary = setup
-        sharded_store = kg.store.sharded(3)
-        sharded_kg = KnowledgeGraph(sharded_store)
-        path = tmp_path / "live.snap"
-        info = compile_snapshot(path, sharded_kg, dictionary, shards=3)
-        assert info.shards == 3
-        state = load_snapshot(path)
-        assert list(state.kg.store.triples_ids()) == sorted(kg.store.triples_ids())
+
+def _negative_count(payload):
+    counts = payload["segment_triples"]
+    counts[1] += counts[0] + 1
+    counts[0] = -1  # the sum still matches "triples"
+
+
+#: Manifest edits that must be refused at open, each in place.
+_MANIFEST_MALFORMATIONS = {
+    "segment_count_is_a_string": lambda m: m.update(
+        segment_triples=[str(count) for count in m["segment_triples"]]
+    ),
+    "segment_count_is_negative": _negative_count,
+    "shard_count_is_a_bool": lambda m: m.update(
+        shards=True, segments=m["segments"][:1], segment_triples=[m["triples"]]
+    ),
+    "state_name_is_empty": lambda m: m.update(state=""),
+    "state_name_has_a_directory": lambda m: m.update(state="sub/" + m["state"]),
+    "segment_name_has_a_directory": lambda m: m["segments"].__setitem__(
+        0, "../" + m["segments"][0]
+    ),
+    "segment_name_is_an_int": lambda m: m["segments"].__setitem__(0, 7),
+    "segment_name_has_a_nul": lambda m: m["segments"].__setitem__(
+        0, m["segments"][0] + "\0"
+    ),
+}
 
 
 class TestShardedIntegrity:
@@ -331,6 +349,24 @@ class TestShardedIntegrity:
         manifest.write_text(json.dumps(payload))
         with pytest.raises(SnapshotError):
             load_snapshot(manifest)
+
+    @pytest.mark.parametrize("malformation", sorted(_MANIFEST_MALFORMATIONS))
+    def test_malformed_manifest_fails_closed(
+        self, snapshots, tmp_path, capsys, malformation
+    ):
+        """A count that is not a non-negative int, or a member name that is
+        not a bare file name, is a ``SnapshotError`` — and so one
+        ``error:`` line and exit 2 from the CLI, never a traceback."""
+        manifest = self._fresh(snapshots, tmp_path)
+        payload = json.loads(manifest.read_text())
+        _MANIFEST_MALFORMATIONS[malformation](payload)
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(SnapshotError, match="malformed sharded-snapshot manifest"):
+            load_snapshot(manifest)
+        capsys.readouterr()
+        assert main(["serve", "--snapshot", str(manifest), "--port", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_non_snapshot_json_rejected(self, tmp_path):
         path = tmp_path / "other.json"

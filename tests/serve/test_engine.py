@@ -10,6 +10,7 @@ from repro.core import GAnswer
 from repro.exceptions import EngineClosedError
 from repro.rdf import IRI, Literal, Triple
 from repro.serve import AdmissionRejected, EngineConfig, QAEngine
+from repro.serve import engine as engine_module
 
 BERLIN_Q = "Who is the mayor of Berlin?"
 CAPITAL_Q = "What is the capital of Germany?"
@@ -312,13 +313,16 @@ class TestDeadline:
 
 
 class TestDegradation:
-    def test_pressure_threshold_degrades_and_skips_cache(self, kg, dictionary):
+    def test_pressure_threshold_degrades_and_skips_cache(
+        self, kg, dictionary, monkeypatch
+    ):
         # degrade_pressure=0.0 makes every request degraded — the
         # deterministic way to exercise the degraded pipeline.
+        monkeypatch.setattr(engine_module, "_DEGRADED_K", 2)
         engine = QAEngine(
-            kg, dictionary,
-            EngineConfig(pool_size=1, degrade_pressure=0.0, degraded_k=2),
+            kg, dictionary, EngineConfig(pool_size=1, degrade_pressure=0.0)
         )
+        assert engine._degraded_system.k == 2
         try:
             response = engine.ask(BERLIN_Q)
             assert response["degraded"] is True

@@ -19,6 +19,7 @@ from repro.rdf import IRI, Literal, Triple
 from repro.rdf.graph import KnowledgeGraph
 from repro.rdf.overlay import OverlayBackend
 from repro.serve import EngineConfig, QAEngine, build_server
+from repro.serve import engine as engine_module
 
 BERLIN_Q = "Who is the mayor of Berlin?"
 TOKEN = "test-ingest-token"
@@ -198,8 +199,9 @@ class TestEngineIngest:
         assert engine_rw.stats()["ingest"]["floor_version"] == engine_rw.store_version
         assert engine_rw.kg.kernel.store_version == engine_rw.store_version
 
-    def test_write_admission_rejects_burst(self, kg, dictionary):
-        engine = fresh_engine(kg, dictionary, ingest_capacity=1)
+    def test_write_admission_rejects_burst(self, kg, dictionary, monkeypatch):
+        monkeypatch.setattr(engine_module, "_INGEST_CAPACITY", 1)
+        engine = fresh_engine(kg, dictionary)
         try:
             release = threading.Event()
             entered = threading.Event()
@@ -252,14 +254,6 @@ class TestEngineCompact:
         answer = engine_rw.ask(BERLIN_Q, use_cache=False)
         assert answer["answers"] == ["t:NewMayor"]
         assert engine_rw.metrics.counter("serve.compactions") == 1
-
-    def test_compact_into_sharded_base(self, engine_rw):
-        engine_rw.ingest([Triple(IRI("t:s"), IRI("t:p"), IRI("t:o"))])
-        result = engine_rw.compact(shards=3)
-        assert result["shards"] == 3
-        assert engine_rw.stats()["store"]["backend"] == "OverlayBackend"
-        base = engine_rw.kg.store.backend.base
-        assert type(base).__name__ == "ShardedBackend"
 
     def test_compact_writes_snapshot(self, engine_rw, tmp_path):
         from repro.rdf.snapshot import load_snapshot
@@ -422,8 +416,6 @@ class TestHttpIngest:
     def test_compact_validates_params(self, served_rw):
         base, _ = served_rw
         headers = {"X-Ingest-Token": TOKEN}
-        assert _post(f"{base}/compact", {"shards": 0}, headers=headers)[0] == 400
-        assert _post(f"{base}/compact", {"shards": True}, headers=headers)[0] == 400
         assert _post(
             f"{base}/compact", {"snapshot_path": 7}, headers=headers
         )[0] == 400

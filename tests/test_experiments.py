@@ -189,10 +189,11 @@ class TestComplexityDrivers:
         for pruned, unpruned in zip(rows[0::2], rows[1::2]):
             assert pruned[3] < unpruned[3]
 
-    def test_scaling_same_answers_at_every_graph_size(self):
+    def test_scaling_same_answers_at_every_graph_size(self, monkeypatch):
         # The 10^6-triple storage point is `repro experiments`' (and CI's),
         # not tier-1's.
-        result = complexity.kg_size_scaling(triples_axis=(10_000,))
+        monkeypatch.setattr(complexity, "_TRIPLES_AXIS", (10_000,))
+        result = complexity.kg_size_scaling()
         padded = [row for row in result.rows if row[0].startswith("distractors=")]
         assert len(padded) == 5
         assert {row[3] for row in padded} == {"res:Melanie_Griffith"}
