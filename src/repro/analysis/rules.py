@@ -1,4 +1,4 @@
-"""The five project rules.  See docs/static-analysis.md for the catalog.
+"""The six project rules.  See docs/static-analysis.md for the catalog.
 
 Each rule is deliberately *syntactic*: it checks the shapes this codebase
 actually uses (``with self._lock:``, ``self.x = threading.Lock()``,
@@ -404,12 +404,68 @@ class ExceptionDisciplineRule(Rule):
             )
 
 
+#: Callables that keep what they wrap: ``cache(f)`` / ``lru_cache(f)``,
+#: ``partial(f, ...)``.
+_WRAPPERS = ("cache", "lru_cache", "partial")
+#: Cache factories called for a decorator first: ``lru_cache(maxsize=n)(f)``.
+_CACHE_FACTORIES = ("lru_cache",)
+
+
+class InstanceCycleRule(Rule):
+    """No instance attribute that holds a wrapper of the instance's own
+    bound method: the instance then refers to itself, and once dropped it
+    waits for the cycle collector instead of being freed on the spot."""
+
+    name = "instance-cycle"
+    summary = (
+        "self.<attr> must not be assigned a cache or partial wrapping a "
+        "bound method of self (lru_cache(...)(self.m), functools.cache("
+        "self.m), partial(self.m, ...)): a reference cycle per instance"
+    )
+
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            if not any(is_self_attribute(target) for target in targets):
+                continue
+            method = self._wrapped_method(node.value)
+            if method is not None:
+                yield self.finding(
+                    module,
+                    node,
+                    f"self attribute assigned a wrapper of self.{method}: the "
+                    f"instance refers to itself and is freed only by the "
+                    f"cycle collector; wrap a function of what the method "
+                    f"reads instead",
+                )
+
+    def _wrapped_method(self, expr: ast.AST) -> str | None:
+        """The ``self`` method name inside a chain of one or more wrapper
+        calls (a plain ``self.x = self.y`` is not this rule's business)."""
+        wrapped = False
+        while isinstance(expr, ast.Call) and expr.args:
+            callee = expr.func
+            if isinstance(callee, ast.Call):  # lru_cache(maxsize=n)(f)
+                if _name_matches(dotted_name(callee.func), _CACHE_FACTORIES) is None:
+                    return None
+            elif _name_matches(dotted_name(callee), _WRAPPERS) is None:
+                return None
+            wrapped, expr = True, expr.args[0]
+        return expr.attr if wrapped and is_self_attribute(expr) else None
+
+
 ALL_RULES: tuple[Rule, ...] = (
     LockDisciplineRule(),
     FrozenStoreRule(),
     MonotonicTimeRule(),
     LayeringRule(),
     ExceptionDisciplineRule(),
+    InstanceCycleRule(),
 )
 
 RULES_BY_NAME: dict[str, Rule] = {rule.name: rule for rule in ALL_RULES}

@@ -11,14 +11,28 @@ over_records`) starts from a **frozen base** it does not own: the term
 records stay where the file mapping has them, a term object is built the
 first time its id is decoded, and a term is found by bisecting the
 record-sorted id column.  Terms encoded afterwards (live ingest) go to
-the ordinary mutable tail behind the base.
+the mutable tail behind the base.
+
+A live-ingest server adds and removes terms for as long as it runs, so
+the tail can shrink: compaction finds the ingested terms no triple names
+any more, **retires** them (:meth:`TermDictionary.retire` — the next
+encode of such a term assigns a fresh id) and, once no request that
+could still hold one of their ids is running, **reclaims** them
+(:meth:`TermDictionary.reclaim` — decoding the id raises
+:class:`~repro.exceptions.TermNotFoundError`).  Ids are never reused, so
+nothing keyed by id can come to stand for another term; the tail is kept
+by id in a dict (behind a frozen base from the start, otherwise from the
+first retirement), so it costs what its live terms cost, not a slot per
+id ever assigned.  A snapshot compiled afterwards writes
+:data:`RECLAIMED_RECORD` where a reclaimed term stood: ids stay
+positions, and the marker sorts after every term's record.
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.exceptions import SnapshotError, TermNotFoundError
 from repro.rdf.backend import IntColumn, strictly_ascending
@@ -28,6 +42,11 @@ _KIND_IRI = 0
 _KIND_PLAIN = 1
 _KIND_TYPED = 2
 _KIND_LANG = 3
+_KIND_RECLAIMED = 4
+
+#: The term-table record of an id whose term was reclaimed: no term
+#: encodes to it, and it sorts after every record that is a term.
+RECLAIMED_RECORD = bytes((_KIND_RECLAIMED,))
 
 
 def encode_term_record(term: Term) -> bytes:
@@ -86,16 +105,27 @@ class TermDictionary:
 
     Ids are assigned in first-seen order starting at 0 and are never reused,
     so they are valid as indexes into side arrays for the lifetime of the
-    dictionary.
+    dictionary.  ``len()`` is the number of ids assigned, reclaimed ones
+    included.
+
+    One writer at a time (the store's); readers may look up and decode
+    concurrently with it.
     """
 
     def __init__(self) -> None:
-        #: Terms encoded by this object (all of them, or the tail behind a
-        #: frozen base) and the base terms a lookup has found.
+        #: Terms encoded by this object and the base terms a lookup has
+        #: found.  A retired term is not here.
         self._term_to_id: dict[Term, int] = {}
-        #: Position == id.  Over a frozen base, a base slot holds ``None``
-        #: until its record has been decoded.
+        #: Position == id, for every id below its length: all of them
+        #: until the first retirement, or the frozen base (where a slot
+        #: holds ``None`` until its record has been decoded).
         self._id_to_term: list[Term | None] = []
+        #: The live ids from ``len(_id_to_term)`` on.
+        self._tail: dict[int, Term] = {}
+        #: Retired ids: they still decode, awaiting :meth:`reclaim`.
+        self._retiring: dict[int, Term] = {}
+        self._next_id = 0
+        self._reclaimed = 0
         #: The frozen base, when there is one: ``offsets[i]:offsets[i + 1]``
         #: bounds term ``i``'s record in ``records``; ``by_record`` lists
         #: the base ids in ascending record order.
@@ -112,10 +142,11 @@ class TermDictionary:
         of a compiled snapshot's term table, served in place.
 
         ``records[offsets[i]:offsets[i + 1]]`` is term ``i``
-        (:func:`encode_term_record`) — the id-stable reload path, where
-        every persisted side structure (kernel rows, closures, mined
-        paths) indexes by these exact ids.  Decodes nothing.  Raises
-        :class:`ValueError` when the columns do not describe one another.
+        (:func:`encode_term_record`, or :data:`RECLAIMED_RECORD`) — the
+        id-stable reload path, where every persisted side structure
+        (kernel rows, closures, mined paths) indexes by these exact ids.
+        Decodes nothing.  Raises :class:`ValueError` when the columns do
+        not describe one another.
         """
         count = len(by_record)
         if len(offsets) != count + 1 or offsets[0] != 0 or offsets[-1] != len(records):
@@ -126,8 +157,13 @@ class TermDictionary:
             raise ValueError("the record-sorted id column is not a permutation of the ids")
         dictionary = cls()
         dictionary._id_to_term = [None] * count
+        dictionary._next_id = count
         dictionary._offsets, dictionary._records = offsets, records
         dictionary._by_record = by_record
+        # Reclaimed records sort last: count them by one bisection.
+        dictionary._reclaimed = count - bisect_left(
+            by_record, RECLAIMED_RECORD, key=dictionary._record
+        )
         return dictionary
 
     def _record(self, term_id: int) -> bytes:
@@ -153,35 +189,53 @@ class TermDictionary:
         return None
 
     def statistics(self) -> dict[str, int]:
-        """``terms_total``, how many of them exist as term objects
+        """``terms_total`` (ids assigned), how many still stand for a term
+        (``terms_live``) and how many were reclaimed (``terms_reclaimed``),
+        how many are not undecoded records of a frozen base
         (``terms_decoded`` — all of them unless opened from a snapshot),
         and the size of the mapping the rest are served from."""
         records = self._records
         undecoded = 0 if records is None else len(self._by_record) - self._decoded  # type: ignore[arg-type]
         return {
-            "terms_total": len(self._id_to_term),
-            "terms_decoded": len(self._id_to_term) - max(0, undecoded),
+            "terms_total": self._next_id,
+            "terms_live": self._next_id - self._reclaimed,
+            "terms_reclaimed": self._reclaimed,
+            "terms_decoded": self._next_id - max(0, undecoded),
             "snapshot_mapped_bytes": 0 if records is None else len(records.obj),
         }
 
-    def terms_in_id_order(self) -> "list[Term]":
-        """The term table, position == id (read-only; snapshot compiler).
-        Decodes every record of a frozen base."""
-        terms = self._id_to_term
-        if self._records is not None:
-            for term_id, term in enumerate(terms):
-                if term is None:
-                    self.decode(term_id)
-        return terms  # type: ignore[return-value]
+    def terms_in_id_order(self) -> "list[Term | None]":
+        """The term table, position == id, ``None`` where an id no longer
+        stands for a term."""
+        return [
+            None if record == RECLAIMED_RECORD else decode_term_record(record)
+            for record in self.records_in_id_order()
+        ]
+
+    def records_in_id_order(self) -> list[bytes]:
+        """Every id's term-table record, position == id — what the
+        snapshot compiler writes.  A frozen base's records are copied as
+        they are, undecoded; an id that no longer stands for a term gets
+        :data:`RECLAIMED_RECORD`."""
+        dense = self._id_to_term
+        records = [
+            self._record(term_id) if term is None else encode_term_record(term)
+            for term_id, term in enumerate(dense)
+        ]
+        tail = self._tail
+        for term_id in range(len(dense), self._next_id):
+            term = tail.get(term_id)
+            records.append(RECLAIMED_RECORD if term is None else encode_term_record(term))
+        return records
 
     def __len__(self) -> int:
-        return len(self._id_to_term)
+        return self._next_id
 
     def __contains__(self, term: Term) -> bool:
         return self.lookup_or_none(term) is not None
 
     def __iter__(self) -> Iterator[Term]:
-        return iter(self.terms_in_id_order())
+        return (term for term in self.terms_in_id_order() if term is not None)
 
     def encode(self, term: Term) -> int:
         """Return the id for ``term``, assigning a fresh one if unseen."""
@@ -192,9 +246,15 @@ class TermDictionary:
             existing = self._find_record(term)
             if existing is not None:
                 return existing
-        new_id = len(self._id_to_term)
+        new_id = self._next_id
+        # Never behind a frozen base: readers fill its slots as they decode,
+        # so ``retire`` could not replace that list without losing some.
+        if new_id == len(self._id_to_term) and self._by_record is None:
+            self._id_to_term.append(term)
+        else:
+            self._tail[new_id] = term
+        self._next_id = new_id + 1
         self._term_to_id[term] = new_id
-        self._id_to_term.append(term)
         return new_id
 
     def lookup(self, term: Term) -> int:
@@ -212,19 +272,68 @@ class TermDictionary:
         return found
 
     def decode(self, term_id: int) -> Term:
-        """Return the term with id ``term_id``; raise if out of range."""
-        if 0 <= term_id < len(self._id_to_term):
-            term = self._id_to_term[term_id]
+        """Return the term with id ``term_id``; raise if there is none
+        (out of range, or reclaimed)."""
+        dense = self._id_to_term
+        if 0 <= term_id < len(dense):
+            term = dense[term_id]
             if term is None:
                 # First use of a base id.  Unsynchronised: two threads may
                 # decode one record, the terms are equal and immutable.
-                term = self._id_to_term[term_id] = decode_term_record(
-                    self._record(term_id)
-                )
+                record = self._record(term_id)
+                if record == RECLAIMED_RECORD:
+                    raise TermNotFoundError(f"term {term_id} was reclaimed")
+                term = dense[term_id] = decode_term_record(record)
                 self._decoded += 1
             return term
-        raise TermNotFoundError(f"no term with id {term_id}")
+        term = self._tail.get(term_id)
+        if term is None:
+            term = self._retiring.get(term_id)
+            if term is None:
+                raise TermNotFoundError(f"no term with id {term_id}")
+        return term
 
     def decode_many(self, term_ids) -> list[Term]:
         """Decode a sequence of ids, preserving order."""
         return [self.decode(term_id) for term_id in term_ids]
+
+    # ------------------------------------------------------------------ #
+    # Reclamation (live ingest; the one writer only)
+    # ------------------------------------------------------------------ #
+
+    def ids_since(self, start: int) -> list[int]:
+        """The ids from ``start`` on that a term still encodes to,
+        ascending."""
+        tail = sorted(term_id for term_id in self._tail if term_id >= start)
+        return [*range(start, len(self._id_to_term)), *tail]
+
+    def retire(self, ids: Iterable[int]) -> None:
+        """Stop encoding to ``ids``: the next :meth:`encode` of one of
+        their terms assigns a fresh id.  Each id still decodes to its term
+        until :meth:`reclaim` — a reader that took it earlier may be using
+        it.  Only live ids past a frozen base can be retired
+        (:class:`KeyError`)."""
+        ids = sorted(ids)
+        if not ids:
+            return
+        dense, first = self._id_to_term, ids[0]
+        if self._by_record is None and first < len(dense):
+            # The first gap in the dense run: from here on the tail is kept
+            # by id.  Filled before the list is replaced, so a reader finds
+            # every id in one or the other.
+            self._tail.update(zip(range(first, len(dense)), dense[first:]))
+            self._id_to_term = dense[:first]
+        tail, retiring = self._tail, self._retiring
+        for term_id in ids:
+            # Into ``_retiring`` before out of the tail: a reader decoding
+            # the id meanwhile finds it in one or the other.
+            term = retiring[term_id] = tail[term_id]
+            del tail[term_id]
+            del self._term_to_id[term]
+
+    def reclaim(self, ids: Iterable[int]) -> None:
+        """Forget the terms of retired ``ids``: decoding one raises
+        :class:`TermNotFoundError` from now on."""
+        for term_id in ids:
+            del self._retiring[term_id]
+            self._reclaimed += 1

@@ -45,14 +45,22 @@ its pair of tuples the first time it is asked for (a row nobody reads is
 never boxed); a patched kernel holds only the rows a write dirtied and
 shares everything else with its predecessor.
 
-Thread safety: the index itself is immutable after construction and safe
-to read from any number of threads.  The memoization layers are safe too —
-``walk_path`` is an ``functools.lru_cache`` (internally locked),
-row boxing, ``incident_steps`` and ``entity_adjacency`` publish fully-built
-immutable values into a dict and ``nodes_with_step`` publishes its fully-built
+Thread safety and lifetime: the index itself is immutable after
+construction and safe to read from any number of threads.  The
+memoization layers are safe too — ``walk_path`` is an
+``functools.lru_cache`` (internally locked), row boxing,
+``incident_steps`` and ``entity_adjacency`` publish fully-built immutable
+values into a dict and ``nodes_with_step`` publishes its fully-built
 directory in one assignment (the worst interleaving recomputes a value,
 never exposes a partial one), and the named scratch regions guard their
-create/clear bookkeeping with a lock.
+create/clear bookkeeping with a lock.  Nothing a kernel owns refers back
+to it: ``walk_path`` caches :func:`walk` bound to the *store*, and rows
+and caches point only down (to the store, to a root's rows).  Linker
+material in a region refers to the graph, and the graph only to its
+current kernel.  A kernel that a write replaces is therefore freed by
+reference count the moment the last reader lets go of it — on a
+live-ingest server, once per batch — and never waits for the cycle
+collector.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Mapping
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -113,6 +121,36 @@ def step_is_forward(step: int) -> bool:
 def reverse_path(path: Path) -> Path:
     """The same predicate path walked from the far endpoint back."""
     return tuple(-step for step in reversed(path))
+
+
+def walk(store: TripleStore, start_id: int, path: Path) -> frozenset[int]:
+    """All nodes reachable from ``start_id`` by following a signed path.
+
+    Each kernel wraps it, bound to its store, in an LRU cache as
+    :attr:`AdjacencyKernel.walk_path` — match-time checks walk the same
+    (seed, mined-path) pairs over and over.  Returns a frozenset: cached
+    values are shared, never mutated by callers.
+    """
+    if len(path) == 1:
+        step = path[0]
+        if step > 0:
+            return frozenset(store.objects_ids(start_id, step - 1))
+        return frozenset(store.subjects_ids(-step - 1, start_id))
+    frontier: tuple[int, ...] | set[int] = (start_id,)
+    for step in path:
+        next_frontier: set[int] = set()
+        if step > 0:
+            pid = step - 1
+            for node in frontier:
+                next_frontier |= store.objects_ids(node, pid)
+        else:
+            pid = -step - 1
+            for node in frontier:
+                next_frontier |= store.subjects_ids(pid, node)
+        if not next_frontier:
+            return frozenset()
+        frontier = next_frontier
+    return frozenset(frontier)
 
 
 # --------------------------------------------------------------------- #
@@ -498,7 +536,9 @@ class AdjacencyKernel:
         self._sizes: dict[str, int] | None = None
         self._regions: dict[str, dict] = {}
         self._region_lock = threading.Lock()
-        self.walk_path = lru_cache(maxsize=_WALK_CACHE_SIZE)(self._walk_path)
+        # Over the store, not over a bound method: a cache that held the
+        # kernel would make every replaced kernel cyclic garbage.
+        self.walk_path = lru_cache(maxsize=_WALK_CACHE_SIZE)(partial(walk, store))
 
     def full_rows(self) -> KernelRows:
         """The complete per-node row index (read-only)."""
@@ -633,39 +673,6 @@ class AdjacencyKernel:
         predicate, for which it answers with the empty set.
         """
         return self._full.directory().get(step, frozenset())
-
-    # ------------------------------------------------------------------ #
-    # Path walking
-    # ------------------------------------------------------------------ #
-
-    def _walk_path(self, start_id: int, path: Path) -> frozenset[int]:
-        """All nodes reachable from ``start_id`` by following a signed path.
-
-        Wrapped by an LRU cache as ``self.walk_path`` — match-time checks
-        walk the same (seed, mined-path) pairs over and over.  Returns a
-        frozenset: cached values are shared, never mutated by callers.
-        """
-        store = self.store
-        if len(path) == 1:
-            step = path[0]
-            if step > 0:
-                return frozenset(store.objects_ids(start_id, step - 1))
-            return frozenset(store.subjects_ids(-step - 1, start_id))
-        frontier: tuple[int, ...] | set[int] = (start_id,)
-        for step in path:
-            next_frontier: set[int] = set()
-            if step > 0:
-                pid = step - 1
-                for node in frontier:
-                    next_frontier |= store.objects_ids(node, pid)
-            else:
-                pid = -step - 1
-                for node in frontier:
-                    next_frontier |= store.subjects_ids(pid, node)
-            if not next_frontier:
-                return frozenset()
-            frontier = next_frontier
-        return frozenset(frontier)
 
     # ------------------------------------------------------------------ #
     # Scratch caches

@@ -33,8 +33,8 @@ iterating.  A read that races a write may observe the store just before
 or just after that write (either is a linearizable outcome); it never
 observes a torn row.
 
-The overlay also records, per node, the version that last touched it
-(:meth:`touched_since`), which is what lets
+The overlay also logs the two endpoints of every mutation, in version
+order (:meth:`touched_since`), which is what lets
 :class:`~repro.rdf.kernel.AdjacencyKernel` patch only the adjacency rows
 a delta actually dirtied.  Background re-compaction of base+delta into a
 fresh frozen store lives at the serve layer (``QAEngine.compact``); after
@@ -45,6 +45,7 @@ version, so derived caches stay valid.
 from __future__ import annotations
 
 import threading
+from array import array
 from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from repro.contracts import guarded_by
@@ -137,7 +138,10 @@ class OverlayBackend:
         self._adds = _DeltaIndex()
         self._tombs = _DeltaIndex()
         self._version = base.version
-        self._touched: dict[int, int] = {}
+        #: Subject and object of each mutation, in version order: those of
+        #: the one that made version ``base.version + k`` sit at
+        #: ``2k - 2`` and ``2k - 1`` (every mutation bumps the version by one).
+        self._touched = array("q")
         self._write_lock = threading.Lock()
 
     @property
@@ -191,7 +195,7 @@ class OverlayBackend:
             if not self._apply_add(s, p, o):
                 return False
             self._version += 1
-            self._touched[s] = self._touched[o] = self._version
+            self._touched.extend((s, o))
             return True
 
     def add_all_ids(self, triples: Iterable[IdTriple]) -> int:
@@ -206,7 +210,7 @@ class OverlayBackend:
             for s, p, o in triples:
                 if self._apply_add(s, p, o):
                     self._version += 1
-                    self._touched[s] = self._touched[o] = self._version
+                    self._touched.extend((s, o))
                     added += 1
         return added
 
@@ -215,7 +219,7 @@ class OverlayBackend:
             if not self._apply_remove(s, p, o):
                 return False
             self._version += 1
-            self._touched[s] = self._touched[o] = self._version
+            self._touched.extend((s, o))
             return True
 
     def touched_since(self, version: int) -> set[int]:
@@ -224,13 +228,11 @@ class OverlayBackend:
         The incremental kernel patch rebuilds exactly these rows; callers
         must quiesce writers (the engine's ingest path serializes) so the
         rebuilt rows and the reported version describe one store state.
+        Costs what was logged after ``version``, not what the overlay holds.
         """
+        first = max(0, version - self._base.version)
         with self._write_lock:
-            return {
-                node
-                for node, touched in self._touched.items()
-                if touched > version
-            }
+            return set(self._touched[2 * first:])
 
     # ------------------------------------------------------------------ #
     # Reads

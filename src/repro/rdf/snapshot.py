@@ -7,7 +7,9 @@ closures before the first question is answered.  Native RDF engines
 treat the *encoded, indexed* form as the deployment artifact.  A compiled
 snapshot is exactly that: one versioned, checksummed binary file holding
 
-* the term dictionary **with its ids frozen** (position == id),
+* the term dictionary **with its ids frozen** (position == id; an id
+  whose term a live server reclaimed holds the one-byte
+  :data:`~repro.rdf.dictionary.RECLAIMED_RECORD`, so ids stay positions),
 * the three sorted permutation columns of the
   :class:`~repro.rdf.backend.CompactBackend` (raw ``array('q')`` bytes),
 * the literal-id set,
@@ -97,7 +99,7 @@ from typing import TYPE_CHECKING, BinaryIO, Iterator
 from repro.exceptions import SnapshotError
 from repro.rdf.backend import CompactBackend
 from repro.rdf.collector import collector_paused
-from repro.rdf.dictionary import TermDictionary, encode_term_record
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import KnowledgeGraph
 from repro.rdf.kernel import AdjacencyKernel
 from repro.rdf.shard import PARTITION_SCHEME, ShardedBackend
@@ -480,7 +482,7 @@ def _encode_state_sections(
     linker = EntityLinker(kg)
 
     sections: dict[str, list] = {}
-    records = [encode_term_record(term) for term in store.dictionary.terms_in_id_order()]
+    records = store.dictionary.records_in_id_order()
     sections["terms"] = [
         array("q", accumulate(map(len, records), initial=0)),
         b"".join(records),

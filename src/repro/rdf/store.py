@@ -213,6 +213,28 @@ class TripleStore:
             self._literal_ids.discard(o)
         return removed
 
+    def retire_unnamed(self, candidates: Iterable[int]) -> list[int]:
+        """Retire every candidate term id that no triple names, in any
+        position, and return those ids.
+
+        The dictionary stops encoding to them
+        (:meth:`~repro.rdf.dictionary.TermDictionary.retire`) and the
+        literal bookkeeping forgets them; the caller reclaims them once no
+        reader can still hold one.  Reads the store's vocabulary once —
+        one step per distinct term, which a compaction has just paid many
+        times over — rather than seeking every candidate three times.
+        """
+        backend = self._backend
+        named = set(backend.subject_ids())
+        named.update(backend.predicate_ids())
+        named.update(backend.object_ids())
+        unnamed = [term_id for term_id in candidates if term_id not in named]
+        self.dictionary.retire(unnamed)
+        if not self._literal_ids.isdisjoint(unnamed):
+            # A new set, not an edit: readers may be iterating this one.
+            self._literal_ids = self._literal_ids.difference(unnamed)
+        return unnamed
+
     # ------------------------------------------------------------------ #
     # Size / membership
     # ------------------------------------------------------------------ #

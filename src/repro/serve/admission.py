@@ -11,6 +11,12 @@ latency the client would pay anyway.
 decide when to answer in degraded mode (smaller k, narrower candidate
 lists).  Queue-depth and slot-hold-time histograms go to the engine's
 metrics registry (``serve.queue_depth``, ``serve.in_flight_ms``).
+
+Each request is also counted under the **epoch** it was admitted in.  A
+writer that has made something unreachable for new requests closes the
+epoch (:meth:`AdmissionController.next_epoch`) and frees the thing once
+:meth:`AdmissionController.finished` says every request admitted up to it
+has left — how compaction knows no reader still holds a reclaimed term id.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ class AdmissionRejected(ReproError):
         self.in_flight = in_flight
 
 
-@guarded_by("_lock", "_in_flight", "_admitted", "_rejected", "_peak")
+@guarded_by("_lock", "_in_flight", "_admitted", "_rejected", "_peak", "_epoch", "_by_epoch")
 class AdmissionController:
     """Counts in-flight requests against a hard capacity.
 
@@ -66,6 +72,9 @@ class AdmissionController:
         self._admitted = 0
         self._rejected = 0
         self._peak = 0
+        self._epoch = 0
+        #: epoch → requests admitted in it that are still in flight.
+        self._by_epoch: dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
 
@@ -80,12 +89,32 @@ class AdmissionController:
             self._admitted += 1
             self._peak = max(self._peak, self._in_flight)
             depth = self._in_flight
+            epoch = self._epoch
+            self._by_epoch[epoch] = self._by_epoch.get(epoch, 0) + 1
         self.metrics.observe(f"{self.prefix}.queue_depth", depth)
-        return _AdmissionToken(self)
+        return _AdmissionToken(self, epoch)
 
-    def _release(self) -> None:
+    def _release(self, epoch: int) -> None:
         with self._lock:
             self._in_flight -= 1
+            left = self._by_epoch[epoch] - 1
+            if left:
+                self._by_epoch[epoch] = left
+            else:
+                del self._by_epoch[epoch]
+
+    def next_epoch(self) -> int:
+        """Close the current epoch and return it: every request admitted
+        so far was admitted in it or an earlier one."""
+        with self._lock:
+            self._epoch += 1
+            return self._epoch - 1
+
+    def finished(self, epoch: int) -> bool:
+        """Whether every request admitted in ``epoch`` or earlier has been
+        released."""
+        with self._lock:
+            return min(self._by_epoch, default=epoch + 1) > epoch
 
     # ------------------------------------------------------------------ #
 
@@ -115,12 +144,13 @@ class AdmissionController:
 class _AdmissionToken:
     """Releases the reserved slot exactly once, with-block or manual."""
 
-    __slots__ = ("_controller", "_released", "_admitted_at")
+    __slots__ = ("_controller", "_released", "_admitted_at", "_epoch")
 
-    def __init__(self, controller: AdmissionController):
+    def __init__(self, controller: AdmissionController, epoch: int):
         self._controller = controller
         self._released = False
         self._admitted_at = controller.clock()
+        self._epoch = epoch
 
     def release(self) -> None:
         if not self._released:
@@ -130,7 +160,7 @@ class _AdmissionToken:
                 f"{controller.prefix}.in_flight_ms",
                 (controller.clock() - self._admitted_at) * 1000.0,
             )
-            controller._release()
+            controller._release(self._epoch)
 
     def __enter__(self) -> "_AdmissionToken":
         return self

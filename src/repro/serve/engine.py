@@ -140,6 +140,21 @@ def _warm_shared(kg: KnowledgeGraph, linker: "EntityLinker | CachingLinker") -> 
     }
 
 
+def _process_memory() -> dict[str, float] | None:
+    """This process's resident size now and at its peak, in MB, from
+    ``/proc/self/status`` (``VmRSS``, ``VmHWM``); ``None`` where that file
+    does not exist."""
+    try:
+        with open("/proc/self/status", encoding="utf-8") as status:
+            fields = dict(line.split(":", 1) for line in status if ":" in line)
+        return {
+            name: round(int(fields[key].split()[0]) / 1024.0, 2)
+            for name, key in (("rss_mb", "VmRSS"), ("peak_rss_mb", "VmHWM"))
+        }
+    except (OSError, KeyError, ValueError):
+        return None
+
+
 @guarded_by("_state_lock", "_ready", "_closed")
 class QAEngine:
     """A resident :class:`GAnswer` wrapper serving many questions.
@@ -205,6 +220,13 @@ class QAEngine:
             metrics=self.metrics,
             prefix="serve.ingest",
         )
+        #: Terms encoded from here on are the ones :meth:`compact` may
+        #: reclaim (over a snapshot: the ids past its frozen base).
+        self._term_floor = len(kg.store.dictionary)
+        #: ``(epoch, ids)`` a compaction retired, oldest first; reclaimed
+        #: once every request admitted up to that epoch has finished.
+        #: Touched under ``_ingest_lock`` only.
+        self._retired: list[tuple[int, list[int]]] = []
         self._slots = threading.BoundedSemaphore(self.config.pool_size)
         self._trace_ids = itertools.count(1)
         self._started_at = time.monotonic()
@@ -454,6 +476,7 @@ class QAEngine:
                         self.kg.refresh()
                         self.stamps.publish_all(self.store_version)
                         raise
+                    self._reclaim_finished()
         self.metrics.incr("serve.ingest.requests")
         self.metrics.incr("serve.ingest.added_triples", added)
         self.metrics.incr("serve.ingest.removed_triples", removed)
@@ -509,6 +532,15 @@ class QAEngine:
         iterators drain against the old backend, whose mmap (if any) is
         released when the last reference drops.
 
+        Compaction is also where terms are reclaimed.  Every term encoded
+        since the engine opened that no triple of the compacted store
+        names is retired at once — encoding it again assigns a fresh id,
+        ids are never reused — and reclaimed (decoding its id raises
+        :class:`~repro.exceptions.TermNotFoundError`) as soon as every
+        request admitted before this compaction has finished: here if none
+        is running, otherwise by the first batch or compaction after they
+        have.
+
         ``snapshot_path`` additionally persists a single-file compiled
         snapshot of the compacted state.
         """
@@ -516,6 +548,10 @@ class QAEngine:
             with self.metrics_span("serve.compact"):
                 store = self.kg.store
                 store.swap_backend(store.compacted().overlay().backend)
+                retired = store.retire_unnamed(store.dictionary.ids_since(self._term_floor))
+                if retired:
+                    self._retired.append((self.admission.next_epoch(), retired))
+                self._reclaim_finished()
                 if snapshot_path is not None:
                     from repro.rdf.snapshot import compile_snapshot
 
@@ -526,6 +562,15 @@ class QAEngine:
             "store_version": self.store_version,
             "snapshot": snapshot_path,
         }
+
+    def _reclaim_finished(self) -> None:
+        """Reclaim the terms of every compaction whose earlier requests
+        have all finished.  Caller holds ``_ingest_lock``."""
+        retired, finished = self._retired, self.admission.finished
+        while retired and finished(retired[0][0]):
+            _epoch, ids = retired.pop(0)
+            self.kg.store.dictionary.reclaim(ids)
+            self.metrics.incr("serve.compact.terms_reclaimed", len(ids))
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -617,7 +662,8 @@ class QAEngine:
     # ------------------------------------------------------------------ #
 
     def stats(self) -> dict:
-        """The ``GET /stats`` body: caches, admission, kernel, linker, store."""
+        """The ``GET /stats`` body: caches, admission, kernel, linker, store
+        and, where ``/proc`` has it, the process's resident size."""
         backend = self.kg.store.backend
         # How much of the term table exists as objects, and the size of
         # the snapshot mapping the rest is served from (0: no snapshot).
@@ -636,10 +682,12 @@ class QAEngine:
             # segment loading at work.
             store_stats["shards"] = shards
             store_stats["loaded_segments"] = backend.loaded_segments()
+        process = _process_memory()
         return {
             "store_version": self.store_version,
             "uptime_s": round(self.uptime_s(), 3),
             "ready": self.ready,
+            **({"process": process} if process is not None else {}),
             "store": store_stats,
             "config": {
                 "k": self.config.k,

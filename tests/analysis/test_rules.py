@@ -473,3 +473,58 @@ class TestExceptionDiscipline:
             rule=self.RULE,
         )
         assert findings == []
+
+
+class TestInstanceCycle:
+    RULE = "instance-cycle"
+
+    def test_fires_on_each_wrapper_of_a_bound_method(self, lint_source):
+        findings = lint_source(
+            """
+            import functools
+            from functools import lru_cache, partial
+
+            class Kernel:
+                def __init__(self, store):
+                    self.store = store
+                    self.walk = lru_cache(maxsize=64)(self._walk)
+                    self.degree = functools.cache(self._degree)
+                    self.step: object = partial(self._walk, 0)
+
+                def _walk(self, start, path):
+                    return start
+
+                def _degree(self, node):
+                    return node
+            """,
+            rule=self.RULE,
+        )
+        assert [finding.line for finding in findings] == [8, 9, 10]
+        assert "self._walk" in findings[0].message
+        assert "self._degree" in findings[1].message
+
+    def test_quiet_on_near_misses(self, lint_source):
+        findings = lint_source(
+            """
+            from functools import lru_cache, partial
+
+            @lru_cache(maxsize=64)
+            def degree(node):
+                return node
+
+            def walk(store, start, path):
+                return start
+
+            class Kernel:
+                def __init__(self, store, other):
+                    self.walk = lru_cache(maxsize=64)(partial(walk, store))
+                    self.echo = partial(other.walk, 0)
+                    self.plain = self._walk
+                    local = partial(self._walk, 0)
+
+                def _walk(self, start, path):
+                    return start
+            """,
+            rule=self.RULE,
+        )
+        assert findings == []

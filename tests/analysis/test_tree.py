@@ -41,6 +41,7 @@ class TestRealTree:
             "monotonic-time",
             "layering",
             "exception-discipline",
+            "instance-cycle",
         }
         assert report.files_scanned > 50
 
@@ -350,7 +351,7 @@ class TestCli:
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         rules = ("lock-discipline", "frozen-store", "monotonic-time",
-                 "layering", "exception-discipline")
+                 "layering", "exception-discipline", "instance-cycle")
         for rule in rules:
             assert rule in out
         assert len(out.strip().splitlines()) == len(rules)

@@ -17,6 +17,8 @@ post-compaction engines.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import GAnswer
 from repro.datasets import build_dbpedia_mini, build_phrase_dataset, qald_questions
@@ -189,6 +191,50 @@ class TestMutationSemantics:
         assert self.overlay.touched_since(v0) == {5, 6, 1, 2}
         assert self.overlay.touched_since(v1) == {1, 2}
         assert self.overlay.touched_since(self.overlay.version) == set()
+
+
+_SMALL_TRIPLE = st.tuples(
+    st.integers(0, 5), st.integers(10, 12), st.integers(0, 5)
+)
+_OPERATION = st.one_of(
+    st.tuples(st.just("add"), st.lists(_SMALL_TRIPLE, min_size=1, max_size=4)),
+    st.tuples(st.just("remove"), _SMALL_TRIPLE),
+    st.tuples(st.just("compact"), st.none()),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_SMALL_TRIPLE, max_size=6), st.lists(_OPERATION, max_size=25))
+def test_touched_since_is_the_last_touch_per_node(base_triples, operations):
+    """``touched_since`` reads a log of mutations; it must return what a
+    per-node "last version that touched it" map would — the set
+    comprehension it replaced — for every version the overlay has held,
+    across compactions (which start a fresh overlay over the folded base
+    at the same version)."""
+    overlay = OverlayBackend(CompactBackend.from_triples(sorted(set(base_triples))))
+    last_touch: dict[int, int] = {}
+    for kind, argument in operations:
+        if kind == "compact":
+            overlay = OverlayBackend(
+                CompactBackend.from_triples(
+                    sorted(overlay.triples_ids()), version=overlay.version
+                )
+            )
+            last_touch = {}
+        else:
+            triples = argument if kind == "add" else [argument]
+            for triple in triples:
+                before = overlay.version
+                if kind == "add":
+                    overlay.add_all_ids([triple])
+                else:
+                    overlay.remove(*triple)
+                if overlay.version != before:
+                    last_touch[triple[0]] = last_touch[triple[2]] = overlay.version
+        for version in range(overlay.base.version - 1, overlay.version + 1):
+            assert overlay.touched_since(version) == {
+                node for node, touched in last_touch.items() if touched > version
+            }
 
 
 @pytest.fixture(scope="module")

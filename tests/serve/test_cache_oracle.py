@@ -15,7 +15,8 @@ recomputation by a pipeline that shares no cache with the engine.
 
 Budget: 2 seeds × 40 batches × 50 questions for the invariant (4 200
 lookups, one seed with ``--aggregation`` on), constructed cases for the
-mutants and a 120-batch race; about 4 s of tier-1 wall time in all.
+mutants, a 120-batch race and a 240-batch race with compactions; about
+5 s of tier-1 wall time in all.
 
 Each guard is shown load-bearing by a mutant the same check catches: no
 predicate check, no word check, stamps dropped at ``compact()``, no floor
@@ -501,5 +502,77 @@ class TestReadersRacingAWriter:
             served, stale = served_stale(engine, reference_system(engine), QUESTIONS)
             assert stale == []
             assert 0 < served <= resident <= len(QUESTIONS)
+        finally:
+            engine.close()
+
+    def test_uncached_readers_never_meet_a_reclaimed_term(self, kg, dictionary):
+        """Two readers recompute every answer while a writer flips the
+        successor of John F. Kennedy to a new term per batch, churns a
+        private namespace and compacts every third batch — retiring the
+        terms it just removed.  A reader can hold such a term's id when
+        the compaction runs; reclamation waits for it, so no read fails,
+        and every response is the recomputation at some version: the
+        answers before the writer started, plus flip terms."""
+        engine = private_engine(kg, dictionary, pool_size=3)
+        flip_q = "Who was the successor of John F. Kennedy?"
+        questions = [flip_q, *random.Random(7).sample(QUESTIONS, 7)]
+        expected = {
+            question: engine.ask(question, use_cache=False)["answers"]
+            for question in questions
+        }
+        writing = threading.Event()
+        writing.set()
+        failures: list[str] = []
+        asked = [0, 0]
+
+        def read(slot: int) -> None:
+            rng = random.Random(slot)
+            try:
+                while writing.is_set():
+                    # Every other read is the one that decodes flip terms.
+                    question = rng.choice(questions) if asked[slot] % 2 else flip_q
+                    answers = engine.ask(question, use_cache=False)["answers"]
+                    if [a for a in answers if not a.startswith("t:race/")] != expected[question]:
+                        failures.append(f"{question}: {answers}")
+                    asked[slot] += 1
+            except Exception as error:  # surfaced below, not lost in the thread
+                failures.append(repr(error))
+
+        def flip(number: int) -> Triple:
+            return Triple(
+                IRI("res:John_F._Kennedy"), IRI("ont:successor"), IRI(f"t:race/flip{number}")
+            )
+
+        def churn(number: int) -> Triple:
+            return Triple(IRI(f"t:race/s{number}"), IRI("t:race/p"), IRI(f"t:race/o{number}"))
+
+        readers = [threading.Thread(target=read, args=(slot,)) for slot in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers:
+                thread.start()
+            for number in range(1, 241):
+                engine.ingest(
+                    [flip(number), churn(number)], [flip(number - 1), churn(number - 1)]
+                )
+                if number % 3 == 0:
+                    engine.compact()
+            writing.clear()
+            for thread in readers:
+                thread.join(timeout=30)
+        finally:
+            writing.clear()
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(thread.is_alive() for thread in readers)
+            assert failures == []
+            assert min(asked) > 0
+            # Everything the writer removed was retired; all but what a
+            # compaction had to leave to a reader has been reclaimed.
+            removed_terms = 3 * 239  # a flip, a subject and an object per batch
+            assert 0 < engine.metrics.counter("serve.compact.terms_reclaimed") <= removed_terms
+            engine.compact()
+            assert engine.metrics.counter("serve.compact.terms_reclaimed") == removed_terms
         finally:
             engine.close()
