@@ -81,8 +81,9 @@ def _build_engine(args):
     """A warm :class:`repro.serve.QAEngine` from serve-flavored CLI args."""
     from repro.serve import QAEngine
 
+    config = _engine_config(args)
     kg, dictionary, base_linker = _load_state(args)
-    engine = QAEngine(kg, dictionary, _engine_config(args), base_linker=base_linker)
+    engine = QAEngine(kg, dictionary, config, base_linker=base_linker)
     engine.warm()
     return engine
 
@@ -161,8 +162,8 @@ def cmd_serve(args) -> int:
         # supervise.  This process never holds an engine.
         from repro.serve import PreforkServer, QAEngine
 
-        kg, dictionary, base_linker = _load_state(args)
         config = _engine_config(args)
+        kg, dictionary, base_linker = _load_state(args)
         supervisor = PreforkServer(
             QAEngine.factory(kg, dictionary, config, base_linker),
             host=args.host, port=args.port, workers=args.workers,

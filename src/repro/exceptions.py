@@ -65,6 +65,11 @@ class EvaluationError(ReproError):
     """Raised on malformed benchmark or gold-standard inputs."""
 
 
+class EngineConfigError(ReproError, ValueError):
+    """Raised when an engine is configured with a value it cannot serve
+    under (a non-positive pool, a deadline that never comes due)."""
+
+
 class EngineClosedError(ReproError):
     """Raised when a request reaches a QAEngine after close() was called."""
 

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from repro.nlp.lemmatizer import lemmatize_noun
 from repro.rdf.graph import KnowledgeGraph
+from repro.rdf.terms import IRI
 
 _PAREN_RE = re.compile(r"\s*\([^)]*\)")
 _NON_WORD_RE = re.compile(r"[^a-z0-9 ]+")
@@ -120,7 +121,11 @@ class LabelIndex:
         for node_id in sorted(store.node_ids()):
             labels = labels_of.get(node_id)
             if labels is None:
-                fallback = self.kg.label_of(node_id)
+                # An unlabelled node is linked by its IRI's local name.
+                term = decode(node_id)
+                fallback = (
+                    term.local_name.replace("_", " ") if isinstance(term, IRI) else str(term)
+                )
                 labels = [fallback] if fallback else []
             elif len(labels) > 1:
                 labels = self.kg.all_labels(node_id)

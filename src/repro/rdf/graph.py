@@ -52,17 +52,18 @@ __all__ = [
 class KnowledgeGraph:
     """Algorithm-facing view of a triple store.
 
-    Structural caches (the adjacency kernel, class set, label index,
-    subclass closures) are built lazily on first use; call :meth:`refresh`
-    after mutating the underlying store.
+    Structural caches (the adjacency kernel, class set, subclass closures,
+    instance sets, literal lexical index) are built lazily on first use;
+    call :meth:`refresh` after mutating the underlying store.  ``kernel``
+    adopts one already built against this very store — an opened
+    snapshot's rows — in place of the first lazy build.
     """
 
-    def __init__(self, store: TripleStore):
+    def __init__(self, store: TripleStore, kernel: AdjacencyKernel | None = None):
         self.store = store
         self._kernel_lock = threading.Lock()
-        self._kernel: AdjacencyKernel | None = None
+        self._kernel = kernel
         self._class_ids: set[int] | None = None
-        self._label_index: dict[int, str] | None = None
         self._literals_by_lexical: dict[str, set[int]] | None = None
         self._superclass_closure: dict[int, frozenset[int]] = {}
         self._subclass_closure: dict[int, frozenset[int]] = {}
@@ -89,41 +90,10 @@ class KnowledgeGraph:
             if incremental and stale is not None:
                 self._kernel = AdjacencyKernel(self.store, patch_from=stale)
         self._class_ids = None
-        self._label_index = None
         self._literals_by_lexical = None
         self._superclass_closure = {}
         self._subclass_closure = {}
         self._instances = {}
-
-    def preload(
-        self,
-        *,
-        kernel: AdjacencyKernel,
-        class_ids: set[int],
-        label_index: dict[int, str],
-        superclass_closure: dict[int, frozenset[int]],
-        subclass_closure: dict[int, frozenset[int]],
-    ) -> None:
-        """Install precomputed structural caches (compiled-snapshot load).
-
-        The inverse of :meth:`refresh`: instead of dropping caches so they
-        lazily rebuild, adopt ones that were computed at compile time
-        against the same id-stable store.
-        """
-        with self._kernel_lock:
-            self._kernel = kernel
-        self._class_ids = class_ids
-        self._label_index = label_index
-        self._superclass_closure = dict(superclass_closure)
-        self._subclass_closure = dict(subclass_closure)
-
-    def closure_caches(self) -> tuple[dict[int, frozenset[int]], dict[int, frozenset[int]]]:
-        """The (superclass, subclass) closure caches as built so far.
-
-        The snapshot compiler forces these for every class id and then
-        persists them; read-only views.
-        """
-        return self._superclass_closure, self._subclass_closure
 
     # ------------------------------------------------------------------ #
     # Kernel / vocabulary / id helpers
@@ -192,9 +162,6 @@ class KnowledgeGraph:
                     classes.add(oid)
             self._class_ids = classes
         return self._class_ids
-
-    def is_class(self, node_id: int) -> bool:
-        return node_id in self.class_ids
 
     def entity_ids(self) -> set[int]:
         """All non-class, non-literal graph nodes."""
@@ -293,30 +260,6 @@ class KnowledgeGraph:
     # ------------------------------------------------------------------ #
     # Labels
     # ------------------------------------------------------------------ #
-
-    @property
-    def label_index(self) -> dict[int, str]:
-        """node id → preferred rdfs:label lexical form (first one stored)."""
-        if self._label_index is None:
-            index: dict[int, str] = {}
-            label_id = self.kernel.label_id
-            if label_id is not None:
-                for sid, _pid, oid in self.store.triples_ids(p=label_id):
-                    if sid not in index:
-                        term = self.store.dictionary.decode(oid)
-                        index[sid] = str(term)
-            self._label_index = index
-        return self._label_index
-
-    def label_of(self, node_id: int) -> str | None:
-        """The node's rdfs:label, falling back to the IRI local name."""
-        label = self.label_index.get(node_id)
-        if label is not None:
-            return label
-        term = self.term_of(node_id)
-        if isinstance(term, IRI):
-            return term.local_name.replace("_", " ")
-        return str(term)
 
     def all_labels(self, node_id: int) -> list[str]:
         """Every rdfs:label of the node (entity linking indexes all of them)."""

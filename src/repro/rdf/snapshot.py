@@ -1,11 +1,12 @@
 """Compiled, id-stable snapshots: the offline phase as an on-disk artifact.
 
 Starting from text means parsing N-Triples, assigning every term id, then
-building the adjacency kernel, label/linker indexes, and subclass
-closures before the first question is answered.  Native RDF engines
-(gStore in the source paper; RDF-3X-style permutation stores) instead
-treat the *encoded, indexed* form as the deployment artifact.  A compiled
-snapshot is exactly that: one versioned, checksummed binary file holding
+building the adjacency kernel and the entity-linker index before the
+first question is answered.  Native RDF engines (gStore in the source
+paper; RDF-3X-style permutation stores) instead treat the *encoded,
+indexed* form as the deployment artifact.  A compiled snapshot is exactly
+that: one versioned, checksummed binary file holding what the online
+phase (Section 4.2) reads, and nothing else —
 
 * the term dictionary **with its ids frozen** (position == id; an id
   whose term a live server reclaimed holds the one-byte
@@ -14,9 +15,12 @@ snapshot is exactly that: one versioned, checksummed binary file holding
   :class:`~repro.rdf.backend.CompactBackend` (raw ``array('q')`` bytes),
 * the literal-id set,
 * the prebuilt adjacency-kernel rows,
-* the class set and both ``rdfs:subClassOf`` closures,
-* the graph label index and the entity-linker index entries/postings,
+* the entity-linker index entries/postings,
 * the mined paraphrase dictionary **by id** (signed steps).
+
+The class set and the ``rdfs:subClassOf`` closures are not in it: the
+graph derives them lazily from the store, the same way after an open as
+after a live ingest.
 
 Because every id is stable across the round-trip, loading is an **open**,
 not a load: no parsing, no re-encoding, no re-mining, no index rebuild —
@@ -27,8 +31,8 @@ casts straight over the mapping.  A kernel row is boxed into its pair of
 tuples when a query first reads it, a term object is built when its id is
 first decoded, a term is found by bisecting the record-sorted id column.
 What has no columnar form is decoded exactly once, into the object that
-serves it: the literal id set, the closures, the label index, the
-paraphrase dictionary at open; the linker's entries and posting sets when
+serves it: the literal id set and the paraphrase dictionary at open; the
+linker's entries and posting sets when
 :meth:`CompiledState.build_linker` asks for them.  The columns stay in the
 page cache, shared read-only between every process that maps the same
 file — which is what makes pre-fork serving (:mod:`repro.serve.prefork`)
@@ -36,7 +40,7 @@ cheap: N workers, one physical copy.  A view serves the file's bytes as
 they are, so a snapshot written on a machine of the other byte order is
 refused (recompile it on the serving host).
 
-File layout (format 2)::
+File layout (format 3)::
 
     MAGIC | u32 format | u8 byteorder
     | u64 meta_len | meta JSON | u32 section_count | directory entries...
@@ -65,8 +69,8 @@ artifact so segments load on demand:
 * ``graph.snap`` — a small JSON **manifest** naming the members, the
   partition scheme, and per-segment triple counts;
 * ``graph.state.snap`` — one ``REPROSNAP`` container with every section
-  but the permutation columns (terms, literals, kernel rows, closures,
-  labels, linker, dictionary), opened like the single file;
+  but the permutation columns (terms, literals, kernel rows, linker,
+  dictionary), opened like the single file;
 * ``graph.segNNN.snap`` — one ``REPROSNAP`` container per shard holding
   only that segment's three permutation columns.
 
@@ -119,7 +123,7 @@ __all__ = [
 ]
 
 _MAGIC = b"REPROSNAP\x00"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 #: Version of the sharded-manifest JSON layout.
 MANIFEST_VERSION = 1
 _MANIFEST_FORMAT = "reprosnap-manifest"
@@ -138,9 +142,6 @@ _VERIFY_CHUNK = 1 << 21
 #: query pages in on demand last.
 _SECTION_COLUMNS = {
     "literals": 1,    # ids
-    "classes": 1,     # ids
-    "closures": 6,    # (keys, lens, flat) of the superclass, then subclass closure
-    "labels": 1,      # record stream
     "linker": 1,      # record stream
     "dictionary": 1,  # record stream
     "kernel": 4,      # node_ids, row_lens, flat_steps, flat_neighbors
@@ -256,30 +257,6 @@ def _ints(column: memoryview) -> memoryview:
     if len(column) % 8:
         raise SnapshotError("an int64 column's length is not a multiple of 8")
     return column.cast("q")
-
-
-# --------------------------------------------------------------------- #
-# Id-set maps (closures)
-# --------------------------------------------------------------------- #
-
-def _closure_columns(closure: dict[int, frozenset[int]]) -> list[array]:
-    keys = sorted(closure)
-    lens = array("q", (len(closure[key]) for key in keys))
-    flat = array("q")
-    for key in keys:
-        flat.extend(sorted(closure[key]))
-    return [array("q", keys), lens, flat]
-
-
-def _decode_closure(
-    keys: memoryview, lens: memoryview, flat: memoryview
-) -> dict[int, frozenset[int]]:
-    closure: dict[int, frozenset[int]] = {}
-    offset = 0
-    for key, length in zip(keys, lens):
-        closure[key] = frozenset(flat[offset:offset + length])
-        offset += length
-    return closure
 
 
 # --------------------------------------------------------------------- #
@@ -469,16 +446,12 @@ def _sharded_member_paths(path: Path, shards: int) -> tuple[Path, list[Path]]:
 def _encode_state_sections(
     kg: KnowledgeGraph, dictionary: "ParaphraseDictionary"
 ) -> dict[str, list]:
-    """The columns of every non-permutation section, from the
-    forced-warm graph state."""
+    """The columns of every non-permutation section: the term table, the
+    literal ids, the kernel rows, the linker material and the paraphrase
+    dictionary."""
     from repro.linking.linker import EntityLinker
 
     store = kg.store
-    class_ids = kg.class_ids
-    for class_id in class_ids:
-        kg.superclasses_of(class_id)
-        kg.subclasses_of(class_id)
-    label_index = kg.label_index
     linker = EntityLinker(kg)
 
     sections: dict[str, list] = {}
@@ -491,18 +464,6 @@ def _encode_state_sections(
     sections["literals"] = [array("q", sorted(store.iter_literal_ids()))]
     # Rows that were never boxed go back out as the column slices they are.
     sections["kernel"] = list(kg.kernel.full_rows().columns())
-
-    superclass_closure, subclass_closure = kg.closure_caches()
-    sections["classes"] = [array("q", sorted(class_ids))]
-    sections["closures"] = (
-        _closure_columns(superclass_closure) + _closure_columns(subclass_closure)
-    )
-
-    label_parts = [struct.pack("<Q", len(label_index))]
-    for node, label in sorted(label_index.items()):
-        label_parts.append(struct.pack("<q", node))
-        label_parts.append(_pack_str(label))
-    sections["labels"] = [b"".join(label_parts)]
 
     entries = linker.index.entries()
     postings = linker.index.word_postings()
@@ -544,9 +505,11 @@ def compile_snapshot(
 ) -> SnapshotInfo:
     """Compile the warm state of ``kg`` + ``dictionary`` into a snapshot.
 
-    Forces every lazily-built structure (kernel, class set, closures,
-    label index, linker index) so what gets persisted is exactly what a
-    warm engine would have built.
+    Builds the two structures serving reads from the file — the adjacency
+    kernel and the linker index — so what gets persisted is exactly what
+    a warm engine would have built.  Everything else the graph derives
+    (class set, closures, instance sets) stays lazy after an open, as it
+    does after a live ingest.
 
     ``shards=None`` (default) writes the single-file container.
     ``shards=K`` writes the sharded form instead: a JSON manifest at
@@ -766,9 +729,8 @@ def _assemble_state(
     (shared by both snapshot forms).
 
     The term table and the kernel rows stay columns over the mapping; the
-    literal id set, the closures, the label index and the paraphrase
-    dictionary are decoded here, once; the linker section waits for
-    :meth:`CompiledState.build_linker`.
+    literal id set and the paraphrase dictionary are decoded here, once;
+    the linker section waits for :meth:`CompiledState.build_linker`.
     """
     from repro.paraphrase.dictionary import ParaphraseDictionary, PredicateMapping
 
@@ -789,20 +751,7 @@ def _assemble_state(
         kernel = AdjacencyKernel(store, columns=tuple(map(_ints, sections["kernel"])))
     except ValueError as exc:
         raise SnapshotError(f"malformed kernel section in {info.path}: {exc}") from exc
-
-    closures = list(map(_ints, sections["closures"]))
-    label_reader = _Reader(sections["labels"][0])
-    kg = KnowledgeGraph(store)
-    kg.preload(
-        kernel=kernel,
-        class_ids=set(_ints(sections["classes"][0])),
-        superclass_closure=_decode_closure(*closures[:3]),
-        subclass_closure=_decode_closure(*closures[3:]),
-        label_index={
-            label_reader.i64(): label_reader.text()
-            for _ in range(label_reader.u64())
-        },
-    )
+    kg = KnowledgeGraph(store, kernel=kernel)
 
     dict_reader = _Reader(sections["dictionary"][0])
     paraphrases = ParaphraseDictionary()
@@ -952,9 +901,9 @@ def load_snapshot(path: str | Path) -> CompiledState:
 
     The returned :class:`CompiledState` carries a frozen store whose term
     ids are identical to the compile-time store's and whose term table is
-    served from the mapping, a kernel over the persisted row columns,
-    preloaded graph caches, the id-level paraphrase dictionary, and the
-    material to build an entity linker without an index scan.
+    served from the mapping, a graph whose kernel is over the persisted
+    row columns, the id-level paraphrase dictionary, and the material to
+    build an entity linker without an index scan.
 
     ``path`` may be either snapshot form — the leading bytes decide:
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ from typing import Callable, Iterable, Iterator
 from repro import obs
 from repro.contracts import guarded_by
 from repro.core.pipeline import Answer, GAnswer
-from repro.exceptions import EngineClosedError
+from repro.exceptions import EngineClosedError, EngineConfigError
 from repro.linking.linker import EntityLinker
 from repro.obs.metrics import Metrics
 from repro.paraphrase.dictionary import ParaphraseDictionary
@@ -99,13 +100,14 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         if self.pool_size < 1:
-            raise ValueError("pool_size must be at least 1")
+            raise EngineConfigError("pool_size must be at least 1")
         if self.queue_limit < 0:
-            raise ValueError("queue_limit must be >= 0")
+            raise EngineConfigError("queue_limit must be >= 0")
         if not 0.0 <= self.degrade_pressure <= 1.0:
-            raise ValueError("degrade_pressure must be in [0, 1]")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be positive when set")
+            raise EngineConfigError("degrade_pressure must be in [0, 1]")
+        # NaN fails both comparisons; a deadline at NaN or inf never comes due.
+        if self.deadline_s is not None and not 0 < self.deadline_s < math.inf:
+            raise EngineConfigError(f"deadline_s must be positive and finite: {self.deadline_s}")
 
     def fingerprint(self) -> str:
         """Stable digest of every knob that changes *cached* answers (cache
@@ -124,14 +126,12 @@ class EngineResult:
 def _warm_shared(kg: KnowledgeGraph, linker: "EntityLinker | CachingLinker") -> dict:
     """Build the lazy structures every engine over ``kg`` shares.
 
-    Touches the adjacency kernel, the class set, the label index, and the
-    linker's label index; returns the kernel statistics, with the linker's
-    under ``linker`` and the term table's under ``store``.  Over an opened
-    snapshot it boxes no kernel row and decodes no term.
+    Touches the adjacency kernel and the linker's label index; returns the
+    kernel statistics, with the linker's under ``linker`` and the term
+    table's under ``store``.  Over an opened snapshot it boxes no kernel
+    row and decodes no term.
     """
     kernel = kg.kernel
-    _ = kg.class_ids
-    _ = kg.label_index
     _ = linker.index
     return {
         **kernel.statistics(),
@@ -242,8 +242,8 @@ class QAEngine:
     ) -> "QAEngine":
         """An engine booted from a compiled snapshot (``repro compile``).
 
-        The snapshot restores the frozen store, the prebuilt kernel and
-        graph caches, the id-level paraphrase dictionary, and the
+        The snapshot restores the frozen store, the prebuilt kernel, the
+        id-level paraphrase dictionary, and the
         compiled linker index — :meth:`warm` then finds everything
         already built, so cold start is dominated by file decode instead
         of parsing, re-indexing, and label scanning.
@@ -269,7 +269,7 @@ class QAEngine:
         """Build the shared state now; return a maker of engines over it.
 
         The split a pre-fork deployment needs: the supervisor calls this
-        once — kernel, class ids, label index and linker index are built
+        once — the kernel and the linker index are built
         here, in the caller's process — and every worker calls the
         returned zero-argument factory *after* ``os.fork()``, so the heavy
         state is shared copy-on-write while every per-process structure
@@ -288,8 +288,8 @@ class QAEngine:
     def warm(self) -> dict:
         """Build every lazy structure the first request would otherwise pay.
 
-        Touches the adjacency kernel, the class set, the label index, and
-        the linker's label index; returns the kernel statistics (the
+        Touches the adjacency kernel and the linker's label index;
+        returns the kernel statistics (the
         linker's under ``linker``, the term table's under ``store``) so
         callers (the CLI, /healthz diagnostics) can report the warmed
         footprint.

@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import hmac
 import json
+import math
 import os
 import queue
 import re
@@ -511,15 +512,13 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(question, str) or not question.strip():
             self._send_json(400, {"error": "'question' must be a non-empty string"})
             return
-        deadline_s = _optional_number(payload, "deadline_s")
-        if deadline_s is _INVALID:
-            self._send_json(400, {"error": "'deadline_s' must be a positive number"})
+        options = _question_options(payload, ("trace", "no_cache"))
+        if isinstance(options, str):
+            self._send_json(400, {"error": options})
             return
+        deadline_s, trace, no_cache = options
         response = engine.ask(
-            question,
-            deadline_s=deadline_s,
-            trace=bool(payload.get("trace", False)),
-            use_cache=not bool(payload.get("no_cache", False)),
+            question, deadline_s=deadline_s, trace=trace, use_cache=not no_cache
         )
         self._send_json(200, response)
 
@@ -534,15 +533,12 @@ class _Handler(BaseHTTPRequestHandler):
                 400, {"error": "'questions' must be a non-empty list of strings"}
             )
             return
-        deadline_s = _optional_number(payload, "deadline_s")
-        if deadline_s is _INVALID:
-            self._send_json(400, {"error": "'deadline_s' must be a positive number"})
+        options = _question_options(payload, ("no_cache",))
+        if isinstance(options, str):
+            self._send_json(400, {"error": options})
             return
-        responses = engine.batch(
-            questions,
-            deadline_s=deadline_s,
-            use_cache=not bool(payload.get("no_cache", False)),
-        )
+        deadline_s, no_cache = options
+        responses = engine.batch(questions, deadline_s=deadline_s, use_cache=not no_cache)
         self._send_json(200, {"responses": responses})
 
     # ------------------------------------------------------------------ #
@@ -731,9 +727,6 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-_INVALID = object()
-
-
 def _parse_wire_triples(items) -> "list[Triple] | str":
     """Decode wire-format triples; returns an error string on bad input.
 
@@ -777,14 +770,27 @@ def _parse_wire_triples(items) -> "list[Triple] | str":
     return triples
 
 
-def _optional_number(payload: dict, key: str):
-    """The positive float at ``key``, None when absent, _INVALID when bad."""
-    value = payload.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-        return _INVALID
-    return float(value)
+def _question_options(payload: dict, flags: tuple[str, ...]) -> "tuple | str":
+    """``(deadline_s, *flags)`` of a question request; returns an error
+    string on bad input.
+
+    ``deadline_s`` is None when absent, else a positive finite number:
+    ``json.loads`` reads ``NaN`` and ``Infinity``, and a deadline at either
+    never comes due.  A flag is False when absent, else a JSON boolean: the
+    string ``"false"`` is not false.
+    """
+    deadline_s = payload.get("deadline_s")
+    if deadline_s is not None and (
+        isinstance(deadline_s, bool)
+        or not isinstance(deadline_s, (int, float))
+        or not 0 < deadline_s < math.inf
+    ):
+        return "'deadline_s' must be a positive finite number"
+    values = [payload.get(flag, False) for flag in flags]
+    for flag, value in zip(flags, values):
+        if not isinstance(value, bool):
+            return f"'{flag}' must be a JSON boolean"
+    return (deadline_s, *values)
 
 
 def build_server(

@@ -203,16 +203,24 @@ class TestNoForksGrowBack:
         assert not hasattr(EntityLinker, "_score")
         assert not hasattr(EntityLinker, "_keep_best")
 
-    def test_preload_takes_every_cache_by_keyword(self):
+    def test_a_snapshot_holds_what_serving_reads(self):
+        """The kernel is the one graph structure a snapshot hands over;
+        the label dict, the class and closure sections and the cache
+        installer that took them were deleted, not kept beside it."""
+        from repro.rdf import snapshot
         from repro.rdf.graph import KnowledgeGraph
 
-        parameters = inspect.signature(KnowledgeGraph.preload).parameters
-        assert all(
-            parameter.kind is inspect.Parameter.KEYWORD_ONLY
-            and parameter.default is inspect.Parameter.empty
-            for name, parameter in parameters.items()
-            if name != "self"
+        for member in ("preload", "closure_caches", "label_index", "label_of", "is_class"):
+            assert not hasattr(KnowledgeGraph, member), member
+        assert list(inspect.signature(KnowledgeGraph.__init__).parameters) == [
+            "self", "store", "kernel",
+        ]
+        assert snapshot.FORMAT_VERSION == 3
+        assert snapshot._SECTIONS == (
+            "literals", "linker", "dictionary", "kernel", "terms", "spo", "pos", "osp",
         )
+        for helper in ("_closure_columns", "_decode_closure"):
+            assert not hasattr(snapshot, helper), helper
 
     def test_experiments_have_one_path(self):
         """The paper's tables come from ``repro experiments`` and are held

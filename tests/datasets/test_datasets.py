@@ -75,15 +75,16 @@ class TestDBpediaMini:
     def test_philadelphia_ambiguity(self):
         kg = build_dbpedia_mini()
         labels = {
-            kg.label_of(kg.id_of(res(name)))
+            label
             for name in ("Philadelphia", "Philadelphia_(film)")
+            for label in kg.all_labels(kg.id_of(res(name)))
         }
         assert labels == {"Philadelphia"}  # two nodes, one surface label
 
     def test_classes_detected(self):
         kg = build_dbpedia_mini()
-        assert kg.is_class(kg.id_of(res("Actor")))
-        assert not kg.is_class(kg.id_of(res("Antonio_Banderas")))
+        assert kg.id_of(res("Actor")) in kg.class_ids
+        assert kg.id_of(res("Antonio_Banderas")) not in kg.class_ids
 
     def test_subclass_hierarchy(self):
         kg = build_dbpedia_mini()
@@ -103,7 +104,7 @@ class TestDBpediaMini:
         assert len(padded.store) > len(plain.store)
         clone = padded.id_of(IRI("res:Berlin__clone0"))
         assert clone is not None
-        assert padded.label_of(clone) == "Berlin"
+        assert padded.all_labels(clone) == ["Berlin"]
 
     def test_distractors_have_no_domain_facts(self):
         padded = build_dbpedia_mini(distractors_per_entity=2)
@@ -233,7 +234,7 @@ class TestSynthetic:
         for node in entity_pool(kg):
             node_id = kg.id_of(node)
             assert kg.types_of(node_id)
-            assert kg.label_of(node_id)
+            assert kg.all_labels(node_id)
 
     def test_scale_parameters(self):
         small = build_synthetic_kg(SyntheticConfig(entities=50, triples_per_entity=2))

@@ -23,16 +23,20 @@ from repro.rdf.snapshot import compile_snapshot
 
 
 class _PerNodeLabelIndex(LabelIndex):
-    """The reference: the build as it was, one ``all_labels`` seek per node."""
+    """The reference: the build as it was, one ``all_labels`` seek per node,
+    an unlabelled node filed under its IRI's local name."""
 
     def _build(self) -> None:
         store = self.kg.store
         for node_id in sorted(store.node_ids()):
             labels = self.kg.all_labels(node_id)
             if not labels:
-                fallback = self.kg.label_of(node_id)
+                term = self.kg.term_of(node_id)
+                fallback = (
+                    term.local_name.replace("_", " ") if isinstance(term, IRI) else str(term)
+                )
                 labels = [fallback] if fallback else []
-            is_class = self.kg.is_class(node_id)
+            is_class = node_id in self.kg.class_ids
             for label in labels:
                 self._add_entry(node_id, label, is_class)
         structural = self.kg.structural_predicate_ids

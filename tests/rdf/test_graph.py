@@ -1,7 +1,12 @@
-"""Tests for the KnowledgeGraph view: classes, labels, adjacency, paths."""
+"""Tests for the KnowledgeGraph view: classes, labels, adjacency, paths.
+
+The graph keeps no per-node label of its own: a node's labels are its
+``rdfs:label`` objects, and the entity linker's index — which falls back
+to the IRI local name — is where a node is found by one."""
 
 import pytest
 
+from repro.linking import EntityLinker
 from repro.rdf import (
     IRI,
     KnowledgeGraph,
@@ -47,13 +52,13 @@ def nid(kg, name):
 
 class TestClassDetection:
     def test_type_object_is_class(self, kg):
-        assert kg.is_class(nid(kg, "Actor"))
+        assert nid(kg, "Actor") in kg.class_ids
 
     def test_subclass_parent_is_class(self, kg):
-        assert kg.is_class(nid(kg, "Person"))
+        assert nid(kg, "Person") in kg.class_ids
 
     def test_entity_is_not_class(self, kg):
-        assert not kg.is_class(nid(kg, "Antonio_Banderas"))
+        assert nid(kg, "Antonio_Banderas") not in kg.class_ids
 
     def test_literal_is_not_entity(self, kg):
         literal_id = kg.store.dictionary.lookup(Literal("1.74"))
@@ -83,22 +88,29 @@ class TestTypes:
         assert nid(kg, "Antonio_Banderas") in kg.instances_of(nid(kg, "Person"))
 
 
+def linked_labels(kg, name):
+    """The labels the entity linker files the node under."""
+    node = nid(kg, name)
+    return [entry.label for entry in EntityLinker(kg).index.entries() if entry.node_id == node]
+
+
 class TestLabels:
     def test_label_from_rdfs_label(self, kg):
-        assert kg.label_of(nid(kg, "Philadelphia_(film)")) == "Philadelphia"
+        assert linked_labels(kg, "Philadelphia_(film)") == ["Philadelphia"]
 
     def test_label_fallback_to_local_name(self, kg):
-        assert kg.label_of(nid(kg, "Melanie_Griffith")) == "Melanie Griffith"
+        assert linked_labels(kg, "Melanie_Griffith") == ["Melanie Griffith"]
 
     def test_all_labels(self, kg):
         assert kg.all_labels(nid(kg, "Antonio_Banderas")) == ["Antonio Banderas"]
         assert kg.all_labels(nid(kg, "Melanie_Griffith")) == []
 
     def test_refresh_picks_up_new_labels(self, kg):
+        assert linked_labels(kg, "Melanie_Griffith") == ["Melanie Griffith"]
         griffith = IRI("ex:Melanie_Griffith")
         kg.store.add(Triple(griffith, RDFS_LABEL, Literal("Melanie Griffith (actress)")))
         kg.refresh()
-        assert kg.label_of(nid(kg, "Melanie_Griffith")) == "Melanie Griffith (actress)"
+        assert linked_labels(kg, "Melanie_Griffith") == ["Melanie Griffith (actress)"]
 
 
 class TestAdjacency:

@@ -177,11 +177,8 @@ def test_opened_kernel_reads_like_the_cold_one_before_and_after_a_patch(base, ad
     cold = AdjacencyKernel(frozen)
     assert_same_reads(opened_kernel(frozen, cold), cold, frozen)
 
-    kg = KnowledgeGraph(frozen.overlay())
-    kg.preload(
-        kernel=opened_kernel(kg.store, cold), class_ids=set(), label_index={},
-        superclass_closure={}, subclass_closure={},
-    )
+    store = frozen.overlay()
+    kg = KnowledgeGraph(store, kernel=opened_kernel(store, cold))
     before = kg.store.version
     for triple in removes:
         kg.store.remove(triple)
@@ -207,11 +204,8 @@ def test_add_remove_churn_leaves_nothing_on_the_patched_kernel():
     patched kernel carries is bounded by the graph, not by its history."""
     frozen = build_dbpedia_mini().store.compacted()
     cold = AdjacencyKernel(frozen)
-    kg = KnowledgeGraph(frozen.overlay())
-    kg.preload(
-        kernel=opened_kernel(kg.store, cold), class_ids=set(), label_index={},
-        superclass_closure={}, subclass_closure={},
-    )
+    store = frozen.overlay()
+    kg = KnowledgeGraph(store, kernel=opened_kernel(store, cold))
     berlin = IRI("res:Berlin")
     for round_ in range(3):
         fresh = [

@@ -8,9 +8,13 @@ is detected rather than silently served.
 
 import hashlib
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,7 @@ from repro.rdf.snapshot import compile_snapshot, load_snapshot
 _HEADER_BYTES = 15  # magic(10) + format version u32 + byteorder u8
 _BYTE_ORDER_OFFSET = 14  # the header's last byte, outside the checksummed body
 _DIGEST_BYTES = 32
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +114,34 @@ class TestRoundTrip:
             assert restored == original
 
 
+def _without_stamp(raw):
+    """A compiled file's bytes with the meta ``created`` stamp blanked and
+    the trailing digest, which signs the stamp, cut off."""
+    (meta_len,) = struct.unpack_from("<Q", raw, _HEADER_BYTES)
+    start = _HEADER_BYTES + 8
+    meta = raw[start:start + meta_len]
+    stamp = json.dumps(json.loads(meta)["created"]).encode("utf-8")
+    assert meta.count(stamp) == 1
+    masked = meta.replace(stamp, b"x" * len(stamp))
+    return raw[:start] + masked + raw[start + meta_len:len(raw) - _DIGEST_BYTES]
+
+
+def test_compile_is_byte_identical_under_any_hash_seed(tmp_path):
+    """Same graph, same bytes: ``repro compile`` in three interpreters with
+    different string-hash seeds writes one file, stamp aside."""
+    bodies = set()
+    for seed in ("0", "1", "2"):
+        out = tmp_path / f"seed{seed}.snap"
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "repro", "compile", str(out)],
+            env=env, cwd=tmp_path, capture_output=True, timeout=300, check=True,
+        )
+        bodies.add(_without_stamp(out.read_bytes()))
+    assert len(bodies) == 1
+
+
 class TestKernelEquivalence:
     def test_prebuilt_rows_match_fresh_build(self, setup, loaded):
         kg, _ = setup
@@ -124,6 +157,7 @@ class TestKernelEquivalence:
         assert compact_kernel.full_rows() == dict_kernel.full_rows()
 
     def test_closures_preserved(self, setup, loaded):
+        """Derived lazily from the opened store, not read from the file."""
         kg, _ = setup
         for class_id in kg.class_ids:
             assert loaded.kg.superclasses_of(class_id) == kg.superclasses_of(class_id)
@@ -403,14 +437,14 @@ class TestIntegrity:
             load_snapshot(bad)
 
     def test_previous_format_refused_not_converted(self, snapshot, tmp_path):
-        """There is one reader: a format-1 file (length prefixes in line,
-        one record per term) is named, refused and sent back to the
-        compiler — its body is never looked at."""
+        """There is one reader: a format-2 file (a label dict, a class set
+        and two closures beside the kernel) is named, refused and sent back
+        to the compiler — its body is never looked at."""
         path, raw = self._bytes(snapshot)
-        raw[10] = 1
-        bad = tmp_path / "format1.snap"
+        raw[10] = 2
+        bad = tmp_path / "format2.snap"
         bad.write_bytes(raw)
-        with pytest.raises(SnapshotError, match=r"format 1 .*reads format 2.*recompile"):
+        with pytest.raises(SnapshotError, match=r"format 2 .*reads format 3.*recompile"):
             load_snapshot(bad)
 
     def test_flipped_body_byte_rejected(self, snapshot, tmp_path):

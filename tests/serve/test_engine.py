@@ -78,6 +78,12 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(deadline_s=0)
 
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf")])
+    def test_rejects_a_deadline_that_never_comes_due(self, deadline):
+        # ``time.monotonic() >= start + nan`` is never true.
+        with pytest.raises(ValueError, match="finite"):
+            EngineConfig(deadline_s=deadline)
+
     def test_fingerprint_tracks_answer_affecting_knobs(self):
         assert EngineConfig(k=10).fingerprint() != EngineConfig(k=3).fingerprint()
         assert EngineConfig().fingerprint() == EngineConfig().fingerprint()

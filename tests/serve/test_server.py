@@ -90,6 +90,32 @@ class TestAsk:
         )
         assert status == 400
 
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("route", ["/ask", "/batch"])
+    def test_non_finite_deadline_is_400(self, served, route, deadline):
+        """``json.loads`` reads ``NaN`` and ``Infinity``; a deadline at
+        either would never come due, so a client could switch it off."""
+        base, _engine = served
+        payload = {"question": BERLIN_Q} if route == "/ask" else {"questions": [BERLIN_Q]}
+        status, body = _post(f"{base}{route}", {**payload, "deadline_s": deadline})
+        assert status == 400
+        assert "finite" in body["error"]
+
+    @pytest.mark.parametrize(
+        "route, flag",
+        [("/ask", "trace"), ("/ask", "no_cache"), ("/batch", "no_cache")],
+    )
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_flags_must_be_json_booleans(self, served, route, flag, value):
+        base, _engine = served
+        payload = {"question": BERLIN_Q} if route == "/ask" else {"questions": [BERLIN_Q]}
+        status, body = _post(f"{base}{route}", {**payload, flag: value})
+        assert status == 400
+        assert flag in body["error"]
+        status, body = _post(f"{base}{route}", {**payload, flag: False})
+        assert status == 200
+        assert "trace" not in (body if route == "/ask" else body["responses"][0])
+
     def test_unknown_route_is_404(self, served):
         base, _engine = served
         assert _post(f"{base}/nope", {"question": BERLIN_Q})[0] == 404

@@ -197,6 +197,20 @@ class TestUserErrors:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and fragment in line
 
+    @pytest.mark.parametrize("deadline", ["nan", "inf", "-1"])
+    def test_a_deadline_that_never_comes_due_is_refused_before_loading(
+        self, capsys, monkeypatch, deadline
+    ):
+        import repro.cli
+
+        monkeypatch.setattr(
+            repro.cli, "_load_state", lambda args: pytest.fail("the graph was loaded")
+        )
+        assert main(["serve", "--port", "0", "--deadline", deadline]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "deadline_s" in line
+
     def test_k_below_one_is_rejected_at_parse_time(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["--k", "0", "ask", "Who is the mayor of Berlin?"])
