@@ -101,7 +101,7 @@ _FROZEN_CONSTRUCTORS = (
     "ShardedBackend.from_triples",
     "ShardedBackend.lazy",
 )
-_FROZEN_PROVENANCE_CALLS = ("compacted", "sharded", "load_snapshot")
+_FROZEN_PROVENANCE_CALLS = ("compacted", "sharded", "load_snapshot", "load_store")
 #: method calls whose *receiver* is thereby known frozen: calling
 #: .overlay() requires (and forever after assumes) a frozen base.
 _FROZEN_RECEIVER_CALLS = ("overlay",)
@@ -119,9 +119,9 @@ class FrozenStoreRule(Rule):
     name = "frozen-store"
     summary = (
         "objects obtained from .compacted()/.sharded(), load_snapshot(), "
-        "frozen-backend construction, or captured as an overlay base "
-        "(.overlay() receivers, OverlayBackend(base)) must not receive "
-        "add/remove calls"
+        "load_store(), frozen-backend construction, or captured as an "
+        "overlay base (.overlay() receivers, OverlayBackend(base)) must "
+        "not receive add/remove calls"
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:

@@ -6,7 +6,9 @@ workload:
 
 * :class:`DictBackend` — three permutation indexes (SPO, POS, OSP) as
   two-level dicts of sets.  Mutable, O(1) add/remove, the right shape for
-  the build/mining phase where triples stream in incrementally.
+  a graph built triple by triple in code (a dump file is loaded straight
+  into a :class:`CompactBackend` instead, by
+  :func:`repro.rdf.io.load_store`).
 * :class:`CompactBackend` — the same three permutations as parallel
   sorted int64 columns answered by bisect seeks (the RDF-3X layout).
   Frozen after construction, allocation-lean, and directly persistable:
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import islice
+from itertools import islice, starmap
 from operator import lt
 from typing import (
     AbstractSet,
@@ -272,38 +274,7 @@ class DictBackend(PermutationReads[set[int]]):
         a cache that compares versions can never alias across a batch
         boundary.
         """
-        spo, pos, osp = self._spo, self._pos, self._osp
-        before = self._size
-        for s, p, o in triples:
-            row = spo.get(s)
-            if row is None:
-                row = spo[s] = {}
-            leaf = row.get(p)
-            if leaf is None:
-                row[p] = {o}
-            elif o in leaf:
-                continue
-            else:
-                leaf.add(o)
-            row = pos.get(p)
-            if row is None:
-                row = pos[p] = {}
-            leaf = row.get(o)
-            if leaf is None:
-                row[o] = {s}
-            else:
-                leaf.add(s)
-            row = osp.get(o)
-            if row is None:
-                row = osp[o] = {}
-            leaf = row.get(s)
-            if leaf is None:
-                row[s] = {p}
-            else:
-                leaf.add(p)
-            self._size += 1
-            self._version += 1
-        return self._size - before
+        return sum(starmap(self.add, triples))
 
     def remove(self, s: int, p: int, o: int) -> bool:
         objects = self._spo.get(s, {}).get(p)
@@ -349,9 +320,9 @@ class FrozenBackend:
 
     def _refusal(self) -> StoreFrozenError:
         return StoreFrozenError(
-            f"{type(self).__name__} is read-only; mutate a DictBackend store "
-            "and re-freeze it (TripleStore.compacted / TripleStore.sharded) "
-            "or recompile the snapshot"
+            f"{type(self).__name__} is read-only; write to a loaded or "
+            "compacted store through TripleStore.overlay(), or recompile "
+            "the snapshot"
         )
 
     def add(self, s: int, p: int, o: int) -> bool:
@@ -421,19 +392,25 @@ class CompactBackend(FrozenBackend):
 
     @classmethod
     def from_triples(cls, triples: Iterable[IdTriple], version: int = 0) -> "CompactBackend":
-        """Build all three permutations from id triples (deduplicated)."""
-        spo = sorted(set(triples))
-        pos = sorted((p, o, s) for s, p, o in spo)
-        osp = sorted((o, s, p) for s, p, o in spo)
+        """Build all three permutations from id triples (deduplicated).
 
-        def columns(rows: list[tuple[int, int, int]]) -> tuple[array, array, array]:
-            return (
-                array("q", (row[0] for row in rows)),
-                array("q", (row[1] for row in rows)),
-                array("q", (row[2] for row in rows)),
-            )
+        Each permutation's sorted rows are transposed into its three
+        columns in one ``zip(*rows)`` pass, and the other two
+        permutations' rows are zipped from the SPO columns.
+        """
 
-        return cls(columns(spo), columns(pos), columns(osp), version=version)
+        def transposed(rows: Iterable[IdTriple]) -> tuple[tuple[int, ...], ...]:
+            return tuple(zip(*sorted(rows))) or ((), (), ())
+
+        def owned(columns: tuple[tuple[int, ...], ...]) -> tuple[array, array, array]:
+            first, second, third = (array("q", column) for column in columns)
+            return first, second, third
+
+        spo = transposed(set(triples))
+        s, p, o = spo
+        pos = transposed(zip(p, o, s))
+        osp = transposed(zip(o, s, p))
+        return cls(owned(spo), owned(pos), owned(osp), version=version)
 
     # ------------------------------------------------------------------ #
     # Reads

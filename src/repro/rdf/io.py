@@ -4,39 +4,45 @@ Convenience wrappers over the N-Triples parser/serializer so a store
 round-trips through a single text file — how a dump enters the system
 (``bench/``'s offline build starts from :func:`load_store`) before
 :func:`repro.rdf.snapshot.compile_snapshot` turns it into the deploy
-artefact.
+artefact.  A loaded store is frozen: the dump goes from bytes to sorted
+columns in one pass, with no mutable index in between.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.rdf.ntriples import parse_ntriples, serialize_ntriples
+from repro.rdf.backend import CompactBackend
+from repro.rdf.collector import collector_paused
+from repro.rdf.dictionary import TermDictionary
+from repro.rdf.ntriples import _id_triples, serialize_ntriples, serialize_triple
 from repro.rdf.store import TripleStore
 
 
 def load_store(path: str | Path) -> TripleStore:
-    """Load a (mutable, dict-backed) triple store from an N-Triples file.
+    """Load a frozen, sorted-column triple store from an N-Triples file.
 
-    For a read-only workload such as serving, re-encode the result onto
-    the sorted-column backend with ``.compacted()`` (see
-    :mod:`repro.rdf.backend`) — frozen, much smaller, faster to scan.
+    Each line's tokens go straight to term ids and the distinct id triples
+    straight into a :class:`~repro.rdf.backend.CompactBackend`.  Term ids,
+    literal ids and ``version`` (one per distinct triple) are those of a
+    store filled by ``add_all(parse_ntriples(...))`` and then compacted.
+    To write to the result, take ``.overlay()``.
     """
-    store = TripleStore()
+    dictionary = TermDictionary()
+    literal_ids: set[int] = set()
     # newline="\n": only LF ends a line (a raw U+2028 in a literal is data).
-    with open(path, encoding="utf-8", newline="\n") as lines:
-        store.add_all(parse_ntriples(lines))
-    return store
+    with open(path, encoding="utf-8", newline="\n") as lines, collector_paused():
+        triples = set(_id_triples(lines, dictionary.encode, literal_ids))
+        backend = CompactBackend.from_triples(triples, version=len(triples))
+    return TripleStore(backend, dictionary, literal_ids)
 
 
 def save_store(store: TripleStore, path: str | Path) -> int:
     """Write a store to an N-Triples file; returns the triple count.
 
-    Triples are sorted for deterministic, diff-friendly output.
+    Triples are sorted by their serialized line, so equal stores write
+    equal files whatever order their triples went in.
     """
-    triples = sorted(
-        store.triples(),
-        key=lambda t: (t.subject.value, t.predicate.value, str(t.object)),
-    )
+    triples = sorted(store.triples(), key=serialize_triple)
     Path(path).write_text(serialize_ntriples(triples), encoding="utf-8")
     return len(triples)

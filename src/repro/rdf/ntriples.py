@@ -23,10 +23,11 @@ parses to the equal triple.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro import obs
 from repro.exceptions import RDFSyntaxError
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.terms import IRI, Literal, Term, Triple
 
 _ESCAPES = {
@@ -210,30 +211,15 @@ def _scan_line(line: str, line_number: int | None) -> Triple | None:
     return Triple(subject, predicate, obj)
 
 
-def _recognised_term(token: str, match: re.Match, terms: dict[str, Term]) -> Term:
-    """Build the term ``token`` spells on a recognised line; file it in ``terms``."""
+def _recognised_term(token: str, match: re.Match) -> Term:
+    """The term ``token`` spells on a line :data:`_RECOGNISED` matched."""
     if token[0] == "<":
-        term: Term = IRI(token[1:-1])
-    else:
-        lexical, language, datatype = match.group(4, 5, 6)
-        term = Literal(
-            lexical,
-            datatype=None if datatype is None else IRI(datatype),
-            language=language,
-        )
-    terms[token] = term
-    return term
-
-
-def _recognised_triple(match: re.Match, terms: dict[str, Term]) -> Triple:
-    """The triple of a line :data:`_RECOGNISED` matched.  ``terms`` maps the
-    tokens seen so far to their terms (a term is never falsy)."""
-    subject, predicate, obj = match.group(1, 2, 3)
-    known = terms.get
-    return Triple(
-        known(subject) or _recognised_term(subject, match, terms),
-        known(predicate) or _recognised_term(predicate, match, terms),
-        known(obj) or _recognised_term(obj, match, terms),
+        return IRI(token[1:-1])
+    lexical, language, datatype = match.group(4, 5, 6)
+    return Literal(
+        lexical,
+        datatype=None if datatype is None else IRI(datatype),
+        language=language,
     )
 
 
@@ -242,7 +228,55 @@ def parse_ntriples_line(line: str, line_number: int | None = None) -> Triple | N
     match = _RECOGNISED(line)
     if match is None:
         return _scan_line(line, line_number)
-    return _recognised_triple(match, {})
+    return Triple(*(_recognised_term(token, match) for token in match.group(1, 2, 3)))
+
+
+def _id_triples(
+    lines: Iterable[str], encode: Callable[[Term], int], literal_ids: set[int]
+) -> Iterator[tuple[int, int, int]]:
+    """The one parse loop: every triple of ``lines`` as ids from
+    ``encode``, literal object ids added to ``literal_ids``.
+
+    Terms are encoded object, subject, predicate — the order
+    :meth:`~repro.rdf.store.TripleStore.add_all` uses, so a dictionary
+    assigns the ids a store filled from :func:`parse_ntriples` would.  A
+    token on a recognised line is encoded once per document: later
+    occurrences are one lookup in a ``token → id`` table.  When the lines
+    are exhausted the tracer's metrics gain
+    ``rdf.ntriples.lines_recognised`` / ``rdf.ntriples.lines_scanned``:
+    the triples read by the pattern and by the scanner.
+    """
+    ids: dict[str, int] = {}
+    known = ids.get
+    recognised = scanned = 0
+    for line_number, line in enumerate(lines, start=1):
+        match = _RECOGNISED(line)
+        if match is not None:
+            recognised += 1
+            subject, predicate, obj = match.group(1, 2, 3)
+            o = known(obj)
+            if o is None:
+                o = ids[obj] = encode(_recognised_term(obj, match))
+                if obj[0] == '"':
+                    literal_ids.add(o)
+            s = known(subject)
+            if s is None:
+                s = ids[subject] = encode(IRI(subject[1:-1]))
+            p = known(predicate)
+            if p is None:
+                p = ids[predicate] = encode(IRI(predicate[1:-1]))
+            yield s, p, o
+        else:
+            triple = _scan_line(line, line_number)
+            if triple is not None:
+                scanned += 1
+                o = encode(triple.object)
+                if isinstance(triple.object, Literal):
+                    literal_ids.add(o)
+                yield encode(triple.subject), encode(triple.predicate), o
+    metrics = obs.get_tracer().metrics
+    metrics.incr("rdf.ntriples.lines_recognised", recognised)
+    metrics.incr("rdf.ntriples.lines_scanned", scanned)
 
 
 def parse_ntriples(text: str | Iterable[str]) -> Iterator[Triple]:
@@ -251,28 +285,15 @@ def parse_ntriples(text: str | Iterable[str]) -> Iterator[Triple]:
     ``text`` is the document as one string or as its lines (an open text
     file — opened with ``newline="\\n"``, so that only LF ends a line).
 
-    A term is built once per document however often its token occurs on
-    recognised lines, so the store's dictionary finds every repeat by
-    identity.  When the document is exhausted the tracer's metrics gain
-    ``rdf.ntriples.lines_recognised`` / ``rdf.ntriples.lines_scanned``:
-    the triples read by the pattern and by the scanner.
+    The triples are a decode of :func:`_id_triples` through a dictionary
+    of this document's own, so a term is built once per document however
+    often it occurs, and every repeat is the same object.
     """
     lines = text.split("\n") if isinstance(text, str) else text
-    terms: dict[str, Term] = {}
-    recognised = scanned = 0
-    for line_number, line in enumerate(lines, start=1):
-        match = _RECOGNISED(line)
-        if match is not None:
-            recognised += 1
-            yield _recognised_triple(match, terms)
-        else:
-            triple = _scan_line(line, line_number)
-            if triple is not None:
-                scanned += 1
-                yield triple
-    metrics = obs.get_tracer().metrics
-    metrics.incr("rdf.ntriples.lines_recognised", recognised)
-    metrics.incr("rdf.ntriples.lines_scanned", scanned)
+    dictionary = TermDictionary()
+    decode = dictionary.decode
+    for s, p, o in _id_triples(lines, dictionary.encode, set()):
+        yield Triple(decode(s), decode(p), decode(o))
 
 
 def _escape(lexical: str) -> str:
@@ -291,11 +312,15 @@ def serialize_term(term: Term) -> str:
     return quoted
 
 
+def serialize_triple(triple: Triple) -> str:
+    """Serialize one triple as an N-Triples line, without its line end."""
+    return (
+        f"{serialize_term(triple.subject)} {serialize_term(triple.predicate)} "
+        f"{serialize_term(triple.object)} ."
+    )
+
+
 def serialize_ntriples(triples: Iterable[Triple]) -> str:
     """Serialize triples as an N-Triples document (one per line)."""
-    lines = [
-        f"{serialize_term(t.subject)} {serialize_term(t.predicate)} "
-        f"{serialize_term(t.object)} ."
-        for t in triples
-    ]
+    lines = [serialize_triple(t) for t in triples]
     return "\n".join(lines) + ("\n" if lines else "")

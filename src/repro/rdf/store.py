@@ -6,10 +6,13 @@ OSP).  The physical index layout is a :class:`repro.rdf.backend.
 StoreBackend` chosen per workload:
 
 * the default :class:`~repro.rdf.backend.DictBackend` is mutable —
-  the right shape while triples stream in during build/mining;
+  the shape for a graph built triple by triple in code (the bundled
+  knowledge bases, the generated ones, tests);
 * :class:`~repro.rdf.backend.CompactBackend` (see :meth:`TripleStore.
   compacted`) is a frozen, sorted-column layout for serve-time replicas
-  and the compiled-snapshot format;
+  and the compiled-snapshot format — and what
+  :func:`~repro.rdf.io.load_store` builds from a dump directly, with no
+  dict indexes in between;
 * :class:`~repro.rdf.shard.ShardedBackend` (see :meth:`TripleStore.
   sharded`) hash-partitions the triples by subject into K frozen compact
   segments — the layout for graphs past one segment's RAM budget, with
@@ -91,8 +94,12 @@ class TripleStore:
         path, kernel row, and index entry keyed by id remains valid) and
         the triples are re-laid-out into a
         :class:`~repro.rdf.backend.CompactBackend`.  The copy carries the
-        current version forward.
+        current version forward.  A store that is already compact (loaded
+        by :func:`~repro.rdf.io.load_store`, say) is not re-sorted: the
+        copy shares its backend.
         """
+        if isinstance(self._backend, CompactBackend):
+            return self._rehoused(self._backend)
         with collector_paused():
             backend = CompactBackend.from_triples(
                 self._backend.triples_ids(), version=self._backend.version
@@ -119,7 +126,7 @@ class TripleStore:
         """A writable overlay store over this store's frozen backend.
 
         The base must already be frozen (``compacted()``, ``sharded()``,
-        or snapshot-loaded); the overlay captures it read-only and layers
+        loaded from a dump or a snapshot); the overlay captures it read-only and layers
         a mutable delta plus tombstones on top — see
         :class:`~repro.rdf.overlay.OverlayBackend`.  Dictionary shared,
         version carried forward, literal bookkeeping copied.
@@ -166,7 +173,7 @@ class TripleStore:
     def add(self, triple: Triple) -> bool:
         """Insert a triple.  Returns True if it was new, False if present."""
         if not self._backend.writable:
-            raise StoreFrozenError("cannot add to a frozen store")
+            raise StoreFrozenError("cannot add to a frozen store; write through .overlay()")
         s = self.dictionary.encode(triple.subject)
         p = self.dictionary.encode(triple.predicate)
         o = self.dictionary.encode(triple.object)
@@ -184,7 +191,7 @@ class TripleStore:
         bulk builder (:mod:`repro.rdf.collector`).
         """
         if not self._backend.writable:
-            raise StoreFrozenError("cannot add to a frozen store")
+            raise StoreFrozenError("cannot add to a frozen store; write through .overlay()")
         encode = self.dictionary.encode
         literal_ids = self._literal_ids
         encoded: list[_IdTriple] = []
@@ -199,7 +206,7 @@ class TripleStore:
     def remove(self, triple: Triple) -> bool:
         """Delete a triple.  Returns True if it was present."""
         if not self._backend.writable:
-            raise StoreFrozenError("cannot remove from a frozen store")
+            raise StoreFrozenError("cannot remove from a frozen store; write through .overlay()")
         s = self.dictionary.lookup_or_none(triple.subject)
         p = self.dictionary.lookup_or_none(triple.predicate)
         o = self.dictionary.lookup_or_none(triple.object)

@@ -180,6 +180,19 @@ class TestFrozenStore:
         )
         assert len(findings) == 1
 
+    def test_fires_on_add_to_a_loaded_dump(self, lint_source):
+        findings = lint_source(
+            """
+            from repro.rdf.io import load_store
+
+            def grow(p, t):
+                load_store(p).add(t)
+            """,
+            rule=self.RULE,
+        )
+        assert len(findings) == 1
+        assert ".add()" in findings[0].message
+
     def test_fires_on_annotated_compact_backend_parameter(self, lint_source):
         findings = lint_source(
             """

@@ -145,7 +145,7 @@ def test_no_full_collection_starts_inside_a_bulk_builder(tmp_path):
         gc.collect()
         assert probe.started == [None]  # the probe sees a full pass
         del probe.started[:]
-        store = probe.during("add_all", lambda: load_store(dump))
+        store = probe.during("load_store", lambda: load_store(dump))
         compact = probe.during("compacted", store.compacted)
         probe.during("sharded", lambda: store.sharded(2))
         kg = KnowledgeGraph(compact)

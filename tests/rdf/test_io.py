@@ -1,10 +1,21 @@
 """Tests for file-level store load/save."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import build_dbpedia_mini
-from repro.exceptions import RDFSyntaxError
-from repro.rdf import IRI, KnowledgeGraph, Literal, Triple, TripleStore
+from repro.exceptions import RDFSyntaxError, StoreFrozenError
+from repro.rdf import (
+    IRI,
+    CompactBackend,
+    DictBackend,
+    KnowledgeGraph,
+    Literal,
+    Triple,
+    TripleStore,
+    parse_ntriples,
+)
 from repro.rdf.io import load_store, save_store
 
 
@@ -92,3 +103,190 @@ class TestLineEndings:
         with pytest.raises(RDFSyntaxError) as excinfo:
             load_store(path)
         assert excinfo.value.line == 2
+
+
+class TestSaveOrder:
+    def test_output_does_not_depend_on_insertion_order(self, tmp_path):
+        # "1", "1"@en and <1> share the lexical form a plain sort key would
+        # read; under one subject and predicate they used to tie.
+        triples = [
+            Triple(IRI("ex:s"), IRI("ex:p"), Literal("1")),
+            Triple(IRI("ex:s"), IRI("ex:p"), Literal("1", language="en")),
+            Triple(IRI("ex:s"), IRI("ex:p"), IRI("1")),
+        ]
+        written = []
+        for order in (triples, triples[::-1]):
+            store = TripleStore()
+            store.add_all(order)
+            path = tmp_path / f"{len(written)}.nt"
+            save_store(store, path)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+
+
+# --------------------------------------------------------------------- #
+# The one-pass loader equals parse → add_all → compacted
+# --------------------------------------------------------------------- #
+
+def _reference(text: str) -> TripleStore:
+    """The two-step load: terms parsed, added to a dict store, re-sorted."""
+    store = TripleStore()
+    store.add_all(parse_ntriples(text))
+    return store.compacted()
+
+
+def _observable(store: TripleStore):
+    columns = store.backend.permutation_columns()
+    return (
+        [store.dictionary.decode(term_id) for term_id in range(len(store.dictionary))],
+        {name: [list(column) for column in three] for name, three in columns.items()},
+        store.version,
+        set(store.iter_literal_ids()),
+    )
+
+
+_NAME = st.sampled_from(["ex:a", "ex:b", "ex:é", "1"])
+_LEXICAL = st.sampled_from(["", "x", "1", "é", "a b", "a\tb", "x\u2028y", "z\x85"])
+_SUFFIX = st.sampled_from(["", "", "@en", "@EN", "@é", "@de-CH", "^^<ex:a>", "^^<ex:dt>"])
+
+
+def _spelled(lexical: str, spelling: str) -> str:
+    """``lexical`` as the inside of a literal token: raw (the recogniser
+    reads it) or with every character a ``\\u`` / ``\\U`` escape, or a
+    tab as ``\\t`` (only the scanner reads those)."""
+    if spelling == "u":
+        return "".join(f"\\u{ord(char):04X}" for char in lexical)
+    if spelling == "U":
+        return "".join(f"\\U{ord(char):08X}" for char in lexical)
+    if spelling == "t":
+        return lexical.replace("\t", "\\t")
+    return lexical
+
+
+_literal_token = st.builds(
+    lambda lexical, spelling, suffix: f'"{_spelled(lexical, spelling)}"{suffix}',
+    _LEXICAL, st.sampled_from(["raw", "raw", "u", "U", "t"]), _SUFFIX,
+)
+_iri_token = _NAME.map(lambda name: f"<{name}>")
+_BLANK = st.sampled_from([" ", " ", "\t", "  ", ""])
+_triple_line = st.builds(
+    lambda s, a, p, b, o, c: f"{s}{a}{p}{b}{o}{c}.",
+    _iri_token, _BLANK, _iri_token, _BLANK, st.one_of(_iri_token, _literal_token), _BLANK,
+)
+_line = st.one_of(
+    _triple_line, _triple_line, _triple_line,
+    st.sampled_from(["", "  ", "# a comment", "\t# another"]),
+)
+
+
+@st.composite
+def _documents(draw):
+    """Lines of every kind, some repeated, each ending in LF or CRLF."""
+    lines = draw(st.lists(_line, max_size=25))
+    lines += draw(st.lists(st.sampled_from(lines), max_size=5)) if lines else []
+    endings = draw(
+        st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines))
+    )
+    return "".join(line + end for line, end in zip(lines, endings))
+
+
+class TestOnePassLoader:
+    @settings(max_examples=150, deadline=None)
+    @given(_documents())
+    def test_equals_parse_add_all_compacted(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("doc") / "doc.nt"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert _observable(load_store(path)) == _observable(_reference(text))
+
+    def test_compiles_byte_identical_to_the_two_step_load(self, tmp_path):
+        from repro.datasets.synthetic import SyntheticConfig, build_synthetic_kg
+        from repro.paraphrase import ParaphraseMiner
+        from repro.paraphrase.miner import RelationPhraseDataset
+        from repro.rdf.snapshot import compile_snapshot
+        from tests.rdf.test_snapshot import _without_stamp
+
+        source = build_synthetic_kg(SyntheticConfig.with_total_triples(10_000))
+        dump = tmp_path / "dump.nt"
+        save_store(source.store, dump)
+        one_pass = KnowledgeGraph(load_store(dump))
+        two_step = KnowledgeGraph(_reference(dump.read_text(encoding="utf-8")))
+        dataset = RelationPhraseDataset()
+        dataset.add("pred zero of", [
+            (t.subject, t.object) for t in one_pass.store.triples(predicate=IRI("syn:pred0"))
+        ][:40])
+        dictionary = ParaphraseMiner(one_pass, max_path_length=3).mine(dataset)
+        compiled = []
+        for name, kg in (("one.snap", one_pass), ("two.snap", two_step)):
+            compile_snapshot(tmp_path / name, kg, dictionary)
+            compiled.append(_without_stamp((tmp_path / name).read_bytes()))
+        assert len(one_pass.store) > 9_000 and len(dictionary) == 1
+        assert compiled[0] == compiled[1]
+
+    def test_builds_no_dict_backend_and_compacted_shares_it(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.nt"
+        path.write_text('<ex:a> <ex:p> <ex:b> .\n<ex:a> <ex:p> "x" .\n', encoding="utf-8")
+        built = []
+        init = DictBackend.__init__
+        monkeypatch.setattr(
+            DictBackend, "__init__", lambda self: (built.append(self), init(self))[1]
+        )
+        store = load_store(path)
+        assert built == []
+        assert isinstance(store.backend, CompactBackend) and not store.writable
+        compact = store.compacted()
+        assert compact.backend is store.backend and compact.dictionary is store.dictionary
+        assert built == []
+
+    def test_a_loaded_store_takes_writes_through_an_overlay(self, tmp_path):
+        path = tmp_path / "data.nt"
+        path.write_text("<ex:a> <ex:p> <ex:b> .\n", encoding="utf-8")
+        store = load_store(path)
+        with pytest.raises(StoreFrozenError, match=r"overlay\(\)"):
+            store.add(Triple(IRI("ex:b"), IRI("ex:p"), IRI("ex:c")))
+        live = store.overlay()
+        assert live.add(Triple(IRI("ex:b"), IRI("ex:p"), IRI("ex:c")))
+        assert len(live) == 2 and live.version == store.version + 1
+
+    def test_empty_file_and_no_triples(self, tmp_path):
+        path = tmp_path / "empty.nt"
+        path.write_text("# nothing here\n\n", encoding="utf-8")
+        store = load_store(path)
+        assert len(store) == 0 and store.version == 0 and len(store.dictionary) == 0
+        assert _observable(store) == _observable(_reference(""))
+        empty = CompactBackend.from_triples([])
+        assert len(empty) == 0 and list(empty.triples_ids()) == []
+        columns = empty.permutation_columns().values()
+        assert all(len(column) == 0 for three in columns for column in three)
+
+
+# --------------------------------------------------------------------- #
+# Fail closed: a parsed store or RDFSyntaxError, nothing else
+# --------------------------------------------------------------------- #
+
+_ANY_CHARACTER = st.characters(blacklist_categories=("Cs",))
+_HOSTILE = st.sampled_from(
+    list('<>"\\#@^. \t_-:\r\n')
+    + ["\u2028", "\x85", "é", "\\u00e9", "\\uD800", "\\U00110000", "<ex:a> ", '"x"']
+)
+
+
+class TestFailClosed:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(_HOSTILE, _HOSTILE, _ANY_CHARACTER), max_size=60).map("".join))
+    def test_any_text_loads_or_raises_a_syntax_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("any") / "any.nt"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            store = load_store(path)
+        except RDFSyntaxError:
+            return
+        assert len(store) <= text.count(".")
+
+    @settings(max_examples=60, deadline=None)
+    @given(_documents())
+    def test_error_line_counts_lf_lines_only(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("bad") / "bad.nt"
+        path.write_text(text + "<ex:a> <ex:p> garbage .\n", encoding="utf-8", newline="")
+        with pytest.raises(RDFSyntaxError) as excinfo:
+            load_store(path)
+        assert excinfo.value.line == text.count("\n") + 1
