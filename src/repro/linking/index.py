@@ -6,13 +6,32 @@ partial phrases retrieve candidates cheaply.  Parenthetical disambiguators
 ("Philadelphia (film)") are stripped from the *key* but kept on the entry,
 which is exactly what makes "Philadelphia" ambiguous — three nodes share
 the normalized key.
+
+The index has one form, columns, whether it was built from a graph or
+opened from a compiled snapshot (which stores :meth:`LabelIndex.columns`
+as they are and hands back ``memoryview`` casts over its mapping):
+
+* the entries — a node-id column, a class-flag column, and the labels and
+  their normalized forms as UTF-8 blobs with offsets — decoded into one
+  list of :class:`IndexEntry`, because :meth:`LabelIndex.by_words` walks
+  them;
+* two key tables of one shape (:class:`KeyTable`): the *word table*
+  (posting key → the entries filed under it) and the *label table*
+  (normalized label → its entries), each a sorted key blob with offsets,
+  run starts and an entry-position column ascending within each run.
+  Neither becomes a ``dict`` or a ``set``: a lookup bisects the keys and
+  reads a run of the positions.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, chain, compress, count, repeat, tee
+from operator import eq, ge, le, lt
 
 from repro.nlp.lemmatizer import lemmatize_noun
 from repro.rdf.graph import KnowledgeGraph
@@ -20,6 +39,17 @@ from repro.rdf.terms import IRI
 
 _PAREN_RE = re.compile(r"\s*\([^)]*\)")
 _NON_WORD_RE = re.compile(r"[^a-z0-9 ]+")
+
+#: The item format of each of :meth:`LabelIndex.columns`, in order: node
+#: ids, class flags, label offsets and blob, normalized offsets and blob;
+#: then the word table and the label table, each key offsets, key blob,
+#: run starts and positions.
+_FORMATS = "qBqBqB" + "qBqq" * 2
+#: :func:`_union` bisects the other runs' positions into the longest run
+#: when it is at least this many times longer than they are together.
+_DOMINANT = 8
+#: The most words :meth:`LabelIndex.by_words` remembers the place of.
+_FOUND_LIMIT = 4096
 
 
 def normalize_label(label: str) -> str:
@@ -62,48 +92,238 @@ class IndexEntry:
     is_class: bool
 
 
+@dataclass(frozen=True, slots=True)
+class KeyTable:
+    """Sorted keys, each filed with an ascending run of entry positions.
+
+    Key ``i`` is ``keys[offsets[i]:offsets[i + 1]]`` — ASCII, since
+    normalized text is ``[a-z0-9 ]``, so byte order is string order — and
+    its run is ``positions[starts[i]:starts[i + 1]]``.
+    """
+
+    offsets: memoryview
+    keys: memoryview
+    starts: memoryview
+    positions: memoryview
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def run(self, i: int) -> memoryview:
+        return self.positions[self.starts[i]:self.starts[i + 1]]
+
+    def items(self):
+        """``(key, run)`` for every key, in key order."""
+        starts = self.starts
+        return zip(
+            _texts(self.offsets, self.keys),
+            map(self.positions.__getitem__, map(slice, starts, starts[1:])),
+        )
+
+    def find(self, key: str) -> int:
+        """The index of ``key``, or -1: a binary search over the blob."""
+        wanted = key.encode("utf-8")
+        offsets, keys = self.offsets, self.keys
+        low, high = 0, len(offsets) - 1
+        while low < high:
+            middle = (low + high) // 2
+            if keys[offsets[middle]:offsets[middle + 1]].tobytes() < wanted:
+                low = middle + 1
+            else:
+                high = middle
+        if low < len(offsets) - 1 and keys[offsets[low]:offsets[low + 1]] == wanted:
+            return low
+        return -1
+
+    def check(self, entries: int) -> None:
+        """Raise ``ValueError`` unless the columns are a table over
+        ``entries`` entries."""
+        offsets, starts, positions = self.offsets, self.starts, self.positions
+        _check_offsets(offsets, self.keys, "key")
+        str(self.keys, "ascii")  # or UnicodeDecodeError, a ValueError
+        if (
+            len(starts) != len(offsets)
+            or starts[0] != 0
+            or starts[-1] != len(positions)
+            or not all(map(lt, starts, starts[1:]))
+        ):
+            raise ValueError("run starts do not rise from 0 to the position count")
+        if positions and (min(positions) < 0 or max(positions) >= entries):
+            raise ValueError(f"a position is not one of the {entries} entries")
+        # Wherever the column does not rise, a new run must begin.
+        if not set(compress(count(1), map(ge, positions, positions[1:]))) <= set(starts):
+            raise ValueError("a run of positions is not ascending")
+        earlier, later = tee(map(bytes, _slices(offsets, self.keys)))
+        next(later, None)
+        if not all(map(lt, earlier, later)):
+            raise ValueError("keys are not strictly ascending")
+
+
+def _slices(offsets: memoryview, blob: memoryview):
+    return map(blob.__getitem__, map(slice, offsets, offsets[1:]))
+
+
+def _texts(offsets: memoryview, blob: memoryview):
+    return map(str, _slices(offsets, blob), repeat("utf-8"))
+
+
+def _check_offsets(offsets: memoryview, blob: memoryview, what: str) -> None:
+    if (
+        not offsets
+        or offsets[0] != 0
+        or offsets[-1] != len(blob)
+        or not all(map(le, offsets, offsets[1:]))
+    ):
+        raise ValueError(f"{what} offsets decrease or do not span their blob")
+
+
+def _blob(texts: list[str]) -> tuple[array, bytes]:
+    data = [text.encode("utf-8") for text in texts]
+    return array("q", accumulate(map(len, data), initial=0)), b"".join(data)
+
+
+def _table(runs: dict[str, list[int]]) -> tuple:
+    keys = sorted(runs)
+    ordered = [runs[key] for key in keys]
+    return (
+        *_blob(keys),
+        array("q", accumulate(map(len, ordered), initial=0)),
+        array("q", chain.from_iterable(ordered)),
+    )
+
+
+def _columns(entries: list[IndexEntry]) -> list:
+    """The columns of an index over ``entries`` (in ``_FORMATS`` order)."""
+    words: dict[str, list[int]] = {}
+    labels: dict[str, list[int]] = {}
+    for position, entry in enumerate(entries):
+        labels.setdefault(entry.normalized, []).append(position)
+        for word in _posting_keys(entry.normalized):
+            words.setdefault(word, []).append(position)
+    return [
+        array("q", [entry.node_id for entry in entries]),
+        bytes([entry.is_class for entry in entries]),
+        *_blob([entry.label for entry in entries]),
+        *_blob([entry.normalized for entry in entries]),
+        *_table(words),
+        *_table(labels),
+    ]
+
+
+def _decoded(columns: list[memoryview], terms: int) -> list[IndexEntry]:
+    """The entries the first six columns hold, checked; a normalized
+    label equal to its label is the label's own object."""
+    node_ids, flags, label_offsets, labels, normalized_offsets, normalized = columns[:6]
+    if not len(flags) == len(node_ids) == len(label_offsets) - 1 == len(normalized_offsets) - 1:
+        raise ValueError("the entry columns disagree on length")
+    _check_offsets(label_offsets, labels, "label")
+    _check_offsets(normalized_offsets, normalized, "normalized label")
+    if node_ids and (min(node_ids) < 0 or max(node_ids) >= terms):
+        raise ValueError(f"an entry's node id is not one of the {terms} term ids")
+    if not set(flags) <= {0, 1}:
+        raise ValueError("a class flag is not 0 or 1")
+    texts = list(_texts(label_offsets, labels))
+    keys = [
+        label if key == label else key
+        for label, key in zip(texts, _texts(normalized_offsets, normalized))
+    ]
+    # One run of entries after their strings, not in among them: by_words
+    # walks them on every question, and a walk over interleaved objects
+    # measured ~10 % slower.
+    return list(map(IndexEntry, node_ids, texts, keys, map(bool, flags)))
+
+
+def _union(runs: list[memoryview]):
+    """The positions of all ``runs``, ascending, each once.
+
+    A lone run is served as it is; a run that dominates has the others'
+    few positions bisected into it; otherwise one ``set`` union is built
+    for the call.
+    """
+    if not runs:
+        return ()
+    runs.sort(key=len)
+    longest = runs.pop()
+    if not runs:
+        return longest
+    rest = set().union(*runs)
+    if len(rest) * _DOMINANT > len(longest):
+        rest.update(longest)
+        return sorted(rest)
+    merged: list[int] = []
+    start = 0
+    for position in sorted(rest):
+        at = bisect_left(longest, position, start)
+        merged.extend(longest[start:at])
+        if at == len(longest) or longest[at] != position:
+            merged.append(position)
+        start = at
+    merged.extend(longest[start:])
+    return merged
+
+
 class LabelIndex:
-    """Exact and word-overlap retrieval over graph node labels."""
+    """Exact and word-overlap retrieval over graph node labels.
 
-    def __init__(self, kg: KnowledgeGraph):
+    ``LabelIndex(kg)`` builds the columns from the graph; ``columns``
+    (``_FORMATS`` order, anything with a buffer) opens them instead — every
+    column checked, ``ValueError`` if they do not describe an index over
+    ``kg``'s terms.
+    """
+
+    def __init__(self, kg: KnowledgeGraph, columns: list | None = None):
         self.kg = kg
-        self._exact: dict[str, list[IndexEntry]] = {}
-        self._by_word: dict[str, set[int]] = {}  # word → entry positions
-        self._entries: list[IndexEntry] = []
         self._words_of: dict[int, list[str]] | None = None
-        self._build()
-
-    @classmethod
-    def prebuilt(
-        cls,
-        kg: KnowledgeGraph,
-        entries: list[IndexEntry],
-        exact: dict[str, list[IndexEntry]],
-        by_word: dict[str, set[int]],
-    ) -> "LabelIndex":
-        """An index over structures a compiled snapshot already holds.
-
-        Skips the full build — no triple scan, no label normalization,
-        no lemmatizing: the snapshot reader decodes the persisted entries
-        (in insertion order), the exact-match map over their stored
-        normalized keys and the word posting sets straight into the
-        objects given here, and the index adopts them as they are.
-        """
-        index = cls.__new__(cls)
-        index.kg = kg
-        index._entries = entries
-        index._exact = exact
-        index._by_word = by_word
-        index._words_of = None
-        return index
+        #: Word → its index in the word table (-1: not there), for the
+        #: words lookups have asked for: a bisection of the key blob is a
+        #: Python loop, ~50× a ``dict`` hit.  Emptied when it reaches
+        #: ``_FOUND_LIMIT`` items, so phrases cannot grow it without bound.
+        self._found: dict[str, int] = {}
+        opened = columns is not None
+        if not opened:
+            self._entries: list[IndexEntry] = []
+            self._filed: set[tuple[int, str]] = set()
+            self._build()
+            del self._filed
+            columns = _columns(self._entries)
+        try:
+            columns = [
+                memoryview(column).cast("B").cast(item)
+                for column, item in zip(columns, _FORMATS, strict=True)
+            ]
+        except TypeError as exc:  # a column's length is not a multiple of 8
+            raise ValueError(str(exc)) from None
+        self._columns = columns
+        self._words = words = KeyTable(*columns[6:10])
+        self._labels = labels = KeyTable(*columns[10:14])
+        if opened:
+            self._entries = _decoded(columns, len(kg.store.dictionary))
+            words.check(len(self._entries))
+            labels.check(len(self._entries))
+        # The label table is searched by C ``bisect`` over each run's first
+        # entry's own normalized string: no new string objects.
+        self._label_keys = [
+            self._entries[position].normalized
+            for position in map(labels.positions.__getitem__, labels.starts[:-1])
+        ]
+        if opened and not all(map(eq, self._label_keys, (key for key, _run in labels.items()))):
+            raise ValueError("a label key is not the label of its run")
 
     def entries(self) -> list[IndexEntry]:
         """All (node, label) entries in insertion order (read-only)."""
         return self._entries
 
-    def word_postings(self) -> dict[str, set[int]]:
-        """word → entry-position posting lists (read-only)."""
-        return self._by_word
+    def columns(self) -> list[memoryview]:
+        """The index as a snapshot stores it, ``_FORMATS`` order (read-only)."""
+        return self._columns
+
+    def word_postings(self) -> KeyTable:
+        """The word table: posting key → entry positions (read-only)."""
+        return self._words
+
+    def label_postings(self) -> KeyTable:
+        """The label table: normalized label → entry positions (read-only)."""
+        return self._labels
 
     def _build(self) -> None:
         store = self.kg.store
@@ -144,19 +364,22 @@ class LabelIndex:
 
     def _add_entry(self, node_id: int, label: str, is_class: bool) -> None:
         normalized = normalize_label(label)
-        if not normalized:
+        if not normalized or (node_id, normalized) in self._filed:
             return
-        entry = IndexEntry(node_id, label, normalized, is_class)
-        if any(e.node_id == node_id for e in self._exact.get(normalized, ())):
-            return
-        position = len(self._entries)
-        self._entries.append(entry)
-        self._exact.setdefault(normalized, []).append(entry)
-        for word in _posting_keys(normalized):
-            self._by_word.setdefault(word, set()).add(position)
+        self._filed.add((node_id, normalized))
+        if normalized == label:
+            normalized = label
+        self._entries.append(IndexEntry(node_id, label, normalized, is_class))
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def _labelled(self, normalized: str) -> list[IndexEntry]:
+        keys = self._label_keys
+        i = bisect_left(keys, normalized)
+        if i == len(keys) or keys[i] != normalized:
+            return []
+        return list(map(self._entries.__getitem__, self._labels.run(i)))
 
     def exact(self, phrase: str) -> list[IndexEntry]:
         """Entries whose normalized label equals the normalized phrase.
@@ -164,26 +387,34 @@ class LabelIndex:
         Tries the phrase as-is and with its head word singularised
         ("movies" → "movie")."""
         normalized = normalize_label(phrase)
-        found = list(self._exact.get(normalized, ()))
+        found = self._labelled(normalized)
         words = normalized.split()
         if words:
             singular = " ".join(words[:-1] + [lemmatize_noun(words[-1])])
             if singular != normalized:
-                found.extend(self._exact.get(singular, ()))
+                found.extend(self._labelled(singular))
         return found
 
     def by_words(self, phrase: str) -> list[IndexEntry]:
-        """Entries sharing at least one word with the phrase."""
-        positions: set[int] = set()
+        """Entries sharing at least one word with the phrase, in position
+        order: the union of the words' runs."""
+        table, found = self._words, self._found
+        runs = []
         for word in lookup_words(phrase):
-            positions |= self._by_word.get(word, set())
-        return [self._entries[position] for position in sorted(positions)]
+            i = found.get(word)
+            if i is None:
+                if len(found) >= _FOUND_LIMIT:
+                    found.clear()
+                i = found[word] = table.find(word)
+            if i >= 0:
+                runs.append(table.run(i))
+        return list(map(self._entries.__getitem__, _union(runs)))
 
     def words_of(self, node_id: int) -> list[str]:
         """The posting keys the node's entries are filed under (read-only;
         empty for a node the index does not know).
 
-        The inverse of the posting lists, built by one pass over them on
+        The inverse of the word table, built by one pass over its runs on
         the first call — a writer's question ("whose link lists can a
         change to this node reach?"), so a process that never writes
         never builds it.  Callers serialise the first call (the serving
@@ -193,8 +424,8 @@ class LabelIndex:
         if words_of is None:
             words_of = {}
             entries = self._entries
-            for word, positions in self._by_word.items():
-                for position in positions:
+            for word, run in self._words.items():
+                for position in run:
                     words_of.setdefault(entries[position].node_id, []).append(word)
             self._words_of = words_of
         return words_of.get(node_id, [])

@@ -15,7 +15,7 @@ phase (Section 4.2) reads, and nothing else —
   :class:`~repro.rdf.backend.CompactBackend` (raw ``array('q')`` bytes),
 * the literal-id set,
 * the prebuilt adjacency-kernel rows,
-* the entity-linker index entries/postings,
+* the entity-linker label index as its columns, and the max degree,
 * the mined paraphrase dictionary **by id** (signed steps).
 
 The class set and the ``rdfs:subClassOf`` closures are not in it: the
@@ -26,21 +26,22 @@ Because every id is stable across the round-trip, loading is an **open**,
 not a load: no parsing, no re-encoding, no re-mining, no index rebuild —
 and what is already a column in the file is never rebuilt as Python
 objects either.  Each file is memory-mapped; the permutation columns, the
-kernel's four CSR columns and the term table's three are ``memoryview``
-casts straight over the mapping.  A kernel row is boxed into its pair of
-tuples when a query first reads it, a term object is built when its id is
-first decoded, a term is found by bisecting the record-sorted id column.
-What has no columnar form is decoded exactly once, into the object that
-serves it: the literal id set and the paraphrase dictionary at open; the
-linker's entries and posting sets when
-:meth:`CompiledState.build_linker` asks for them.  The columns stay in the
+kernel's four CSR columns, the term table's three and the label index's
+word and label tables are ``memoryview`` casts straight over the mapping.
+A kernel row is boxed into its pair of tuples when a query first reads
+it, a term object is built when its id is first decoded, a term is found
+by bisecting the record-sorted id column, a posting is a run of the
+mapping.  What has no columnar form is decoded exactly once at open, into
+the object that serves it: the literal id set, the paraphrase dictionary
+and the label index's entries (``by_words`` walks them on every
+question).  The columns stay in the
 page cache, shared read-only between every process that maps the same
 file — which is what makes pre-fork serving (:mod:`repro.serve.prefork`)
 cheap: N workers, one physical copy.  A view serves the file's bytes as
 they are, so a snapshot written on a machine of the other byte order is
 refused (recompile it on the serving host).
 
-File layout (format 3)::
+File layout (format 4)::
 
     MAGIC | u32 format | u8 byteorder
     | u64 meta_len | meta JSON | u32 section_count | directory entries...
@@ -110,6 +111,7 @@ from repro.rdf.shard import PARTITION_SCHEME, ShardedBackend
 from repro.rdf.store import TripleStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (linking sits above rdf)
+    from repro.linking.index import LabelIndex
     from repro.linking.linker import EntityLinker
     from repro.paraphrase.dictionary import ParaphraseDictionary
 
@@ -123,7 +125,7 @@ __all__ = [
 ]
 
 _MAGIC = b"REPROSNAP\x00"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 #: Version of the sharded-manifest JSON layout.
 MANIFEST_VERSION = 1
 _MANIFEST_FORMAT = "reprosnap-manifest"
@@ -142,7 +144,7 @@ _VERIFY_CHUNK = 1 << 21
 #: query pages in on demand last.
 _SECTION_COLUMNS = {
     "literals": 1,    # ids
-    "linker": 1,      # record stream
+    "linker": 15,     # LabelIndex.columns(), max degree
     "dictionary": 1,  # record stream
     "kernel": 4,      # node_ids, row_lens, flat_steps, flat_neighbors
     "terms": 3,       # offsets, records, ids sorted by record
@@ -217,9 +219,6 @@ class _Reader:
     def u64(self) -> int:
         return self.unpack(_U64)[0]
 
-    def i64(self) -> int:
-        return self.unpack(_I64)[0]
-
     def f64(self) -> float:
         return self.unpack(_F64)[0]
 
@@ -236,7 +235,10 @@ class _Reader:
         return view[start:end]
 
     def text(self) -> str:
-        return str(self._prefixed(_U32, 1), "utf-8")
+        try:
+            return str(self._prefixed(_U32, 1), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise SnapshotError(f"snapshot section holds text that is not UTF-8: {exc}") from None
 
     def int_column(self) -> memoryview:
         """A length-prefixed int64 column, as a view over the stream."""
@@ -246,10 +248,7 @@ class _Reader:
 _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-_I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
-#: One linker entry's fixed fields: node id, is-class flag.
-_LINKER_ENTRY = struct.Struct("<qB")
 
 
 def _ints(column: memoryview) -> memoryview:
@@ -317,45 +316,22 @@ class CompiledState:
     kg: KnowledgeGraph
     dictionary: "ParaphraseDictionary"
     info: SnapshotInfo
-    #: The ``linker`` section as the file holds it; :meth:`build_linker`
-    #: is its one reader.
-    linker: memoryview
+    #: The label index opened over the ``linker`` section's columns.
+    index: "LabelIndex"
+    #: The linker's prominence ceiling, stored beside the index.
+    max_degree: int
     mapping: mmap.mmap
 
     def build_linker(self) -> "EntityLinker":
-        """An :class:`EntityLinker` over the compiled label-index entries.
+        """An :class:`EntityLinker` over the compiled label index.
 
         Skips the linker's scan-everything index build *and* its
-        max-degree sweep — both were done at compile time.  Entries, the
-        exact-match map, the posting sets and the max degree are decoded
-        here, once each and in file order, into the objects that serve
-        them.
+        max-degree sweep — both were done at compile time, and the index
+        was opened with the state.
         """
-        from repro.linking.index import IndexEntry, LabelIndex
         from repro.linking.linker import EntityLinker
 
-        reader = _Reader(self.linker)
-        node_ids, labels, keys, flags = [], [], [], []
-        for _ in range(reader.u64()):
-            node_id, is_class = reader.unpack(_LINKER_ENTRY)
-            node_ids.append(node_id)
-            flags.append(bool(is_class))
-            labels.append(reader.text())
-            keys.append(reader.text())
-        # The entries are allocated in one run, after their strings, not
-        # in among them: ``LabelIndex.by_words`` walks them on every
-        # question, and a walk over interleaved objects measured ~10 %
-        # slower.
-        entries = list(map(IndexEntry, node_ids, labels, keys, flags))
-        exact: dict[str, list[IndexEntry]] = {}
-        for entry in entries:
-            exact.setdefault(entry.normalized, []).append(entry)
-        by_word: dict[str, set[int]] = {}
-        for _ in range(reader.u64()):
-            word = reader.text()
-            by_word[word] = set(reader.int_column())
-        index = LabelIndex.prebuilt(self.kg, entries, exact, by_word)
-        return EntityLinker(self.kg, index=index, max_degree=reader.i64())
+        return EntityLinker(self.kg, index=self.index, max_degree=self.max_degree)
 
 
 # --------------------------------------------------------------------- #
@@ -465,19 +441,7 @@ def _encode_state_sections(
     # Rows that were never boxed go back out as the column slices they are.
     sections["kernel"] = list(kg.kernel.full_rows().columns())
 
-    entries = linker.index.entries()
-    postings = linker.index.word_postings()
-    linker_parts = [struct.pack("<Q", len(entries))]
-    for entry in entries:
-        linker_parts.append(_LINKER_ENTRY.pack(entry.node_id, entry.is_class))
-        linker_parts.append(_pack_str(entry.label))
-        linker_parts.append(_pack_str(entry.normalized))
-    linker_parts.append(struct.pack("<Q", len(postings)))
-    for word in sorted(postings):
-        linker_parts.append(_pack_str(word))
-        linker_parts.append(_pack_array(array("q", sorted(postings[word]))))
-    linker_parts.append(struct.pack("<q", linker.max_degree))
-    sections["linker"] = [b"".join(linker_parts)]
+    sections["linker"] = [*linker.index.columns(), array("q", [linker.max_degree])]
 
     phrases = sorted(dictionary.phrases())
     dict_parts = [struct.pack("<Q", len(phrases))]
@@ -728,10 +692,11 @@ def _assemble_state(
     """Wire every non-permutation section into the object that serves it
     (shared by both snapshot forms).
 
-    The term table and the kernel rows stay columns over the mapping; the
-    literal id set and the paraphrase dictionary are decoded here, once;
-    the linker section waits for :meth:`CompiledState.build_linker`.
+    The term table, the kernel rows and the label index's tables stay
+    columns over the mapping; the literal id set, the paraphrase
+    dictionary and the label index's entries are decoded here, once.
     """
+    from repro.linking.index import LabelIndex
     from repro.paraphrase.dictionary import ParaphraseDictionary, PredicateMapping
 
     offsets, records, by_record = sections["terms"]
@@ -769,11 +734,21 @@ def _assemble_state(
             f"{info.phrases} — inconsistent file"
         )
 
+    *index_columns, max_degree = sections["linker"]
+    try:
+        index = LabelIndex(kg, index_columns)
+    except ValueError as exc:
+        raise SnapshotError(f"malformed linker section in {info.path}: {exc}") from exc
+    max_degree = _ints(max_degree)
+    if len(max_degree) != 1 or max_degree[0] < 1:
+        raise SnapshotError(f"malformed linker section in {info.path}: no max degree >= 1")
+
     return CompiledState(
         kg=kg,
         dictionary=paraphrases,
         info=info,
-        linker=sections["linker"][0],
+        index=index,
+        max_degree=max_degree[0],
         mapping=mapping,
     )
 

@@ -114,7 +114,10 @@ class TestNoForksGrowBack:
 
     def test_opened_state_has_one_path_each(self):
         """Rows, terms and linker material of a snapshot are served one
-        way: the eager constructors were replaced, not kept beside."""
+        way: the eager constructors were replaced, not kept beside.  The
+        label index is columns whether built or opened — no posting
+        ``set``s or exact-match ``dict`` beside them."""
+        from repro.datasets import build_dbpedia_mini
         from repro.linking.index import LabelIndex
         from repro.rdf.dictionary import TermDictionary
         from repro.rdf.kernel import AdjacencyKernel
@@ -123,10 +126,15 @@ class TestNoForksGrowBack:
         assert list(inspect.signature(AdjacencyKernel.__init__).parameters) == [
             "self", "store", "columns", "patch_from",
         ]
+        assert list(inspect.signature(LabelIndex.__init__).parameters) == [
+            "self", "kg", "columns",
+        ]
         assert not hasattr(TermDictionary, "from_terms")
-        assert not hasattr(LabelIndex, "from_compiled")
+        index = LabelIndex(build_dbpedia_mini())
+        for member in ("from_compiled", "prebuilt", "_by_word", "_exact"):
+            assert not hasattr(index, member), member
         assert [field.name for field in dataclasses.fields(CompiledState)] == [
-            "kg", "dictionary", "info", "linker", "mapping",
+            "kg", "dictionary", "info", "index", "max_degree", "mapping",
         ]
 
     def test_kernel_knows_nothing_about_shards(self):
@@ -215,7 +223,7 @@ class TestNoForksGrowBack:
         assert list(inspect.signature(KnowledgeGraph.__init__).parameters) == [
             "self", "store", "kernel",
         ]
-        assert snapshot.FORMAT_VERSION == 3
+        assert snapshot.FORMAT_VERSION == 4
         assert snapshot._SECTIONS == (
             "literals", "linker", "dictionary", "kernel", "terms", "spo", "pos", "osp",
         )

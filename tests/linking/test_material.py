@@ -102,7 +102,10 @@ def test_material_equals_the_per_node_reference(build, composition):
     linker = EntityLinker(kg)
     reference = _PerNodeLabelIndex(kg)
     assert linker.index.entries() == reference.entries()
+    # The entry columns, the word table and the label table, column by column.
+    assert linker.index.columns() == reference.columns()
     assert linker.index.word_postings() == reference.word_postings()
+    assert linker.index.label_postings() == reference.label_postings()
     assert linker.max_degree == _per_node_max_degree(kg)
     twice = kg.id_of(IRI("ex:twice"))
     assert len([e for e in linker.index.entries() if e.node_id == twice]) >= 3

@@ -168,22 +168,49 @@ class TestKernelEquivalence:
         assert loaded.kg.class_ids == kg.class_ids
 
 
+class _RecordingLinker:
+    """Passes every call through to ``linker``; keeps each linked phrase."""
+
+    def __init__(self, linker):
+        self.linker = linker
+        self.phrases = []
+
+    def link(self, phrase, tracer=None):
+        self.phrases.append(phrase)
+        return self.linker.link(phrase, tracer)
+
+    def __getattr__(self, name):
+        return getattr(self.linker, name)
+
+
 class TestLinkerEquivalence:
     def test_compiled_linker_matches_fresh(self, setup, loaded):
+        """Every phrase the QALD questions link, field for field, and the
+        posting keys of every indexed node."""
         from repro.linking import EntityLinker
 
-        kg, _ = setup
+        kg, dictionary = setup
         fresh = EntityLinker(kg)
         compiled = loaded.build_linker()
         assert compiled.max_degree == fresh.max_degree
-        for phrase in ("Philadelphia", "actor", "Margaret Thatcher", "films"):
+        recording = _RecordingLinker(fresh)
+        system = GAnswer(kg, dictionary, linker=recording)
+        for question in qald_questions():
+            system.answer(question.text)
+        phrases = recording.phrases + ["Philadelphia", "actor", "Margaret Thatcher", "films"]
+        assert len(phrases) > 100
+        for phrase in phrases:
             assert [
                 (c.node_id, c.label, c.score, c.is_class)
                 for c in compiled.link(phrase)
             ] == [
                 (c.node_id, c.label, c.score, c.is_class)
                 for c in fresh.link(phrase)
-            ]
+            ], phrase
+        assert compiled.index.entries() == fresh.index.entries()
+        for entry in fresh.index.entries():
+            node = entry.node_id
+            assert sorted(compiled.index.words_of(node)) == sorted(fresh.index.words_of(node))
 
 
 class TestAnswerEquivalence:
@@ -358,13 +385,13 @@ def _misaligned(extents):
     extents[-1][1] -= 1
 
 
-def _with_column(sections, name, index, edit):
-    """``sections`` with int64 column ``index`` of section ``name`` edited
-    in place by ``edit(array)``."""
+def _with_column(sections, name, index, edit, typecode="q"):
+    """``sections`` with column ``index`` of section ``name`` edited in
+    place by ``edit(array)`` — int64 items, or bytes for ``typecode="B"``."""
     changed = []
     for section, columns in sections:
         if section == name.encode("ascii"):
-            values = array("q", columns[index])
+            values = array(typecode, columns[index])
             edit(values)
             columns = [*columns[:index], values.tobytes(), *columns[index + 1:]]
         changed.append((section, columns))
@@ -381,6 +408,58 @@ def _repeat_first(values):
 
 def _lengthen_first(values):
     values[0] += 1
+
+
+def _lengthen_last(values):
+    values[-1] += 1
+
+
+def _drop_last(values):
+    del values[-1]
+
+
+def _zero_first(values):
+    values[0] = 0
+
+
+def _two_first(values):
+    values[0] = 2
+
+
+def _tilde_first(values):
+    values[0] = ord("~")  # ASCII, and above every [a-z0-9 ] byte
+
+
+def _million_last(values):
+    values[-1] = 10**6
+
+
+def _not_utf8_at(offset):
+    def edit(values):
+        values[offset] = 0xFF
+
+    return edit
+
+
+#: Columns of the ``linker`` section: ``LabelIndex.columns()`` — node ids,
+#: class flags, label offsets and blob, normalized offsets and blob, the
+#: word table and the label table (key offsets, keys, run starts,
+#: positions each) — then the max degree.
+_NODE_IDS, _FLAGS, _LABEL_OFFSETS, _LABELS = 0, 1, 2, 3
+_WORD_KEYS, _WORD_STARTS, _WORD_POSITIONS = 7, 8, 9
+_MAX_DEGREE = 14
+
+
+def _descending_word_run(sections):
+    """The first word run of two or more positions, reversed."""
+    (columns,) = [columns for name, columns in sections if name == b"linker"]
+    starts = array("q", columns[_WORD_STARTS])
+    start, end = next((a, b) for a, b in zip(starts, starts[1:]) if b - a > 1)
+
+    def reverse(values):
+        values[start:end] = values[start:end][::-1]
+
+    return _with_column(sections, "linker", _WORD_POSITIONS, reverse)
 
 
 #: Well-signed but malformed: each maps a good container's parts to the
@@ -404,6 +483,40 @@ _MALFORMATIONS = {
     ),
     "kernel_row_lens_do_not_sum": lambda h, m, s: _join_container(
         h, m, _with_column(s, "kernel", 1, _lengthen_first)
+    ),
+    # Text that is not UTF-8, and a posting past the entries, used to
+    # escape as UnicodeDecodeError at open or IndexError from link().
+    "dictionary_text_not_utf8": lambda h, m, s: _join_container(
+        h, m, _with_column(s, "dictionary", 0, _not_utf8_at(12), "B")  # u64 count, u32 length
+    ),
+    "linker_label_not_utf8": lambda h, m, s: _join_container(
+        h, m, _with_column(s, "linker", _LABELS, _not_utf8_at(0), "B")
+    ),
+    "linker_position_past_entries": lambda h, m, s: _join_container(
+        h, m, _with_column(s, "linker", _WORD_POSITIONS, _million_last)
+    ),
+    # Format 4's linker columns, one rule each.
+    "linker_offsets_decrease": lambda h, m, s: _join_container(
+        h, m, _with_column(s, "linker", _LABEL_OFFSETS, _swap_first_two)
+    ),
+    "linker_offsets_past_blob": lambda h, m, s: _join_container(
+        h, m, _with_column(s, "linker", _LABEL_OFFSETS, _lengthen_last)
+    ),
+    "linker_run_starts_do_not_rise": lambda h, m, s: _join_container(
+        h, m, _with_column(s, "linker", _WORD_STARTS, _repeat_first)
+    ),
+    "linker_run_not_ascending": lambda h, m, s: _join_container(h, m, _descending_word_run(s)),
+    "linker_keys_not_ascending": lambda h, m, s: _join_container(
+        h, m, _with_column(s, "linker", _WORD_KEYS, _tilde_first, "B")
+    ),
+    "linker_flag_not_0_or_1": lambda h, m, s: _join_container(
+        h, m, _with_column(s, "linker", _FLAGS, _two_first, "B")
+    ),
+    "linker_entry_columns_disagree": lambda h, m, s: _join_container(
+        h, m, _with_column(s, "linker", _NODE_IDS, _drop_last)
+    ),
+    "linker_max_degree_zero": lambda h, m, s: _join_container(
+        h, m, _with_column(s, "linker", _MAX_DEGREE, _zero_first)
     ),
 }
 
@@ -437,14 +550,14 @@ class TestIntegrity:
             load_snapshot(bad)
 
     def test_previous_format_refused_not_converted(self, snapshot, tmp_path):
-        """There is one reader: a format-2 file (a label dict, a class set
-        and two closures beside the kernel) is named, refused and sent back
+        """There is one reader: a format-3 file (the linker as one record
+        stream, decoded into posting sets) is named, refused and sent back
         to the compiler — its body is never looked at."""
         path, raw = self._bytes(snapshot)
-        raw[10] = 2
-        bad = tmp_path / "format2.snap"
+        raw[10] = 3
+        bad = tmp_path / "format3.snap"
         bad.write_bytes(raw)
-        with pytest.raises(SnapshotError, match=r"format 2 .*reads format 3.*recompile"):
+        with pytest.raises(SnapshotError, match=r"format 3 .*reads format 4.*recompile"):
             load_snapshot(bad)
 
     def test_flipped_body_byte_rejected(self, snapshot, tmp_path):
