@@ -39,6 +39,7 @@ from repro.rdf.terms import IRI
 
 _PAREN_RE = re.compile(r"\s*\([^)]*\)")
 _NON_WORD_RE = re.compile(r"[^a-z0-9 ]+")
+_NON_ASCII_RE = re.compile(rb"[^\x00-\x7f]")
 
 #: The item format of each of :meth:`LabelIndex.columns`, in order: node
 #: ids, class flags, label offsets and blob, normalized offsets and blob;
@@ -137,10 +138,16 @@ class KeyTable:
 
     def check(self, entries: int) -> None:
         """Raise ``ValueError`` unless the columns are a table over
-        ``entries`` entries."""
+        ``entries`` entries.
+
+        Every rule walks the columns in place and collects nothing: a
+        set of boxed positions, freed after the check, left its arenas
+        with the allocator for the life of the process.
+        """
         offsets, starts, positions = self.offsets, self.starts, self.positions
         _check_offsets(offsets, self.keys, "key")
-        str(self.keys, "ascii")  # or UnicodeDecodeError, a ValueError
+        if _NON_ASCII_RE.search(self.keys):
+            raise ValueError("a key is not ASCII")
         if (
             len(starts) != len(offsets)
             or starts[0] != 0
@@ -150,9 +157,18 @@ class KeyTable:
             raise ValueError("run starts do not rise from 0 to the position count")
         if positions and (min(positions) < 0 or max(positions) >= entries):
             raise ValueError(f"a position is not one of the {entries} entries")
-        # Wherever the column does not rise, a new run must begin.
-        if not set(compress(count(1), map(ge, positions, positions[1:]))) <= set(starts):
-            raise ValueError("a run of positions is not ascending")
+        # Wherever the column does not rise, a new run must begin: one
+        # merge walk over the descents and the run starts, both ascending
+        # (and every descent is below the last start, the position count).
+        run_starts = iter(starts)
+        start = 0
+        for descent in compress(count(1), map(ge, positions, positions[1:])):
+            if start < descent:
+                for start in run_starts:
+                    if start >= descent:
+                        break
+            if start != descent:
+                raise ValueError("a run of positions is not ascending")
         earlier, later = tee(map(bytes, _slices(offsets, self.keys)))
         next(later, None)
         if not all(map(lt, earlier, later)):

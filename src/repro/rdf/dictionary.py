@@ -47,6 +47,7 @@ _KIND_RECLAIMED = 4
 #: The term-table record of an id whose term was reclaimed: no term
 #: encodes to it, and it sorts after every record that is a term.
 RECLAIMED_RECORD = bytes((_KIND_RECLAIMED,))
+_LITERAL_KINDS = frozenset((_KIND_PLAIN, _KIND_TYPED, _KIND_LANG))
 
 
 def encode_term_record(term: Term) -> bytes:
@@ -165,6 +166,18 @@ class TermDictionary:
             by_record, RECLAIMED_RECORD, key=dictionary._record
         )
         return dictionary
+
+    def base_literals(self, term_ids: Iterable[int]) -> bool:
+        """Whether every id of ``term_ids`` — ids of the frozen base — has
+        a literal's record: not an IRI's, not :data:`RECLAIMED_RECORD`.
+
+        Reads each record's kind byte in place and builds nothing per id:
+        an open checks the literal flags with it.
+        """
+        offsets, records = self._offsets, self._records
+        return _LITERAL_KINDS.issuperset(
+            map(records.__getitem__, map(offsets.__getitem__, term_ids))  # type: ignore[union-attr]
+        )
 
     def _record(self, term_id: int) -> bytes:
         offsets = self._offsets

@@ -29,12 +29,12 @@ def load_store(path: str | Path) -> TripleStore:
     To write to the result, take ``.overlay()``.
     """
     dictionary = TermDictionary()
-    literal_ids: set[int] = set()
+    literal_flags = bytearray()
     # newline="\n": only LF ends a line (a raw U+2028 in a literal is data).
     with open(path, encoding="utf-8", newline="\n") as lines, collector_paused():
-        triples = set(_id_triples(lines, dictionary.encode, literal_ids))
+        triples = set(_id_triples(lines, dictionary.encode, literal_flags))
         backend = CompactBackend.from_triples(triples, version=len(triples))
-    return TripleStore(backend, dictionary, literal_ids)
+    return TripleStore(backend, dictionary, literal_flags)
 
 
 def save_store(store: TripleStore, path: str | Path) -> int:

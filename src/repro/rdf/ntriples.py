@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Iterator
 from repro import obs
 from repro.exceptions import RDFSyntaxError
 from repro.rdf.dictionary import TermDictionary
+from repro.rdf.store import flag_literal
 from repro.rdf.terms import IRI, Literal, Term, Triple
 
 _ESCAPES = {
@@ -232,10 +233,10 @@ def parse_ntriples_line(line: str, line_number: int | None = None) -> Triple | N
 
 
 def _id_triples(
-    lines: Iterable[str], encode: Callable[[Term], int], literal_ids: set[int]
+    lines: Iterable[str], encode: Callable[[Term], int], literal_flags: bytearray
 ) -> Iterator[tuple[int, int, int]]:
     """The one parse loop: every triple of ``lines`` as ids from
-    ``encode``, literal object ids added to ``literal_ids``.
+    ``encode``, literal object ids flagged in ``literal_flags``.
 
     Terms are encoded object, subject, predicate — the order
     :meth:`~repro.rdf.store.TripleStore.add_all` uses, so a dictionary
@@ -258,7 +259,7 @@ def _id_triples(
             if o is None:
                 o = ids[obj] = encode(_recognised_term(obj, match))
                 if obj[0] == '"':
-                    literal_ids.add(o)
+                    flag_literal(literal_flags, o)
             s = known(subject)
             if s is None:
                 s = ids[subject] = encode(IRI(subject[1:-1]))
@@ -272,7 +273,7 @@ def _id_triples(
                 scanned += 1
                 o = encode(triple.object)
                 if isinstance(triple.object, Literal):
-                    literal_ids.add(o)
+                    flag_literal(literal_flags, o)
                 yield encode(triple.subject), encode(triple.predicate), o
     metrics = obs.get_tracer().metrics
     metrics.incr("rdf.ntriples.lines_recognised", recognised)
@@ -292,7 +293,7 @@ def parse_ntriples(text: str | Iterable[str]) -> Iterator[Triple]:
     lines = text.split("\n") if isinstance(text, str) else text
     dictionary = TermDictionary()
     decode = dictionary.decode
-    for s, p, o in _id_triples(lines, dictionary.encode, set()):
+    for s, p, o in _id_triples(lines, dictionary.encode, bytearray()):
         yield Triple(decode(s), decode(p), decode(o))
 
 

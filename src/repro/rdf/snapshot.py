@@ -13,7 +13,7 @@ phase (Section 4.2) reads, and nothing else —
   :data:`~repro.rdf.dictionary.RECLAIMED_RECORD`, so ids stay positions),
 * the three sorted permutation columns of the
   :class:`~repro.rdf.backend.CompactBackend` (raw ``array('q')`` bytes),
-* the literal-id set,
+* the literal flags, one byte per term id,
 * the prebuilt adjacency-kernel rows,
 * the entity-linker label index as its columns, and the max degree,
 * the mined paraphrase dictionary **by id** (signed steps).
@@ -31,17 +31,20 @@ word and label tables are ``memoryview`` casts straight over the mapping.
 A kernel row is boxed into its pair of tuples when a query first reads
 it, a term object is built when its id is first decoded, a term is found
 by bisecting the record-sorted id column, a posting is a run of the
-mapping.  What has no columnar form is decoded exactly once at open, into
-the object that serves it: the literal id set, the paraphrase dictionary
-and the label index's entries (``by_words`` walks them on every
-question).  The columns stay in the
+mapping.  The literal flags are copied, at a byte per term, into the
+store's writable flag column (a live ingest flags new literals in it).
+What has no columnar form is decoded exactly once at open, into the
+object that serves it: the paraphrase dictionary and the label index's
+entries (``by_words`` walks them on every question).  Every check an
+open makes walks its columns in place and builds nothing per item.  The
+columns stay in the
 page cache, shared read-only between every process that maps the same
 file — which is what makes pre-fork serving (:mod:`repro.serve.prefork`)
 cheap: N workers, one physical copy.  A view serves the file's bytes as
 they are, so a snapshot written on a machine of the other byte order is
 refused (recompile it on the serving host).
 
-File layout (format 4)::
+File layout (format 5)::
 
     MAGIC | u32 format | u8 byteorder
     | u64 meta_len | meta JSON | u32 section_count | directory entries...
@@ -97,7 +100,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import accumulate
+from itertools import accumulate, compress, count
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Iterator
 
@@ -125,7 +128,7 @@ __all__ = [
 ]
 
 _MAGIC = b"REPROSNAP\x00"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 #: Version of the sharded-manifest JSON layout.
 MANIFEST_VERSION = 1
 _MANIFEST_FORMAT = "reprosnap-manifest"
@@ -143,7 +146,7 @@ _VERIFY_CHUNK = 1 << 21
 #: file order: what an open decodes in full comes first, the columns a
 #: query pages in on demand last.
 _SECTION_COLUMNS = {
-    "literals": 1,    # ids
+    "literals": 1,    # one flag byte per term id
     "linker": 15,     # LabelIndex.columns(), max degree
     "dictionary": 1,  # record stream
     "kernel": 4,      # node_ids, row_lens, flat_steps, flat_neighbors
@@ -423,7 +426,7 @@ def _encode_state_sections(
     kg: KnowledgeGraph, dictionary: "ParaphraseDictionary"
 ) -> dict[str, list]:
     """The columns of every non-permutation section: the term table, the
-    literal ids, the kernel rows, the linker material and the paraphrase
+    literal flags, the kernel rows, the linker material and the paraphrase
     dictionary."""
     from repro.linking.linker import EntityLinker
 
@@ -437,7 +440,8 @@ def _encode_state_sections(
         b"".join(records),
         array("q", sorted(range(len(records)), key=records.__getitem__)),
     ]
-    sections["literals"] = [array("q", sorted(store.iter_literal_ids()))]
+    # A flag per term id: a built store's column stops at its last literal.
+    sections["literals"] = [bytes(store.literal_flags).ljust(len(records), b"\0")]
     # Rows that were never boxed go back out as the column slices they are.
     sections["kernel"] = list(kg.kernel.full_rows().columns())
 
@@ -693,8 +697,9 @@ def _assemble_state(
     (shared by both snapshot forms).
 
     The term table, the kernel rows and the label index's tables stay
-    columns over the mapping; the literal id set, the paraphrase
-    dictionary and the label index's entries are decoded here, once.
+    columns over the mapping; the literal flags are copied into the
+    store's column; the paraphrase dictionary and the label index's
+    entries are decoded here, once.
     """
     from repro.linking.index import LabelIndex
     from repro.paraphrase.dictionary import ParaphraseDictionary, PredicateMapping
@@ -709,9 +714,19 @@ def _assemble_state(
             f"snapshot holds {len(terms)} terms, manifest says "
             f"{info.terms} — inconsistent file"
         )
-    store = TripleStore(
-        backend=backend, dictionary=terms, literal_ids=_ints(sections["literals"][0])
-    )
+    literal_flags = bytearray(sections["literals"][0])
+    if len(literal_flags) != len(terms):
+        raise SnapshotError(
+            f"malformed literals section in {info.path}: {len(literal_flags)} "
+            f"flags for {len(terms)} terms"
+        )
+    if literal_flags.count(0) + literal_flags.count(1) != len(literal_flags):
+        raise SnapshotError(f"malformed literals section in {info.path}: a flag is not 0 or 1")
+    if not terms.base_literals(compress(count(), literal_flags)):
+        raise SnapshotError(
+            f"malformed literals section in {info.path}: a flagged id is not a literal"
+        )
+    store = TripleStore(backend=backend, dictionary=terms, literal_flags=literal_flags)
     try:
         kernel = AdjacencyKernel(store, columns=tuple(map(_ints, sections["kernel"])))
     except ValueError as exc:

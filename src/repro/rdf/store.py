@@ -27,6 +27,7 @@ and mining algorithms use directly.  All mutation goes through
 
 from __future__ import annotations
 
+from itertools import compress, count, filterfalse
 from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from repro.exceptions import StoreFrozenError
@@ -38,6 +39,14 @@ from repro.rdf.shard import ShardedBackend
 from repro.rdf.terms import IRI, Literal, Term, Triple
 
 _IdTriple = tuple[int, int, int]
+
+
+def flag_literal(flags: bytearray, term_id: int) -> None:
+    """Set ``term_id``'s byte in a literal-flag column, growing the column
+    to reach it."""
+    if term_id >= len(flags):
+        flags.extend(bytes(term_id + 1 - len(flags)))
+    flags[term_id] = 1
 
 
 class TripleStore:
@@ -52,24 +61,45 @@ class TripleStore:
         The term dictionary to encode against.  Sharing one between
         stores keeps ids stable — how :meth:`compacted` and the snapshot
         loader preserve every id-indexed side structure.
-    literal_ids:
-        The ids of literal terms already present in ``backend``.
+    literal_flags:
+        One byte per term id, 1 where the id is a literal some triple of
+        ``backend`` names (copied, then extended with zeros to every id
+        ``dictionary`` has assigned).  Ids past its end are not literals.
+
+    The literal bookkeeping is that byte column, in every store: a byte
+    per term rather than a ``set`` entry per literal (~80 bytes each).
     """
 
     def __init__(
         self,
         backend: StoreBackend | None = None,
         dictionary: TermDictionary | None = None,
-        literal_ids: Iterable[int] | None = None,
+        literal_flags: bytes | bytearray | memoryview | None = None,
     ) -> None:
         self.dictionary = dictionary if dictionary is not None else TermDictionary()
         self._backend: StoreBackend = backend if backend is not None else DictBackend()
-        self._literal_ids: set[int] = set(literal_ids) if literal_ids is not None else set()
+        self._literal_flags = bytearray(literal_flags) if literal_flags is not None else bytearray()
+        self._cover_dictionary()
 
     @property
     def backend(self) -> StoreBackend:
         """The physical index this facade delegates to (read-only handle)."""
         return self._backend
+
+    def _cover_dictionary(self) -> None:
+        """Give every id the dictionary has assigned a flag: an id past
+        the column's end costs :meth:`is_literal_id` a caught exception,
+        and in a built graph most ids come after its last literal."""
+        flags = self._literal_flags
+        missing = len(self.dictionary) - len(flags)
+        if missing > 0:
+            flags.extend(bytes(missing))
+
+    @property
+    def literal_flags(self) -> bytearray:
+        """The literal-flag column (read-only handle): byte ``i`` is 1
+        where id ``i`` is a literal some triple names."""
+        return self._literal_flags
 
     @property
     def writable(self) -> bool:
@@ -139,7 +169,7 @@ class TripleStore:
         return TripleStore(
             backend=backend,
             dictionary=self.dictionary,
-            literal_ids=self._literal_ids,
+            literal_flags=self._literal_flags,
         )
 
     def swap_backend(self, backend: StoreBackend) -> None:
@@ -177,8 +207,9 @@ class TripleStore:
         s = self.dictionary.encode(triple.subject)
         p = self.dictionary.encode(triple.predicate)
         o = self.dictionary.encode(triple.object)
+        self._cover_dictionary()
         if isinstance(triple.object, Literal):
-            self._literal_ids.add(o)
+            self._literal_flags[o] = 1
         return self._backend.add(s, p, o)
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -193,14 +224,15 @@ class TripleStore:
         if not self._backend.writable:
             raise StoreFrozenError("cannot add to a frozen store; write through .overlay()")
         encode = self.dictionary.encode
-        literal_ids = self._literal_ids
+        flags = self._literal_flags
         encoded: list[_IdTriple] = []
         with collector_paused():
             for triple in triples:
                 o = encode(triple.object)
                 if isinstance(triple.object, Literal):
-                    literal_ids.add(o)
+                    flag_literal(flags, o)
                 encoded.append((encode(triple.subject), encode(triple.predicate), o))
+            self._cover_dictionary()
             return self._backend.add_all_ids(encoded)
 
     def remove(self, triple: Triple) -> bool:
@@ -216,8 +248,8 @@ class TripleStore:
         # A literal only exists as an object; once its OSP row empties no
         # triple mentions it and the literal bookkeeping must forget it,
         # or is_literal_id/literal_count/statistics report stale literals.
-        if removed and o in self._literal_ids and not self._backend.in_index(o):
-            self._literal_ids.discard(o)
+        if removed and self.is_literal_id(o) and not self._backend.in_index(o):
+            self._literal_flags[o] = 0
         return removed
 
     def retire_unnamed(self, candidates: Iterable[int]) -> list[int]:
@@ -237,9 +269,13 @@ class TripleStore:
         named.update(backend.object_ids())
         unnamed = [term_id for term_id in candidates if term_id not in named]
         self.dictionary.retire(unnamed)
-        if not self._literal_ids.isdisjoint(unnamed):
-            # A new set, not an edit: readers may be iterating this one.
-            self._literal_ids = self._literal_ids.difference(unnamed)
+        retired = [term_id for term_id in unnamed if self.is_literal_id(term_id)]
+        if retired:
+            # A new column, not an edit: readers may be iterating this one.
+            flags = bytearray(self._literal_flags)
+            for term_id in retired:
+                flags[term_id] = 0
+            self._literal_flags = flags
         return unnamed
 
     # ------------------------------------------------------------------ #
@@ -258,7 +294,13 @@ class TripleStore:
         return self._backend.contains(s, p, o)
 
     def is_literal_id(self, term_id: int) -> bool:
-        return term_id in self._literal_ids
+        """Whether the (non-negative) id is a literal some triple names:
+        one index into the flag column — the kernel asks once per
+        neighbour slot."""
+        try:
+            return self._literal_flags[term_id] == 1
+        except IndexError:  # assigned since this store's last write
+            return False
 
     # ------------------------------------------------------------------ #
     # Pattern matching
@@ -335,11 +377,11 @@ class TripleStore:
         return iter(dict.fromkeys(o for _s, _p, o in self._backend.triples_ids(p=p)))
 
     def iter_literal_ids(self) -> Iterator[int]:
-        """Ids of every stored literal term."""
-        return iter(self._literal_ids)
+        """Ids of every stored literal term, ascending."""
+        return compress(count(), self._literal_flags)
 
     def literal_count(self) -> int:
-        return len(self._literal_ids)
+        return self._literal_flags.count(1)
 
     # ------------------------------------------------------------------ #
     # Vocabulary accessors
@@ -366,9 +408,7 @@ class TripleStore:
     def node_ids(self) -> set[int]:
         """Ids of all graph nodes (subjects and non-literal objects)."""
         nodes = set(self._backend.subject_ids())
-        nodes.update(
-            oid for oid in self._backend.object_ids() if oid not in self._literal_ids
-        )
+        nodes.update(filterfalse(self.is_literal_id, self._backend.object_ids()))
         return nodes
 
     def statistics(self) -> dict[str, int]:
@@ -377,5 +417,5 @@ class TripleStore:
             "triples": len(self._backend),
             "nodes": len(self.node_ids()),
             "predicates": sum(1 for _ in self._backend.predicate_ids()),
-            "literals": len(self._literal_ids),
+            "literals": self.literal_count(),
         }

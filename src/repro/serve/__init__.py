@@ -13,11 +13,31 @@ Entry points: ``repro serve`` (CLI), :func:`QAEngine.ask` (in-process);
 measured by the ``http_*`` workloads of ``bench/run.py``.
 """
 
+import importlib
+
 from repro.serve.admission import AdmissionController, AdmissionRejected
 from repro.serve.cache import CachingLinker, TTLCache, answer_cache_key, normalize_question
 from repro.serve.engine import EngineConfig, QAEngine
-from repro.serve.prefork import PreforkServer, supports_reuseport
-from repro.serve.server import QAServer, build_server
+
+#: The transport's exports, by the module that defines them.  They are
+#: imported on first access: an in-process engine never loads the HTTP
+#: stack (``http.server``, ``http.client``, ``ssl``, ``email``, …).
+_TRANSPORT = {
+    "PreforkServer": "repro.serve.prefork",
+    "supports_reuseport": "repro.serve.prefork",
+    "QAServer": "repro.serve.server",
+    "build_server": "repro.serve.server",
+}
+
+
+def __getattr__(name: str):
+    module = _TRANSPORT.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AdmissionController",

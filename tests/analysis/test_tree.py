@@ -223,12 +223,35 @@ class TestNoForksGrowBack:
         assert list(inspect.signature(KnowledgeGraph.__init__).parameters) == [
             "self", "store", "kernel",
         ]
-        assert snapshot.FORMAT_VERSION == 4
+        assert snapshot.FORMAT_VERSION == 5
         assert snapshot._SECTIONS == (
             "literals", "linker", "dictionary", "kernel", "terms", "spo", "pos", "osp",
         )
         for helper in ("_closure_columns", "_decode_closure"):
             assert not hasattr(snapshot, helper), helper
+
+    def test_literals_are_one_flag_column_in_every_store(self, tmp_path):
+        """Built, compacted, overlaid and opened stores keep their literal
+        bookkeeping as one byte per term id: no ``set`` of literal ids
+        beside it, and no constructor that takes one."""
+        from repro.datasets import build_dbpedia_mini
+        from repro.paraphrase.dictionary import ParaphraseDictionary
+        from repro.rdf.snapshot import compile_snapshot, load_snapshot
+        from repro.rdf.store import TripleStore
+
+        assert list(inspect.signature(TripleStore.__init__).parameters) == [
+            "self", "backend", "dictionary", "literal_flags",
+        ]
+        kg = build_dbpedia_mini()
+        built = kg.store
+        compile_snapshot(tmp_path / "s.snap", kg, ParaphraseDictionary())
+        opened = load_snapshot(tmp_path / "s.snap").kg.store
+        assert len(opened.literal_flags) == len(opened.dictionary)
+        for store in (built, built.compacted(), built.compacted().overlay(), opened):
+            assert type(store.literal_flags) is bytearray
+            assert store.literal_count() > 0
+            for value in vars(store).values():
+                assert not isinstance(value, (set, frozenset)), value
 
     def test_experiments_have_one_path(self):
         """The paper's tables come from ``repro experiments`` and are held

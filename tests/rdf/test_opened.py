@@ -397,16 +397,21 @@ def test_a_compile_that_raises_leaves_what_was_there(tmp_path, monkeypatch, shar
 
 
 def test_a_process_start_imports_only_what_it_runs():
-    """The fork pools and the HTTP client are imported where they are
-    used, not by every ``import repro.serve``."""
+    """The fork pools, the HTTP client and the HTTP server's stack are
+    imported where they are used, not by every ``import repro.serve``:
+    an in-process engine loads none of them, and every exported name
+    still resolves (the transport's on first access)."""
     probe = (
-        "import repro.serve, sys; "
+        "import sys; from repro.serve import QAEngine; "
         "print([name for name in ('multiprocessing', 'concurrent.futures', "
-        "'urllib.request') if name in sys.modules])"
+        "'urllib.request', 'http.server', 'http.client', 'ssl', 'email.parser', "
+        "'socketserver') if name in sys.modules]); "
+        "import repro.serve; "
+        "print(all(getattr(repro.serve, name) is not None for name in repro.serve.__all__))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split() == ["[]", "True"]

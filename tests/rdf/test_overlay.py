@@ -458,7 +458,7 @@ class TestAnswerIdentity:
                 )
             ),
             dictionary=dirty_store.dictionary,
-            literal_ids=dirty_store.iter_literal_ids(),
+            literal_flags=dirty_store.literal_flags,
         )
         engines = [
             GAnswer(kg, dictionary),

@@ -430,6 +430,10 @@ def _tilde_first(values):
     values[0] = ord("~")  # ASCII, and above every [a-z0-9 ] byte
 
 
+def _two_on_first_literal(values):
+    values[values.index(1)] = 2  # still a literal's id: only the 0-or-1 rule fails
+
+
 def _million_last(values):
     values[-1] = 10**6
 
@@ -448,6 +452,18 @@ def _not_utf8_at(offset):
 _NODE_IDS, _FLAGS, _LABEL_OFFSETS, _LABELS = 0, 1, 2, 3
 _WORD_KEYS, _WORD_STARTS, _WORD_POSITIONS = 7, 8, 9
 _MAX_DEGREE = 14
+
+
+def _flag_first_iri(sections):
+    """``sections`` with the literal flag of the first IRI's id set."""
+    (terms,) = [columns for name, columns in sections if name == b"terms"]
+    offsets = array("q", terms[0])
+    first_iri = next(i for i, at in enumerate(offsets[:-1]) if terms[1][at] == 0)
+
+    def flag(values):
+        values[first_iri] = 1
+
+    return _with_column(sections, "literals", 0, flag, "B")
 
 
 def _descending_word_run(sections):
@@ -518,6 +534,15 @@ _MALFORMATIONS = {
     "linker_max_degree_zero": lambda h, m, s: _join_container(
         h, m, _with_column(s, "linker", _MAX_DEGREE, _zero_first)
     ),
+    # Format 5's literal flags, one rule each: a flag per term, each 0 or
+    # 1, and only on a literal's record.
+    "literal_flags_short_of_the_terms": lambda h, m, s: _join_container(
+        h, m, _with_column(s, "literals", 0, _drop_last, "B")
+    ),
+    "literal_flag_not_0_or_1": lambda h, m, s: _join_container(
+        h, m, _with_column(s, "literals", 0, _two_on_first_literal, "B")
+    ),
+    "literal_flag_on_an_iri": lambda h, m, s: _join_container(h, m, _flag_first_iri(s)),
 }
 
 
@@ -550,14 +575,39 @@ class TestIntegrity:
             load_snapshot(bad)
 
     def test_previous_format_refused_not_converted(self, snapshot, tmp_path):
-        """There is one reader: a format-3 file (the linker as one record
-        stream, decoded into posting sets) is named, refused and sent back
+        """There is one reader: a format-4 file (the literals as a sorted
+        id column, decoded into a ``set``) is named, refused and sent back
         to the compiler — its body is never looked at."""
         path, raw = self._bytes(snapshot)
-        raw[10] = 3
-        bad = tmp_path / "format3.snap"
+        raw[10] = 4
+        bad = tmp_path / "format4.snap"
         bad.write_bytes(raw)
-        with pytest.raises(SnapshotError, match=r"format 3 .*reads format 4.*recompile"):
+        with pytest.raises(SnapshotError, match=r"format 4 .*reads format 5.*recompile"):
+            load_snapshot(bad)
+
+    def test_an_entity_flagged_as_a_literal_is_refused(self, loaded, snapshot, tmp_path):
+        """Regression: at format 4, a well-signed file whose literal ids
+        named ``res:Klaus_Wowereit`` (and ids no term has) opened cleanly,
+        and "Who is the mayor of Berlin?" then answered ``[]``."""
+        from repro.serve import QAEngine
+
+        question = "Who is the mayor of Berlin?"
+        path, raw = self._bytes(snapshot)
+        engine = QAEngine.from_snapshot(path)
+        assert engine.ask(question, use_cache=False)["answers"] == ["res:Klaus_Wowereit"]
+        engine.close()
+        mayor = loaded.kg.store.dictionary.lookup(IRI("res:Klaus_Wowereit"))
+        assert not loaded.kg.store.is_literal_id(mayor)
+
+        def flag(values):
+            values[mayor] = 1
+
+        bad = tmp_path / "mayor_a_literal.snap"
+        header, meta, sections = _split_container(raw)
+        bad.write_bytes(
+            _join_container(header, meta, _with_column(sections, "literals", 0, flag, "B"))
+        )
+        with pytest.raises(SnapshotError, match="flagged id is not a literal"):
             load_snapshot(bad)
 
     def test_flipped_body_byte_rejected(self, snapshot, tmp_path):
