@@ -100,6 +100,7 @@ _FROZEN_CONSTRUCTORS = (
     "ShardedBackend",
     "ShardedBackend.from_triples",
     "ShardedBackend.lazy",
+    "TripleStore.build",
 )
 _FROZEN_PROVENANCE_CALLS = ("compacted", "sharded", "load_snapshot", "load_store")
 #: method calls whose *receiver* is thereby known frozen: calling
@@ -119,9 +120,9 @@ class FrozenStoreRule(Rule):
     name = "frozen-store"
     summary = (
         "objects obtained from .compacted()/.sharded(), load_snapshot(), "
-        "load_store(), frozen-backend construction, or captured as an "
-        "overlay base (.overlay() receivers, OverlayBackend(base)) must "
-        "not receive add/remove calls"
+        "load_store(), TripleStore.build(), frozen-backend construction, "
+        "or captured as an overlay base (.overlay() receivers, "
+        "OverlayBackend(base)) must not receive add/remove calls"
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:

@@ -94,21 +94,26 @@ class RelationExtractor:
         self, root: DependencyNode, phrase: tuple[str, ...]
     ) -> Embedding | None:
         """The Probe routine: grow a subtree of phrase-word nodes from
-        ``root`` and check it covers the phrase's words (with multiplicity)."""
-        needed = Counter(phrase)
-        if needed[root.lemma] == 0:
+        ``root`` and check it covers the phrase's words (with multiplicity).
+
+        A depth-first walk over a stack of child iterators: a child is
+        taken when its word is still owed at the moment the walk reaches
+        it, after its earlier siblings' subtrees have taken theirs.
+        """
+        remaining = Counter(phrase)
+        if remaining[root.lemma] == 0:
             return None
-        collected: list[DependencyNode] = []
-
-        def probe(node: DependencyNode, remaining: Counter) -> None:
-            collected.append(node)
-            remaining[node.lemma] -= 1
-            for child in node.children:
-                if remaining[child.lemma] > 0:
-                    probe(child, remaining)
-
-        remaining = Counter(needed)
-        probe(root, remaining)
+        remaining[root.lemma] -= 1
+        collected = [root]
+        stack = [iter(root.children)]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            elif remaining[child.lemma] > 0:
+                remaining[child.lemma] -= 1
+                collected.append(child)
+                stack.append(iter(child.children))
         if any(count > 0 for count in remaining.values()):
             return None
         return Embedding(phrase, root, tuple(collected))

@@ -404,7 +404,7 @@ def build_dbpedia_mini(distractors_per_entity: int = 0) -> KnowledgeGraph:
     timing benchmarks (Figure 6, Table 12) use this knob; correctness
     results are identical because clones never satisfy any query edge.
     """
-    store = TripleStore()
+    triples: list[Triple] = []
 
     for class_name, labels in _CLASSES.items():
         class_iri = res(class_name)
@@ -412,16 +412,16 @@ def build_dbpedia_mini(distractors_per_entity: int = 0) -> KnowledgeGraph:
         # would follow PYTHONHASHSEED, and which of two labels with one
         # normalized key the label index keeps depends on this order.
         for label in dict.fromkeys((_default_label(class_name), *labels)):
-            store.add(Triple(class_iri, RDFS_LABEL, Literal(label)))
+            triples.append(Triple(class_iri, RDFS_LABEL, Literal(label)))
     for child, parent in _SUBCLASSES:
-        store.add(Triple(res(child), RDFS_SUBCLASSOF, res(parent)))
+        triples.append(Triple(res(child), RDFS_SUBCLASSOF, res(parent)))
 
     def add_entity(name: str, types: tuple[str, ...], extra_labels: tuple[str, ...]) -> None:
         entity = res(name)
         for type_name in types:
-            store.add(Triple(entity, RDF_TYPE, res(type_name)))
+            triples.append(Triple(entity, RDF_TYPE, res(type_name)))
         for label in dict.fromkeys((_default_label(name), *extra_labels)):
-            store.add(Triple(entity, RDFS_LABEL, Literal(label)))
+            triples.append(Triple(entity, RDFS_LABEL, Literal(label)))
 
     for name, (types, labels) in _ENTITIES.items():
         add_entity(name, types, labels)
@@ -430,7 +430,7 @@ def build_dbpedia_mini(distractors_per_entity: int = 0) -> KnowledgeGraph:
 
     for subject, predicate, obj in _FACTS:
         obj_term = obj if isinstance(obj, Literal) else res(obj)
-        store.add(Triple(res(subject), ont(predicate), obj_term))
+        triples.append(Triple(res(subject), ont(predicate), obj_term))
 
     if distractors_per_entity > 0:
         note = ont("distractorNote")
@@ -438,7 +438,7 @@ def build_dbpedia_mini(distractors_per_entity: int = 0) -> KnowledgeGraph:
             label = _default_label(name)
             for clone_index in range(distractors_per_entity):
                 clone = res(f"{name}__clone{clone_index}")
-                store.add(Triple(clone, RDFS_LABEL, Literal(label)))
-                store.add(Triple(clone, note, Literal(f"homonym {clone_index}")))
+                triples.append(Triple(clone, RDFS_LABEL, Literal(label)))
+                triples.append(Triple(clone, note, Literal(f"homonym {clone_index}")))
 
-    return KnowledgeGraph(store)
+    return KnowledgeGraph(TripleStore.build(triples))

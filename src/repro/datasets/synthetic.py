@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.rdf import (
     IRI,
@@ -65,25 +66,21 @@ def _zipf_weights(count: int, exponent: float) -> list[float]:
 def build_synthetic_kg(config: SyntheticConfig = SyntheticConfig()) -> KnowledgeGraph:
     """Build a synthetic KG; same config → identical graph."""
     rng = random.Random(config.seed)
-    store = TripleStore()
-
     classes = [IRI(f"syn:Class{i}") for i in range(config.classes)]
     predicates = [IRI(f"syn:pred{i}") for i in range(config.predicates)]
     entities = [IRI(f"syn:entity{i}") for i in range(config.entities)]
     weights = _zipf_weights(config.predicates, config.zipf_exponent)
 
-    for index, entity in enumerate(entities):
-        store.add(Triple(entity, RDF_TYPE, classes[index % config.classes]))
-        store.add(Triple(entity, RDFS_LABEL, Literal(f"entity {index}")))
+    def triples() -> Iterator[Triple]:
+        for index, entity in enumerate(entities):
+            yield Triple(entity, RDF_TYPE, classes[index % config.classes])
+            yield Triple(entity, RDFS_LABEL, Literal(f"entity {index}"))
+        for _ in range(int(config.entities * config.triples_per_entity)):
+            subject = rng.choice(entities)
+            predicate = rng.choices(predicates, weights=weights, k=1)[0]
+            yield Triple(subject, predicate, rng.choice(entities))
 
-    total_triples = int(config.entities * config.triples_per_entity)
-    for _ in range(total_triples):
-        subject = rng.choice(entities)
-        predicate = rng.choices(predicates, weights=weights, k=1)[0]
-        obj = rng.choice(entities)
-        store.add(Triple(subject, predicate, obj))
-
-    return KnowledgeGraph(store)
+    return KnowledgeGraph(TripleStore.build(triples()))
 
 
 def entity_pool(kg: KnowledgeGraph) -> list[IRI]:

@@ -96,13 +96,13 @@ _FACTS = [
 
 def build_yago_mini() -> KnowledgeGraph:
     """Build the YAGO2-flavoured knowledge graph (deterministic)."""
-    store = TripleStore()
+    triples: list[Triple] = []
     for class_name, labels in _CLASSES.items():
         # Written order, not set order, so the build does not follow
         # PYTHONHASHSEED (see build_dbpedia_mini).
         for label in dict.fromkeys((class_name.lower(), *labels)):
-            store.add(Triple(yago(class_name), RDFS_LABEL, Literal(label)))
-    store.add(Triple(yago("Physicist"), vocab.RDFS_SUBCLASSOF, yago("Scientist")))
+            triples.append(Triple(yago(class_name), RDFS_LABEL, Literal(label)))
+    triples.append(Triple(yago("Physicist"), vocab.RDFS_SUBCLASSOF, yago("Scientist")))
 
     mentioned = set(_ENTITIES)
     for subject, _p, obj in _FACTS:
@@ -111,13 +111,13 @@ def build_yago_mini() -> KnowledgeGraph:
     for name in sorted(mentioned):
         entity = yago(name)
         label = name.replace("_", " ").split("(")[0].strip()
-        store.add(Triple(entity, RDFS_LABEL, Literal(label)))
+        triples.append(Triple(entity, RDFS_LABEL, Literal(label)))
         for type_name in _ENTITIES.get(name, ()):
-            store.add(Triple(entity, RDF_TYPE, yago(type_name)))
+            triples.append(Triple(entity, RDF_TYPE, yago(type_name)))
 
     for subject, predicate, obj in _FACTS:
-        store.add(Triple(yago(subject), yago(predicate), yago(obj)))
-    return KnowledgeGraph(store)
+        triples.append(Triple(yago(subject), yago(predicate), yago(obj)))
+    return KnowledgeGraph(TripleStore.build(triples))
 
 
 def yago_phrase_dataset() -> RelationPhraseDataset:

@@ -198,7 +198,6 @@ def tfidf_ablation() -> ExperimentResult:
     from repro.rdf.graph import backward_step, forward_step
     from repro.paraphrase import RelationPhraseDataset
 
-    store = TripleStore()
     e = lambda name: IRI(f"noise:{name}")
     families = 4
     triples = []
@@ -213,9 +212,7 @@ def tfidf_ablation() -> ExperimentResult:
         ]
         for person in (ted, junior, wife):
             triples.append((person, "livesIn", "usa"))
-    for s, p, o in triples:
-        store.add(Triple(e(s), e(p), e(o)))
-    kg = KnowledgeGraph(store)
+    kg = KnowledgeGraph(TripleStore.build(Triple(e(s), e(p), e(o)) for s, p, o in triples))
 
     dataset = RelationPhraseDataset()
     dataset.add("uncle of", [(e(f"ted{i}"), e(f"junior{i}")) for i in range(families)])

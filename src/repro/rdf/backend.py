@@ -2,38 +2,35 @@
 
 The store's id-level read/write surface is captured by the
 :class:`StoreBackend` protocol so the physical layout can be chosen per
-workload:
+workload.  There is one writable layout and two frozen ones:
 
-* :class:`DictBackend` — three permutation indexes (SPO, POS, OSP) as
-  two-level dicts of sets.  Mutable, O(1) add/remove, the right shape for
-  a graph built triple by triple in code (a dump file is loaded straight
-  into a :class:`CompactBackend` instead, by
-  :func:`repro.rdf.io.load_store`).
-* :class:`CompactBackend` — the same three permutations as parallel
-  sorted int64 columns answered by bisect seeks (the RDF-3X layout).
-  Frozen after construction, allocation-lean, and directly persistable:
-  the compiled-snapshot format (:mod:`repro.rdf.snapshot`) writes the
-  column bytes verbatim.  Columns may be **owned** ``array('q')``
-  instances or **borrowed** ``memoryview`` casts over an ``mmap`` of the
-  snapshot file — the zero-copy path: every bisect seek reads the
-  page-cache copy of the file directly, so N forked serving workers
-  share one physical copy of the triple columns.
+* :class:`CompactBackend` — the three permutations (SPO, POS, OSP) as
+  parallel sorted int64 columns answered by bisect seeks (the RDF-3X
+  layout).  Frozen after construction, allocation-lean, and directly
+  persistable: the compiled-snapshot format (:mod:`repro.rdf.snapshot`)
+  writes the column bytes verbatim.  Every built graph lands here — a
+  dump by :func:`repro.rdf.io.load_store`, a graph written in code by
+  :meth:`repro.rdf.store.TripleStore.build`.  Columns may be **owned**
+  ``array('q')`` instances or **borrowed** ``memoryview`` casts over an
+  ``mmap`` of the snapshot file — the zero-copy path: every bisect seek
+  reads the page-cache copy of the file directly, so N forked serving
+  workers share one physical copy of the triple columns.
+* :class:`~repro.rdf.shard.ShardedBackend` — K compact segments,
+  hash-partitioned by subject.
+* :class:`~repro.rdf.overlay.OverlayBackend` — the only writable layout:
+  a frozen base plus a copy-on-write delta and tombstones.
 
-The protocol is the **core** every backend implements natively, 16
+The protocol is the **core** every backend implements natively, 15
 members: lifecycle and mutation (``writable``, ``version``, ``__len__``,
-``add``, ``add_all_ids``, ``remove``), ``contains`` / ``triples_ids`` /
+``add_all_ids``, ``remove``), ``contains`` / ``triples_ids`` /
 ``count``, the three vocabulary iterators, and the four hot views the
 online phase lives on (``objects_ids``, ``subjects_ids``, ``out_index``,
 ``in_index`` — one 99-question QALD pass on the 24.8k-triple explosion
 graph makes 37k + 37k + 7k + 7k of those calls and nothing else).  Every
 other view is **derived once** on top of that core: distinct objects of a
 predicate in the facade, kernel rows in :mod:`repro.rdf.kernel` from one
-sorted ``triples_ids()`` scan.
-
-Two pieces are shared by the backends instead of copied into each:
-:class:`PermutationReads` (every read over dict-of-dict-of-set
-permutations — ``DictBackend`` and the overlay's delta indexes) and
-:class:`FrozenBackend` (the lifecycle half of the frozen layouts).
+sorted ``triples_ids()`` scan.  The frozen layouts share their lifecycle
+half, :class:`FrozenBackend`, instead of copying it.
 
 Nothing outside :mod:`repro.rdf` imports this module: all access goes
 through the :class:`StoreBackend` protocol via the
@@ -45,18 +42,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import islice, starmap
+from itertools import islice
 from operator import lt
-from typing import (
-    AbstractSet,
-    Generic,
-    Iterable,
-    Iterator,
-    Mapping,
-    Protocol,
-    TypeVar,
-    runtime_checkable,
-)
+from typing import AbstractSet, Iterable, Iterator, Mapping, Protocol, runtime_checkable
 
 from repro.exceptions import StoreFrozenError
 
@@ -79,18 +67,14 @@ def strictly_ascending(column: IntColumn) -> bool:
 _EMPTY_SET: frozenset[int] = frozenset()
 _EMPTY_MAP: dict[int, frozenset[int]] = {}
 
-#: Leaf value-set type of a dict permutation index: ``set`` when rows are
-#: edited in place, ``frozenset`` when they are published copy-on-write.
-_Leaf = TypeVar("_Leaf", set[int], frozenset[int])
-
 
 @runtime_checkable
 class StoreBackend(Protocol):
     """The id-level storage surface every backend provides.
 
-    Mutation (``add``/``remove``) may raise :class:`StoreFrozenError` on
-    read-only backends; ``writable`` says so up front.  All returned sets
-    and mappings are read-only views — callers must never mutate them.
+    Mutation (``add_all_ids``/``remove``) raises :class:`StoreFrozenError`
+    on read-only backends; ``writable`` says so up front.  All returned
+    sets and mappings are read-only views — callers must never mutate them.
     """
 
     @property
@@ -100,8 +84,6 @@ class StoreBackend(Protocol):
     def version(self) -> int: ...
 
     def __len__(self) -> int: ...
-
-    def add(self, s: int, p: int, o: int) -> bool: ...
 
     def add_all_ids(self, triples: Iterable[IdTriple]) -> int: ...
 
@@ -132,175 +114,6 @@ class StoreBackend(Protocol):
     def object_ids(self) -> Iterator[int]: ...
 
 
-class PermutationReads(Generic[_Leaf]):
-    """Every read over two-level dict permutation indexes, written once.
-
-    ``_spo``/``_pos``/``_osp`` map outer key → inner key → value set.  The
-    leaves may be mutable sets (:class:`DictBackend`) or copy-on-write
-    frozensets (the overlay's delta indexes); nothing here mutates either.
-    Each method binds a row once and reads only that binding, and the full
-    scan snapshots the outer keys before iterating, so an index whose
-    writers publish whole replacement rows can be read without a lock.
-    """
-
-    __slots__ = ("_spo", "_pos", "_osp", "_size")
-
-    def __init__(self) -> None:
-        self._spo: dict[int, dict[int, _Leaf]] = {}
-        self._pos: dict[int, dict[int, _Leaf]] = {}
-        self._osp: dict[int, dict[int, _Leaf]] = {}
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def contains(self, s: int, p: int, o: int) -> bool:
-        return o in self._spo.get(s, _EMPTY_MAP).get(p, _EMPTY_SET)
-
-    def triples_ids(
-        self, s: int | None = None, p: int | None = None, o: int | None = None
-    ) -> Iterator[IdTriple]:
-        """Iterate id triples matching a pattern of optional bound ids.
-
-        Chooses the index whose prefix covers the bound positions so every
-        shape is answered by direct dict seeks plus one innermost loop.
-        """
-        if s is not None:
-            if p is not None:
-                objects = self._spo.get(s, _EMPTY_MAP).get(p, _EMPTY_SET)
-                if o is not None:
-                    if o in objects:
-                        yield (s, p, o)
-                else:
-                    for oid in objects:
-                        yield (s, p, oid)
-            elif o is not None:
-                for pid in self._osp.get(o, _EMPTY_MAP).get(s, _EMPTY_SET):
-                    yield (s, pid, o)
-            else:
-                for pid, objects in self._spo.get(s, _EMPTY_MAP).items():
-                    for oid in objects:
-                        yield (s, pid, oid)
-        elif p is not None:
-            if o is not None:
-                for sid in self._pos.get(p, _EMPTY_MAP).get(o, _EMPTY_SET):
-                    yield (sid, p, o)
-            else:
-                for oid, subjects in self._pos.get(p, _EMPTY_MAP).items():
-                    for sid in subjects:
-                        yield (sid, p, oid)
-        elif o is not None:
-            for sid, preds in self._osp.get(o, _EMPTY_MAP).items():
-                for pid in preds:
-                    yield (sid, pid, o)
-        else:
-            for sid in list(self._spo):
-                for pid, objects in self._spo.get(sid, _EMPTY_MAP).items():
-                    for oid in objects:
-                        yield (sid, pid, oid)
-
-    def count(
-        self, s: int | None = None, p: int | None = None, o: int | None = None
-    ) -> int:
-        if s is None and p is None and o is None:
-            return self._size
-        if s is not None and p is not None and o is None:
-            return len(self._spo.get(s, _EMPTY_MAP).get(p, _EMPTY_SET))
-        if p is not None and o is not None and s is None:
-            return len(self._pos.get(p, _EMPTY_MAP).get(o, _EMPTY_SET))
-        return sum(1 for _ in self.triples_ids(s, p, o))
-
-    def objects_ids(self, s: int, p: int) -> AbstractSet[int]:
-        return self._spo.get(s, _EMPTY_MAP).get(p, _EMPTY_SET)
-
-    def subjects_ids(self, p: int, o: int) -> AbstractSet[int]:
-        return self._pos.get(p, _EMPTY_MAP).get(o, _EMPTY_SET)
-
-    def out_index(self, s: int) -> Mapping[int, AbstractSet[int]]:
-        return self._spo.get(s, _EMPTY_MAP)
-
-    def in_index(self, o: int) -> Mapping[int, AbstractSet[int]]:
-        return self._osp.get(o, _EMPTY_MAP)
-
-    def subject_ids(self) -> Iterator[int]:
-        return iter(self._spo)
-
-    def predicate_ids(self) -> Iterator[int]:
-        return iter(self._pos)
-
-    def object_ids(self) -> Iterator[int]:
-        return iter(self._osp)
-
-
-class DictBackend(PermutationReads[set[int]]):
-    """Mutable permutation indexes as two-level dicts of sets.
-
-    This is the standard index layout of native RDF stores (gStore,
-    RDF-3X keep the full set of permutations; three suffice here because
-    each pattern shape has at least one index whose prefix is bound).
-    Reads are :class:`PermutationReads`; this class adds in-place mutation.
-    """
-
-    __slots__ = ("_version",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._version = 0
-
-    @property
-    def writable(self) -> bool:
-        return True
-
-    @property
-    def version(self) -> int:
-        return self._version
-
-    def add(self, s: int, p: int, o: int) -> bool:
-        objects = self._spo.setdefault(s, {}).setdefault(p, set())
-        if o in objects:
-            return False
-        objects.add(o)
-        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
-        self._size += 1
-        self._version += 1
-        return True
-
-    def add_all_ids(self, triples: Iterable[IdTriple]) -> int:
-        """Bulk insert; returns how many triples were new.
-
-        The version counter advances per new triple (never one bump per
-        batch): every intermediate store state stays distinguishable, so
-        a cache that compares versions can never alias across a batch
-        boundary.
-        """
-        return sum(starmap(self.add, triples))
-
-    def remove(self, s: int, p: int, o: int) -> bool:
-        objects = self._spo.get(s, {}).get(p)
-        if objects is None or o not in objects:
-            return False
-        objects.discard(o)
-        self._pos[p][o].discard(s)
-        self._osp[o][s].discard(p)
-        self._prune_empty(self._spo, s, p)
-        self._prune_empty(self._pos, p, o)
-        self._prune_empty(self._osp, o, s)
-        self._size -= 1
-        self._version += 1
-        return True
-
-    @staticmethod
-    def _prune_empty(index: dict[int, dict[int, set[int]]], outer: int, inner: int) -> None:
-        level = index.get(outer)
-        if level is None:
-            return
-        if not level.get(inner):
-            level.pop(inner, None)
-        if not level:
-            index.pop(outer, None)
-
-
 class FrozenBackend:
     """The lifecycle half of a frozen backend: fixed size and version,
     every mutation refused with :class:`StoreFrozenError`."""
@@ -324,9 +137,6 @@ class FrozenBackend:
             "compacted store through TripleStore.overlay(), or recompile "
             "the snapshot"
         )
-
-    def add(self, s: int, p: int, o: int) -> bool:
-        raise self._refusal()
 
     def add_all_ids(self, triples: Iterable[IdTriple]) -> int:
         raise self._refusal()
@@ -353,10 +163,11 @@ class CompactBackend(FrozenBackend):
     Each permutation (SPO, POS, OSP) is three parallel int64 columns
     sorted lexicographically by the permutation's key order; any pattern
     with bound positions narrows to a contiguous run with at most two
-    rounds of bisects.  Compared to :class:`DictBackend` this trades
-    O(1) point updates (mutation raises :class:`StoreFrozenError`) for a
-    fraction of the memory — 9 machine words per triple instead of hash
-    tables of boxed ints — and for a layout that serializes as raw bytes.
+    rounds of bisects.  Compared to dict-of-set permutation indexes this
+    trades point updates (mutation raises :class:`StoreFrozenError`;
+    writes go through an overlay) for a fraction of the memory — 9
+    machine words per triple instead of hash tables of boxed ints — and
+    for a layout that serializes as raw bytes.
 
     Columns are :data:`IntColumn` — either owned ``array('q')``
     instances (``from_triples``, the copying snapshot loader) or

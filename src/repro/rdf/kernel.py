@@ -521,11 +521,10 @@ class AdjacencyKernel:
                 {node: self._rebuild_row(node) for node in dirty},
             )
         else:
-            # Cold build.  Sorting canonicalizes the visit order: a dict
-            # backend scans in insertion order and an overlay appends its
-            # delta after the base run; on the frozen layouts (a sharded
-            # store's merged scan included) the scan is already sorted
-            # and the sort is one linear pass.
+            # Cold build.  Sorting canonicalizes the visit order: an
+            # overlay appends its delta after the base run; on the frozen
+            # layouts (a sharded store's merged scan included) the scan is
+            # already sorted and the sort is one linear pass.
             rows = rows_from_sorted_triples(
                 sorted(store.triples_ids()), self.structural_predicate_ids
             )

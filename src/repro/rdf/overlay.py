@@ -1,7 +1,9 @@
 """Overlay backend: a frozen base plus a small mutable delta.
 
-Live ingest needs a store that accepts writes while serving reads from a
-compiled artifact.  :class:`OverlayBackend` composes
+The overlay is the store's one writable layout: an empty
+:class:`~repro.rdf.store.TripleStore` is an overlay over an empty
+compact base, and live ingest writes to one over a compiled artifact.
+:class:`OverlayBackend` composes
 
 * a **frozen base** — a :class:`~repro.rdf.backend.CompactBackend` or
   :class:`~repro.rdf.shard.ShardedBackend`, typically mmap-loaded from a
@@ -12,8 +14,8 @@ compiled artifact.  :class:`OverlayBackend` composes
 and merges every read view of the :class:`~repro.rdf.backend.StoreBackend`
 protocol — ``triples_ids`` in all pattern shapes, counts,
 ``out_index``/``in_index``, the vocabulary iterators — so the composite
-is observably identical to a :class:`~repro.rdf.backend.DictBackend`
-rebuilt from the merged triples, at any delta size.
+is observably identical to a frozen store built from the merged triples,
+at any delta size.
 
 Mutation semantics keep the two sides disjoint: adding a triple the base
 already holds un-tombstoned is a no-op; adding a tombstoned triple clears
@@ -28,10 +30,12 @@ Concurrency: writers serialize on ``_write_lock``; readers are lock-free.
 Both delta indexes publish **copy-on-write rows** — the per-key inner
 dicts and their frozenset leaves are never mutated after being assigned
 into the outer dict, so a reader holding a row sees one consistent
-generation of it.  Full-scan reads snapshot outer key sets before
-iterating.  A read that races a write may observe the store just before
-or just after that write (either is a linearizable outcome); it never
-observes a torn row.
+generation of it.  A batch publishes each row it touches once, however
+many of its triples land there, which is what makes a bulk add cost one
+pass over the batch rather than a row copy per triple.  Full-scan reads
+snapshot outer key sets before iterating.  A read that races a write may
+observe the store just before or just after that write's rows (either is
+a linearizable outcome); it never observes a torn row.
 
 The overlay also logs the two endpoints of every mutation, in version
 order (:meth:`touched_since`), which is what lets
@@ -46,67 +50,163 @@ from __future__ import annotations
 
 import threading
 from array import array
+from itertools import chain
 from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from repro.contracts import guarded_by
-from repro.rdf.backend import IdTriple, PermutationReads, StoreBackend
+from repro.rdf.backend import IdTriple, StoreBackend
 
+#: Shared empty views; callers treat every returned set/mapping as
+#: immutable, so one instance suffices.
 _EMPTY_SET: frozenset[int] = frozenset()
+_EMPTY_MAP: dict[int, frozenset[int]] = {}
 
 #: outer key → {inner key → frozenset(values)} — one permutation of a delta.
 _DeltaPerm = dict[int, dict[int, frozenset[int]]]
 
+#: Where each permutation's (outer, inner, value) sit in an SPO triple.
+_KEY_ORDERS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
-class _DeltaIndex(PermutationReads[frozenset[int]]):
-    """Three permutation indexes with copy-on-write rows.
 
-    Reads are the same :class:`~repro.rdf.backend.PermutationReads` a
-    ``DictBackend`` uses; the one structural difference is on the write
-    side: mutation never edits a published row in place — it builds a
-    replacement dict/frozenset and assigns it into the outer index, so
-    lock-free readers always see a complete row.  All mutation happens
-    under the owning overlay's write lock.
+class _DeltaIndex:
+    """Three permutation indexes (SPO, POS, OSP) as two-level dicts with
+    copy-on-write rows.
+
+    ``_spo``/``_pos``/``_osp`` map outer key → inner key → frozenset of
+    values.  Writes never edit a published row in place: a batch builds
+    one replacement per touched row and assigns it into the outer index,
+    so lock-free readers always see a complete row.  All mutation happens
+    under the owning overlay's write lock.  Each read binds a row once
+    and reads only that binding, and the full scan snapshots the outer
+    keys before iterating.
     """
 
-    __slots__ = ()
+    __slots__ = ("_spo", "_pos", "_osp", "_size")
 
-    @staticmethod
-    def _cow_insert(perm: _DeltaPerm, outer: int, inner: int, value: int) -> None:
-        row = perm.get(outer)
-        new_row = dict(row) if row else {}
-        new_row[inner] = (new_row.get(inner) or _EMPTY_SET) | {value}
-        perm[outer] = new_row
+    def __init__(self) -> None:
+        self._spo: _DeltaPerm = {}
+        self._pos: _DeltaPerm = {}
+        self._osp: _DeltaPerm = {}
+        self._size = 0
 
-    @staticmethod
-    def _cow_discard(perm: _DeltaPerm, outer: int, inner: int, value: int) -> None:
-        row = perm.get(outer)
-        if row is None:
-            return
-        values = row.get(inner)
-        if values is None or value not in values:
-            return
-        new_row = dict(row)
-        remaining = values - {value}
-        if remaining:
-            new_row[inner] = remaining
+    def __len__(self) -> int:
+        return self._size
+
+    # ------------------------------------------------------------------ #
+    # Writes
+    # ------------------------------------------------------------------ #
+
+    def insert(self, triples: list[IdTriple]) -> None:
+        """Add triples the index does not hold."""
+        self._publish(triples, insert=True)
+        self._size += len(triples)
+
+    def discard(self, triples: list[IdTriple]) -> None:
+        """Drop triples the index holds."""
+        self._publish(triples, insert=False)
+        self._size -= len(triples)
+
+    def _publish(self, triples: list[IdTriple], insert: bool) -> None:
+        """Group ``triples`` by row in each permutation, then publish every
+        touched row once: a fresh dict over fresh frozensets."""
+        for perm, (a, b, c) in zip((self._spo, self._pos, self._osp), _KEY_ORDERS):
+            changes: dict[int, dict[int, set[int]]] = {}
+            for triple in triples:
+                changes.setdefault(triple[a], {}).setdefault(triple[b], set()).add(triple[c])
+            for outer, edits in changes.items():
+                row = dict(perm.get(outer, _EMPTY_MAP))
+                for inner, values in edits.items():
+                    if insert:
+                        row[inner] = row.get(inner, _EMPTY_SET) | values
+                    elif remaining := row[inner] - values:
+                        row[inner] = remaining
+                    else:
+                        del row[inner]
+                if row:
+                    perm[outer] = row
+                else:
+                    del perm[outer]
+
+    # ------------------------------------------------------------------ #
+    # Reads
+    # ------------------------------------------------------------------ #
+
+    def contains(self, s: int, p: int, o: int) -> bool:
+        return o in self._spo.get(s, _EMPTY_MAP).get(p, _EMPTY_SET)
+
+    def triples_ids(
+        self, s: int | None = None, p: int | None = None, o: int | None = None
+    ) -> Iterator[IdTriple]:
+        """Iterate id triples matching a pattern of optional bound ids.
+
+        Chooses the index whose prefix covers the bound positions so every
+        shape is answered by direct dict seeks plus one innermost loop.
+        """
+        if s is not None:
+            if p is not None:
+                objects = self._spo.get(s, _EMPTY_MAP).get(p, _EMPTY_SET)
+                if o is not None:
+                    if o in objects:
+                        yield (s, p, o)
+                else:
+                    for oid in objects:
+                        yield (s, p, oid)
+            elif o is not None:
+                for pid in self._osp.get(o, _EMPTY_MAP).get(s, _EMPTY_SET):
+                    yield (s, pid, o)
+            else:
+                for pid, objects in self._spo.get(s, _EMPTY_MAP).items():
+                    for oid in objects:
+                        yield (s, pid, oid)
+        elif p is not None:
+            if o is not None:
+                for sid in self._pos.get(p, _EMPTY_MAP).get(o, _EMPTY_SET):
+                    yield (sid, p, o)
+            else:
+                for oid, subjects in self._pos.get(p, _EMPTY_MAP).items():
+                    for sid in subjects:
+                        yield (sid, p, oid)
+        elif o is not None:
+            for sid, preds in self._osp.get(o, _EMPTY_MAP).items():
+                for pid in preds:
+                    yield (sid, pid, o)
         else:
-            del new_row[inner]
-        if new_row:
-            perm[outer] = new_row
-        else:
-            del perm[outer]
+            for sid in list(self._spo):
+                for pid, objects in self._spo.get(sid, _EMPTY_MAP).items():
+                    for oid in objects:
+                        yield (sid, pid, oid)
 
-    def insert(self, s: int, p: int, o: int) -> None:
-        self._cow_insert(self._spo, s, p, o)
-        self._cow_insert(self._pos, p, o, s)
-        self._cow_insert(self._osp, o, s, p)
-        self._size += 1
+    def count(
+        self, s: int | None = None, p: int | None = None, o: int | None = None
+    ) -> int:
+        if s is None and p is None and o is None:
+            return self._size
+        if s is not None and p is not None and o is None:
+            return len(self._spo.get(s, _EMPTY_MAP).get(p, _EMPTY_SET))
+        if p is not None and o is not None and s is None:
+            return len(self._pos.get(p, _EMPTY_MAP).get(o, _EMPTY_SET))
+        return sum(1 for _ in self.triples_ids(s, p, o))
 
-    def discard(self, s: int, p: int, o: int) -> None:
-        self._cow_discard(self._spo, s, p, o)
-        self._cow_discard(self._pos, p, o, s)
-        self._cow_discard(self._osp, o, s, p)
-        self._size -= 1
+    def objects_ids(self, s: int, p: int) -> AbstractSet[int]:
+        return self._spo.get(s, _EMPTY_MAP).get(p, _EMPTY_SET)
+
+    def subjects_ids(self, p: int, o: int) -> AbstractSet[int]:
+        return self._pos.get(p, _EMPTY_MAP).get(o, _EMPTY_SET)
+
+    def out_index(self, s: int) -> Mapping[int, AbstractSet[int]]:
+        return self._spo.get(s, _EMPTY_MAP)
+
+    def in_index(self, o: int) -> Mapping[int, AbstractSet[int]]:
+        return self._osp.get(o, _EMPTY_MAP)
+
+    def subject_ids(self) -> Iterator[int]:
+        return iter(self._spo)
+
+    def predicate_ids(self) -> Iterator[int]:
+        return iter(self._pos)
+
+    def object_ids(self) -> Iterator[int]:
+        return iter(self._osp)
 
 
 def _merge_values(
@@ -172,55 +272,49 @@ class OverlayBackend:
     # Mutation
     # ------------------------------------------------------------------ #
 
-    def _apply_add(self, s: int, p: int, o: int) -> bool:
-        if self._tombs.contains(s, p, o):
-            self._tombs.discard(s, p, o)
-            return True
-        if self._adds.contains(s, p, o) or self._base.contains(s, p, o):
-            return False
-        self._adds.insert(s, p, o)
-        return True
-
-    def _apply_remove(self, s: int, p: int, o: int) -> bool:
-        if self._adds.contains(s, p, o):
-            self._adds.discard(s, p, o)
-            return True
-        if self._base.contains(s, p, o) and not self._tombs.contains(s, p, o):
-            self._tombs.insert(s, p, o)
-            return True
-        return False
-
-    def add(self, s: int, p: int, o: int) -> bool:
-        with self._write_lock:
-            if not self._apply_add(s, p, o):
-                return False
-            self._version += 1
-            self._touched.extend((s, o))
-            return True
-
     def add_all_ids(self, triples: Iterable[IdTriple]) -> int:
-        """Bulk insert under one lock acquisition.
+        """Bulk insert under one lock acquisition; returns how many
+        triples were new.
 
-        The version counter still advances once per *new* triple — batch
-        ingestion must not collapse distinct store states into one
-        version, or a cache keyed mid-batch could alias the final state.
+        Each distinct triple, in input order, clears a tombstone, is
+        already present, or is new to the delta.  Every delta row the
+        batch touches is then published once, and only after that do the
+        version and the touched log advance: one step per change, in
+        input order.  Batch ingestion never collapses distinct store
+        states into one version, or a cache keyed mid-batch could alias
+        the final state.  A source that raises leaves the overlay as it
+        was.
         """
-        added = 0
         with self._write_lock:
-            for s, p, o in triples:
-                if self._apply_add(s, p, o):
-                    self._version += 1
-                    self._touched.extend((s, o))
-                    added += 1
-        return added
+            revived: list[IdTriple] = []
+            fresh: list[IdTriple] = []
+            changed: list[IdTriple] = []
+            tombs, adds, base = self._tombs, self._adds, self._base
+            for triple in dict.fromkeys(triples):
+                if tombs.contains(*triple):
+                    revived.append(triple)
+                elif adds.contains(*triple) or base.contains(*triple):
+                    continue
+                else:
+                    fresh.append(triple)
+                changed.append(triple)
+            tombs.discard(revived)
+            adds.insert(fresh)
+            self._version += len(changed)
+            self._touched.extend(chain.from_iterable((s, o) for s, _p, o in changed))
+        return len(changed)
 
     def remove(self, s: int, p: int, o: int) -> bool:
         with self._write_lock:
-            if not self._apply_remove(s, p, o):
+            if self._adds.contains(s, p, o):
+                self._adds.discard([(s, p, o)])
+            elif self._base.contains(s, p, o) and not self._tombs.contains(s, p, o):
+                self._tombs.insert([(s, p, o)])
+            else:
                 return False
             self._version += 1
             self._touched.extend((s, o))
-            return True
+        return True
 
     def touched_since(self, version: int) -> set[int]:
         """Nodes (subjects/objects) touched by mutations after ``version``.

@@ -3,25 +3,26 @@
 The store answers any triple pattern with one or two bound positions by a
 direct seek instead of a scan, via three permutation indexes (SPO, POS,
 OSP).  The physical index layout is a :class:`repro.rdf.backend.
-StoreBackend` chosen per workload:
+StoreBackend`; a graph is built offline and frozen, and writes go to one
+mutable layer over it:
 
-* the default :class:`~repro.rdf.backend.DictBackend` is mutable —
-  the shape for a graph built triple by triple in code (the bundled
-  knowledge bases, the generated ones, tests);
-* :class:`~repro.rdf.backend.CompactBackend` (see :meth:`TripleStore.
-  compacted`) is a frozen, sorted-column layout for serve-time replicas
-  and the compiled-snapshot format — and what
-  :func:`~repro.rdf.io.load_store` builds from a dump directly, with no
-  dict indexes in between;
+* :class:`~repro.rdf.backend.CompactBackend` is the frozen, sorted-column
+  layout every built graph lands in — :meth:`TripleStore.build` for a
+  graph written in code (the bundled knowledge bases, the generated
+  ones), :func:`~repro.rdf.io.load_store` for a dump — and the layout of
+  the compiled-snapshot format;
 * :class:`~repro.rdf.shard.ShardedBackend` (see :meth:`TripleStore.
   sharded`) hash-partitions the triples by subject into K frozen compact
   segments — the layout for graphs past one segment's RAM budget, with
-  per-segment snapshot files loaded on demand.
+  per-segment snapshot files loaded on demand;
+* :class:`~repro.rdf.overlay.OverlayBackend` (see :meth:`TripleStore.
+  overlay`) is the only writable layout: a delta and tombstones over a
+  frozen base.  ``TripleStore()`` is one over an empty compact base.
 
 The public API accepts and returns :class:`Triple` objects with real
 terms; the ``*_ids`` methods expose the integer layer that the matching
 and mining algorithms use directly.  All mutation goes through
-:meth:`add`/:meth:`remove`; frozen backends raise
+:meth:`add_all`/:meth:`remove`; frozen backends raise
 :class:`~repro.exceptions.StoreFrozenError`.
 """
 
@@ -31,7 +32,7 @@ from itertools import compress, count, filterfalse
 from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from repro.exceptions import StoreFrozenError
-from repro.rdf.backend import CompactBackend, DictBackend, StoreBackend
+from repro.rdf.backend import CompactBackend, StoreBackend
 from repro.rdf.collector import collector_paused
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.overlay import OverlayBackend
@@ -55,8 +56,9 @@ class TripleStore:
     Parameters
     ----------
     backend:
-        The physical index (defaults to a fresh mutable
-        :class:`~repro.rdf.backend.DictBackend`).
+        The physical index (defaults to an empty writable
+        :class:`~repro.rdf.overlay.OverlayBackend` over an empty compact
+        base).
     dictionary:
         The term dictionary to encode against.  Sharing one between
         stores keeps ids stable — how :meth:`compacted` and the snapshot
@@ -77,9 +79,37 @@ class TripleStore:
         literal_flags: bytes | bytearray | memoryview | None = None,
     ) -> None:
         self.dictionary = dictionary if dictionary is not None else TermDictionary()
-        self._backend: StoreBackend = backend if backend is not None else DictBackend()
+        self._backend: StoreBackend = (
+            backend if backend is not None else OverlayBackend(CompactBackend.from_triples(()))
+        )
         self._literal_flags = bytearray(literal_flags) if literal_flags is not None else bytearray()
         self._cover_dictionary()
+
+    @classmethod
+    def build(cls, triples: Iterable[Triple]) -> "TripleStore":
+        """A frozen store of ``triples``, built in one pass.
+
+        Terms are interned subject, predicate, object, triple by triple in
+        input order, literal objects flagged, and the distinct id triples
+        sorted straight into a :class:`~repro.rdf.backend.CompactBackend`
+        whose ``version`` counts them (one per distinct triple, as if each
+        had been added alone).  To write to the result, take
+        :meth:`overlay`.
+        """
+        dictionary = TermDictionary()
+        encode = dictionary.encode
+        flags = bytearray()
+        ids: set[_IdTriple] = set()
+        with collector_paused():
+            for triple in triples:
+                s = encode(triple.subject)
+                p = encode(triple.predicate)
+                o = encode(triple.object)
+                if isinstance(triple.object, Literal):
+                    flag_literal(flags, o)
+                ids.add((s, p, o))
+            backend = CompactBackend.from_triples(ids, version=len(ids))
+        return cls(backend, dictionary, flags)
 
     @property
     def backend(self) -> StoreBackend:
@@ -202,23 +232,15 @@ class TripleStore:
 
     def add(self, triple: Triple) -> bool:
         """Insert a triple.  Returns True if it was new, False if present."""
-        if not self._backend.writable:
-            raise StoreFrozenError("cannot add to a frozen store; write through .overlay()")
-        s = self.dictionary.encode(triple.subject)
-        p = self.dictionary.encode(triple.predicate)
-        o = self.dictionary.encode(triple.object)
-        self._cover_dictionary()
-        if isinstance(triple.object, Literal):
-            self._literal_flags[o] = 1
-        return self._backend.add(s, p, o)
+        return self.add_all((triple,)) == 1
 
     def add_all(self, triples: Iterable[Triple]) -> int:
         """Insert many triples; returns the number that were new.
 
         Bulk fast path: terms are encoded and literals booked in one pass
-        here, then the id triples go to the backend's ``add_all_ids``
-        (one lock acquisition on an overlay, still one version bump per
-        new triple).  Runs with the cycle collector paused, like every
+        here, then the id triples go to the overlay's ``add_all_ids`` (one
+        lock acquisition, one publish per touched row, still one version
+        bump per new triple).  Runs with the cycle collector paused, like every
         bulk builder (:mod:`repro.rdf.collector`).
         """
         if not self._backend.writable:

@@ -193,6 +193,20 @@ class TestFrozenStore:
         assert len(findings) == 1
         assert ".add()" in findings[0].message
 
+    def test_fires_on_add_to_a_built_store(self, lint_source):
+        findings = lint_source(
+            """
+            from repro.rdf import TripleStore
+
+            def grow(triples, t):
+                store = TripleStore.build(triples)
+                store.add(t)
+            """,
+            rule=self.RULE,
+        )
+        assert len(findings) == 1
+        assert ".add()" in findings[0].message
+
     def test_fires_on_annotated_compact_backend_parameter(self, lint_source):
         findings = lint_source(
             """

@@ -137,6 +137,28 @@ class TestNoForksGrowBack:
             "kg", "dictionary", "info", "index", "max_degree", "mapping",
         ]
 
+    def test_one_writable_store_and_builders_freeze(self):
+        """The overlay takes every write: no dict store beside it, no
+        per-triple ``add`` on the backend protocol, and a built graph is
+        frozen."""
+        import repro.rdf.backend
+        from repro.datasets import (
+            SyntheticConfig,
+            build_dbpedia_mini,
+            build_synthetic_kg,
+            build_yago_mini,
+        )
+        from repro.rdf.backend import StoreBackend
+
+        assert not hasattr(repro.rdf.backend, "DictBackend")
+        assert not hasattr(StoreBackend, "add")
+        for kg in (
+            build_dbpedia_mini(),
+            build_yago_mini(),
+            build_synthetic_kg(SyntheticConfig(entities=50)),
+        ):
+            assert not kg.store.writable
+
     def test_kernel_knows_nothing_about_shards(self):
         from repro.analysis.engine import scan
 

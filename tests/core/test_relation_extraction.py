@@ -1,5 +1,7 @@
 """Tests for Algorithm 2: relation-phrase embeddings in dependency trees."""
 
+import gc
+
 import pytest
 
 from repro.core.relation_extraction import RelationExtractor
@@ -83,3 +85,22 @@ class TestEmbeddingFinding:
         assert embedding.size == 1
         assert embedding.root.lower == "developed"
         assert embedding.node_indexes() == frozenset({1})
+
+
+class TestProbeLeavesNoGarbage:
+    def test_embedding_many_times_makes_no_reference_cycle(self):
+        """The probe walk builds no function/cell cycle per call: with the
+        collector off, a thousand probes leave nothing for it to find."""
+        tree = parse_question("Who was married to an actor that played in Philadelphia?")
+        extractor = RelationExtractor(make_dictionary("be marry to", "play in"))
+        marry, play = (next(n for n in tree.nodes if n.lemma == lemma) for lemma in ("marry", "play"))
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(1000):
+                assert extractor._embed_at(marry, ("be", "marry", "to")) is not None
+                assert extractor._embed_at(play, ("play", "in")) is not None
+                assert extractor._embed_at(play, ("be", "marry", "to")) is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

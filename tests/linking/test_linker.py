@@ -358,8 +358,9 @@ def _homonym_store(clones, label="Springfield"):
 
 @pytest.fixture(params=["dict", "overlay"])
 def recorded(request):
-    """(kg, backend): 12 homonyms, over a dict store and over an overlay on
-    a compact base, behind a call-counting backend."""
+    """(kg, backend): 12 homonyms, over the default store (every triple in
+    its delta) and over an overlay on a compact base, behind a
+    call-counting backend."""
     store = _homonym_store(12)
     if request.param == "overlay":
         store = store.compacted().overlay()

@@ -58,8 +58,8 @@ def _per_node_material(kg):
 
 #: Cases the fixture graphs lack: a node with two labels whose label
 #: literals were first stored in the other order (so that the label scan
-#: and the per-node seek disagree on a dict store), a self-loop, a node
-#: with no label at all.
+#: and the per-node seek disagree where a scan follows insertion order, as
+#: an overlay's delta does), a self-loop, a node with no label at all.
 _EXTRAS = [
     Triple(IRI("ex:other"), IRI("ex:alias"), Literal("Zed")),
     Triple(IRI("ex:other"), IRI("ex:alias"), Literal("Alpha")),
@@ -78,7 +78,9 @@ _LATE = [
 
 
 def _composed(build, composition):
-    store = build().store
+    # "dict" keeps the name the benchmark gives the builder's store; here
+    # it is that frozen store with every extra triple in an overlay's delta.
+    store = build().store.overlay()
     store.add_all(_EXTRAS)
     if composition == "dict":
         store.add_all(_LATE)
@@ -152,7 +154,7 @@ class TestOncePerStoreVersion:
 
     def test_refresh_rebuilds(self, monkeypatch):
         builds = _Builds(monkeypatch)
-        kg = build_dbpedia_mini()
+        kg = KnowledgeGraph(build_dbpedia_mini().store.overlay())
         before = EntityLinker(kg)
         kg.store.add(Triple(IRI("ex:new"), RDFS_LABEL, Literal("Brand New Thing")))
         kg.refresh()
@@ -163,7 +165,7 @@ class TestOncePerStoreVersion:
 
     def test_a_write_without_refresh_rebuilds_too(self, monkeypatch):
         builds = _Builds(monkeypatch)
-        kg = build_dbpedia_mini()
+        kg = KnowledgeGraph(build_dbpedia_mini().store.overlay())
         kernel = kg.kernel
         before = EntityLinker(kg)
         hub = IRI("ex:hub")

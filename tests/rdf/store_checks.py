@@ -139,7 +139,6 @@ def assert_refuses_mutation(store):
         lambda: store.add(triple),
         lambda: store.add_all([triple]),
         lambda: store.remove(triple),
-        lambda: store.backend.add(1, 2, 3),
         lambda: store.backend.add_all_ids([(1, 2, 3)]),
         lambda: store.backend.remove(1, 2, 3),
     ):

@@ -1,10 +1,10 @@
-"""Backend equivalence: DictBackend and CompactBackend answer identically.
+"""Backend equivalence: a writable store and its compaction answer identically.
 
-The compact backend is a frozen, sorted-column re-encoding of the same
-index; every id-level read — all eight triple-pattern shapes, counts,
-adjacency rows, distinct-id streams — must return exactly what the dict
-backend returns, or query results would depend on how the store was
-loaded.  The walk itself is ``store_checks.assert_matches_model``, shared
+A ``TripleStore()`` is an overlay over an empty compact base; the compact
+backend is a frozen, sorted-column re-encoding of the same triples.  Every
+id-level read — all eight triple-pattern shapes, counts, adjacency rows,
+distinct-id streams — must return exactly what the writable store returns,
+or query results would depend on how the store was loaded.  The walk itself is ``store_checks.assert_matches_model``, shared
 with the random state machine (``test_store_machine.py``); this file pins
 it on one readable fixture and keeps the frozen-store contract tests.
 """
@@ -19,7 +19,6 @@ from repro.exceptions import StoreFrozenError
 from repro.rdf import (
     IRI,
     CompactBackend,
-    DictBackend,
     Literal,
     OverlayBackend,
     ShardedBackend,
@@ -48,22 +47,21 @@ TRIPLES = [
 
 @pytest.fixture
 def pair():
-    """(dict-backed store, compact re-encoding of the same store)."""
+    """(writable store, compact re-encoding of the same store)."""
     store = TripleStore()
     store.add_all(TRIPLES)
     return store, store.compacted()
 
 
 class TestProtocolSurface:
-    def test_sixteen_core_members_and_no_backend_carries_a_derived_view(self):
+    def test_fifteen_core_members_and_no_backend_carries_a_derived_view(self):
         core = {
             name for name in vars(StoreBackend)
             if name == "__len__" or not name.startswith("_")
         }
-        assert len(core) == 16
+        assert len(core) == 15
         frozen = CompactBackend.from_triples([(1, 2, 3)])
         for backend in (
-            DictBackend(),
             frozen,
             ShardedBackend.from_triples([(1, 2, 3)], shards=2),
             OverlayBackend(frozen),
@@ -112,53 +110,73 @@ class TestEquivalence:
         assert len(compact) == 2
 
 
-class TestDictBulkInsert:
-    """``DictBackend.add_all_ids`` is a loop of ``add``, written as one."""
+class TestOverlayBulkInsert:
+    """``OverlayBackend.add_all_ids`` publishes a batch at once and lands
+    where a loop of one-triple batches would."""
 
     BATCH = [
         (1, 2, 3), (1, 2, 4), (1, 2, 3),  # a duplicate inside the batch
         (3, 2, 1), (1, 5, 3), (3, 2, 1), (4, 2, 3), (1, 2, 3),
+        (7, 7, 7), (7, 7, 7),  # a tombstoned base triple, revived once
     ]
 
-    def _permutations(self, backend):
-        return [
-            {outer: {inner: set(leaf) for inner, leaf in row.items()} for outer, row in index.items()}
-            for index in (backend._spo, backend._pos, backend._osp)
-        ]
+    @staticmethod
+    def _overlay():
+        overlay = OverlayBackend(CompactBackend.from_triples([(4, 2, 3), (9, 9, 9), (7, 7, 7)]))
+        assert overlay.remove(7, 7, 7)
+        return overlay
 
-    def test_equals_a_loop_of_add(self):
-        bulk, single = DictBackend(), DictBackend()
-        for backend in (bulk, single):  # and duplicates of what is already there
-            backend.add(4, 2, 3)
-            backend.add(9, 9, 9)
+    @staticmethod
+    def _permutations(backend):
+        delta = backend._adds
+        return [dict(index) for index in (delta._spo, delta._pos, delta._osp)]
+
+    def test_equals_a_loop_of_single_triple_batches(self):
+        bulk, single = self._overlay(), self._overlay()
         added = bulk.add_all_ids(iter(self.BATCH))
-        assert added == sum(single.add(*triple) for triple in self.BATCH) == 4
-        assert len(bulk) == len(single) == 6
+        assert added == sum(single.add_all_ids([triple]) for triple in self.BATCH) == 5
+        assert len(bulk) == len(single) == 7
         assert bulk.version == single.version == 6
+        assert bulk.delta_statistics() == single.delta_statistics() == {
+            "base_triples": 3, "delta_adds": 4, "tombstones": 0,
+        }
         assert self._permutations(bulk) == self._permutations(single)
-        # Same key order too: scans of a dict store follow insertion order.
+        # Same key order too, and the touched log in input order.
         assert list(bulk.triples_ids()) == list(single.triples_ids())
         assert list(bulk.triples_ids(p=2)) == list(single.triples_ids(p=2))
         assert list(bulk.triples_ids(o=3)) == list(single.triples_ids(o=3))
+        assert bulk._touched == single._touched
+        for version in range(0, 7):
+            assert bulk.touched_since(version) == single.touched_since(version)
 
-    def test_a_batch_that_fails_midway_keeps_size_and_version_in_step(self):
+    def test_a_batch_that_fails_midway_changes_nothing(self):
         def batch():
             yield (1, 2, 3)
             yield (1, 2, 4)
             raise KeyError("source ran dry")
 
-        backend = DictBackend()
+        backend = OverlayBackend(CompactBackend.from_triples([(4, 2, 3)], version=1))
         with pytest.raises(KeyError):
             backend.add_all_ids(batch())
-        assert len(backend) == backend.version == 2
-        assert sorted(backend.triples_ids()) == [(1, 2, 3), (1, 2, 4)]
+        assert len(backend) == backend.version == 1
+        assert backend.touched_since(0) == set()
+        assert sorted(backend.triples_ids()) == [(4, 2, 3)]
+
+    def test_a_held_row_is_never_edited(self):
+        backend = OverlayBackend(CompactBackend.from_triples(()))
+        backend.add_all_ids([(1, 2, 3), (1, 5, 3)])
+        row, objects = backend.out_index(1), backend.objects_ids(1, 2)
+        backend.add_all_ids([(1, 2, 4), (1, 6, 3)])
+        backend.remove(1, 5, 3)
+        assert row == {2: {3}, 5: {3}} and objects == {3}
+        assert backend.out_index(1) == {2: {3, 4}, 6: {3}}
 
 
 class TestFrozen:
     def test_compact_backend_rejects_mutation(self):
         compact = CompactBackend.from_triples([(1, 2, 3)])
         with pytest.raises(StoreFrozenError):
-            compact.add(4, 5, 6)
+            compact.add_all_ids([(4, 5, 6)])
         with pytest.raises(StoreFrozenError):
             compact.remove(1, 2, 3)
 

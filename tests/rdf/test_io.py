@@ -9,9 +9,9 @@ from repro.exceptions import RDFSyntaxError, StoreFrozenError
 from repro.rdf import (
     IRI,
     CompactBackend,
-    DictBackend,
     KnowledgeGraph,
     Literal,
+    OverlayBackend,
     Triple,
     TripleStore,
     parse_ntriples,
@@ -129,7 +129,7 @@ class TestSaveOrder:
 # --------------------------------------------------------------------- #
 
 def _reference(text: str) -> TripleStore:
-    """The two-step load: terms parsed, added to a dict store, re-sorted."""
+    """The two-step load: terms parsed, added to an empty store, re-sorted."""
     store = TripleStore()
     store.add_all(parse_ntriples(text))
     return store.compacted()
@@ -225,10 +225,10 @@ class TestOnePassLoader:
     def test_builds_no_dict_backend_and_compacted_shares_it(self, tmp_path, monkeypatch):
         path = tmp_path / "data.nt"
         path.write_text('<ex:a> <ex:p> <ex:b> .\n<ex:a> <ex:p> "x" .\n', encoding="utf-8")
-        built = []
-        init = DictBackend.__init__
+        built = []  # mutable indexes: an overlay is the only one
+        init = OverlayBackend.__init__
         monkeypatch.setattr(
-            DictBackend, "__init__", lambda self: (built.append(self), init(self))[1]
+            OverlayBackend, "__init__", lambda self, base: (built.append(self), init(self, base))[1]
         )
         store = load_store(path)
         assert built == []

@@ -307,13 +307,13 @@ class TestRefreshInvalidation:
 
 class TestSingleRowBuilder:
     """``rows_from_sorted_triples`` is the only place triples become rows:
-    every construction path — the cold build on any layout (dict,
+    every construction path — the cold build on any layout (overlay,
     compact, sharded, dirty overlay) and incremental patching — must
     reproduce it byte for byte."""
 
     @pytest.fixture(scope="class")
     def stores(self):
-        store = build_dbpedia_mini().store
+        store = build_dbpedia_mini().store.overlay()
         e = lambda name: IRI(f"pin:{name}")
         store.add_all([
             Triple(e("loop"), e("rel"), e("loop")),  # self-loop: fwd then bwd, adjacent

@@ -25,7 +25,7 @@ from repro.datasets import build_dbpedia_mini, build_phrase_dataset, qald_questi
 from repro.exceptions import StoreFrozenError
 from repro.paraphrase import ParaphraseMiner
 from repro.rdf import IRI, Literal, Triple
-from repro.rdf.backend import CompactBackend, DictBackend
+from repro.rdf.backend import CompactBackend
 from repro.rdf.graph import KnowledgeGraph
 from repro.rdf.kernel import AdjacencyKernel, KernelRows
 from repro.rdf.overlay import OverlayBackend
@@ -78,7 +78,7 @@ class TestMergeEquivalence:
                     1000 + rng.randrange(11),
                     2000 + rng.randrange(300),
                 )
-                if overlay.add(*triple):
+                if overlay.add_all_ids([triple]):
                     assert triple not in mirror
                     mirror.add(triple)
                     mutations += 1
@@ -94,7 +94,7 @@ class TestMergeEquivalence:
                 if not tombstoned:
                     continue
                 triple = rng.choice(tombstoned)
-                assert overlay.add(*triple)
+                assert overlay.add_all_ids([triple])
                 mirror.add(triple)
                 mutations += 1
 
@@ -122,13 +122,13 @@ class TestMutationSemantics:
         self.overlay = OverlayBackend(CompactBackend.from_triples(self.base_triples))
 
     def test_requires_frozen_base(self):
-        writable = DictBackend()
+        writable = OverlayBackend(CompactBackend.from_triples(()))
         with pytest.raises(ValueError):
             OverlayBackend(writable)
 
     def test_add_existing_base_triple_is_noop(self):
         version = self.overlay.version
-        assert not self.overlay.add(1, 10, 2)
+        assert self.overlay.add_all_ids([(1, 10, 2)]) == 0
         assert self.overlay.version == version
         assert len(self.overlay) == 3
 
@@ -136,7 +136,7 @@ class TestMutationSemantics:
         assert self.overlay.remove(1, 10, 2)
         assert not self.overlay.contains(1, 10, 2)
         assert self.overlay.delta_statistics()["tombstones"] == 1
-        assert self.overlay.add(1, 10, 2)
+        assert self.overlay.add_all_ids([(1, 10, 2)])
         assert self.overlay.contains(1, 10, 2)
         # Re-add resurrects the base triple: no delta entry remains.
         assert self.overlay.delta_statistics() == {
@@ -144,7 +144,7 @@ class TestMutationSemantics:
         }
 
     def test_remove_delta_triple_drops_it(self):
-        assert self.overlay.add(5, 12, 6)
+        assert self.overlay.add_all_ids([(5, 12, 6)])
         assert self.overlay.remove(5, 12, 6)
         assert self.overlay.delta_statistics() == {
             "base_triples": 3, "delta_adds": 0, "tombstones": 0,
@@ -160,7 +160,7 @@ class TestMutationSemantics:
 
     def test_version_bumps_once_per_successful_mutation(self):
         v0 = self.overlay.version
-        assert self.overlay.add(7, 13, 8)
+        assert self.overlay.add_all_ids([(7, 13, 8)])
         assert self.overlay.version == v0 + 1
         assert self.overlay.remove(7, 13, 8)
         assert self.overlay.version == v0 + 2
@@ -175,17 +175,17 @@ class TestMutationSemantics:
     def test_frozen_base_is_never_mutated(self):
         base = self.overlay.base
         before = sorted(base.triples_ids())
-        self.overlay.add(5, 12, 6)
+        self.overlay.add_all_ids([(5, 12, 6)])
         self.overlay.remove(1, 10, 2)
         self.overlay.add_all_ids([(8, 14, 9)])
         assert sorted(base.triples_ids()) == before
         assert len(base) == 3
         with pytest.raises(StoreFrozenError):
-            base.add(99, 99, 99)
+            base.add_all_ids([(99, 99, 99)])
 
     def test_touched_since_reports_dirty_nodes(self):
         v0 = self.overlay.version
-        self.overlay.add(5, 12, 6)
+        self.overlay.add_all_ids([(5, 12, 6)])
         v1 = self.overlay.version
         self.overlay.remove(1, 10, 2)
         assert self.overlay.touched_since(v0) == {5, 6, 1, 2}
@@ -258,7 +258,7 @@ class TestStoreIntegration:
     def test_overlay_requires_frozen_backend(self, setup):
         kg, _ = setup
         with pytest.raises(ValueError):
-            kg.store.overlay()  # dict-backed store is not frozen
+            kg.store.overlay().overlay()  # an overlay is not frozen
 
     def test_literal_bookkeeping_follows_delta(self, setup):
         kg, _ = setup
@@ -408,7 +408,7 @@ class TestCompaction:
         base_triples = random_triples(rng, 800)
         overlay = OverlayBackend(frozen_base(base_triples))
         for triple in random_triples(rng, 120, subjects=40):
-            overlay.add(*triple)
+            overlay.add_all_ids([triple])
         for triple in base_triples[::13]:
             overlay.remove(*triple)
         merged = sorted(overlay.triples_ids())
@@ -424,7 +424,7 @@ class TestCompaction:
         base_triples = random_triples(rng, 500)
         overlay = OverlayBackend(frozen_base(base_triples))
         for triple in random_triples(rng, 60, subjects=30):
-            overlay.add(*triple)
+            overlay.add_all_ids([triple])
         merged = sorted(overlay.triples_ids())
         sharded = ShardedBackend.from_triples(
             merged, shards=4, version=overlay.version
@@ -435,7 +435,7 @@ class TestCompaction:
 
 class TestAnswerIdentity:
     def test_qald_answers_identical_dict_overlay_postcompaction(self, setup):
-        """The acceptance bar: dict store, zero-delta overlay, dirty
+        """The acceptance bar: the built store, zero-delta overlay, dirty
         overlay (bench-namespace churn), and re-compacted engines answer
         the full QALD set byte-identically."""
         kg, dictionary = setup

@@ -218,7 +218,7 @@ class TestShardedSnapshot:
         assert sorted(a.dictionary.phrases()) == sorted(b.dictionary.phrases())
 
     def test_qald_answers_identical_across_backends(self, setup, snapshots):
-        """The acceptance bar: dict store, compact snapshot, and sharded
+        """The acceptance bar: the built store, compact snapshot, and sharded
         manifest engines answer the full QALD set byte-identically."""
         kg, dictionary = setup
         single, manifest, _ = snapshots

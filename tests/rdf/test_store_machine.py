@@ -3,8 +3,9 @@
 A Hypothesis state machine drives a random add / bulk-add / remove /
 re-add / compact / shard(K) stream through the :class:`TripleStore`
 facade against a plain ``set`` of id triples.  Three writable stores take
-every mutation — dict-backed, overlay over a compact base, overlay over a
-sharded base — and two frozen copies (compact, sharded-K) are re-derived
+every mutation — the default ``TripleStore()`` (an overlay over an empty
+compact base), overlay over a compact base, overlay over a sharded
+base — and two frozen copies (compact, sharded-K) are re-derived
 at each step.  After every step each of the five must agree with the model
 on every ``StoreBackend`` member and every facade-derived view
 (``store_checks.assert_matches_model``), the frozen pair must refuse
@@ -45,19 +46,19 @@ class StoreMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.dict = TripleStore()
+        self.default = TripleStore()
         # Encode the whole vocabulary up front: ids (and the kernel's
         # structural-predicate set) stay fixed for the run.
         for term in NODES + PREDICATES + OBJECTS:
-            self.dict.dictionary.encode(term)
+            self.default.dictionary.encode(term)
         self.writable = {
-            "dict": self.dict,
-            "overlay/compact": self.dict.compacted().overlay(),
-            "overlay/sharded": self.dict.sharded(2).overlay(),
+            "default": self.default,
+            "overlay/compact": self.default.compacted().overlay(),
+            "overlay/sharded": self.default.sharded(2).overlay(),
         }
         self.shards = 2
         self.literal_ids = {
-            self.dict.dictionary.lookup(term)
+            self.default.dictionary.lookup(term)
             for term in OBJECTS
             if isinstance(term, Literal)
         }
@@ -67,7 +68,7 @@ class StoreMachine(RuleBasedStateMachine):
         self.nodes_seen: set[int] = set()
 
     def ids(self, triple):
-        lookup = self.dict.dictionary.lookup
+        lookup = self.default.dictionary.lookup
         return lookup(triple.subject), lookup(triple.predicate), lookup(triple.object)
 
     # ------------------------------------------------------------------ #
@@ -125,8 +126,8 @@ class StoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def every_composition_matches_the_model(self):
-        compact = self.dict.compacted()
-        sharded = self.dict.sharded(self.shards)
+        compact = self.default.compacted()
+        sharded = self.default.sharded(self.shards)
         stores = self.writable | {"compact": compact, "sharded": sharded}
         literals = {o for _, _, o in self.model if o in self.literal_ids}
         for name, store in stores.items():
@@ -140,16 +141,16 @@ class StoreMachine(RuleBasedStateMachine):
         assert_same_order(sharded, compact, self.model)
 
         # Kernel rows: one answer from every layout, cold or patched.
-        rows = AdjacencyKernel(self.dict).full_rows()
+        rows = AdjacencyKernel(self.default).full_rows()
         assert AdjacencyKernel(compact).full_rows() == rows
         assert AdjacencyKernel(sharded).full_rows() == rows
-        cold = AdjacencyKernel(self.dict)
+        cold = AdjacencyKernel(self.default)
         steps = {step for _node, row, _nbrs in rows.scan() for step in row}
         for name, store in self.writable.items():
             self.kernels[name] = AdjacencyKernel(store, patch_from=self.kernels[name])
             assert self.kernels[name].full_rows() == rows, name
-        # The memos a patch carries forward (an overlay's; the dict store
-        # rebuilds cold) answer like a cold build's, for every step and node.
+        # The memos a patch carries forward answer like a cold build's,
+        # for every step and node.
         self.nodes_seen.update(rows)
         for name, kernel in self.kernels.items():
             for step in steps:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import GAnswer
 from repro.exceptions import EngineClosedError
-from repro.rdf import IRI, Literal, Triple
+from repro.rdf import IRI, KnowledgeGraph, Literal, Triple
 from repro.serve import AdmissionRejected, EngineConfig, QAEngine
 from repro.serve import engine as engine_module
 
@@ -249,20 +249,21 @@ class TestAnswerCache:
         variant = fresh_engine.ask("  who is the  MAYOR of berlin ")
         assert variant["cached"] is True
 
-    def test_store_mutation_plus_refresh_invalidates(self, fresh_engine, kg):
-        before = fresh_engine.ask(BERLIN_Q)
-        assert fresh_engine.ask(BERLIN_Q)["cached"] is True
-        triple = Triple(IRI("res:CacheProbe"), IRI("rdfs:label"), Literal("probe"))
-        kg.store.add(triple)
+    def test_store_mutation_plus_refresh_invalidates(self, kg, dictionary):
+        # The shared graph is frozen: write to an overlay over it.
+        live = KnowledgeGraph(kg.store.overlay())
+        engine = QAEngine(live, dictionary, EngineConfig(pool_size=1, queue_limit=2))
         try:
-            fresh_engine.refresh()
-            after = fresh_engine.ask(BERLIN_Q)
+            before = engine.ask(BERLIN_Q)
+            assert engine.ask(BERLIN_Q)["cached"] is True
+            live.store.add(Triple(IRI("res:CacheProbe"), IRI("rdfs:label"), Literal("probe")))
+            engine.refresh()
+            after = engine.ask(BERLIN_Q)
             assert after["cached"] is False  # version moved, key misses
             assert after["store_version"] > before["store_version"]
             assert after["answers"] == before["answers"]
         finally:
-            kg.store.remove(triple)
-            fresh_engine.refresh()
+            engine.close()
 
     def test_cache_disabled_by_config(self, kg, dictionary):
         engine = QAEngine(

@@ -14,6 +14,7 @@ import urllib.request
 import pytest
 
 from repro.cli import main
+from repro.datasets import build_dbpedia_mini
 from repro.serve.admission import AdmissionRejected
 from repro.rdf import IRI, Literal, Triple
 from repro.rdf.graph import KnowledgeGraph
@@ -228,6 +229,31 @@ class TestEngineIngest:
         finally:
             release.set()
             engine.kg.refresh = original
+            engine.close()
+
+
+class TestIngestOverABuiltGraph:
+    def test_a_held_view_is_never_edited_under_its_reader(self, dictionary):
+        """An engine over a builder's graph (what ``repro serve`` runs
+        without ``--snapshot``) writes through an overlay: a row view a
+        reader already holds, and an iteration over it, see no write."""
+        kg = build_dbpedia_mini()
+        engine = QAEngine(kg, dictionary, EngineConfig(pool_size=1))
+        try:
+            store = kg.store
+            lookup = store.dictionary.lookup
+            s, p = lookup(IRI("res:Berlin")), lookup(IRI("ont:mayor"))
+            held = store.objects_ids(s, p)
+            before = set(held)
+            walk = iter(held)
+            first = next(walk)
+            engine.ingest([
+                Triple(IRI("res:Berlin"), IRI("ont:mayor"), IRI(f"t:mayor{i}")) for i in range(3)
+            ])
+            assert set(held) == before
+            assert {first, *walk} == before
+            assert len(store.objects_ids(s, p)) == len(before) + 3
+        finally:
             engine.close()
 
 
