@@ -40,7 +40,7 @@ def _load_state(args):
 
         state = load_snapshot(snapshot)
         return state.kg, state.dictionary, state.build_linker()
-    setup = default_setup(args.distractors, jobs=args.jobs)
+    setup = default_setup(args.distractors)
     return setup.kg, setup.dictionary, None
 
 
@@ -110,7 +110,7 @@ def cmd_ask(args) -> int:
     if args.explain:
         from repro.core.explain import explain
 
-        setup = default_setup(args.distractors, jobs=args.jobs)
+        setup = default_setup(args.distractors)
         print(explain(setup.kg, result))
         return 0 if result.processed else 1
     _print_answer(result)
@@ -204,7 +204,7 @@ def cmd_serve(args) -> int:
 def cmd_sparql(args) -> int:
     from repro.sparql import evaluate, parse_query
 
-    setup = default_setup(args.distractors, jobs=args.jobs)
+    setup = default_setup(args.distractors)
     result = evaluate(setup.kg.store, parse_query(args.query))
     if isinstance(result, bool):
         print("yes" if result else "no")
@@ -273,7 +273,7 @@ def cmd_compile(args) -> int:
 
     from repro.rdf.snapshot import compile_snapshot
 
-    setup = default_setup(args.distractors, jobs=args.jobs)
+    setup = default_setup(args.distractors)
     started = time.perf_counter()
     info = compile_snapshot(Path(args.output), setup.kg, setup.dictionary)
     elapsed = time.perf_counter() - started
@@ -367,7 +367,7 @@ def cmd_lint(args) -> int:
 def cmd_dictionary(args) -> int:
     from repro.paraphrase.path_mining import describe_path
 
-    setup = default_setup(args.distractors, jobs=args.jobs)
+    setup = default_setup(args.distractors)
     for phrase in sorted(setup.dictionary.phrases()):
         mappings = setup.dictionary.lookup(phrase)
         if not mappings:
@@ -380,11 +380,19 @@ def cmd_dictionary(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, lower: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < lower:
+        raise argparse.ArgumentTypeError(f"must be at least {lower}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,13 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable the superlative post-processing extension",
     )
     parser.add_argument(
-        "--distractors", type=int, default=0,
+        "--distractors", type=_non_negative_int, default=0,
         help="label clones per entity (DBpedia-scale ambiguity)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for offline dictionary mining "
-        "(1 = serial, 0 = one per CPU; output is identical at any count)",
     )
     parser.add_argument(
         "--trace", action="store_true",
@@ -450,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8765, help="bind port (0 = ephemeral)"
     )
     serve.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_positive_int, default=1,
         help="worker processes (>1 = pre-fork with SO_REUSEPORT; each "
         "worker builds its own engine, sharing the mmapped graph pages)",
     )

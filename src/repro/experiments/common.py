@@ -39,13 +39,9 @@ class Setup:
 
 
 @lru_cache(maxsize=4)
-def default_setup(distractors_per_entity: int = 0, jobs: int = 1) -> Setup:
-    """Build (and cache) the standard KG + mined dictionary.
-
-    ``jobs`` is forwarded to :class:`ParaphraseMiner` (mined output is
-    identical at any job count, so cached setups stay interchangeable).
-    """
+def default_setup(distractors_per_entity: int = 0) -> Setup:
+    """Build (and cache) the standard KG + mined dictionary."""
     kg = build_dbpedia_mini(distractors_per_entity=distractors_per_entity)
     phrases = build_phrase_dataset()
-    dictionary = ParaphraseMiner(kg, max_path_length=4, top_k=3, jobs=jobs).mine(phrases)
+    dictionary = ParaphraseMiner(kg, max_path_length=4, top_k=3).mine(phrases)
     return Setup(kg=kg, dictionary=dictionary, phrases=phrases)

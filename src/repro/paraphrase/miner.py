@@ -7,15 +7,6 @@ paths by tf-idf confidence.
 
 Confidences are normalized per phrase to (0, 1] (the paper's Table 6 note:
 "the confidence probabilities are normalized").
-
-Mining is embarrassingly parallel across relation phrases: each phrase's
-support pairs are enumerated independently and scoring happens afterwards
-in the parent.  ``jobs > 1`` fans phrases out over a ``concurrent.futures``
-pool — fork-server-free *fork* processes sharing the read-only store with
-the parent, falling back to threads where fork is unavailable and to the
-serial loop for a single phrase — while preserving the exact serial output:
-results are collected in dataset order and scored identically, so the
-mined dictionary is byte-for-byte the same at any job count.
 """
 
 from __future__ import annotations
@@ -37,56 +28,6 @@ from repro.rdf.graph import KnowledgeGraph
 from repro.rdf.terms import IRI
 
 Path = tuple[int, ...]
-
-#: Resolved support pairs of one phrase: (left candidate ids, right candidate ids).
-_IdPairs = list[tuple[tuple[int, ...], tuple[int, ...]]]
-
-#: Worker state for the phrase pool: (kg, max_path_length).  Set in the
-#: parent immediately before the pool is created — fork workers inherit the
-#: already-built adjacency kernel via copy-on-write; thread workers share it.
-_WORKER_STATE: tuple[KnowledgeGraph, int] | None = None
-
-
-def _collect_phrase_paths(
-    task: tuple[int, _IdPairs],
-) -> tuple[int, list[set[Path]], int, int]:
-    """Pool worker: enumerate path sets for one phrase's resolved pairs.
-
-    Returns (task index, per-pair path sets, path queries run, paths
-    found) — the counters are re-applied to the parent's metrics registry
-    so traces aggregate the same totals as a serial run.
-    """
-    index, id_pairs = task
-    kg, max_path_length = _WORKER_STATE  # type: ignore[misc]
-    path_sets, queries, enumerated = _phrase_path_sets(
-        kg, max_path_length, id_pairs, obs.NOOP
-    )
-    return index, path_sets, queries, enumerated
-
-
-def _phrase_path_sets(
-    kg: KnowledgeGraph,
-    max_path_length: int,
-    id_pairs: _IdPairs,
-    tracer,
-) -> tuple[list[set[Path]], int, int]:
-    """Per-pair path sets for one phrase (shared by serial and pool paths)."""
-    path_sets: list[set[Path]] = []
-    queries = 0
-    enumerated = 0
-    for left_ids, right_ids in id_pairs:
-        paths: set[Path] = set()
-        for left_id in left_ids:
-            for right_id in right_ids:
-                queries += 1
-                found = find_simple_paths(
-                    kg, left_id, right_id, max_path_length, tracer=tracer
-                )
-                enumerated += len(found)
-                paths |= found
-        if paths:
-            path_sets.append(paths)
-    return path_sets, queries, enumerated
 
 
 def normalize_phrase(phrase: str) -> tuple[str, ...]:
@@ -180,11 +121,6 @@ class ParaphraseMiner:
     use_tfidf:
         When False, paths are scored by raw tf only — the ablation for the
         noise discussion in Section 3 (hasGender-style paths survive).
-    jobs:
-        Worker count for the per-phrase fan-out: 1 (default) mines
-        serially in-process, N > 1 uses a pool of N fork processes
-        (threads where fork is unavailable), 0 auto-sizes to the CPU
-        count.  Output is identical at any job count.
     """
 
     def __init__(
@@ -194,7 +130,6 @@ class ParaphraseMiner:
         top_k: int = 3,
         use_tfidf: bool = True,
         length_discount: float = 0.75,
-        jobs: int = 1,
     ):
         if max_path_length < 1:
             raise MiningError("max_path_length must be at least 1")
@@ -202,13 +137,10 @@ class ParaphraseMiner:
             raise MiningError("top_k must be at least 1")
         if not 0 < length_discount <= 1:
             raise MiningError("length_discount must be in (0, 1]")
-        if jobs < 0:
-            raise MiningError("jobs must be 0 (auto) or a positive worker count")
         self.kg = kg
         self.max_path_length = max_path_length
         self.top_k = top_k
         self.use_tfidf = use_tfidf
-        self.jobs = jobs
         # Exp 1 finds precision dropping sharply with path length and
         # recommends human verification of multi-hop mappings; the geometric
         # length discount is our automatic stand-in for that verification —
@@ -311,18 +243,14 @@ class ParaphraseMiner:
     # ------------------------------------------------------------------ #
 
     def _collect_path_sets(self, dataset: RelationPhraseDataset, tracer=obs.NOOP):
-        jobs = self._effective_jobs(len(dataset.support))
+        """Per phrase, the path set of each support pair that occurs in G
+        and connects by some path; plus the located and total pair counts."""
         per_pair_sets: dict[str, list[set[Path]]] = {}
         located = 0
         total = 0
-        with tracer.span("mining.collect_paths", jobs=jobs):
-            # Endpoint resolution stays in the parent: it is cheap dict
-            # lookups, and it keeps the located/total accounting (the
-            # paper's 67 % figure) out of the workers.
-            phrases: list[str] = []
-            resolved: list[_IdPairs] = []
+        with tracer.span("mining.collect_paths"):
             for phrase, pairs in dataset.support.items():
-                id_pairs: _IdPairs = []
+                path_sets = per_pair_sets[phrase] = []
                 for left, right in pairs:
                     total += 1
                     left_ids = self._resolve_endpoint(left)
@@ -330,66 +258,16 @@ class ParaphraseMiner:
                     if not left_ids or not right_ids:
                         continue  # pair does not occur in G (the 33 % in Patty)
                     located += 1
-                    id_pairs.append((tuple(left_ids), tuple(right_ids)))
-                phrases.append(phrase)
-                resolved.append(id_pairs)
-            if jobs > 1:
-                collected = self._collect_pooled(resolved, jobs, tracer)
-            else:
-                collected = [
-                    _phrase_path_sets(self.kg, self.max_path_length, id_pairs, tracer)[0]
-                    for id_pairs in resolved
-                ]
-            for phrase, path_sets in zip(phrases, collected):
-                per_pair_sets[phrase] = path_sets
+                    paths: set[Path] = set()
+                    for left_id in left_ids:
+                        for right_id in right_ids:
+                            paths |= find_simple_paths(
+                                self.kg, left_id, right_id, self.max_path_length,
+                                tracer=tracer,
+                            )
+                    if paths:
+                        path_sets.append(paths)
         return per_pair_sets, located, total
-
-    def _effective_jobs(self, phrases: int) -> int:
-        import os
-
-        jobs = self.jobs if self.jobs != 0 else (os.cpu_count() or 1)
-        return max(1, min(jobs, phrases))
-
-    def _collect_pooled(
-        self, resolved: list[_IdPairs], jobs: int, tracer
-    ) -> list[list[set[Path]]]:
-        """Fan phrases out over a worker pool, preserving dataset order.
-
-        Fork processes share the parent's store and prebuilt adjacency
-        kernel copy-on-write; where fork is unavailable the pool degrades
-        to threads (same results, less parallelism).  Worker-side path
-        counters come back with each result and are re-applied to the
-        parent's metrics, so counter totals match a serial run; per-level
-        BFS histograms are only recorded by in-process (serial) mining.
-        """
-        import concurrent.futures
-        import multiprocessing
-
-        global _WORKER_STATE
-        self.kg.kernel  # build once in the parent so every worker inherits it
-        tasks = list(enumerate(resolved))
-        collected: list[list[set[Path]] | None] = [None] * len(resolved)
-        _WORKER_STATE = (self.kg, self.max_path_length)
-        try:
-            try:
-                context = multiprocessing.get_context("fork")
-                pool_factory = lambda: concurrent.futures.ProcessPoolExecutor(
-                    max_workers=jobs, mp_context=context
-                )
-            except ValueError:
-                pool_factory = lambda: concurrent.futures.ThreadPoolExecutor(
-                    max_workers=jobs
-                )
-            with pool_factory() as pool:
-                for index, path_sets, queries, enumerated in pool.map(
-                    _collect_phrase_paths, tasks
-                ):
-                    collected[index] = path_sets
-                    tracer.metrics.incr("mining.path_queries", queries)
-                    tracer.metrics.incr("mining.paths_enumerated", enumerated)
-        finally:
-            _WORKER_STATE = None
-        return collected  # type: ignore[return-value]
 
     def _resolve_endpoint(self, term) -> list[int]:
         """Graph ids a support-pair endpoint may denote (empty = absent).

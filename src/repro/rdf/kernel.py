@@ -38,12 +38,15 @@ hanging off it) so the next access rebuilds against the current triples.
 kernel was built from, so derived artifacts (the serving layer's answer
 cache) can key themselves to one store generation.
 
-The rows live in one mapping type, :class:`KernelRows`, whichever way the
-kernel came to be.  A cold build stores every row; a kernel opened from a
-compiled snapshot holds the file's four CSR columns and boxes a row into
-its pair of tuples the first time it is asked for (a row nobody reads is
-never boxed); a patched kernel holds only the rows a write dirtied and
-shares everything else with its predecessor.
+The rows live in one mapping type, :class:`KernelRows`, in one form
+whichever way the kernel came to be.  A cold build and a kernel opened
+from a compiled snapshot both hold four CSR columns — ``node_ids``,
+``row_lens``, ``steps``, ``neighbors`` — the build's freshly packed, the
+snapshot's straight over the file, and box a row into its pair of tuples
+the first time it is asked for (a row nobody reads is never boxed); the
+compiler writes a root's columns out as they are.  A patched kernel holds
+only the rows a write dirtied and shares everything else with its
+predecessor.
 
 Thread safety and lifetime: the index itself is immutable after
 construction and safe to read from any number of threads.  The
@@ -159,8 +162,10 @@ def walk(store: TripleStore, start_id: int, path: Path) -> frozenset[int]:
 
 def rows_from_sorted_triples(
     triples: Iterable[tuple[int, int, int]], structural: frozenset[int]
-) -> dict[int, tuple[list[int], list[int]]]:
-    """Per-node ``(steps, neighbors)`` lists from id triples in SPO order.
+) -> tuple[array, array, array, array]:
+    """``(node_ids, row_lens, steps, neighbors)`` — the CSR columns
+    :meth:`KernelRows.over_columns` reads, nodes ascending — from id
+    triples in SPO order.
 
     The one place a triple stream becomes kernel rows.  Each
     non-structural triple appends a forward step to its subject's row and
@@ -186,7 +191,14 @@ def rows_from_sorted_triples(
             orow = rows[oid] = ([], [])
         orow[0].append(-fwd)
         orow[1].append(sid)
-    return rows
+    node_ids, row_lens = array("q", sorted(rows)), array("q")
+    steps, neighbors = array("q"), array("q")
+    for node in node_ids:
+        node_steps, node_neighbors = rows.pop(node)
+        row_lens.append(len(node_steps))
+        steps.extend(node_steps)
+        neighbors.extend(node_neighbors)
+    return node_ids, row_lens, steps, neighbors
 
 
 _NO_COLUMN = array("q")
@@ -198,14 +210,14 @@ class KernelRows(dict):
     """``node → (steps, neighbors)`` over every row of one kernel.
 
     What the ``dict`` part stores is the rows that exist as Python tuples;
-    what the mapping *holds* may be more — equality, length, membership
-    and iteration range over all of it, so a reader cannot tell a row that
-    has been boxed from one that has not:
+    what the mapping *holds* is more — equality, length, membership and
+    iteration range over all of it, so a reader cannot tell a row that has
+    been boxed from one that has not:
 
-    * a **cold build** stores every row;
-    * a mapping **over columns** (:meth:`over_columns` — a compiled
-      snapshot's kernel section) boxes a row out of the CSR columns on the
-      first subscript and stores it, so the second is a plain dict hit;
+    * a **root** (:meth:`over_columns` — a cold build's columns or a
+      compiled snapshot's kernel section) boxes a row out of its CSR
+      columns on the first subscript and stores it, so the second is a
+      plain dict hit;
     * a **patched** mapping (:meth:`patched`) carries the rows writes have
       dirtied since its root and takes every other row, by reference, from
       that root; either kind is stored here once it has been read.
@@ -217,13 +229,14 @@ class KernelRows(dict):
     """
 
     __slots__ = (
-        "_node_ids", "_bounds", "_steps", "_neighbors", "_base", "_dirty", "_size",
-        "_signatures", "_directory",
+        "_node_ids", "_row_lens", "_bounds", "_steps", "_neighbors", "_base",
+        "_dirty", "_size", "_signatures", "_directory",
     )
 
-    def __init__(self, rows: Mapping[int, AdjacencyRow] | Iterable = ()):
-        super().__init__(rows)
+    def __init__(self) -> None:
+        super().__init__()
         self._node_ids: IntColumn = _NO_COLUMN
+        self._row_lens: IntColumn = _NO_COLUMN
         self._bounds: IntColumn = _NO_COLUMN
         self._steps: IntColumn = _NO_COLUMN
         self._neighbors: IntColumn = _NO_COLUMN
@@ -231,7 +244,7 @@ class KernelRows(dict):
         self._base: KernelRows | None = None
         #: Every row that differs from ``_base``; ``None`` marks a dropped one.
         self._dirty: dict[int, AdjacencyRow | None] = {}
-        self._size = dict.__len__(self)
+        self._size = 0
         #: Memoized :meth:`signature` of the rows that live *here*: every
         #: row at the root, the dirtied ones in a patched mapping.
         self._signatures: dict[int, frozenset[int]] = {}
@@ -264,7 +277,7 @@ class KernelRows(dict):
                 f"kernel row lengths sum to {bounds[-1]}, the columns hold {len(steps)} entries"
             )
         rows = cls()
-        rows._node_ids, rows._bounds = node_ids, bounds
+        rows._node_ids, rows._row_lens, rows._bounds = node_ids, row_lens, bounds
         rows._steps, rows._neighbors = steps, neighbors
         rows._size = len(node_ids)
         return rows
@@ -375,7 +388,8 @@ class KernelRows(dict):
         return directory
 
     def boxed(self) -> int:
-        """How many rows exist as tuples (a cold build: all of them)."""
+        """How many rows exist as tuples: those read so far, and a patched
+        mapping's dirtied ones."""
         if self._base is None:
             return dict.__len__(self)
         return dict.__len__(self._base) + sum(
@@ -395,10 +409,6 @@ class KernelRows(dict):
                 if row is not None:
                     yield (node, *row)
             return
-        if not len(self._node_ids):  # a cold build: every row is stored
-            for node, row in dict.items(self):
-                yield (node, *row)
-            return
         stored = dict.get
         bounds, steps, neighbors = self._bounds, self._steps, self._neighbors
         for index, node in enumerate(self._node_ids):
@@ -408,10 +418,13 @@ class KernelRows(dict):
                 row = (steps[start:end], neighbors[start:end])
             yield (node, *row)
 
-    def columns(self) -> tuple[array, array, array, array]:
+    def columns(self) -> tuple[IntColumn, IntColumn, IntColumn, IntColumn]:
         """``(node_ids, row_lens, steps, neighbors)`` — the CSR form
         :meth:`over_columns` reads back, nodes ascending (snapshot
-        compiler)."""
+        compiler).  A root returns the columns it holds; a patched mapping
+        packs its rows afresh."""
+        if self._base is None:
+            return self._node_ids, self._row_lens, self._steps, self._neighbors
         node_ids, row_lens = array("q"), array("q")
         flat_steps, flat_neighbors = array("q"), array("q")
         for node, steps, neighbors in sorted(self.scan(), key=itemgetter(0)):
@@ -504,14 +517,7 @@ class AdjacencyKernel:
             if pid is not None
         )
         self._entity: dict[int, AdjacencyRow] = {}
-        if columns is not None:
-            # Compiled-snapshot path: ``(node_ids, row_lens, steps,
-            # neighbors)`` persisted from a kernel built against the very
-            # same (id-stable) store, served in place — a row is boxed
-            # when it is first read (raises ValueError on columns that do
-            # not describe one another).
-            self._full = KernelRows.over_columns(*columns)
-        elif patch_from is not None and self._can_patch(patch_from):
+        if columns is None and patch_from is not None and self._can_patch(patch_from):
             # Incremental path: only rows touched since the old kernel's
             # store version are rebuilt; every other row is the old
             # kernel's tuple, reused by reference.
@@ -521,17 +527,17 @@ class AdjacencyKernel:
                 {node: self._rebuild_row(node) for node in dirty},
             )
         else:
-            # Cold build.  Sorting canonicalizes the visit order: an
-            # overlay appends its delta after the base run; on the frozen
-            # layouts (a sharded store's merged scan included) the scan is
-            # already sorted and the sort is one linear pass.
-            rows = rows_from_sorted_triples(
-                sorted(store.triples_ids()), self.structural_predicate_ids
-            )
-            self._full = KernelRows(
-                (node, (tuple(steps), tuple(nbrs)))
-                for node, (steps, nbrs) in rows.items()
-            )
+            # A cold build, or ``(node_ids, row_lens, steps, neighbors)``
+            # persisted from a kernel built against the very same
+            # (id-stable) store; either way a row is boxed when it is first
+            # read.  Sorting canonicalizes the visit order: an overlay
+            # appends its delta after the base run; on the frozen layouts
+            # the scan is already sorted and the sort is one linear pass.
+            if columns is None:
+                columns = rows_from_sorted_triples(
+                    sorted(store.triples_ids()), self.structural_predicate_ids
+                )
+            self._full = KernelRows.over_columns(*columns)
         self._sizes: dict[str, int] | None = None
         self._regions: dict[str, dict] = {}
         self._region_lock = threading.Lock()
@@ -702,8 +708,8 @@ class AdjacencyKernel:
         The four size counts are functions of an immutable kernel: they
         are taken once, streaming over the rows without boxing one or
         deriving an entity row, and remembered.  ``rows_boxed`` is how
-        many rows exist as Python tuples — ``nodes_full`` on a cold build,
-        the rows read so far on a kernel opened from a snapshot.  The step
+        many rows exist as Python tuples: the rows read so far, 0 right
+        after a cold build or a snapshot open alike.  The step
         directory is only looked at: ``directory_steps`` stays 0 until an
         all-wildcard query has built it.  ``walk_cache_misses`` running
         far ahead of ``walk_cache_hits`` at a full ``walk_cache_size``

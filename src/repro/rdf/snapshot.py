@@ -14,7 +14,8 @@ phase (Section 4.2) reads, and nothing else —
 * the three sorted permutation columns of the
   :class:`~repro.rdf.backend.CompactBackend` (raw ``array('q')`` bytes),
 * the literal flags, one byte per term id,
-* the prebuilt adjacency-kernel rows,
+* the prebuilt adjacency-kernel rows, as the four CSR columns a kernel
+  holds whether built or opened,
 * the entity-linker label index as its columns, and the max degree,
 * the mined paraphrase dictionary **by id** (signed steps).
 
@@ -442,7 +443,8 @@ def _encode_state_sections(
     ]
     # A flag per term id: a built store's column stops at its last literal.
     sections["literals"] = [bytes(store.literal_flags).ljust(len(records), b"\0")]
-    # Rows that were never boxed go back out as the column slices they are.
+    # An unpatched kernel hands over the CSR columns it holds, built or
+    # opened, with no sort and no re-pack; a patched one packs its rows.
     sections["kernel"] = list(kg.kernel.full_rows().columns())
 
     sections["linker"] = [*linker.index.columns(), array("q", [linker.max_degree])]

@@ -105,9 +105,14 @@ class EngineConfig:
             raise EngineConfigError("queue_limit must be >= 0")
         if not 0.0 <= self.degrade_pressure <= 1.0:
             raise EngineConfigError("degrade_pressure must be in [0, 1]")
-        # NaN fails both comparisons; a deadline at NaN or inf never comes due.
+        if self.cache_size < 0:
+            raise EngineConfigError(f"cache_size must be >= 0: {self.cache_size}")
+        # NaN fails both comparisons; a deadline at NaN or inf never comes
+        # due, and an entry stored at a NaN TTL never expires.
         if self.deadline_s is not None and not 0 < self.deadline_s < math.inf:
             raise EngineConfigError(f"deadline_s must be positive and finite: {self.deadline_s}")
+        if not 0 < self.cache_ttl_s < math.inf:
+            raise EngineConfigError(f"cache_ttl_s must be positive and finite: {self.cache_ttl_s}")
 
     def fingerprint(self) -> str:
         """Stable digest of every knob that changes *cached* answers (cache

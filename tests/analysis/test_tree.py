@@ -159,6 +159,41 @@ class TestNoForksGrowBack:
         ):
             assert not kg.store.writable
 
+    def test_a_cold_kernel_is_the_columns_it_ships_in(self):
+        """A cold build and a snapshot open hold one row form — four CSR
+        columns, a row boxed when first read — and the compiler writes an
+        unpatched root's columns out as the very arrays it holds."""
+        from repro.datasets import build_dbpedia_mini
+        from repro.rdf.kernel import AdjacencyKernel, KernelRows
+
+        assert list(inspect.signature(KernelRows.__init__).parameters) == ["self"]
+        kernel = AdjacencyKernel(build_dbpedia_mini().store)
+        rows = kernel.full_rows()
+        held = (rows._node_ids, rows._row_lens, rows._steps, rows._neighbors)
+        assert kernel.statistics()["rows_boxed"] == 0 < kernel.statistics()["nodes_full"]
+        assert all(column is array for column, array in zip(rows.columns(), held))
+        kernel.adjacency(rows._node_ids[0])
+        assert kernel.statistics()["rows_boxed"] == 1
+        assert all(column is array for column, array in zip(rows.columns(), held))
+
+    def test_mining_has_no_worker_pool(self, capsys):
+        """Mining is one serial loop: no ``jobs`` on the miner, no global
+        ``--jobs`` flag, no pool and no pool task state."""
+        import repro.paraphrase.miner
+        from repro.cli import build_parser
+        from repro.paraphrase import ParaphraseMiner
+
+        assert "jobs" not in inspect.signature(ParaphraseMiner.__init__).parameters
+        for name in ("_WORKER_STATE", "_collect_phrase_paths"):
+            assert not hasattr(repro.paraphrase.miner, name), name
+        for name in ("_effective_jobs", "_collect_pooled"):
+            assert not hasattr(ParaphraseMiner, name), name
+        assert "--jobs" not in build_parser().format_help()
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["--jobs=2", "dictionary"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
     def test_kernel_knows_nothing_about_shards(self):
         from repro.analysis.engine import scan
 
@@ -323,9 +358,8 @@ class TestNoForksGrowBack:
         assert list(inspect.signature(scale_phrase_dataset).parameters) == [
             "base", "phrases", "pairs_per_phrase", "entity_pool",
         ]
-        # ``jobs`` is the CLI's --jobs.
         assert list(inspect.signature(default_setup.__wrapped__).parameters) == [
-            "distractors_per_entity", "jobs",
+            "distractors_per_entity",
         ]
 
     def test_sharding_is_what_the_benchmark_builds_and_no_more(self):

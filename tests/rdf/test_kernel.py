@@ -9,6 +9,7 @@ the ``refresh()`` invalidation contract.
 """
 
 from collections import Counter, defaultdict
+from itertools import accumulate
 
 import pytest
 
@@ -331,8 +332,15 @@ class TestSingleRowBuilder:
     @staticmethod
     def built(store):
         structural = AdjacencyKernel(store).structural_predicate_ids
-        rows = rows_from_sorted_triples(sorted(store.triples_ids()), structural)
-        return {node: (tuple(steps), tuple(nbrs)) for node, (steps, nbrs) in rows.items()}
+        node_ids, row_lens, steps, nbrs = rows_from_sorted_triples(
+            sorted(store.triples_ids()), structural
+        )
+        assert list(node_ids) == sorted(set(node_ids)) and len(steps) == sum(row_lens)
+        bounds = list(accumulate(row_lens, initial=0))
+        return {
+            node: (tuple(steps[start:end]), tuple(nbrs[start:end]))
+            for node, start, end in zip(node_ids, bounds, bounds[1:])
+        }
 
     def test_every_build_path_equals_the_builder(self, stores):
         store, dirty, stale, _ = stores

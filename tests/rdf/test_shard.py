@@ -155,7 +155,7 @@ class TestMinerDeterminism:
         _, _, sharded = stores
         sharded_kg = KnowledgeGraph(sharded[8])
         mined = ParaphraseMiner(
-            sharded_kg, max_path_length=4, top_k=3, jobs=2
+            sharded_kg, max_path_length=4, top_k=3
         ).mine(build_phrase_dataset())
         assert sorted(mined.phrases()) == sorted(dictionary.phrases())
         for phrase in dictionary.phrases():

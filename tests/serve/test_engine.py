@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.core import GAnswer
-from repro.exceptions import EngineClosedError
+from repro.exceptions import EngineClosedError, EngineConfigError
 from repro.rdf import IRI, KnowledgeGraph, Literal, Triple
 from repro.serve import AdmissionRejected, EngineConfig, QAEngine
 from repro.serve import engine as engine_module
@@ -83,6 +83,18 @@ class TestEngineConfig:
         # ``time.monotonic() >= start + nan`` is never true.
         with pytest.raises(ValueError, match="finite"):
             EngineConfig(deadline_s=deadline)
+
+    def test_rejects_a_negative_cache_size(self):
+        with pytest.raises(EngineConfigError, match="cache_size"):
+            EngineConfig(cache_size=-1)
+        assert EngineConfig(cache_size=0).cache_size == 0  # the cache-off switch
+
+    @pytest.mark.parametrize("ttl", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_a_cache_ttl_that_never_expires_or_never_keeps(self, ttl):
+        # ``clock() - stored_at >= nan`` is never true: a NaN TTL would
+        # silently turn expiry off.
+        with pytest.raises(EngineConfigError, match="cache_ttl_s must be positive and finite"):
+            EngineConfig(cache_ttl_s=ttl)
 
     def test_fingerprint_tracks_answer_affecting_knobs(self):
         assert EngineConfig(k=10).fingerprint() != EngineConfig(k=3).fingerprint()

@@ -472,9 +472,10 @@ class TestIntrospection:
         assert status == 200
         for key in ("answer_cache", "link_cache", "admission", "kernel", "config"):
             assert key in body
-        # The laziness gauges: this engine was built from source, so every
-        # row is boxed, every term an object, and nothing is mapped.
-        assert body["kernel"]["rows_boxed"] == body["kernel"]["nodes_full"]
+        # The laziness gauges: this engine was built from source, so its
+        # kernel boxes a row only when it is read (mining reads most, not
+        # all), every term is an object, and nothing is mapped.
+        assert body["kernel"]["rows_boxed"] < body["kernel"]["nodes_full"]
         assert body["store"]["terms_decoded"] == body["store"]["terms_total"] > 0
         assert body["store"]["snapshot_mapped_bytes"] == 0
 

@@ -211,6 +211,46 @@ class TestUserErrors:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and "deadline_s" in line
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--cache-size", "-1", "cache_size"), ("--cache-ttl", "-1", "cache_ttl_s"),
+         ("--cache-ttl", "0", "cache_ttl_s"), ("--cache-ttl", "nan", "cache_ttl_s")],
+    )
+    def test_a_cache_it_cannot_serve_under_is_refused_before_loading(
+        self, capsys, monkeypatch, flag, value, field
+    ):
+        import repro.cli
+
+        monkeypatch.setattr(
+            repro.cli, "_load_state", lambda args: pytest.fail("the graph was loaded")
+        )
+        assert main(["serve", "--port", "0", flag, value]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and field in line
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--distractors", "-3", "ask", "q"], "argument --distractors: must be at least 0"),
+            (["serve", "--workers", "0"], "argument --workers: must be at least 1"),
+            (["serve", "--workers", "-2"], "argument --workers: must be at least 1"),
+        ],
+        ids=["negative-distractors", "zero-workers", "negative-workers"],
+    )
+    def test_an_out_of_range_count_is_rejected_at_parse_time(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert message in line
+        assert "Traceback" not in err
+
+    def test_zero_distractors_and_one_worker_still_parse(self):
+        args = build_parser().parse_args(["--distractors", "0", "serve", "--workers", "1"])
+        assert (args.distractors, args.workers) == (0, 1)
+
     def test_k_below_one_is_rejected_at_parse_time(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["--k", "0", "ask", "Who is the mayor of Berlin?"])
