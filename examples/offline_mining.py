@@ -9,14 +9,17 @@ maintenance when predicates are added or removed.
 Run:  python examples/offline_mining.py
 """
 
+import tempfile
+from pathlib import Path
+
 from repro.paraphrase import (
-    ParaphraseDictionary,
     ParaphraseMiner,
     RelationPhraseDataset,
     normalize_phrase,
 )
 from repro.paraphrase.path_mining import describe_path
 from repro.rdf import IRI, KnowledgeGraph, Triple, TripleStore
+from repro.rdf.snapshot import compile_snapshot, load_snapshot
 
 
 def build_family_graph() -> KnowledgeGraph:
@@ -72,11 +75,13 @@ def main() -> None:
               f"confidence {mapping.confidence:.2f}")
     print()
 
-    print("Serialization round-trip:")
-    payload = dictionary.to_json()
-    restored = ParaphraseDictionary.from_json(payload)
-    print(f"  {len(payload)} bytes of JSON; restored "
-          f"{len(restored)} phrases intact\n")
+    print("Serialization round-trip (a compiled snapshot):")
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "family.snap"
+        info = compile_snapshot(path, kg, dictionary)
+        restored = load_snapshot(path).dictionary
+        print(f"  {info.total_bytes} bytes of snapshot; restored "
+              f"{len(restored)} phrases intact\n")
 
     print("Incremental maintenance (Section 3): a direct uncleOf predicate "
           "appears ...")

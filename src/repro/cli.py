@@ -20,6 +20,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro import obs
@@ -168,7 +169,10 @@ def cmd_serve(args) -> int:
             QAEngine.factory(kg, dictionary, config, base_linker),
             host=args.host, port=args.port, workers=args.workers,
         )
-        host, port = supervisor.start()
+        try:
+            host, port = supervisor.start()
+        except OSError as error:
+            raise ReproError(f"cannot listen on {args.host}:{args.port}: {error}") from error
         print(
             f"repro serve listening on http://{host}:{port} "
             f"(source={source}, workers={args.workers}, "
@@ -178,9 +182,12 @@ def cmd_serve(args) -> int:
         )
         return supervisor.run()
     engine = _build_engine(args)
-    server = build_server(
-        engine, host=args.host, port=args.port, ingest_token=ingest_token
-    )
+    try:
+        server = build_server(
+            engine, host=args.host, port=args.port, ingest_token=ingest_token
+        )
+    except OSError as error:
+        raise ReproError(f"cannot listen on {args.host}:{args.port}: {error}") from error
     host, port = server.server_address[:2]
     print(
         f"repro serve listening on http://{host}:{port} "
@@ -380,19 +387,32 @@ def cmd_dictionary(args) -> int:
     return 0
 
 
-def _int_at_least(text: str, lower: int) -> int:
+def _bounded_int(text: str, lower: int, upper: int = sys.maxsize) -> int:
     value = int(text)
     if value < lower:
         raise argparse.ArgumentTypeError(f"must be at least {lower}, got {value}")
+    if value > upper:
+        raise argparse.ArgumentTypeError(f"must be at most {upper}, got {value}")
+    return value
+
+
+def _port(text: str) -> int:
+    return _bounded_int(text, 0, 65535)
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
 def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
+    return _bounded_int(text, 1)
 
 
 def _non_negative_int(text: str) -> int:
-    return _int_at_least(text, 0)
+    return _bounded_int(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     unset = argparse.SUPPRESS
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
-        "--port", type=int, default=8765, help="bind port (0 = ephemeral)"
+        "--port", type=_port, default=8765, help="bind port (0 = ephemeral)"
     )
     serve.add_argument(
         "--workers", type=_positive_int, default=1,
@@ -570,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(a path on the server's filesystem)",
     )
     compact.add_argument(
-        "--timeout", type=float, default=600.0,
+        "--timeout", type=_positive_seconds, default=600.0,
         help="seconds to wait for the compaction to finish",
     )
     compact.set_defaults(func=cmd_compact)

@@ -10,11 +10,13 @@ the dataset, :meth:`remove_predicate` drops every mapping that traverses
 them; newly introduced predicates are covered by re-mining only the phrases
 whose support pairs touch them (:meth:`repro.paraphrase.ParaphraseMiner.
 remine_for_predicates`).
+
+The dictionary is persisted, by id, as the ``dictionary`` section of a
+compiled snapshot (:mod:`repro.rdf.snapshot`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -105,30 +107,3 @@ class ParaphraseDictionary:
             removed += len(mappings) - len(kept)
             self._entries[phrase] = kept
         return removed
-
-    # ------------------------------------------------------------------ #
-    # Serialization
-    # ------------------------------------------------------------------ #
-
-    def to_json(self) -> str:
-        """Serialize to JSON (paths as lists of signed ints)."""
-        payload = {
-            " ".join(phrase): [
-                {"path": list(m.path), "confidence": m.confidence} for m in mappings
-            ]
-            for phrase, mappings in self._entries.items()
-        }
-        return json.dumps(payload, sort_keys=True, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ParaphraseDictionary":
-        dictionary = cls()
-        for phrase_text, mappings in json.loads(text).items():
-            dictionary.add(
-                tuple(phrase_text.split()),
-                [
-                    PredicateMapping(tuple(m["path"]), float(m["confidence"]))
-                    for m in mappings
-                ],
-            )
-        return dictionary

@@ -6,12 +6,15 @@ dense, non-negative integer id.  All graph algorithms in this project
 materialised at the API boundary.  This mirrors how production RDF stores
 (Virtuoso, gStore) keep their join machinery on fixed-width integers.
 
-A dictionary opened from a compiled snapshot (:meth:`TermDictionary.
-over_records`) starts from a **frozen base** it does not own: the term
-records stay where the file mapping has them, a term object is built the
-first time its id is decoded, and a term is found by bisecting the
-record-sorted id column.  Terms encoded afterwards (live ingest) go to
-the mutable tail behind the base.
+A dictionary has one form: a **frozen base** held as the three columns
+of a snapshot's term table — a term object is built when its id is first
+decoded, a term is found by bisecting the record-sorted ids — and a
+mutable **tail** that every new term goes to.  ``TermDictionary()`` is
+over empty columns, :meth:`~TermDictionary.over_records` over a mapped
+snapshot's; the graph builders end by :meth:`~TermDictionary.freeze`,
+folding the tail into the base once.  :meth:`~TermDictionary.columns`
+hands the compiler the held columns, so only this module writes or reads
+the term-table format.
 
 A live-ingest server adds and removes terms for as long as it runs, so
 the tail can shrink: compaction finds the ingested terms no triple names
@@ -21,9 +24,8 @@ could still hold one of their ids is running, **reclaims** them
 (:meth:`TermDictionary.reclaim` — decoding the id raises
 :class:`~repro.exceptions.TermNotFoundError`).  Ids are never reused, so
 nothing keyed by id can come to stand for another term; the tail is kept
-by id in a dict (behind a frozen base from the start, otherwise from the
-first retirement), so it costs what its live terms cost, not a slot per
-id ever assigned.  A snapshot compiled afterwards writes
+by id in a dict, so it costs what its live terms cost, not a slot per id
+ever assigned.  A snapshot compiled afterwards writes
 :data:`RECLAIMED_RECORD` where a reclaimed term stood: ids stay
 positions, and the marker sorts after every term's record.
 """
@@ -31,7 +33,9 @@ positions, and the marker sorts after every term's record.
 from __future__ import annotations
 
 import struct
+from array import array
 from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from repro.exceptions import SnapshotError, TermNotFoundError
@@ -114,30 +118,28 @@ class TermDictionary:
     """
 
     def __init__(self) -> None:
-        #: Terms encoded by this object and the base terms a lookup has
-        #: found.  A retired term is not here.
+        #: Tail terms, and base terms a builder held or a lookup found.
+        #: A retired term is not here.
         self._term_to_id: dict[Term, int] = {}
-        #: Position == id, for every id below its length: all of them
-        #: until the first retirement, or the frozen base (where a slot
-        #: holds ``None`` until its record has been decoded).
-        self._id_to_term: list[Term | None] = []
-        #: The live ids from ``len(_id_to_term)`` on.
+        #: The base's term objects, position == id; a slot holds ``None``
+        #: until its record has been decoded.
+        self._base_terms: list[Term | None] = []
+        #: The live ids past the base.
         self._tail: dict[int, Term] = {}
         #: Retired ids: they still decode, awaiting :meth:`reclaim`.
         self._retiring: dict[int, Term] = {}
         self._next_id = 0
         self._reclaimed = 0
-        #: The frozen base, when there is one: ``offsets[i]:offsets[i + 1]``
-        #: bounds term ``i``'s record in ``records``; ``by_record`` lists
-        #: the base ids in ascending record order.
-        self._offsets: IntColumn | None = None
-        self._records: memoryview | None = None
-        self._by_record: IntColumn | None = None
         self._decoded = 0
+        #: The frozen base: ``offsets[i]:offsets[i + 1]`` bounds term ``i``'s
+        #: record in ``records``; ``by_record`` is the ids in record order.
+        self._offsets: IntColumn = array("q", [0])
+        self._records: bytes | memoryview = b""
+        self._by_record: IntColumn = array("q")
 
     @classmethod
     def over_records(
-        cls, offsets: IntColumn, records: memoryview, by_record: IntColumn
+        cls, offsets: IntColumn, records: bytes | memoryview, by_record: IntColumn
     ) -> "TermDictionary":
         """A dictionary whose first ``len(by_record)`` ids are the records
         of a compiled snapshot's term table, served in place.
@@ -157,7 +159,7 @@ class TermDictionary:
         if not _is_permutation(by_record):
             raise ValueError("the record-sorted id column is not a permutation of the ids")
         dictionary = cls()
-        dictionary._id_to_term = [None] * count
+        dictionary._base_terms = [None] * count
         dictionary._next_id = count
         dictionary._offsets, dictionary._records = offsets, records
         dictionary._by_record = by_record
@@ -166,6 +168,29 @@ class TermDictionary:
             by_record, RECLAIMED_RECORD, key=dictionary._record
         )
         return dictionary
+
+    def freeze(self) -> None:
+        """Fold the tail into the base, ids unchanged: the graph builders'
+        last step, before anything else holds the dictionary.  Each tail
+        term is encoded once, and its object kept as a decoded slot."""
+        tail = self._tail
+        self._offsets, self._records, self._by_record = self.columns()
+        self._base_terms += map(tail.get, range(len(self._base_terms), self._next_id))
+        self._decoded += len(tail)
+        self._tail = {}
+
+    def columns(self) -> tuple[IntColumn, bytes | memoryview, IntColumn]:
+        """The term table as a snapshot ships it, ``(offsets, records,
+        by_record)`` (see :meth:`over_records`): the held columns while no
+        id lies past the base, else base and tail packed afresh."""
+        if self._next_id == len(self._by_record):
+            return self._offsets, self._records, self._by_record
+        records = self.records_in_id_order()
+        return (
+            array("q", accumulate(map(len, records), initial=0)),
+            b"".join(records),
+            array("q", sorted(range(len(records)), key=records.__getitem__)),
+        )
 
     def base_literals(self, term_ids: Iterable[int]) -> bool:
         """Whether every id of ``term_ids`` — ids of the frozen base — has
@@ -176,26 +201,27 @@ class TermDictionary:
         """
         offsets, records = self._offsets, self._records
         return _LITERAL_KINDS.issuperset(
-            map(records.__getitem__, map(offsets.__getitem__, term_ids))  # type: ignore[union-attr]
+            map(records.__getitem__, map(offsets.__getitem__, term_ids))
         )
 
     def _record(self, term_id: int) -> bytes:
         offsets = self._offsets
-        return bytes(self._records[offsets[term_id]:offsets[term_id + 1]])  # type: ignore[index]
+        return bytes(self._records[offsets[term_id]:offsets[term_id + 1]])
 
     def _find_record(self, term: Term) -> int | None:
         """The base id of ``term``, by bisecting the record-sorted ids.
 
         A term found once is remembered: the kernel probes the same few
         vocabulary terms on every patch, an ingest stream names the same
-        predicates in every batch.  (What is remembered is bounded by the
-        base, which an eager load held as a dict in full.)
+        predicates in every batch.
         """
         by_record = self._by_record
+        if not by_record:
+            return None
         key = encode_term_record(term)
-        index = bisect_left(by_record, key, key=self._record)  # type: ignore[arg-type]
-        if index < len(by_record):  # type: ignore[arg-type]
-            term_id = by_record[index]  # type: ignore[index]
+        index = bisect_left(by_record, key, key=self._record)
+        if index < len(by_record):
+            term_id = by_record[index]
             if self._record(term_id) == key:
                 self._term_to_id[term] = term_id
                 return term_id
@@ -204,17 +230,16 @@ class TermDictionary:
     def statistics(self) -> dict[str, int]:
         """``terms_total`` (ids assigned), how many still stand for a term
         (``terms_live``) and how many were reclaimed (``terms_reclaimed``),
-        how many are not undecoded records of a frozen base
-        (``terms_decoded`` — all of them unless opened from a snapshot),
-        and the size of the mapping the rest are served from."""
+        how many are not undecoded base records (``terms_decoded`` — all
+        unless opened from a snapshot) and the size of the mapping served."""
         records = self._records
-        undecoded = 0 if records is None else len(self._by_record) - self._decoded  # type: ignore[arg-type]
+        undecoded = len(self._by_record) - self._decoded
         return {
             "terms_total": self._next_id,
             "terms_live": self._next_id - self._reclaimed,
             "terms_reclaimed": self._reclaimed,
             "terms_decoded": self._next_id - max(0, undecoded),
-            "snapshot_mapped_bytes": 0 if records is None else len(records.obj),
+            "snapshot_mapped_bytes": len(records.obj) if isinstance(records, memoryview) else 0,
         }
 
     def terms_in_id_order(self) -> "list[Term | None]":
@@ -226,19 +251,13 @@ class TermDictionary:
         ]
 
     def records_in_id_order(self) -> list[bytes]:
-        """Every id's term-table record, position == id — what the
-        snapshot compiler writes.  A frozen base's records are copied as
-        they are, undecoded; an id that no longer stands for a term gets
-        :data:`RECLAIMED_RECORD`."""
-        dense = self._id_to_term
-        records = [
-            self._record(term_id) if term is None else encode_term_record(term)
-            for term_id, term in enumerate(dense)
-        ]
-        tail = self._tail
-        for term_id in range(len(dense), self._next_id):
-            term = tail.get(term_id)
-            records.append(RECLAIMED_RECORD if term is None else encode_term_record(term))
+        """Every id's record, position == id: the base's copied undecoded,
+        :data:`RECLAIMED_RECORD` where an id no longer stands for a term."""
+        records = list(map(self._record, range(len(self._by_record))))
+        records += (
+            RECLAIMED_RECORD if term is None else encode_term_record(term)
+            for term in map(self._tail.get, range(len(records), self._next_id))
+        )
         return records
 
     def __len__(self) -> int:
@@ -251,24 +270,17 @@ class TermDictionary:
         return (term for term in self.terms_in_id_order() if term is not None)
 
     def encode(self, term: Term) -> int:
-        """Return the id for ``term``, assigning a fresh one if unseen."""
+        """Return the id for ``term``, assigning a fresh one in the tail if
+        unseen."""
         existing = self._term_to_id.get(term)
-        if existing is not None:
-            return existing
-        if self._by_record is not None:
+        if existing is None:
             existing = self._find_record(term)
-            if existing is not None:
-                return existing
-        new_id = self._next_id
-        # Never behind a frozen base: readers fill its slots as they decode,
-        # so ``retire`` could not replace that list without losing some.
-        if new_id == len(self._id_to_term) and self._by_record is None:
-            self._id_to_term.append(term)
-        else:
-            self._tail[new_id] = term
-        self._next_id = new_id + 1
-        self._term_to_id[term] = new_id
-        return new_id
+            if existing is None:
+                existing = self._next_id
+                self._tail[existing] = term
+                self._next_id = existing + 1
+                self._term_to_id[term] = existing
+        return existing
 
     def lookup(self, term: Term) -> int:
         """Return the id for ``term``; raise if it was never encoded."""
@@ -280,23 +292,23 @@ class TermDictionary:
     def lookup_or_none(self, term: Term) -> int | None:
         """Return the id for ``term`` or None if it was never encoded."""
         found = self._term_to_id.get(term)
-        if found is None and self._by_record is not None:
+        if found is None:
             found = self._find_record(term)
         return found
 
     def decode(self, term_id: int) -> Term:
         """Return the term with id ``term_id``; raise if there is none
         (out of range, or reclaimed)."""
-        dense = self._id_to_term
-        if 0 <= term_id < len(dense):
-            term = dense[term_id]
+        base = self._base_terms
+        if 0 <= term_id < len(base):
+            term = base[term_id]
             if term is None:
                 # First use of a base id.  Unsynchronised: two threads may
                 # decode one record, the terms are equal and immutable.
                 record = self._record(term_id)
                 if record == RECLAIMED_RECORD:
                     raise TermNotFoundError(f"term {term_id} was reclaimed")
-                term = dense[term_id] = decode_term_record(record)
+                term = base[term_id] = decode_term_record(record)
                 self._decoded += 1
             return term
         term = self._tail.get(term_id)
@@ -306,36 +318,20 @@ class TermDictionary:
                 raise TermNotFoundError(f"no term with id {term_id}")
         return term
 
-    def decode_many(self, term_ids) -> list[Term]:
-        """Decode a sequence of ids, preserving order."""
-        return [self.decode(term_id) for term_id in term_ids]
-
     # ------------------------------------------------------------------ #
     # Reclamation (live ingest; the one writer only)
     # ------------------------------------------------------------------ #
 
     def ids_since(self, start: int) -> list[int]:
-        """The ids from ``start`` on that a term still encodes to,
-        ascending."""
-        tail = sorted(term_id for term_id in self._tail if term_id >= start)
-        return [*range(start, len(self._id_to_term)), *tail]
+        """The ids from ``start`` on that a term still encodes to and
+        :meth:`retire` takes — the tail's — ascending."""
+        return sorted(term_id for term_id in self._tail if term_id >= start)
 
     def retire(self, ids: Iterable[int]) -> None:
         """Stop encoding to ``ids``: the next :meth:`encode` of one of
         their terms assigns a fresh id.  Each id still decodes to its term
         until :meth:`reclaim` — a reader that took it earlier may be using
-        it.  Only live ids past a frozen base can be retired
-        (:class:`KeyError`)."""
-        ids = sorted(ids)
-        if not ids:
-            return
-        dense, first = self._id_to_term, ids[0]
-        if self._by_record is None and first < len(dense):
-            # The first gap in the dense run: from here on the tail is kept
-            # by id.  Filled before the list is replaced, so a reader finds
-            # every id in one or the other.
-            self._tail.update(zip(range(first, len(dense)), dense[first:]))
-            self._id_to_term = dense[:first]
+        it.  Only live ids of the tail can be retired (:class:`KeyError`)."""
         tail, retiring = self._tail, self._retiring
         for term_id in ids:
             # Into ``_retiring`` before out of the tail: a reader decoding

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.rdf.backend import CompactBackend
-from repro.rdf.collector import collector_paused
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.ntriples import _id_triples, serialize_ntriples, serialize_triple
 from repro.rdf.store import TripleStore
@@ -23,7 +21,7 @@ def load_store(path: str | Path) -> TripleStore:
     """Load a frozen, sorted-column triple store from an N-Triples file.
 
     Each line's tokens go straight to term ids and the distinct id triples
-    straight into a :class:`~repro.rdf.backend.CompactBackend`.  Term ids,
+    straight into :meth:`~repro.rdf.store.TripleStore.frozen`.  Term ids,
     literal ids and ``version`` (one per distinct triple) are those of a
     store filled by ``add_all(parse_ntriples(...))`` and then compacted.
     To write to the result, take ``.overlay()``.
@@ -31,10 +29,10 @@ def load_store(path: str | Path) -> TripleStore:
     dictionary = TermDictionary()
     literal_flags = bytearray()
     # newline="\n": only LF ends a line (a raw U+2028 in a literal is data).
-    with open(path, encoding="utf-8", newline="\n") as lines, collector_paused():
-        triples = set(_id_triples(lines, dictionary.encode, literal_flags))
-        backend = CompactBackend.from_triples(triples, version=len(triples))
-    return TripleStore(backend, dictionary, literal_flags)
+    with open(path, encoding="utf-8", newline="\n") as lines:
+        return TripleStore.frozen(
+            _id_triples(lines, dictionary.encode, literal_flags), dictionary, literal_flags
+        )
 
 
 def save_store(store: TripleStore, path: str | Path) -> int:

@@ -8,9 +8,9 @@ indexed* form as the deployment artifact.  A compiled snapshot is exactly
 that: one versioned, checksummed binary file holding what the online
 phase (Section 4.2) reads, and nothing else —
 
-* the term dictionary **with its ids frozen** (position == id; an id
-  whose term a live server reclaimed holds the one-byte
-  :data:`~repro.rdf.dictionary.RECLAIMED_RECORD`, so ids stay positions),
+* the term table **with its ids frozen**, as the three columns a built or
+  opened :class:`~repro.rdf.dictionary.TermDictionary` holds (a reclaimed
+  id holds :data:`~repro.rdf.dictionary.RECLAIMED_RECORD`),
 * the three sorted permutation columns of the
   :class:`~repro.rdf.backend.CompactBackend` (raw ``array('q')`` bytes),
 * the literal flags, one byte per term id,
@@ -101,7 +101,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import accumulate, compress, count
+from itertools import compress, count
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Iterator
 
@@ -435,14 +435,10 @@ def _encode_state_sections(
     linker = EntityLinker(kg)
 
     sections: dict[str, list] = {}
-    records = store.dictionary.records_in_id_order()
-    sections["terms"] = [
-        array("q", accumulate(map(len, records), initial=0)),
-        b"".join(records),
-        array("q", sorted(range(len(records)), key=records.__getitem__)),
-    ]
+    # The term columns the dictionary holds (packed if terms lie past its base).
+    sections["terms"] = list(store.dictionary.columns())
     # A flag per term id: a built store's column stops at its last literal.
-    sections["literals"] = [bytes(store.literal_flags).ljust(len(records), b"\0")]
+    sections["literals"] = [bytes(store.literal_flags).ljust(len(store.dictionary), b"\0")]
     # An unpatched kernel hands over the CSR columns it holds, built or
     # opened, with no sort and no re-pack; a patched one packs its rows.
     sections["kernel"] = list(kg.kernel.full_rows().columns())

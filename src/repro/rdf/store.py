@@ -90,26 +90,39 @@ class TripleStore:
         """A frozen store of ``triples``, built in one pass.
 
         Terms are interned subject, predicate, object, triple by triple in
-        input order, literal objects flagged, and the distinct id triples
-        sorted straight into a :class:`~repro.rdf.backend.CompactBackend`
-        whose ``version`` counts them (one per distinct triple, as if each
-        had been added alone).  To write to the result, take
-        :meth:`overlay`.
+        input order, literal objects flagged; :meth:`frozen` does the rest.
+        To write to the result, take :meth:`overlay`.
         """
         dictionary = TermDictionary()
         encode = dictionary.encode
         flags = bytearray()
-        ids: set[_IdTriple] = set()
-        with collector_paused():
+
+        def id_triples() -> Iterator[_IdTriple]:
             for triple in triples:
                 s = encode(triple.subject)
                 p = encode(triple.predicate)
                 o = encode(triple.object)
                 if isinstance(triple.object, Literal):
                     flag_literal(flags, o)
-                ids.add((s, p, o))
+                yield s, p, o
+
+        return cls.frozen(id_triples(), dictionary, flags)
+
+    @classmethod
+    def frozen(
+        cls, id_triples: Iterable[_IdTriple], dictionary: TermDictionary, literal_flags: bytearray
+    ) -> "TripleStore":
+        """Where both graph builders (:meth:`build`,
+        :func:`~repro.rdf.io.load_store`) end: the distinct id triples,
+        drawn in full first, sorted into a
+        :class:`~repro.rdf.backend.CompactBackend` whose ``version`` counts
+        them, and the dictionary frozen into the term columns a snapshot
+        ships (:meth:`~repro.rdf.dictionary.TermDictionary.freeze`)."""
+        with collector_paused():
+            ids = set(id_triples)
             backend = CompactBackend.from_triples(ids, version=len(ids))
-        return cls(backend, dictionary, flags)
+            dictionary.freeze()
+        return cls(backend, dictionary, literal_flags)
 
     @property
     def backend(self) -> StoreBackend:

@@ -294,6 +294,12 @@ class QAServer(HTTPServer):
         peers: list[dict] | None = None,
         ingest_token: str | None = None,
     ):
+        # Set before binding: a failed bind calls ``server_close``.
+        self._threads_lock = threading.Lock()
+        self._idle_threads: list[_RequestThread] = []
+        self._threads_started = 0
+        self._connections_reused = 0
+        self._closing = False
         if sock is None:
             super().__init__(address, _Handler)
         else:
@@ -312,11 +318,6 @@ class QAServer(HTTPServer):
         self.worker = worker
         self.peers = peers
         self.ingest_token = ingest_token
-        self._threads_lock = threading.Lock()
-        self._idle_threads: list[_RequestThread] = []
-        self._threads_started = 0
-        self._connections_reused = 0
-        self._closing = False
 
     # ------------------------------------------------------------------ #
     # Request threads

@@ -176,6 +176,31 @@ class TestNoForksGrowBack:
         assert kernel.statistics()["rows_boxed"] == 1
         assert all(column is array for column, array in zip(rows.columns(), held))
 
+    def test_a_term_table_is_the_records_it_ships_in(self, tmp_path, monkeypatch):
+        """A built, an empty and an opened dictionary hold one form — the
+        three term-table columns plus a tail — and the compiler writes a
+        built store's columns out as the very arrays it holds, encoding
+        no term record."""
+        import repro.rdf.dictionary
+        from repro.datasets import build_dbpedia_mini
+        from repro.paraphrase import ParaphraseDictionary
+        from repro.rdf.dictionary import TermDictionary
+        from repro.rdf.snapshot import compile_snapshot, load_snapshot
+
+        kg = build_dbpedia_mini()
+        built = kg.store.dictionary
+        held = (built._offsets, built._records, built._by_record)
+        assert all(column is array for column, array in zip(built.columns(), held))
+        encoded = []
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.rdf.dictionary, "encode_term_record", encoded.append)
+            compile_snapshot(tmp_path / "mini.snap", kg, ParaphraseDictionary())
+        assert encoded == []
+        opened = load_snapshot(tmp_path / "mini.snap").kg.store.dictionary
+        for dictionary in (TermDictionary(), built, opened):
+            columns = (dictionary._offsets, dictionary._records, dictionary._by_record)
+            assert None not in columns
+
     def test_mining_has_no_worker_pool(self, capsys):
         """Mining is one serial loop: no ``jobs`` on the miner, no global
         ``--jobs`` flag, no pool and no pool task state."""

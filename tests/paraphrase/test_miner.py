@@ -202,14 +202,6 @@ class TestDictionary:
         assert len(remaining) == 1
         assert remaining[0].path == (forward_step(8),)
 
-    def test_json_roundtrip(self):
-        d = ParaphraseDictionary()
-        d.add(("uncle", "of"), [PredicateMapping((1, -2, 3), 0.8)])
-        d.add(("play", "in"), [PredicateMapping((5,), 1.0)])
-        restored = ParaphraseDictionary.from_json(d.to_json())
-        assert restored.lookup(("uncle", "of")) == d.lookup(("uncle", "of"))
-        assert restored.phrases_containing("play") == {("play", "in")}
-
 
 class TestIncrementalMaintenance:
     def test_remine_for_new_predicate(self, family_kg, uncle_dataset):

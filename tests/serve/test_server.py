@@ -1,5 +1,6 @@
 """HTTP transport: routes, error mapping, backpressure — on an ephemeral port."""
 
+import errno
 import http.client
 import json
 import socket
@@ -493,3 +494,14 @@ class TestIntrospection:
             first["threads_started"] + first["connections_reused"] + 6
         )
         assert second["connections_reused"] > first["connections_reused"]
+
+
+class TestBind:
+    def test_a_taken_port_raises_the_bind_error(self, served):
+        """The base constructor closes the server when its bind fails: the
+        bind's ``OSError`` must come out, not one from the close."""
+        _base, engine = served
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            with pytest.raises(OSError) as raised:
+                build_server(engine, port=taken.getsockname()[1])
+        assert raised.value.errno == errno.EADDRINUSE

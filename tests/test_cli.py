@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import socket
+
 import pytest
 
 from repro.cli import _engine_config, build_parser, main
@@ -235,8 +237,15 @@ class TestUserErrors:
             (["--distractors", "-3", "ask", "q"], "argument --distractors: must be at least 0"),
             (["serve", "--workers", "0"], "argument --workers: must be at least 1"),
             (["serve", "--workers", "-2"], "argument --workers: must be at least 1"),
+            (["serve", "--port", "70000"], "argument --port: must be at most 65535"),
+            (["serve", "--port", "-1"], "argument --port: must be at least 0"),
+            (["compact", "--timeout", "-1"], "argument --timeout: must be positive and finite"),
+            (["compact", "--timeout", "nan"], "argument --timeout: must be positive and finite"),
         ],
-        ids=["negative-distractors", "zero-workers", "negative-workers"],
+        ids=[
+            "negative-distractors", "zero-workers", "negative-workers",
+            "port-too-high", "negative-port", "negative-timeout", "nan-timeout",
+        ],
     )
     def test_an_out_of_range_count_is_rejected_at_parse_time(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exit_info:
@@ -259,3 +268,13 @@ class TestUserErrors:
         (line,) = [line for line in err.splitlines() if "error:" in line]
         assert "argument --k: must be at least 1" in line
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_taken_port_is_one_line(self, capsys, workers):
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            port = str(taken.getsockname()[1])
+            assert main(["serve", "--port", port, "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+        assert "Address already in use" in line
