@@ -43,7 +43,7 @@ def guarded_by(lock: str, *fields: str) -> Callable[[_C], _C]:
 
     Stack the decorator to declare several locks on one class::
 
-        @guarded_by("_lock", "_entries", "_hits")
+        @guarded_by("_lock", "_entries")
         class TTLCache: ...
 
     ``__init__`` (the object is not yet shared) is exempt from the static

@@ -125,21 +125,6 @@ class CandidateSpace:
             edge for edge in self.edges if vertex_id in (edge.source, edge.target)
         ]
 
-    def is_connected(self) -> bool:
-        """Whether the query graph is connected (singleton = connected)."""
-        if not self.vertices:
-            return True
-        seen: set[int] = set()
-        frontier = [next(iter(self.vertices))]
-        while frontier:
-            vertex_id = frontier.pop()
-            if vertex_id in seen:
-                continue
-            seen.add(vertex_id)
-            for edge in self.edges_of(vertex_id):
-                frontier.append(edge.other(vertex_id))
-        return seen == set(self.vertices)
-
     def components(self) -> list["CandidateSpace"]:
         """Split into connected components (each a standalone space)."""
         remaining = set(self.vertices)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.obs.metrics import Metrics, MetricsLike, NoopMetrics
+from repro.obs.metrics import Metrics, NoopMetrics
 from repro.obs.tracer import NoopTracer, Span, Tracer
 
 #: The process-wide zero-overhead default.
@@ -59,7 +59,6 @@ def use_tracer(tracer: Tracer | NoopTracer):
 
 __all__ = [
     "Metrics",
-    "MetricsLike",
     "NOOP",
     "NoopMetrics",
     "NoopTracer",

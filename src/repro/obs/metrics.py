@@ -17,26 +17,8 @@ snapshot consistent.
 from __future__ import annotations
 
 import threading
-from typing import Protocol, runtime_checkable
 
 from repro.contracts import guarded_by
-
-
-@runtime_checkable
-class MetricsLike(Protocol):
-    """What a component needs from a metrics sink (structural type).
-
-    Both :class:`Metrics` and :class:`NoopMetrics` satisfy it; serving
-    components accept any implementation rather than the concrete class.
-    """
-
-    def incr(self, name: str, amount: float = 1) -> None: ...
-
-    def observe(self, name: str, value: float) -> None: ...
-
-    def counter(self, name: str) -> float: ...
-
-    def snapshot(self) -> dict: ...
 
 
 @guarded_by("_lock", "counters", "histograms")
@@ -73,6 +55,13 @@ class Metrics:
     def counter(self, name: str) -> float:
         with self._lock:
             return self.counters.get(name, 0)
+
+    def histogram(self, name: str) -> dict | None:
+        """A copy of ``name``'s running ``{count, min, max, total}``, or
+        ``None`` before its first observation."""
+        with self._lock:
+            summary = self.histograms.get(name)
+            return dict(summary) if summary is not None else None
 
     def snapshot(self) -> dict:
         """JSON-ready view: raw counters, summarized histograms."""

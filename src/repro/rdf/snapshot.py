@@ -354,7 +354,11 @@ def _replacing(path: Path) -> Iterator[BinaryIO]:
     """
     temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(temporary, "wb") as handle:
+        handle = open(temporary, "wb")
+    except OSError as error:
+        raise SnapshotError(f"cannot write snapshot {path}: {error}") from error
+    try:
+        with handle:
             yield handle
             handle.flush()
             os.fsync(handle.fileno())

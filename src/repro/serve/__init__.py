@@ -16,7 +16,7 @@ measured by the ``http_*`` workloads of ``bench/run.py``.
 import importlib
 
 from repro.serve.admission import AdmissionController, AdmissionRejected
-from repro.serve.cache import CachingLinker, TTLCache, answer_cache_key, normalize_question
+from repro.serve.cache import CachingLinker, TTLCache
 from repro.serve.engine import EngineConfig, QAEngine
 
 #: The transport's exports, by the module that defines them.  They are
@@ -48,8 +48,6 @@ __all__ = [
     "QAEngine",
     "QAServer",
     "TTLCache",
-    "answer_cache_key",
     "build_server",
-    "normalize_question",
     "supports_reuseport",
 ]

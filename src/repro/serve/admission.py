@@ -9,8 +9,10 @@ latency the client would pay anyway.
 
 ``pressure()`` exposes current occupancy in [0, 1]; the engine reads it to
 decide when to answer in degraded mode (smaller k, narrower candidate
-lists).  Queue-depth and slot-hold-time histograms go to the engine's
-metrics registry (``serve.queue_depth``, ``serve.in_flight_ms``).
+lists).  Queue-depth and slot-hold-time histograms and the rejection
+counter go to the engine's metrics registry (``serve.queue_depth``,
+``serve.in_flight_ms``, ``serve.rejected``), and only there: ``stats()``
+reads admissions, the peak and rejections back from it.
 
 Each request is also counted under the **epoch** it was admitted in.  A
 writer that has made something unreachable for new requests closes the
@@ -27,7 +29,7 @@ from typing import Callable
 
 from repro.contracts import guarded_by
 from repro.exceptions import ReproError
-from repro.obs.metrics import MetricsLike, NoopMetrics
+from repro.obs.metrics import Metrics
 
 
 class AdmissionRejected(ReproError):
@@ -41,7 +43,7 @@ class AdmissionRejected(ReproError):
         self.in_flight = in_flight
 
 
-@guarded_by("_lock", "_in_flight", "_admitted", "_rejected", "_peak", "_epoch", "_by_epoch")
+@guarded_by("_lock", "_in_flight", "_epoch", "_by_epoch")
 class AdmissionController:
     """Counts in-flight requests against a hard capacity.
 
@@ -54,14 +56,14 @@ class AdmissionController:
     def __init__(
         self,
         capacity: int,
-        metrics: MetricsLike | None = None,
+        metrics: Metrics | None = None,
         clock: Callable[[], float] = time.monotonic,
         prefix: str = "serve",
     ):
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
-        self.metrics = metrics if metrics is not None else NoopMetrics()
+        self.metrics = metrics if metrics is not None else Metrics()
         self.clock = clock
         #: Metric-name prefix: the read path uses the default ``serve``,
         #: the ingest path uses ``serve.ingest`` so write backpressure is
@@ -69,9 +71,6 @@ class AdmissionController:
         self.prefix = prefix
         self._lock = threading.Lock()
         self._in_flight = 0
-        self._admitted = 0
-        self._rejected = 0
-        self._peak = 0
         self._epoch = 0
         #: epoch → requests admitted in it that are still in flight.
         self._by_epoch: dict[int, int] = {}
@@ -82,12 +81,9 @@ class AdmissionController:
         """Reserve one slot or raise :class:`AdmissionRejected`."""
         with self._lock:
             if self._in_flight >= self.capacity:
-                self._rejected += 1
                 self.metrics.incr(f"{self.prefix}.rejected")
                 raise AdmissionRejected(self.capacity, self._in_flight)
             self._in_flight += 1
-            self._admitted += 1
-            self._peak = max(self._peak, self._in_flight)
             depth = self._in_flight
             epoch = self._epoch
             self._by_epoch[epoch] = self._by_epoch.get(epoch, 0) + 1
@@ -131,14 +127,14 @@ class AdmissionController:
             return self._in_flight / self.capacity
 
     def stats(self) -> dict:
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "in_flight": self._in_flight,
-                "peak_in_flight": self._peak,
-                "admitted": self._admitted,
-                "rejected": self._rejected,
-            }
+        depths = self.metrics.histogram(f"{self.prefix}.queue_depth")
+        return {
+            "capacity": self.capacity,
+            "in_flight": self.in_flight,
+            "peak_in_flight": depths["max"] if depths else 0,
+            "admitted": depths["count"] if depths else 0,
+            "rejected": self.metrics.counter(f"{self.prefix}.rejected"),
+        }
 
 
 class _AdmissionToken:

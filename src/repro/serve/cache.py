@@ -1,10 +1,10 @@
 """Serving-layer caches: LRU+TTL answer cache and entity-link cache.
 
 **The contract: an entry is served only if recomputing it now would give
-the same value.**  A key names *what was asked* — the normalized question
-and the engine's config fingerprint, or the mention phrase — and nothing
-about the store; what the entry depends on travels with the value, as a
-:class:`Stamped` triple ``(value, version, scope)``:
+the same value.**  A key names *what was asked* — the question exactly as
+received, or the mention phrase — and nothing about the store; what the
+entry depends on travels with the value, as a :class:`Stamped` triple
+``(value, version, scope)``:
 
 * ``version`` is the engine's published store version, read *before* the
   value was computed;
@@ -54,14 +54,12 @@ as when the version was part of the key:
   ``QAEngine.refresh``), raise a *floor* below which every entry is dead.
 
 Counters (``serve.cache.{hit,miss,stale,evict,expired}``, and the same
-under ``serve.link_cache.*``) are reported into whatever
-:class:`repro.obs.Metrics` registry the owner passes in; the registry
-itself is thread-safe.
+under ``serve.link_cache.*``) live only in the :class:`repro.obs.Metrics`
+registry the owner passes in; ``TTLCache.stats`` reads them back from it.
 """
 
 from __future__ import annotations
 
-import re
 import threading
 import time
 from collections import OrderedDict
@@ -70,29 +68,18 @@ from typing import Any, Callable, Hashable, Iterable, NamedTuple
 from repro.contracts import guarded_by
 from repro.linking.index import lookup_words
 from repro.match.candidates import ReadScope
-from repro.obs.metrics import MetricsLike, NoopMetrics
-
-_WHITESPACE_RE = re.compile(r"\s+")
+from repro.obs.metrics import Metrics
 
 
-def normalize_question(question: str) -> str:
-    """Canonical cache form of a question: case, spacing, end punctuation.
-
-    "Who is the mayor of Berlin?", "who is the  mayor of berlin" and
-    "WHO IS THE MAYOR OF BERLIN ?" all map to one key.  Internal
-    punctuation stays — it can be meaningful ("U.S.", "Benedict XVI").
-    """
-    collapsed = _WHITESPACE_RE.sub(" ", question).strip()
-    return collapsed.rstrip(" ?!.").casefold()
-
-
-@guarded_by("_lock", "_entries", "_hits", "_misses", "_evictions")
+@guarded_by("_lock", "_entries")
 class TTLCache:
     """Thread-safe LRU cache whose entries also expire after ``ttl`` seconds.
 
     ``maxsize=0`` disables the cache entirely (every ``get`` misses, ``put``
     is a no-op) — the serving engine's cache-off switch.  ``clock`` is
-    injectable for deterministic TTL tests.
+    injectable for deterministic TTL tests.  Hits, misses and evictions
+    are counted in ``metrics`` (a registry of its own when none is given)
+    and nowhere else.
     """
 
     def __init__(
@@ -100,7 +87,7 @@ class TTLCache:
         maxsize: int = 1024,
         ttl: float = 300.0,
         clock: Callable[[], float] = time.monotonic,
-        metrics: MetricsLike | None = None,
+        metrics: Metrics | None = None,
         name: str = "serve.cache",
     ):
         if maxsize < 0:
@@ -110,13 +97,10 @@ class TTLCache:
         self.maxsize = maxsize
         self.ttl = ttl
         self.clock = clock
-        self.metrics = metrics if metrics is not None else NoopMetrics()
+        self.metrics = metrics if metrics is not None else Metrics()
         self.name = name
         self._entries: OrderedDict[Hashable, tuple[float, Any]] = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
 
     def get(
         self, key: Hashable, fresh: Callable[[Any], bool] | None = None
@@ -137,11 +121,9 @@ class TTLCache:
                     self.metrics.incr(f"{self.name}.stale")
                 else:
                     self._entries.move_to_end(key)
-                    self._hits += 1
                     self.metrics.incr(f"{self.name}.hit")
                     return value
                 del self._entries[key]
-            self._misses += 1
             self.metrics.incr(f"{self.name}.miss")
             return None
 
@@ -154,7 +136,6 @@ class TTLCache:
             self._entries[key] = (self.clock(), value)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
-                self._evictions += 1
                 self.metrics.incr(f"{self.name}.evict")
 
     def __len__(self) -> int:
@@ -163,22 +144,18 @@ class TTLCache:
 
     def stats(self) -> dict:
         """Counters + occupancy, the shape ``GET /stats`` reports."""
-        with self._lock:
-            lookups = self._hits + self._misses
-            return {
-                "size": len(self._entries),
-                "maxsize": self.maxsize,
-                "ttl_s": self.ttl,
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-                "hit_rate": round(self._hits / lookups, 4) if lookups else 0.0,
-            }
-
-
-def answer_cache_key(question: str, fingerprint: str) -> tuple[str, str]:
-    """Cache key of one question under one engine configuration."""
-    return (normalize_question(question), fingerprint)
+        counter = self.metrics.counter
+        hits, misses = counter(f"{self.name}.hit"), counter(f"{self.name}.miss")
+        lookups = hits + misses
+        return {
+            "size": len(self),
+            "maxsize": self.maxsize,
+            "ttl_s": self.ttl,
+            "hits": hits,
+            "misses": misses,
+            "evictions": counter(f"{self.name}.evict"),
+            "hit_rate": round(hits / lookups, 4) if lookups else 0.0,
+        }
 
 
 class Stamped(NamedTuple):

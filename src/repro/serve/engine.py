@@ -56,13 +56,7 @@ from repro.paraphrase.dictionary import ParaphraseDictionary
 from repro.rdf.graph import KnowledgeGraph
 from repro.rdf.terms import Term, Triple
 from repro.serve.admission import AdmissionController, AdmissionRejected
-from repro.serve.cache import (
-    CachingLinker,
-    ReadStamps,
-    Stamped,
-    TTLCache,
-    answer_cache_key,
-)
+from repro.serve.cache import CachingLinker, ReadStamps, Stamped, TTLCache
 
 __all__ = ["EngineConfig", "QAEngine", "AdmissionRejected"]
 
@@ -113,11 +107,6 @@ class EngineConfig:
             raise EngineConfigError(f"deadline_s must be positive and finite: {self.deadline_s}")
         if not 0 < self.cache_ttl_s < math.inf:
             raise EngineConfigError(f"cache_ttl_s must be positive and finite: {self.cache_ttl_s}")
-
-    def fingerprint(self) -> str:
-        """Stable digest of every knob that changes *cached* answers (cache
-        key part); degraded answers are never cached."""
-        return f"k={self.k};agg={int(self.enable_aggregation)}"
 
 
 @dataclass(slots=True)
@@ -601,9 +590,11 @@ class QAEngine:
     ) -> tuple[EngineResult, "obs.Tracer | None", bool]:
         started = time.monotonic()
         self.metrics.incr("serve.requests")
-        key = answer_cache_key(question, self.config.fingerprint())
+        # The question as asked is the key: the tagger reads case, so two
+        # spellings can be two answers.  The config is fixed for the
+        # engine's lifetime and degraded answers are never cached.
         if use_cache:
-            cached = self.answer_cache.get(key, self.stamps.fresh)
+            cached = self.answer_cache.get(question, self.stamps.fresh)
             if cached is not None:
                 self.metrics.observe(
                     "serve.latency_ms", (time.monotonic() - started) * 1000.0
@@ -631,7 +622,7 @@ class QAEngine:
             # a later uncontended request should get the full-quality one.
             # Bypassed requests don't store either — a cache-miss
             # measurement pass must not warm the cache it is avoiding.
-            self.answer_cache.put(key, Stamped(result, version, answer.scope))
+            self.answer_cache.put(question, Stamped(result, version, answer.scope))
         self.metrics.observe(
             "serve.latency_ms", (time.monotonic() - started) * 1000.0
         )

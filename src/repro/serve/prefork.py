@@ -59,6 +59,9 @@ from repro.serve.server import QAServer
 
 __all__ = ["PreforkServer", "supports_reuseport"]
 
+#: Respawns per worker slot before the supervisor gives up on it.
+_MAX_RESPAWNS = 8
+
 
 def supports_reuseport() -> bool:
     """Whether this platform can load-balance accepts across per-worker
@@ -108,7 +111,7 @@ class PreforkServer:
     it closes over (KG, kernel, dictionary, mmap columns) is what the
     forks share, so build it before :meth:`run`.
 
-    ``max_respawns`` bounds respawns *per worker slot*; a worker that
+    ``_MAX_RESPAWNS`` bounds respawns *per worker slot*; a worker that
     keeps crashing stops being restarted (a crash-loop would otherwise
     spin forever), and the supervisor exits once no workers remain.
     """
@@ -119,7 +122,6 @@ class PreforkServer:
         host: str = "127.0.0.1",
         port: int = 8765,
         workers: int = 2,
-        max_respawns: int = 8,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -127,7 +129,6 @@ class PreforkServer:
         self.host = host
         self.port = port
         self.workers = workers
-        self.max_respawns = max_respawns
         self.reuseport = False
         self._workers: list[_Worker] = []
         self._peers: list[dict] = []
@@ -208,10 +209,10 @@ class PreforkServer:
                 if self._shutdown.is_set():
                     continue
                 worker.respawns += 1
-                if worker.respawns > self.max_respawns:
+                if worker.respawns > _MAX_RESPAWNS:
                     print(
                         f"repro serve: worker {worker.index} exceeded "
-                        f"{self.max_respawns} respawns, giving up on it",
+                        f"{_MAX_RESPAWNS} respawns, giving up on it",
                         file=sys.stderr,
                     )
                     continue

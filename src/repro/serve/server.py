@@ -81,6 +81,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import BinaryIO
 
 from repro.contracts import guarded_by
+from repro.exceptions import SnapshotError
 from repro.obs.metrics import merge_snapshots
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.serve.admission import AdmissionRejected
@@ -593,7 +594,12 @@ class _Handler(BaseHTTPRequestHandler):
         if snapshot_path is not None and not isinstance(snapshot_path, str):
             self._send_json(400, {"error": "'snapshot_path' must be a string"})
             return
-        self._send_json(200, engine.compact(snapshot_path=snapshot_path))
+        try:
+            compacted = engine.compact(snapshot_path=snapshot_path)
+        except SnapshotError as error:
+            self._send_json(400, {"error": str(error)})
+            return
+        self._send_json(200, compacted)
 
     # ------------------------------------------------------------------ #
     # Cluster introspection

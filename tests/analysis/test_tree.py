@@ -293,6 +293,29 @@ class TestNoForksGrowBack:
         assert not hasattr(EntityLinker, "_score")
         assert not hasattr(EntityLinker, "_keep_best")
 
+    def test_serving_facts_have_one_copy(self):
+        """The question as asked is the answer-cache key, and the engine's
+        metrics registry is the only tally of cache and admission events."""
+        import repro.obs
+        import repro.serve
+        from repro.datasets import build_dbpedia_mini
+        from repro.paraphrase import ParaphraseDictionary
+        from repro.serve import AdmissionController, EngineConfig, QAEngine, TTLCache
+
+        for name in ("normalize_question", "answer_cache_key"):
+            assert not hasattr(repro.serve, name), name
+        assert not hasattr(EngineConfig, "fingerprint")
+        assert not hasattr(repro.obs, "MetricsLike")
+        engine = QAEngine(build_dbpedia_mini(), ParaphraseDictionary())
+        instances = (
+            TTLCache(), AdmissionController(1), engine.answer_cache,
+            engine.link_cache, engine.admission, engine.write_admission,
+        )
+        for instance in instances:
+            for name in ("_hits", "_misses", "_evictions", "_admitted", "_rejected", "_peak"):
+                assert not hasattr(instance, name), (instance, name)
+        assert all(instance.metrics is engine.metrics for instance in instances[2:])
+
     def test_a_snapshot_holds_what_serving_reads(self):
         """The kernel is the one graph structure a snapshot hands over;
         the label dict, the class and closure sections and the cache

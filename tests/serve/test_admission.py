@@ -73,3 +73,23 @@ class TestAdmission:
         assert snapshot["counters"]["serve.rejected"] == 1
         assert snapshot["histograms"]["serve.queue_depth"]["count"] == 2
         assert snapshot["histograms"]["serve.in_flight_ms"]["count"] == 2
+
+    def test_stats_are_read_from_the_registry(self):
+        """The registry is the only tally: two controllers in one registry
+        keep apart by prefix, and an empty one reads zeros."""
+        metrics = Metrics()
+        reads = AdmissionController(capacity=2, metrics=metrics)
+        writes = AdmissionController(capacity=1, metrics=metrics, prefix="w")
+        assert reads.stats()["admitted"] == reads.stats()["peak_in_flight"] == 0
+        with reads.admit(), reads.admit():
+            with pytest.raises(AdmissionRejected):
+                reads.admit()
+        with writes.admit():
+            pass
+        assert reads.stats() == {
+            "capacity": 2, "in_flight": 0, "peak_in_flight": 2, "admitted": 2, "rejected": 1,
+        }
+        assert writes.stats()["admitted"] == 1 and writes.stats()["rejected"] == 0
+        metrics.incr("serve.rejected")
+        assert reads.stats()["rejected"] == 2
+        assert isinstance(AdmissionController(capacity=1).metrics, Metrics)

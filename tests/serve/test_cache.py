@@ -1,18 +1,11 @@
-"""Cache semantics: normalization, LRU+TTL, read-scope stamps, linker cache."""
+"""Cache semantics: LRU+TTL, read-scope stamps, linker cache."""
 
 import pytest
 
 from repro.linking.index import lookup_words
 from repro.match.candidates import ReadScope
 from repro.obs.metrics import Metrics
-from repro.serve.cache import (
-    CachingLinker,
-    ReadStamps,
-    Stamped,
-    TTLCache,
-    answer_cache_key,
-    normalize_question,
-)
+from repro.serve.cache import CachingLinker, ReadStamps, Stamped, TTLCache
 
 
 class FakeClock:
@@ -24,28 +17,6 @@ class FakeClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
-
-
-class TestNormalizeQuestion:
-    def test_case_whitespace_and_end_punctuation_collapse(self):
-        variants = [
-            "Who is the mayor of Berlin?",
-            "who is the  mayor of berlin",
-            "  WHO IS THE MAYOR OF BERLIN ?! ",
-            "Who is the\tmayor of Berlin.",
-        ]
-        normalized = {normalize_question(v) for v in variants}
-        assert normalized == {"who is the mayor of berlin"}
-
-    def test_internal_punctuation_is_preserved(self):
-        # Trailing end punctuation goes, the *internal* dots stay.
-        assert "u.s" in normalize_question("Which rivers flow through the U.S.?")
-        assert "benedict xvi" in normalize_question("When was Benedict XVI born?")
-
-    def test_different_questions_stay_different(self):
-        assert normalize_question("Who is the mayor of Berlin?") != normalize_question(
-            "Who is the mayor of Paris?"
-        )
 
 
 class TestTTLCache:
@@ -109,6 +80,25 @@ class TestTTLCache:
         assert stats["hits"] == 1
         assert stats["misses"] == 1
         assert stats["hit_rate"] == 0.5
+
+    def test_stats_are_read_from_the_registry(self):
+        """The registry is the only tally: ``stats()`` holds no count of
+        its own, and two caches in one registry keep apart by name."""
+        metrics = Metrics()
+        cache = TTLCache(maxsize=1, ttl=60.0, metrics=metrics, name="t")
+        other = TTLCache(maxsize=1, ttl=60.0, metrics=metrics, name="u")
+        cache.put("a", 1)
+        cache.get("a")
+        cache.put("b", 2)
+        cache.get("a")
+        other.get("a")
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["evictions"]) == (1, 1, 1)
+        metrics.incr("t.hit", 2)
+        assert cache.stats()["hits"] == 3
+        assert cache.stats()["hit_rate"] == 0.75
+        assert (other.stats()["hits"], other.stats()["misses"]) == (0, 1)
+        assert isinstance(TTLCache().metrics, Metrics)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -203,18 +193,6 @@ class TestReadStamps:
         assert stamps.stats() == {
             "predicates_stamped": 3, "words_stamped": 2, "floor_version": 0,
         }
-
-
-class TestAnswerCacheKey:
-    def test_equivalent_questions_share_a_key(self):
-        assert answer_cache_key("Who is X?", "k=10") == answer_cache_key(
-            " who is x ", "k=10"
-        )
-
-    def test_config_fingerprint_partitions_keys(self):
-        assert answer_cache_key("Who is X?", "k=10") != answer_cache_key(
-            "Who is X?", "k=3"
-        )
 
 
 class _CountingLinker:

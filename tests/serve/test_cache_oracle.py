@@ -18,6 +18,10 @@ lookups, one seed with ``--aggregation`` on), constructed cases for the
 mutants, a 120-batch race and a 240-batch race with compactions; about
 5 s of tier-1 wall time in all.
 
+Every QALD question is also asked in five spellings (case, spacing, end
+punctuation), forward and in reverse: the key is the question as asked,
+so each response equals a fresh answer to that exact string.
+
 Each guard is shown load-bearing by a mutant the same check catches: no
 predicate check, no word check, stamps dropped at ``compact()``, no floor
 for a version the engine did not publish, a batch that changes the
@@ -227,6 +231,59 @@ class TestServedEqualsFresh:
             assert engine.ask(plain)["cached"] is True
         finally:
             engine.close()
+
+
+# --------------------------------------------------------------------- #
+# The key: the question as asked
+# --------------------------------------------------------------------- #
+
+
+def spellings(question: str) -> list[str]:
+    """Five forms of one question: as written, lower-case, upper-case,
+    double-spaced and without end punctuation."""
+    return [
+        question,
+        question.lower(),
+        question.upper(),
+        question.replace(" ", "  "),
+        question.rstrip("?!. "),
+    ]
+
+
+def outcome(answers, boolean, failure) -> tuple:
+    return [str(term) for term in answers], boolean, failure
+
+
+class TestEverySpellingIsAnsweredAsAsked:
+    """The tagger reads case, so one spelling's answer must never serve
+    another: whatever order the forms arrive in, each response equals a
+    fresh pipeline's answer to that exact string."""
+
+    def test_forward_and_reverse(self, kg, dictionary):
+        asked = [form for question in QUESTIONS for form in spellings(question)]
+        fresh = GAnswer(kg, dictionary)
+        expected = {}
+        for form in asked:
+            answer = fresh.answer(form)
+            expected[form] = outcome(answer.answers, answer.boolean, answer.failure)
+        # Case changes answers: the check has something to catch.
+        assert sum(
+            expected[question] != expected[question.upper()] for question in QUESTIONS
+        ) > 10
+        for order in (asked, asked[::-1]):
+            engine = QAEngine(kg, dictionary)
+            try:
+                wrong = []
+                for form in order:
+                    response = engine.ask(form)
+                    served = outcome(
+                        response["answers"], response["boolean"], response["failure"]
+                    )
+                    if served != expected[form] or response["question"] != form:
+                        wrong.append(form)
+            finally:
+                engine.close()
+            assert wrong == []
 
 
 # --------------------------------------------------------------------- #

@@ -11,6 +11,7 @@ from repro.exceptions import EngineClosedError, EngineConfigError
 from repro.rdf import IRI, KnowledgeGraph, Literal, Triple
 from repro.serve import AdmissionRejected, EngineConfig, QAEngine
 from repro.serve import engine as engine_module
+from tests.serve.test_ingest import fresh_engine
 
 BERLIN_Q = "Who is the mayor of Berlin?"
 CAPITAL_Q = "What is the capital of Germany?"
@@ -95,10 +96,6 @@ class TestEngineConfig:
         # silently turn expiry off.
         with pytest.raises(EngineConfigError, match="cache_ttl_s must be positive and finite"):
             EngineConfig(cache_ttl_s=ttl)
-
-    def test_fingerprint_tracks_answer_affecting_knobs(self):
-        assert EngineConfig(k=10).fingerprint() != EngineConfig(k=3).fingerprint()
-        assert EngineConfig().fingerprint() == EngineConfig().fingerprint()
 
 
 class TestAsk:
@@ -256,10 +253,16 @@ class TestAnswerCache:
         assert second["answers"] == first["answers"]
         assert fresh_engine.answer_cache.stats()["hits"] == 1
 
-    def test_normalized_variants_share_one_entry(self, fresh_engine):
-        fresh_engine.ask(BERLIN_Q)
-        variant = fresh_engine.ask("  who is the  MAYOR of berlin ")
-        assert variant["cached"] is True
+    def test_each_spelling_is_its_own_entry(self, fresh_engine):
+        """The tagger reads case, so the key is the question as asked: an
+        upper-case spelling cached first must not answer the original."""
+        shouted = fresh_engine.ask(BERLIN_Q.upper())
+        original = fresh_engine.ask(BERLIN_Q)
+        assert original["cached"] is False
+        assert original["question"] == BERLIN_Q
+        assert original["answers"] == ["res:Klaus_Wowereit"] != shouted["answers"]
+        assert fresh_engine.ask(BERLIN_Q.upper())["cached"] is True
+        assert fresh_engine.answer_cache.stats()["size"] == 2
 
     def test_store_mutation_plus_refresh_invalidates(self, kg, dictionary):
         # The shared graph is frozen: write to an overlay over it.
@@ -367,6 +370,51 @@ class TestStats:
         assert stats["admission"]["capacity"] == (
             engine.config.pool_size + engine.config.queue_limit
         )
+
+    def test_counts_are_the_registrys_after_a_mixed_run(self, kg, dictionary):
+        """Asks, hits, evictions, 429s on both budgets and ingests: every
+        count ``/stats`` shows equals the registry ``/metrics`` serves."""
+        engine = fresh_engine(kg, dictionary, pool_size=1, queue_limit=1, cache_size=2)
+        paris = "Who is the mayor of Paris?"
+        try:
+            for question in (BERLIN_Q, BERLIN_Q, paris, BERLIN_Q.upper(), BERLIN_Q):
+                engine.ask(question)
+            engine.ingest([Triple(IRI("res:Berlin"), IRI("ont:mayor"), IRI("t:NewMayor"))])
+            assert "t:NewMayor" in engine.ask(BERLIN_Q)["answers"]  # stale: a miss
+            held = [engine.admission.admit(), engine.admission.admit()]
+            with pytest.raises(AdmissionRejected):
+                engine.ask(BERLIN_Q)
+            for token in held:
+                token.release()
+            held = [engine.write_admission.admit(), engine.write_admission.admit()]
+            with pytest.raises(AdmissionRejected):
+                engine.ingest([Triple(IRI("t:s"), IRI("t:p"), IRI("t:o"))])
+            for token in held:
+                token.release()
+            stats = engine.stats()
+        finally:
+            engine.close()
+        assert set(stats["answer_cache"]) == {
+            "size", "maxsize", "ttl_s", "hits", "misses", "evictions", "hit_rate",
+        }
+        assert set(stats["admission"]) == {
+            "capacity", "in_flight", "peak_in_flight", "admitted", "rejected",
+        }
+        answers = stats["answer_cache"]
+        assert (answers["hits"], answers["misses"], answers["evictions"]) == (1, 5, 2)
+        counter, snapshot = engine.metrics.counter, engine.metrics.snapshot()
+        for block, name in (("answer_cache", "serve.cache"), ("link_cache", "serve.link_cache")):
+            cache = stats[block]
+            assert (cache["hits"], cache["misses"], cache["evictions"]) == (
+                counter(f"{name}.hit"), counter(f"{name}.miss"), counter(f"{name}.evict"),
+            )
+        depths = snapshot["histograms"]["serve.queue_depth"]
+        assert (
+            stats["admission"]["admitted"],
+            stats["admission"]["peak_in_flight"],
+            stats["admission"]["rejected"],
+        ) == (depths["count"], depths["max"], counter("serve.rejected")) == (8, 2, 1)
+        assert counter("serve.ingest.rejected") == 1
 
     def test_closed_engine_rejects_work(self, kg, dictionary):
         engine = QAEngine(kg, dictionary, EngineConfig(pool_size=1))

@@ -199,6 +199,14 @@ class TestUserErrors:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and fragment in line
 
+    def test_compile_into_a_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.snap"
+        assert main(["compile", str(target)]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: cannot write snapshot {target}: ")
+        assert not (tmp_path / "missing").exists()
+
     @pytest.mark.parametrize("deadline", ["nan", "inf", "-1"])
     def test_a_deadline_that_never_comes_due_is_refused_before_loading(
         self, capsys, monkeypatch, deadline
