@@ -99,7 +99,6 @@ _FROZEN_CONSTRUCTORS = (
     "CompactBackend.from_triples",
     "ShardedBackend",
     "ShardedBackend.from_triples",
-    "ShardedBackend.lazy",
     "TripleStore.build",
 )
 _FROZEN_PROVENANCE_CALLS = ("compacted", "sharded", "load_snapshot", "load_store")

@@ -263,7 +263,11 @@ def cmd_experiments(args) -> int:
     from repro.experiments.online import run_ganswer
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as error:  # a file is in the way
+        print(f"error: cannot create {out_dir}: {error}", file=sys.stderr)
+        return 2
     for driver in DRIVERS:
         result = driver()
         path = out_dir / f"{result.experiment_id}.txt"
@@ -319,15 +323,19 @@ def cmd_compact(args) -> int:
     payload: dict = {}
     if args.snapshot_out is not None:
         payload["snapshot_path"] = args.snapshot_out
-    request = urllib.request.Request(
-        f"{args.url.rstrip('/')}/compact",
-        data=json_module.dumps(payload).encode("utf-8"),
-        headers={
-            "Content-Type": "application/json",
-            "X-Ingest-Token": token,
-        },
-        method="POST",
-    )
+    try:
+        request = urllib.request.Request(
+            f"{args.url.rstrip('/')}/compact",
+            data=json_module.dumps(payload).encode("utf-8"),
+            headers={
+                "Content-Type": "application/json",
+                "X-Ingest-Token": token,
+            },
+            method="POST",
+        )
+    except ValueError as error:  # "unknown url type"
+        print(f"error: --url {args.url!r} is not a server URL: {error}", file=sys.stderr)
+        return 2
     try:
         with urllib.request.urlopen(request, timeout=args.timeout) as response:
             body = json_module.loads(response.read())

@@ -19,23 +19,22 @@ Why subject hash:
   already-sorted runs reproduces the exact global sort order a single
   :class:`CompactBackend` would yield;
 * the partition is a pure function of the subject id
-  (:func:`shard_of`), so an offline builder, a snapshot manifest, and a
+  (:func:`shard_of`), so an offline builder, a sharded snapshot and a
   serving replica all agree on placement without any routing table.
 
-Segments may be materialized eagerly (:meth:`ShardedBackend.from_triples`)
-or loaded **lazily** through a caller-supplied loader
-(:meth:`ShardedBackend.lazy` — how sharded snapshots mmap segment files
-on first touch and keep untouched shards off the resident set).
+Segments are built by :meth:`ShardedBackend.from_triples`, or opened
+from a sharded snapshot (:func:`~repro.rdf.snapshot.load_snapshot`),
+whose one file holds every segment's columns: each segment is then a
+:class:`CompactBackend` over views of the mapping, and its pages fault
+in when a read first touches them.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 from operator import itemgetter
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
-from repro.exceptions import SnapshotError
 from repro.rdf.backend import CompactBackend, FrozenBackend, IdTriple
 
 __all__ = [
@@ -48,16 +47,12 @@ __all__ = [
 #: Knuth's 32-bit multiplicative hash constant (2^32 / golden ratio).
 _HASH_MULTIPLIER = 0x9E3779B1
 
-#: Name of the partition function, recorded in snapshot manifests so a
-#: loader can refuse a manifest written under a different placement.
+#: Name of the partition function, recorded in a sharded snapshot's meta
+#: so a loader can refuse a file written under a different placement.
 PARTITION_SCHEME = "subject-mulfib32/1"
 
 _EMPTY_SET: frozenset[int] = frozenset()
 _EMPTY_MAP: dict[int, frozenset[int]] = {}
-
-#: A segment loader returns the backend plus an optional keep-alive token
-#: (the mmap an on-demand segment's columns borrow from).
-SegmentLoader = Callable[[int], tuple[CompactBackend, object | None]]
 
 
 def shard_of(subject_id: int, shards: int) -> int:
@@ -106,37 +101,21 @@ class ShardedBackend(FrozenBackend):
     :class:`~repro.rdf.backend.CompactBackend` over the same triples
     would.  Like :class:`CompactBackend`, the backend is frozen — mutation
     raises :class:`~repro.exceptions.StoreFrozenError`.
-
-    Segments are either all materialized up front, or loaded on demand
-    through a :data:`SegmentLoader` (see :meth:`lazy`): the total triple
-    count and per-segment sizes are known without touching a segment, and
-    a subject-local workload only ever faults in the shards it reads.
-    Lazy loads are serialized by a private lock; a loaded segment is
-    published as a whole object, so lock-free readers never observe a
-    partial segment.
     """
 
-    __slots__ = (
-        "_segments", "_segment_triples", "_loader", "_keepalive",
-        "_shards", "_lock",
-    )
+    __slots__ = ("_segments", "_shards")
 
     def __init__(
         self,
         segments: Iterable[CompactBackend],
         version: int = 0,
     ) -> None:
-        loaded = list(segments)
-        if not loaded:
+        self._segments = tuple(segments)
+        if not self._segments:
             raise ValueError("a sharded backend needs at least one segment")
-        self._segments: list[CompactBackend | None] = list(loaded)
-        self._segment_triples = [len(segment) for segment in loaded]
-        self._loader: SegmentLoader | None = None
-        self._keepalive: list[object | None] = [None] * len(loaded)
-        self._shards = len(loaded)
-        self._size = sum(self._segment_triples)
+        self._shards = len(self._segments)
+        self._size = sum(map(len, self._segments))
         self._version = version
-        self._lock = threading.Lock()
 
     @classmethod
     def from_triples(
@@ -154,97 +133,34 @@ class ShardedBackend(FrozenBackend):
             version=version,
         )
 
-    @classmethod
-    def lazy(
-        cls,
-        shards: int,
-        segment_triples: Sequence[int],
-        loader: SegmentLoader,
-        version: int = 0,
-    ) -> "ShardedBackend":
-        """A backend whose segments load on first touch via ``loader``.
-
-        ``segment_triples`` (from the snapshot manifest) makes sizes and
-        counts answerable without loading anything.
-        """
-        if shards < 1:
-            raise ValueError("shards must be a positive segment count")
-        if len(segment_triples) != shards:
-            raise ValueError("segment_triples must list one count per shard")
-        backend = cls.__new__(cls)
-        backend._segments = [None] * shards
-        backend._segment_triples = list(segment_triples)
-        backend._loader = loader
-        backend._keepalive = [None] * shards
-        backend._shards = shards
-        backend._size = sum(segment_triples)
-        backend._version = version
-        backend._lock = threading.Lock()
-        return backend
-
-    # ------------------------------------------------------------------ #
-    # Segment lifecycle
-    # ------------------------------------------------------------------ #
-
     @property
     def shards(self) -> int:
         return self._shards
 
     @property
-    def segment_triples(self) -> tuple[int, ...]:
-        return tuple(self._segment_triples)
+    def segments(self) -> tuple[CompactBackend, ...]:
+        """The K segments, in partition order."""
+        return self._segments
 
-    def shard_of_subject(self, subject_id: int) -> int:
-        return shard_of(subject_id, self._shards)
-
-    def segment(self, index: int) -> CompactBackend:
-        """The segment at ``index``, loading it on first touch."""
-        segment = self._segments[index]
-        if segment is not None:
-            return segment
-        if self._loader is None:
-            raise SnapshotError(
-                f"segment {index} was never materialized and no loader is set"
-            )
-        with self._lock:
-            segment = self._segments[index]
-            if segment is None:
-                segment, keepalive = self._loader(index)
-                if len(segment) != self._segment_triples[index]:
-                    raise SnapshotError(
-                        f"segment {index} holds {len(segment)} triples, "
-                        f"manifest says {self._segment_triples[index]}"
-                    )
-                self._keepalive[index] = keepalive
-                self._segments[index] = segment
-        return segment
-
-    def _all_segments(self) -> list[CompactBackend]:
-        return [self.segment(index) for index in range(self._shards)]
-
-    def loaded_segments(self) -> list[int]:
-        """Indices of currently resident segments."""
-        return [
-            index for index, segment in enumerate(self._segments)
-            if segment is not None
-        ]
+    def _segment_of(self, subject_id: int) -> CompactBackend:
+        return self._segments[shard_of(subject_id, self._shards)]
 
     # ------------------------------------------------------------------ #
     # StoreBackend reads (lifecycle and refusals: FrozenBackend)
     # ------------------------------------------------------------------ #
 
     def contains(self, s: int, p: int, o: int) -> bool:
-        return self.segment(self.shard_of_subject(s)).contains(s, p, o)
+        return self._segment_of(s).contains(s, p, o)
 
     def triples_ids(
         self, s: int | None = None, p: int | None = None, o: int | None = None
     ) -> Iterator[IdTriple]:
         if s is not None:
             # Subject-bound patterns are single-segment by construction.
-            return self.segment(self.shard_of_subject(s)).triples_ids(s, p, o)
+            return self._segment_of(s).triples_ids(s, p, o)
         # Subjects are disjoint across segments, so these merges never
         # deduplicate and equal keys never straddle two segments.
-        runs = [segment.triples_ids(s, p, o) for segment in self._all_segments()]
+        runs = [segment.triples_ids(s, p, o) for segment in self._segments]
         if p is not None:
             if o is not None:
                 # POS with o bound: runs ordered by subject.
@@ -260,18 +176,18 @@ class ShardedBackend(FrozenBackend):
         self, s: int | None = None, p: int | None = None, o: int | None = None
     ) -> int:
         if s is not None:
-            return self.segment(self.shard_of_subject(s)).count(s, p, o)
+            return self._segment_of(s).count(s, p, o)
         if s is None and p is None and o is None:
             return self._size
-        return sum(segment.count(s, p, o) for segment in self._all_segments())
+        return sum(segment.count(s, p, o) for segment in self._segments)
 
     def objects_ids(self, s: int, p: int) -> AbstractSet[int]:
-        return self.segment(self.shard_of_subject(s)).objects_ids(s, p)
+        return self._segment_of(s).objects_ids(s, p)
 
     def subjects_ids(self, p: int, o: int) -> AbstractSet[int]:
         found = [
             subjects
-            for segment in self._all_segments()
+            for segment in self._segments
             if (subjects := segment.subjects_ids(p, o))
         ]
         if not found:
@@ -281,12 +197,12 @@ class ShardedBackend(FrozenBackend):
         return frozenset().union(*found)
 
     def out_index(self, s: int) -> Mapping[int, AbstractSet[int]]:
-        return self.segment(self.shard_of_subject(s)).out_index(s)
+        return self._segment_of(s).out_index(s)
 
     def in_index(self, o: int) -> Mapping[int, AbstractSet[int]]:
         found = [
             row
-            for segment in self._all_segments()
+            for segment in self._segments
             if (row := segment.in_index(o))
         ]
         if not found:
@@ -304,15 +220,15 @@ class ShardedBackend(FrozenBackend):
         # Disjoint by the partition function, but merging distinct is as
         # cheap and keeps the contract obvious.
         return _merge_distinct(
-            [segment.subject_ids() for segment in self._all_segments()]
+            [segment.subject_ids() for segment in self._segments]
         )
 
     def predicate_ids(self) -> Iterator[int]:
         return _merge_distinct(
-            [segment.predicate_ids() for segment in self._all_segments()]
+            [segment.predicate_ids() for segment in self._segments]
         )
 
     def object_ids(self) -> Iterator[int]:
         return _merge_distinct(
-            [segment.object_ids() for segment in self._all_segments()]
+            [segment.object_ids() for segment in self._segments]
         )

@@ -26,7 +26,7 @@ after a live ingest.
 Because every id is stable across the round-trip, loading is an **open**,
 not a load: no parsing, no re-encoding, no re-mining, no index rebuild —
 and what is already a column in the file is never rebuilt as Python
-objects either.  Each file is memory-mapped; the permutation columns, the
+objects either.  The file is memory-mapped; the permutation columns, the
 kernel's four CSR columns, the term table's three and the label index's
 word and label tables are ``memoryview`` casts straight over the mapping.
 A kernel row is boxed into its pair of tuples when a query first reads
@@ -68,25 +68,18 @@ Every file is written to a temporary sibling, flushed, synced and renamed
 over its target, so a process that has the old file mapped keeps reading
 the old bytes: recompiling onto a live snapshot is safe.
 
-**Sharded snapshots** (``compile_snapshot(..., shards=K)``) split the
-artifact so segments load on demand:
-
-* ``graph.snap`` — a small JSON **manifest** naming the members, the
-  partition scheme, and per-segment triple counts;
-* ``graph.state.snap`` — one ``REPROSNAP`` container with every section
-  but the permutation columns (terms, literals, kernel rows, linker,
-  dictionary), opened like the single file;
-* ``graph.segNNN.snap`` — one ``REPROSNAP`` container per shard holding
-  only that segment's three permutation columns.
-
-``load_snapshot`` sniffs the leading bytes, so manifest and single-file
-snapshots load through the same call.  A sharded load builds a
-:class:`~repro.rdf.shard.ShardedBackend` whose segments are mmapped (and
-checksum-verified) on **first touch**: a subject-local workload only ever
-makes 1/K of the triple columns resident.  Each segment file is verified
-independently, so lazy loading never trades away corruption detection.
-The members are renamed into place state and segments first, manifest
-last.
+**Sharded snapshots** (``compile_snapshot(..., shards=K)``) are the same
+container.  Each permutation section holds 3·K columns, segment *i*'s
+three at 3·*i* … 3·*i* + 2, and segment *i* holds the triples whose
+subject :func:`~repro.rdf.shard.shard_of` places in it.  The meta names
+``shards`` and the ``partition`` scheme, and an open refuses a file whose
+placement is not this build's.  :func:`load_snapshot` hands the store a
+:class:`~repro.rdf.shard.ShardedBackend` of K
+:class:`~repro.rdf.backend.CompactBackend` segments over views of the one
+mapping, so a segment's pages fault in when a read first touches them,
+like every other column's.  An earlier build wrote a sharded snapshot as
+a JSON manifest beside a state container and K segment files; such a
+manifest is not a container, and an open refuses it: recompile it.
 """
 
 from __future__ import annotations
@@ -121,7 +114,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (linking sits above r
 
 __all__ = [
     "FORMAT_VERSION",
-    "MANIFEST_VERSION",
     "SnapshotInfo",
     "CompiledState",
     "compile_snapshot",
@@ -130,9 +122,6 @@ __all__ = [
 
 _MAGIC = b"REPROSNAP\x00"
 FORMAT_VERSION = 5
-#: Version of the sharded-manifest JSON layout.
-MANIFEST_VERSION = 1
-_MANIFEST_FORMAT = "reprosnap-manifest"
 
 #: magic + u32 format version + u8 byte order; the checksummed body follows.
 _HEAD_LEN = len(_MAGIC) + 5
@@ -152,17 +141,14 @@ _SECTION_COLUMNS = {
     "dictionary": 1,  # record stream
     "kernel": 4,      # node_ids, row_lens, flat_steps, flat_neighbors
     "terms": 3,       # offsets, records, ids sorted by record
-    "spo": 3,
+    "spo": 3,         # per segment (see _PERMUTATIONS)
     "pos": 3,
     "osp": 3,
 }
-#: Sections of one segment container: that shard's permutation columns.
-_SEGMENT_SECTIONS = ("spo", "pos", "osp")
-#: Single-file section order; load rejects files missing any of these.
+#: The permutation sections: three columns per segment, segment by segment.
+_PERMUTATIONS = ("spo", "pos", "osp")
+#: Section order; load rejects files missing any of these.
 _SECTIONS = tuple(_SECTION_COLUMNS)
-#: Sections of a sharded snapshot's state container (everything but the
-#: triple columns, which live in the per-shard segment containers).
-_STATE_SECTIONS = tuple(name for name in _SECTIONS if name not in _SEGMENT_SECTIONS)
 
 
 # --------------------------------------------------------------------- #
@@ -263,12 +249,12 @@ def _ints(column: memoryview) -> memoryview:
 
 
 # --------------------------------------------------------------------- #
-# Info / state containers
+# Info / compiled state
 # --------------------------------------------------------------------- #
 
 @dataclass(frozen=True, slots=True)
 class SnapshotInfo:
-    """Manifest-level facts about one compiled snapshot (file or shard set)."""
+    """Facts about one compiled snapshot, as its meta records them."""
 
     path: Path
     format_version: int
@@ -278,9 +264,7 @@ class SnapshotInfo:
     terms: int
     phrases: int
     section_bytes: dict[str, int]
-    #: Segment count: 1 for a single-file snapshot, K for a sharded one
-    #: (where ``section_bytes`` also carries one aggregate entry per
-    #: segment file).
+    #: Segment count: 1 unless the snapshot was compiled with ``shards=K``.
     shards: int = 1
 
     @property
@@ -288,22 +272,20 @@ class SnapshotInfo:
         return sum(self.section_bytes.values())
 
 
-#: Integer facts every snapshot records — in a container's meta JSON and
-#: in a sharded manifest — and :class:`SnapshotInfo` reports.
+#: Integer facts every snapshot's meta records and :class:`SnapshotInfo`
+#: reports.
 _COUNT_KEYS = ("store_version", "triples", "terms", "phrases")
 
 
-def _snapshot_info(
-    path: Path, counts: dict, section_bytes: dict[str, int], shards: int = 1
-) -> SnapshotInfo:
-    """The :class:`SnapshotInfo` of ``path`` from a meta or manifest dict."""
+def _snapshot_info(path: Path, meta: dict, section_bytes: dict[str, int]) -> SnapshotInfo:
+    """The :class:`SnapshotInfo` of ``path`` from its meta dict."""
     return SnapshotInfo(
         path=path,
         format_version=FORMAT_VERSION,
-        created=counts.get("created", ""),
+        created=meta.get("created", ""),
         section_bytes=section_bytes,
-        shards=shards,
-        **{key: counts[key] for key in _COUNT_KEYS},
+        shards=meta.get("shards", 1),
+        **{key: meta[key] for key in _COUNT_KEYS},
     )
 
 
@@ -311,9 +293,8 @@ def _snapshot_info(
 class CompiledState:
     """Everything a serving replica needs, opened from a snapshot.
 
-    ``mapping`` is the ``mmap`` every section was read from (and, for a
-    single-file snapshot, the one the triple columns borrow from).  It is
-    kept here — and implicitly by every ``memoryview`` column — so the
+    ``mapping`` is the ``mmap`` every section was read from, the triple
+    columns included.  It is kept here — and implicitly by every ``memoryview`` column — so the
     mapping outlives the state; dropping the state releases it.
     """
 
@@ -362,15 +343,16 @@ def _replacing(path: Path) -> Iterator[BinaryIO]:
             yield handle
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(temporary, path)
+        try:
+            os.replace(temporary, path)
+        except OSError as error:  # ``path`` is a directory, say
+            raise SnapshotError(f"cannot write snapshot {path}: {error}") from error
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
 
 
-def _write_container(
-    out: BinaryIO, sections: dict[str, list], order: tuple[str, ...], meta: dict
-) -> dict[str, int]:
+def _write_container(out: BinaryIO, sections: dict[str, list], meta: dict) -> dict[str, int]:
     """Write one checksummed ``REPROSNAP`` container; return section sizes.
 
     ``sections[name]`` is that section's columns, each anything with a
@@ -379,14 +361,14 @@ def _write_container(
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     columns = {
         name: [memoryview(column).cast("B") for column in sections[name]]
-        for name in order
+        for name in _SECTIONS
     }
     directory_len = 8 + len(meta_bytes) + 4 + sum(
-        1 + len(name) + 4 + 16 * len(columns[name]) for name in order
+        1 + len(name) + 4 + 16 * len(columns[name]) for name in _SECTIONS
     )
     offset = _aligned(_HEAD_LEN + directory_len)
-    directory = [struct.pack("<Q", len(meta_bytes)), meta_bytes, struct.pack("<I", len(order))]
-    for name in order:
+    directory = [struct.pack("<Q", len(meta_bytes)), meta_bytes, struct.pack("<I", len(_SECTIONS))]
+    for name in _SECTIONS:
         directory.append(struct.pack("<B", len(name)) + name.encode("ascii"))
         directory.append(struct.pack("<I", len(columns[name])))
         for column in columns[name]:
@@ -404,35 +386,20 @@ def _write_container(
 
     out.write(_MAGIC + struct.pack("<IB", FORMAT_VERSION, sys.byteorder == "big"))
     emit(b"".join(directory))
-    for name in order:
+    for name in _SECTIONS:
         for column in columns[name]:
             emit(bytes(_aligned(written) - written))
             emit(column)
     out.write(digest.digest())
-    return {name: sum(map(len, columns[name])) for name in order}
+    return {name: sum(map(len, columns[name])) for name in _SECTIONS}
 
 
-def _sharded_member_paths(path: Path, shards: int) -> tuple[Path, list[Path]]:
-    """Sibling file names of a sharded snapshot's state and segments.
-
-    ``graph.snap`` → ``graph.state.snap`` + ``graph.seg000.snap`` …; the
-    manifest records bare names, so the whole set moves as a directory.
-    """
-    suffix = path.suffix or ".snap"
-    stem = path.stem if path.suffix else path.name
-    state = path.with_name(f"{stem}.state{suffix}")
-    segments = [
-        path.with_name(f"{stem}.seg{index:03d}{suffix}") for index in range(shards)
-    ]
-    return state, segments
-
-
-def _encode_state_sections(
+def _encode_sections(
     kg: KnowledgeGraph, dictionary: "ParaphraseDictionary"
 ) -> dict[str, list]:
-    """The columns of every non-permutation section: the term table, the
-    literal flags, the kernel rows, the linker material and the paraphrase
-    dictionary."""
+    """The columns of every section but the permutations: the term table,
+    the literal flags, the kernel rows, the linker material and the
+    paraphrase dictionary."""
     from repro.linking.linker import EntityLinker
 
     store = kg.store
@@ -462,11 +429,6 @@ def _encode_state_sections(
     return sections
 
 
-def _segment_sections(segment: CompactBackend) -> dict[str, list]:
-    columns = segment.permutation_columns()
-    return {name: list(columns[name]) for name in _SEGMENT_SECTIONS}
-
-
 def compile_snapshot(
     path: str | Path,
     kg: KnowledgeGraph,
@@ -481,20 +443,20 @@ def compile_snapshot(
     (class set, closures, instance sets) stays lazy after an open, as it
     does after a live ingest.
 
-    ``shards=None`` (default) writes the single-file container.
-    ``shards=K`` writes the sharded form instead: a JSON manifest at
-    ``path``, a state container next to it, and one segment container per
-    shard (subject-hash partitioned).  Both forms load through
+    ``shards=None`` (default) writes the triples as one segment.
+    ``shards=K`` partitions them by subject hash into K segments, each a
+    run of three columns in every permutation section, and records
+    ``shards`` and the partition scheme in the meta.  Both load through
     :func:`load_snapshot` and answer identically.
 
-    Every file appears under its name complete or not at all, and
-    ``path`` may be a snapshot some process has open (see
-    :func:`_replacing`); a compile that raises leaves what was there.
+    The file appears under ``path`` complete or not at all, and ``path``
+    may be a snapshot some process has open (see :func:`_replacing`); a
+    compile that raises leaves what was there.
     """
     path = Path(path)
     store = kg.store
     with collector_paused():
-        sections = _encode_state_sections(kg, dictionary)
+        sections = _encode_sections(kg, dictionary)
     meta = {
         "format_version": FORMAT_VERSION,
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -503,63 +465,23 @@ def compile_snapshot(
         "terms": len(store.dictionary),
         "phrases": len(dictionary),
     }
-
     if shards is None:
         backend = store.backend
         if not isinstance(backend, CompactBackend):
             backend = store.compacted().backend
         assert isinstance(backend, CompactBackend)
-        sections.update(_segment_sections(backend))
-        with _replacing(path) as out:
-            section_bytes = _write_container(out, sections, _SECTIONS, meta)
-        return _snapshot_info(path, meta, section_bytes)
-
-    backend = store.sharded(shards).backend
-    assert isinstance(backend, ShardedBackend)
-    segments = [backend.segment(index) for index in range(shards)]
-
-    state_path, segment_paths = _sharded_member_paths(path, shards)
-    manifest = {
-        "format": _MANIFEST_FORMAT,
-        "manifest_version": MANIFEST_VERSION,
-        "created": meta["created"],
-        "partition": PARTITION_SCHEME,
-        "shards": shards,
-        "state": state_path.name,
-        "segments": [segment_path.name for segment_path in segment_paths],
-        "segment_triples": [len(segment) for segment in segments],
-        "triples": meta["triples"],
-        "terms": meta["terms"],
-        "phrases": meta["phrases"],
-        "store_version": meta["store_version"],
-    }
-    # Every member is written out before any is renamed, and the stack
-    # unwinds last-in first-out: segments and state are published first,
-    # the manifest — entered first — last.
-    with contextlib.ExitStack() as stack:
-        manifest_out = stack.enter_context(_replacing(path))
-        manifest_out.write(
-            (json.dumps(manifest, indent=1, sort_keys=True) + "\n").encode("utf-8")
-        )
-        section_bytes = _write_container(
-            stack.enter_context(_replacing(state_path)), sections, _STATE_SECTIONS,
-            meta | {"kind": "state", "shards": shards},
-        )
-        for index, (segment, segment_path) in enumerate(zip(segments, segment_paths)):
-            segment_meta = {
-                "format_version": FORMAT_VERSION,
-                "kind": "segment",
-                "shard": index,
-                "shards": shards,
-                "triples": len(segment),
-                "store_version": store.version,
-            }
-            written = _write_container(
-                stack.enter_context(_replacing(segment_path)),
-                _segment_sections(segment), _SEGMENT_SECTIONS, segment_meta,
-            )
-            section_bytes[segment_path.name] = sum(written.values())
-    return _snapshot_info(path, meta, section_bytes, shards)
+        segments: tuple[CompactBackend, ...] = (backend,)
+    else:
+        sharded = store.sharded(shards).backend
+        assert isinstance(sharded, ShardedBackend)
+        segments = sharded.segments
+        meta |= {"shards": shards, "partition": PARTITION_SCHEME}
+    permutations = [segment.permutation_columns() for segment in segments]
+    for name in _PERMUTATIONS:
+        sections[name] = [column for columns in permutations for column in columns[name]]
+    with _replacing(path) as out:
+        section_bytes = _write_container(out, sections, meta)
+    return _snapshot_info(path, meta, section_bytes)
 
 
 # --------------------------------------------------------------------- #
@@ -592,11 +514,7 @@ def _verify(path: Path, mapping: mmap.mmap, data: memoryview) -> None:
         )
 
 
-def _open_container(
-    path: Path,
-    required: tuple[str, ...] = _SECTIONS,
-    meta_keys: tuple[str, ...] = _COUNT_KEYS,
-) -> tuple[dict, dict[str, list[memoryview]], mmap.mmap]:
+def _open_container(path: Path) -> tuple[dict, dict[str, list[memoryview]], mmap.mmap]:
     """Verify the container; return (meta, name → column views, mapping).
 
     The file is mapped read-only and every column view borrows from the
@@ -605,9 +523,9 @@ def _open_container(
     here, never as silently wrong answers — and so does a body that is
     well signed but malformed: the directory is bounds-checked as it is
     walked, every column must lie inside the body, on an aligned offset
-    and clear of every other, and the ``required`` sections (with the
-    column count each must have) and integer ``meta_keys`` must be
-    present before anything reads them.
+    and clear of every other, and the meta's integer counts, its segment
+    count and partition scheme, and every section with the column count
+    it must have are checked before anything reads them.
     """
     try:
         with open(path, "rb") as handle:
@@ -616,7 +534,9 @@ def _open_container(
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
     data = memoryview(mapping)
     if len(data) < _HEAD_LEN + _DIGEST_LEN or bytes(data[: len(_MAGIC)]) != _MAGIC:
-        raise SnapshotError(f"not a compiled snapshot: {path}")
+        raise SnapshotError(
+            f"not a compiled snapshot: {path} (recompile it with `repro compile`)"
+        )
     format_version, big_endian = struct.unpack_from("<IB", data, len(_MAGIC))
     if format_version != FORMAT_VERSION:
         raise SnapshotError(
@@ -654,35 +574,35 @@ def _open_container(
                 f"(+{length}) is misaligned, overlaps another or runs past the end"
             )
         floor = offset + length
-    missing = [name for name in required if name not in extents]
+    if not isinstance(meta, dict):
+        raise SnapshotError(f"malformed snapshot container {path}: meta is not an object")
+    absent = [key for key in _COUNT_KEYS if not isinstance(meta.get(key), int)]
+    if absent:
+        raise SnapshotError(f"snapshot meta lacks integer {', '.join(absent)}: {path}")
+    shards = meta.get("shards", 1)
+    if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
+        raise SnapshotError(f"malformed snapshot container {path}: shards {shards!r}")
+    if "shards" in meta and meta.get("partition") != PARTITION_SCHEME:
+        raise SnapshotError(
+            f"snapshot {path} was partitioned by {meta.get('partition')!r}, "
+            f"this build places subjects by {PARTITION_SCHEME!r} — recompile"
+        )
+    missing = [name for name in _SECTIONS if name not in extents]
     if missing:
         raise SnapshotError(f"snapshot missing sections: {', '.join(missing)}")
     misshapen = [
-        name for name in required if len(extents[name]) != _SECTION_COLUMNS[name]
+        name for name, columns in _SECTION_COLUMNS.items()
+        if len(extents[name]) != (columns * shards if name in _PERMUTATIONS else columns)
     ]
     if misshapen:
         raise SnapshotError(
             f"snapshot sections with the wrong column count: {', '.join(misshapen)}"
         )
-    if not isinstance(meta, dict):
-        raise SnapshotError(f"malformed snapshot container {path}: meta is not an object")
-    absent = [key for key in meta_keys if not isinstance(meta.get(key), int)]
-    if absent:
-        raise SnapshotError(f"snapshot meta lacks integer {', '.join(absent)}: {path}")
     sections = {
         name: [data[offset:offset + length] for offset, length in found]
         for name, found in extents.items()
     }
     return meta, sections, mapping
-
-
-def _segment_permutations(sections: dict[str, list[memoryview]]) -> list[tuple]:
-    """The three permutation column triples of one container's sections.
-
-    Each column is a ``memoryview`` cast over the mapping — no
-    ``frombytes``, no materialization.
-    """
-    return [tuple(map(_ints, sections[name])) for name in _SEGMENT_SECTIONS]
 
 
 def _section_bytes(sections: dict[str, list[memoryview]]) -> dict[str, int]:
@@ -695,8 +615,8 @@ def _assemble_state(
     info: SnapshotInfo,
     mapping: mmap.mmap,
 ) -> CompiledState:
-    """Wire every non-permutation section into the object that serves it
-    (shared by both snapshot forms).
+    """Wire every section but the permutations into the object that
+    serves it.
 
     The term table, the kernel rows and the label index's tables stay
     columns over the mapping; the literal flags are copied into the
@@ -713,7 +633,7 @@ def _assemble_state(
         raise SnapshotError(f"malformed term table in {info.path}: {exc}") from exc
     if len(terms) != info.terms:
         raise SnapshotError(
-            f"snapshot holds {len(terms)} terms, manifest says "
+            f"snapshot holds {len(terms)} terms, its meta says "
             f"{info.terms} — inconsistent file"
         )
     literal_flags = bytearray(sections["literals"][0])
@@ -747,7 +667,7 @@ def _assemble_state(
         paraphrases.add(phrase, mappings)
     if len(paraphrases) != info.phrases:
         raise SnapshotError(
-            f"snapshot holds {len(paraphrases)} phrases, manifest says "
+            f"snapshot holds {len(paraphrases)} phrases, its meta says "
             f"{info.phrases} — inconsistent file"
         )
 
@@ -770,124 +690,6 @@ def _assemble_state(
     )
 
 
-def _load_single(path: Path) -> CompiledState:
-    """Open the classic one-file snapshot."""
-    meta, sections, mapping = _open_container(path)
-    backend = CompactBackend(
-        *_segment_permutations(sections), version=meta["store_version"]
-    )
-    if len(backend) != meta["triples"]:
-        raise SnapshotError(
-            f"snapshot holds {len(backend)} triples, manifest says "
-            f"{meta['triples']} — inconsistent file"
-        )
-    return _assemble_state(
-        backend, sections, _snapshot_info(path, meta, _section_bytes(sections)), mapping
-    )
-
-
-def _is_count(value) -> bool:
-    """A non-negative ``int`` — JSON ``true`` is not a count."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _is_bare_name(name) -> bool:
-    """A file name with no directory part: the member sits beside its
-    manifest, so a name can neither be empty nor leave that directory."""
-    return (
-        isinstance(name, str)
-        and name not in ("", ".", "..")
-        and "\0" not in name
-        and Path(name).name == name
-    )
-
-
-def _load_sharded(path: Path, manifest: dict) -> CompiledState:
-    """Open a sharded manifest: the state container now, each segment
-    on first touch."""
-    if manifest.get("manifest_version") != MANIFEST_VERSION:
-        raise SnapshotError(
-            f"unsupported manifest version {manifest.get('manifest_version')} "
-            f"(this build reads manifest version {MANIFEST_VERSION}); "
-            f"recompile it"
-        )
-    if manifest.get("partition") != PARTITION_SCHEME:
-        raise SnapshotError(
-            f"snapshot was partitioned by {manifest.get('partition')!r}, "
-            f"this build places subjects by {PARTITION_SCHEME!r} — recompile"
-        )
-    shards = manifest.get("shards")
-    segment_names = manifest.get("segments")
-    segment_triples = manifest.get("segment_triples")
-    if (
-        not _is_count(shards)
-        or shards < 1
-        or not isinstance(segment_names, list)
-        or not isinstance(segment_triples, list)
-        or len(segment_names) != shards
-        or len(segment_triples) != shards
-        or not all(map(_is_count, segment_triples))
-        or not all(_is_count(manifest.get(key)) for key in _COUNT_KEYS)
-        or not all(map(_is_bare_name, [manifest.get("state"), *segment_names]))
-    ):
-        raise SnapshotError(f"malformed sharded-snapshot manifest: {path}")
-    if sum(segment_triples) != manifest["triples"]:
-        raise SnapshotError(
-            f"manifest segment counts sum to {sum(segment_triples)}, "
-            f"manifest says {manifest['triples']} triples — inconsistent"
-        )
-
-    state_path = path.with_name(manifest["state"])
-    meta, sections, mapping = _open_container(state_path, _STATE_SECTIONS)
-    if meta.get("kind") != "state" or meta.get("shards") != shards:
-        raise SnapshotError(
-            f"{state_path} is not the state container of {path}"
-        )
-    store_version = meta["store_version"]
-    if manifest["store_version"] != store_version:
-        raise SnapshotError(
-            f"manifest and state container disagree on store version "
-            f"({manifest['store_version']} vs {store_version})"
-        )
-    segment_paths = [path.with_name(name) for name in segment_names]
-
-    def load_segment(index: int) -> tuple[CompactBackend, object | None]:
-        # Runs under the ShardedBackend lock on first touch of a segment;
-        # each file carries its own checksum, so lazy loading keeps full
-        # corruption detection without reading the untouched shards.
-        segment_path = segment_paths[index]
-        seg_meta, seg_sections, seg_mapping = _open_container(
-            segment_path, _SEGMENT_SECTIONS, ()
-        )
-        if (
-            seg_meta.get("kind") != "segment"
-            or seg_meta.get("shard") != index
-            or seg_meta.get("shards") != shards
-            or seg_meta.get("store_version") != store_version
-        ):
-            raise SnapshotError(
-                f"{segment_path} is not segment {index} of {path}"
-            )
-        segment = CompactBackend(
-            *_segment_permutations(seg_sections), version=store_version
-        )
-        return segment, seg_mapping
-
-    backend = ShardedBackend.lazy(
-        shards, segment_triples, load_segment, version=store_version
-    )
-    section_bytes = _section_bytes(sections)
-    for segment_path in segment_paths:
-        try:
-            section_bytes[segment_path.name] = segment_path.stat().st_size
-        except OSError as exc:
-            raise SnapshotError(
-                f"cannot read snapshot segment {segment_path}: {exc}"
-            ) from exc
-    info = _snapshot_info(path, manifest, section_bytes, shards)
-    return _assemble_state(backend, sections, info, mapping)
-
-
 def load_snapshot(path: str | Path) -> CompiledState:
     """Open the full warm state of a compiled snapshot.
 
@@ -897,32 +699,30 @@ def load_snapshot(path: str | Path) -> CompiledState:
     row columns, the id-level paraphrase dictionary, and the material to
     build an entity linker without an index scan.
 
-    ``path`` may be either snapshot form — the leading bytes decide:
-
-    * a ``REPROSNAP`` container loads as a single frozen
-      :class:`~repro.rdf.backend.CompactBackend`;
-    * a JSON **manifest** (``compile_snapshot(..., shards=K)``) opens the
-      state container and hands the store a
-      :class:`~repro.rdf.shard.ShardedBackend` whose segment files are
-      mapped and checksum-verified on first touch.
-
-    Every file is memory-mapped and the backend, the kernel and the term
-    dictionary get zero-copy ``memoryview`` columns — none of them is
-    duplicated into process memory, and concurrent processes mapping the
-    same file share one page-cache copy.
+    The store's backend is one :class:`~repro.rdf.backend.CompactBackend`,
+    or — when the meta names ``shards`` — a
+    :class:`~repro.rdf.shard.ShardedBackend` of that many.  The file is
+    memory-mapped and the backend, the kernel and the term dictionary get
+    zero-copy ``memoryview`` columns — none of them is duplicated into
+    process memory, and concurrent processes mapping the same file share
+    one page-cache copy.
     """
     path = Path(path)
+    meta, sections, mapping = _open_container(path)
+    version = meta["store_version"]
+    spo, pos, osp = ([_ints(column) for column in sections[name]] for name in _PERMUTATIONS)
     try:
-        with open(path, "rb") as handle:
-            head = handle.read(len(_MAGIC))
-    except OSError as exc:
-        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-    if head == _MAGIC:
-        return _load_single(path)
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SnapshotError(f"not a compiled snapshot: {path}") from exc
-    if not isinstance(manifest, dict) or manifest.get("format") != _MANIFEST_FORMAT:
-        raise SnapshotError(f"not a compiled snapshot: {path}")
-    return _load_sharded(path, manifest)
+        segments = [
+            CompactBackend(spo[at:at + 3], pos[at:at + 3], osp[at:at + 3], version=version)
+            for at in range(0, len(spo), 3)
+        ]
+    except ValueError as exc:
+        raise SnapshotError(f"malformed permutation section in {path}: {exc}") from exc
+    backend = ShardedBackend(segments, version=version) if "shards" in meta else segments[0]
+    if len(backend) != meta["triples"]:
+        raise SnapshotError(
+            f"snapshot holds {len(backend)} triples, its meta says "
+            f"{meta['triples']} — inconsistent file"
+        )
+    info = _snapshot_info(path, meta, _section_bytes(sections))
+    return _assemble_state(backend, sections, info, mapping)

@@ -13,8 +13,8 @@ mutable layer over it:
   the compiled-snapshot format;
 * :class:`~repro.rdf.shard.ShardedBackend` (see :meth:`TripleStore.
   sharded`) hash-partitions the triples by subject into K frozen compact
-  segments — the layout for graphs past one segment's RAM budget, with
-  per-segment snapshot files loaded on demand;
+  segments, which a sharded snapshot stores as K runs of columns in its
+  one file;
 * :class:`~repro.rdf.overlay.OverlayBackend` (see :meth:`TripleStore.
   overlay`) is the only writable layout: a delta and tombstones over a
   frozen base.  ``TripleStore()`` is one over an empty compact base.

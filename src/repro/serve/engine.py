@@ -674,10 +674,7 @@ class QAEngine:
             store_stats["overlay"] = delta()
         shards = getattr(backend, "shards", None)
         if shards is not None:
-            # Sharded store: report residency so operators can see lazy
-            # segment loading at work.
             store_stats["shards"] = shards
-            store_stats["loaded_segments"] = backend.loaded_segments()
         process = _process_memory()
         return {
             "store_version": self.store_version,

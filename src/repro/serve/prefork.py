@@ -21,9 +21,8 @@ server in N forked worker processes that all accept on the same
   every lock, cache, counter and clock anchor is created in the process
   that uses it.  No :class:`QAEngine` ever crosses a fork.
 * **Fork single-threaded.**  A lock held by another thread at fork time
-  stays locked forever in the child.  The shared state carries locks
-  (the graph's kernel lock, a sharded store's segment lock), so the
-  supervisor refuses to fork unless it is the only thread in its
+  stays locked forever in the child.  The shared state carries a lock
+  (the graph's kernel lock), so the supervisor refuses to fork unless it is the only thread in its
   process — the one precondition, checked at the fork site.
 * **Supervise.**  The parent loops in ``waitpid``: a worker that dies is
   respawned from the same inherited sockets; SIGTERM/SIGINT tears the

@@ -437,6 +437,22 @@ class TestNoForksGrowBack:
             "self", "snapshot_path",
         ]
 
+    def test_a_sharded_snapshot_is_one_container(self, tmp_path):
+        """A sharded compile writes its segments into the single-file
+        format: no manifest, no member files, no segment loaded on demand."""
+        import repro.rdf.snapshot
+        from repro.datasets import build_dbpedia_mini
+        from repro.paraphrase import ParaphraseDictionary
+        from repro.rdf.shard import ShardedBackend
+        from repro.rdf.snapshot import compile_snapshot
+
+        for name in ("MANIFEST_VERSION", "_load_sharded"):
+            assert not hasattr(repro.rdf.snapshot, name), name
+        for name in ("lazy", "loaded_segments"):
+            assert not hasattr(ShardedBackend, name), name
+        compile_snapshot(tmp_path / "g.snap", build_dbpedia_mini(), ParaphraseDictionary(), shards=2)
+        assert [path.name for path in tmp_path.iterdir()] == ["g.snap"]
+
     @pytest.mark.parametrize("command", [["compile", "g.snap"], ["compact"]])
     def test_neither_command_takes_shards(self, command, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -230,6 +230,6 @@ def test_compiled_bytes_equal_those_from_per_node_material(graph, tmp_path, monk
     monkeypatch.setattr(linker_module, "_material", _per_node_material)
     compile_snapshot(old / "single.snap", kg, dictionary)
     compile_snapshot(old / "sharded.snap", kg, dictionary, shards=8)
-    assert len(_snapshot_files(new, "sharded")) == 10  # manifest, state, 8 segments
+    assert len(_snapshot_files(new, "sharded")) == 1  # one container of 8 segments
     assert _snapshot_files(new, "single") == _snapshot_files(old, "single")
     assert _snapshot_files(new, "sharded") == _snapshot_files(old, "sharded")

@@ -1,5 +1,5 @@
 """Sharded backend tests: partitioning, merged views, kernel identity,
-snapshot round trips, lazy loading, and answer equivalence.
+snapshot round trips, and answer equivalence.
 
 The contract under test: a :class:`ShardedBackend` at any shard count is
 observably identical to a single :class:`CompactBackend` over the same
@@ -34,6 +34,7 @@ from tests.rdf.store_checks import (
     assert_same_row_order,
     assert_same_vocabulary_order,
 )
+from tests.rdf.test_snapshot import _DIGEST_BYTES, _join_container, _split_container
 
 SHARD_COUNTS = (1, 2, 8)
 
@@ -169,63 +170,43 @@ def snapshots(setup, tmp_path_factory):
     kg, dictionary = setup
     directory = tmp_path_factory.mktemp("shardsnap")
     single = directory / "single.snap"
-    manifest = directory / "sharded.snap"
+    sharded = directory / "sharded.snap"
     compile_snapshot(single, kg, dictionary)
-    info = compile_snapshot(manifest, kg, dictionary, shards=4)
-    return single, manifest, info
+    info = compile_snapshot(sharded, kg, dictionary, shards=4)
+    return single, sharded, info
 
 
 class TestShardedSnapshot:
-    def test_manifest_shape(self, snapshots):
-        _, manifest, info = snapshots
-        assert info.shards == 4
-        payload = json.loads(manifest.read_text())
-        assert payload["format"] == "reprosnap-manifest"
-        assert payload["partition"] == PARTITION_SCHEME
-        assert payload["shards"] == 4
-        assert len(payload["segments"]) == 4
-        assert sum(payload["segment_triples"]) == payload["triples"]
-        for name in [payload["state"], *payload["segments"]]:
-            assert (manifest.parent / name).exists()
-
-    def test_lazy_load_defers_segments(self, snapshots, setup):
-        kg, _ = setup
-        _, manifest, _ = snapshots
-        state = load_snapshot(manifest)
-        backend = state.kg.store.backend
-        assert isinstance(backend, ShardedBackend)
-        assert backend.loaded_segments() == []
-        # Size and per-segment counts answerable without loading anything.
-        assert len(state.kg.store) == len(kg.store)
-        assert backend.loaded_segments() == []
-
     def test_subject_query_touches_one_segment(self, snapshots):
-        single, manifest, _ = snapshots
+        single, sharded, _ = snapshots
         reference = load_snapshot(single)
-        state = load_snapshot(manifest)
+        state = load_snapshot(sharded)
         backend = state.kg.store.backend
         sid = next(iter(reference.kg.store.triples_ids()))[0]
         rows = list(state.kg.store.triples_ids(s=sid))
         assert rows == list(reference.kg.store.triples_ids(s=sid))
-        assert backend.loaded_segments() == [backend.shard_of_subject(sid)]
+        home = shard_of(sid, backend.shards)
+        assert [bool(segment.count(s=sid)) for segment in backend.segments] == [
+            index == home for index in range(backend.shards)
+        ]
 
     def test_triples_and_kernel_match_single_snapshot(self, snapshots):
-        single, manifest, _ = snapshots
+        single, sharded, _ = snapshots
         a = load_snapshot(single)
-        b = load_snapshot(manifest)
+        b = load_snapshot(sharded)
         assert list(a.kg.store.triples_ids()) == list(b.kg.store.triples_ids())
         assert a.kg.kernel.full_rows() == b.kg.kernel.full_rows()
         assert sorted(a.dictionary.phrases()) == sorted(b.dictionary.phrases())
 
     def test_qald_answers_identical_across_backends(self, setup, snapshots):
         """The acceptance bar: the built store, compact snapshot, and sharded
-        manifest engines answer the full QALD set byte-identically."""
+        snapshot engines answer the full QALD set byte-identically."""
         kg, dictionary = setup
-        single, manifest, _ = snapshots
+        single, sharded, _ = snapshots
         engines = [
             GAnswer(kg, dictionary),
         ]
-        for path in (single, manifest):
+        for path in (single, sharded):
             state = load_snapshot(path)
             engines.append(
                 GAnswer(state.kg, state.dictionary, linker=state.build_linker())
@@ -241,8 +222,8 @@ class TestShardedSnapshot:
     def test_engine_from_sharded_snapshot(self, snapshots):
         from repro.serve import QAEngine
 
-        _, manifest, _ = snapshots
-        engine = QAEngine.from_snapshot(manifest)
+        _, sharded, _ = snapshots
+        engine = QAEngine.from_snapshot(sharded)
         try:
             result = engine.answer("Who is the mayor of Berlin?")
             assert result.processed
@@ -254,119 +235,100 @@ class TestShardedSnapshot:
             engine.close()
 
 
-def _negative_count(payload):
-    counts = payload["segment_triples"]
-    counts[1] += counts[0] + 1
-    counts[0] = -1  # the sum still matches "triples"
+def _resigned(path, tmp_path, edit_meta=None, edit_sections=None):
+    """A re-signed copy of ``path`` with its meta dict or its section list
+    edited in place."""
+    header, meta, sections = _split_container(path.read_bytes())
+    if edit_meta is not None:
+        fields = json.loads(meta)
+        edit_meta(fields)
+        meta = json.dumps(fields, sort_keys=True).encode("utf-8")
+    if edit_sections is not None:
+        edit_sections(dict(sections))
+    bad = tmp_path / path.name
+    bad.write_bytes(_join_container(header, meta, sections))
+    return bad
 
 
-#: Manifest edits that must be refused at open, each in place.
-_MANIFEST_MALFORMATIONS = {
-    "segment_count_is_a_string": lambda m: m.update(
-        segment_triples=[str(count) for count in m["segment_triples"]]
-    ),
-    "segment_count_is_negative": _negative_count,
-    "shard_count_is_a_bool": lambda m: m.update(
-        shards=True, segments=m["segments"][:1], segment_triples=[m["triples"]]
-    ),
-    "state_name_is_empty": lambda m: m.update(state=""),
-    "state_name_has_a_directory": lambda m: m.update(state="sub/" + m["state"]),
-    "segment_name_has_a_directory": lambda m: m["segments"].__setitem__(
-        0, "../" + m["segments"][0]
-    ),
-    "segment_name_is_an_int": lambda m: m["segments"].__setitem__(0, 7),
-    "segment_name_has_a_nul": lambda m: m["segments"].__setitem__(
-        0, m["segments"][0] + "\0"
-    ),
-}
+def _permutation_columns(sections):
+    """The permutation sections' column lists, to be edited in place."""
+    return [sections[name] for name in (b"spo", b"pos", b"osp")]
+
+
+def _drop_last_segment(sections):
+    for columns in _permutation_columns(sections):
+        del columns[-3:]
+
+
+def _shorten_one_column(sections):
+    sections[b"pos"][1] = sections[b"pos"][1][:-8]  # segment 0's second POS column
 
 
 class TestShardedIntegrity:
-    def _fresh(self, snapshots, tmp_path):
-        """A private copy of the sharded snapshot set to corrupt."""
-        _, manifest, _ = snapshots
-        copies = {}
-        names = [manifest.name, *(
-            p.name for p in manifest.parent.iterdir() if p.name != manifest.name
-        )]
-        for name in names:
-            data = (manifest.parent / name).read_bytes()
-            (tmp_path / name).write_bytes(data)
-        return tmp_path / manifest.name
-
-    def test_corrupt_segment_detected_on_touch(self, snapshots, tmp_path):
-        manifest = self._fresh(snapshots, tmp_path)
-        segment = tmp_path / json.loads(manifest.read_text())["segments"][1]
-        data = bytearray(segment.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        segment.write_bytes(bytes(data))
-        state = load_snapshot(manifest)  # state container loads fine
-        backend = state.kg.store.backend
-        backend.segment(0)  # untouched segments still load
-        with pytest.raises(SnapshotError):
-            backend.segment(1)
-
-    def test_swapped_segment_files_detected(self, snapshots, tmp_path):
-        manifest = self._fresh(snapshots, tmp_path)
-        names = json.loads(manifest.read_text())["segments"]
-        a = (tmp_path / names[0]).read_bytes()
-        b = (tmp_path / names[1]).read_bytes()
-        (tmp_path / names[0]).write_bytes(b)
-        (tmp_path / names[1]).write_bytes(a)
-        backend = load_snapshot(manifest).kg.store.backend
-        with pytest.raises(SnapshotError):
-            backend.segment(0)
+    def test_corrupt_segment_detected_at_open(self, snapshots, tmp_path):
+        """Every segment is under the one checksum, verified at open."""
+        _, sharded, _ = snapshots
+        raw = bytearray(sharded.read_bytes())
+        raw[-_DIGEST_BYTES - 1] ^= 0xFF  # the last byte of the last segment's last column
+        bad = tmp_path / "corrupt.snap"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotError, match="checksum"):
+            load_snapshot(bad)
 
     def test_missing_segment_detected_at_load(self, snapshots, tmp_path):
-        # Missing files are caught eagerly (the loader stats every member
-        # for the size report) rather than surprising a query later.
-        manifest = self._fresh(snapshots, tmp_path)
-        names = json.loads(manifest.read_text())["segments"]
-        (tmp_path / names[2]).unlink()
-        with pytest.raises(SnapshotError):
-            load_snapshot(manifest)
+        _, sharded, _ = snapshots
+        bad = _resigned(sharded, tmp_path, edit_sections=_drop_last_segment)
+        with pytest.raises(SnapshotError, match="wrong column count: spo, pos, osp"):
+            load_snapshot(bad)
 
     def test_wrong_partition_scheme_rejected(self, snapshots, tmp_path):
-        manifest = self._fresh(snapshots, tmp_path)
-        payload = json.loads(manifest.read_text())
-        payload["partition"] = "subject-mod/legacy"
-        manifest.write_text(json.dumps(payload))
-        with pytest.raises(SnapshotError):
-            load_snapshot(manifest)
+        _, sharded, _ = snapshots
+        bad = _resigned(
+            sharded, tmp_path, edit_meta=lambda meta: meta.update(partition="subject-mod/legacy")
+        )
+        with pytest.raises(SnapshotError, match="partitioned by 'subject-mod/legacy'.*recompile"):
+            load_snapshot(bad)
 
     def test_inconsistent_segment_counts_rejected(self, snapshots, tmp_path):
-        manifest = self._fresh(snapshots, tmp_path)
-        payload = json.loads(manifest.read_text())
-        payload["segment_triples"][0] += 1
-        manifest.write_text(json.dumps(payload))
-        with pytest.raises(SnapshotError):
-            load_snapshot(manifest)
+        """One segment whose three columns differ in length."""
+        _, sharded, _ = snapshots
+        bad = _resigned(sharded, tmp_path, edit_sections=_shorten_one_column)
+        with pytest.raises(SnapshotError, match="disagree on triple count"):
+            load_snapshot(bad)
 
-    def test_future_manifest_version_rejected(self, snapshots, tmp_path):
-        manifest = self._fresh(snapshots, tmp_path)
-        payload = json.loads(manifest.read_text())
-        payload["manifest_version"] = 99
-        manifest.write_text(json.dumps(payload))
-        with pytest.raises(SnapshotError):
-            load_snapshot(manifest)
+    @pytest.mark.parametrize("shards", [True, 0, "2"], ids=["true", "zero", "string"])
+    def test_shard_count_that_is_not_a_positive_int_rejected(self, snapshots, tmp_path, shards):
+        _, sharded, _ = snapshots
+        bad = _resigned(sharded, tmp_path, edit_meta=lambda meta: meta.update(shards=shards))
+        with pytest.raises(SnapshotError, match="shards"):
+            load_snapshot(bad)
 
-    @pytest.mark.parametrize("malformation", sorted(_MANIFEST_MALFORMATIONS))
-    def test_malformed_manifest_fails_closed(
-        self, snapshots, tmp_path, capsys, malformation
-    ):
-        """A count that is not a non-negative int, or a member name that is
-        not a bare file name, is a ``SnapshotError`` — and so one
-        ``error:`` line and exit 2 from the CLI, never a traceback."""
-        manifest = self._fresh(snapshots, tmp_path)
-        payload = json.loads(manifest.read_text())
-        _MANIFEST_MALFORMATIONS[malformation](payload)
-        manifest.write_text(json.dumps(payload))
-        with pytest.raises(SnapshotError, match="malformed sharded-snapshot manifest"):
+    def test_a_column_short_of_three_per_segment_rejected(self, snapshots, tmp_path):
+        """A permutation section of 3K - 1 columns."""
+        _, sharded, _ = snapshots
+        bad = _resigned(
+            sharded, tmp_path, edit_sections=lambda sections: sections[b"pos"].pop()
+        )
+        with pytest.raises(SnapshotError, match="wrong column count: pos"):
+            load_snapshot(bad)
+
+    def test_parent_format_manifest_refused(self, tmp_path, capsys):
+        """An earlier build's sharded snapshot — a JSON manifest naming a
+        state container and segment files — is not a container: refused
+        with "recompile", and one ``error:`` line and exit 2 from the CLI."""
+        manifest = tmp_path / "graph.snap"
+        manifest.write_text(json.dumps({
+            "format": "reprosnap-manifest", "manifest_version": 1,
+            "partition": PARTITION_SCHEME, "shards": 2, "state": "graph.state.snap",
+            "segments": ["graph.seg000.snap", "graph.seg001.snap"],
+            "segment_triples": [1, 1], "triples": 2, "terms": 3, "phrases": 0,
+            "store_version": 0, "created": "2026-01-01T00:00:00+00:00",
+        }, indent=1))
+        with pytest.raises(SnapshotError, match="recompile"):
             load_snapshot(manifest)
-        capsys.readouterr()
         assert main(["serve", "--snapshot", str(manifest), "--port", "0"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "recompile" in line
 
     def test_non_snapshot_json_rejected(self, tmp_path):
         path = tmp_path / "other.json"

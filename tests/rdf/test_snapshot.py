@@ -9,7 +9,6 @@ is detected rather than silently served.
 import hashlib
 import json
 import os
-import shutil
 import struct
 import subprocess
 import sys
@@ -57,12 +56,11 @@ def loaded(snapshot):
 
 @pytest.fixture(scope="module")
 def sharded_snapshot(setup, tmp_path_factory):
-    """A 2-shard snapshot set: (directory, manifest name, state name, segment names)."""
+    """A 2-shard snapshot: one container, each permutation in six columns."""
     kg, dictionary = setup
-    directory = tmp_path_factory.mktemp("shardsnap")
-    compile_snapshot(directory / "sharded.snap", kg, dictionary, shards=2)
-    manifest = json.loads((directory / "sharded.snap").read_text())
-    return directory, "sharded.snap", manifest["state"], manifest["segments"]
+    path = tmp_path_factory.mktemp("shardsnap") / "sharded.snap"
+    info = compile_snapshot(path, kg, dictionary, shards=2)
+    return path, info
 
 
 class TestRoundTrip:
@@ -126,20 +124,35 @@ def _without_stamp(raw):
     return raw[:start] + masked + raw[start + meta_len:len(raw) - _DIGEST_BYTES]
 
 
+_COMPILE_BOTH_FORMS = """
+import sys
+from repro.cli import main
+from repro.experiments.common import default_setup
+from repro.rdf.snapshot import compile_snapshot
+
+assert main(["compile", sys.argv[1]]) == 0
+setup = default_setup(0)
+compile_snapshot(sys.argv[2], setup.kg, setup.dictionary, shards=2)
+"""
+
+
 def test_compile_is_byte_identical_under_any_hash_seed(tmp_path):
-    """Same graph, same bytes: ``repro compile`` in three interpreters with
-    different string-hash seeds writes one file, stamp aside."""
+    """Same graph, same bytes: ``repro compile`` and a 2-shard compile in
+    three interpreters with different string-hash seeds write one file
+    each, stamp aside."""
     bodies = set()
     for seed in ("0", "1", "2"):
-        out = tmp_path / f"seed{seed}.snap"
+        single, sharded = tmp_path / f"seed{seed}.snap", tmp_path / f"seed{seed}-2.snap"
         env = dict(os.environ, PYTHONHASHSEED=seed)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         subprocess.run(
-            [sys.executable, "-m", "repro", "compile", str(out)],
+            [sys.executable, "-c", _COMPILE_BOTH_FORMS, str(single), str(sharded)],
             env=env, cwd=tmp_path, capture_output=True, timeout=300, check=True,
         )
-        bodies.add(_without_stamp(out.read_bytes()))
+        bodies.add((_without_stamp(single.read_bytes()), _without_stamp(sharded.read_bytes())))
     assert len(bodies) == 1
+    ((single_body, sharded_body),) = bodies
+    assert single_body != sharded_body
 
 
 class TestKernelEquivalence:
@@ -555,13 +568,6 @@ class TestIntegrity:
         path, _ = snapshot
         return path, bytearray(path.read_bytes())
 
-    @staticmethod
-    def _private_copy(sharded_snapshot, tmp_path):
-        directory, manifest, state, segments = sharded_snapshot
-        copy = tmp_path / "set"
-        shutil.copytree(directory, copy)
-        return copy / manifest, copy / state, [copy / name for name in segments]
-
     def test_bad_magic_rejected(self, snapshot, tmp_path):
         path, raw = self._bytes(snapshot)
         raw[0] ^= 0xFF
@@ -633,27 +639,25 @@ class TestIntegrity:
         with pytest.raises(SnapshotError):
             load_snapshot(tmp_path / "nope.snap")
 
-    @pytest.mark.parametrize("malformation", sorted(_MALFORMATIONS))
+    @pytest.mark.parametrize(
+        "form, malformation",
+        [
+            pytest.param(form, name, id=f"{form}-{name}" if form == "sharded" else name)
+            for form in ("single", "sharded")
+            for name in sorted(_MALFORMATIONS)
+        ],
+    )
     def test_resigned_malformed_single_file_rejected(
-        self, snapshot, tmp_path, malformation
+        self, snapshot, sharded_snapshot, tmp_path, form, malformation
     ):
         """A valid checksum over an invalid structure — another build, a
-        buggy writer, a hand edit — fails closed, never with a crash."""
-        path, raw = self._bytes(snapshot)
+        buggy writer, a hand edit — fails closed, never with a crash, in
+        either form of the one container."""
+        path, raw = self._bytes(sharded_snapshot if form == "sharded" else snapshot)
         bad = tmp_path / "malformed.snap"
         bad.write_bytes(_MALFORMATIONS[malformation](*_split_container(raw)))
         with pytest.raises(SnapshotError):
             load_snapshot(bad)
-
-    @pytest.mark.parametrize("malformation", sorted(_MALFORMATIONS))
-    def test_resigned_malformed_state_container_rejected(
-        self, sharded_snapshot, tmp_path, malformation
-    ):
-        manifest, state, _ = self._private_copy(sharded_snapshot, tmp_path)
-        parts = _split_container(state.read_bytes())
-        state.write_bytes(_MALFORMATIONS[malformation](*parts))
-        with pytest.raises(SnapshotError):
-            load_snapshot(manifest)
 
     def test_foreign_byte_order_single_file_refused(self, snapshot, tmp_path):
         """Columns are served in place from the mapping, so a file of the
@@ -665,24 +669,10 @@ class TestIntegrity:
         with pytest.raises(SnapshotError, match="byte order.*recompile"):
             load_snapshot(bad)
 
-    def test_foreign_byte_order_state_container_refused(
-        self, sharded_snapshot, tmp_path
-    ):
-        manifest, state, _ = self._private_copy(sharded_snapshot, tmp_path)
-        raw = bytearray(state.read_bytes())
+    def test_foreign_byte_order_sharded_file_refused(self, sharded_snapshot, tmp_path):
+        path, raw = self._bytes(sharded_snapshot)
         raw[_BYTE_ORDER_OFFSET] ^= 1
-        state.write_bytes(raw)
-        with pytest.raises(SnapshotError, match="byte order"):
-            load_snapshot(manifest)
-
-    def test_foreign_byte_order_segment_refused_on_touch(
-        self, sharded_snapshot, tmp_path
-    ):
-        manifest, _, segments = self._private_copy(sharded_snapshot, tmp_path)
-        raw = bytearray(segments[1].read_bytes())
-        raw[_BYTE_ORDER_OFFSET] ^= 1
-        segments[1].write_bytes(raw)
-        backend = load_snapshot(manifest).kg.store.backend
-        backend.segment(0)  # the untouched segment still opens
-        with pytest.raises(SnapshotError, match="byte order"):
-            backend.segment(1)
+        bad = tmp_path / "foreign.snap"
+        bad.write_bytes(raw)
+        with pytest.raises(SnapshotError, match="byte order.*recompile"):
+            load_snapshot(bad)

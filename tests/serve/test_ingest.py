@@ -459,6 +459,21 @@ class TestHttpIngest:
         assert engine.metrics.counter("serve.internal_errors") == internal
         assert _post(f"{base}/ask", {"question": BERLIN_Q})[0] == 200
 
+    def test_compact_onto_a_directory_is_400(self, served_rw, tmp_path):
+        base, engine = served_rw
+        internal = engine.metrics.counter("serve.internal_errors")
+        target = tmp_path / "dir"
+        target.mkdir()
+        status, body = _post(
+            f"{base}/compact", {"snapshot_path": str(target)},
+            headers={"X-Ingest-Token": TOKEN},
+        )
+        assert status == 400
+        assert body["error"].startswith(f"cannot write snapshot {target}: ")
+        assert engine.metrics.counter("serve.internal_errors") == internal
+        assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
+        assert _post(f"{base}/ask", {"question": BERLIN_Q})[0] == 200
+
 
 class TestPreforkGuard:
     def test_ingest_token_with_workers_refused(self):

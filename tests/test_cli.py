@@ -207,6 +207,36 @@ class TestUserErrors:
         assert line.startswith(f"error: cannot write snapshot {target}: ")
         assert not (tmp_path / "missing").exists()
 
+    def test_compile_onto_a_directory(self, capsys, tmp_path):
+        """The rename over ``DIR`` fails, and the temporary sibling goes."""
+        target = tmp_path / "dir"
+        target.mkdir()
+        assert main(["compile", str(target)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot write snapshot {target}: ")
+        assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
+
+    def test_compact_to_a_url_that_is_not_one(self, capsys):
+        assert main(["compact", "--url", "notaurl", "--token", "x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: --url 'notaurl' is not a server URL: ")
+
+    @pytest.mark.parametrize("under_a_file", [True, False], ids=["under-a-file", "a-file"])
+    def test_experiments_into_a_path_that_cannot_be_a_directory(
+        self, capsys, tmp_path, monkeypatch, under_a_file
+    ):
+        from repro.experiments import drivers
+
+        monkeypatch.setattr(drivers, "DRIVERS", (lambda: pytest.fail("a driver ran"),))
+        a_file = tmp_path / "file"
+        a_file.write_text("")
+        out_dir = a_file / "x" if under_a_file else a_file
+        assert main(["experiments", str(out_dir)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot create {out_dir}: ")
+
     @pytest.mark.parametrize("deadline", ["nan", "inf", "-1"])
     def test_a_deadline_that_never_comes_due_is_refused_before_loading(
         self, capsys, monkeypatch, deadline
