@@ -28,8 +28,9 @@ online phase lives on (``objects_ids``, ``subjects_ids``, ``out_index``,
 ``in_index`` — one 99-question QALD pass on the 24.8k-triple explosion
 graph makes 37k + 37k + 7k + 7k of those calls and nothing else).  Every
 other view is **derived once** on top of that core: distinct objects of a
-predicate in the facade, kernel rows in :mod:`repro.rdf.kernel` from one
-sorted ``triples_ids()`` scan.  The frozen layouts share their lifecycle
+predicate in the facade, a kernel row in :mod:`repro.rdf.kernel` from a
+node's two runs (``triples_ids(s=node)`` and ``triples_ids(o=node)``)
+the first time it is read.  The frozen layouts share their lifecycle
 half, :class:`FrozenBackend`, instead of copying it.
 
 Nothing outside :mod:`repro.rdf` imports this module: all access goes
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import islice
+from itertools import islice, repeat
 from operator import lt
 from typing import AbstractSet, Iterable, Iterator, Mapping, Protocol, runtime_checkable
 
@@ -235,30 +236,23 @@ class CompactBackend(FrozenBackend):
     def triples_ids(
         self, s: int | None = None, p: int | None = None, o: int | None = None
     ) -> Iterator[IdTriple]:
+        # Every shape is one run of one permutation, zipped in C from
+        # slices of its columns (a slice of a borrowed column is a view).
         if s is not None:
             if o is not None and p is None:
                 lo, hi = _prefix_run(self._osp_o, o, self._osp_s, s)
-                for index in range(lo, hi):
-                    yield (s, self._osp_p[index], o)
-                return
+                return zip(repeat(s), self._osp_p[lo:hi], repeat(o))
             if o is not None:
-                if self.contains(s, p, o):  # type: ignore[arg-type]
-                    yield (s, p, o)  # type: ignore[misc]
-                return
+                return iter(((s, p, o),) if self.contains(s, p, o) else ())  # type: ignore[arg-type]
             lo, hi = _prefix_run(self._spo_s, s, self._spo_p, p)
-            for index in range(lo, hi):
-                yield (s, self._spo_p[index], self._spo_o[index])
-        elif p is not None:
+            return zip(repeat(s), self._spo_p[lo:hi], self._spo_o[lo:hi])
+        if p is not None:
             lo, hi = _prefix_run(self._pos_p, p, self._pos_o, o)
-            for index in range(lo, hi):
-                yield (self._pos_s[index], p, self._pos_o[index])
-        elif o is not None:
+            return zip(self._pos_s[lo:hi], repeat(p), self._pos_o[lo:hi])
+        if o is not None:
             lo, hi = _prefix_run(self._osp_o, o, self._osp_s)
-            for index in range(lo, hi):
-                yield (self._osp_s[index], self._osp_p[index], o)
-        else:
-            for index in range(self._size):
-                yield (self._spo_s[index], self._spo_p[index], self._spo_o[index])
+            return zip(self._osp_s[lo:hi], self._osp_p[lo:hi], repeat(o))
+        return zip(self._spo_s, self._spo_p, self._spo_o)
 
     def count(
         self, s: int | None = None, p: int | None = None, o: int | None = None

@@ -1,12 +1,12 @@
 """A scoped pause of the cycle collector for the bulk builders.
 
-Loading a dump, freezing a store, building the kernel, mining and
-encoding a snapshot each allocate hundreds of thousands of containers
-that reference only ints, strings and one another, acyclically.
+Loading a dump, freezing a store, mining and encoding a snapshot each
+allocate hundreds of thousands of containers that reference only ints,
+strings and one another, acyclically.
 Reference counts free whatever dies; the cycle collector can only walk
 the growing heap again and again and find nothing (12 full collections
 and 2.4 s of a 9 s build at 2×10^5 triples — ``docs/performance.md``,
-§ Offline build).  The five builders therefore run inside
+§ Offline build).  The builders therefore run inside
 :func:`collector_paused`, and the first collection after the pause sees
 whatever is left.
 """

@@ -10,14 +10,15 @@ operations the algorithms need —
 * adjacency in both orientations (Definition 3 condition 3 accepts either
   edge orientation; Section 3: "we ignore edge directions in a BFS
   process") — served by the :attr:`KnowledgeGraph.kernel` rows of signed
-  steps, the one adjacency dialect in the system,
+  steps, the one adjacency dialect in the system, each read from the
+  store's SPO and OSP runs when first asked for,
 * labels for entity linking.
 
 Predicate-path steps are encoded as signed integers: ``pid + 1`` for a step
 that follows the edge direction, ``-(pid + 1)`` against it.  The +1 offset
 keeps predicate id 0 representable in both directions.  (The encoding
-helpers live in :mod:`repro.rdf.kernel` — the compact adjacency index that
-backs every hot path here — and are re-exported for compatibility.)
+helpers live in :mod:`repro.rdf.kernel` — the adjacency rows that back
+every hot path here — and are re-exported for compatibility.)
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro.rdf.kernel import (
     step_predicate,
 )
 from repro.contracts import guarded_by
-from repro.rdf.collector import collector_paused
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import IRI, Term
 
@@ -54,15 +54,13 @@ class KnowledgeGraph:
 
     Structural caches (the adjacency kernel, class set, subclass closures,
     instance sets, literal lexical index) are built lazily on first use;
-    call :meth:`refresh` after mutating the underlying store.  ``kernel``
-    adopts one already built against this very store — an opened
-    snapshot's rows — in place of the first lazy build.
+    call :meth:`refresh` after mutating the underlying store.
     """
 
-    def __init__(self, store: TripleStore, kernel: AdjacencyKernel | None = None):
+    def __init__(self, store: TripleStore):
         self.store = store
         self._kernel_lock = threading.Lock()
-        self._kernel = kernel
+        self._kernel: AdjacencyKernel | None = None
         self._class_ids: set[int] | None = None
         self._literals_by_lexical: dict[str, set[int]] | None = None
         self._superclass_closure: dict[int, frozenset[int]] = {}
@@ -77,12 +75,13 @@ class KnowledgeGraph:
         signatures, and the mining scratch regions.
 
         ``incremental=True`` (the live-ingest path) replaces the kernel
-        eagerly by *patching* the previous one — only rows for nodes the
-        store reports as touched are rebuilt, the rest are reused by
-        reference — instead of scheduling a cold rebuild.  Falls back to
-        the cold build when the backend cannot report touched nodes or
-        the structural vocabulary changed.  Callers must quiesce writers
-        while this runs (the serve layer's ingest path serializes).
+        eagerly with one that carries the previous kernel's rows and
+        signatures for every node the store does not report as touched
+        (the rest are read afresh when first asked for), instead of
+        leaving the next reader an empty one.  Nothing is carried when the
+        backend cannot report touched nodes or the structural vocabulary
+        changed.  Callers must quiesce writers while this runs (the serve
+        layer's ingest path serializes).
         """
         with self._kernel_lock:
             stale = self._kernel
@@ -101,12 +100,12 @@ class KnowledgeGraph:
 
     @property
     def kernel(self) -> AdjacencyKernel:
-        """The compact adjacency index for the store's current version.
+        """The adjacency rows for the store's current version.
 
         Construction is guarded by a lock so concurrent first accesses (the
-        serving layer answers questions from a thread pool) build exactly
-        one kernel — two racing builds would each be correct but would
-        split the walk-path LRU and the memoized signatures between them.
+        serving layer answers questions from a thread pool) make exactly
+        one kernel — two racing ones would each be correct but would
+        split the walk-path LRU and the memoized rows between them.
         """
         # Double-checked fast path: the one deliberate unlocked read.
         kernel = self._kernel  # lint: ignore[lock-discipline]
@@ -114,8 +113,7 @@ class KnowledgeGraph:
             with self._kernel_lock:
                 kernel = self._kernel
                 if kernel is None:
-                    with collector_paused():
-                        kernel = self._kernel = AdjacencyKernel(self.store)
+                    kernel = self._kernel = AdjacencyKernel(self.store)
         return kernel
 
     @property

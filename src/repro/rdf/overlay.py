@@ -38,9 +38,9 @@ observe the store just before or just after that write's rows (either is
 a linearizable outcome); it never observes a torn row.
 
 The overlay also logs the two endpoints of every mutation, in version
-order (:meth:`touched_since`), which is what lets
-:class:`~repro.rdf.kernel.AdjacencyKernel` patch only the adjacency rows
-a delta actually dirtied.  Background re-compaction of base+delta into a
+order (:meth:`touched_since`), which is what lets a patched
+:class:`~repro.rdf.kernel.AdjacencyKernel` carry forward every row a
+delta did not dirty.  Background re-compaction of base+delta into a
 fresh frozen store lives at the serve layer (``QAEngine.compact``); after
 the swap a new overlay starts empty over the new base at the same
 version, so derived caches stay valid.
@@ -319,9 +319,10 @@ class OverlayBackend:
     def touched_since(self, version: int) -> set[int]:
         """Nodes (subjects/objects) touched by mutations after ``version``.
 
-        The incremental kernel patch rebuilds exactly these rows; callers
-        must quiesce writers (the engine's ingest path serializes) so the
-        rebuilt rows and the reported version describe one store state.
+        A patched kernel carries every other row forward and reads these
+        afresh; callers must quiesce writers (the engine's ingest path
+        serializes) so the carried rows and the reported version describe
+        one store state.
         Costs what was logged after ``version``, not what the overlay holds.
         """
         first = max(0, version - self._base.version)

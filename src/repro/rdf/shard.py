@@ -15,8 +15,9 @@ Why subject hash:
   neighborhood pruning, and SPARQL evaluation — routes to **one**
   segment with zero merge cost;
 * segments are disjoint by construction, so merged iteration never
-  deduplicates triples: a k-way ``heapq.merge`` over the segments'
-  already-sorted runs reproduces the exact global sort order a single
+  deduplicates triples: a k-way merge of the segments' already-sorted
+  runs (``heapq.merge`` over the graph, one C sort of a predicate's or
+  an object's run) reproduces the exact global sort order a single
   :class:`CompactBackend` would yield;
 * the partition is a pure function of the subject id
   (:func:`shard_of`), so an offline builder, a sharded snapshot and a
@@ -32,6 +33,7 @@ in when a read first touches them.
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
@@ -165,11 +167,13 @@ class ShardedBackend(FrozenBackend):
             if o is not None:
                 # POS with o bound: runs ordered by subject.
                 return heapq.merge(*runs, key=itemgetter(0))
-            # Bare p: POS runs ordered by (object, subject).
-            return heapq.merge(*runs, key=lambda triple: (triple[2], triple[0]))
+            # Bare p: POS runs ordered by (object, subject).  One predicate's
+            # run, not the graph: a C sort of the concatenated sorted runs
+            # merges them several times faster than ``heapq.merge``.
+            return iter(sorted(chain.from_iterable(runs), key=itemgetter(2, 0)))
         if o is not None:
-            # OSP runs: ordered by (subject, predicate).
-            return heapq.merge(*runs, key=lambda triple: (triple[0], triple[1]))
+            # OSP runs, ordered by (subject, predicate): one node's run.
+            return iter(sorted(chain.from_iterable(runs), key=itemgetter(0, 1)))
         return heapq.merge(*runs)  # full scan: natural SPO order
 
     def count(

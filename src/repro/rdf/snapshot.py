@@ -1,10 +1,10 @@
 """Compiled, id-stable snapshots: the offline phase as an on-disk artifact.
 
 Starting from text means parsing N-Triples, assigning every term id, then
-building the adjacency kernel and the entity-linker index before the
-first question is answered.  Native RDF engines (gStore in the source
-paper; RDF-3X-style permutation stores) instead treat the *encoded,
-indexed* form as the deployment artifact.  A compiled snapshot is exactly
+building the entity-linker index before the first question is answered.
+Native RDF engines (gStore in the source paper; RDF-3X-style permutation
+stores) instead treat the *encoded, indexed* form as the deployment
+artifact.  A compiled snapshot is exactly
 that: one versioned, checksummed binary file holding what the online
 phase (Section 4.2) reads, and nothing else —
 
@@ -12,10 +12,10 @@ phase (Section 4.2) reads, and nothing else —
   opened :class:`~repro.rdf.dictionary.TermDictionary` holds (a reclaimed
   id holds :data:`~repro.rdf.dictionary.RECLAIMED_RECORD`),
 * the three sorted permutation columns of the
-  :class:`~repro.rdf.backend.CompactBackend` (raw ``array('q')`` bytes),
+  :class:`~repro.rdf.backend.CompactBackend` (raw ``array('q')`` bytes) —
+  the graph's adjacency too: a kernel row is read from a node's SPO and
+  OSP runs (:mod:`repro.rdf.kernel`), so no second copy of it is shipped,
 * the literal flags, one byte per term id,
-* the prebuilt adjacency-kernel rows, as the four CSR columns a kernel
-  holds whether built or opened,
 * the entity-linker label index as its columns, and the max degree,
 * the mined paraphrase dictionary **by id** (signed steps).
 
@@ -27,12 +27,11 @@ Because every id is stable across the round-trip, loading is an **open**,
 not a load: no parsing, no re-encoding, no re-mining, no index rebuild —
 and what is already a column in the file is never rebuilt as Python
 objects either.  The file is memory-mapped; the permutation columns, the
-kernel's four CSR columns, the term table's three and the label index's
-word and label tables are ``memoryview`` casts straight over the mapping.
-A kernel row is boxed into its pair of tuples when a query first reads
-it, a term object is built when its id is first decoded, a term is found
-by bisecting the record-sorted id column, a posting is a run of the
-mapping.  The literal flags are copied, at a byte per term, into the
+term table's three and the label index's word and label tables are
+``memoryview`` casts straight over the mapping.  A kernel row is read
+from the permutation runs when a query first asks for it, a term object
+is built when its id is first decoded, a term is found by bisecting the
+record-sorted id column, a posting is a run of the mapping.  The literal flags are copied, at a byte per term, into the
 store's writable flag column (a live ingest flags new literals in it).
 What has no columnar form is decoded exactly once at open, into the
 object that serves it: the paraphrase dictionary and the label index's
@@ -45,7 +44,7 @@ cheap: N workers, one physical copy.  A view serves the file's bytes as
 they are, so a snapshot written on a machine of the other byte order is
 refused (recompile it on the serving host).
 
-File layout (format 5)::
+File layout (format 6)::
 
     MAGIC | u32 format | u8 byteorder
     | u64 meta_len | meta JSON | u32 section_count | directory entries...
@@ -103,7 +102,6 @@ from repro.rdf.backend import CompactBackend
 from repro.rdf.collector import collector_paused
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import KnowledgeGraph
-from repro.rdf.kernel import AdjacencyKernel
 from repro.rdf.shard import PARTITION_SCHEME, ShardedBackend
 from repro.rdf.store import TripleStore
 
@@ -121,7 +119,7 @@ __all__ = [
 ]
 
 _MAGIC = b"REPROSNAP\x00"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 #: magic + u32 format version + u8 byte order; the checksummed body follows.
 _HEAD_LEN = len(_MAGIC) + 5
@@ -139,7 +137,6 @@ _SECTION_COLUMNS = {
     "literals": 1,    # one flag byte per term id
     "linker": 15,     # LabelIndex.columns(), max degree
     "dictionary": 1,  # record stream
-    "kernel": 4,      # node_ids, row_lens, flat_steps, flat_neighbors
     "terms": 3,       # offsets, records, ids sorted by record
     "spo": 3,         # per segment (see _PERMUTATIONS)
     "pos": 3,
@@ -398,8 +395,8 @@ def _encode_sections(
     kg: KnowledgeGraph, dictionary: "ParaphraseDictionary"
 ) -> dict[str, list]:
     """The columns of every section but the permutations: the term table,
-    the literal flags, the kernel rows, the linker material and the
-    paraphrase dictionary."""
+    the literal flags, the linker material and the paraphrase
+    dictionary."""
     from repro.linking.linker import EntityLinker
 
     store = kg.store
@@ -410,9 +407,6 @@ def _encode_sections(
     sections["terms"] = list(store.dictionary.columns())
     # A flag per term id: a built store's column stops at its last literal.
     sections["literals"] = [bytes(store.literal_flags).ljust(len(store.dictionary), b"\0")]
-    # An unpatched kernel hands over the CSR columns it holds, built or
-    # opened, with no sort and no re-pack; a patched one packs its rows.
-    sections["kernel"] = list(kg.kernel.full_rows().columns())
 
     sections["linker"] = [*linker.index.columns(), array("q", [linker.max_degree])]
 
@@ -437,11 +431,11 @@ def compile_snapshot(
 ) -> SnapshotInfo:
     """Compile the warm state of ``kg`` + ``dictionary`` into a snapshot.
 
-    Builds the two structures serving reads from the file — the adjacency
-    kernel and the linker index — so what gets persisted is exactly what
-    a warm engine would have built.  Everything else the graph derives
-    (class set, closures, instance sets) stays lazy after an open, as it
-    does after a live ingest.
+    Builds the linker index, the one structure serving reads from the
+    file that the store's columns do not already hold, so what gets
+    persisted is exactly what a warm engine would have built.  Everything
+    else the graph derives (kernel rows, class set, closures, instance
+    sets) stays lazy after an open, as it does after a live ingest.
 
     ``shards=None`` (default) writes the triples as one segment.
     ``shards=K`` partitions them by subject hash into K segments, each a
@@ -618,10 +612,10 @@ def _assemble_state(
     """Wire every section but the permutations into the object that
     serves it.
 
-    The term table, the kernel rows and the label index's tables stay
-    columns over the mapping; the literal flags are copied into the
-    store's column; the paraphrase dictionary and the label index's
-    entries are decoded here, once.
+    The term table and the label index's tables stay columns over the
+    mapping; the literal flags are copied into the store's column; the
+    paraphrase dictionary and the label index's entries are decoded here,
+    once.
     """
     from repro.linking.index import LabelIndex
     from repro.paraphrase.dictionary import ParaphraseDictionary, PredicateMapping
@@ -648,12 +642,9 @@ def _assemble_state(
         raise SnapshotError(
             f"malformed literals section in {info.path}: a flagged id is not a literal"
         )
-    store = TripleStore(backend=backend, dictionary=terms, literal_flags=literal_flags)
-    try:
-        kernel = AdjacencyKernel(store, columns=tuple(map(_ints, sections["kernel"])))
-    except ValueError as exc:
-        raise SnapshotError(f"malformed kernel section in {info.path}: {exc}") from exc
-    kg = KnowledgeGraph(store, kernel=kernel)
+    kg = KnowledgeGraph(
+        TripleStore(backend=backend, dictionary=terms, literal_flags=literal_flags)
+    )
 
     dict_reader = _Reader(sections["dictionary"][0])
     paraphrases = ParaphraseDictionary()
@@ -695,15 +686,14 @@ def load_snapshot(path: str | Path) -> CompiledState:
 
     The returned :class:`CompiledState` carries a frozen store whose term
     ids are identical to the compile-time store's and whose term table is
-    served from the mapping, a graph whose kernel is over the persisted
-    row columns, the id-level paraphrase dictionary, and the material to
-    build an entity linker without an index scan.
+    served from the mapping, a graph whose kernel rows are read from the
+    permutation columns, the id-level paraphrase dictionary, and the
+    material to build an entity linker without an index scan.
 
     The store's backend is one :class:`~repro.rdf.backend.CompactBackend`,
     or — when the meta names ``shards`` — a
     :class:`~repro.rdf.shard.ShardedBackend` of that many.  The file is
-    memory-mapped and the backend, the kernel and the term dictionary get
-    zero-copy ``memoryview`` columns — none of them is duplicated into
+    memory-mapped and the backend and the term dictionary get zero-copy ``memoryview`` columns — none of them is duplicated into
     process memory, and concurrent processes mapping the same file share
     one page-cache copy.
     """

@@ -13,7 +13,7 @@ entry depends on travels with the value, as a :class:`Stamped` triple
   its graph reads are confined to (a link list's scope is words only).
 
 The writer keeps the other half.  ``QAEngine.ingest``, once its batch is
-applied and the kernel patched, files the batch's *final* version in
+applied and the graph refreshed, files the batch's *final* version in
 :class:`ReadStamps` under every predicate of the batch (adds and removes
 alike) and under every posting key of every subject and object, and only
 then publishes that version.  A lookup serves an entry iff no stamp in its

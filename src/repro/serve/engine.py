@@ -2,7 +2,8 @@
 
 The paper's online phase (Section 4.2, Table 11) answers in sub-second
 time *because* everything expensive — the paraphrase dictionary, the
-linker's label index, the adjacency kernel — was built offline.  The
+linker's label index, the permutation-indexed store the adjacency kernel
+reads — was built offline.  The
 one-shot CLI pays that setup on every invocation; :class:`QAEngine` pays
 it once at startup and then answers each question on the thread that
 asked it — the engine owns no threads of its own:
@@ -236,11 +237,11 @@ class QAEngine:
     ) -> "QAEngine":
         """An engine booted from a compiled snapshot (``repro compile``).
 
-        The snapshot restores the frozen store, the prebuilt kernel, the
-        id-level paraphrase dictionary, and the
-        compiled linker index — :meth:`warm` then finds everything
-        already built, so cold start is dominated by file decode instead
-        of parsing, re-indexing, and label scanning.
+        The snapshot restores the frozen store (whose permutation runs
+        the kernel reads its rows from), the id-level paraphrase
+        dictionary, and the compiled linker index — :meth:`warm` then
+        finds everything already built, so cold start is dominated by
+        file decode instead of parsing, re-indexing, and label scanning.
         """
         from repro.rdf.snapshot import load_snapshot
 
@@ -435,9 +436,10 @@ class QAEngine:
         get their own admission budget so a write burst turns into 429s
         instead of starving question answering.
 
-        After the batch lands the graph is refreshed with *incremental*
-        kernel patching: only adjacency rows of touched nodes are
-        rebuilt, the rest are reused by reference.  Then — still under
+        After the batch lands the graph is refreshed *incrementally*: the
+        new kernel carries the old one's rows of untouched nodes by
+        reference and reads the touched ones from the store when first
+        asked for.  Then — still under
         the ingest lock — the batch is *published*: the store's version
         after its last mutation is stamped on every predicate of the
         batch and on every label word its subjects and objects are filed
@@ -489,8 +491,8 @@ class QAEngine:
     ) -> None:
         """Stamp what ``batch`` touched and publish the store's version.
 
-        Caller holds ``_ingest_lock``; the batch is applied and the kernel
-        patched.  Publishing comes last: a reader that sees the new
+        Caller holds ``_ingest_lock``; the batch is applied and the graph
+        refreshed.  Publishing comes last: a reader that sees the new
         version finds the linker's degrees and the stamps already there.
         """
         version = self.store_version

@@ -124,7 +124,7 @@ class TestNoForksGrowBack:
         from repro.rdf.snapshot import CompiledState
 
         assert list(inspect.signature(AdjacencyKernel.__init__).parameters) == [
-            "self", "store", "columns", "patch_from",
+            "self", "store", "patch_from",
         ]
         assert list(inspect.signature(LabelIndex.__init__).parameters) == [
             "self", "kg", "columns",
@@ -159,22 +159,30 @@ class TestNoForksGrowBack:
         ):
             assert not kg.store.writable
 
-    def test_a_cold_kernel_is_the_columns_it_ships_in(self):
-        """A cold build and a snapshot open hold one row form — four CSR
-        columns, a row boxed when first read — and the compiler writes an
-        unpatched root's columns out as the very arrays it holds."""
+    def test_kernel_rows_are_store_reads(self):
+        """The graph is its columns: a kernel row is read from the store's
+        SPO and OSP runs, so there is no row builder, no CSR copy of the
+        rows, no patch path that rebuilds them and no snapshot section
+        that ships them."""
+        import repro.rdf.kernel
         from repro.datasets import build_dbpedia_mini
+        from repro.rdf import snapshot
         from repro.rdf.kernel import AdjacencyKernel, KernelRows
 
-        assert list(inspect.signature(KernelRows.__init__).parameters) == ["self"]
+        assert "kernel" not in snapshot._SECTION_COLUMNS
+        assert list(inspect.signature(AdjacencyKernel.__init__).parameters) == [
+            "self", "store", "patch_from",
+        ]
+        for name in ("rows_from_sorted_triples", "over_columns"):
+            assert not hasattr(repro.rdf.kernel, name), name
+        for member in ("over_columns", "columns", "patched", "scan", "directory"):
+            assert not hasattr(KernelRows, member), member
+        assert not hasattr(AdjacencyKernel, "_rebuild_row")
         kernel = AdjacencyKernel(build_dbpedia_mini().store)
-        rows = kernel.full_rows()
-        held = (rows._node_ids, rows._row_lens, rows._steps, rows._neighbors)
         assert kernel.statistics()["rows_boxed"] == 0 < kernel.statistics()["nodes_full"]
-        assert all(column is array for column, array in zip(rows.columns(), held))
-        kernel.adjacency(rows._node_ids[0])
+        node = sorted(kernel.full_rows())[0]
+        assert kernel.adjacency(node) is kernel.adjacency(node)
         assert kernel.statistics()["rows_boxed"] == 1
-        assert all(column is array for column, array in zip(rows.columns(), held))
 
     def test_a_term_table_is_the_records_it_ships_in(self, tmp_path, monkeypatch):
         """A built, an empty and an opened dictionary hold one form — the
@@ -317,20 +325,21 @@ class TestNoForksGrowBack:
         assert all(instance.metrics is engine.metrics for instance in instances[2:])
 
     def test_a_snapshot_holds_what_serving_reads(self):
-        """The kernel is the one graph structure a snapshot hands over;
-        the label dict, the class and closure sections and the cache
-        installer that took them were deleted, not kept beside it."""
+        """A snapshot hands over no graph structure beside the store's
+        columns: the label dict, the class and closure sections, the
+        kernel rows and the cache installer that took them were deleted,
+        not kept beside them."""
         from repro.rdf import snapshot
         from repro.rdf.graph import KnowledgeGraph
 
         for member in ("preload", "closure_caches", "label_index", "label_of", "is_class"):
             assert not hasattr(KnowledgeGraph, member), member
         assert list(inspect.signature(KnowledgeGraph.__init__).parameters) == [
-            "self", "store", "kernel",
+            "self", "store",
         ]
-        assert snapshot.FORMAT_VERSION == 5
+        assert snapshot.FORMAT_VERSION == 6
         assert snapshot._SECTIONS == (
-            "literals", "linker", "dictionary", "kernel", "terms", "spo", "pos", "osp",
+            "literals", "linker", "dictionary", "terms", "spo", "pos", "osp",
         )
         for helper in ("_closure_columns", "_decode_closure"):
             assert not hasattr(snapshot, helper), helper

@@ -4,24 +4,23 @@ Every result the kernel serves — adjacency rows, incident-predicate
 signatures, path walks, mined simple-path sets — is recomputed here by a
 straightforward reference implementation over the triple store's index
 views, and the two must agree exactly on both the synthetic generator
-output and the curated dbpedia-mini graph.  A final regression test pins
-the ``refresh()`` invalidation contract.
+output and the curated dbpedia-mini graph.  A regression test pins the
+``refresh()`` invalidation contract, and the last class holds every row
+— read from the store's SPO and OSP runs — and every step directory
+entry to the sort-and-scan oracle, tuple for tuple, on every layout.
 """
 
+import random
 from collections import Counter, defaultdict
-from itertools import accumulate
 
 import pytest
 
 from repro.datasets import SyntheticConfig, build_dbpedia_mini, build_synthetic_kg
 from repro.paraphrase.path_mining import find_simple_paths
 from repro.rdf import IRI, RDF_TYPE, RDFS_LABEL, KnowledgeGraph, Literal, Triple, TripleStore
-from repro.rdf.kernel import (
-    AdjacencyKernel,
-    rows_from_sorted_triples,
-    step_is_forward,
-    step_predicate,
-)
+from repro.rdf.kernel import AdjacencyKernel, step_is_forward, step_predicate
+
+from .row_oracle import oracle_directory, oracle_rows
 
 
 @pytest.fixture(params=["synthetic", "dbpedia_mini"])
@@ -218,7 +217,7 @@ class TestKernelMatchesReference:
     def test_statistics_report_the_walk_cache_and_the_directory(self, kg):
         kernel = AdjacencyKernel(kg.store)
         before = kernel.statistics()
-        # Reporting builds nothing: the directory waits for its first reader.
+        # Reporting reads nothing: the directory waits for its first reader.
         assert before["directory_steps"] == before["walk_cache_size"] == 0
         start = sample_entities(kg, 1)[0]
         step = kernel.adjacency(start)[0][0]
@@ -228,9 +227,11 @@ class TestKernelMatchesReference:
         after = kernel.statistics()
         assert (after["walk_cache_hits"], after["walk_cache_misses"]) == (1, 1)
         assert after["walk_cache_size"] == 1
-        assert after["directory_steps"] == len(
-            {s for steps, _n in kernel.full_rows().values() for s in steps}
-        )
+        # The directory holds the steps it has been asked for, each once.
+        assert after["directory_steps"] == 1
+        kernel.nodes_with_step(-step)
+        kernel.nodes_with_step(step)
+        assert kernel.statistics()["directory_steps"] == 2
 
     @pytest.mark.parametrize("max_length", [2, 3])
     def test_mined_path_sets_match_naive_dfs(self, kg, max_length):
@@ -268,7 +269,8 @@ class TestRefreshInvalidation:
         knows = kg.id_of(e("knows"))
         assert find_simple_paths(kg, a, c, 1) == set()
         store.add(Triple(e("a"), e("likes"), e("c")))
-        # The kernel is immutable: the new triple is invisible until refresh.
+        # A row already read stays as it was read: the new triple is
+        # invisible to it until refresh.
         assert kg.kernel is kernel_before
         likes = kg.id_of(e("likes"))
         assert (likes + 1) not in kg.kernel.incident_steps(a)
@@ -303,17 +305,69 @@ class TestRefreshInvalidation:
 
 
 # --------------------------------------------------------------------- #
-# The single row builder
+# Rows are store reads, held to the sort-and-scan oracle
 # --------------------------------------------------------------------- #
 
-class TestSingleRowBuilder:
-    """``rows_from_sorted_triples`` is the only place triples become rows:
-    every construction path — the cold build on any layout (overlay,
-    compact, sharded, dirty overlay) and incremental patching — must
-    reproduce it byte for byte."""
+def _with_random_delta(store, seed=41):
+    """An overlay over ``store`` with a random batch of adds (self-loops,
+    literal objects and fresh terms among them) and removals, structural
+    triples included."""
+    rng = random.Random(seed)
+    overlay = store.overlay()
+    existing = sorted(overlay.triples(), key=repr)
+    nodes = sorted({t.subject for t in existing}, key=repr)
+    predicates = sorted({t.predicate for t in existing}, key=repr) + [IRI("pin:fresh")]
+    adds = []
+    for index in range(60):
+        subject = rng.choice(nodes + [IRI(f"pin:new{index % 7}")])
+        obj = rng.choice([rng.choice(nodes), subject, Literal(f"lit {index % 5}")])
+        adds.append(Triple(subject, rng.choice(predicates), obj))
+    overlay.add_all(adds)
+    for triple in rng.sample(existing, 40):
+        overlay.remove(triple)
+    return overlay
+
+
+_COMPOSITIONS = {
+    "compact": lambda store: store,
+    "sharded8": lambda store: store.sharded(8),
+    "overlay": _with_random_delta,
+}
+
+
+class TestRowsAreStoreReads:
+    """A kernel keeps no copy of the graph: every row is read from the
+    store's SPO and OSP runs, and every row and every step directory
+    entry must equal what one sort and one scan of the triples give
+    (:mod:`tests.rdf.row_oracle`), over every layout and after a patch."""
+
+    @pytest.fixture(scope="class", params=[0, 100], ids=["mini", "mini-100"])
+    def graph(self, request):
+        return build_dbpedia_mini(request.param)
+
+    @pytest.fixture(params=sorted(_COMPOSITIONS))
+    def store(self, graph, request):
+        return _COMPOSITIONS[request.param](graph.store)
+
+    def test_every_node_reads_its_oracle_row(self, store):
+        kernel = AdjacencyKernel(store)
+        expected = oracle_rows(store, kernel.structural_predicate_ids)
+        assert kernel.statistics()["nodes_full"] == len(expected)
+        for node in range(len(store.dictionary) + 1):
+            assert kernel.adjacency(node) == expected.get(node, ((), ()))
+        assert kernel.full_rows() == expected
+        assert kernel.statistics()["rows_boxed"] == len(expected)
+
+    def test_every_signed_step_reads_its_oracle_carriers(self, store):
+        kernel = AdjacencyKernel(store)
+        directory = oracle_directory(oracle_rows(store, kernel.structural_predicate_ids))
+        for pid in range(len(store.dictionary) + 1):
+            for step in (pid + 1, -(pid + 1)):
+                assert kernel.nodes_with_step(step) == directory.get(step, set()), step
+        assert kernel.statistics()["rows_boxed"] == 0  # the directory reads no row
 
     @pytest.fixture(scope="class")
-    def stores(self):
+    def pinned(self):
         store = build_dbpedia_mini().store.overlay()
         e = lambda name: IRI(f"pin:{name}")
         store.add_all([
@@ -324,44 +378,40 @@ class TestSingleRowBuilder:
         ])
         dirty = store.compacted().overlay()
         stale = AdjacencyKernel(dirty)
+        for node in sorted(stale.full_rows()):
+            stale.adjacency(node)  # every row boxed, so a patch has them to carry
         dirty.add(Triple(e("loop"), e("rel2"), e("loop")))
         dirty.add(Triple(e("typed_only"), RDFS_LABEL, Literal("typed only")))
         dirty.remove(Triple(e("loop"), e("rel"), e("far")))
         return store, dirty, stale, e
 
-    @staticmethod
-    def built(store):
-        structural = AdjacencyKernel(store).structural_predicate_ids
-        node_ids, row_lens, steps, nbrs = rows_from_sorted_triples(
-            sorted(store.triples_ids()), structural
-        )
-        assert list(node_ids) == sorted(set(node_ids)) and len(steps) == sum(row_lens)
-        bounds = list(accumulate(row_lens, initial=0))
-        return {
-            node: (tuple(steps[start:end]), tuple(nbrs[start:end]))
-            for node, start, end in zip(node_ids, bounds, bounds[1:])
-        }
-
-    def test_every_build_path_equals_the_builder(self, stores):
-        store, dirty, stale, _ = stores
-        expected = self.built(store)
+    def test_every_layout_and_patch_reads_the_oracle_rows(self, pinned):
+        store, dirty, stale, _ = pinned
+        structural = stale.structural_predicate_ids
+        expected = oracle_rows(store, structural)
         assert AdjacencyKernel(store).full_rows() == expected
         assert AdjacencyKernel(store.compacted()).full_rows() == expected
         assert AdjacencyKernel(store.sharded(8)).full_rows() == expected
 
-        expected_dirty = self.built(dirty)
+        expected_dirty = oracle_rows(dirty, structural)
         assert expected_dirty != expected
         assert AdjacencyKernel(dirty).full_rows() == expected_dirty
-        assert AdjacencyKernel(dirty, patch_from=stale).full_rows() == expected_dirty
+        patched = AdjacencyKernel(dirty, patch_from=stale)
+        assert patched.full_rows() == expected_dirty
+        touched = dirty.backend.touched_since(stale.store_version)
+        for node, row in expected_dirty.items():
+            if node not in touched:
+                assert patched.adjacency(node) is stale.adjacency(node), node
 
-    def test_self_loop_and_structural_only_subject(self, stores):
-        store, dirty, _, e = stores
-        rows = self.built(store)
+    def test_self_loop_and_structural_only_subject(self, pinned):
+        store, dirty, _, e = pinned
+        rows = oracle_rows(store, AdjacencyKernel(store).structural_predicate_ids)
         loop, far, typed_only = (store.dictionary.lookup(e(n)) for n in ("loop", "far", "typed_only"))
         rel = store.dictionary.lookup(e("rel")) + 1
         # Visiting `loop`: objects ascending (loop < far by id), the
         # self-loop's forward entry immediately followed by its backward one.
         assert rows[loop] == ((rel, -rel, rel), (loop, loop, far))
+        assert AdjacencyKernel(store).adjacency(loop) == rows[loop]
         # A subject with only structural out-edges has a row only because
         # it is someone's object; its own triples contribute nothing.
         assert rows[typed_only] == ((-rel,), (far,))

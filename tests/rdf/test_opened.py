@@ -1,12 +1,15 @@
 """An opened snapshot held to a loaded one.
 
-A snapshot is opened, not loaded: kernel rows are boxed out of the file's
-CSR columns when first read, term objects are built when first decoded,
-terms are found by bisecting the record-sorted id column.  None of that
-may be observable except through the laziness gauges — every row, every
-term and every lookup must equal what a kernel and a dictionary built
-from the store give — and the file under a reader must never change.
+A snapshot is opened, not loaded: kernel rows are read from the file's
+permutation runs when first asked for, term objects are built when first
+decoded, terms are found by bisecting the record-sorted id column.  None
+of that may be observable except through the laziness gauges — every
+row, every term and every lookup must equal what a kernel and a
+dictionary over the built store give — and the file under a reader must
+never change.
 """
+
+import gc
 
 import os
 import subprocess
@@ -25,12 +28,9 @@ from repro.rdf import snapshot as snapshot_module
 from repro.rdf.kernel import _EMPTY_ROW, AdjacencyKernel
 from repro.rdf.snapshot import compile_snapshot, load_snapshot
 
+from .row_oracle import oracle_directory, oracle_rows
+
 SRC = Path(__file__).resolve().parents[2] / "src"
-
-
-def opened_kernel(store, cold):
-    """A kernel over ``cold``'s rows as a snapshot would hold them."""
-    return AdjacencyKernel(store, columns=cold.full_rows().columns())
 
 
 @pytest.fixture(params=["synthetic", "dbpedia_mini"], scope="module")
@@ -54,19 +54,19 @@ def opened(source, tmp_path_factory):
 # --------------------------------------------------------------------- #
 
 class TestRowMapping:
-    def test_equal_to_the_cold_rows_in_both_operand_orders(self, source):
+    def test_equal_to_the_cold_rows_in_both_operand_orders(self, source, opened):
         cold = AdjacencyKernel(source.store)
-        rows = opened_kernel(source.store, cold).full_rows()
-        plain = dict(cold.full_rows())
+        rows = AdjacencyKernel(opened.kg.store).full_rows()
+        plain = oracle_rows(source.store, cold.structural_predicate_ids)
         assert rows == plain and plain == rows
         assert rows == cold.full_rows() and cold.full_rows() == rows
         assert not rows != plain and not plain != rows
         del plain[next(iter(plain))]
         assert rows != plain and plain != rows
 
-    def test_every_row_is_there_while_only_the_touched_are_boxed(self, source):
+    def test_every_row_is_there_while_only_the_touched_are_boxed(self, source, opened):
         cold = AdjacencyKernel(source.store)
-        kernel = opened_kernel(source.store, cold)
+        kernel = AdjacencyKernel(opened.kg.store)
         rows, expected = kernel.full_rows(), cold.full_rows()
         assert len(rows) == len(expected) > 3
         assert sorted(rows) == sorted(expected)
@@ -82,9 +82,9 @@ class TestRowMapping:
         assert kernel.statistics()["rows_boxed"] == 3
         assert cold.statistics()["rows_boxed"] == len(expected)
 
-    def test_a_node_without_a_row_reads_empty_and_stores_nothing(self, source):
+    def test_a_node_without_a_row_reads_empty_and_stores_nothing(self, source, opened):
         cold = AdjacencyKernel(source.store)
-        kernel = opened_kernel(source.store, cold)
+        kernel = AdjacencyKernel(opened.kg.store)
         absent = max(cold.full_rows()) + 1
         for rows in (kernel.full_rows(), cold.full_rows()):
             stored = dict.__len__(rows)
@@ -95,14 +95,15 @@ class TestRowMapping:
         assert kernel.adjacency(absent) is _EMPTY_ROW
         assert kernel.statistics()["rows_boxed"] == 0
 
-    def test_statistics_equal_the_cold_kernels(self, source):
+    def test_statistics_equal_the_cold_kernels(self, source, opened):
         cold = AdjacencyKernel(source.store)
-        kernel = opened_kernel(source.store, cold)
+        kernel = AdjacencyKernel(opened.kg.store)
         sizes = ("nodes_full", "nodes_entity", "edge_slots_full", "edge_slots_entity")
         assert [kernel.statistics()[key] for key in sizes] == [
             cold.statistics()[key] for key in sizes
         ]
-        # Counting reads the columns: no row boxed, no entity row derived.
+        # Counting reads the permutation runs: no row boxed, no entity row
+        # derived.
         assert kernel.statistics()["rows_boxed"] == 0
         assert not kernel._entity and not cold._entity
 
@@ -111,7 +112,7 @@ class TestRowMapping:
             SyntheticConfig(entities=1200, triples_per_entity=3, predicates=8)
         )
         cold = AdjacencyKernel(kg.store)
-        kernel = opened_kernel(kg.store, cold)
+        kernel = AdjacencyKernel(kg.store)
         nodes = sorted(cold.full_rows())[:1000]
         assert len(nodes) == 1000
         seen: list = [None] * 8
@@ -143,7 +144,7 @@ class TestRowMapping:
 
 
 # --------------------------------------------------------------------- #
-# (b) Random graphs: opened == cold, before and after a patch
+# (b) Random graphs: store reads == the oracle, before and after a patch
 # --------------------------------------------------------------------- #
 
 _NODES = [IRI(f"x:n{i}") for i in range(6)]
@@ -154,15 +155,20 @@ _triples = st.builds(
 )
 
 
-def assert_same_reads(kernel, cold, store):
+def assert_same_reads(kernel, store):
+    """Every read of ``kernel`` against the sort-and-scan oracle."""
+    rows = oracle_rows(store, kernel.structural_predicate_ids)
+    directory = oracle_directory(rows)
     ids = range(len(store.dictionary) + 1)
     for node in ids:
-        assert kernel.adjacency(node) == cold.adjacency(node)
-        assert kernel.entity_adjacency(node) == cold.entity_adjacency(node)
-        assert kernel.incident_steps(node) == cold.incident_steps(node)
+        steps, neighbors = rows.get(node, ((), ()))
+        entity = [(s, n) for s, n in zip(steps, neighbors) if not store.is_literal_id(n)]
+        assert kernel.adjacency(node) == (steps, neighbors)
+        assert list(zip(*kernel.entity_adjacency(node))) == entity
+        assert kernel.incident_steps(node) == frozenset(steps)
     for pid in ids:
         for step in (pid + 1, -(pid + 1)):
-            assert kernel.nodes_with_step(step) == cold.nodes_with_step(step)
+            assert kernel.nodes_with_step(step) == directory.get(step, set())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -174,38 +180,44 @@ def test_opened_kernel_reads_like_the_cold_one_before_and_after_a_patch(base, ad
         source.dictionary.encode(term)
     source.add_all(base)
     frozen = source.compacted()
-    cold = AdjacencyKernel(frozen)
-    assert_same_reads(opened_kernel(frozen, cold), cold, frozen)
+    assert_same_reads(AdjacencyKernel(frozen), frozen)
 
-    store = frozen.overlay()
-    kg = KnowledgeGraph(store, kernel=opened_kernel(store, cold))
+    kg = KnowledgeGraph(frozen.overlay())
+    stale = kg.kernel
+    for node in range(len(frozen.dictionary)):
+        stale.adjacency(node)  # every row boxed before the write
     before = kg.store.version
     for triple in removes:
         kg.store.remove(triple)
     kg.store.add_all(adds)
     touched = kg.store.backend.touched_since(before)
     kg.refresh(incremental=True)
-    patched, rebuilt = kg.kernel, AdjacencyKernel(kg.store)
-    # Only the dirtied rows were boxed, and the rest still are not.
-    assert patched.statistics()["rows_boxed"] <= len(touched)
-    assert patched.full_rows() == rebuilt.full_rows()
-    assert rebuilt.full_rows() == patched.full_rows()
-    assert_same_reads(patched, rebuilt, kg.store)
+    patched = kg.kernel
+    # The patch carried every boxed row the write did not touch, by
+    # reference, and read none afresh.
+    carried = [node for node in dict.keys(stale.full_rows()) if node not in touched]
+    assert patched.statistics()["rows_boxed"] == len(carried)
+    assert all(patched.adjacency(node) is stale.adjacency(node) for node in carried)
+    assert_same_reads(patched, kg.store)
 
     # A second batch patches the patch: still flat, still equal.
     kg.store.add_all(removes)
     kg.refresh(incremental=True)
-    assert kg.kernel.full_rows() == AdjacencyKernel(kg.store).full_rows()
-    assert kg.kernel.full_rows()._base is patched.full_rows()._base
+    assert kg.kernel.full_rows() == oracle_rows(kg.store, patched.structural_predicate_ids)
+    assert all(
+        referent is not patched.full_rows()
+        for referent in gc.get_referents(kg.kernel.full_rows())
+    )
 
 
 def test_add_remove_churn_leaves_nothing_on_the_patched_kernel():
-    """A node added and removed again since the root is forgotten: what a
-    patched kernel carries is bounded by the graph, not by its history."""
+    """A node added and removed again is forgotten: what a patched kernel
+    carries is bounded by the graph, not by its history."""
     frozen = build_dbpedia_mini().store.compacted()
-    cold = AdjacencyKernel(frozen)
-    store = frozen.overlay()
-    kg = KnowledgeGraph(store, kernel=opened_kernel(store, cold))
+    kg = KnowledgeGraph(frozen.overlay())
+    expected = oracle_rows(frozen, kg.kernel.structural_predicate_ids)
+    for node in expected:
+        kg.kernel.adjacency(node)
     berlin = IRI("res:Berlin")
     for round_ in range(3):
         fresh = [
@@ -214,13 +226,15 @@ def test_add_remove_churn_leaves_nothing_on_the_patched_kernel():
         ] + [Triple(IRI(f"x:churn{round_}/0"), IRI("x:rel"), berlin)]
         kg.store.add_all(fresh)
         kg.refresh(incremental=True)
-        assert len(kg.kernel.full_rows()._dirty) == 7  # six fresh nodes and Berlin
+        berlin_id = kg.store.dictionary.lookup(berlin)
+        assert berlin_id not in dict.keys(kg.kernel.full_rows())  # touched: read afresh
+        assert len(kg.kernel.adjacency(berlin_id)[0]) == len(expected[berlin_id][0]) + 1
         for triple in fresh:
             kg.store.remove(triple)
         kg.refresh(incremental=True)
         rows = kg.kernel.full_rows()
-        assert set(rows._dirty) == {kg.store.dictionary.lookup(berlin)}
-        assert rows == cold.full_rows() and len(rows) == len(cold.full_rows())
+        assert set(dict.keys(rows)) < set(expected)  # no churn node carried
+        assert rows == expected and len(rows) == len(expected)
 
 
 # --------------------------------------------------------------------- #

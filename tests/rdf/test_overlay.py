@@ -27,7 +27,7 @@ from repro.paraphrase import ParaphraseMiner
 from repro.rdf import IRI, Literal, Triple
 from repro.rdf.backend import CompactBackend
 from repro.rdf.graph import KnowledgeGraph
-from repro.rdf.kernel import AdjacencyKernel, KernelRows
+from repro.rdf.kernel import AdjacencyKernel
 from repro.rdf.overlay import OverlayBackend
 from repro.rdf.shard import ShardedBackend
 from repro.rdf.store import TripleStore
@@ -287,7 +287,7 @@ class TestStoreIntegration:
 
 
 class TestKernelPatch:
-    """Incremental rows byte-identical; untouched rows reused by reference."""
+    """Patched rows byte-identical; untouched rows reused by reference."""
 
     def _overlay_kg(self, setup):
         kg, _ = setup
@@ -311,14 +311,24 @@ class TestKernelPatch:
         kg = self._overlay_kg(setup)
         store = kg.store
         old = AdjacencyKernel(store)
+        old_rows = old.full_rows()
+        boxed = {node: old.adjacency(node) for node in list(old_rows)[::2]}
+        berlin = store.dictionary.lookup(IRI("res:Berlin"))
+        boxed[berlin] = old.adjacency(berlin)
         store.add(Triple(IRI("res:Berlin"), IRI("bench:rel"), IRI("bench:new")))
         dirty = store.backend.touched_since(old.store_version)
         patched = AdjacencyKernel(store, patch_from=old)
-        old_rows, new_rows = old.full_rows(), patched.full_rows()
-        reused = [n for n in old_rows if n not in dirty and n in new_rows]
-        assert reused
+        # Carried, not read: one flat copy of what the old kernel held, and
+        # the old kernel reads nothing more for it.
+        assert old.statistics()["rows_boxed"] == len(boxed)
+        reused = [n for n in boxed if n not in dirty]
+        assert patched.statistics()["rows_boxed"] == len(reused)
+        new_rows = patched.full_rows()
+        assert reused and dirty & set(boxed)
         for node in reused:
-            assert new_rows[node] is old_rows[node]
+            assert new_rows[node] is boxed[node]
+        for node in dirty & set(boxed):
+            assert new_rows[node] is not boxed[node]
 
     def test_patch_over_successive_batches(self, setup):
         kg = self._overlay_kg(setup)
@@ -337,20 +347,15 @@ class TestKernelPatch:
             kernel = AdjacencyKernel(store, patch_from=kernel)
             assert kernel.full_rows() == AdjacencyKernel(store).full_rows()
 
-    def test_patched_kernel_keeps_its_step_directory_and_signatures(
-        self, setup, monkeypatch
-    ):
-        """The memos live with the rows: a patched kernel takes the
-        root's, repairs the directory for the dirty nodes only — no second
-        scan — and answers like a cold build for every step and node,
-        across adds, removals that empty a row, and re-adds."""
+    def test_patched_kernel_keeps_its_step_directory_and_signatures(self, setup):
+        """The memos live with the rows: a patched kernel takes the old
+        one's signatures of every untouched node, by reference, and
+        answers like a fresh kernel for every step and node, across adds,
+        removals that empty a row, and re-adds."""
         kg = self._overlay_kg(setup)
         store = kg.store
         kernel = AdjacencyKernel(store)
-        kernel.nodes_with_step(1)  # built once, by the one scan
-        root = kernel.full_rows()
-        root_directory = root.directory()
-        known = set(root)
+        known = set(kernel.full_rows())
         for node in known:
             kernel.incident_steps(node)
         rng = random.Random(7)
@@ -373,29 +378,26 @@ class TestKernelPatch:
                 ]
                 store.add_all(adds)
                 live.extend(adds)
-            kernel = AdjacencyKernel(store, patch_from=kernel)
+            old = kernel
+            touched = store.backend.touched_since(old.store_version)
+            kernel = AdjacencyKernel(store, patch_from=old)
             cold = AdjacencyKernel(store)
             assert kernel.full_rows() == cold.full_rows()
             known |= set(cold.full_rows())
-            steps = {step for _n, row, _nb in cold.full_rows().scan() for step in row}
-            # Derived from the root's directory and the dirty rows: the
-            # patched kernel reads no row it did not rebuild.
-            with monkeypatch.context() as patch:
-                patch.setattr(KernelRows, "scan", None)
-                patched_directory = kernel.full_rows().directory()
-            assert root.directory() is root_directory
-            assert patched_directory == cold.full_rows().directory()
+            steps = {step for steps, _nb in cold.full_rows().values() for step in steps}
             for step in steps | {-step for step in steps} | {10**6}:
                 assert kernel.nodes_with_step(step) == cold.nodes_with_step(step)
+            # An untouched node's signature is the old kernel's own object.
+            clean = [node for node in known if node not in touched]
+            assert clean
+            for node in clean:
+                assert kernel.incident_steps(node) is old.incident_steps(node)
             for node in known:
                 assert kernel.incident_steps(node) == cold.incident_steps(node)
-            # An undirtied row's signature is the root's own object.
-            clean = next(n for n in root if n not in kernel.full_rows()._dirty)
-            assert kernel.incident_steps(clean) is root.signature(clean)
 
     def test_refresh_incremental_matches_cold(self, setup):
         kg = self._overlay_kg(setup)
-        before = kg.kernel.full_rows()
+        before = dict(kg.kernel.full_rows().items())
         kg.store.add(Triple(IRI("res:Berlin"), IRI("bench:rel"), IRI("bench:x")))
         kg.refresh(incremental=True)
         assert kg.kernel.full_rows() == AdjacencyKernel(kg.store).full_rows()

@@ -16,6 +16,8 @@ from array import array
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import GAnswer
 from repro.datasets import build_dbpedia_mini, build_phrase_dataset, qald_questions
@@ -305,14 +307,20 @@ class TestMmapLoading:
                 assert isinstance(column, memoryview), name
                 assert column.format == "q"
 
-    def test_kernel_rows_and_terms_are_served_from_the_mapping(self, snapshot):
+    def test_kernel_rows_and_terms_are_served_from_the_mapping(self, setup, snapshot):
+        """A row is read from the permutation runs, which are views of the
+        mapping: nothing is read before a question asks, and what is read
+        is the built store's row."""
+        kg, _ = setup
         path, _ = snapshot
         state = load_snapshot(path)
         state.build_linker()
-        rows = state.kg.kernel.full_rows()
-        for column in (rows._node_ids, rows._steps, rows._neighbors):
-            assert isinstance(column, memoryview) and column.obj is state.mapping
+        for columns in state.kg.store.backend.permutation_columns().values():
+            assert all(column.obj is state.mapping for column in columns)
         assert state.kg.kernel.statistics()["rows_boxed"] == 0
+        node = kg.store.dictionary.lookup(IRI("res:Berlin"))
+        assert state.kg.kernel.adjacency(node) == kg.kernel.adjacency(node)
+        assert state.kg.kernel.statistics()["rows_boxed"] == 1
         terms = state.kg.store.dictionary.statistics()
         assert terms["terms_decoded"] == 0 < terms["terms_total"]
         assert terms["snapshot_mapped_bytes"] == path.stat().st_size
@@ -423,10 +431,6 @@ def _repeat_first(values):
     values[1] = values[0]
 
 
-def _lengthen_first(values):
-    values[0] += 1
-
-
 def _lengthen_last(values):
     values[-1] += 1
 
@@ -514,9 +518,6 @@ _MALFORMATIONS = {
     "term_sort_column_not_a_permutation": lambda h, m, s: _join_container(
         h, m, _with_column(s, "terms", 2, _repeat_first)
     ),
-    "kernel_row_lens_do_not_sum": lambda h, m, s: _join_container(
-        h, m, _with_column(s, "kernel", 1, _lengthen_first)
-    ),
     # Text that is not UTF-8, and a posting past the entries, used to
     # escape as UnicodeDecodeError at open or IndexError from link().
     "dictionary_text_not_utf8": lambda h, m, s: _join_container(
@@ -592,7 +593,18 @@ class TestIntegrity:
         raw[10] = 4
         bad = tmp_path / "format4.snap"
         bad.write_bytes(raw)
-        with pytest.raises(SnapshotError, match=r"format 4 .*reads format 5.*recompile"):
+        with pytest.raises(SnapshotError, match=r"format 4 .*reads format 6.*recompile"):
+            load_snapshot(bad)
+
+    def test_a_format_5_file_is_refused(self, snapshot, tmp_path):
+        """Format 5 shipped the kernel rows as a section of their own; the
+        rows are store reads now, and such a file is refused, not read
+        around its extra section."""
+        path, raw = self._bytes(snapshot)
+        raw[10:14] = struct.pack("<I", 5)
+        bad = tmp_path / "format5.snap"
+        bad.write_bytes(raw)
+        with pytest.raises(SnapshotError, match=r"format 5 .*recompile"):
             load_snapshot(bad)
 
     def test_an_entity_flagged_as_a_literal_is_refused(self, loaded, snapshot, tmp_path):
@@ -676,3 +688,83 @@ class TestIntegrity:
         bad.write_bytes(raw)
         with pytest.raises(SnapshotError, match="byte order.*recompile"):
             load_snapshot(bad)
+
+
+# --------------------------------------------------------------------- #
+# Fail closed: mutated containers, as they are and re-signed
+# --------------------------------------------------------------------- #
+
+def _directory_fields(raw):
+    """``(position, width)`` of every column count and every extent
+    length in a good container's directory."""
+    body = _HEADER_BYTES
+    (meta_len,) = struct.unpack_from("<Q", raw, body)
+    offset = body + 8 + meta_len
+    (count,) = struct.unpack_from("<I", raw, offset)
+    offset += 4
+    fields = []
+    for _ in range(count):
+        offset += 1 + raw[offset]
+        (columns,) = struct.unpack_from("<I", raw, offset)
+        fields.append((offset, 4))
+        offset += 4
+        for _ in range(columns):
+            fields.append((offset + 8, 8))  # (u64 offset, u64 length)
+            offset += 16
+    return fields
+
+
+def _resigned(raw):
+    """``raw`` with its last 32 bytes replaced by the digest of what lies
+    between the header and them — what a writer of the mutation would
+    have signed."""
+    if len(raw) < _HEADER_BYTES + _DIGEST_BYTES:
+        return raw
+    return raw[:-_DIGEST_BYTES] + hashlib.sha256(raw[_HEADER_BYTES:-_DIGEST_BYTES]).digest()
+
+
+@pytest.fixture(scope="module")
+def fuzz_target(setup, tmp_path_factory):
+    kg, dictionary = setup
+    directory = tmp_path_factory.mktemp("fuzz")
+    compile_snapshot(directory / "good.snap", kg, dictionary)
+    raw = (directory / "good.snap").read_bytes()
+    return directory, raw, _directory_fields(raw)
+
+
+_mutations = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 30), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 30), st.just(0)),
+    st.tuples(st.just("length"), st.integers(0, 1 << 10), st.integers(-(1 << 16), 1 << 16)),
+    st.tuples(st.just("length"), st.integers(0, 1 << 10), st.integers(0, (1 << 64) - 1)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutation=_mutations, resign=st.booleans())
+def test_mutated_containers_fail_closed(fuzz_target, mutation, resign):
+    """Byte flips, truncations and section-length edits of a format-6
+    container, each as it is and re-signed: an open either succeeds or
+    raises :class:`SnapshotError` — never any other exception."""
+    directory, raw, fields = fuzz_target
+    kind, where, value = mutation
+    mutated = bytearray(raw)
+    if kind == "flip":
+        mutated[where % len(raw)] ^= value
+    elif kind == "truncate":
+        del mutated[where % len(raw):]
+    else:
+        position, width = fields[where % len(fields)]
+        (current,) = struct.unpack_from(f"<{'I' if width == 4 else 'Q'}", raw, position)
+        edited = value if value >= 1 << 16 else current + value
+        mutated[position:position + width] = (edited % (1 << (8 * width))).to_bytes(width, "little")
+    if resign:
+        mutated = _resigned(mutated)
+    path = directory / f"mutated-{hashlib.sha256(mutated).hexdigest()[:16]}.snap"
+    path.write_bytes(mutated)
+    try:
+        load_snapshot(path)
+    except SnapshotError:
+        pass
+    finally:
+        path.unlink()

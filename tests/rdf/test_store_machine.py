@@ -11,7 +11,8 @@ on every ``StoreBackend`` member and every facade-derived view
 (``store_checks.assert_matches_model``), the frozen pair must refuse
 mutation and iterate in one order, versions must have advanced once per
 changed triple, literal bookkeeping must follow the triples, and kernel
-rows — cold and patched — must be byte-identical across all five.
+rows — fresh and patched — must be byte-identical across all five and
+equal to the sort-and-scan oracle's.
 
 The run is derandomized and small (~3 s) so tier-1 time and outcome are
 stable.  It found no divergence in the shipped backends when it was
@@ -25,6 +26,7 @@ from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, multip
 
 from repro.rdf import IRI, RDF_TYPE, Literal, Triple, TripleStore
 from repro.rdf.kernel import AdjacencyKernel
+from tests.rdf.row_oracle import oracle_rows
 from tests.rdf.store_checks import (
     assert_matches_model,
     assert_refuses_mutation,
@@ -140,22 +142,25 @@ class StoreMachine(RuleBasedStateMachine):
         assert list(compact.triples_ids()) == sorted(self.model)
         assert_same_order(sharded, compact, self.model)
 
-        # Kernel rows: one answer from every layout, cold or patched.
-        rows = AdjacencyKernel(self.default).full_rows()
+        # Kernel rows: one answer from every layout, fresh or patched, and
+        # it is the sort-and-scan oracle's.
+        cold = AdjacencyKernel(self.default)
+        rows = cold.full_rows()
+        assert rows == oracle_rows(self.default, cold.structural_predicate_ids)
         assert AdjacencyKernel(compact).full_rows() == rows
         assert AdjacencyKernel(sharded).full_rows() == rows
-        cold = AdjacencyKernel(self.default)
-        steps = {step for _node, row, _nbrs in rows.scan() for step in row}
+        steps = {step for steps, _nbrs in rows.values() for step in steps}
         for name, store in self.writable.items():
             self.kernels[name] = AdjacencyKernel(store, patch_from=self.kernels[name])
             assert self.kernels[name].full_rows() == rows, name
-        # The memos a patch carries forward answer like a cold build's,
-        # for every step and node.
+        # The rows and memos a patch carries forward answer like a fresh
+        # kernel's, for every step and node.
         self.nodes_seen.update(rows)
         for name, kernel in self.kernels.items():
             for step in steps:
                 assert kernel.nodes_with_step(step) == cold.nodes_with_step(step), name
             for node in self.nodes_seen:
+                assert kernel.adjacency(node) == cold.adjacency(node), name
                 assert kernel.incident_steps(node) == cold.incident_steps(node), name
 
 

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +202,29 @@ class TestUserErrors:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and fragment in line
+
+    def test_serve_refuses_a_format_5_snapshot(self, tmp_path):
+        """A file an earlier build compiled, with the kernel rows as a
+        section of their own, is sent back to the compiler: one
+        ``error:`` line naming "recompile", and exit 2."""
+        from repro.datasets import build_dbpedia_mini
+        from repro.paraphrase import ParaphraseDictionary
+        from repro.rdf.snapshot import compile_snapshot
+
+        path = tmp_path / "old.snap"
+        compile_snapshot(path, build_dbpedia_mini(), ParaphraseDictionary())
+        raw = bytearray(path.read_bytes())
+        raw[10:14] = (5).to_bytes(4, "little")  # the header's format, outside the digest
+        path.write_bytes(raw)
+        # A process of its own: a server that opened the file would not return.
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--snapshot", str(path), "--port", "0"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error: ") and "format 5" in line and "recompile" in line
 
     def test_compile_into_a_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.snap"
