@@ -20,18 +20,21 @@ workload.  There is one writable layout and two frozen ones:
 * :class:`~repro.rdf.overlay.OverlayBackend` — the only writable layout:
   a frozen base plus a copy-on-write delta and tombstones.
 
-The protocol is the **core** every backend implements natively, 15
+The protocol is the **core** every backend implements natively, 11
 members: lifecycle and mutation (``writable``, ``version``, ``__len__``,
 ``add_all_ids``, ``remove``), ``contains`` / ``triples_ids`` /
-``count``, the three vocabulary iterators, and the four hot views the
-online phase lives on (``objects_ids``, ``subjects_ids``, ``out_index``,
-``in_index`` — one 99-question QALD pass on the 24.8k-triple explosion
-graph makes 37k + 37k + 7k + 7k of those calls and nothing else).  Every
-other view is **derived once** on top of that core: distinct objects of a
-predicate in the facade, a kernel row in :mod:`repro.rdf.kernel` from a
-node's two runs (``triples_ids(s=node)`` and ``triples_ids(o=node)``)
-the first time it is read.  The frozen layouts share their lifecycle
-half, :class:`FrozenBackend`, instead of copying it.
+``count``, and the three vocabulary iterators.  Every pattern is one run
+of one permutation, so ``triples_ids`` and ``count`` are all the online
+phase asks for: one cold 99-question QALD pass on the 24.8k-triple
+explosion graph makes 8 714 ``count`` calls (node degrees) and 2 127
+``triples_ids`` calls, a warm pass 77 ``triples_ids`` calls.  Every other
+view is **derived once** on top of that core: a pattern's objects or
+subjects, a subject's predicate → objects row and the distinct objects
+of a predicate in the facade, a kernel row in :mod:`repro.rdf.kernel`
+from a node's two runs (``triples_ids(s=node)`` and
+``triples_ids(o=node)``) the first time it is read.  The frozen layouts
+share their lifecycle half, :class:`FrozenBackend`, instead of copying
+it.
 
 Nothing outside :mod:`repro.rdf` imports this module: all access goes
 through the :class:`StoreBackend` protocol via the
@@ -45,7 +48,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import islice, repeat
 from operator import lt
-from typing import AbstractSet, Iterable, Iterator, Mapping, Protocol, runtime_checkable
+from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 from repro.exceptions import StoreFrozenError
 
@@ -63,19 +66,14 @@ def strictly_ascending(column: IntColumn) -> bool:
     reader checks of a snapshot column it is about to bisect)."""
     return all(map(lt, column, islice(column, 1, None)))
 
-#: Shared empty views returned by the read-only accessors below; callers
-#: treat every returned set/mapping as immutable, so one instance suffices.
-_EMPTY_SET: frozenset[int] = frozenset()
-_EMPTY_MAP: dict[int, frozenset[int]] = {}
-
 
 @runtime_checkable
 class StoreBackend(Protocol):
     """The id-level storage surface every backend provides.
 
     Mutation (``add_all_ids``/``remove``) raises :class:`StoreFrozenError`
-    on read-only backends; ``writable`` says so up front.  All returned
-    sets and mappings are read-only views — callers must never mutate them.
+    on read-only backends; ``writable`` says so up front.  Reads return
+    iterators over id triples, counts and booleans.
     """
 
     @property
@@ -99,14 +97,6 @@ class StoreBackend(Protocol):
     def count(
         self, s: int | None = None, p: int | None = None, o: int | None = None
     ) -> int: ...
-
-    def objects_ids(self, s: int, p: int) -> AbstractSet[int]: ...
-
-    def subjects_ids(self, p: int, o: int) -> AbstractSet[int]: ...
-
-    def out_index(self, s: int) -> Mapping[int, AbstractSet[int]]: ...
-
-    def in_index(self, o: int) -> Mapping[int, AbstractSet[int]]: ...
 
     def subject_ids(self) -> Iterator[int]: ...
 
@@ -272,44 +262,6 @@ class CompactBackend(FrozenBackend):
         else:
             lo, hi = _prefix_run(self._osp_o, o, self._osp_s)  # type: ignore[arg-type]
         return hi - lo
-
-    def objects_ids(self, s: int, p: int) -> AbstractSet[int]:
-        lo, hi = _prefix_run(self._spo_s, s, self._spo_p, p)
-        if lo == hi:
-            return _EMPTY_SET
-        return frozenset(self._spo_o[lo:hi])
-
-    def subjects_ids(self, p: int, o: int) -> AbstractSet[int]:
-        lo, hi = _prefix_run(self._pos_p, p, self._pos_o, o)
-        if lo == hi:
-            return _EMPTY_SET
-        return frozenset(self._pos_s[lo:hi])
-
-    def out_index(self, s: int) -> Mapping[int, AbstractSet[int]]:
-        lo, hi = _prefix_run(self._spo_s, s, self._spo_p)
-        if lo == hi:
-            return _EMPTY_MAP
-        return self._group_runs(self._spo_p, self._spo_o, lo, hi)
-
-    def in_index(self, o: int) -> Mapping[int, AbstractSet[int]]:
-        lo, hi = _prefix_run(self._osp_o, o, self._osp_s)
-        if lo == hi:
-            return _EMPTY_MAP
-        return self._group_runs(self._osp_s, self._osp_p, lo, hi)
-
-    @staticmethod
-    def _group_runs(
-        keys: IntColumn, values: IntColumn, lo: int, hi: int
-    ) -> dict[int, frozenset[int]]:
-        """Group a sorted [lo, hi) slice into {key: frozenset(values)}."""
-        grouped: dict[int, frozenset[int]] = {}
-        index = lo
-        while index < hi:
-            key = keys[index]
-            end = bisect_right(keys, key, index, hi)
-            grouped[key] = frozenset(values[index:end])
-            index = end
-        return grouped
 
     @staticmethod
     def _distinct(column: IntColumn) -> Iterator[int]:

@@ -291,12 +291,11 @@ class KnowledgeGraph:
     def degree(self, node_id: int) -> int:
         """Incident edges of a node in either orientation, structural
         predicates (``rdf:type``, ``rdfs:label``, …) included — the
-        prominence signal the entity linker ranks by.  Read off the
-        store's index views: kernel rows leave structural edges out.
+        prominence signal the entity linker ranks by.  Two run lengths,
+        the node's SPO run and its OSP run, counted without reading
+        either: kernel rows leave structural edges out.
         """
-        out_row = self.store.out_index(node_id)
-        in_row = self.store.in_index(node_id)
-        return sum(map(len, out_row.values())) + sum(map(len, in_row.values()))
+        return self.store.count(s=node_id) + self.store.count(o=node_id)
 
     def walk_path(self, start_id: int, path: tuple[int, ...]) -> set[int]:
         """All nodes reachable from ``start_id`` by following a signed path.

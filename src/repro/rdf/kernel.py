@@ -127,8 +127,8 @@ def walk(store: TripleStore, start_id: int, path: Path) -> frozenset[int]:
     if len(path) == 1:
         step = path[0]
         if step > 0:
-            return frozenset(store.objects_ids(start_id, step - 1))
-        return frozenset(store.subjects_ids(-step - 1, start_id))
+            return store.objects_ids(start_id, step - 1)
+        return store.subjects_ids(-step - 1, start_id)
     frontier: tuple[int, ...] | set[int] = (start_id,)
     for step in path:
         next_frontier: set[int] = set()

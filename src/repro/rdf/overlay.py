@@ -11,11 +11,12 @@ compact base, and live ingest writes to one over a compiled artifact.
 * a **delta** of added triples, and
 * a **tombstone set** of removed base triples,
 
-and merges every read view of the :class:`~repro.rdf.backend.StoreBackend`
-protocol — ``triples_ids`` in all pattern shapes, counts,
-``out_index``/``in_index``, the vocabulary iterators — so the composite
-is observably identical to a frozen store built from the merged triples,
-at any delta size.
+and merges every read of the :class:`~repro.rdf.backend.StoreBackend`
+protocol — ``triples_ids`` in all pattern shapes, counts, the vocabulary
+iterators — so the composite is observably identical to a frozen store
+built from the merged triples, at any delta size.  The views the facade
+derives from those reads (a pattern's objects or subjects, a node's
+degree, a kernel row) need no merge of their own.
 
 Mutation semantics keep the two sides disjoint: adding a triple the base
 already holds un-tombstoned is a no-op; adding a tombstoned triple clears
@@ -51,7 +52,7 @@ from __future__ import annotations
 import threading
 from array import array
 from itertools import chain
-from typing import AbstractSet, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from repro.contracts import guarded_by
 from repro.rdf.backend import IdTriple, StoreBackend
@@ -187,18 +188,6 @@ class _DeltaIndex:
             return len(self._pos.get(p, _EMPTY_MAP).get(o, _EMPTY_SET))
         return sum(1 for _ in self.triples_ids(s, p, o))
 
-    def objects_ids(self, s: int, p: int) -> AbstractSet[int]:
-        return self._spo.get(s, _EMPTY_MAP).get(p, _EMPTY_SET)
-
-    def subjects_ids(self, p: int, o: int) -> AbstractSet[int]:
-        return self._pos.get(p, _EMPTY_MAP).get(o, _EMPTY_SET)
-
-    def out_index(self, s: int) -> Mapping[int, AbstractSet[int]]:
-        return self._spo.get(s, _EMPTY_MAP)
-
-    def in_index(self, o: int) -> Mapping[int, AbstractSet[int]]:
-        return self._osp.get(o, _EMPTY_MAP)
-
     def subject_ids(self) -> Iterator[int]:
         return iter(self._spo)
 
@@ -207,13 +196,6 @@ class _DeltaIndex:
 
     def object_ids(self) -> Iterator[int]:
         return iter(self._osp)
-
-
-def _merge_values(
-    base: AbstractSet[int], added: frozenset[int], dead: frozenset[int]
-) -> AbstractSet[int]:
-    """``base ∖ dead ∪ added`` for one (outer, inner) key pair."""
-    return (frozenset(base) - dead) | added
 
 
 @guarded_by("_write_lock", "_touched")
@@ -361,59 +343,6 @@ class OverlayBackend:
             - self._tombs.count(s, p, o)
             + self._adds.count(s, p, o)
         )
-
-    # The four hot views read the two deltas first and hand back the
-    # base's own view untouched when neither mentions the key — the
-    # common case, and the whole cost of an overlay on a cold key.
-
-    def objects_ids(self, s: int, p: int) -> AbstractSet[int]:
-        added = self._adds.objects_ids(s, p)
-        dead = self._tombs.objects_ids(s, p)
-        base = self._base.objects_ids(s, p)
-        if not added and not dead:
-            return base
-        return _merge_values(base, added, dead)
-
-    def subjects_ids(self, p: int, o: int) -> AbstractSet[int]:
-        added = self._adds.subjects_ids(p, o)
-        dead = self._tombs.subjects_ids(p, o)
-        base = self._base.subjects_ids(p, o)
-        if not added and not dead:
-            return base
-        return _merge_values(base, added, dead)
-
-    @staticmethod
-    def _merge_row(
-        base_row: Mapping[int, AbstractSet[int]],
-        added: Mapping[int, frozenset[int]],
-        dead: Mapping[int, frozenset[int]],
-    ) -> dict[int, AbstractSet[int]]:
-        merged: dict[int, AbstractSet[int]] = {}
-        for key in set(base_row).union(added):
-            values = base_row.get(key, _EMPTY_SET)
-            added_values = added.get(key, _EMPTY_SET)
-            dead_values = dead.get(key, _EMPTY_SET)
-            if added_values or dead_values:
-                values = _merge_values(values, added_values, dead_values)
-            if values:
-                merged[key] = values
-        return merged
-
-    def out_index(self, s: int) -> Mapping[int, AbstractSet[int]]:
-        added = self._adds.out_index(s)
-        dead = self._tombs.out_index(s)
-        base_row = self._base.out_index(s)
-        if not added and not dead:
-            return base_row
-        return self._merge_row(base_row, added, dead)
-
-    def in_index(self, o: int) -> Mapping[int, AbstractSet[int]]:
-        added = self._adds.in_index(o)
-        dead = self._tombs.in_index(o)
-        base_row = self._base.in_index(o)
-        if not added and not dead:
-            return base_row
-        return self._merge_row(base_row, added, dead)
 
     # ------------------------------------------------------------------ #
     # Vocabulary

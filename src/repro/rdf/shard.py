@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 from itertools import chain
 from operator import itemgetter
-from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.rdf.backend import CompactBackend, FrozenBackend, IdTriple
 
@@ -52,9 +52,6 @@ _HASH_MULTIPLIER = 0x9E3779B1
 #: Name of the partition function, recorded in a sharded snapshot's meta
 #: so a loader can refuse a file written under a different placement.
 PARTITION_SCHEME = "subject-mulfib32/1"
-
-_EMPTY_SET: frozenset[int] = frozenset()
-_EMPTY_MAP: dict[int, frozenset[int]] = {}
 
 
 def shard_of(subject_id: int, shards: int) -> int:
@@ -164,13 +161,11 @@ class ShardedBackend(FrozenBackend):
         # deduplicate and equal keys never straddle two segments.
         runs = [segment.triples_ids(s, p, o) for segment in self._segments]
         if p is not None:
-            if o is not None:
-                # POS with o bound: runs ordered by subject.
-                return heapq.merge(*runs, key=itemgetter(0))
-            # Bare p: POS runs ordered by (object, subject).  One predicate's
-            # run, not the graph: a C sort of the concatenated sorted runs
+            # POS runs ordered by (object, subject).  One predicate's run,
+            # not the graph: a C sort of the concatenated sorted runs
             # merges them several times faster than ``heapq.merge``.
-            return iter(sorted(chain.from_iterable(runs), key=itemgetter(2, 0)))
+            key = itemgetter(0) if o is not None else itemgetter(2, 0)
+            return iter(sorted(chain.from_iterable(runs), key=key))
         if o is not None:
             # OSP runs, ordered by (subject, predicate): one node's run.
             return iter(sorted(chain.from_iterable(runs), key=itemgetter(0, 1)))
@@ -184,41 +179,6 @@ class ShardedBackend(FrozenBackend):
         if s is None and p is None and o is None:
             return self._size
         return sum(segment.count(s, p, o) for segment in self._segments)
-
-    def objects_ids(self, s: int, p: int) -> AbstractSet[int]:
-        return self._segment_of(s).objects_ids(s, p)
-
-    def subjects_ids(self, p: int, o: int) -> AbstractSet[int]:
-        found = [
-            subjects
-            for segment in self._segments
-            if (subjects := segment.subjects_ids(p, o))
-        ]
-        if not found:
-            return _EMPTY_SET
-        if len(found) == 1:
-            return found[0]
-        return frozenset().union(*found)
-
-    def out_index(self, s: int) -> Mapping[int, AbstractSet[int]]:
-        return self._segment_of(s).out_index(s)
-
-    def in_index(self, o: int) -> Mapping[int, AbstractSet[int]]:
-        found = [
-            row
-            for segment in self._segments
-            if (row := segment.in_index(o))
-        ]
-        if not found:
-            return _EMPTY_MAP
-        if len(found) == 1:
-            return found[0]
-        # Subject keys are disjoint across segments; re-sort so the merged
-        # row iterates in ascending subject order like a single backend's.
-        merged: dict[int, AbstractSet[int]] = {}
-        for row in found:
-            merged.update(row)
-        return dict(sorted(merged.items()))
 
     def subject_ids(self) -> Iterator[int]:
         # Disjoint by the partition function, but merging distinct is as

@@ -29,7 +29,8 @@ and mining algorithms use directly.  All mutation goes through
 from __future__ import annotations
 
 from itertools import compress, count, filterfalse
-from typing import AbstractSet, Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from repro.exceptions import StoreFrozenError
 from repro.rdf.backend import CompactBackend, StoreBackend
@@ -280,10 +281,10 @@ class TripleStore:
         if s is None or p is None or o is None:
             return False
         removed = self._backend.remove(s, p, o)
-        # A literal only exists as an object; once its OSP row empties no
+        # A literal only exists as an object; once its OSP run empties no
         # triple mentions it and the literal bookkeeping must forget it,
         # or is_literal_id/literal_count/statistics report stale literals.
-        if removed and self.is_literal_id(o) and not self._backend.in_index(o):
+        if removed and self.is_literal_id(o) and not self._backend.count(o=o):
             self._literal_flags[o] = 0
         return removed
 
@@ -378,29 +379,29 @@ class TripleStore:
         return self._backend.count(s, p, o)
 
     # ------------------------------------------------------------------ #
-    # Read-only index views
+    # Derived views
     # ------------------------------------------------------------------ #
     #
-    # These expose the permutation indexes at the id layer without leaking
-    # the backend's physical layout: callers get read-only *views* that
-    # must not be mutated.  The adjacency kernel and the graph view build
-    # their caches from these instead of reaching into backend internals.
+    # Each is one run of one permutation, read through ``triples_ids``
+    # and shaped here, once, rather than implemented per backend: every
+    # layout (and the overlay's merge) answers the run, so every layout
+    # answers the view.  Each call returns a fresh collection.
 
-    def objects_ids(self, s: int, p: int) -> AbstractSet[int]:
-        """Objects of ``(s, p, ?)`` — a read-only view, possibly empty."""
-        return self._backend.objects_ids(s, p)
+    def objects_ids(self, s: int, p: int) -> frozenset[int]:
+        """Objects of ``(s, p, ?)``, possibly empty."""
+        return frozenset(map(itemgetter(2), self._backend.triples_ids(s, p)))
 
-    def subjects_ids(self, p: int, o: int) -> AbstractSet[int]:
-        """Subjects of ``(?, p, o)`` — a read-only view, possibly empty."""
-        return self._backend.subjects_ids(p, o)
+    def subjects_ids(self, p: int, o: int) -> frozenset[int]:
+        """Subjects of ``(?, p, o)``, possibly empty."""
+        return frozenset(map(itemgetter(0), self._backend.triples_ids(None, p, o)))
 
-    def out_index(self, s: int) -> Mapping[int, AbstractSet[int]]:
-        """The SPO row of a subject: predicate → object set (read-only)."""
-        return self._backend.out_index(s)
-
-    def in_index(self, o: int) -> Mapping[int, AbstractSet[int]]:
-        """The OSP row of an object: subject → predicate set (read-only)."""
-        return self._backend.in_index(o)
+    def out_index(self, s: int) -> dict[int, set[int]]:
+        """The SPO row of a subject: predicate → object set (the
+        benchmark's subject-lookup probe reads it)."""
+        row: dict[int, set[int]] = {}
+        for _s, p, o in self._backend.triples_ids(s):
+            row.setdefault(p, set()).add(o)
+        return row
 
     def objects_of_predicate(self, p: int) -> Iterator[int]:
         """Distinct object ids appearing with predicate ``p``.

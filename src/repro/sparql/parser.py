@@ -75,6 +75,12 @@ _KEYWORDS = {
 }
 
 
+def _is_variable(token: str) -> bool:
+    """A variable token is ``?`` and a name; a bare ``?`` is the path
+    operator."""
+    return token.startswith("?") and len(token) > 1
+
+
 def _tokenize(text: str) -> list[str]:
     tokens: list[str] = []
     pos = 0
@@ -308,13 +314,13 @@ class _Parser:
 
     def _parse_variable(self) -> Variable:
         token = self.next()
-        if not token.startswith("?"):
+        if not _is_variable(token):
             raise SPARQLSyntaxError(f"expected a variable, found {token!r}")
         return Variable(token[1:])
 
     def _parse_term(self):
         token = self.next()
-        if token.startswith("?"):
+        if _is_variable(token):
             return Variable(token[1:])
         if token.startswith("<") and token.endswith(">"):
             value = token[1:-1]
@@ -360,7 +366,7 @@ class _Parser:
     def _parse_predicate(self):
         """Predicate position: a variable, a plain IRI, or a property path."""
         token = self.peek()
-        if token is not None and token.startswith("?") and len(token) > 1:
+        if token is not None and _is_variable(token):
             return self._parse_variable()
         path = self._parse_path()
         from repro.sparql.paths import PredicateStep

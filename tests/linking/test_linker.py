@@ -320,8 +320,8 @@ def test_link_equals_the_linker_that_scores_every_entry(case):
 
 class _RecordingBackend:
     """A delegating ``StoreBackend`` that counts the calls it forwards; an
-    armed ``before_return`` hook runs once, after the next ``out_index``
-    has read its row and before the caller sees it."""
+    armed ``before_return`` hook runs once, after the next ``count`` has
+    read its run and before the caller sees it."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -339,8 +339,7 @@ class _RecordingBackend:
         def counted(*args, **kwargs):
             self.calls[name] += 1
             result = target(*args, **kwargs)
-            if name == "out_index" and self.before_return is not None:
-                result = {p: frozenset(objects) for p, objects in result.items()}
+            if name == "count" and self.before_return is not None:
                 hook, self.before_return = self.before_return, None
                 hook()
             return result
@@ -393,7 +392,7 @@ class TestLinkerReadsNothingTwice:
             )
         backend.calls.clear()
         after = linker.link("Springfield")
-        assert backend.calls["out_index"] >= 1  # re-read, not replayed
+        assert backend.calls["count"] >= 1  # re-read, not replayed
         (regrown,) = [c for c in after if c.node_id == grown.node_id]
         assert regrown.score > grown.score
         assert all(candidate.score <= 1.0 for candidate in after)

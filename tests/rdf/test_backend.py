@@ -53,25 +53,33 @@ def pair():
     return store, store.compacted()
 
 
+DERIVED_VIEWS = (
+    "objects_ids", "subjects_ids", "out_index", "in_index",
+    "objects_of_predicate", "iter_out_rows",
+)
+
+
 class TestProtocolSurface:
-    def test_fifteen_core_members_and_no_backend_carries_a_derived_view(self):
+    def test_eleven_core_members_and_no_backend_carries_a_derived_view(self):
         core = {
             name for name in vars(StoreBackend)
             if name == "__len__" or not name.startswith("_")
         }
-        assert len(core) == 15
+        assert len(core) == 11
         frozen = CompactBackend.from_triples([(1, 2, 3)])
-        for backend in (
+        backends = (
             frozen,
             ShardedBackend.from_triples([(1, 2, 3)], shards=2),
             OverlayBackend(frozen),
-        ):
+        )
+        for backend in backends:
             assert isinstance(backend, StoreBackend)
             assert all(hasattr(backend, name) for name in core)
-            # Derived once in the facade / the kernel, implemented nowhere else.
-            assert not hasattr(backend, "objects_of_predicate")
-            assert not hasattr(backend, "iter_out_rows")
-
+        # Derived once in the facade / the kernel, implemented nowhere else
+        # (the overlay's delta index included).
+        for layout in (*backends, backends[-1]._adds):
+            assert [name for name in DERIVED_VIEWS if hasattr(layout, name)] == [], layout
+        assert not hasattr(TripleStore, "in_index")
 
     def test_layout_modules_are_imported_only_inside_repro_rdf(self):
         # backend.py's docstring: everyone else goes through the facade,
@@ -163,13 +171,15 @@ class TestOverlayBulkInsert:
         assert sorted(backend.triples_ids()) == [(4, 2, 3)]
 
     def test_a_held_row_is_never_edited(self):
-        backend = OverlayBackend(CompactBackend.from_triples(()))
+        store = TripleStore()
+        backend = store.backend
         backend.add_all_ids([(1, 2, 3), (1, 5, 3)])
-        row, objects = backend.out_index(1), backend.objects_ids(1, 2)
+        row, objects = backend.triples_ids(s=1), store.objects_ids(1, 2)
+        first = next(row)
         backend.add_all_ids([(1, 2, 4), (1, 6, 3)])
         backend.remove(1, 5, 3)
-        assert row == {2: {3}, 5: {3}} and objects == {3}
-        assert backend.out_index(1) == {2: {3, 4}, 6: {3}}
+        assert [first, *row] == [(1, 2, 3), (1, 5, 3)] and objects == {3}
+        assert store.out_index(1) == {2: {3, 4}, 6: {3}}
 
 
 class TestFrozen:

@@ -131,10 +131,10 @@ class TestAdjacency:
         assert predicates == {IRI("ex:spouse"), IRI("ex:starring"), IRI("ex:height")}
 
     def test_edges_include_structural_on_request(self, kg):
-        # Structural edges stay readable where the linker's degree reads
-        # them: the store's index views.
+        # Structural edges stay readable where the linker's degree counts
+        # them: the store's runs.
         banderas = nid(kg, "Antonio_Banderas")
-        predicates = {kg.iri_of(pid) for pid in kg.store.out_index(banderas)}
+        predicates = {kg.iri_of(pid) for _s, pid, _o in kg.store.triples_ids(s=banderas)}
         assert {RDF_TYPE, RDFS_LABEL} <= predicates
 
     def test_undirected_neighbors_skip_literals(self, kg):

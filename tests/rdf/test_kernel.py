@@ -52,31 +52,27 @@ def reference_adjacency(kg, include_literals):
 
 
 def reference_neighbors(kg, node):
-    """(signed step, neighbor) pairs via the store's nested index views."""
+    """(signed step, neighbor) pairs via the node's two store runs."""
     structural = kg.structural_predicate_ids
-    for pid, objects in kg.store.out_index(node).items():
-        if pid in structural:
-            continue
-        for oid in objects:
+    for _s, pid, oid in kg.store.triples_ids(s=node):
+        if pid not in structural:
             yield pid + 1, oid
-    for sid, predicates in kg.store.in_index(node).items():
-        for pid in predicates:
-            if pid in structural:
-                continue
+    for sid, pid, _o in kg.store.triples_ids(o=node):
+        if pid not in structural:
             yield -(pid + 1), sid
 
 
 def reference_walk(kg, start, path):
-    """Frontier-by-frontier path walk over the nested dict indexes."""
+    """Frontier-by-frontier path walk over the store's triple runs."""
     frontier = {start}
     for step in path:
         next_frontier = set()
         pid = abs(step) - 1
         for node in frontier:
             if step > 0:
-                next_frontier |= set(kg.store.objects_ids(node, pid))
+                next_frontier.update(o for _s, _p, o in kg.store.triples_ids(node, pid))
             else:
-                next_frontier |= set(kg.store.subjects_ids(pid, node))
+                next_frontier.update(s for s, _p, _o in kg.store.triples_ids(None, pid, node))
         frontier = next_frontier
         if not frontier:
             break

@@ -113,7 +113,7 @@ class TestMergeEquivalence:
         }
         # Zero-delta index reads pass straight through to the base.
         s = base_triples[0][0]
-        assert overlay.out_index(s) == base.out_index(s)
+        assert list(overlay.triples_ids(s=s)) == list(base.triples_ids(s=s))
 
 
 class TestMutationSemantics:

@@ -1,8 +1,12 @@
 """Tests for the SPARQL parser."""
 
-import pytest
+import time
 
-from repro.exceptions import SPARQLSyntaxError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.exceptions import ReproError, SPARQLSyntaxError
 from repro.rdf import IRI, Literal
 from repro.sparql import (
     BooleanExpr,
@@ -160,6 +164,9 @@ class TestErrors:
             "SELECT ?x WHERE { ?x <ex:p> ?y } garbage",
             "SELECT ?x WHERE { ?x <> ?y }",
             "SELECT ?x WHERE { FILTER(?y ~ 3) ?x <ex:p> ?y }",
+            "SELECT ? WHERE { ?x ?y ?z }",
+            "SELECT ?x WHERE { ? <ex:p> ?y }",
+            "SELECT ?x WHERE { ?x <ex:p> ?y } ORDER BY DESC(?)",
         ],
     )
     def test_syntax_errors(self, bad):
@@ -168,3 +175,28 @@ class TestErrors:
 
     def test_returns_query_object(self):
         assert isinstance(parse_query("ASK { <ex:a> <ex:b> <ex:c> }"), Query)
+
+
+#: Every token kind the grammar knows, a few it does not, and the bare
+#: ``?`` (a path operator, never a variable).
+_TOKENS = (
+    "SELECT", "ASK", "WHERE", "DISTINCT", "COUNT", "FILTER", "ORDER", "BY",
+    "ASC", "DESC", "LIMIT", "OFFSET", "UNION", "OPTIONAL", "a",
+    "{", "}", "(", ")", ".", "*", "+", "/", "^", "|", "!", "?", "?x", "?y",
+    "=", "!=", "<", ">", "<=", ">=", "&&", "||",
+    "<ex:p>", "<ex:o>", "<>", '"v"', '"v"@en', '"1"^^<xsd:integer>', "3", "-1", "2.5",
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.sampled_from(_TOKENS), st.text(max_size=3)), max_size=24))
+def test_a_malformed_query_raises_only_a_repro_error(pieces):
+    """Whatever the text, ``parse_query`` returns a query or raises a
+    :class:`ReproError` — the one kind the CLI turns into an ``error:``
+    line — and does either at once."""
+    started = time.perf_counter()
+    try:
+        parse_query(" ".join(pieces))
+    except ReproError:
+        pass
+    assert time.perf_counter() - started < 1.0

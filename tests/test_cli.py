@@ -193,8 +193,9 @@ class TestUserErrors:
             (["sparql", "SELECT ?x WHERE {"], "missing '}'"),
             (["eval", "--snapshot", "/nonexistent.snap"], "/nonexistent.snap"),
             (["--trace", "sparql", "SELECT ?x WHERE {"], "missing '}'"),
+            (["sparql", "SELECT ? WHERE { ?x ?y ?z }"], "expected a variable, found '?'"),
         ],
-        ids=["sparql-syntax", "missing-snapshot", "traced"],
+        ids=["sparql-syntax", "missing-snapshot", "traced", "bare-question-mark"],
     )
     def test_repro_error_is_one_line_and_exit_two(self, capsys, argv, fragment):
         assert main(argv) == 2
