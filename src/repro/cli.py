@@ -72,7 +72,6 @@ def _engine_config(args):
         queue_limit=getattr(args, "queue_limit", defaults.queue_limit),
         deadline_s=getattr(args, "deadline", defaults.deadline_s) or None,
         cache_size=getattr(args, "cache_size", defaults.cache_size),
-        cache_ttl_s=getattr(args, "cache_ttl", defaults.cache_ttl_s),
         degrade_pressure=getattr(args, "degrade_pressure", defaults.degrade_pressure),
         enable_aggregation=args.aggregation,
     )
@@ -500,10 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-size", type=int, default=unset,
         help="answer cache entries (0 disables caching)",
-    )
-    serve.add_argument(
-        "--cache-ttl", type=float, default=unset,
-        help="answer cache TTL seconds",
     )
     serve.add_argument(
         "--degrade-pressure", type=float, default=unset,

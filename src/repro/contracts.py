@@ -44,7 +44,7 @@ def guarded_by(lock: str, *fields: str) -> Callable[[_C], _C]:
     Stack the decorator to declare several locks on one class::
 
         @guarded_by("_lock", "_entries")
-        class TTLCache: ...
+        class LRUCache: ...
 
     ``__init__`` (the object is not yet shared) is exempt from the static
     check; everything else that reads or writes a guarded field outside

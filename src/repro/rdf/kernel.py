@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from collections.abc import Mapping
 from functools import lru_cache, partial
 from itertools import compress, count
 from operator import itemgetter
@@ -151,17 +150,14 @@ def walk(store: TripleStore, start_id: int, path: Path) -> frozenset[int]:
 # --------------------------------------------------------------------- #
 
 class KernelRows(dict):
-    """``node → (steps, neighbors)`` over every row of one kernel, read
-    from the store's SPO and OSP runs.
+    """``node → (steps, neighbors)``: the rows of one kernel read so far.
 
-    What the ``dict`` part stores is the rows read so far, as Python
-    tuples; what the mapping *holds* is every row of the store — equality,
-    length, membership and iteration range over all of them, so a reader
-    cannot tell a row that has been read from one that has not.  A
-    subscript never raises: a node without a row yields the empty row and
-    stores nothing.  Reading is unsynchronised on purpose — two threads
-    may read one row; the tuples are immutable and equal, and the last
-    store wins.
+    A subscript of a node not yet read reads its row from the store's SPO
+    and OSP runs (:meth:`read`) and stores it, unless it is empty: a node
+    without a row yields the empty row and stores nothing.  Everything
+    else is the plain dict's, over the rows read so far.  Reading is
+    unsynchronised on purpose — two threads may read one row; the tuples
+    are immutable and equal, and the last store wins.
     """
 
     __slots__ = ("_store", "_structural", "_signatures")
@@ -174,11 +170,9 @@ class KernelRows(dict):
         touched: AbstractSet[int] = frozenset(),
     ) -> None:
         """The rows of ``store``; ``carried`` hands over another kernel's
-        boxed rows and signatures of every node outside ``touched`` — one
+        read rows and signatures of every node outside ``touched`` — one
         flat copy of each, so a kernel never refers to the one before."""
-        # ``dict.items``, not ``dict.copy``: a copy of a subclass goes
-        # through its ``keys()``, which ranges over every row of the store.
-        super().__init__(dict.items(carried) if carried is not None else ())
+        super().__init__(carried or ())
         self._store = store
         self._structural = structural
         #: Memoized :meth:`signature` per node.
@@ -231,11 +225,6 @@ class KernelRows(dict):
             signature = self._signatures[node] = frozenset(self[node][0])
         return signature
 
-    def boxed(self) -> int:
-        """How many rows exist as tuples: those read so far, and those a
-        patch carried over."""
-        return dict.__len__(self)
-
     def census(self) -> tuple[bytearray, int, int]:
         """``(marks, slots, entity_slots)`` of every row, in one pass over
         the store's POS runs, reading no row.
@@ -264,47 +253,6 @@ class KernelRows(dict):
                 else:  # 3 is the highest mark
                     marks[s] = marks[o] = 3
         return marks, slots, slots - literal_slots
-
-    # The dict protocol, over every row rather than the stored ones.
-
-    def __len__(self) -> int:
-        marks = self.census()[0]
-        return len(marks) - marks.count(0)
-
-    def __contains__(self, node: object) -> bool:
-        if dict.__contains__(self, node):
-            return True
-        return isinstance(node, int) and bool(self.read(node)[0])
-
-    def __iter__(self) -> Iterator[int]:
-        return compress(count(), self.census()[0])
-
-    def keys(self):  # type: ignore[override]
-        return list(self)
-
-    def items(self):  # type: ignore[override]
-        stored = dict.get
-        return [(node, stored(self, node) or self.read(node)) for node in self]
-
-    def values(self):  # type: ignore[override]
-        return [row for _node, row in self.items()]
-
-    def get(self, node, default=None):  # type: ignore[override]
-        row = self[node]
-        return row if row[0] else default
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Mapping):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            node in other and other[node] == row for node, row in self.items()
-        )
-
-    def __ne__(self, other: object) -> bool:
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 @guarded_by("_region_lock", "_regions")
@@ -358,9 +306,13 @@ class AdjacencyKernel:
         # kernel would make every replaced kernel cyclic garbage.
         self.walk_path = lru_cache(maxsize=_WALK_CACHE_SIZE)(partial(walk, store))
 
-    def full_rows(self) -> KernelRows:
-        """The complete per-node row index (read-only)."""
-        return self._full
+    def full_rows(self) -> dict[int, AdjacencyRow]:
+        """A new dict of every node's row, read from the store now.
+
+        Nothing is memoized: ``rows_boxed`` is the same after the call.
+        """
+        read = self._full.read
+        return {node: read(node) for node in compress(count(), self._full.census()[0])}
 
     def _can_patch(self, old: "AdjacencyKernel") -> bool:
         """Whether ``old``'s rows can be carried forward.
@@ -504,7 +456,7 @@ class AdjacencyKernel:
         walks = self.walk_path.cache_info()
         return {
             **sizes,
-            "rows_boxed": self._full.boxed(),
+            "rows_boxed": len(self._full),
             "directory_steps": len(self._directory),
             "walk_cache_hits": walks.hits,
             "walk_cache_misses": walks.misses,

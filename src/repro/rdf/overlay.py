@@ -57,8 +57,8 @@ from typing import Iterable, Iterator
 from repro.contracts import guarded_by
 from repro.rdf.backend import IdTriple, StoreBackend
 
-#: Shared empty views; callers treat every returned set/mapping as
-#: immutable, so one instance suffices.
+#: Defaults for a missing row or cell in the delta's own lookups; never
+#: handed out, and never mutated.
 _EMPTY_SET: frozenset[int] = frozenset()
 _EMPTY_MAP: dict[int, frozenset[int]] = {}
 
@@ -180,13 +180,21 @@ class _DeltaIndex:
     def count(
         self, s: int | None = None, p: int | None = None, o: int | None = None
     ) -> int:
-        if s is None and p is None and o is None:
-            return self._size
-        if s is not None and p is not None and o is None:
-            return len(self._spo.get(s, _EMPTY_MAP).get(p, _EMPTY_SET))
-        if p is not None and o is not None and s is None:
-            return len(self._pos.get(p, _EMPTY_MAP).get(o, _EMPTY_SET))
-        return sum(1 for _ in self.triples_ids(s, p, o))
+        """Matches of a pattern, from the lengths of one row's sets."""
+        if s is not None:
+            if p is not None:
+                objects = self._spo.get(s, _EMPTY_MAP).get(p, _EMPTY_SET)
+                return len(objects) if o is None else int(o in objects)
+            if o is not None:
+                return len(self._osp.get(o, _EMPTY_MAP).get(s, _EMPTY_SET))
+            return sum(map(len, self._spo.get(s, _EMPTY_MAP).values()))
+        if p is not None:
+            if o is not None:
+                return len(self._pos.get(p, _EMPTY_MAP).get(o, _EMPTY_SET))
+            return sum(map(len, self._pos.get(p, _EMPTY_MAP).values()))
+        if o is not None:
+            return sum(map(len, self._osp.get(o, _EMPTY_MAP).values()))
+        return self._size
 
     def subject_ids(self) -> Iterator[int]:
         return iter(self._spo)

@@ -16,7 +16,7 @@ measured by the ``http_*`` workloads of ``bench/run.py``.
 import importlib
 
 from repro.serve.admission import AdmissionController, AdmissionRejected
-from repro.serve.cache import CachingLinker, TTLCache
+from repro.serve.cache import CachingLinker, LRUCache
 from repro.serve.engine import EngineConfig, QAEngine
 
 #: The transport's exports, by the module that defines them.  They are
@@ -44,10 +44,10 @@ __all__ = [
     "AdmissionRejected",
     "CachingLinker",
     "EngineConfig",
+    "LRUCache",
     "PreforkServer",
     "QAEngine",
     "QAServer",
-    "TTLCache",
     "build_server",
     "supports_reuseport",
 ]

@@ -1,4 +1,4 @@
-"""Serving-layer caches: LRU+TTL answer cache and entity-link cache.
+"""Serving-layer caches: the LRU answer cache and entity-link cache.
 
 **The contract: an entry is served only if recomputing it now would give
 the same value.**  A key names *what was asked* — the question exactly as
@@ -53,15 +53,16 @@ as when the version was part of the key:
   the engine did not publish itself (a direct store mutation followed by
   ``QAEngine.refresh``), raise a *floor* below which every entry is dead.
 
-Counters (``serve.cache.{hit,miss,stale,evict,expired}``, and the same
-under ``serve.link_cache.*``) live only in the :class:`repro.obs.Metrics`
-registry the owner passes in; ``TTLCache.stats`` reads them back from it.
+Staleness is the only expiry: an entry the contract still serves is
+exact, however old, so nothing expires by age.  Counters
+(``serve.cache.{hit,miss,stale,evict}``, and the same under
+``serve.link_cache.*``) live only in the :class:`repro.obs.Metrics`
+registry the owner passes in; ``LRUCache.stats`` reads them back from it.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
@@ -72,34 +73,27 @@ from repro.obs.metrics import Metrics
 
 
 @guarded_by("_lock", "_entries")
-class TTLCache:
-    """Thread-safe LRU cache whose entries also expire after ``ttl`` seconds.
+class LRUCache:
+    """Thread-safe LRU cache.
 
     ``maxsize=0`` disables the cache entirely (every ``get`` misses, ``put``
-    is a no-op) — the serving engine's cache-off switch.  ``clock`` is
-    injectable for deterministic TTL tests.  Hits, misses and evictions
-    are counted in ``metrics`` (a registry of its own when none is given)
-    and nowhere else.
+    is a no-op) — the serving engine's cache-off switch.  Hits, misses and
+    evictions are counted in ``metrics`` (a registry of its own when none
+    is given) and nowhere else.
     """
 
     def __init__(
         self,
         maxsize: int = 1024,
-        ttl: float = 300.0,
-        clock: Callable[[], float] = time.monotonic,
         metrics: Metrics | None = None,
         name: str = "serve.cache",
     ):
         if maxsize < 0:
             raise ValueError("maxsize must be >= 0")
-        if ttl <= 0:
-            raise ValueError("ttl must be positive")
         self.maxsize = maxsize
-        self.ttl = ttl
-        self.clock = clock
         self.metrics = metrics if metrics is not None else Metrics()
         self.name = name
-        self._entries: OrderedDict[Hashable, tuple[float, Any]] = OrderedDict()
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.Lock()
 
     def get(
@@ -107,22 +101,17 @@ class TTLCache:
     ) -> Any | None:
         """The cached value, or None on a miss (refreshes LRU order).
 
-        An entry past its TTL, or one ``fresh`` (when given) says no to,
-        is dropped and the lookup is a miss like any other; the two are
-        counted apart as ``{name}.expired`` and ``{name}.stale``.
+        An entry ``fresh`` (when given) says no to is dropped and the
+        lookup is a miss like any other, also counted as ``{name}.stale``.
         """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                stored_at, value = entry
-                if self.clock() - stored_at >= self.ttl:
-                    self.metrics.incr(f"{self.name}.expired")
-                elif fresh is not None and not fresh(value):
-                    self.metrics.incr(f"{self.name}.stale")
-                else:
+            value = self._entries.get(key)
+            if value is not None:
+                if fresh is None or fresh(value):
                     self._entries.move_to_end(key)
                     self.metrics.incr(f"{self.name}.hit")
                     return value
+                self.metrics.incr(f"{self.name}.stale")
                 del self._entries[key]
             self.metrics.incr(f"{self.name}.miss")
             return None
@@ -133,7 +122,7 @@ class TTLCache:
                 return
             if key in self._entries:
                 self._entries.move_to_end(key)
-            self._entries[key] = (self.clock(), value)
+            self._entries[key] = value
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
                 self.metrics.incr(f"{self.name}.evict")
@@ -150,7 +139,6 @@ class TTLCache:
         return {
             "size": len(self),
             "maxsize": self.maxsize,
-            "ttl_s": self.ttl,
             "hits": hits,
             "misses": misses,
             "evictions": counter(f"{self.name}.evict"),
@@ -235,7 +223,7 @@ class ReadStamps:
 
 
 class CachingLinker:
-    """An :class:`EntityLinker` wrapper sharing link candidates via a TTL cache.
+    """An :class:`EntityLinker` wrapper sharing link candidates via an LRU cache.
 
     Entity linking is the one per-question stage whose inputs repeat across
     *different* questions (the same argument phrase shows up everywhere),
@@ -245,7 +233,7 @@ class CachingLinker:
     phrase mapper's longest-match probe reads.
     """
 
-    def __init__(self, linker, cache: TTLCache, stamps: ReadStamps):
+    def __init__(self, linker, cache: LRUCache, stamps: ReadStamps):
         self._linker = linker
         self._cache = cache
         self._stamps = stamps

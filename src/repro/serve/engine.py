@@ -57,14 +57,13 @@ from repro.paraphrase.dictionary import ParaphraseDictionary
 from repro.rdf.graph import KnowledgeGraph
 from repro.rdf.terms import Term, Triple
 from repro.serve.admission import AdmissionController, AdmissionRejected
-from repro.serve.cache import CachingLinker, ReadStamps, Stamped, TTLCache
+from repro.serve.cache import CachingLinker, LRUCache, ReadStamps, Stamped
 
 __all__ = ["EngineConfig", "QAEngine", "AdmissionRejected"]
 
-#: Entity-link candidate cache: entries and TTL.  Constants, not
-#: :class:`EngineConfig` fields — no deployment has needed other values.
+#: Entity-link candidate cache entries.  A constant, not an
+#: :class:`EngineConfig` field — no deployment has needed another value.
 _LINK_CACHE_SIZE = 4096
-_LINK_CACHE_TTL_S = 600.0
 #: The degraded pipeline: its top-k and its candidate-list width.
 _DEGRADED_K = 3
 _DEGRADED_CANDIDATE_LIMIT = 3
@@ -78,10 +77,10 @@ class EngineConfig:
 
     Every field is a CLI flag: the global ``--k`` and ``--aggregation``,
     and ``repro serve``'s ``--pool-size``, ``--queue-limit``,
-    ``--deadline``, ``--cache-size``, ``--cache-ttl`` and
-    ``--degrade-pressure``.  The link-cache size/TTL, the degraded
-    pipeline's k and candidate width and the ingest admission budget are
-    not tunables at all: module constants above.
+    ``--deadline``, ``--cache-size`` and ``--degrade-pressure``.  The
+    link-cache size, the degraded pipeline's k and candidate width and the
+    ingest admission budget are not tunables at all: module constants
+    above.
     """
 
     k: int = 10                       # top-k matches per question
@@ -89,7 +88,6 @@ class EngineConfig:
     queue_limit: int = 12             # extra requests allowed to wait
     deadline_s: float | None = 10.0   # default per-request budget (None = off)
     cache_size: int = 1024            # answer cache entries (0 disables)
-    cache_ttl_s: float = 300.0        # answer cache TTL
     degrade_pressure: float = 0.75    # admission occupancy that triggers degradation
     enable_aggregation: bool = False  # superlative post-processing extension
 
@@ -102,12 +100,9 @@ class EngineConfig:
             raise EngineConfigError("degrade_pressure must be in [0, 1]")
         if self.cache_size < 0:
             raise EngineConfigError(f"cache_size must be >= 0: {self.cache_size}")
-        # NaN fails both comparisons; a deadline at NaN or inf never comes
-        # due, and an entry stored at a NaN TTL never expires.
+        # NaN fails both comparisons; a deadline at NaN or inf never comes due.
         if self.deadline_s is not None and not 0 < self.deadline_s < math.inf:
             raise EngineConfigError(f"deadline_s must be positive and finite: {self.deadline_s}")
-        if not 0 < self.cache_ttl_s < math.inf:
-            raise EngineConfigError(f"cache_ttl_s must be positive and finite: {self.cache_ttl_s}")
 
 
 @dataclass(slots=True)
@@ -174,18 +169,8 @@ class QAEngine:
         self.kg = kg
         self.dictionary = dictionary
         self.metrics = Metrics()
-        self.answer_cache = TTLCache(
-            maxsize=self.config.cache_size,
-            ttl=self.config.cache_ttl_s,
-            metrics=self.metrics,
-            name="serve.cache",
-        )
-        self.link_cache = TTLCache(
-            maxsize=_LINK_CACHE_SIZE,
-            ttl=_LINK_CACHE_TTL_S,
-            metrics=self.metrics,
-            name="serve.link_cache",
-        )
+        self.answer_cache = LRUCache(self.config.cache_size, self.metrics, "serve.cache")
+        self.link_cache = LRUCache(_LINK_CACHE_SIZE, self.metrics, "serve.link_cache")
         if base_linker is None:
             base_linker = EntityLinker(kg)
         #: What each write touched; both caches validate against it.

@@ -51,7 +51,7 @@ class TestGuardedBy:
 class TestRealClassesCarryContracts:
     def test_ttl_cache_and_metrics_declare_their_locks(self):
         from repro.obs.metrics import Metrics
-        from repro.serve.cache import TTLCache
+        from repro.serve.cache import LRUCache
 
-        assert getattr(TTLCache, GUARDED_FIELDS_ATTR)["_entries"] == "_lock"
+        assert getattr(LRUCache, GUARDED_FIELDS_ATTR)["_entries"] == "_lock"
         assert getattr(Metrics, GUARDED_FIELDS_ATTR)["counters"] == "_lock"

@@ -175,12 +175,22 @@ class TestNoForksGrowBack:
         ]
         for name in ("rows_from_sorted_triples", "over_columns"):
             assert not hasattr(repro.rdf.kernel, name), name
-        for member in ("over_columns", "columns", "patched", "scan", "directory"):
+        for member in ("over_columns", "columns", "patched", "scan", "directory", "boxed"):
             assert not hasattr(KernelRows, member), member
+        # The memo is a plain dict of the rows read so far: it does not
+        # pass itself off as a mapping of every row.
+        for member in (
+            "__len__", "__contains__", "__iter__", "keys", "items", "values",
+            "get", "__eq__", "__ne__", "__hash__",
+        ):
+            assert member not in vars(KernelRows), member
         assert not hasattr(AdjacencyKernel, "_rebuild_row")
         kernel = AdjacencyKernel(build_dbpedia_mini().store)
         assert kernel.statistics()["rows_boxed"] == 0 < kernel.statistics()["nodes_full"]
-        node = sorted(kernel.full_rows())[0]
+        rows = kernel.full_rows()
+        assert type(rows) is dict and len(rows) == kernel.statistics()["nodes_full"]
+        assert kernel.statistics()["rows_boxed"] == 0
+        node = sorted(rows)[0]
         assert kernel.adjacency(node) is kernel.adjacency(node)
         assert kernel.statistics()["rows_boxed"] == 1
 
@@ -246,7 +256,7 @@ class TestNoForksGrowBack:
 
         assert [field.name for field in dataclasses.fields(EngineConfig)] == [
             "k", "pool_size", "queue_limit", "deadline_s", "cache_size",
-            "cache_ttl_s", "degrade_pressure", "enable_aggregation",
+            "degrade_pressure", "enable_aggregation",
         ]
 
     def test_tracers_are_per_call_or_process_wide_never_per_instance(self):
@@ -308,7 +318,7 @@ class TestNoForksGrowBack:
         import repro.serve
         from repro.datasets import build_dbpedia_mini
         from repro.paraphrase import ParaphraseDictionary
-        from repro.serve import AdmissionController, EngineConfig, QAEngine, TTLCache
+        from repro.serve import AdmissionController, EngineConfig, LRUCache, QAEngine
 
         for name in ("normalize_question", "answer_cache_key"):
             assert not hasattr(repro.serve, name), name
@@ -316,7 +326,7 @@ class TestNoForksGrowBack:
         assert not hasattr(repro.obs, "MetricsLike")
         engine = QAEngine(build_dbpedia_mini(), ParaphraseDictionary())
         instances = (
-            TTLCache(), AdmissionController(1), engine.answer_cache,
+            LRUCache(), AdmissionController(1), engine.answer_cache,
             engine.link_cache, engine.admission, engine.write_admission,
         )
         for instance in instances:

@@ -349,10 +349,34 @@ class TestRowsAreStoreReads:
         kernel = AdjacencyKernel(store)
         expected = oracle_rows(store, kernel.structural_predicate_ids)
         assert kernel.statistics()["nodes_full"] == len(expected)
+        rows = kernel.full_rows()
+        assert type(rows) is dict and rows == expected
+        assert kernel.statistics()["rows_boxed"] == 0  # reading every row memoizes none
         for node in range(len(store.dictionary) + 1):
             assert kernel.adjacency(node) == expected.get(node, ((), ()))
-        assert kernel.full_rows() == expected
         assert kernel.statistics()["rows_boxed"] == len(expected)
+        assert kernel.full_rows() == expected
+
+    def test_a_patched_refresh_reads_the_oracle_rows(self, store):
+        kg = KnowledgeGraph(store if store.writable else store.overlay())
+        for node in range(len(kg.store.dictionary)):
+            kg.kernel.adjacency(node)  # every row boxed, for the patch to carry
+        rng = random.Random(17)
+        existing = sorted(kg.store.triples(), key=repr)
+        for triple in rng.sample(existing, 10):
+            kg.store.remove(triple)
+        kg.store.add_all(
+            Triple(t.subject, IRI("pin:patched"), rng.choice(existing).object)
+            for t in rng.sample(existing, 10)
+        )
+        kg.refresh(incremental=True)
+        kernel = kg.kernel
+        carried = kernel.statistics()["rows_boxed"]
+        assert carried > 0
+        rows = kernel.full_rows()
+        assert type(rows) is dict
+        assert rows == oracle_rows(kg.store, kernel.structural_predicate_ids)
+        assert kernel.statistics()["rows_boxed"] == carried
 
     def test_every_signed_step_reads_its_oracle_carriers(self, store):
         kernel = AdjacencyKernel(store)
@@ -393,7 +417,9 @@ class TestRowsAreStoreReads:
         assert expected_dirty != expected
         assert AdjacencyKernel(dirty).full_rows() == expected_dirty
         patched = AdjacencyKernel(dirty, patch_from=stale)
+        boxed = patched.statistics()["rows_boxed"]
         assert patched.full_rows() == expected_dirty
+        assert patched.statistics()["rows_boxed"] == boxed
         touched = dirty.backend.touched_since(stale.store_version)
         for node, row in expected_dirty.items():
             if node not in touched:

@@ -28,7 +28,7 @@ from repro.rdf import IRI, Literal, Triple
 from repro.rdf.backend import CompactBackend
 from repro.rdf.graph import KnowledgeGraph
 from repro.rdf.kernel import AdjacencyKernel
-from repro.rdf.overlay import OverlayBackend
+from repro.rdf.overlay import OverlayBackend, _DeltaIndex
 from repro.rdf.shard import ShardedBackend
 from repro.rdf.store import TripleStore
 from tests.rdf.store_checks import assert_matches_model
@@ -114,6 +114,37 @@ class TestMergeEquivalence:
         # Zero-delta index reads pass straight through to the base.
         s = base_triples[0][0]
         assert list(overlay.triples_ids(s=s)) == list(base.triples_ids(s=s))
+
+    def test_every_delta_count_shape_is_a_row_read(self, monkeypatch):
+        """A count over the adds or the tombstones reads the sizes of one
+        row's sets; it never iterates the triples it counts."""
+        rng = random.Random(3)
+        base_triples = random_triples(rng, 60, subjects=6, predicates=4, objects=6)
+        overlay = OverlayBackend(frozen_base(base_triples))
+        for triple in base_triples[::4]:
+            overlay.remove(*triple)
+        overlay.add_all_ids(random_triples(rng, 40, subjects=7, predicates=5, objects=7))
+        live = set(overlay.triples_ids())
+        assert overlay.delta_statistics()["tombstones"] and overlay.delta_statistics()["delta_adds"]
+
+        def iterated(*_args, **_kwargs):
+            raise AssertionError("a delta count iterated its triples")
+
+        monkeypatch.setattr(_DeltaIndex, "triples_ids", iterated)
+        subjects = (None, *range(8))
+        predicates = (None, *range(1000, 1006))
+        objects = (None, *range(2000, 2008))
+        for s in subjects:
+            for p in predicates:
+                for o in objects:
+                    pattern = (s, p, o)
+                    expected = sum(
+                        all(bound is None or bound == value for bound, value in zip(pattern, t))
+                        for t in live
+                    )
+                    assert overlay.count(s, p, o) == expected, pattern
+                    for delta in (overlay._adds, overlay._tombs):
+                        delta.count(s, p, o)
 
 
 class TestMutationSemantics:
@@ -305,7 +336,7 @@ class TestKernelPatch:
         cold = AdjacencyKernel(store)
         assert patched.full_rows() == cold.full_rows()
         for node, row in cold.full_rows().items():
-            assert patched.full_rows()[node] == row
+            assert patched.adjacency(node) == row
 
     def test_untouched_rows_reused_by_reference(self, setup):
         kg = self._overlay_kg(setup)
@@ -323,7 +354,7 @@ class TestKernelPatch:
         assert old.statistics()["rows_boxed"] == len(boxed)
         reused = [n for n in boxed if n not in dirty]
         assert patched.statistics()["rows_boxed"] == len(reused)
-        new_rows = patched.full_rows()
+        new_rows = patched._full
         assert reused and dirty & set(boxed)
         for node in reused:
             assert new_rows[node] is boxed[node]
@@ -397,7 +428,7 @@ class TestKernelPatch:
 
     def test_refresh_incremental_matches_cold(self, setup):
         kg = self._overlay_kg(setup)
-        before = dict(kg.kernel.full_rows().items())
+        before = kg.kernel.full_rows()
         kg.store.add(Triple(IRI("res:Berlin"), IRI("bench:rel"), IRI("bench:x")))
         kg.refresh(incremental=True)
         assert kg.kernel.full_rows() == AdjacencyKernel(kg.store).full_rows()

@@ -1,45 +1,27 @@
-"""Cache semantics: LRU+TTL, read-scope stamps, linker cache."""
+"""Cache semantics: LRU, read-scope stamps, linker cache."""
 
 import pytest
 
 from repro.linking.index import lookup_words
 from repro.match.candidates import ReadScope
 from repro.obs.metrics import Metrics
-from repro.serve.cache import CachingLinker, ReadStamps, Stamped, TTLCache
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 1000.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
+from repro.serve.cache import CachingLinker, LRUCache, ReadStamps, Stamped
 
 
 class TestTTLCache:
+    """:class:`LRUCache`, the answer and link caches' store (named
+    ``TTLCache`` while its entries also expired by age)."""
+
     def test_hit_after_put(self):
-        cache = TTLCache(maxsize=4, ttl=60.0)
+        cache = LRUCache(maxsize=4)
         cache.put("k", "v")
         assert cache.get("k") == "v"
 
     def test_miss_on_absent_key(self):
-        assert TTLCache().get("nope") is None
-
-    def test_entries_expire_after_ttl(self):
-        clock = FakeClock()
-        cache = TTLCache(maxsize=4, ttl=30.0, clock=clock)
-        cache.put("k", "v")
-        clock.advance(29.9)
-        assert cache.get("k") == "v"
-        clock.advance(0.2)
-        assert cache.get("k") is None
-        assert len(cache) == 0  # the expired entry was dropped
+        assert LRUCache().get("nope") is None
 
     def test_lru_eviction_keeps_recently_used(self):
-        cache = TTLCache(maxsize=2, ttl=60.0)
+        cache = LRUCache(maxsize=2)
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1  # refresh a's recency
@@ -49,44 +31,37 @@ class TestTTLCache:
         assert cache.get("c") == 3
 
     def test_maxsize_zero_disables(self):
-        cache = TTLCache(maxsize=0)
+        cache = LRUCache(maxsize=0)
         cache.put("k", "v")
         assert cache.get("k") is None
         assert len(cache) == 0
 
     def test_counters_reported_to_metrics(self):
         metrics = Metrics()
-        clock = FakeClock()
-        cache = TTLCache(maxsize=1, ttl=10.0, clock=clock, metrics=metrics, name="t")
+        cache = LRUCache(maxsize=1, metrics=metrics, name="t")
         cache.get("missing")
         cache.put("a", 1)
         cache.get("a")
         cache.put("b", 2)  # evicts a
-        clock.advance(11)
-        cache.get("b")     # expired
+        cache.get("a")
         counters = metrics.snapshot()["counters"]
-        assert counters["t.miss"] == 2
-        assert counters["t.hit"] == 1
-        assert counters["t.evict"] == 1
-        assert counters["t.expired"] == 1
+        assert counters == {"t.miss": 2, "t.hit": 1, "t.evict": 1}
 
     def test_stats_shape_and_hit_rate(self):
-        cache = TTLCache(maxsize=8, ttl=60.0)
+        cache = LRUCache(maxsize=8)
         cache.put("a", 1)
         cache.get("a")
         cache.get("b")
-        stats = cache.stats()
-        assert stats["size"] == 1
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["hit_rate"] == 0.5
+        assert cache.stats() == {
+            "size": 1, "maxsize": 8, "hits": 1, "misses": 1, "evictions": 0, "hit_rate": 0.5,
+        }
 
     def test_stats_are_read_from_the_registry(self):
         """The registry is the only tally: ``stats()`` holds no count of
         its own, and two caches in one registry keep apart by name."""
         metrics = Metrics()
-        cache = TTLCache(maxsize=1, ttl=60.0, metrics=metrics, name="t")
-        other = TTLCache(maxsize=1, ttl=60.0, metrics=metrics, name="u")
+        cache = LRUCache(maxsize=1, metrics=metrics, name="t")
+        other = LRUCache(maxsize=1, metrics=metrics, name="u")
         cache.put("a", 1)
         cache.get("a")
         cache.put("b", 2)
@@ -98,13 +73,13 @@ class TestTTLCache:
         assert cache.stats()["hits"] == 3
         assert cache.stats()["hit_rate"] == 0.75
         assert (other.stats()["hits"], other.stats()["misses"]) == (0, 1)
-        assert isinstance(TTLCache().metrics, Metrics)
+        assert isinstance(LRUCache().metrics, Metrics)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            TTLCache(maxsize=-1)
-        with pytest.raises(ValueError):
-            TTLCache(ttl=0)
+            LRUCache(maxsize=-1)
+        with pytest.raises(TypeError):
+            LRUCache(ttl=60.0)  # entries do not expire by age
 
 
 class TestFreshness:
@@ -112,7 +87,7 @@ class TestFreshness:
 
     def test_rejected_entry_is_a_counted_miss_and_is_dropped(self):
         metrics = Metrics()
-        cache = TTLCache(maxsize=4, ttl=60.0, metrics=metrics, name="c")
+        cache = LRUCache(maxsize=4, metrics=metrics, name="c")
         cache.put("q", "old")
         assert cache.get("q", lambda value: value != "old") is None
         assert len(cache) == 0
@@ -120,18 +95,17 @@ class TestFreshness:
         assert (stats["hits"], stats["misses"], stats["hit_rate"]) == (0, 1, 0.0)
         assert metrics.counter("c.stale") == 1
         assert metrics.counter("c.miss") == 1
-        # Not an eviction and not an expiry: their counters do not move.
+        # Not an eviction: its counter does not move.
         assert stats["evictions"] == 0
-        assert metrics.counter("c.expired") == 0
 
     def test_accepted_entry_is_a_hit(self):
-        cache = TTLCache(maxsize=4, ttl=60.0)
+        cache = LRUCache(maxsize=4)
         cache.put("q", "v")
         assert cache.get("q", lambda value: True) == "v"
         assert cache.stats()["hits"] == 1
 
     def test_recomputation_replaces_the_entry(self):
-        cache = TTLCache(maxsize=4, ttl=60.0)
+        cache = LRUCache(maxsize=4)
         for generation in range(50):
             cache.get("q", lambda value: False)
             cache.put("q", generation)
@@ -210,14 +184,14 @@ class _CountingLinker:
 class TestCachingLinker:
     def test_second_lookup_is_cached(self):
         inner = _CountingLinker()
-        linker = CachingLinker(inner, TTLCache(), ReadStamps(0))
+        linker = CachingLinker(inner, LRUCache(), ReadStamps(0))
         first = linker.link("Berlin")
         second = linker.link("Berlin")
         assert first == second == ["cand:Berlin"]
         assert inner.calls == 1
 
     def test_returned_lists_are_independent_copies(self):
-        linker = CachingLinker(_CountingLinker(), TTLCache(), ReadStamps(0))
+        linker = CachingLinker(_CountingLinker(), LRUCache(), ReadStamps(0))
         first = linker.link("Berlin")
         first.append("mutated")
         assert linker.link("Berlin") == ["cand:Berlin"]
@@ -227,7 +201,7 @@ class TestCachingLinker:
         only then."""
         inner = _CountingLinker()
         stamps = ReadStamps(0)
-        linker = CachingLinker(inner, TTLCache(), stamps)
+        linker = CachingLinker(inner, LRUCache(), stamps)
         linker.link("Berlin Walls")
         stamps.publish(1, predicates=[5], words=["paris"])
         linker.link("Berlin Walls")
@@ -241,5 +215,5 @@ class TestCachingLinker:
         assert inner.calls == 2
 
     def test_delegates_other_attributes(self):
-        linker = CachingLinker(_CountingLinker(), TTLCache(), ReadStamps(0))
+        linker = CachingLinker(_CountingLinker(), LRUCache(), ReadStamps(0))
         assert linker.index == "the-index"

@@ -173,13 +173,13 @@ class TestEngineIngest:
         finally:
             written.set()
             system.answer = original
-        assert [e.version for _at, e in engine_rw.answer_cache._entries.values()] == [
+        assert [e.version for e in engine_rw.answer_cache._entries.values()] == [
             stale_version
         ]
         after = engine_rw.ask(BERLIN_Q)
         assert after["cached"] is False
         assert "t:NewMayor" in after["answers"]
-        assert [e.version for _at, e in engine_rw.answer_cache._entries.values()] == [
+        assert [e.version for e in engine_rw.answer_cache._entries.values()] == [
             engine_rw.store_version
         ]
         assert engine_rw.ask(BERLIN_Q)["cached"] is True

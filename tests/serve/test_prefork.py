@@ -137,7 +137,7 @@ def _run_in_fork(child) -> bytes:
 
 
 class TestForkHygiene:
-    CONFIG = EngineConfig(pool_size=2, queue_limit=2, cache_ttl_s=0.15)
+    CONFIG = EngineConfig(pool_size=2, queue_limit=2)
 
     def test_worker_engine_owes_nothing_to_a_busy_parent_engine(self, kg, dictionary):
         """The hazard itself: fork while a served engine's locks are all
@@ -181,38 +181,6 @@ class TestForkHygiene:
         assert parent.ask(BERLIN_Q)["answers"] == ["res:Klaus_Wowereit"]
         parent.close()
 
-    def test_ttl_eviction_works_in_forked_worker(self, kg, dictionary):
-        """Cache timestamps are per-process monotonic anchors.  A worker
-        that inherited a parent engine's entries would compare the
-        parent's anchors against its own clock; an engine built after the
-        fork has only entries it stamped itself, and its hit/miss history
-        is its own."""
-        factory = QAEngine.factory(kg, dictionary, self.CONFIG)
-        parent = factory()
-        parent.warm()
-        try:
-            parent.ask(BERLIN_Q)
-            parent.ask(BERLIN_Q)
-            assert parent.answer_cache.stats()["hits"] == 1
-
-            def child() -> bytes:
-                engine = factory()
-                engine.warm()
-                first = engine.ask(BERLIN_Q)
-                again = engine.ask(BERLIN_Q)
-                assert not first["cached"] and again["cached"]
-                time.sleep(0.2)  # past cache_ttl_s on the child's clock
-                expired = engine.ask(BERLIN_Q)
-                assert not expired["cached"]
-                stats = engine.answer_cache.stats()
-                engine.close()
-                return json.dumps([first["answers"], stats["hits"]]).encode()
-
-            answers, child_hits = json.loads(_run_in_fork(child))
-            assert answers == ["res:Klaus_Wowereit"]
-            assert child_hits == 1
-        finally:
-            parent.close()
 
 
 # --------------------------------------------------------------------- #

@@ -281,8 +281,7 @@ class TestUserErrors:
 
     @pytest.mark.parametrize(
         "flag, value, field",
-        [("--cache-size", "-1", "cache_size"), ("--cache-ttl", "-1", "cache_ttl_s"),
-         ("--cache-ttl", "0", "cache_ttl_s"), ("--cache-ttl", "nan", "cache_ttl_s")],
+        [("--cache-size", "-1", "cache_size")],
     )
     def test_a_cache_it_cannot_serve_under_is_refused_before_loading(
         self, capsys, monkeypatch, flag, value, field
@@ -320,6 +319,15 @@ class TestUserErrors:
         err = capsys.readouterr().err
         (line,) = [line for line in err.splitlines() if "error:" in line]
         assert message in line
+        assert "Traceback" not in err
+
+    def test_the_cache_has_no_ttl_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--cache-ttl", "5"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert "unrecognized arguments: --cache-ttl 5" in line
         assert "Traceback" not in err
 
     def test_zero_distractors_and_one_worker_still_parse(self):
