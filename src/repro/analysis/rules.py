@@ -93,7 +93,9 @@ class LockDisciplineRule(Rule):
             )
 
 
-_MUTATING_STORE_METHODS = ("add", "add_all", "add_all_ids", "remove")
+_MUTATING_STORE_METHODS = (
+    "add", "add_all", "add_all_ids", "remove", "remove_all", "remove_all_ids",
+)
 _FROZEN_CONSTRUCTORS = (
     "CompactBackend",
     "CompactBackend.from_triples",

@@ -28,15 +28,13 @@ states, which is all the serve layer's cached entries and write stamps
 compare).
 
 Concurrency: writers serialize on ``_write_lock``; readers are lock-free.
-Both delta indexes publish **copy-on-write rows** — the per-key inner
-dicts and their frozenset leaves are never mutated after being assigned
-into the outer dict, so a reader holding a row sees one consistent
-generation of it.  A batch publishes each row it touches once, however
-many of its triples land there, which is what makes a bulk add cost one
-pass over the batch rather than a row copy per triple.  Full-scan reads
-snapshot outer key sets before iterating.  A read that races a write may
-observe the store just before or just after that write's rows (either is
-a linearizable outcome); it never observes a torn row.
+The overlay's state — delta adds, tombstones, version — is one immutable
+value.  A write builds the next one from the current (fresh outer dicts
+over the reused copy-on-write rows, so it costs the delta's keys, not its
+triples) and publishes it with one attribute store; every read binds the
+state once and reads only that binding.  A reader therefore sees the
+store just before a batch or just after it, never inside it — not a
+triple by subject that its object does not yet list.
 
 The overlay also logs the two endpoints of every mutation, in version
 order (:meth:`touched_since`), which is what lets a patched
@@ -52,7 +50,7 @@ from __future__ import annotations
 import threading
 from array import array
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.contracts import guarded_by
 from repro.rdf.backend import IdTriple, StoreBackend
@@ -68,52 +66,45 @@ _DeltaPerm = dict[int, dict[int, frozenset[int]]]
 #: Where each permutation's (outer, inner, value) sit in an SPO triple.
 _KEY_ORDERS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
+#: The base's vocabulary iterator for each triple position.
+_VOCABULARY = ("subject_ids", "predicate_ids", "object_ids")
+
 
 class _DeltaIndex:
-    """Three permutation indexes (SPO, POS, OSP) as two-level dicts with
-    copy-on-write rows.
+    """Three permutation indexes (SPO, POS, OSP) as two-level dicts — an
+    immutable value.
 
     ``_spo``/``_pos``/``_osp`` map outer key → inner key → frozenset of
-    values.  Writes never edit a published row in place: a batch builds
-    one replacement per touched row and assigns it into the outer index,
-    so lock-free readers always see a complete row.  All mutation happens
-    under the owning overlay's write lock.  Each read binds a row once
-    and reads only that binding, and the full scan snapshots the outer
-    keys before iterating.
+    values.  Nothing in an index is edited once it is built:
+    :meth:`edited` returns a new index whose outer dicts are fresh copies
+    holding one replacement for each row the batch touches and the very
+    same rows for every other key.
     """
 
     __slots__ = ("_spo", "_pos", "_osp", "_size")
 
-    def __init__(self) -> None:
-        self._spo: _DeltaPerm = {}
-        self._pos: _DeltaPerm = {}
-        self._osp: _DeltaPerm = {}
-        self._size = 0
+    def __init__(self, spo: _DeltaPerm, pos: _DeltaPerm, osp: _DeltaPerm, size: int):
+        self._spo = spo
+        self._pos = pos
+        self._osp = osp
+        self._size = size
 
     def __len__(self) -> int:
         return self._size
 
-    # ------------------------------------------------------------------ #
-    # Writes
-    # ------------------------------------------------------------------ #
-
-    def insert(self, triples: list[IdTriple]) -> None:
-        """Add triples the index does not hold."""
-        self._publish(triples, insert=True)
-        self._size += len(triples)
-
-    def discard(self, triples: list[IdTriple]) -> None:
-        """Drop triples the index holds."""
-        self._publish(triples, insert=False)
-        self._size -= len(triples)
-
-    def _publish(self, triples: list[IdTriple], insert: bool) -> None:
-        """Group ``triples`` by row in each permutation, then publish every
-        touched row once: a fresh dict over fresh frozensets."""
+    def edited(self, triples: list[IdTriple], insert: bool) -> "_DeltaIndex":
+        """This index with ``triples`` added (``insert``: none is held) or
+        dropped (all are held).  Each permutation groups the batch by row
+        and builds every touched row once: a fresh dict over fresh
+        frozensets."""
+        if not triples:
+            return self
+        perms: list[_DeltaPerm] = []
         for perm, (a, b, c) in zip((self._spo, self._pos, self._osp), _KEY_ORDERS):
             changes: dict[int, dict[int, set[int]]] = {}
             for triple in triples:
                 changes.setdefault(triple[a], {}).setdefault(triple[b], set()).add(triple[c])
+            perm = dict(perm)
             for outer, edits in changes.items():
                 row = dict(perm.get(outer, _EMPTY_MAP))
                 for inner, values in edits.items():
@@ -127,6 +118,8 @@ class _DeltaIndex:
                     perm[outer] = row
                 else:
                     del perm[outer]
+            perms.append(perm)
+        return _DeltaIndex(*perms, self._size + (len(triples) if insert else -len(triples)))
 
     # ------------------------------------------------------------------ #
     # Reads
@@ -172,8 +165,8 @@ class _DeltaIndex:
                 for pid in preds:
                     yield (sid, pid, o)
         else:
-            for sid in list(self._spo):
-                for pid, objects in self._spo.get(sid, _EMPTY_MAP).items():
+            for sid, row in self._spo.items():
+                for pid, objects in row.items():
                     for oid in objects:
                         yield (sid, pid, oid)
 
@@ -196,14 +189,20 @@ class _DeltaIndex:
             return sum(map(len, self._osp.get(o, _EMPTY_MAP).values()))
         return self._size
 
-    def subject_ids(self) -> Iterator[int]:
-        return iter(self._spo)
+    def rows(self, position: int) -> _DeltaPerm:
+        """The permutation keyed by triple ``position`` (0 = s, 1 = p, 2 = o)."""
+        return (self._spo, self._pos, self._osp)[position]
 
-    def predicate_ids(self) -> Iterator[int]:
-        return iter(self._pos)
 
-    def object_ids(self) -> Iterator[int]:
-        return iter(self._osp)
+_EMPTY_DELTA = _DeltaIndex({}, {}, {}, 0)
+
+
+class _State(NamedTuple):
+    """What the overlay holds beyond its base at one version, replaced whole."""
+
+    adds: _DeltaIndex
+    tombs: _DeltaIndex
+    version: int
 
 
 @guarded_by("_write_lock", "_touched")
@@ -216,7 +215,7 @@ class OverlayBackend:
     docstring for merge and concurrency semantics.
     """
 
-    __slots__ = ("_base", "_adds", "_tombs", "_version", "_touched", "_write_lock")
+    __slots__ = ("_base", "_state", "_touched", "_write_lock")
 
     def __init__(self, base: StoreBackend):
         if base.writable:
@@ -225,9 +224,7 @@ class OverlayBackend:
                 "ShardedBackend); compact the store first"
             )
         self._base = base
-        self._adds = _DeltaIndex()
-        self._tombs = _DeltaIndex()
-        self._version = base.version
+        self._state = _State(_EMPTY_DELTA, _EMPTY_DELTA, base.version)
         #: Subject and object of each mutation, in version order: those of
         #: the one that made version ``base.version + k`` sit at
         #: ``2k - 2`` and ``2k - 1`` (every mutation bumps the version by one).
@@ -245,17 +242,19 @@ class OverlayBackend:
 
     @property
     def version(self) -> int:
-        return self._version
+        return self._state.version
 
     def __len__(self) -> int:
-        return len(self._base) - len(self._tombs) + len(self._adds)
+        adds, tombs, _version = self._state
+        return len(self._base) - len(tombs) + len(adds)
 
     def delta_statistics(self) -> dict[str, int]:
         """Sizes of the overlay's moving parts (serve-layer stats)."""
+        adds, tombs, _version = self._state
         return {
             "base_triples": len(self._base),
-            "delta_adds": len(self._adds),
-            "tombstones": len(self._tombs),
+            "delta_adds": len(adds),
+            "tombstones": len(tombs),
         }
 
     # ------------------------------------------------------------------ #
@@ -267,19 +266,19 @@ class OverlayBackend:
         triples were new.
 
         Each distinct triple, in input order, clears a tombstone, is
-        already present, or is new to the delta.  Every delta row the
-        batch touches is then published once, and only after that do the
-        version and the touched log advance: one step per change, in
-        input order.  Batch ingestion never collapses distinct store
-        states into one version, or a cache keyed mid-batch could alias
-        the final state.  A source that raises leaves the overlay as it
-        was.
+        already present, or is new to the delta.  The batch's next state
+        is then built and published at once, its version advanced by one
+        step per change, and the touched log extended in input order.
+        Batch ingestion never collapses distinct store states into one
+        version, or a cache keyed mid-batch could alias the final state.
+        A source that raises leaves the overlay as it was.
         """
         with self._write_lock:
             revived: list[IdTriple] = []
             fresh: list[IdTriple] = []
             changed: list[IdTriple] = []
-            tombs, adds, base = self._tombs, self._adds, self._base
+            adds, tombs, version = self._state
+            base = self._base
             for triple in dict.fromkeys(triples):
                 if tombs.contains(*triple):
                     revived.append(triple)
@@ -288,23 +287,46 @@ class OverlayBackend:
                 else:
                     fresh.append(triple)
                 changed.append(triple)
-            tombs.discard(revived)
-            adds.insert(fresh)
-            self._version += len(changed)
+            self._state = _State(
+                adds.edited(fresh, insert=True),
+                tombs.edited(revived, insert=False),
+                version + len(changed),
+            )
+            self._touched.extend(chain.from_iterable((s, o) for s, _p, o in changed))
+        return len(changed)
+
+    def remove_all_ids(self, triples: Iterable[IdTriple]) -> int:
+        """Bulk delete, the mirror of :meth:`add_all_ids`; returns how many
+        triples were present.
+
+        Each distinct triple, in input order, leaves the delta, is
+        tombstoned (a live base triple) or is absent; the next state is
+        published at once, one version step per change.
+        """
+        with self._write_lock:
+            dropped: list[IdTriple] = []
+            buried: list[IdTriple] = []
+            changed: list[IdTriple] = []
+            adds, tombs, version = self._state
+            base = self._base
+            for triple in dict.fromkeys(triples):
+                if adds.contains(*triple):
+                    dropped.append(triple)
+                elif base.contains(*triple) and not tombs.contains(*triple):
+                    buried.append(triple)
+                else:
+                    continue
+                changed.append(triple)
+            self._state = _State(
+                adds.edited(dropped, insert=False),
+                tombs.edited(buried, insert=True),
+                version + len(changed),
+            )
             self._touched.extend(chain.from_iterable((s, o) for s, _p, o in changed))
         return len(changed)
 
     def remove(self, s: int, p: int, o: int) -> bool:
-        with self._write_lock:
-            if self._adds.contains(s, p, o):
-                self._adds.discard([(s, p, o)])
-            elif self._base.contains(s, p, o) and not self._tombs.contains(s, p, o):
-                self._tombs.insert([(s, p, o)])
-            else:
-                return False
-            self._version += 1
-            self._touched.extend((s, o))
-        return True
+        return self.remove_all_ids(((s, p, o),)) == 1
 
     def touched_since(self, version: int) -> set[int]:
         """Nodes (subjects/objects) touched by mutations after ``version``.
@@ -320,18 +342,19 @@ class OverlayBackend:
             return set(self._touched[2 * first:])
 
     # ------------------------------------------------------------------ #
-    # Reads
+    # Reads — each binds the state once
     # ------------------------------------------------------------------ #
 
     def contains(self, s: int, p: int, o: int) -> bool:
-        if self._adds.contains(s, p, o):
+        adds, tombs, _version = self._state
+        if adds.contains(s, p, o):
             return True
-        return self._base.contains(s, p, o) and not self._tombs.contains(s, p, o)
+        return self._base.contains(s, p, o) and not tombs.contains(s, p, o)
 
     def triples_ids(
         self, s: int | None = None, p: int | None = None, o: int | None = None
     ) -> Iterator[IdTriple]:
-        tombs = self._tombs
+        adds, tombs, _version = self._state
         if len(tombs):
             contains = tombs.contains
             for triple in self._base.triples_ids(s, p, o):
@@ -339,58 +362,44 @@ class OverlayBackend:
                     yield triple
         else:
             yield from self._base.triples_ids(s, p, o)
-        yield from self._adds.triples_ids(s, p, o)
+        yield from adds.triples_ids(s, p, o)
 
     def count(
         self, s: int | None = None, p: int | None = None, o: int | None = None
     ) -> int:
         if s is not None and p is not None and o is not None:
             return 1 if self.contains(s, p, o) else 0
-        return (
-            self._base.count(s, p, o)
-            - self._tombs.count(s, p, o)
-            + self._adds.count(s, p, o)
-        )
+        adds, tombs, _version = self._state
+        return self._base.count(s, p, o) - tombs.count(s, p, o) + adds.count(s, p, o)
 
     # ------------------------------------------------------------------ #
     # Vocabulary
     # ------------------------------------------------------------------ #
 
-    def _live_ids(
-        self,
-        base_ids: Iterator[int],
-        added_ids: Iterator[int],
-        tombstoned_ids: Iterator[int],
-        position: str,
-    ) -> Iterator[int]:
+    def _live_ids(self, position: int) -> Iterator[int]:
         """Base vocabulary ids that still have live triples, then add-only ids.
 
         A base id disappears only when tombstones cover *every* base
         triple in its row, which the merged count settles exactly.
         """
-        remaining = set(added_ids)
-        tombstoned = set(tombstoned_ids)
-        for term_id in base_ids:
+        adds, tombs, _version = self._state
+        remaining = set(adds.rows(position))
+        tombstoned = tombs.rows(position)
+        pattern: list[int | None] = [None, None, None]
+        for term_id in getattr(self._base, _VOCABULARY[position])():
             remaining.discard(term_id)
-            if term_id in tombstoned and not self.count(**{position: term_id}):
-                continue
+            if term_id in tombstoned:
+                pattern[position] = term_id
+                if not self._base.count(*pattern) - tombs.count(*pattern) + adds.count(*pattern):
+                    continue
             yield term_id
         yield from sorted(remaining)
 
     def subject_ids(self) -> Iterator[int]:
-        return self._live_ids(
-            self._base.subject_ids(), self._adds.subject_ids(),
-            self._tombs.subject_ids(), "s",
-        )
+        return self._live_ids(0)
 
     def predicate_ids(self) -> Iterator[int]:
-        return self._live_ids(
-            self._base.predicate_ids(), self._adds.predicate_ids(),
-            self._tombs.predicate_ids(), "p",
-        )
+        return self._live_ids(1)
 
     def object_ids(self) -> Iterator[int]:
-        return self._live_ids(
-            self._base.object_ids(), self._adds.object_ids(),
-            self._tombs.object_ids(), "o",
-        )
+        return self._live_ids(2)

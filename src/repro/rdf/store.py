@@ -273,19 +273,30 @@ class TripleStore:
 
     def remove(self, triple: Triple) -> bool:
         """Delete a triple.  Returns True if it was present."""
+        return self.remove_all((triple,)) == 1
+
+    def remove_all(self, triples: Iterable[Triple]) -> int:
+        """Delete many triples; returns the number that were present.
+
+        The id triples of the terms the dictionary knows go to the
+        overlay's ``remove_all_ids`` (one lock acquisition, one published
+        state, still one version bump per removed triple).
+        """
         if not self._backend.writable:
             raise StoreFrozenError("cannot remove from a frozen store; write through .overlay()")
-        s = self.dictionary.lookup_or_none(triple.subject)
-        p = self.dictionary.lookup_or_none(triple.predicate)
-        o = self.dictionary.lookup_or_none(triple.object)
-        if s is None or p is None or o is None:
-            return False
-        removed = self._backend.remove(s, p, o)
+        lookup = self.dictionary.lookup_or_none
+        encoded: list[_IdTriple] = []
+        for triple in triples:
+            ids = (lookup(triple.subject), lookup(triple.predicate), lookup(triple.object))
+            if None not in ids:
+                encoded.append(ids)
+        removed = self._backend.remove_all_ids(encoded)
         # A literal only exists as an object; once its OSP run empties no
         # triple mentions it and the literal bookkeeping must forget it,
         # or is_literal_id/literal_count/statistics report stale literals.
-        if removed and self.is_literal_id(o) and not self._backend.count(o=o):
-            self._literal_flags[o] = 0
+        for _s, _p, o in encoded:
+            if self.is_literal_id(o) and not self._backend.count(o=o):
+                self._literal_flags[o] = 0
         return removed
 
     def retire_unnamed(self, candidates: Iterable[int]) -> list[int]:

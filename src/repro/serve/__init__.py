@@ -20,8 +20,8 @@ from repro.serve.cache import CachingLinker, LRUCache
 from repro.serve.engine import EngineConfig, QAEngine
 
 #: The transport's exports, by the module that defines them.  They are
-#: imported on first access: an in-process engine never loads the HTTP
-#: stack (``http.server``, ``http.client``, ``ssl``, ``email``, …).
+#: imported on first access: an in-process engine never loads
+#: ``socketserver`` or the pre-fork supervisor.
 _TRANSPORT = {
     "PreforkServer": "repro.serve.prefork",
     "supports_reuseport": "repro.serve.prefork",

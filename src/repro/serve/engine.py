@@ -429,7 +429,9 @@ class QAEngine:
         after its last mutation is stamped on every predicate of the
         batch and on every label word its subjects and objects are filed
         under (:class:`~repro.serve.cache.ReadStamps`).  Readers never
-        block: the overlay publishes rows copy-on-write, and a cached
+        block: the overlay publishes the batch's removals, then its adds,
+        each as one new state, so a store read never sees a half-applied
+        step, and a cached
         answer or link list is served across the write exactly when it
         read none of what was stamped.  A batch that changes nothing
         publishes nothing; one that fails part-way publishes a version
@@ -445,7 +447,7 @@ class QAEngine:
                     structural = self.kg.structural_predicate_ids
                     try:
                         with span("ingest.apply", adds=len(adds), removes=len(removes)):
-                            removed = sum(1 for triple in removes if store.remove(triple))
+                            removed = store.remove_all(removes)
                             added = store.add_all(adds)
                         if added or removed:
                             with span("ingest.refresh"):

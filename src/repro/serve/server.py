@@ -1,4 +1,7 @@
-"""Stdlib-only JSON HTTP transport over a :class:`QAEngine`.
+"""Stdlib-only JSON HTTP transport over a :class:`QAEngine`, on
+:mod:`socketserver`: a connection's handler reads a head (:func:`read_head`),
+routes its ``(method, path)`` and writes one JSON response (head, then
+body) while the connection is kept alive — no HTTP library is imported.
 
 One thread per *open* connection, and that thread answers the question
 itself; a thread whose connection has ended parks for a moment and is
@@ -42,8 +45,7 @@ oversized body → 413, unknown route → 404, admission budget exhausted →
 429 with a ``Retry-After`` hint (reads and writes each have their own
 budget).  Every response body is JSON, including errors
 (``{"error": ...}``) — and including a request head the server does not
-accept: the head is read by :func:`read_head`, not by the stdlib's
-``email`` parser, and whatever it refuses (a malformed request line or
+accept: whatever :func:`read_head` refuses (a malformed request line or
 version, a header line without a colon or folded onto the next, a
 control character, a repeated or non-numeric ``Content-Length``, any
 ``Transfer-Encoding`` → 400; a line over 65 536 bytes or more than 100
@@ -76,8 +78,11 @@ import os
 import queue
 import re
 import socket
+import socketserver
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http import HTTPStatus
 from typing import BinaryIO
 
 from repro.contracts import guarded_by
@@ -105,6 +110,9 @@ MAX_HEADERS = 100
 #: starts as many threads as it has connections; this many outlive it).
 IDLE_SECONDS = 5.0
 MAX_PARKED_THREADS = 16
+
+#: The ``Server`` header of every response.
+SERVER_SOFTWARE = f"repro-serve/1.0 Python/{sys.version.split()[0]}"
 
 
 # ---------------------------------------------------------------------- #
@@ -238,8 +246,8 @@ class _RequestThread(threading.Thread):
     "_threads_lock",
     "_idle_threads", "_threads_started", "_connections_reused", "_closing",
 )
-class QAServer(HTTPServer):
-    """An ``HTTPServer`` that owns the engine and reuses its request threads.
+class QAServer(socketserver.TCPServer):
+    """A TCP server that owns the engine and reuses its request threads.
 
     Every accepted connection is served on a thread of its own, so a
     client that holds a keep-alive connection open occupies one thread
@@ -301,19 +309,14 @@ class QAServer(HTTPServer):
         self._threads_started = 0
         self._connections_reused = 0
         self._closing = False
-        if sock is None:
-            super().__init__(address, _Handler)
-        else:
+        super().__init__(address, _Handler, bind_and_activate=sock is None)
+        if sock is not None:
             # Adopt the inherited socket: skip bind, replace the fresh
             # unbound socket the base constructor made, then activate
             # (listen() on an already-listening socket is idempotent).
-            super().__init__(address, _Handler, bind_and_activate=False)
             self.socket.close()
             self.socket = sock
             self.server_address = sock.getsockname()
-            host, port = self.server_address[:2]
-            self.server_name = host
-            self.server_port = port
             self.server_activate()
         self.engine = engine
         self.worker = worker
@@ -377,135 +380,109 @@ class QAServer(HTTPServer):
             return False
 
 
-class _Handler(BaseHTTPRequestHandler):
-    #: Advertised in error bodies and the Server header.
-    server_version = "repro-serve/1.0"
-    protocol_version = "HTTP/1.1"
-    #: What :func:`read_head` kept of the request's headers (lower-cased
-    #: names) — a plain dict, not the stdlib's ``email`` message.
-    headers: dict[str, str]  # type: ignore[assignment]
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: read a head, route it, write one JSON response —
+    and again, for as long as the connection is kept alive."""
 
-    # ------------------------------------------------------------------ #
-    # Routes
-    # ------------------------------------------------------------------ #
+    server: QAServer
+    #: The request being answered: its method, target, HTTP minor version
+    #: and what :func:`read_head` kept of its headers (lower-cased names).
+    method: str
+    path: str
+    minor: int
+    headers: dict[str, str]
 
     def handle(self) -> None:
+        self.close_connection = False
         try:
-            super().handle()
+            while not self.close_connection:
+                self.close_connection = True
+                try:
+                    head = read_head(self.rfile)
+                except BadHead as bad:
+                    self._send_json(bad.status, {"error": bad.reason}, close=True)
+                    return
+                if head is None:
+                    return
+                self.method, self.path, self.minor, self.headers = head
+                options = [
+                    option.strip()
+                    for option in self.headers.get("connection", "").lower().split(",")
+                ]
+                self.close_connection = "close" in options or (
+                    self.minor == 0 and "keep-alive" not in options
+                )
+                self._route()
         except (BrokenPipeError, ConnectionResetError):
             # Reset before (or between) requests: reading the next request
             # line fails instead of a write.  Same event, same accounting.
             self._client_disconnected()
 
-    def handle_one_request(self) -> None:
-        if not self.parse_request():
-            return
-        if self.command == "GET":
-            self.do_GET()
-        elif self.command == "POST":
-            self.do_POST()
-        else:
+    # ------------------------------------------------------------------ #
+    # Routes
+    # ------------------------------------------------------------------ #
+
+    def _route(self) -> None:
+        method, path = self.method, self.path
+        route = _ROUTES.get((method, path))
+        engine: QAEngine = self.server.engine
+        if method not in ("GET", "POST"):
             self._send_json(
                 405,
-                {"error": f"method not allowed: {self.command}"},
+                {"error": f"method not allowed: {method}"},
                 headers={"Allow": "GET, POST"},
                 close=True,
             )
-
-    def parse_request(self) -> bool:
-        """Read one request head into ``command`` / ``path`` / ``headers``
-        (:func:`read_head`); False at the end of the connection or after
-        answering a head that was refused."""
-        self.close_connection = True
-        self.request_version = "HTTP/1.1"
-        try:
-            head = read_head(self.rfile)
-        except BadHead as bad:
-            self._send_json(bad.status, {"error": bad.reason}, close=True)
-            return False
-        if head is None:
-            return False
-        self.command, self.path, minor, self.headers = head
-        if minor == 0:
-            self.request_version = "HTTP/1.0"
-        options = [
-            option.strip()
-            for option in self.headers.get("connection", "").lower().split(",")
-        ]
-        if "close" not in options and (minor >= 1 or "keep-alive" in options):
-            self.close_connection = False
-        return True
-
-    def do_GET(self) -> None:  # noqa: N802 (BaseHTTPRequestHandler casing)
-        engine: QAEngine = self.server.engine
-        if self.headers.get("content-length", "0").lstrip("0"):
+        elif method == "GET" and self.headers.get("content-length", "0").lstrip("0"):
             # A body nobody will read: it must not become the next request.
-            self._send_json(
-                400, {"error": f"GET {self.path} takes no request body"}, close=True
-            )
-        elif self.path == "/healthz":
-            body = {
-                "status": "ok" if engine.ready else "starting",
-                "ready": engine.ready,
-                "uptime_s": round(engine.uptime_s(), 3),
-                "store_version": engine.store_version,
-                "pid": os.getpid(),
-            }
-            if self.server.worker is not None:
-                body["worker"] = self.server.worker
-            self._send_json(200 if engine.ready else 503, body)
-        elif self.path == "/metrics":
-            if self.server.peers:
-                self._send_json(200, self._cluster_metrics())
-            else:
-                self._send_json(200, engine.metrics.snapshot())
-        elif self.path == "/stats":
-            self._send_json(
-                200, {**engine.stats(), "server": self.server.thread_stats()}
-            )
-        else:
-            self._send_json(404, {"error": f"no such route: {self.path}"})
-
-    def do_POST(self) -> None:  # noqa: N802
-        engine: QAEngine = self.server.engine
-        if self.path not in ("/ask", "/batch", "/ingest", "/compact"):
-            # Answered before the body is read, so the connection closes
-            # (see "Keep-alive never desynchronizes" above).
-            self._send_json(
-                404, {"error": f"no such route: {self.path}"}, close=True
-            )
-            return
-        if self.path in ("/ingest", "/compact") and not self._authorize_write():
+            self._send_json(400, {"error": f"GET {path} takes no request body"}, close=True)
+        elif route is None:
+            # A POST is answered before its body is read, so the connection
+            # closes (see "Keep-alive never desynchronizes" above).
+            self._send_json(404, {"error": f"no such route: {path}"}, close=method == "POST")
+        elif method == "GET":
+            route(self, engine)
+        elif path in ("/ingest", "/compact") and not self._authorize_write():
             return  # _authorize_write already answered 401/403
-        payload = self._read_json()
-        if payload is None:
-            return  # _read_json already answered
-        try:
-            if self.path == "/ask":
-                self._handle_ask(engine, payload)
-            elif self.path == "/ingest":
-                self._handle_ingest(engine, payload)
-            elif self.path == "/compact":
-                self._handle_compact(engine, payload)
-            else:
-                self._handle_batch(engine, payload)
-        except AdmissionRejected as rejected:
-            self._send_json(
-                429,
-                {
-                    "error": "server busy",
-                    "in_flight": rejected.in_flight,
-                    "capacity": rejected.capacity,
-                },
-                headers={"Retry-After": "1"},
-            )
-        except (BrokenPipeError, ConnectionResetError):
-            # The client hung up while we were answering; nothing to send
-            # and nobody to send it to.
-            self._client_disconnected()
-        except Exception as error:  # pragma: no cover - defensive surface
-            engine.metrics.incr("serve.internal_errors")
-            self._send_json(500, {"error": f"{type(error).__name__}: {error}"})
+        elif (payload := self._read_json()) is not None:
+            try:
+                route(self, engine, payload)
+            except AdmissionRejected as rejected:
+                self._send_json(
+                    429,
+                    {
+                        "error": "server busy",
+                        "in_flight": rejected.in_flight,
+                        "capacity": rejected.capacity,
+                    },
+                    headers={"Retry-After": "1"},
+                )
+            except (BrokenPipeError, ConnectionResetError):
+                # The client hung up while we were answering; nothing to send
+                # and nobody to send it to.
+                self._client_disconnected()
+            except Exception as error:  # pragma: no cover - defensive surface
+                engine.metrics.incr("serve.internal_errors")
+                self._send_json(500, {"error": f"{type(error).__name__}: {error}"})
+
+    def _healthz(self, engine: QAEngine) -> None:
+        body = {
+            "status": "ok" if engine.ready else "starting",
+            "ready": engine.ready,
+            "uptime_s": round(engine.uptime_s(), 3),
+            "store_version": engine.store_version,
+            "pid": os.getpid(),
+        }
+        if self.server.worker is not None:
+            body["worker"] = self.server.worker
+        self._send_json(200 if engine.ready else 503, body)
+
+    def _metrics(self, engine: QAEngine) -> None:
+        peers = self.server.peers
+        self._send_json(200, self._cluster_metrics() if peers else engine.metrics.snapshot())
+
+    def _stats(self, engine: QAEngine) -> None:
+        self._send_json(200, {**engine.stats(), "server": self.server.thread_stats()})
 
     # ------------------------------------------------------------------ #
 
@@ -684,10 +661,7 @@ class _Handler(BaseHTTPRequestHandler):
                 close=True,
             )
             return None
-        if (
-            self.headers.get("expect", "").lower() == "100-continue"
-            and self.request_version == "HTTP/1.1"
-        ):
+        if self.headers.get("expect", "").lower() == "100-continue" and self.minor:
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         raw = self.rfile.read(int(digits))
         try:
@@ -707,18 +681,22 @@ class _Handler(BaseHTTPRequestHandler):
         headers: dict[str, str] | None = None,
         close: bool = False,
     ) -> None:
+        """Answer with ``body``: the head in one write, the body in the next."""
         encoded = json.dumps(body, default=str).encode("utf-8")
+        head = [
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
+            f"Server: {SERVER_SOFTWARE}",
+            f"Date: {_http_date()}",
+            "Content-Type: application/json",
+            f"Content-Length: {len(encoded)}",
+        ]
         if close:
             self.close_connection = True
+            head.append("Connection: close")
+        head.extend(f"{name}: {value}" for name, value in (headers or {}).items())
+        head.append("\r\n")
         try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(encoded)))
-            if close:
-                self.send_header("Connection", "close")
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
+            self.wfile.write("\r\n".join(head).encode("latin-1"))
             self.wfile.write(encoded)
         except (BrokenPipeError, ConnectionResetError):
             self._client_disconnected()
@@ -728,10 +706,29 @@ class _Handler(BaseHTTPRequestHandler):
         self.close_connection = True
         self.server.engine.metrics.incr("serve.client_disconnects")
 
-    def log_request(self, code="-", size="-") -> None:
-        # Per-request stderr lines would swamp load tests; the engine's
-        # metrics registry is the serving log.
-        pass
+
+#: ``(method, path)`` → the handler answering it; a GET handler is given
+#: the engine, a POST handler the engine and the request's JSON object.
+_ROUTES = {
+    ("GET", "/healthz"): _Handler._healthz,
+    ("GET", "/metrics"): _Handler._metrics,
+    ("GET", "/stats"): _Handler._stats,
+    ("POST", "/ask"): _Handler._handle_ask,
+    ("POST", "/batch"): _Handler._handle_batch,
+    ("POST", "/ingest"): _Handler._handle_ingest,
+    ("POST", "/compact"): _Handler._handle_compact,
+}
+
+_DAYS = "Mon Tue Wed Thu Fri Sat Sun".split()
+_MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
+
+
+def _http_date() -> str:
+    """Now, as the ``Date`` header's IMF-fixdate (RFC 9110, 5.6.7); the
+    names are spelled out, not left to the locale's ``%a`` and ``%b``."""
+    now = time.gmtime()
+    day, month = _DAYS[now.tm_wday], _MONTHS[now.tm_mon - 1]
+    return time.strftime(f"{day}, %d {month} %Y %H:%M:%S GMT", now)
 
 
 def _parse_wire_triples(items) -> "list[Triple] | str":

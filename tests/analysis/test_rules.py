@@ -298,6 +298,19 @@ class TestFrozenStore:
         )
         assert len(findings) == 1
 
+    def test_fires_on_a_bulk_remove_from_compacted(self, lint_source):
+        for method in ("remove_all", "remove_all_ids"):
+            findings = lint_source(
+                f"""
+                def build(store, triples):
+                    frozen = store.compacted()
+                    frozen.{method}(triples)
+                """,
+                rule=self.RULE,
+            )
+            assert len(findings) == 1
+            assert f".{method}()" in findings[0].message
+
     def test_fires_on_sharded_backend_constructor(self, lint_source):
         findings = lint_source(
             """

@@ -89,7 +89,12 @@ class TestServingInvariant:
         """Request threads are reused and the head is read by
         ``server.read_head``: thread-per-connection and the ``email``
         feed-parser were replaced, not kept behind a switch, and only the
-        transport ever starts a thread."""
+        transport ever starts a thread.  The server writes its own heads:
+        the stdlib's HTTP server is used nowhere in the package."""
+        for path in PACKAGE_ROOT.rglob("*.py"):
+            text = path.read_text()
+            for name in ("http.server", "BaseHTTPRequestHandler", "HTTPServer"):
+                assert name not in text, (path, name)
         serve = PACKAGE_ROOT / "serve"
         source = {path.name: path.read_text() for path in serve.glob("*.py")}
         for name, text in source.items():

@@ -77,7 +77,7 @@ class TestProtocolSurface:
             assert all(hasattr(backend, name) for name in core)
         # Derived once in the facade / the kernel, implemented nowhere else
         # (the overlay's delta index included).
-        for layout in (*backends, backends[-1]._adds):
+        for layout in (*backends, backends[-1]._state.adds):
             assert [name for name in DERIVED_VIEWS if hasattr(layout, name)] == [], layout
         assert not hasattr(TripleStore, "in_index")
 
@@ -136,7 +136,7 @@ class TestOverlayBulkInsert:
 
     @staticmethod
     def _permutations(backend):
-        delta = backend._adds
+        delta = backend._state.adds
         return [dict(index) for index in (delta._spo, delta._pos, delta._osp)]
 
     def test_equals_a_loop_of_single_triple_batches(self):

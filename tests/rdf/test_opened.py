@@ -416,3 +416,21 @@ def test_a_process_start_imports_only_what_it_runs():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["[]", "True"]
+
+
+def test_a_serving_process_loads_no_http_client_stack():
+    """The server reads and writes its own heads: importing the transport,
+    the pre-fork supervisor and the CLI loads no HTTP library, and so no
+    HTTP client, ``email`` parser or TLS module behind one.  (The pre-fork
+    metrics fan-in and ``repro compact`` import ``urllib`` when they run.)"""
+    probe = (
+        "import sys; import repro.serve.server, repro.serve.prefork, repro.cli; "
+        "print([name for name in ('http.server', 'http.client', 'email.parser', 'ssl') "
+        "if name in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"]

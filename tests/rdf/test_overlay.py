@@ -15,6 +15,8 @@ post-compaction engines.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from repro.paraphrase import ParaphraseMiner
 from repro.rdf import IRI, Literal, Triple
 from repro.rdf.backend import CompactBackend
 from repro.rdf.graph import KnowledgeGraph
+from repro.rdf import overlay as overlay_module
 from repro.rdf.kernel import AdjacencyKernel
 from repro.rdf.overlay import OverlayBackend, _DeltaIndex
 from repro.rdf.shard import ShardedBackend
@@ -143,7 +146,7 @@ class TestMergeEquivalence:
                         for t in live
                     )
                     assert overlay.count(s, p, o) == expected, pattern
-                    for delta in (overlay._adds, overlay._tombs):
+                    for delta in (overlay._state.adds, overlay._state.tombs):
                         delta.count(s, p, o)
 
 
@@ -214,6 +217,28 @@ class TestMutationSemantics:
         with pytest.raises(StoreFrozenError):
             base.add_all_ids([(99, 99, 99)])
 
+    def test_remove_all_ids_equals_a_loop_of_single_removes(self):
+        batch = [(5, 12, 6), (1, 10, 2), (9, 9, 9), (5, 12, 6), (2, 11, 4), (1, 10, 2)]
+        bulk = OverlayBackend(CompactBackend.from_triples(self.base_triples))
+        single = OverlayBackend(CompactBackend.from_triples(self.base_triples))
+        for overlay in (bulk, single):
+            assert overlay.add_all_ids([(5, 12, 6), (7, 13, 8)]) == 2
+        v0 = bulk.version
+        # A delta triple, two base triples; an absent one and two repeats.
+        assert bulk.remove_all_ids(iter(batch)) == 3
+        assert [single.remove(*triple) for triple in batch] == [
+            True, True, False, False, True, False,
+        ]
+        assert bulk.version == single.version == v0 + 3
+        assert bulk.delta_statistics() == single.delta_statistics() == {
+            "base_triples": 3, "delta_adds": 1, "tombstones": 2,
+        }
+        assert sorted(bulk.triples_ids()) == sorted(single.triples_ids()) == [
+            (1, 10, 3), (7, 13, 8),
+        ]
+        assert bulk._touched == single._touched
+        assert bulk.remove_all_ids([]) == 0 and bulk.version == v0 + 3
+
     def test_touched_since_reports_dirty_nodes(self):
         v0 = self.overlay.version
         self.overlay.add_all_ids([(5, 12, 6)])
@@ -222,6 +247,133 @@ class TestMutationSemantics:
         assert self.overlay.touched_since(v0) == {5, 6, 1, 2}
         assert self.overlay.touched_since(v1) == {1, 2}
         assert self.overlay.touched_since(self.overlay.version) == set()
+
+
+def _every_read(overlay, ids) -> tuple:
+    """Version, size, vocabulary and every pattern's triples and count
+    over ``ids``: all a reader can see of the overlay."""
+    bound = (None, *ids)
+    return (
+        overlay.version,
+        len(overlay),
+        overlay.delta_statistics(),
+        [sorted(vocabulary()) for vocabulary in (
+            overlay.subject_ids, overlay.predicate_ids, overlay.object_ids,
+        )],
+        {
+            (s, p, o): (sorted(overlay.triples_ids(s, p, o)), overlay.count(s, p, o))
+            for s in bound for p in bound for o in bound
+        },
+    )
+
+
+class _BetweenPermutations:
+    """Stands in for ``overlay._KEY_ORDERS``: a delta edit walks the three
+    permutations in that order, and ``hook`` runs before the second and
+    the third — between the permutation writes of one batch."""
+
+    def __init__(self, hook):
+        self.hook = hook
+        self.calls = 0
+
+    def __iter__(self):
+        for position, order in enumerate(((0, 1, 2), (1, 2, 0), (2, 0, 1))):
+            if position:
+                self.calls += 1
+                self.hook()
+            yield order
+
+
+class TestOnePublishedState:
+    """A read sees one store version: the state before a batch or after
+    it, never a triple by subject that its object does not list yet."""
+
+    IDS = (1, 2, 3, 4, 5, 6, 7, 8, 9)
+
+    def test_a_reader_inside_a_batch_sees_the_whole_old_state(self, monkeypatch):
+        overlay = OverlayBackend(CompactBackend.from_triples([(1, 2, 3), (4, 5, 6), (7, 8, 9)]))
+        overlay.add_all_ids([(1, 2, 7)])
+        assert overlay.remove(4, 5, 6)
+        before: list[tuple] = []
+        torn: list[tuple] = []
+
+        def reader():
+            seen = _every_read(overlay, self.IDS)
+            if seen != before[-1]:
+                torn.append(seen)
+
+        between = _BetweenPermutations(reader)
+        monkeypatch.setattr(overlay_module, "_KEY_ORDERS", between)
+        writes = [
+            lambda: overlay.add_all_ids([(1, 2, 8), (9, 2, 3), (4, 5, 6), (1, 2, 3)]),
+            lambda: overlay.remove(1, 2, 7),        # a delta triple dropped
+            lambda: overlay.remove(7, 8, 9),        # a base triple tombstoned
+            lambda: overlay.add_all_ids([(7, 8, 9), (5, 5, 5), (5, 6, 5)]),
+        ]
+        for write in writes:
+            before.append(_every_read(overlay, self.IDS))
+            write()
+            assert _every_read(overlay, self.IDS) != before[-1]
+        assert between.calls >= 2 * len(writes)
+        assert torn == []
+        monkeypatch.undo()
+        assert_observably_identical(
+            overlay, {(1, 2, 3), (1, 2, 8), (9, 2, 3), (4, 5, 6), (7, 8, 9), (5, 5, 5), (5, 6, 5)}
+        )
+
+    def test_threaded_readers_read_no_torn_triple(self):
+        """A writer adds 50-triple batches ``(S, P, o)``; two readers count
+        the objects of ``S`` (the SPO side), then look the newest of them
+        up by object (OSP) and by predicate and object (POS), and check
+        that the version covers it.  Adds only, so each later read must
+        agree with an earlier one."""
+        subject, predicate, batches, size = 1, 2, 200, 50
+        objects = list(range(100, 100 + batches * size))
+        overlay = OverlayBackend(CompactBackend.from_triples([]))
+        start = overlay.version
+        done = threading.Event()
+        reads: list[int] = []
+        torn: list[int] = []
+
+        def write():
+            try:
+                for first in range(0, len(objects), size):
+                    batch = objects[first:first + size]
+                    overlay.add_all_ids((subject, predicate, o) for o in batch)
+            finally:
+                done.set()
+
+        def read():
+            count = 0
+            while not done.is_set():
+                seen = overlay.count(subject)
+                if not seen:
+                    continue
+                newest = objects[seen - 1]
+                count += 1
+                if (
+                    overlay.count(None, None, newest) != 1
+                    or overlay.count(None, predicate, newest) != 1
+                    or overlay.version < start + seen
+                ):
+                    torn.append(seen)
+            reads.append(count)
+
+        threads = [threading.Thread(target=target) for target in (read, read, write)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(reads) == 2 and sum(reads)
+        assert torn == []
+        assert len(overlay) == len(objects) and overlay.version == start + len(objects)
 
 
 _SMALL_TRIPLE = st.tuples(
@@ -315,6 +467,24 @@ class TestStoreIntegration:
         assert added == sum(1 for t in triples if serial.add(t))
         assert bulk.version == serial.version
         assert sorted(bulk.triples_ids()) == sorted(serial.triples_ids())
+
+    def test_bulk_remove_all_matches_serial_removes(self, setup):
+        kg, _ = setup
+        bulk = kg.store.compacted().overlay()
+        serial = kg.store.compacted().overlay()
+        literal = Triple(IRI("bench:s"), IRI("bench:p"), Literal("gone", language="en"))
+        known = list(kg.store.triples())[:20]
+        for store in (bulk, serial):
+            store.add(literal)
+        # Base and delta triples, a repeat, and terms the dictionary lacks.
+        unknown = Triple(IRI("bench:x"), IRI("bench:y"), IRI("bench:z"))
+        triples = [*known, literal, known[0], unknown]
+        removed = bulk.remove_all(triples)
+        assert removed == sum(1 for t in triples if serial.remove(t)) == 21
+        assert bulk.version == serial.version
+        assert sorted(bulk.triples_ids()) == sorted(serial.triples_ids())
+        assert not bulk.is_literal_id(bulk.dictionary.lookup(literal.object))
+        assert bulk.statistics() == serial.statistics()
 
 
 class TestKernelPatch:

@@ -8,9 +8,9 @@ from repro.serve import build_server
 
 
 @contextlib.contextmanager
-def running(engine):
+def running(engine, ingest_token: str | None = None):
     """A live server over ``engine``; closed (and its threads gone) on exit."""
-    server = build_server(engine, port=0)
+    server = build_server(engine, port=0, ingest_token=ingest_token)
     # A short poll interval only so that shutdown() returns promptly.
     acceptor = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
