@@ -142,6 +142,7 @@ def cmd_shell(args) -> int:
 
 def cmd_serve(args) -> int:
     import os
+    import signal
 
     from repro.serve import build_server
 
@@ -188,19 +189,25 @@ def cmd_serve(args) -> int:
     except OSError as error:
         raise ReproError(f"cannot listen on {args.host}:{args.port}: {error}") from error
     host, port = server.server_address[:2]
-    print(
-        f"repro serve listening on http://{host}:{port} "
-        f"(source={source}, pool={engine.config.pool_size}, "
-        f"capacity={engine.admission.capacity}, "
-        f"ingest={'on' if ingest_token else 'off'}, "
-        f"store v{engine.store_version})",
-        flush=True,
-    )
+    # SIGTERM (a process manager's stop) raises KeyboardInterrupt, as
+    # SIGINT does, so serve_forever unwinds and the cleanup below runs.
+    # It must raise: a handler that called shutdown() would wait on the
+    # loop it interrupted.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        print(
+            f"repro serve listening on http://{host}:{port} "
+            f"(source={source}, pool={engine.config.pool_size}, "
+            f"capacity={engine.admission.capacity}, "
+            f"ingest={'on' if ingest_token else 'off'}, "
+            f"store v{engine.store_version})",
+            flush=True,
+        )
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.shutdown()
         server.server_close()
         engine.close()

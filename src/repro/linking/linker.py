@@ -90,21 +90,22 @@ def _material(kg: KnowledgeGraph) -> tuple[LabelIndex, int]:
     """The label index and max degree of ``kg`` — functions of the store's
     contents, so built once per store version and kept with the kernel.
 
-    The one place they are built.  The kernel's cache region holds one
-    ``(store version, index, max degree)``; it is rebuilt when the version
-    has moved, and a refreshed or patched kernel starts with no regions.
+    The one place they are built.  The kernel's ``linking_material`` slot
+    holds one ``(store version, index, max degree)``; it is rebuilt when
+    the version has moved (a direct store write moves it without a
+    refresh), and a refreshed or patched kernel starts without one.
     (Two threads that miss together build twice and keep one; the values
     are equal.)
     """
-    region = kg.kernel.cache_region("linking.material")
+    kernel = kg.kernel
     version = kg.store.version
     tracer = obs.get_tracer()
-    held = region.get("material")
+    held = kernel.linking_material
     if held is not None and held[0] == version:
         tracer.metrics.incr("linking.material_found")
     else:
         with tracer.span("linking.index_build", store_version=version):
-            held = region["material"] = (version, LabelIndex(kg), _max_degree(kg))
+            held = kernel.linking_material = (version, LabelIndex(kg), _max_degree(kg))
         tracer.metrics.incr("linking.material_built")
     return held[1], held[2]
 

@@ -17,7 +17,7 @@ from repro import obs
 from repro.exceptions import MiningError
 from repro.nlp.lemmatizer import lemmatize_adjective, lemmatize_noun, lemmatize_verb
 from repro.paraphrase.dictionary import ParaphraseDictionary, PredicateMapping
-from repro.paraphrase.path_mining import find_simple_paths, forget_walks
+from repro.paraphrase.path_mining import find_simple_paths
 from repro.paraphrase.tfidf import (
     document_frequencies,
     smoothed_idf_from_count,
@@ -196,7 +196,6 @@ class ParaphraseMiner:
                 pairs_located=located,
                 candidate_paths=candidates,
             )
-            forget_walks(self.kg)
         return dictionary
 
     def remine_for_predicates(
@@ -244,8 +243,13 @@ class ParaphraseMiner:
 
     def _collect_path_sets(self, dataset: RelationPhraseDataset, tracer=obs.NOOP):
         """Per phrase, the path set of each support pair that occurs in G
-        and connects by some path; plus the located and total pair counts."""
+        and connects by some path; plus the located and total pair counts.
+
+        One walk memo serves every pair of the run (endpoints repeat
+        across phrases) and goes with it: afterwards it would only be
+        weight — thousands of trees every later collection walks."""
         per_pair_sets: dict[str, list[set[Path]]] = {}
+        memo: dict = {}
         located = 0
         total = 0
         with tracer.span("mining.collect_paths"):
@@ -263,7 +267,7 @@ class ParaphraseMiner:
                         for right_id in right_ids:
                             paths |= find_simple_paths(
                                 self.kg, left_id, right_id, self.max_path_length,
-                                tracer=tracer,
+                                tracer=tracer, memo=memo,
                             )
                     if paths:
                         path_sets.append(paths)

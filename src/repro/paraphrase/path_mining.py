@@ -16,8 +16,8 @@ Hot-path layout: the BFS runs on the adjacency kernel's flat
 signed path and the node sequence — simplicity is a membership test on
 the shared-prefix node tuple, no per-step ``frozenset`` copies), and both
 the expansion trees and the literal-prefix enumerations are memoized in
-kernel-scoped cache regions, so repeated endpoints across support pairs
-are expanded once per store version.
+one dict a mining run owns, so repeated endpoints across its support
+pairs are expanded once per run.
 """
 
 from __future__ import annotations
@@ -31,24 +31,13 @@ Path = tuple[int, ...]
 ExpansionTree = dict[int, list[tuple[Path, tuple[int, ...]]]]
 
 
-#: The kernel cache regions the enumeration memoizes in.
-_TREE_REGION = "mining.expand_tree"
-_PREFIX_REGION = "mining.literal_prefixes"
-
-
-def forget_walks(kg: KnowledgeGraph) -> None:
-    """Empty the walk-tree and literal-prefix memos of ``kg``'s kernel.
-
-    They pay between the support pairs of one mining run (endpoints
-    repeat across phrases); afterwards they are only weight — thousands
-    of trees the process holds and every later collection walks.
-    """
-    kg.kernel.cache_region(_TREE_REGION).clear()
-    kg.kernel.cache_region(_PREFIX_REGION).clear()
+#: A mining memo is emptied once it holds more than this many entries —
+#: a coarse but allocation-free stand-in for LRU eviction.
+_MEMO_CAP = 1 << 15
 
 
 def _expand_tree(
-    kg: KnowledgeGraph, start: int, depth: int, tracer=obs.NOOP
+    kg: KnowledgeGraph, start: int, depth: int, memo: dict, tracer
 ) -> ExpansionTree:
     """All simple walks of length ≤ depth from ``start``.
 
@@ -57,16 +46,17 @@ def _expand_tree(
     by a membership test on the walk's own node tuple (walks are ≤ ⌈θ/2⌉
     long, so a tuple scan beats allocating a set per extension).
 
-    Trees are memoized per (start, depth) in a kernel cache region —
-    support-pair endpoints repeat heavily across phrases — so callers must
-    treat the returned structure as immutable.  Each level records its
+    Trees are memoized per (start, depth) in ``memo`` — support-pair
+    endpoints repeat heavily across phrases — so callers must treat the
+    returned structure as immutable.  Each level records its
     expansion count in ``mining.bfs_expanded`` and its surviving frontier
     in ``mining.bfs_frontier``; an empty frontier stops the BFS early
     instead of looping to full depth.
     """
-    cache = kg.kernel.cache_region(_TREE_REGION)
+    if len(memo) > _MEMO_CAP:
+        memo.clear()
     key = (start, depth)
-    cached = cache.get(key)
+    cached = memo.get(key)
     if cached is not None:
         return cached
     entity_adjacency = kg.kernel.entity_adjacency
@@ -91,7 +81,7 @@ def _expand_tree(
         if expanded_one:
             observe("mining.bfs_expanded", expanded_one)
             observe("mining.bfs_frontier", expanded_one)
-        cache[key] = reached_one
+        memo[key] = reached_one
         return reached_one
     reached: ExpansionTree = {start: [((), (start,))]}
     frontier: list[tuple[int, Path, tuple[int, ...]]] = [(start, (), (start,))]
@@ -117,12 +107,17 @@ def _expand_tree(
         observe("mining.bfs_expanded", expanded)
         observe("mining.bfs_frontier", len(next_frontier))
         frontier = next_frontier
-    cache[key] = reached
+    memo[key] = reached
     return reached
 
 
 def find_simple_paths(
-    kg: KnowledgeGraph, source: int, target: int, max_length: int, tracer=None
+    kg: KnowledgeGraph,
+    source: int,
+    target: int,
+    max_length: int,
+    tracer=None,
+    memo: dict | None = None,
 ) -> set[Path]:
     """All simple predicate paths from ``source`` to ``target``, length ≤ θ.
 
@@ -134,31 +129,37 @@ def find_simple_paths(
     A literal endpoint is reached through its single incoming hop: paths
     never pass *through* literals, but a support pair like
     (Michael_Jordan, "1.98") mines the ⟨height⟩ predicate.
+
+    ``memo`` keeps expansion trees and literal-prefix enumerations
+    between calls: a mining run passes one dict to every call it makes
+    and drops it at its end; a lone call makes its own.
     """
     if tracer is None:
         tracer = obs.get_tracer()
-    found = _find_simple_paths(kg, source, target, max_length, tracer)
+    if memo is None:
+        memo = {}
+    found = _find_simple_paths(kg, source, target, max_length, memo, tracer)
     tracer.metrics.incr("mining.path_queries")
     tracer.metrics.incr("mining.paths_enumerated", len(found))
     return found
 
 
 def _find_simple_paths(
-    kg: KnowledgeGraph, source: int, target: int, max_length: int, tracer=obs.NOOP
+    kg: KnowledgeGraph, source: int, target: int, max_length: int, memo: dict, tracer
 ) -> set[Path]:
     if max_length < 1:
         return set()
     if source == target:
         return set()
     if kg.store.is_literal_id(target):
-        return _paths_to_literal(kg, source, target, max_length, tracer)
+        return _paths_to_literal(kg, source, target, max_length, memo, tracer)
     if kg.store.is_literal_id(source):
-        reversed_paths = _paths_to_literal(kg, target, source, max_length, tracer)
+        reversed_paths = _paths_to_literal(kg, target, source, max_length, memo, tracer)
         return {reverse_path(path) for path in reversed_paths}
     forward_depth = (max_length + 1) // 2
     backward_depth = max_length // 2
-    forward = _expand_tree(kg, source, forward_depth, tracer)
-    backward = _expand_tree(kg, target, backward_depth, tracer)
+    forward = _expand_tree(kg, source, forward_depth, memo, tracer)
+    backward = _expand_tree(kg, target, backward_depth, memo, tracer)
     if len(backward) < len(forward):
         # Intersect from the smaller tree; the meeting set is symmetric.
         forward, backward = backward, forward
@@ -200,17 +201,18 @@ def _halves_overlap(left_nodes: tuple[int, ...], right_nodes: tuple[int, ...]) -
 
 
 def _paths_to_literal(
-    kg: KnowledgeGraph, source: int, literal: int, max_length: int, tracer=obs.NOOP
+    kg: KnowledgeGraph, source: int, literal: int, max_length: int, memo: dict, tracer
 ) -> set[Path]:
     """Simple paths ending in the final hop onto a literal object.
 
     The entity-to-entity prefix enumeration is memoized per
-    (source, holder, length budget) in a kernel cache region: distinct
-    literals held by the same subject (heights, dates, names) would
-    otherwise re-enumerate identical prefixes.
+    (source, holder, length budget) in ``memo``: distinct literals held
+    by the same subject (heights, dates, names) would otherwise
+    re-enumerate identical prefixes.
     """
     structural = kg.kernel.structural_predicate_ids
-    prefix_cache = kg.kernel.cache_region(_PREFIX_REGION)
+    if len(memo) > _MEMO_CAP:
+        memo.clear()
     found: set[Path] = set()
     for holder, pid, _obj in kg.store.triples_ids(o=literal):
         if pid in structural:
@@ -220,10 +222,10 @@ def _paths_to_literal(
             found.add((final,))
         if max_length >= 2:
             key = (source, holder, max_length - 1)
-            prefixes = prefix_cache.get(key)
+            prefixes = memo.get(key)
             if prefixes is None:
-                prefixes = _find_simple_paths(kg, source, holder, max_length - 1, tracer)
-                prefix_cache[key] = prefixes
+                prefixes = _find_simple_paths(kg, source, holder, max_length - 1, memo, tracer)
+                memo[key] = prefixes
             for prefix in prefixes:
                 found.add(prefix + (final,))
     return found

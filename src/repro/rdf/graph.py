@@ -24,6 +24,7 @@ every hot path here — and are re-exported for compatibility.)
 from __future__ import annotations
 
 import threading
+from typing import AbstractSet, Callable
 
 from repro.rdf.kernel import (
     AdjacencyKernel,
@@ -48,31 +49,39 @@ __all__ = [
 ]
 
 
+def _parents(store: TripleStore, sub_id: int, cls: int) -> AbstractSet[int]:
+    """The classes ``cls`` is an ``rdfs:subClassOf`` of."""
+    return store.objects_ids(cls, sub_id)
+
+
+def _children(store: TripleStore, sub_id: int, cls: int) -> AbstractSet[int]:
+    """The classes that are an ``rdfs:subClassOf`` ``cls``."""
+    return store.subjects_ids(sub_id, cls)
+
+
 @guarded_by("_kernel_lock", "_kernel")
 class KnowledgeGraph:
     """Algorithm-facing view of a triple store.
 
-    Structural caches (the adjacency kernel, class set, subclass closures,
-    instance sets, literal lexical index) are built lazily on first use;
-    call :meth:`refresh` after mutating the underlying store.
+    Everything derived from the store — the adjacency rows, the class
+    set, the subclass closures, the instance sets, the literal lexical
+    index — lives on :attr:`kernel`, one object per store version, and
+    is built lazily on first use; call :meth:`refresh` after mutating the
+    underlying store.  Each read binds the kernel once and reads and
+    fills only that one, so a read that overlaps a refresh fills the
+    kernel the refresh dropped, never its successor.
     """
 
     def __init__(self, store: TripleStore):
         self.store = store
         self._kernel_lock = threading.Lock()
         self._kernel: AdjacencyKernel | None = None
-        self._class_ids: set[int] | None = None
-        self._literals_by_lexical: dict[str, set[int]] | None = None
-        self._superclass_closure: dict[int, frozenset[int]] = {}
-        self._subclass_closure: dict[int, frozenset[int]] = {}
-        self._instances: dict[int, frozenset[int]] = {}
 
     def refresh(self, incremental: bool = False) -> None:
-        """Drop caches so they rebuild against the store's current contents.
-
-        This also drops the adjacency kernel, which transitively invalidates
-        everything hanging off it: the walk-path LRU, the incident-step
-        signatures, and the mining scratch regions.
+        """Drop the kernel, and with it everything derived from the
+        store, so the next read rebuilds against the store's current
+        contents: the rows, the walk-path LRU, the incident-step
+        signatures, the class-vertex caches and the linker's material.
 
         ``incremental=True`` (the live-ingest path) replaces the kernel
         eagerly with one that carries the previous kernel's rows and
@@ -88,11 +97,6 @@ class KnowledgeGraph:
             self._kernel = None
             if incremental and stale is not None:
                 self._kernel = AdjacencyKernel(self.store, patch_from=stale)
-        self._class_ids = None
-        self._literals_by_lexical = None
-        self._superclass_closure = {}
-        self._subclass_closure = {}
-        self._instances = {}
 
     # ------------------------------------------------------------------ #
     # Kernel / vocabulary / id helpers
@@ -148,26 +152,22 @@ class KnowledgeGraph:
         Following Section 2.2: a vertex is a class if it has an incoming
         ``rdf:type`` edge or appears in the ``rdfs:subClassOf`` hierarchy.
         """
-        if self._class_ids is None:
-            classes: set[int] = set()
-            type_id = self.kernel.type_id
-            if type_id is not None:
-                classes.update(self.store.objects_of_predicate(type_id))
-            sub_id = self.kernel.subclass_id
-            if sub_id is not None:
-                for sid, _pid, oid in self.store.triples_ids(p=sub_id):
+        kernel = self.kernel
+        classes = kernel.classes
+        if classes is None:
+            classes = set()
+            if kernel.type_id is not None:
+                classes.update(self.store.objects_of_predicate(kernel.type_id))
+            if kernel.subclass_id is not None:
+                for sid, _pid, oid in self.store.triples_ids(p=kernel.subclass_id):
                     classes.add(sid)
                     classes.add(oid)
-            self._class_ids = classes
-        return self._class_ids
+            kernel.classes = classes
+        return classes
 
     def entity_ids(self) -> set[int]:
         """All non-class, non-literal graph nodes."""
-        return {
-            node_id
-            for node_id in self.store.node_ids()
-            if node_id not in self.class_ids
-        }
+        return self.store.node_ids() - self.class_ids
 
     def types_of(self, entity_id: int) -> set[int]:
         """Direct ``rdf:type`` classes of an entity."""
@@ -182,21 +182,37 @@ class KnowledgeGraph:
         Cached per class (and cycle-safe), so the transitive type test of
         Definition 3 condition 2 costs one set lookup after warm-up.
         """
-        closure = self._superclass_closure.get(class_id)
+        kernel = self.kernel
+        return self._closure(kernel, kernel.superclasses, _parents, class_id)
+
+    def subclasses_of(self, class_id: int) -> frozenset[int]:
+        """``rdfs:subClassOf`` descendants of a class, including itself."""
+        kernel = self.kernel
+        return self._closure(kernel, kernel.subclasses, _children, class_id)
+
+    def _closure(
+        self,
+        kernel: AdjacencyKernel,
+        memo: dict[int, frozenset[int]],
+        step: Callable[[TripleStore, int, int], AbstractSet[int]],
+        class_id: int,
+    ) -> frozenset[int]:
+        """``class_id`` and every class reached from it by repeating
+        ``step`` (:func:`_parents` or :func:`_children`) — a cycle-safe
+        frontier walk, kept in ``memo``."""
+        closure = memo.get(class_id)
         if closure is None:
-            sub_id = self.kernel.subclass_id
             found = {class_id}
+            sub_id = kernel.subclass_id
             if sub_id is not None:
-                objects_ids = self.store.objects_ids
+                store = self.store
                 frontier = [class_id]
                 while frontier:
-                    cls = frontier.pop()
-                    for parent in objects_ids(cls, sub_id):
-                        if parent not in found:
-                            found.add(parent)
-                            frontier.append(parent)
-            closure = frozenset(found)
-            self._superclass_closure[class_id] = closure
+                    for near in step(store, sub_id, frontier.pop()):
+                        if near not in found:
+                            found.add(near)
+                            frontier.append(near)
+            closure = memo[class_id] = frozenset(found)
         return closure
 
     def has_type(self, entity_id: int, class_id: int) -> bool:
@@ -206,32 +222,15 @@ class KnowledgeGraph:
         contains the type itself, so the direct and transitive checks
         collapse into one membership test per direct type.
         """
-        type_id = self.kernel.type_id
+        kernel = self.kernel
+        type_id = kernel.type_id
         if type_id is None:
             return False
+        memo = kernel.superclasses
         for cls in self.store.objects_ids(entity_id, type_id):
-            if cls == class_id or class_id in self.superclasses_of(cls):
+            if cls == class_id or class_id in self._closure(kernel, memo, _parents, cls):
                 return True
         return False
-
-    def subclasses_of(self, class_id: int) -> frozenset[int]:
-        """``rdfs:subClassOf`` descendants of a class, including itself."""
-        closure = self._subclass_closure.get(class_id)
-        if closure is None:
-            sub_id = self.kernel.subclass_id
-            found = {class_id}
-            if sub_id is not None:
-                subjects_ids = self.store.subjects_ids
-                frontier = [class_id]
-                while frontier:
-                    cls = frontier.pop()
-                    for child in subjects_ids(sub_id, cls):
-                        if child not in found:
-                            found.add(child)
-                            frontier.append(child)
-            closure = frozenset(found)
-            self._subclass_closure[class_id] = closure
-        return closure
 
     def instances_of(self, class_id: int) -> frozenset[int]:
         """Entities whose type is ``class_id`` or one of its subclasses.
@@ -241,18 +240,15 @@ class KnowledgeGraph:
         per seed dominated class-heavy queries.  The returned frozenset is
         shared — treat it as read-only.
         """
-        cached = self._instances.get(class_id)
-        if cached is not None:
-            return cached
-        type_id = self.kernel.type_id
-        if type_id is None:
-            instances: frozenset[int] = frozenset()
-        else:
+        kernel = self.kernel
+        instances = kernel.instances.get(class_id)
+        if instances is None:
+            type_id = kernel.type_id
             found: set[int] = set()
-            for cls in self.subclasses_of(class_id):
-                found |= self.store.subjects_ids(type_id, cls)
-            instances = frozenset(found)
-        self._instances[class_id] = instances
+            if type_id is not None:
+                for cls in self._closure(kernel, kernel.subclasses, _children, class_id):
+                    found |= self.store.subjects_ids(type_id, cls)
+            instances = kernel.instances[class_id] = frozenset(found)
         return instances
 
     # ------------------------------------------------------------------ #
@@ -276,13 +272,15 @@ class KnowledgeGraph:
         Textual sources (relation-phrase support sets) carry values without
         datatypes; this lets them find the typed literals in the graph.
         """
-        if self._literals_by_lexical is None:
-            index: dict[str, set[int]] = {}
+        kernel = self.kernel
+        index = kernel.literals_by_lexical
+        if index is None:
+            index = {}
             decode = self.store.dictionary.decode
             for literal_id in self.store.iter_literal_ids():
                 index.setdefault(str(decode(literal_id)), set()).add(literal_id)
-            self._literals_by_lexical = index
-        return set(self._literals_by_lexical.get(lexical, ()))
+            kernel.literals_by_lexical = index
+        return set(index.get(lexical, ()))
 
     # ------------------------------------------------------------------ #
     # Degree and path walking (adjacency itself: ``self.kernel``)

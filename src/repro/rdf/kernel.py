@@ -27,48 +27,50 @@ reads, so an ingest rebuilds no row.
 
 On top of the rows the kernel memoizes the per-node incident-step
 signature (Section 4.2.2's pruning test is one frozenset intersection),
-LRU-caches :meth:`walk_path`, caches the structural vocabulary ids,
+LRU-caches :meth:`walk_path`, caches the structural vocabulary ids and
 answers a signed step's carriers from the predicate's POS run — the
 **step directory**, where an all-wildcard query finds its seeds
-(:meth:`nodes_with_step`) — and offers named scratch-cache regions that
-higher layers (path mining) use for store-version-scoped memoization.
+(:meth:`nodes_with_step`).
 
-A kernel answers for one store version.
-:meth:`repro.rdf.graph.KnowledgeGraph.refresh` drops it (and every cache
-hanging off it) after a write; ``refresh(incremental=True)`` replaces it
-with one that carries the old kernel's boxed rows and signatures forward
-for every node the write did not touch.  ``store_version`` stamps the
-:class:`TripleStore` mutation counter the kernel was made at, so derived
-artifacts (the serving layer's answer cache) can key themselves to one
-store generation.  A row first read after a write but before the refresh
-shows the write, exactly as :meth:`walk_path` always has: the memos are
-read-through, not a copy.
+A kernel is the one object per store version: everything derived from
+a version hangs off it.  Besides its own memos it carries the slots
+:class:`~repro.rdf.graph.KnowledgeGraph` fills — the class set, the
+``rdfs:subClassOf`` closures both ways, the instance sets and the
+literal lexical index — and the entity linker's material, all born
+empty.  :meth:`repro.rdf.graph.KnowledgeGraph.refresh` drops the kernel
+after a write, which drops all of them in one reference swap;
+``refresh(incremental=True)`` replaces it with one that carries the old
+kernel's boxed rows and signatures forward for every node the write did
+not touch, and nothing else.  A reader that overlapped the write fills
+the kernel it bound, which the swap has already dropped.
+``store_version`` stamps the :class:`TripleStore` mutation counter the
+kernel was made at, so derived artifacts (the serving layer's answer
+cache) can key themselves to one store generation.  A row first read
+after a write but before the refresh shows the write, exactly as
+:meth:`walk_path` always has: the memos are read-through, not a copy.
 
 Thread safety and lifetime: the memoization layers are safe to read from
 any number of threads — ``walk_path`` is an ``functools.lru_cache``
-(internally locked), row reads, ``incident_steps``, ``entity_adjacency``
-and ``nodes_with_step`` publish fully-built immutable values into a dict
-(the worst interleaving recomputes a value, never exposes a partial one),
-and the named scratch regions guard their create/clear bookkeeping with a
-lock.  Nothing a kernel owns refers back to it: ``walk_path`` caches
-:func:`walk` bound to the *store*, and rows and caches point only down
-(to the store).  Linker material in a region refers to the graph, and
-the graph only to its current kernel.  A kernel that a write replaces is
-therefore freed by reference count the moment the last reader lets go of
-it — on a live-ingest server, once per batch — and never waits for the
-cycle collector.
+(internally locked), and row reads, ``incident_steps``,
+``entity_adjacency``, ``nodes_with_step`` and the graph's slots publish
+fully-built values into a dict or a slot (the worst interleaving
+recomputes a value, never exposes a partial one).  Nothing a kernel owns
+refers back to it: ``walk_path`` caches :func:`walk` bound to the
+*store*, and rows and caches point only down (to the store).  The
+linker's material refers to the graph, and the graph only to its current
+kernel.  A kernel that a write replaces is therefore freed by reference
+count the moment the last reader lets go of it — on a live-ingest
+server, once per batch — and never waits for the cycle collector.
 """
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 from functools import lru_cache, partial
 from itertools import compress, count
 from operator import itemgetter
 from typing import AbstractSet, Iterator
 
-from repro.contracts import guarded_by
 from repro.rdf import vocab
 from repro.rdf.store import TripleStore
 
@@ -81,10 +83,6 @@ _EMPTY_ROW: AdjacencyRow = ((), ())
 
 #: Bound on the memoized walk_path results (distinct (start, path) keys).
 _WALK_CACHE_SIZE = 1 << 16
-
-#: A scratch-cache region is cleared wholesale once it exceeds this many
-#: entries — a coarse but allocation-free stand-in for LRU eviction.
-_REGION_CAP = 1 << 15
 
 
 # --------------------------------------------------------------------- #
@@ -255,9 +253,9 @@ class KernelRows(dict):
         return marks, slots, slots - literal_slots
 
 
-@guarded_by("_region_lock", "_regions")
 class AdjacencyKernel:
-    """Flat adjacency rows over one version of a triple store."""
+    """Flat adjacency rows over one version of a triple store, and every
+    structure derived from that version."""
 
     __slots__ = (
         "store",
@@ -270,9 +268,13 @@ class AdjacencyKernel:
         "_entity",
         "_directory",
         "_sizes",
-        "_regions",
-        "_region_lock",
         "walk_path",
+        "classes",
+        "superclasses",
+        "subclasses",
+        "instances",
+        "literals_by_lexical",
+        "linking_material",
     )
 
     def __init__(self, store: TripleStore, patch_from: "AdjacencyKernel | None" = None):
@@ -300,11 +302,19 @@ class AdjacencyKernel:
         self._entity: dict[int, AdjacencyRow] = {}
         self._directory: dict[int, frozenset[int]] = {}
         self._sizes: dict[str, int] | None = None
-        self._regions: dict[str, dict] = {}
-        self._region_lock = threading.Lock()
         # Over the store, not over a bound method: a cache that held the
         # kernel would make every replaced kernel cyclic garbage.
         self.walk_path = lru_cache(maxsize=_WALK_CACHE_SIZE)(partial(walk, store))
+        # Filled by KnowledgeGraph (class vertices, closures, instance
+        # sets, literals by lexical form) and the entity linker
+        # (``(store version, LabelIndex, max degree)``); a patch carries
+        # none of them.
+        self.classes: set[int] | None = None
+        self.superclasses: dict[int, frozenset[int]] = {}
+        self.subclasses: dict[int, frozenset[int]] = {}
+        self.instances: dict[int, frozenset[int]] = {}
+        self.literals_by_lexical: dict[str, set[int]] | None = None
+        self.linking_material: tuple | None = None
 
     def full_rows(self) -> dict[int, AdjacencyRow]:
         """A new dict of every node's row, read from the store now.
@@ -407,28 +417,6 @@ class AdjacencyKernel:
                 carriers = frozenset(map(end, self.store.triples_ids(p=pid)))
             self._directory[step] = carriers
         return carriers
-
-    # ------------------------------------------------------------------ #
-    # Scratch caches
-    # ------------------------------------------------------------------ #
-
-    def cache_region(self, name: str) -> dict:
-        """A named memoization dict scoped to this kernel's lifetime.
-
-        Dropped with the kernel on :meth:`KnowledgeGraph.refresh`, so a
-        cached value can never outlive the store version it was computed
-        from.  Regions self-clear past ``_REGION_CAP`` entries to bound
-        memory on large mining runs; creation and the clear decision are
-        lock-guarded so concurrent callers never clear a region another
-        thread is mid-way through populating for the same lookup.
-        """
-        with self._region_lock:
-            region = self._regions.get(name)
-            if region is None:
-                region = self._regions[name] = {}
-            elif len(region) > _REGION_CAP:
-                region.clear()
-        return region
 
     def statistics(self) -> dict[str, int]:
         """Index size, laziness and walk-cache counters (reported by

@@ -199,6 +199,26 @@ def read_head(rfile: BinaryIO) -> "tuple[str, str, int, dict[str, str]] | None":
     raise BadHead(431, f"more than {MAX_HEADERS} request headers")
 
 
+def _peer_get(url: str, path: str) -> dict:
+    """The JSON body a sibling worker's admin endpoint (``url``) answers
+    to ``GET path`` — one ``Connection: close`` request in this module's
+    own wire format, read to the end, every socket operation bounded by
+    ``PEER_TIMEOUT_S``.  Anything but a 200 raises :class:`OSError`; a
+    body that is not JSON, :class:`ValueError`."""
+    host, _, port = url.removeprefix("http://").rpartition(":")
+    with socket.create_connection((host, int(port)), timeout=PEER_TIMEOUT_S) as sock:
+        sock.sendall(
+            f"GET {path} HTTP/1.1\r\nHost: {host}:{port}\r\nConnection: close\r\n\r\n"
+            .encode("ascii")
+        )
+        raw = b"".join(iter(lambda: sock.recv(65536), b""))
+    head, _, body = raw.partition(b"\r\n\r\n")
+    if not head.startswith(b"HTTP/1.1 200 "):
+        status_line = head.partition(b"\r\n")[0].decode("latin-1")
+        raise OSError(f"GET {url}{path}: {status_line or 'no response'}")
+    return json.loads(body)
+
+
 # ---------------------------------------------------------------------- #
 # The server
 # ---------------------------------------------------------------------- #
@@ -591,10 +611,6 @@ class _Handler(socketserver.StreamRequestHandler):
         entry and simply missing from the merged totals — aggregation
         degrades, it never 500s.
         """
-        # Only the pre-fork fan-in is an HTTP client.
-        import urllib.error
-        import urllib.request
-
         local_index = (self.server.worker or {}).get("index")
         snapshots: list[dict] = []
         workers: list[dict] = []
@@ -605,15 +621,9 @@ class _Handler(socketserver.StreamRequestHandler):
                 entry["pid"] = os.getpid()
             else:
                 try:
-                    with urllib.request.urlopen(
-                        f"{peer['url']}/metrics", timeout=PEER_TIMEOUT_S
-                    ) as response:
-                        snap = json.loads(response.read())
-                    with urllib.request.urlopen(
-                        f"{peer['url']}/healthz", timeout=PEER_TIMEOUT_S
-                    ) as response:
-                        entry["pid"] = json.loads(response.read()).get("pid")
-                except (urllib.error.URLError, ConnectionError, OSError, TimeoutError) as exc:
+                    snap = _peer_get(peer["url"], "/metrics")
+                    entry["pid"] = _peer_get(peer["url"], "/healthz").get("pid")
+                except (OSError, ValueError) as exc:
                     entry["error"] = str(exc)
                     workers.append(entry)
                     continue

@@ -80,21 +80,25 @@ def path_to_string(path: PathExpr) -> str:
 # Evaluation
 # --------------------------------------------------------------------- #
 
-def _targets_of(store: TripleStore, path: PathExpr, source: int) -> set[int]:
-    """All nodes reachable from ``source`` via ``path`` (node semantics)."""
+def _reach(store: TripleStore, path: PathExpr, start: int, forward: bool) -> set[int]:
+    """All nodes ``path`` leads to from ``start`` (node semantics) —
+    walked along its steps when ``forward``, else against them, which
+    finds the nodes from which ``start`` is reachable via ``path``."""
     if isinstance(path, PredicateStep):
         pid = store.dictionary.lookup_or_none(path.predicate)
         if pid is None:
             return set()
-        return set(store.objects_ids(source, pid))
+        if forward:
+            return set(store.objects_ids(start, pid))
+        return set(store.subjects_ids(pid, start))
     if isinstance(path, InversePath):
-        return _sources_of(store, path.inner, source)
+        return _reach(store, path.inner, start, not forward)
     if isinstance(path, SequencePath):
-        frontier = {source}
-        for step in path.steps:
+        frontier = {start}
+        for step in path.steps if forward else reversed(path.steps):
             next_frontier: set[int] = set()
             for node in frontier:
-                next_frontier |= _targets_of(store, step, node)
+                next_frontier |= _reach(store, step, node, forward)
             if not next_frontier:
                 return set()
             frontier = next_frontier
@@ -102,57 +106,17 @@ def _targets_of(store: TripleStore, path: PathExpr, source: int) -> set[int]:
     if isinstance(path, AlternativePath):
         found: set[int] = set()
         for option in path.options:
-            found |= _targets_of(store, option, source)
+            found |= _reach(store, option, start, forward)
         return found
     # RepeatPath: BFS closure over nodes.
     reached: set[int] = set()
-    frontier = {source}
+    frontier = {start}
     if path.min_count == 0:
-        reached.add(source)
+        reached.add(start)
     while frontier:
-        next_frontier: set[int] = set()
+        next_frontier = set()
         for node in frontier:
-            next_frontier |= _targets_of(store, path.inner, node)
-        next_frontier -= reached
-        reached |= next_frontier
-        if path.at_most_one:
-            break
-        frontier = next_frontier
-    return reached
-
-
-def _sources_of(store: TripleStore, path: PathExpr, target: int) -> set[int]:
-    """All nodes from which ``target`` is reachable via ``path``."""
-    if isinstance(path, PredicateStep):
-        pid = store.dictionary.lookup_or_none(path.predicate)
-        if pid is None:
-            return set()
-        return set(store.subjects_ids(pid, target))
-    if isinstance(path, InversePath):
-        return _targets_of(store, path.inner, target)
-    if isinstance(path, SequencePath):
-        frontier = {target}
-        for step in reversed(path.steps):
-            next_frontier: set[int] = set()
-            for node in frontier:
-                next_frontier |= _sources_of(store, step, node)
-            if not next_frontier:
-                return set()
-            frontier = next_frontier
-        return frontier
-    if isinstance(path, AlternativePath):
-        found: set[int] = set()
-        for option in path.options:
-            found |= _sources_of(store, option, target)
-        return found
-    reached: set[int] = set()
-    frontier = {target}
-    if path.min_count == 0:
-        reached.add(target)
-    while frontier:
-        next_frontier: set[int] = set()
-        for node in frontier:
-            next_frontier |= _sources_of(store, path.inner, node)
+            next_frontier |= _reach(store, path.inner, node, forward)
         next_frontier -= reached
         reached |= next_frontier
         if path.at_most_one:
@@ -174,17 +138,17 @@ def evaluate_path(
     the W3C evaluation semantics for open-ended paths.
     """
     if source is not None and target is not None:
-        if target in _targets_of(store, path, source):
+        if target in _reach(store, path, source, True):
             yield (source, target)
         return
     if source is not None:
-        for node in sorted(_targets_of(store, path, source)):
+        for node in sorted(_reach(store, path, source, True)):
             yield (source, node)
         return
     if target is not None:
-        for node in sorted(_sources_of(store, path, target)):
+        for node in sorted(_reach(store, path, target, False)):
             yield (node, target)
         return
     for start in sorted(store.node_ids()):
-        for node in sorted(_targets_of(store, path, start)):
+        for node in sorted(_reach(store, path, start, True)):
             yield (start, node)

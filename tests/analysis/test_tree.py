@@ -199,6 +199,30 @@ class TestNoForksGrowBack:
         assert kernel.adjacency(node) is kernel.adjacency(node)
         assert kernel.statistics()["rows_boxed"] == 1
 
+    def test_one_object_per_store_version(self):
+        """Everything derived from a store version lives on its kernel: the
+        kernel has no named scratch regions beside its slots, mining's
+        walk memo belongs to the run, and the graph holds its store, its
+        lock and its kernel — nothing a refresh would have to reset."""
+        import repro.paraphrase.path_mining
+        import repro.rdf.kernel
+        from repro.datasets import build_dbpedia_mini
+        from repro.linking import EntityLinker
+        from repro.rdf.kernel import AdjacencyKernel
+
+        assert not hasattr(AdjacencyKernel, "cache_region")
+        for member in ("_regions", "_region_lock"):
+            assert member not in AdjacencyKernel.__slots__, member
+        assert not hasattr(repro.rdf.kernel, "_REGION_CAP")
+        for name in ("forget_walks", "_TREE_REGION", "_PREFIX_REGION"):
+            assert not hasattr(repro.paraphrase.path_mining, name), name
+        kg = build_dbpedia_mini()
+        EntityLinker(kg)
+        for class_id in sorted(kg.class_ids)[:3]:
+            kg.instances_of(class_id), kg.superclasses_of(class_id)
+        kg.literal_ids_by_lexical("Berlin")
+        assert set(vars(kg)) == {"store", "_kernel_lock", "_kernel"}
+
     def test_a_term_table_is_the_records_it_ships_in(self, tmp_path, monkeypatch):
         """A built, an empty and an opened dictionary hold one form — the
         three term-table columns plus a tail — and the compiler writes a

@@ -171,7 +171,7 @@ class TestOncePerStoreVersion:
         hub = IRI("ex:hub")
         kg.store.add_all(Triple(hub, IRI("ex:linksTo"), IRI(f"ex:leaf{i}")) for i in range(500))
         after = EntityLinker(kg)
-        assert kg.kernel is kernel  # same kernel, same region: the stamp decides
+        assert kg.kernel is kernel  # same kernel, same slot: the stamp decides
         assert builds.count == 2
         assert after.max_degree == 500 > before.max_degree
         assert EntityLinker(kg).index is after.index and builds.count == 2
@@ -186,7 +186,7 @@ class TestOncePerStoreVersion:
         assert EntityLinker(kg).index.exact("brand new thing")
         assert builds.count == 2
 
-    def test_given_index_and_max_degree_touch_neither_region_nor_store(self, monkeypatch):
+    def test_given_material_stores_none_on_the_kernel(self, monkeypatch):
         kg = build_dbpedia_mini()
         material = EntityLinker(kg)
         kg.refresh()
@@ -198,7 +198,7 @@ class TestOncePerStoreVersion:
         linker = EntityLinker(kg, index=material.index, max_degree=material.max_degree)
         assert linker.index is material.index
         assert builds.count == 0
-        assert kernel.cache_region("linking.material") == {}
+        assert kernel.linking_material is None
 
 
 class _PinnedClock(datetime.datetime):

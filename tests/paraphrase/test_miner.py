@@ -226,9 +226,10 @@ class TestIncrementalMaintenance:
 
 
 class TestWhatMiningKeeps:
-    """The walk-tree memos pay between the pairs of one run, not after it."""
+    """The walk memo pays between the pairs of one run, not after it: the
+    run owns it, and nothing of it is left on the kernel."""
 
-    REGIONS = ("mining.expand_tree", "mining.literal_prefixes")
+    KERNEL_SLOTS = ("superclasses", "subclasses", "instances")
 
     def _dictionary_view(self, dictionary):
         return {
@@ -236,33 +237,40 @@ class TestWhatMiningKeeps:
             for phrase in sorted(dictionary.phrases())
         }
 
-    def test_regions_are_used_during_a_run_and_empty_after_it(
+    def _kernel_memos(self, kg):
+        """The kernel's per-version memos, by slot: mining fills none."""
+        kernel = kg.kernel
+        return {name: dict(getattr(kernel, name)) for name in self.KERNEL_SLOTS}
+
+    def test_the_run_memo_is_hit_and_left_nowhere(
         self, family_kg, uncle_dataset, monkeypatch
     ):
         from repro.paraphrase import miner as miner_module
 
-        peak = {}
-        forget = miner_module.forget_walks
+        memos, hits = [], []
+        find = miner_module.find_simple_paths
 
-        def measuring(kg):
-            for name in self.REGIONS:
-                peak[name] = len(kg.kernel.cache_region(name))
-            forget(kg)
+        def watching(kg, source, target, max_length, tracer=None, memo=None):
+            if not any(held is memo for held in memos):
+                memos.append(memo)
+            hits.append((source, (max_length + 1) // 2) in memo)
+            return find(kg, source, target, max_length, tracer=tracer, memo=memo)
 
-        monkeypatch.setattr(miner_module, "forget_walks", measuring)
+        monkeypatch.setattr(miner_module, "find_simple_paths", watching)
+        before = self._kernel_memos(family_kg)
         ParaphraseMiner(family_kg, max_path_length=3).mine(uncle_dataset)
-        assert peak["mining.expand_tree"] > 0
-        for name in self.REGIONS:
-            assert family_kg.kernel.cache_region(name) == {}
+        (memo,) = memos  # one dict for every pair of the run
+        assert memo and any(hits)  # it held trees, and a later pair reused one
+        assert self._kernel_memos(family_kg) == before
 
-    def test_regions_are_empty_after_a_remine(self, family_kg, uncle_dataset):
+    def test_a_remine_leaves_no_memo_on_the_kernel(self, family_kg, uncle_dataset):
         miner = ParaphraseMiner(family_kg, max_path_length=3, top_k=3)
         dictionary = miner.mine(uncle_dataset)
         family_kg.store.add(Triple(e("tedA"), e("uncleOf"), e("juniorA")))
         family_kg.refresh()
+        before = self._kernel_memos(family_kg)
         assert miner.remine_for_predicates(uncle_dataset, dictionary, {e("uncleOf")}) >= 1
-        for name in self.REGIONS:
-            assert family_kg.kernel.cache_region(name) == {}
+        assert self._kernel_memos(family_kg) == before
 
     def test_mining_twice_gives_equal_dictionaries(self, family_kg, uncle_dataset):
         miner = ParaphraseMiner(family_kg, max_path_length=3, top_k=3)

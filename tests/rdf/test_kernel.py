@@ -16,8 +16,11 @@ from collections import Counter, defaultdict
 import pytest
 
 from repro.datasets import SyntheticConfig, build_dbpedia_mini, build_synthetic_kg
+from repro.linking import EntityLinker
 from repro.paraphrase.path_mining import find_simple_paths
-from repro.rdf import IRI, RDF_TYPE, RDFS_LABEL, KnowledgeGraph, Literal, Triple, TripleStore
+from repro.rdf import (
+    IRI, RDF_TYPE, RDFS_LABEL, RDFS_SUBCLASSOF, KnowledgeGraph, Literal, Triple, TripleStore,
+)
 from repro.rdf.kernel import AdjacencyKernel, step_is_forward, step_predicate
 
 from .row_oracle import oracle_directory, oracle_rows
@@ -288,16 +291,36 @@ class TestRefreshInvalidation:
         kg.refresh()
         assert kg.kernel.nodes_with_step(-knows) == {a, b, c}
 
-    def test_cache_regions_dropped_on_refresh(self):
+    def test_refresh_drops_all_derived_state_in_one_swap(self):
+        """Everything derived from a store version hangs off its kernel and
+        the graph holds nothing else, so one swap — full or incremental —
+        drops the class set, both closures, the instance sets, the literal
+        index and the linker's material; an incremental one carries the
+        rows the write did not touch and none of those."""
         store, kg, e = self.build()
-        a = kg.id_of(e("a"))
-        c = kg.id_of(e("c"))
-        find_simple_paths(kg, a, c, 4)  # populates the expand-tree region
-        assert kg.kernel.cache_region("mining.expand_tree")
-        old_region = kg.kernel.cache_region("mining.expand_tree")
+        store.add_all([
+            Triple(e("a"), RDF_TYPE, e("City")),
+            Triple(e("City"), RDFS_SUBCLASSOF, e("Place")),
+            Triple(e("a"), RDFS_LABEL, Literal("A")),
+        ])
         kg.refresh()
-        assert kg.kernel.cache_region("mining.expand_tree") is not old_region
-        assert not kg.kernel.cache_region("mining.expand_tree")
+        derived = (
+            "classes", "superclasses", "subclasses", "instances",
+            "literals_by_lexical", "linking_material",
+        )
+        a, city = kg.id_of(e("a")), kg.id_of(e("City"))
+        for incremental, rows_carried in ((True, 1), (False, 0)):
+            EntityLinker(kg)
+            kg.class_ids, kg.superclasses_of(city), kg.subclasses_of(city)
+            kg.instances_of(city), kg.literal_ids_by_lexical("A")
+            kg.kernel.adjacency(a)
+            kernel = kg.kernel
+            assert all(getattr(kernel, name) for name in derived)
+            assert set(vars(kg)) == {"store", "_kernel_lock", "_kernel"}
+            kg.refresh(incremental=incremental)
+            assert kg.kernel is not kernel
+            assert [getattr(kg.kernel, name) for name in derived] == [None, {}, {}, {}, None, None]
+            assert kg.kernel.statistics()["rows_boxed"] == rows_carried
 
 
 # --------------------------------------------------------------------- #

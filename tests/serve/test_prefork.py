@@ -309,6 +309,19 @@ class TestClusterSmoke:
         assert merged["counters"]["serve.requests"] == per_worker
         assert per_worker >= 4
 
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="reads /proc/<pid>/maps")
+    def test_metrics_fan_in_loads_no_http_client(self, cluster):
+        """A worker fetches its siblings' ``/metrics`` and ``/healthz`` over
+        plain sockets: after aggregated ``/metrics`` no worker maps
+        ``_ssl``, which an HTTP client library would have loaded."""
+        base, _process = cluster
+        for _ in range(6):  # the kernel picks the answering worker
+            merged = _get(base, "/metrics")
+        pids = [entry.get("pid") for entry in merged["workers"]]
+        assert len(pids) == 2 and all(pids), merged["workers"]
+        for pid in pids:
+            assert "_ssl" not in Path(f"/proc/{pid}/maps").read_text(), pid
+
     def test_killed_worker_is_respawned(self, cluster):
         base, _process = cluster
         before = _observed_pids(base, want=2)

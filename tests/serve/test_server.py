@@ -496,6 +496,50 @@ class TestIntrospection:
         assert second["connections_reused"] > first["connections_reused"]
 
 
+    def test_cluster_metrics_report_an_unreachable_worker_never_a_500(self, served):
+        """The fan-in merges the workers that answer and reports the rest —
+        one refusing connections, one answering a body that is not
+        JSON — in their per-worker entries."""
+        from repro.serve.server import QAServer
+
+        base, engine = served
+        _post(f"{base}/ask", {"question": BERLIN_Q})
+        with socket.create_server(("127.0.0.1", 0)) as closed:
+            refused = closed.getsockname()[1]
+        garbled = socket.create_server(("127.0.0.1", 0))
+
+        def answer_garbage():
+            connection, _address = garbled.accept()
+            with connection:
+                connection.recv(65536)
+                connection.sendall(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nnot json")
+
+        liar = threading.Thread(target=answer_garbage, daemon=True)
+        liar.start()
+        peers = [
+            {"index": 0, "url": "local"},
+            {"index": 1, "url": base},
+            {"index": 2, "url": f"http://127.0.0.1:{refused}"},
+            {"index": 3, "url": f"http://127.0.0.1:{garbled.getsockname()[1]}"},
+        ]
+        fan_in = QAServer(("127.0.0.1", 0), engine, worker={"index": 0}, peers=peers)
+        thread = threading.Thread(target=fan_in.serve_forever, daemon=True)
+        thread.start()
+        try:
+            status, merged = _get(f"http://127.0.0.1:{fan_in.server_address[1]}/metrics")
+        finally:
+            fan_in.shutdown()
+            fan_in.server_close()
+            liar.join(timeout=10)
+            garbled.close()
+        assert status == 200
+        entries = {entry["index"]: entry for entry in merged["workers"]}
+        assert [("error" in entries[index]) for index in range(4)] == [False, False, True, True]
+        assert entries[1]["pid"] == entries[0]["pid"]  # one process serves both here
+        assert merged["counters"]["serve.requests"] == sum(
+            entries[index]["counters"]["serve.requests"] for index in (0, 1)
+        ) > 0
+
 class TestBind:
     def test_a_taken_port_raises_the_bind_error(self, served):
         """The base constructor closes the server when its bind fails: the

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -226,6 +227,32 @@ class TestUserErrors:
         assert done.returncode == 2 and done.stdout == ""
         (line,) = done.stderr.splitlines()
         assert line.startswith("error: ") and "format 5" in line and "recompile" in line
+
+    def test_serve_stops_cleanly_on_sigterm(self, tmp_path):
+        """A process manager's stop: SIGTERM unwinds ``serve_forever`` and
+        the server shuts down, closes and exits 0 (it used to die of the
+        signal, status 143, skipping all three)."""
+        from repro.datasets import build_dbpedia_mini
+        from repro.paraphrase import ParaphraseDictionary
+        from repro.rdf.snapshot import compile_snapshot
+
+        path = tmp_path / "graph.snap"
+        compile_snapshot(path, build_dbpedia_mini(), ParaphraseDictionary())
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--snapshot", str(path), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        )
+        try:
+            banner = server.stdout.readline()
+            assert "listening on http://" in banner, banner
+            server.send_signal(signal.SIGTERM)
+            _out, err = server.communicate(timeout=30)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0 and "Traceback" not in err, (server.returncode, err)
 
     def test_compile_into_a_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.snap"
