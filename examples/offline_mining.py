@@ -3,8 +3,8 @@
 
 Demonstrates Algorithm 1 in isolation: multi-hop path discovery (the
 "uncle of" pattern of Figure 4), tf-idf noise suppression (the
-(hasGender, hasGender) discussion), serialization, and incremental
-maintenance when predicates are added or removed.
+(hasGender, hasGender) discussion), serialization, and maintenance when
+predicates are added (mine again) or removed (drop their mappings).
 
 Run:  python examples/offline_mining.py
 """
@@ -83,13 +83,13 @@ def main() -> None:
         print(f"  {info.total_bytes} bytes of snapshot; restored "
               f"{len(restored)} phrases intact\n")
 
-    print("Incremental maintenance (Section 3): a direct uncleOf predicate "
-          "appears ...")
+    print("Maintenance (Section 3): a direct uncleOf predicate appears ...")
     kg.store.add(Triple(e("kennedy_uncle"), e("uncleOf"), e("kennedy_nephew")))
     kg.store.add(Triple(e("corr_uncle"), e("uncleOf"), e("corr_nephew")))
     kg.refresh()
-    remined = miner.remine_for_predicates(dataset, dictionary, {e("uncleOf")})
-    print(f"  re-mined {remined} affected phrase(s); new top mapping:")
+    # idf is taken over every phrase, so the whole dataset is mined again.
+    dictionary = miner.mine(dataset)
+    print(f"  re-mined {len(dictionary)} phrase(s); new top mapping:")
     top = dictionary.lookup(normalize_phrase("uncle of"))[0]
     print(f"    {describe_path(kg, top.path)}  confidence {top.confidence:.2f}")
 

@@ -7,9 +7,11 @@ phrases occur in a dependency tree.
 
 Maintenance (Section 3's closing remark): when predicates are removed from
 the dataset, :meth:`remove_predicate` drops every mapping that traverses
-them; newly introduced predicates are covered by re-mining only the phrases
-whose support pairs touch them (:meth:`repro.paraphrase.ParaphraseMiner.
-remine_for_predicates`).
+them; newly introduced predicates are covered by mining again
+(:meth:`repro.paraphrase.ParaphraseMiner.mine`).  Definition 4's idf is
+taken over the whole phrase set T, so an exact re-mine collects every
+phrase's path sets: re-mining only the phrases a new predicate touches
+would score them against each other alone.
 
 The dictionary is persisted, by id, as the ``dictionary`` section of a
 compiled snapshot (:mod:`repro.rdf.snapshot`).

@@ -198,56 +198,17 @@ class ParaphraseMiner:
             )
         return dictionary
 
-    def remine_for_predicates(
-        self,
-        dataset: RelationPhraseDataset,
-        dictionary: ParaphraseDictionary,
-        new_predicates: set[IRI],
-    ) -> int:
-        """Incremental maintenance: re-mine only the phrases whose support
-        pairs are incident to a newly introduced predicate.
-
-        Returns the number of phrases re-mined.  This is the cheap update
-        path Section 3 sketches instead of a full rebuild.
-        """
-        new_ids = {
-            pid for pid in (self.kg.id_of(p) for p in new_predicates) if pid is not None
-        }
-        if not new_ids:
-            return 0
-        affected: dict[str, list[tuple[IRI, IRI]]] = {}
-        for phrase, pairs in dataset.support.items():
-            for left, right in pairs:
-                left_id = self.kg.id_of(left)
-                right_id = self.kg.id_of(right)
-                if left_id is None or right_id is None:
-                    continue
-                kernel = self.kg.kernel
-                incident = {
-                    abs(step) - 1
-                    for node in (left_id, right_id)
-                    for step, _neighbor in kernel.entity_neighbors(node)
-                }
-                if incident & new_ids:
-                    affected[phrase] = pairs
-                    break
-        if not affected:
-            return 0
-        sub_dataset = RelationPhraseDataset(dict(affected))
-        partial = self.mine(sub_dataset)
-        for phrase_words in partial.phrases():
-            dictionary.add(phrase_words, partial.lookup(phrase_words))
-        return len(affected)
-
     # ------------------------------------------------------------------ #
 
     def _collect_path_sets(self, dataset: RelationPhraseDataset, tracer=obs.NOOP):
         """Per phrase, the path set of each support pair that occurs in G
         and connects by some path; plus the located and total pair counts.
 
-        One walk memo serves every pair of the run (endpoints repeat
-        across phrases) and goes with it: afterwards it would only be
-        weight — thousands of trees every later collection walks."""
+        One walk memo — trees, literal-prefix enumerations and the
+        literal-free rows they were expanded over — serves every pair of
+        the run (endpoints repeat across phrases) and goes with it:
+        afterwards it would only be weight — thousands of trees every
+        later collection walks."""
         per_pair_sets: dict[str, list[set[Path]]] = {}
         memo: dict = {}
         located = 0

@@ -12,18 +12,21 @@ opposes the predicate's direction, so the path can be re-walked
 directionally at query time.
 
 Hot-path layout: the BFS runs on the adjacency kernel's flat
-``(steps, neighbors)`` rows, each walk is a pair of plain tuples (the
-signed path and the node sequence — simplicity is a membership test on
-the shared-prefix node tuple, no per-step ``frozenset`` copies), and both
-the expansion trees and the literal-prefix enumerations are memoized in
-one dict a mining run owns, so repeated endpoints across its support
-pairs are expanded once per run.
+``(steps, neighbors)`` rows less their literal slots, and each walk is a
+pair of plain tuples (the signed path and the node sequence — simplicity
+is a membership test on the shared-prefix node tuple, no per-step
+``frozenset`` copies).  A mining run owns one memo dict holding the
+expansion trees (keyed ``(start, depth)``), the literal-prefix
+enumerations (keyed ``(source, holder, budget)``) and, under the one key
+:data:`_ROWS`, the literal-free row of each node it expanded
+(:func:`entity_row`), so repeated endpoints are expanded once per run.
 """
 
 from __future__ import annotations
 
 from repro import obs
 from repro.rdf.graph import KnowledgeGraph, reverse_path
+from repro.rdf.kernel import AdjacencyKernel, AdjacencyRow
 
 Path = tuple[int, ...]
 
@@ -35,6 +38,21 @@ ExpansionTree = dict[int, list[tuple[Path, tuple[int, ...]]]]
 #: a coarse but allocation-free stand-in for LRU eviction.
 _MEMO_CAP = 1 << 15
 
+#: The memo key of the run's literal-free rows: one entry, so the rows
+#: (tens of thousands on a large graph) never count against the cap.
+_ROWS = "rows"
+
+
+def entity_row(kernel: AdjacencyKernel, node: int) -> AdjacencyRow:
+    """``node``'s kernel row less its literal slots: the kernel row itself
+    when it has none, as most have."""
+    steps, neighbors = kernel.adjacency(node)
+    is_literal = kernel.store.is_literal_id
+    keep = [index for index, neighbor in enumerate(neighbors) if not is_literal(neighbor)]
+    if len(keep) == len(steps):
+        return steps, neighbors
+    return tuple(steps[index] for index in keep), tuple(neighbors[index] for index in keep)
+
 
 def _expand_tree(
     kg: KnowledgeGraph, start: int, depth: int, memo: dict, tracer
@@ -42,9 +60,10 @@ def _expand_tree(
     """All simple walks of length ≤ depth from ``start``.
 
     Returns endpoint → list of (signed path, visited node sequence
-    including both endpoints).  BFS by level; simplicity enforced per walk
-    by a membership test on the walk's own node tuple (walks are ≤ ⌈θ/2⌉
-    long, so a tuple scan beats allocating a set per extension).
+    including both endpoints).  BFS by level over literal-free rows;
+    simplicity enforced per walk by a membership test on the walk's own
+    node tuple (walks are ≤ ⌈θ/2⌉ long, so a tuple scan beats allocating
+    a set per extension).
 
     Trees are memoized per (start, depth) in ``memo`` — support-pair
     endpoints repeat heavily across phrases — so callers must treat the
@@ -59,38 +78,19 @@ def _expand_tree(
     cached = memo.get(key)
     if cached is not None:
         return cached
-    entity_adjacency = kg.kernel.entity_adjacency
+    rows = memo.setdefault(_ROWS, {})
+    kernel = kg.kernel
     observe = tracer.metrics.observe
-    if depth == 1:
-        # θ=2 splits into two depth-1 trees: one row scan, no frontier
-        # machinery.  Every non-self-loop edge is one accepted extension,
-        # so expanded == frontier == the number of walks added.
-        reached_one: ExpansionTree = {start: [((), (start,))]}
-        expanded_one = 0
-        steps, neighbors = entity_adjacency(start)
-        for step, neighbor in zip(steps, neighbors):
-            if neighbor == start:
-                continue
-            expanded_one += 1
-            walk = ((step,), (start, neighbor))
-            walks = reached_one.get(neighbor)
-            if walks is None:
-                reached_one[neighbor] = [walk]
-            else:
-                walks.append(walk)
-        if expanded_one:
-            observe("mining.bfs_expanded", expanded_one)
-            observe("mining.bfs_frontier", expanded_one)
-        memo[key] = reached_one
-        return reached_one
     reached: ExpansionTree = {start: [((), (start,))]}
     frontier: list[tuple[int, Path, tuple[int, ...]]] = [(start, (), (start,))]
     for _ in range(depth):
         next_frontier: list[tuple[int, Path, tuple[int, ...]]] = []
         expanded = 0
         for node, path, nodes in frontier:
-            steps, neighbors = entity_adjacency(node)
-            for step, neighbor in zip(steps, neighbors):
+            row = rows.get(node)
+            if row is None:
+                row = rows[node] = entity_row(kernel, node)
+            for step, neighbor in zip(*row):
                 if neighbor in nodes:
                     continue
                 expanded += 1

@@ -45,8 +45,17 @@ def document_frequencies(
 
 
 def smoothed_idf_from_count(containing: int, total: int) -> float:
-    """Smoothed idf from a precomputed document frequency (see
-    :func:`smoothed_idf_value` for the smoothing rationale)."""
+    """idf with add-one smoothing on |T|: ``log((|T|+1) / (count+1))``,
+    from a precomputed document frequency ``count`` of a path over the
+    ``total`` = |T| phrases.
+
+    Definition 4's idf is ``log(|T|/(count+1))``, which is ≤ 0 whenever a
+    path is unique to one phrase in a *small* dictionary (|T| = 2 →
+    log(2/2) = 0).  At the paper's scale (350 k–1.6 M phrases) the two
+    formulas are indistinguishable; the smoothed form keeps the intended
+    ordering — unique paths positive, ubiquitous paths at zero — at any
+    corpus size, so the miner uses it.
+    """
     if total == 0:
         return 0.0
     return math.log((total + 1) / (containing + 1))
@@ -61,23 +70,6 @@ def idf_value(path: Path, all_phrase_paths: Mapping[str, Iterable[Path]]) -> flo
         1 for paths in all_phrase_paths.values() if path in set(paths)
     )
     return math.log(total / (containing + 1))
-
-
-def smoothed_idf_value(path: Path, all_phrase_paths: Mapping[str, Iterable[Path]]) -> float:
-    """idf with add-one smoothing on |T|: ``log((|T|+1) / (count+1))``.
-
-    Definition 4's idf is ``log(|T|/(count+1))``, which is ≤ 0 whenever a
-    path is unique to one phrase in a *small* dictionary (|T| = 2 →
-    log(2/2) = 0).  At the paper's scale (350 k–1.6 M phrases) the two
-    formulas are indistinguishable; the smoothed form keeps the intended
-    ordering — unique paths positive, ubiquitous paths at zero — at any
-    corpus size, so the miner uses it.
-    """
-    total = len(all_phrase_paths)
-    if total == 0:
-        return 0.0
-    containing = sum(1 for paths in all_phrase_paths.values() if path in set(paths))
-    return math.log((total + 1) / (containing + 1))
 
 
 def tf_idf_value(

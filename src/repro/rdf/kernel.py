@@ -12,9 +12,10 @@ as one flat row:
   the mined predicate paths use) and ``neighbors[i]`` is the far endpoint;
 * structural predicates (``rdf:type``, ``rdfs:subClassOf``,
   ``rdfs:label``) are left out;
-* two variants are served: the **full** row (literal endpoints included —
-  what neighborhood pruning checks) and the **entity** row (literal
-  endpoints excluded — what the offline path BFS walks).
+* literal endpoints are kept: a Q^S edge can end on a literal, so
+  neighborhood pruning checks them.  One row is served per node; the
+  offline path BFS drops the literal slots from the rows it reads itself
+  (:mod:`repro.paraphrase.path_mining`).
 
 The graph is its columns: the store already holds every node's adjacency
 twice, as its SPO run (the forward steps) and its OSP run (the backward
@@ -52,7 +53,7 @@ after a write but before the refresh shows the write, exactly as
 Thread safety and lifetime: the memoization layers are safe to read from
 any number of threads — ``walk_path`` is an ``functools.lru_cache``
 (internally locked), and row reads, ``incident_steps``,
-``entity_adjacency``, ``nodes_with_step`` and the graph's slots publish
+``nodes_with_step`` and the graph's slots publish
 fully-built values into a dict or a slot (the worst interleaving
 recomputes a value, never exposes a partial one).  Nothing a kernel owns
 refers back to it: ``walk_path`` caches :func:`walk` bound to the
@@ -265,7 +266,6 @@ class AdjacencyKernel:
         "subclass_id",
         "label_id",
         "_full",
-        "_entity",
         "_directory",
         "_sizes",
         "walk_path",
@@ -299,7 +299,6 @@ class AdjacencyKernel:
             )
         else:
             self._full = KernelRows(store, self.structural_predicate_ids)
-        self._entity: dict[int, AdjacencyRow] = {}
         self._directory: dict[int, frozenset[int]] = {}
         self._sizes: dict[str, int] | None = None
         # Over the store, not over a bound method: a cache that held the
@@ -349,43 +348,9 @@ class AdjacencyKernel:
         """``(steps, neighbors)`` with literal endpoints, structural-free."""
         return self._full[node_id]
 
-    def entity_adjacency(self, node_id: int) -> AdjacencyRow:
-        """``(steps, neighbors)`` without literal endpoints or structural
-        predicates — the rows the offline path BFS expands.
-
-        Derived lazily from the full row, once per node: most nodes have
-        no literal-valued edges and share the full row's tuples outright,
-        and nodes the BFS never reaches cost nothing at build time.
-        """
-        row = self._entity.get(node_id)
-        if row is None:
-            steps, neighbors = self._full[node_id]
-            if steps:
-                is_literal = self.store.is_literal_id
-                keep = [
-                    index
-                    for index, neighbor in enumerate(neighbors)
-                    if not is_literal(neighbor)
-                ]
-                if len(keep) == len(steps):
-                    row = (steps, neighbors)
-                else:
-                    row = (
-                        tuple(steps[index] for index in keep),
-                        tuple(neighbors[index] for index in keep),
-                    )
-            else:
-                row = _EMPTY_ROW
-            self._entity[node_id] = row
-        return row
-
     def neighbors(self, node_id: int) -> Iterator[tuple[int, int]]:
         """(signed step, neighbor) pairs, literals included."""
         return zip(*self._full[node_id])
-
-    def entity_neighbors(self, node_id: int) -> Iterator[tuple[int, int]]:
-        """(signed step, neighbor) pairs, literals excluded."""
-        return zip(*self.entity_adjacency(node_id))
 
     def incident_steps(self, node_id: int) -> frozenset[int]:
         """Memoized signature: the distinct signed steps incident to a node.
@@ -423,8 +388,8 @@ class AdjacencyKernel:
         ``QAEngine.warm`` and ``GET /stats``).
 
         The four size counts are taken once, in one pass over the store's
-        POS runs (:meth:`KernelRows.census`) that reads no row and derives
-        no entity row, and remembered.  ``rows_boxed`` is how many rows
+        POS runs (:meth:`KernelRows.census`) that reads no row, and
+        remembered.  ``rows_boxed`` is how many rows
         exist as Python tuples: the rows read so far (and those a patch
         carried), 0 for a fresh kernel.  ``directory_steps`` counts the
         steps :meth:`nodes_with_step` has been asked for.

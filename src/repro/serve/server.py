@@ -43,11 +43,14 @@ token → 401 (compared constant-time).
 Error mapping: malformed body → 400, missing ``Content-Length`` → 411,
 oversized body → 413, unknown route → 404, admission budget exhausted →
 429 with a ``Retry-After`` hint (reads and writes each have their own
-budget).  Every response body is JSON, including errors
-(``{"error": ...}``) — and including a request head the server does not
-accept: whatever :func:`read_head` refuses (a malformed request line or
-version, a header line without a colon or folded onto the next, a
-control character, a repeated or non-numeric ``Content-Length``, any
+budget), an ``/ask`` or ``/batch`` that reaches the engine after it was
+closed (a connection kept alive across shutdown) → 503 with
+``Connection: close``, not counted as an internal error.  Every
+response body is JSON, including errors (``{"error": ...}``) — and
+including a request head the server does not accept: whatever
+:func:`read_head` refuses (a malformed request line or version, a
+header line without a colon or folded onto the next, a control
+character, a repeated or non-numeric ``Content-Length``, any
 ``Transfer-Encoding`` → 400; a line over 65 536 bytes or more than 100
 headers → 431; a method other than GET/POST → 405) is answered in the
 same JSON shape with ``Connection: close``.
@@ -86,7 +89,7 @@ from http import HTTPStatus
 from typing import BinaryIO
 
 from repro.contracts import guarded_by
-from repro.exceptions import SnapshotError
+from repro.exceptions import EngineClosedError, SnapshotError
 from repro.obs.metrics import merge_snapshots
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.serve.admission import AdmissionRejected
@@ -477,6 +480,10 @@ class _Handler(socketserver.StreamRequestHandler):
                     },
                     headers={"Retry-After": "1"},
                 )
+            except EngineClosedError as closed:
+                # A kept-alive connection outlived the shutdown: the service
+                # is gone, not broken, and the connection goes with it.
+                self._send_json(503, {"error": str(closed)}, close=True)
             except (BrokenPipeError, ConnectionResetError):
                 # The client hung up while we were answering; nothing to send
                 # and nobody to send it to.

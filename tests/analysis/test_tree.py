@@ -3,11 +3,13 @@ behaves, the serving invariant — an engine owns no threads and never
 crosses a fork — holds in the source, and the second paths and
 single-valued options that were deleted stay deleted."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import json
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -265,6 +267,25 @@ class TestNoForksGrowBack:
             build_parser().parse_args(["--jobs=2", "dictionary"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    def test_mining_has_one_path(self):
+        """Algorithm 1 runs on one path over one kind of row: the kernel
+        serves one row per node (mining drops its literal slots itself),
+        the path BFS has one loop nest, and no re-mine beside ``mine()``
+        scores a sub-corpus against itself."""
+        import repro.paraphrase.tfidf
+        from repro.paraphrase import ParaphraseMiner
+        from repro.paraphrase.path_mining import _expand_tree
+        from repro.rdf.kernel import AdjacencyKernel
+
+        for member in ("entity_adjacency", "entity_neighbors"):
+            assert not hasattr(AdjacencyKernel, member), member
+        assert "_entity" not in AdjacencyKernel.__slots__
+        assert not hasattr(ParaphraseMiner, "remine_for_predicates")
+        assert not hasattr(repro.paraphrase.tfidf, "smoothed_idf_value")
+        tree = ast.parse(textwrap.dedent(inspect.getsource(_expand_tree)))
+        loops = [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))]
+        assert len(loops) == 3  # levels, frontier walks, row slots
 
     def test_kernel_knows_nothing_about_shards(self):
         from repro.analysis.engine import scan

@@ -4,6 +4,8 @@ A QA endpoint sees malformed input constantly; every path through the
 pipeline ends in an Answer object with a failure tag, not an exception.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +67,49 @@ class TestArbitraryInput:
         first = system.answer(question)
         second = system.answer(question)
         assert [str(a) for a in first.answers] == [str(a) for a in second.answers]
+
+
+#: Words the question grammar reads: wh-words, auxiliaries, determiners,
+#: imperatives, aggregation cues, possessives and the mini KG's names.
+_GRAMMAR = _WORDS + [
+    "Who", "Which", "When", "Where", "How", "many", "much", "Is", "Are",
+    "Does", "Give", "List", "Show", "me", "a", "an", "not", "most", "largest",
+    "than", "more", "'s", "'", "whose", "born", "directed", "wife", "Barack",
+    "Obama", "Michelle", "Francis", "Ford", "Coppola", "movies", "city",
+]
+#: Characters a tokenizer may trip over: NUL, quotes, separators, escapes
+#: and non-ASCII letters, symbols and emoji.
+_ODD = ["\x00", '"', "'", "`", "\u2019", "\u2028", "\t", "\n", "\\", "{", "}",
+        "<", ">", "?", "!", "-", "é", "ß", "Ä", "中", "🙂", "\u0301", "\ufeff"]
+
+
+class TestQuestionParserFailsClosed:
+    """The question parser's fuzz: nothing but a ``ReproError`` escapes
+    ``GAnswer.answer``, and no question takes a second."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(_GRAMMAR),
+                st.text(st.sampled_from(_ODD) | st.characters(), min_size=1, max_size=3),
+            ),
+            max_size=14,
+        ),
+        st.sampled_from([" ", "", "\x00", "\t", "  "]),
+    )
+    def test_only_a_repro_error_escapes_in_bounded_time(self, system, tokens, separator):
+        from repro.exceptions import ReproError
+
+        question = separator.join(tokens)
+        started = time.perf_counter()
+        try:
+            result = system.answer(question)
+        except ReproError:
+            pass
+        else:
+            assert isinstance(result, Answer)
+        assert time.perf_counter() - started < 1.0, question
 
 
 class TestDeannaRobustness:

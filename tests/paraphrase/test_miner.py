@@ -13,7 +13,7 @@ from repro.paraphrase import (
 )
 from repro.paraphrase.tfidf import idf_value, tf_idf_value, tf_value
 from repro.rdf import IRI, KnowledgeGraph, Triple, TripleStore
-from repro.rdf.graph import backward_step, forward_step
+from repro.rdf.graph import backward_step, forward_step, step_predicate
 
 
 def e(name):
@@ -203,26 +203,43 @@ class TestDictionary:
         assert remaining[0].path == (forward_step(8),)
 
 
+def dictionary_view(dictionary):
+    return {
+        phrase: [(m.path, m.confidence) for m in dictionary.lookup(phrase)]
+        for phrase in sorted(dictionary.phrases())
+    }
+
+
 class TestIncrementalMaintenance:
+    """Section 3's maintenance: a removed predicate leaves through
+    ``remove_predicate``, a new one is covered by mining again — over the
+    whole phrase set, as Definition 4's idf is taken over all of T."""
+
     def test_remine_for_new_predicate(self, family_kg, uncle_dataset):
         miner = ParaphraseMiner(family_kg, max_path_length=3, top_k=3)
-        dictionary = miner.mine(uncle_dataset)
+        miner.mine(uncle_dataset)
         # A new, better predicate appears: a direct uncleOf edge.
         family_kg.store.add(Triple(e("tedA"), e("uncleOf"), e("juniorA")))
         family_kg.store.add(Triple(e("tedB"), e("uncleOf"), e("juniorB")))
         family_kg.refresh()
-        remined = miner.remine_for_predicates(
-            uncle_dataset, dictionary, {e("uncleOf")}
-        )
-        assert remined >= 1
+        dictionary = miner.mine(uncle_dataset)
         uncle = family_kg.id_of(e("uncleOf"))
         top = dictionary.lookup(normalize_phrase("uncle of"))[0]
         assert top.path == (forward_step(uncle),)
+        assert dictionary.remove_predicate(uncle) >= 1
+        assert all(
+            uncle not in {step_predicate(step) for step in mapping.path}
+            for mapping in dictionary.lookup(normalize_phrase("uncle of"))
+        )
 
     def test_remine_with_unknown_predicate_is_noop(self, family_kg, uncle_dataset):
+        # A write no support pair reaches changes no mined mapping.
         miner = ParaphraseMiner(family_kg, max_path_length=2)
         dictionary = miner.mine(uncle_dataset)
-        assert miner.remine_for_predicates(uncle_dataset, dictionary, {e("nope")}) == 0
+        family_kg.store.add(Triple(e("elsewhere"), e("nope"), e("nowhere")))
+        family_kg.refresh()
+        assert dictionary_view(miner.mine(uncle_dataset)) == dictionary_view(dictionary)
+        assert dictionary.remove_predicate(family_kg.id_of(e("nope"))) == 0
 
 
 class TestWhatMiningKeeps:
@@ -230,12 +247,6 @@ class TestWhatMiningKeeps:
     run owns it, and nothing of it is left on the kernel."""
 
     KERNEL_SLOTS = ("superclasses", "subclasses", "instances")
-
-    def _dictionary_view(self, dictionary):
-        return {
-            phrase: [(m.path, m.confidence) for m in dictionary.lookup(phrase)]
-            for phrase in sorted(dictionary.phrases())
-        }
 
     def _kernel_memos(self, kg):
         """The kernel's per-version memos, by slot: mining fills none."""
@@ -265,16 +276,16 @@ class TestWhatMiningKeeps:
 
     def test_a_remine_leaves_no_memo_on_the_kernel(self, family_kg, uncle_dataset):
         miner = ParaphraseMiner(family_kg, max_path_length=3, top_k=3)
-        dictionary = miner.mine(uncle_dataset)
+        miner.mine(uncle_dataset)
         family_kg.store.add(Triple(e("tedA"), e("uncleOf"), e("juniorA")))
         family_kg.refresh()
         before = self._kernel_memos(family_kg)
-        assert miner.remine_for_predicates(uncle_dataset, dictionary, {e("uncleOf")}) >= 1
+        assert miner.mine(uncle_dataset).lookup(normalize_phrase("uncle of"))
         assert self._kernel_memos(family_kg) == before
 
     def test_mining_twice_gives_equal_dictionaries(self, family_kg, uncle_dataset):
         miner = ParaphraseMiner(family_kg, max_path_length=3, top_k=3)
         first = miner.mine(uncle_dataset)
         second = miner.mine(uncle_dataset)  # rebuilds its trees
-        assert self._dictionary_view(first) == self._dictionary_view(second)
+        assert dictionary_view(first) == dictionary_view(second)
         assert len(first) > 0

@@ -11,6 +11,7 @@ from typing import Iterator
 import pytest
 
 from repro.linking import EntityLinker
+from repro.paraphrase.path_mining import entity_row
 from repro.rdf import (
     IRI,
     KnowledgeGraph,
@@ -142,11 +143,15 @@ class TestAdjacency:
         assert {RDF_TYPE, RDFS_LABEL} <= predicates
 
     def test_undirected_neighbors_skip_literals(self, kg):
+        # The kernel row keeps the literal; the row mining walks drops it.
         banderas = nid(kg, "Antonio_Banderas")
         literal_id = kg.store.dictionary.lookup(Literal("1.74"))
         assert literal_id in {node for _, node in kg.kernel.neighbors(banderas)}
-        assert literal_id not in {
-            node for _, node in kg.kernel.entity_neighbors(banderas)
+        steps, neighbors = entity_row(kg.kernel, banderas)
+        assert literal_id not in neighbors
+        assert set(zip(steps, neighbors)) == {
+            (step, node) for step, node in kg.kernel.neighbors(banderas)
+            if node != literal_id
         }
 
     def test_degree(self, kg):

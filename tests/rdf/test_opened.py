@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.datasets import SyntheticConfig, build_dbpedia_mini, build_synthetic_kg
 from repro.paraphrase.dictionary import ParaphraseDictionary
+from repro.paraphrase.path_mining import entity_row
 from repro.rdf import IRI, RDF_TYPE, KnowledgeGraph, Literal, Triple, TripleStore
 from repro.rdf import snapshot as snapshot_module
 from repro.rdf.kernel import _EMPTY_ROW, AdjacencyKernel
@@ -98,10 +99,9 @@ class TestRowMapping:
         assert [kernel.statistics()[key] for key in sizes] == [
             cold.statistics()[key] for key in sizes
         ]
-        # Counting reads the permutation runs: no row boxed, no entity row
-        # derived.
+        # Counting reads the permutation runs: no row boxed on either.
         assert kernel.statistics()["rows_boxed"] == 0
-        assert not kernel._entity and not cold._entity
+        assert cold.statistics()["rows_boxed"] == 0
 
     def test_eight_threads_boxing_the_same_rows(self):
         kg = build_synthetic_kg(
@@ -160,7 +160,7 @@ def assert_same_reads(kernel, store):
         steps, neighbors = rows.get(node, ((), ()))
         entity = [(s, n) for s, n in zip(steps, neighbors) if not store.is_literal_id(n)]
         assert kernel.adjacency(node) == (steps, neighbors)
-        assert list(zip(*kernel.entity_adjacency(node))) == entity
+        assert list(zip(*entity_row(kernel, node))) == entity
         assert kernel.incident_steps(node) == frozenset(steps)
     for pid in ids:
         for step in (pid + 1, -(pid + 1)):

@@ -27,6 +27,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule, run_state_machine_as_test
 
+from repro.serve import QAEngine
 from tests.serve.wire import running
 
 BERLIN_Q = "Who is the mayor of Berlin?"
@@ -101,6 +102,8 @@ HEADS = {
         b"GET /healthz HTTP/1.1\r\n" + b"X-H: 1\r\n" * 101 + b"\r\n",
         "431 Request Header Fields Too Large", CLOSE,
     ),
+    # An ask that reaches an engine closed under the server.
+    "503": (_ask(), "503 Service Unavailable", CLOSE),
 }
 
 
@@ -111,18 +114,26 @@ def servers(engine):
         yield plain, gated, engine
 
 
+@pytest.fixture(scope="module")
+def closed(kg, dictionary):
+    """A server over an engine that has been closed."""
+    engine = QAEngine(kg, dictionary)
+    engine.close()
+    with running(engine) as server:
+        yield server
+
+
 @pytest.mark.parametrize("case", sorted(HEADS))
-def test_response_head_is_pinned(servers, case):
+def test_response_head_is_pinned(servers, closed, case):
     plain, gated, engine = servers
+    chosen = {"401": gated, "503": closed}.get(case, plain)
     data, status, extra = HEADS[case]
     held = []
     if case == "429":
         held = [engine.admission.admit() for _ in range(engine.admission.capacity)]
     try:
         before = time.time()
-        line, headers, body = _one_reply(
-            (gated if case == "401" else plain).server_address, data
-        )
+        line, headers, body = _one_reply(chosen.server_address, data)
         after = time.time()
     finally:
         for token in held:

@@ -415,6 +415,40 @@ class TestClientDisconnect:
         assert engine.metrics.counter("serve.internal_errors") == errors_before
 
 
+class TestShutdown:
+    def test_keep_alive_request_after_close_is_503(self, kg, dictionary):
+        """A connection kept alive across shutdown reaches a closed engine:
+        the service is gone, not broken — 503 and a close, no internal
+        error."""
+        engine = QAEngine(kg, dictionary, EngineConfig(pool_size=1))
+        server = build_server(engine, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        body = json.dumps({"question": BERLIN_Q})
+        connection = http.client.HTTPConnection(*server.server_address[:2], timeout=30)
+        try:
+            connection.request("POST", "/ask", body)
+            reply = connection.getresponse()
+            assert reply.status == 200
+            assert json.loads(reply.read())["answers"] == ["res:Klaus_Wowereit"]
+            kept = connection.sock
+            server.shutdown()
+            engine.close()
+            errors = engine.metrics.counter("serve.internal_errors")
+            connection.request("POST", "/ask", body)
+            assert connection.sock is kept  # the same kept-alive connection
+            reply = connection.getresponse()
+            assert reply.status == 503
+            assert reply.getheader("Connection") == "close"
+            assert json.loads(reply.read()) == {"error": "engine is closed"}
+            assert engine.metrics.counter("serve.internal_errors") == errors
+        finally:
+            connection.close()
+            server.shutdown()
+            server.server_close()
+            engine.close()
+
+
 class TestCacheBypass:
     def test_no_cache_skips_lookup_and_store(self, served):
         base, engine = served
