@@ -37,6 +37,11 @@ class SnapshotError(ReproError):
     """Raised when a compiled snapshot is missing, corrupt, or incompatible."""
 
 
+class ColumnOverflowError(ReproError):
+    """Raised when a value does not fit a 4-byte integer column (the
+    limit is 2^31 - 1): a term id, an offset or a run start."""
+
+
 class SPARQLSyntaxError(ReproError):
     """Raised when parsing a SPARQL query fails."""
 

@@ -312,15 +312,22 @@ class QAEngine:
         The engine cannot know what such a mutation touched, so the store
         version it finds is published as one that touched everything:
         every answer and link list cached before this call is dead.
-        Waits for a running :meth:`ingest` or :meth:`compact`.
+        Waits for a running :meth:`ingest` or :meth:`compact`; raises
+        :class:`EngineClosedError` after :meth:`close`.
         """
         with self._ingest_lock:
+            self._refuse_if_closed()
             self.kg.refresh()
             self.stamps.publish_all(self.store_version)
 
     def close(self) -> None:
-        """Refuse new work and return once in-flight answers have finished.
+        """Refuse new work and return once in-flight answers and writes
+        have finished.
 
+        A write (:meth:`ingest`, :meth:`compact`, :meth:`refresh`) checks
+        the flag under the ingest lock, and ``close`` takes that lock
+        after setting it: a batch already past the check is applied and
+        acked before ``close`` returns, and none is acked after it.
         Holding every slot means no pipeline is running; handing them back
         wakes the asks still waiting for one, which then see the flag and
         raise :class:`EngineClosedError`.  One closer drains at a time: two
@@ -328,6 +335,8 @@ class QAEngine:
         """
         with self._state_lock:
             self._closed = True
+        with self._ingest_lock:
+            pass  # a batch already past the check is acked first
         with self._lifecycle_lock:
             for _ in range(self.config.pool_size):
                 self._slots.acquire()
@@ -396,6 +405,13 @@ class QAEngine:
     # Live ingest
     # ------------------------------------------------------------------ #
 
+    def _refuse_if_closed(self) -> None:
+        """Raise :class:`EngineClosedError` once :meth:`close` was called.
+        Caller holds ``_ingest_lock``."""
+        with self._state_lock:
+            if self._closed:
+                raise EngineClosedError("engine is closed")
+
     def _ensure_writable(self) -> None:
         """Wrap a frozen store in a writable overlay, once, in place.
 
@@ -435,12 +451,14 @@ class QAEngine:
         answer or link list is served across the write exactly when it
         read none of what was stamped.  A batch that changes nothing
         publishes nothing; one that fails part-way publishes a version
-        that touched everything and re-raises.
+        that touched everything and re-raises.  After :meth:`close` a
+        batch is refused with :class:`EngineClosedError`, unapplied.
         """
         removes = removes if removes is not None else []
         span = tracer.span if tracer is not None else obs.NOOP.span
         with self.write_admission.admit():
             with self._ingest_lock:
+                self._refuse_if_closed()
                 with self.metrics_span("serve.ingest"):
                     self._ensure_writable()
                     store = self.kg.store
@@ -525,9 +543,11 @@ class QAEngine:
         have.
 
         ``snapshot_path`` additionally persists a single-file compiled
-        snapshot of the compacted state.
+        snapshot of the compacted state.  After :meth:`close` nothing is
+        compacted: :class:`EngineClosedError`.
         """
         with self._ingest_lock:
+            self._refuse_if_closed()
             with self.metrics_span("serve.compact"):
                 store = self.kg.store
                 store.swap_backend(store.compacted().overlay().backend)

@@ -33,10 +33,10 @@ def table(runs, entries=ENTRIES) -> KeyTable:
     """A table filing ``runs`` (position lists, in order) under ascending keys."""
     keys = [f"k{i:06d}".encode("ascii") for i in range(len(runs))]
     return KeyTable(
-        memoryview(array("q", accumulate(map(len, keys), initial=0))),
+        memoryview(array("i", accumulate(map(len, keys), initial=0))),
         memoryview(b"".join(keys)),
-        memoryview(array("q", accumulate(map(len, runs), initial=0))),
-        memoryview(array("q", chain.from_iterable(runs))),
+        memoryview(array("i", accumulate(map(len, runs), initial=0))),
+        memoryview(array("i", chain.from_iterable(runs))),
     )
 
 

@@ -257,11 +257,11 @@ def _permutation_columns(sections):
 
 def _drop_last_segment(sections):
     for columns in _permutation_columns(sections):
-        del columns[-3:]
+        del columns[-4:]
 
 
 def _shorten_one_column(sections):
-    sections[b"pos"][1] = sections[b"pos"][1][:-8]  # segment 0's second POS column
+    sections[b"pos"][2] = sections[b"pos"][2][:-8]  # segment 0's POS second column
 
 
 class TestShardedIntegrity:

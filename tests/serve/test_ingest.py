@@ -15,6 +15,7 @@ import pytest
 
 from repro.cli import main
 from repro.datasets import build_dbpedia_mini
+from repro.exceptions import EngineClosedError
 from repro.serve.admission import AdmissionRejected
 from repro.rdf import IRI, Literal, Triple
 from repro.rdf.graph import KnowledgeGraph
@@ -290,6 +291,65 @@ class TestEngineCompact:
         state = load_snapshot(path)
         assert len(state.kg.store) == len(engine_rw.kg.store)
         assert state.kg.store.version == engine_rw.store_version
+
+
+class TestAClosedEngineTakesNoWrites:
+    def test_writes_after_close_are_refused_unapplied(self, kg, dictionary):
+        """Regression: a closed engine acked a batch, moved the store
+        version and compacted."""
+        engine = fresh_engine(kg, dictionary)
+        engine.ingest([Triple(IRI("t:s"), IRI("t:p"), IRI("t:o"))])
+        engine.close()
+        version, size = engine.store_version, len(engine.kg.store)
+        with pytest.raises(EngineClosedError):
+            engine.ingest([Triple(IRI("t:s2"), IRI("t:p"), IRI("t:o2"))])
+        with pytest.raises(EngineClosedError):
+            engine.ingest([], removes=[Triple(IRI("t:s"), IRI("t:p"), IRI("t:o"))])
+        with pytest.raises(EngineClosedError):
+            engine.compact()
+        with pytest.raises(EngineClosedError):
+            engine.refresh()
+        assert (engine.store_version, len(engine.kg.store)) == (version, size)
+        assert engine.kg.store.backend.delta_statistics()["delta_adds"] == 1  # not compacted
+        assert engine.metrics.counter("serve.ingest.requests") == 1
+
+    def test_close_returns_after_the_batch_past_the_check_is_acked(
+        self, kg, dictionary, monkeypatch
+    ):
+        """A batch that passed the check before ``close`` is applied and
+        acked before ``close`` returns; the next one is refused."""
+        engine = fresh_engine(kg, dictionary)
+        applied, release = threading.Event(), threading.Event()
+        publish = engine._publish
+
+        def held_publish(*args):  # between the batch's apply and its ack
+            applied.set()
+            assert release.wait(10)
+            publish(*args)
+
+        monkeypatch.setattr(engine, "_publish", held_publish)
+        acked = []
+        writer = threading.Thread(
+            target=lambda: acked.append(
+                engine.ingest([Triple(IRI("t:s"), IRI("t:p"), IRI("t:o"))])
+            )
+        )
+        writer.start()
+        closer = threading.Thread(target=engine.close)
+        try:
+            assert applied.wait(10)
+            closer.start()
+            closer.join(timeout=0.3)
+            assert closer.is_alive() and not acked  # close() waits on the batch
+        finally:
+            release.set()
+            writer.join(timeout=10)
+        closer.join(timeout=10)
+        assert not closer.is_alive() and acked[0]["added"] == 1
+        version = engine.store_version
+        with pytest.raises(EngineClosedError):
+            engine.ingest([Triple(IRI("t:s2"), IRI("t:p"), IRI("t:o2"))])
+        assert engine.store_version == version
 
 
 @pytest.fixture(scope="module")

@@ -27,6 +27,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule, run_state_machine_as_test
 
+from repro.rdf import KnowledgeGraph
 from repro.serve import QAEngine
 from tests.serve.wire import running
 
@@ -102,8 +103,18 @@ HEADS = {
         b"GET /healthz HTTP/1.1\r\n" + b"X-H: 1\r\n" * 101 + b"\r\n",
         "431 Request Header Fields Too Large", CLOSE,
     ),
-    # An ask that reaches an engine closed under the server.
+    # An ask, a batch and a compaction that reach an engine closed under
+    # the server.
     "503": (_ask(), "503 Service Unavailable", CLOSE),
+    "503-ingest": (
+        b"POST /ingest HTTP/1.1\r\nX-Ingest-Token: tok\r\nContent-Length: 44\r\n\r\n"
+        b'{"add": [["bench:a", "bench:p", "bench:b"]]}',
+        "503 Service Unavailable", CLOSE,
+    ),
+    "503-compact": (
+        b"POST /compact HTTP/1.1\r\nX-Ingest-Token: tok\r\nContent-Length: 2\r\n\r\n{}",
+        "503 Service Unavailable", CLOSE,
+    ),
 }
 
 
@@ -116,17 +127,18 @@ def servers(engine):
 
 @pytest.fixture(scope="module")
 def closed(kg, dictionary):
-    """A server over an engine that has been closed."""
-    engine = QAEngine(kg, dictionary)
+    """A server, with the ingest token ``tok``, over an engine that has
+    been closed (over a private copy of the store: it must take no write)."""
+    engine = QAEngine(KnowledgeGraph(kg.store.compacted()), dictionary)
     engine.close()
-    with running(engine) as server:
+    with running(engine, ingest_token="tok") as server:
         yield server
 
 
 @pytest.mark.parametrize("case", sorted(HEADS))
 def test_response_head_is_pinned(servers, closed, case):
     plain, gated, engine = servers
-    chosen = {"401": gated, "503": closed}.get(case, plain)
+    chosen = gated if case == "401" else closed if case.startswith("503") else plain
     data, status, extra = HEADS[case]
     held = []
     if case == "429":
