@@ -72,7 +72,6 @@ def _engine_config(args):
         queue_limit=getattr(args, "queue_limit", defaults.queue_limit),
         deadline_s=getattr(args, "deadline", defaults.deadline_s) or None,
         cache_size=getattr(args, "cache_size", defaults.cache_size),
-        degrade_pressure=getattr(args, "degrade_pressure", defaults.degrade_pressure),
         enable_aggregation=args.aggregation,
     )
 
@@ -506,11 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-size", type=int, default=unset,
         help="answer cache entries (0 disables caching)",
-    )
-    serve.add_argument(
-        "--degrade-pressure", type=float, default=unset,
-        help="admission occupancy in [0,1] past which requests are answered "
-        "in degraded mode (smaller k, trimmed candidates); 1.0 disables",
     )
     serve.add_argument(
         "--ingest-token", metavar="TOKEN", default=None,

@@ -138,11 +138,6 @@ class GAnswer:
     enable_aggregation:
         Opt-in extension: superlative post-processing (the paper lists
         aggregation support as future work; off by default to match it).
-    candidate_limit:
-        When set, vertex and edge candidate lists are trimmed to the best
-        ``candidate_limit`` entries after mapping — the serving layer's
-        graceful-degradation knob: narrower lists cost recall, not
-        correctness of what is returned.
     """
 
     def __init__(
@@ -155,17 +150,13 @@ class GAnswer:
         use_pruning: bool = True,
         enable_aggregation: bool = False,
         linker: EntityLinker | None = None,
-        candidate_limit: int | None = None,
     ):
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
-        if candidate_limit is not None and candidate_limit < 1:
-            raise ValueError("candidate_limit must be positive when set")
         self.kg = kg
         self.dictionary = dictionary
         self.k = k
         self.enable_aggregation = enable_aggregation
-        self.candidate_limit = candidate_limit
         self.parser = DependencyParser()
         self.extractor = RelationExtractor(dictionary)
         self.argument_finder = ArgumentFinder(use_heuristics=use_heuristic_rules)
@@ -293,8 +284,6 @@ class GAnswer:
     ) -> None:
         with tracer.span("candidate_mapping") as span:
             space = self.mapper.build_candidate_space(graph, tracer=tracer)
-            if self.candidate_limit is not None:
-                self._degrade_space(space, tracer)
             span.set(vertices=len(space.vertices), edges=len(space.edges))
         result.scope = space.scope
         for vertex_id, query_vertex in space.vertices.items():
@@ -362,26 +351,6 @@ class GAnswer:
                     for match in result.matches[: self.k]
                 ]
                 span.set(queries=len(result.sparql_queries))
-
-    def _degrade_space(self, space, tracer=obs.NOOP) -> None:
-        """Trim candidate lists to the configured ``candidate_limit``.
-
-        Lists are already confidence-sorted, so trimming keeps the best
-        mappings; dropped tail candidates can only lose low-confidence
-        matches, never corrupt the ones that remain.
-        """
-        limit = self.candidate_limit
-        trimmed = 0
-        for vertex in space.vertices.values():
-            if len(vertex.candidates) > limit:
-                trimmed += len(vertex.candidates) - limit
-                vertex.candidates = vertex.candidates[:limit]
-        for edge in space.edges:
-            if len(edge.candidates) > limit:
-                trimmed += len(edge.candidates) - limit
-                edge.candidates = edge.candidates[:limit]
-        if trimmed:
-            tracer.metrics.incr("mapping.candidates_degraded", trimmed)
 
     def _target_vertices(self, graph: SemanticQueryGraph):
         return target_vertices(graph)

@@ -159,7 +159,7 @@ class KeyTable:
             raise ValueError("run starts do not rise from 0 to the position count")
         if not ids_below(positions, entries):
             raise ValueError(f"a position is not one of the {entries} entries")
-        if not runs_ascend(positions, starts, strictly=True):
+        if not runs_ascend((positions,), starts, strictly=True):
             raise ValueError("a run of positions is not ascending")
         earlier, later = tee(map(bytes, _slices(offsets, self.keys)))
         next(later, None)

@@ -236,14 +236,10 @@ class CompactBackend(FrozenBackend):
     def check(self, terms: int) -> None:
         """Raise ``ValueError`` unless every permutation is a run table
         over the ids below ``terms``: its keys strictly ascending, its run
-        starts rising from 0 to the row count, its second column ascending
-        within each run (what a seek bisects), and every id of its key,
-        second and third columns in ``[0, terms)``.
-
-        The third column's order within a run of equal second keys is not
-        checked, so a file whose third column is out of order opens and
-        ``contains`` then misses rows: a second lane pass per permutation
-        would add about half this check's cost to every open again.
+        starts rising from 0 to the row count, its ``(second, third)``
+        rows strictly ascending within each run (what a seek and
+        ``contains`` bisect; one lane pass reads both columns), and every
+        id of its key, second and third columns in ``[0, terms)``.
         """
         for name, (keys, starts, second, third) in self.permutation_columns().items():
             if not strictly_ascending(keys):
@@ -256,8 +252,8 @@ class CompactBackend(FrozenBackend):
                 raise ValueError(
                     f"the {name} columns hold an id that is not one of the {terms} term ids"
                 )
-            if not runs_ascend(second, starts):
-                raise ValueError(f"the {name} second column falls within a run")
+            if not runs_ascend((second, third), starts, strictly=True):
+                raise ValueError(f"the {name} rows do not ascend within a run")
 
     # ------------------------------------------------------------------ #
     # Reads

@@ -32,7 +32,8 @@ IntColumn = array | memoryview
 _SIGNED, _UNSIGNED = "i", "I"
 #: The bytes an item of an integer column takes.
 WIDTH = 4
-#: The top bit of an item: :func:`runs_ascend` reads it as "this row rose".
+#: The top bit of an item: :func:`runs_ascend` reads it as "this value
+#: did not fall".
 _GUARD = 1 << (8 * WIDTH - 1)
 #: The rows :func:`runs_ascend` reads in one pass (its integers stay 8 KB).
 _PASS_ROWS = 2048
@@ -82,38 +83,57 @@ def run_starts_rise(starts: IntColumn, rows: int) -> bool:
     return len(starts) > 0 and starts[0] == 0 and starts[-1] == rows and strictly_ascending(starts)
 
 
-def runs_ascend(column: IntColumn, starts: IntColumn, strictly: bool = False) -> bool:
-    """Whether every run of ``column`` — ``column[starts[i]:starts[i + 1]]``
-    for ``starts`` that rise — ascends, strictly or with ties: wherever the
-    column falls (or, ``strictly``, does not rise) a run must start.
-    Every value of ``column`` must lie in ``[0, 2^31)``: check that first
+def runs_ascend(
+    columns: tuple[IntColumn, ...], starts: IntColumn, strictly: bool = False
+) -> bool:
+    """Whether every run of the rows ``columns`` make side by side — rows
+    ``starts[i]:starts[i + 1]`` for ``starts`` that rise — ascends in
+    lexicographic order (the first column first), strictly or with ties:
+    wherever a row falls (or, ``strictly``, does not rise) a run must
+    start.  So a row of ``(second, third)`` passes where ``second`` rose,
+    or where it is equal and ``third`` rose (rose strictly, ``strictly``).
+    Every value must lie in ``[0, 2^31)``: check that first
     (:func:`ids_below`).
 
-    The column is read :data:`_PASS_ROWS` rows at a time as one integer
-    whose 4-byte lanes are its values, so no Python step is taken per row.
-    Each lane of ``rows + bias - previous rows`` is ``2^31 + c[r] - c[r-1]``
-    (one less, ``strictly``), which lies in ``(0, 2^32)`` and so borrows
-    nothing from the lane above: its top bit is set exactly where the row
-    rose.  The lanes where a run starts, one Python step per run, are set
-    in a mask beside it.
+    Each column is read :data:`_PASS_ROWS` rows at a time as one integer
+    whose 4-byte lanes are its values, so no Python step is taken per
+    row.  Each lane of ``rows + 2^31 - previous rows`` lies in
+    ``(0, 2^32)`` and so borrows nothing from the lane above: its top bit
+    is set exactly where the value did not fall, and, one subtracted from
+    every lane, exactly where it rose.  A row is accepted where a run
+    starts (a mask beside it, one Python step per run) or where a column
+    rose after every column before it stayed equal (or, not ``strictly``,
+    where every column stayed equal).
     """
-    data = memoryview(column).cast("B")
     order = sys.byteorder
-    bias = (_GUARD - strictly).to_bytes(WIDTH, order)
-    guard = _GUARD.to_bytes(WIDTH, order)
-    rows = len(data) // WIDTH
+    data = [memoryview(column).cast("B") for column in columns]
+    last = len(data) - 1
+    rows = len(data[0]) // WIDTH
+    lanes = 0
     for low in range(1, rows, _PASS_ROWS):  # row 0 has no row before it
         high = min(low + _PASS_ROWS, rows)
-        mask = bytearray((high - low) * WIDTH)
-        lanes = memoryview(mask).cast(_UNSIGNED)
+        if high - low != lanes:
+            lanes = high - low
+            guards = int.from_bytes(_GUARD.to_bytes(WIDTH, order) * lanes, order)
+            ones = int.from_bytes((1).to_bytes(WIDTH, order) * lanes, order)
+        mask = bytearray(lanes * WIDTH)
+        starting = memoryview(mask).cast(_UNSIGNED)
         for start in starts[bisect_left(starts, low):bisect_left(starts, high)]:
-            lanes[start - low] = _GUARD
-        risen = (
-            int.from_bytes(data[low * WIDTH:high * WIDTH], order)
-            + int.from_bytes(bias * (high - low), order)
-            - int.from_bytes(data[(low - 1) * WIDTH:(high - 1) * WIDTH], order)
-        )
-        guards = int.from_bytes(guard * (high - low), order)
-        if (risen | int.from_bytes(mask, order)) & guards != guards:
+            starting[start - low] = _GUARD
+        accepted = int.from_bytes(mask, order)
+        equal = guards  # the lanes whose earlier columns all stayed equal
+        for position, column in enumerate(data):
+            held = (
+                int.from_bytes(column[low * WIDTH:high * WIDTH], order)
+                + guards
+                - int.from_bytes(column[(low - 1) * WIDTH:(high - 1) * WIDTH], order)
+            )
+            rose = (held - ones) & guards
+            if position == last:
+                accepted |= equal & (rose if strictly else held)
+            else:
+                accepted |= equal & rose
+                equal &= (held & guards) ^ rose
+        if accepted & guards != guards:
             return False
     return True

@@ -76,14 +76,12 @@ whose directory or columns do not describe one another.  Of the run
 tables the open checks that the keys rise strictly, that the run starts
 begin at 0, rise strictly and end at the row count, that every id of
 the key, second and third columns lies in ``[0, terms)`` (one ``max``
-over each column's bytes read unsigned), and that the second column
-ascends within each run (:func:`~repro.rdf.columns.runs_ascend`, which
-reads a column 2 048 rows at a time as one integer and takes a Python
-step per run, not per row).  The third column's order within a run of
-equal second keys is not checked, so a re-signed file whose third column
-is out of order opens, and ``contains`` then misses rows.  The checks
-read every permutation page, and the pages are handed back as the
-checksum's are.
+over each column's bytes read unsigned), and that the ``(second,
+third)`` rows rise strictly within each run
+(:func:`~repro.rdf.columns.runs_ascend`, which reads both columns 2 048
+rows at a time as one integer and takes a Python step per run, not per
+row).  The checks read every permutation page, and the pages are handed
+back as the checksum's are.
 
 Every file is written to a temporary sibling, flushed, synced and renamed
 over its target, so a process that has the old file mapped keeps reading

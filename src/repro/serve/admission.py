@@ -7,10 +7,8 @@ with :class:`AdmissionRejected` — the transport maps it to HTTP 429 —
 instead of growing an unbounded line of waiting threads whose tail
 latency the client would pay anyway.
 
-``pressure()`` exposes current occupancy in [0, 1]; the engine reads it to
-decide when to answer in degraded mode (smaller k, narrower candidate
-lists).  Queue-depth and slot-hold-time histograms and the rejection
-counter go to the engine's metrics registry (``serve.queue_depth``,
+Queue-depth and slot-hold-time histograms and the rejection counter go
+to the engine's metrics registry (``serve.queue_depth``,
 ``serve.in_flight_ms``, ``serve.rejected``), and only there: ``stats()``
 reads admissions, the peak and rejections back from it.
 
@@ -118,13 +116,6 @@ class AdmissionController:
     def in_flight(self) -> int:
         with self._lock:
             return self._in_flight
-
-    def pressure(self) -> float:
-        """Occupancy of the admission budget in [0, 1] (1 = saturated)."""
-        with self._lock:
-            if self.capacity == 0:
-                return 1.0
-            return self._in_flight / self.capacity
 
     def stats(self) -> dict:
         depths = self.metrics.histogram(f"{self.prefix}.queue_depth")

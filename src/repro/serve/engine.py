@@ -21,10 +21,7 @@ asked it — the engine owns no threads of its own:
   :class:`AdmissionRejected` (HTTP 429 upstream);
 * **deadlines** — a per-request budget, counted from admission, threaded
   into the top-k search, which stops cooperatively and returns partial
-  top-k with ``terminated_by="deadline"``;
-* **degradation** — past a pressure threshold requests are answered by a
-  degraded pipeline (smaller k, trimmed candidate lists) and marked
-  ``degraded: true``.
+  top-k with ``terminated_by="deadline"``.
 
 Each request runs under its own tracer (or the no-op), never the
 process-wide default: the recording :class:`~repro.obs.Tracer` keeps a
@@ -64,9 +61,6 @@ __all__ = ["EngineConfig", "QAEngine", "AdmissionRejected"]
 #: Entity-link candidate cache entries.  A constant, not an
 #: :class:`EngineConfig` field — no deployment has needed another value.
 _LINK_CACHE_SIZE = 4096
-#: The degraded pipeline: its top-k and its candidate-list width.
-_DEGRADED_K = 3
-_DEGRADED_CANDIDATE_LIMIT = 3
 #: Ingest batches in flight (running or waiting) before a write is a 429.
 _INGEST_CAPACITY = 2
 
@@ -77,8 +71,7 @@ class EngineConfig:
 
     Every field is a CLI flag: the global ``--k`` and ``--aggregation``,
     and ``repro serve``'s ``--pool-size``, ``--queue-limit``,
-    ``--deadline``, ``--cache-size`` and ``--degrade-pressure``.  The
-    link-cache size, the degraded pipeline's k and candidate width and the
+    ``--deadline`` and ``--cache-size``.  The link-cache size and the
     ingest admission budget are not tunables at all: module constants
     above.
     """
@@ -88,7 +81,6 @@ class EngineConfig:
     queue_limit: int = 12             # extra requests allowed to wait
     deadline_s: float | None = 10.0   # default per-request budget (None = off)
     cache_size: int = 1024            # answer cache entries (0 disables)
-    degrade_pressure: float = 0.75    # admission occupancy that triggers degradation
     enable_aggregation: bool = False  # superlative post-processing extension
 
     def __post_init__(self) -> None:
@@ -96,21 +88,11 @@ class EngineConfig:
             raise EngineConfigError("pool_size must be at least 1")
         if self.queue_limit < 0:
             raise EngineConfigError("queue_limit must be >= 0")
-        if not 0.0 <= self.degrade_pressure <= 1.0:
-            raise EngineConfigError("degrade_pressure must be in [0, 1]")
         if self.cache_size < 0:
             raise EngineConfigError(f"cache_size must be >= 0: {self.cache_size}")
         # NaN fails both comparisons; a deadline at NaN or inf never comes due.
         if self.deadline_s is not None and not 0 < self.deadline_s < math.inf:
             raise EngineConfigError(f"deadline_s must be positive and finite: {self.deadline_s}")
-
-
-@dataclass(slots=True)
-class EngineResult:
-    """What the engine computed for one question (the cacheable part)."""
-
-    answer: Answer
-    degraded: bool = False
 
 
 def _warm_shared(kg: KnowledgeGraph, linker: "EntityLinker | CachingLinker") -> dict:
@@ -182,14 +164,6 @@ class QAEngine:
             k=self.config.k,
             enable_aggregation=self.config.enable_aggregation,
             linker=self.linker,
-        )
-        self._degraded_system = GAnswer(
-            kg,
-            dictionary,
-            k=_DEGRADED_K,
-            enable_aggregation=self.config.enable_aggregation,
-            linker=self.linker,
-            candidate_limit=_DEGRADED_CANDIDATE_LIMIT,
         )
         self.admission = AdmissionController(
             capacity=self.config.pool_size + self.config.queue_limit,
@@ -394,12 +368,12 @@ class QAEngine:
         """The raw pipeline :class:`Answer` through the warm path.
 
         What makes the engine an ``evaluate_system``-compatible system;
-        the interactive shell uses it too.  Same admission, cache, and
-        degradation behavior as :meth:`ask`, but the caller gets term
+        the interactive shell uses it too.  Same admission and cache
+        behavior as :meth:`ask`, but the caller gets term
         objects instead of strings.  Treat the result as read-only —
         cached answers are shared.
         """
-        return self._process(question, deadline_s, False)[0].answer
+        return self._process(question, deadline_s, False)[0]
 
     # ------------------------------------------------------------------ #
     # Live ingest
@@ -582,7 +556,7 @@ class QAEngine:
     def _process(
         self, question: str, deadline_s: float | None, trace: bool,
         use_cache: bool = True,
-    ) -> tuple[EngineResult, "obs.Tracer | None", bool]:
+    ) -> tuple[Answer, "obs.Tracer | None", bool]:
         with self.admission.admit():
             # The client's budget starts at admission: time spent waiting
             # for a slot is time the client has already waited.
@@ -596,12 +570,12 @@ class QAEngine:
 
     def _answer_in_slot(
         self, question: str, deadline: float | None, trace: bool, use_cache: bool
-    ) -> tuple[EngineResult, "obs.Tracer | None", bool]:
+    ) -> tuple[Answer, "obs.Tracer | None", bool]:
         started = time.monotonic()
         self.metrics.incr("serve.requests")
         # The question as asked is the key: the tagger reads case, so two
         # spellings can be two answers.  The config is fixed for the
-        # engine's lifetime and degraded answers are never cached.
+        # engine's lifetime.
         if use_cache:
             cached = self.answer_cache.get(question, self.stamps.fresh)
             if cached is not None:
@@ -614,32 +588,23 @@ class QAEngine:
         # Before computing: a batch published while the pipeline runs must
         # find this answer older than its stamps.
         version = self.stamps.version()
-
-        degraded = self.admission.pressure() >= self.config.degrade_pressure
-        system = self._degraded_system if degraded else self._system
-        if degraded:
-            self.metrics.incr("serve.degraded")
-
         tracer = obs.Tracer() if trace else obs.NOOP
-        answer = system.answer(question, tracer=tracer, deadline=deadline)
-
-        result = EngineResult(answer=answer, degraded=degraded)
+        answer = self._system.answer(question, tracer=tracer, deadline=deadline)
         if answer.terminated_by == "deadline":
             self.metrics.incr("serve.deadline_expired")
-        elif not degraded and use_cache:
-            # Partial (deadline-cut) and degraded answers are never cached:
-            # a later uncontended request should get the full-quality one.
+        elif use_cache:
+            # Partial (deadline-cut) answers are never cached: a later
+            # request with time to finish should get the whole one.
             # Bypassed requests don't store either — a cache-miss
             # measurement pass must not warm the cache it is avoiding.
-            self.answer_cache.put(question, Stamped(result, version, answer.scope))
+            self.answer_cache.put(question, Stamped(answer, version, answer.scope))
         self.metrics.observe(
             "serve.latency_ms", (time.monotonic() - started) * 1000.0
         )
-        return result, (tracer if trace else None), False
+        return answer, (tracer if trace else None), False
 
-    def _render(self, result: EngineResult, tracer, from_cache: bool = False) -> dict:
-        """The JSON response body for one computed (or cached) result."""
-        answer = result.answer
+    def _render(self, answer: Answer, tracer, from_cache: bool = False) -> dict:
+        """The JSON response body for one computed (or cached) answer."""
         response = {
             "trace_id": f"req-{next(self._trace_ids)}",
             "question": answer.question,
@@ -649,7 +614,6 @@ class QAEngine:
             "failure": answer.failure,
             "terminated_by": answer.terminated_by,
             "sparql": answer.sparql_queries[0] if answer.sparql_queries else None,
-            "degraded": result.degraded,
             "cached": from_cache,
             "store_version": self.store_version,
             "timings_ms": {
@@ -696,7 +660,6 @@ class QAEngine:
                 "pool_size": self.config.pool_size,
                 "queue_limit": self.config.queue_limit,
                 "deadline_s": self.config.deadline_s,
-                "degrade_pressure": self.config.degrade_pressure,
             },
             "answer_cache": self.answer_cache.stats(),
             "link_cache": self.link_cache.stats(),

@@ -306,8 +306,26 @@ class TestNoForksGrowBack:
 
         assert [field.name for field in dataclasses.fields(EngineConfig)] == [
             "k", "pool_size", "queue_limit", "deadline_s", "cache_size",
-            "degrade_pressure", "enable_aggregation",
+            "enable_aggregation",
         ]
+
+    def test_one_pipeline_answers_whatever_the_load(self):
+        """No degraded second pipeline: no pressure knob, no flag, no
+        candidate trim, no result wrapper and no response key for it."""
+        import repro.serve.engine
+        from repro.core import GAnswer
+        from repro.serve import EngineConfig
+        from repro.serve.admission import AdmissionController
+        from tests.test_docs import serve_parser
+
+        assert "degrade_pressure" not in {f.name for f in dataclasses.fields(EngineConfig)}
+        assert "candidate_limit" not in inspect.signature(GAnswer.__init__).parameters
+        assert not hasattr(GAnswer, "_degrade_space")
+        assert not hasattr(AdmissionController, "pressure")
+        assert not hasattr(repro.serve.engine, "EngineResult")
+        serve_flags = {flag for action in serve_parser()._actions for flag in action.option_strings}
+        assert "--degrade-pressure" not in serve_flags
+        assert '"degraded"' not in inspect.getsource(repro.serve.engine)
 
     def test_tracers_are_per_call_or_process_wide_never_per_instance(self):
         from repro.baselines import Deanna, TemplateQA

@@ -107,35 +107,46 @@ def test_a_compile_past_four_bytes_is_a_snapshot_error(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def _runs_ascend_by_scan(column: list[int], starts: list[int], strictly: bool) -> bool:
+def _runs_ascend_by_scan(rows: list[tuple[int, ...]], starts: list[int], strictly: bool) -> bool:
     return all(
-        column[row - 1] < column[row] if strictly else column[row - 1] <= column[row]
+        rows[row - 1] < rows[row] if strictly else rows[row - 1] <= rows[row]
         for begin, end in zip(starts, starts[1:])
         for row in range(begin + 1, end)
     )
 
 
-# Runs of sorted values (so most columns pass), each perhaps with one row
-# changed; a length past one pass of rows crosses a pass boundary.
-_RUNS = st.lists(
-    st.lists(st.sampled_from([0, 1, 2, 7, 2**31 - 2, 2**31 - 1]), min_size=1, max_size=6).map(sorted),
-    max_size=12,
-)
+# Runs of sorted rows one or two values wide (so most runs pass), each
+# perhaps with one value changed; a length past one pass of rows crosses
+# a pass boundary.
+_VALUES = st.sampled_from([0, 1, 2, 7, 2**31 - 2, 2**31 - 1])
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(runs=_RUNS, edit=st.none() | st.tuples(st.integers(0), st.sampled_from([0, 2**31 - 1])),
+@st.composite
+def _runs(draw):
+    width = draw(st.sampled_from([1, 2]))
+    row = st.tuples(*[_VALUES] * width)
+    return draw(st.lists(st.lists(row, min_size=1, max_size=6).map(sorted), max_size=12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(runs=_runs(),
+       edit=st.none() | st.tuples(st.integers(0), st.integers(0, 1), st.sampled_from([0, 2**31 - 1])),
        strictly=st.booleans(), padding=st.sampled_from([0, columns._PASS_ROWS - 3]))
 def test_runs_ascend_agrees_with_a_scan(runs, edit, strictly, padding):
     """The lane arithmetic of :func:`repro.rdf.columns.runs_ascend`, on
-    owned and borrowed columns, against a row-by-row scan."""
-    column = [value for run in runs for value in run]
-    if edit is not None and column:
-        column[edit[0] % len(column)] = edit[1]
-    # A first run of zeros moves the others past the first pass.
-    runs = [[0] * padding, *runs] if padding else runs
-    column = [0] * padding + column
+    owned and borrowed columns one or two wide (lexicographic rows),
+    against a row-by-row scan."""
+    rows = [list(row) for run in runs for row in run]
+    if edit is not None and rows:
+        row = rows[edit[0] % len(rows)]
+        row[edit[1] % len(row)] = edit[2]
+    width = len(rows[0]) if rows else 1
+    # A first run of rising rows moves the others past the first pass.
+    if padding:
+        runs = [[()] * padding, *runs]
+        rows = [[0] * (width - 1) + [value] for value in range(padding)] + rows
     starts = [0, *accumulate(map(len, runs))]
-    expected = _runs_ascend_by_scan(column, starts, strictly)
+    expected = _runs_ascend_by_scan([tuple(row) for row in rows], starts, strictly)
     for build in (columns.owned_column, lambda values: columns.borrowed_column(columns.owned_column(values))):
-        assert columns.runs_ascend(build(column), build(starts), strictly) is expected
+        lanes = tuple(build([row[part] for row in rows]) for part in range(width))
+        assert columns.runs_ascend(lanes, build(starts), strictly) is expected

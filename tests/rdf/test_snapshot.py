@@ -13,6 +13,7 @@ import struct
 import subprocess
 import sys
 from array import array
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -522,6 +523,24 @@ def _second_falls_in_a_run(sections, name):
     return _with_column(sections, name, _SECOND, reverse)
 
 
+def _third_falls_in_a_run(sections, name):
+    """The first two-row run of equal second keys of permutation ``name``
+    (its first segment), with its two third-column values swapped."""
+    (columns,) = [columns for section, columns in sections if section == name.encode("ascii")]
+    starts, second = array("i", columns[_STARTS]), array("i", columns[_SECOND])
+    row = next(
+        rows[0]
+        for begin, end in zip(starts, starts[1:])
+        for _key, run in groupby(range(begin, end), key=second.__getitem__)
+        if len(rows := list(run)) == 2
+    )
+
+    def swap(values):
+        values[row], values[row + 1] = values[row + 1], values[row]
+
+    return _with_column(sections, name, _THIRD, swap)
+
+
 #: Well-signed but malformed: each maps a good container's parts to the
 #: bytes of one whose checksum holds and whose structure does not.
 _MALFORMATIONS = {
@@ -606,6 +625,11 @@ _MALFORMATIONS = {
     # one second key would miss rows.
     "osp_second_falls_in_a_run": lambda h, m, s: _join_container(
         h, m, _second_falls_in_a_run(s, "osp")
+    ),
+    # An (s, p) run whose objects fall: ``contains`` bisects the third
+    # column and would answer False for a triple the store holds.
+    "spo_third_falls_in_a_run": lambda h, m, s: _join_container(
+        h, m, _third_falls_in_a_run(s, "spo")
     ),
 }
 

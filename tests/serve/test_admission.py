@@ -1,4 +1,4 @@
-"""Admission control: bounded in-flight budget, rejection, pressure."""
+"""Admission control: bounded in-flight budget and rejection."""
 
 import pytest
 
@@ -39,18 +39,8 @@ class TestAdmission:
         token.release()
         assert admission.in_flight == 0
 
-    def test_pressure_scales_with_occupancy(self):
-        admission = AdmissionController(capacity=4)
-        assert admission.pressure() == 0.0
-        tokens = [admission.admit(), admission.admit(), admission.admit()]
-        assert admission.pressure() == 0.75
-        for token in tokens:
-            token.release()
-        assert admission.pressure() == 0.0
-
     def test_zero_capacity_is_always_saturated(self):
         admission = AdmissionController(capacity=0)
-        assert admission.pressure() == 1.0
         with pytest.raises(AdmissionRejected):
             admission.admit()
 

@@ -79,10 +79,10 @@ def served_stale(engine: QAEngine, reference: GAnswer, questions) -> tuple[int, 
     a fresh recomputation)``."""
     served, stale = 0, []
     for question in questions:
-        result, _tracer, from_cache = engine._process(question, None, False)
+        answer, _tracer, from_cache = engine._process(question, None, False)
         if from_cache:
             served += 1
-            if observable(result.answer) != observable(reference.answer(question)):
+            if observable(answer) != observable(reference.answer(question)):
                 stale.append(question)
     return served, stale
 
@@ -327,10 +327,10 @@ def philadelphia_scenario(engine: QAEngine) -> list[str]:
         wrong.append("link list")
     # The film the question is about moves up: its confidence is in the score.
     engine.ingest(edges_onto(IRI("res:Philadelphia_(film)")))
-    result, _tracer, from_cache = engine._process(PHILADELPHIA_Q, None, False)
+    answer, _tracer, from_cache = engine._process(PHILADELPHIA_Q, None, False)
     fresh_answer = reference.answer(PHILADELPHIA_Q)
     assert [m.score for m in fresh_answer.matches] != scores_before
-    if observable(result.answer) != observable(fresh_answer):
+    if observable(answer) != observable(fresh_answer):
         wrong.append("answer")
     assert not (from_cache and not wrong), "a changed answer cannot come from cache"
     return wrong

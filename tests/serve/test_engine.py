@@ -1,4 +1,4 @@
-"""QAEngine behavior: answers, caching, deadlines, degradation, refresh,
+"""QAEngine behavior: answers, caching, deadlines, one answer under load, refresh,
 and the request-thread execution model (slots, admission, close)."""
 
 import threading
@@ -7,10 +7,10 @@ import time
 import pytest
 
 from repro.core import GAnswer
+from repro.datasets import qald_questions
 from repro.exceptions import EngineClosedError, EngineConfigError
 from repro.rdf import IRI, KnowledgeGraph, Literal, Triple
 from repro.serve import AdmissionRejected, EngineConfig, QAEngine
-from repro.serve import engine as engine_module
 from tests.serve.test_ingest import fresh_engine
 
 BERLIN_Q = "Who is the mayor of Berlin?"
@@ -75,8 +75,6 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(queue_limit=-1)
         with pytest.raises(ValueError):
-            EngineConfig(degrade_pressure=1.5)
-        with pytest.raises(ValueError):
             EngineConfig(deadline_s=0)
 
     @pytest.mark.parametrize("deadline", [float("nan"), float("inf")])
@@ -105,10 +103,11 @@ class TestAsk:
         response = engine.ask(CAPITAL_Q)
         for key in (
             "trace_id", "question", "answers", "boolean", "processed",
-            "failure", "terminated_by", "sparql", "degraded", "cached",
+            "failure", "terminated_by", "sparql", "cached",
             "store_version", "timings_ms",
         ):
             assert key in response
+        assert "degraded" not in response
         assert set(response["timings_ms"]) == {"understanding", "evaluation", "total"}
         assert response["store_version"] == engine.store_version
 
@@ -328,26 +327,25 @@ class TestDeadline:
         assert waited["terminated_by"] == "deadline"
 
 
-class TestDegradation:
-    def test_pressure_threshold_degrades_and_skips_cache(
-        self, kg, dictionary, monkeypatch
-    ):
-        # degrade_pressure=0.0 makes every request degraded — the
-        # deterministic way to exercise the degraded pipeline.
-        monkeypatch.setattr(engine_module, "_DEGRADED_K", 2)
-        engine = QAEngine(
-            kg, dictionary, EngineConfig(pool_size=1, degrade_pressure=0.0)
-        )
-        assert engine._degraded_system.k == 2
+class TestOneAnswerUnderLoad:
+    def test_a_crowded_engine_answers_like_an_idle_one(self, engine, kg, dictionary):
+        """An answer is a function of the question and the store, not of
+        how many other requests are in flight: with every admission token
+        but one held, all 99 QALD questions get the idle engine's answers."""
+        crowded = QAEngine(kg, dictionary)
+        capacity = crowded.admission.capacity
+        held = [crowded.admission.admit() for _ in range(capacity - 1)]
         try:
-            response = engine.ask(BERLIN_Q)
-            assert response["degraded"] is True
-            assert response["answers"]  # degraded, not broken
-            assert engine.ask(BERLIN_Q)["cached"] is False  # never cached
-            counters = engine.metrics.snapshot()["counters"]
-            assert counters["serve.degraded"] == 2
+            for question in (q.text for q in qald_questions()):
+                idle = engine.ask(question, use_cache=False)
+                busy = crowded.ask(question, use_cache=False)
+                assert (busy["answers"], busy["boolean"]) == (
+                    idle["answers"], idle["boolean"]
+                ), question
         finally:
-            engine.close()
+            for token in held:
+                token.release()
+            crowded.close()
 
 
 class TestStats:

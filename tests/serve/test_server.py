@@ -60,7 +60,6 @@ class TestAsk:
         status, body = _post(f"{base}/ask", {"question": BERLIN_Q})
         assert status == 200
         assert body["answers"] == ["res:Klaus_Wowereit"]
-        assert body["degraded"] is False
         assert "timings_ms" in body
 
     def test_batch(self, served):
